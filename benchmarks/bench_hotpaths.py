@@ -370,10 +370,10 @@ def stage_delta_sweep(delta_workloads):
                 raise RuntimeError(
                     f"delta sweep diverged on {network.name} ({label}): "
                     f"{report.incremental_divergences()} "
-                    f"{report.abstract_disagreements()}"
+                    f"{report.abstraction_disagreements()}"
                 )
             if label == "invariant":
-                counts = report.reuse_counts()
+                counts = report.abstraction_counts()
                 if counts["recompressed"]:
                     raise RuntimeError(
                         f"compression-invariant change re-compressed "
@@ -514,10 +514,10 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
                 f"{family}({size}): incremental re-solve diverges from the "
                 f"scratch oracle: {sweep.incremental_divergences()}"
             )
-        if sweep.soundness_disagreements():
+        if sweep.abstraction_disagreements():
             failures.append(
                 f"{family}({size}): abstract verdicts disagree under failures: "
-                f"{sweep.soundness_disagreements()}"
+                f"{sweep.abstraction_disagreements()}"
             )
     from repro.delta import DeltaSweep
     from repro.netgen.changes import generated_change_script
@@ -541,10 +541,10 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
                 f"{family}({size}): change-incremental re-solve diverges from "
                 f"the scratch oracle: {sweep.incremental_divergences()}"
             )
-        if sweep.abstract_disagreements():
+        if sweep.abstraction_disagreements():
             failures.append(
                 f"{family}({size}): abstract verdicts disagree under changes: "
-                f"{sweep.abstract_disagreements()}"
+                f"{sweep.abstraction_disagreements()}"
             )
     # Backend parity runs on every netgen family regardless of mode: the
     # networks are bench-sized, and the array backend must never be the

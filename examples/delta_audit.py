@@ -66,7 +66,7 @@ for line in report.summary_lines():
 # The audit verdict: what breaks, and where?
 # ----------------------------------------------------------------------
 print()
-first = report.first_breaking_change()
+first = report.first_break()
 broken = {prop: step for prop, step in first.items() if step is not None}
 if not broken:
     print("the script breaks nothing: safe to ship")
@@ -84,7 +84,7 @@ for record in report.records:
 # How much work the incremental path saved
 # ----------------------------------------------------------------------
 print()
-counts = report.reuse_counts()
+counts = report.abstraction_counts()
 print(
     f"abstraction revalidation: {counts['reused']}/{counts['checked']} classes "
     "re-verified WITHOUT re-compression (signature unchanged); "

@@ -36,7 +36,7 @@ for line in report.summary_lines():
 # The audit verdict: which properties are failure-resilient?
 # ----------------------------------------------------------------------
 print()
-first = report.first_failing_scenario()
+first = report.first_break()
 resilient = [prop for prop in report.properties if first[prop] is None]
 fragile = {prop: first[prop] for prop in report.properties if first[prop]}
 print(f"resilient to every single link failure: {', '.join(resilient) or '-'}")
@@ -46,7 +46,7 @@ for prop, scenario in fragile.items():
 # ----------------------------------------------------------------------
 # Where the abstraction stops being trustworthy
 # ----------------------------------------------------------------------
-counts = report.soundness_counts()
+counts = report.abstraction_counts()
 print()
 print(
     f"abstraction soundness: {counts['sound']}/{counts['checked']} scenarios "

@@ -30,7 +30,6 @@ from repro.delta.changeset import (
     load_change_script,
 )
 from repro.delta.incremental import (
-    DeltaSolve,
     EdgeDiff,
     delta_resolve,
     diff_network_edges,
@@ -70,7 +69,6 @@ __all__ = [
     "RouteMapClauseInsert",
     "change_from_dict",
     "load_change_script",
-    "DeltaSolve",
     "EdgeDiff",
     "delta_resolve",
     "diff_network_edges",

@@ -39,16 +39,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional
 
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import syntactic_policy_keys
-from repro.failures.incremental import BaselineIndex, tainted_nodes
+from repro.failures.incremental import BaselineIndex, IncrementalSolve, seeded_resolve
 from repro.srp.instance import SRP
 from repro.srp.solution import Solution
-from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
-from repro.topology.graph import Edge, Node
+from repro.srp.solver import TransferCache
+from repro.topology.graph import Edge
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,6 @@ def diff_network_edges(
     )
 
 
-@dataclass
-class DeltaSolve:
-    """The outcome of one change-incremental re-solve."""
-
-    solution: Solution
-    #: False when the seeded solve failed (``ConvergenceError``) and the
-    #: result came from the scratch fallback instead.
-    incremental_used: bool
-    #: Nodes whose baseline labels were reset before solving.
-    tainted: FrozenSet[Node]
-    #: Size of the initial worklist handed to the seeded solver.
-    dirty_count: int
-    seconds: float
-
-
 def seed_transfer_cache(
     baseline: Solution, diff: EdgeDiff, transfer_cache: Optional[TransferCache] = None
 ) -> TransferCache:
@@ -157,8 +142,7 @@ def delta_resolve(
     diff: EdgeDiff,
     transfer_cache: Optional[TransferCache] = None,
     index: Optional[BaselineIndex] = None,
-    max_rounds: int = 1000,
-) -> DeltaSolve:
+) -> IncrementalSolve:
     """Solve ``changed_srp`` seeded from the baseline solution.
 
     ``changed_srp`` must share its destination structure with the
@@ -169,76 +153,18 @@ def delta_resolve(
     (:func:`diff_network_edges`).
     """
     start = time.perf_counter()
-    transfer_cache = seed_transfer_cache(baseline, diff, transfer_cache)
-
-    tainted = tainted_nodes(
-        baseline, diff.perturbed, diff.removed_nodes, index=index
+    # Stale memo entries are evicted here, not in the shared body: steps
+    # chain, so a removed edge can come back with a new policy.
+    result = seeded_resolve(
+        changed_srp,
+        baseline,
+        perturbed_edges=diff.perturbed,
+        removed_nodes=diff.removed_nodes,
+        added_edges=diff.added,
+        added_nodes=diff.added_nodes,
+        transfer_cache=seed_transfer_cache(baseline, diff, transfer_cache),
+        index=index,
+        solver="delta",
     )
-    graph = changed_srp.graph
-    seed_labeling = {
-        node: (
-            None
-            if node in tainted or str(node) in diff.added_nodes
-            else baseline.labeling.get(node)
-        )
-        for node in graph.nodes
-    }
-
-    dirty: Set[Node] = set(tainted)
-    # A removed or changed out-edge perturbs the node's offer set even off
-    # the forwarding paths (the lost/altered offer may have been the
-    # tie-broken runner-up); an added edge grows it.  Re-examine every
-    # surviving endpoint.
-    for u, v in diff.removed | diff.changed | diff.added:
-        if graph.has_node(u):
-            dirty.add(u)
-        if graph.has_node(v):
-            dirty.add(v)
-    # Offers into a tainted (reset) node were computed from its old label.
-    for node in tainted:
-        if graph.has_node(node):
-            for upstream, _ in graph.in_edges(node):
-                dirty.add(upstream)
-    # Neighbours of removed devices lost an offer each; added devices have
-    # no label yet and must compute one.
-    for node in diff.removed_nodes:
-        if baseline.srp.graph.has_node(node):
-            for upstream in baseline.srp.graph.predecessors(node):
-                if graph.has_node(upstream):
-                    dirty.add(upstream)
-    for node in diff.added_nodes:
-        if graph.has_node(node):
-            dirty.add(node)
-            for upstream, _ in graph.in_edges(node):
-                dirty.add(upstream)
-
-    try:
-        solution = solve_seeded(
-            changed_srp,
-            seed_labeling,
-            sorted(dirty, key=str),
-            transfer_cache=transfer_cache,
-            max_rounds=max_rounds,
-        )
-        used = True
-    except ConvergenceError:
-        # Defensive: a seed the worklist cannot repair (or a genuinely
-        # oscillating changed network).  Fall back to the scratch solver
-        # so the caller still gets an answer -- or the scratch solver's
-        # own ConvergenceError, which is then a property of the network.
-        from repro.obs import events as _events
-        from repro.obs import metrics as _metrics
-
-        _metrics.counter("incremental.scratch_fallbacks").inc()
-        _events.emit("fallback.scratch", solver="delta", dirty=len(dirty))
-        solution = solve(
-            changed_srp, max_rounds=max_rounds, transfer_cache=transfer_cache
-        )
-        used = False
-    return DeltaSolve(
-        solution=solution,
-        incremental_used=used,
-        tainted=frozenset(tainted),
-        dirty_count=len(dirty),
-        seconds=time.perf_counter() - start,
-    )
+    result.seconds = time.perf_counter() - start
+    return result

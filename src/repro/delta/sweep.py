@@ -28,25 +28,25 @@ Per (class, step) the task records:
   and the differential lifted-abstract-vs-concrete comparison either way;
 * the **rebuild arm** timings (scratch solve + fresh re-compression)
   behind the report's headline incremental-vs-rebuild speedup.
+
+Changes are one *kind* on the shared perturbation engine
+(:mod:`repro.pipeline.perturb`, which holds everything kind-neutral).
+This module adds the change kind's own: the per-worker script state (a
+changed network really is recompiled, unlike a failure view), the chained
+step loop with its chunk fast-forward, stored-baseline seeding, signature
+revalidation and the rebuild arm.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
-from repro.analysis.batch import PropertySuite
-from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
-from repro.analysis.properties import (
-    PropertyContext,
-    evaluate_suite,
-    failure_witness,
-    verdict_delta,
-)
 from repro.config.network import Network
 from repro.config.transfer import (
     build_srp_from_network,
@@ -57,12 +57,21 @@ from repro.config.transfer import (
 from repro.delta.changeset import ChangeSet
 from repro.delta.incremental import delta_resolve, diff_network_edges
 from repro.delta.revalidate import class_signature, revalidate_class
-from repro.failures.incremental import BaselineIndex, divergent_nodes
-from repro.obs import trace
-from repro.reporting import ReportEnvelope, StreamingReport, register_report
+from repro.failures.incremental import BaselineIndex
 from repro.failures.soundness import lifted_abstract_verdicts
-from repro.pipeline.core import EXECUTORS, ClassFanOut, register_class_task
-from repro.pipeline.encoded import EncodedNetwork
+from repro.obs import trace
+from repro.pipeline.core import register_class_task
+from repro.pipeline.perturb import (
+    TaskBaseline,
+    ClassPerturbationRecord,
+    PerturbationOutcome,
+    PerturbationReport,
+    PerturbationSweep,
+    unit_range,
+)
+from repro.pipeline.shard import register_unit_splitter
+from repro.reporting import register_report
+from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
 
 #: Format version of the JSON delta reports.
@@ -72,29 +81,23 @@ DELTA_REPORT_VERSION = 1
 # ----------------------------------------------------------------------
 # Records
 # ----------------------------------------------------------------------
-@dataclass
-class ChangeOutcome:
+@dataclass(kw_only=True)
+class ChangeOutcome(PerturbationOutcome):
     """Everything recorded for one (equivalence class, change step) pair."""
+
+    NAME_FIELD = "step"
+    HELD_FIELD = "reused"
+    CHECK_FIELD = "revalidation"
+    CANONICAL_FIELDS = ("origins_changed", "partition_changed", "reused", "recompressed")
 
     step: str
     changes: List[str] = field(default_factory=list)
-    #: No device originates the class prefix any more after this step.
-    unroutable: bool = False
     #: The origin set (or destination partition) changed: the SRP's
     #: destination structure no longer lines up with the previous step's,
     #: so the scratch result served the solution.
     origins_changed: bool = False
     #: The destination trie no longer has a class at exactly this prefix.
     partition_changed: bool = False
-    incremental_used: bool = False
-    #: Incremental labeling is identical to the scratch oracle's (``None``
-    #: when the oracle was skipped or incremental did not run).
-    incremental_matches_scratch: Optional[bool] = None
-    divergent: List[str] = field(default_factory=list)
-    incremental_seconds: float = 0.0
-    scratch_seconds: float = 0.0
-    tainted: int = 0
-    dirty: int = 0
     edges_removed: int = 0
     edges_added: int = 0
     edges_changed: int = 0
@@ -113,101 +116,44 @@ class ChangeOutcome:
     rebuild_compress_seconds: float = 0.0
     #: Full :class:`~repro.delta.revalidate.RevalidationOutcome` wire form.
     revalidation: Optional[Dict] = None
-    #: Per-property verdict delta vs. the unchanged baseline.
-    newly_failing: Dict[str, List[str]] = field(default_factory=dict)
-    newly_passing: Dict[str, List[str]] = field(default_factory=dict)
-    #: One structured counterexample per newly broken property.
-    witnesses: Dict[str, Dict] = field(default_factory=dict)
-
-    def abstract_agrees(self) -> Optional[bool]:
-        if self.revalidation is None:
-            return None
-        return self.revalidation.get("agrees")
-
-    def canonical(self) -> Tuple:
-        """Timing-free outcome, for executor-parity comparisons."""
-        return (
-            self.step,
-            self.unroutable,
-            self.origins_changed,
-            self.partition_changed,
-            self.incremental_matches_scratch,
-            self.reused,
-            self.recompressed,
-            self.abstract_agrees(),
-            tuple(sorted((k, tuple(v)) for k, v in self.newly_failing.items())),
-            tuple(sorted((k, tuple(v)) for k, v in self.newly_passing.items())),
-        )
 
 
 @dataclass
-class ClassDeltaRecord:
+class ClassDeltaRecord(ClassPerturbationRecord):
     """All change-step outcomes for one destination equivalence class."""
 
-    prefix: str
-    origins: List[str]
-    baseline_seconds: float
-    compression_seconds: float
-    baseline_failing: Dict[str, List[str]] = field(default_factory=dict)
+    OUTCOMES_FIELD = "steps"
+    OUTCOME_CLASS = ChangeOutcome
+
     steps: List[ChangeOutcome] = field(default_factory=list)
     #: True when the baseline labeling (and compression, if revalidating)
     #: came from a stored :class:`~repro.store.BaselineArtifact` instead
     #: of being re-solved in this run.
     baseline_from_store: bool = False
 
-    def canonical(self) -> Tuple:
-        return (
-            self.prefix,
-            tuple(self.origins),
-            tuple(sorted((k, tuple(v)) for k, v in self.baseline_failing.items())),
-            tuple(outcome.canonical() for outcome in self.steps),
-        )
-
 
 @register_report
-@dataclass
-class DeltaReport(StreamingReport, ReportEnvelope):
+@dataclass(kw_only=True)
+class DeltaReport(PerturbationReport):
     """Run-level aggregation of a what-if change sweep."""
 
     kind = "delta"
+    RECORD_CLASS = ClassDeltaRecord
+    NAMES_FIELD = "step_names"
+    CHECK_KEY = "reuse"
+    HELD_KEY = "reused"
+    FIRST_BREAK_KEY = "first_breaking_change"
+    BREAK_COUNTS_KEY = "property_break_counts"
+    UNIT_NOUN = "change"
 
-    network_name: str
-    executor: str
-    workers: int
-    num_classes: int
     num_steps: int
-    properties: List[str]
-    path_bound: Optional[int]
-    oracle: bool
     revalidate: bool
     rebuild_oracle: bool
-    encode_seconds: float
-    total_seconds: float
     step_names: List[str] = field(default_factory=list)
-    records: List[ClassDeltaRecord] = field(default_factory=list)
     #: Content fingerprint of the stored baseline artifact this run
     #: validated against, when one was supplied.
     baseline_fingerprint: Optional[str] = None
-    #: Peak resident set of the producing run in MiB, when measured
-    #: (``--memory-budget`` runs and the scale benchmark fill this).
-    peak_rss_mb: Optional[float] = None
     version: int = DELTA_REPORT_VERSION
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def _outcomes(self):
-        for record in self.iter_records():
-            for outcome in record.steps:
-                yield record, outcome
-
-    @property
-    def incremental_seconds(self) -> float:
-        return sum(o.incremental_seconds for _, o in self._outcomes())
-
-    @property
-    def scratch_seconds(self) -> float:
-        return sum(o.scratch_seconds for _, o in self._outcomes())
 
     @property
     def incremental_speedup(self) -> Optional[float]:
@@ -233,171 +179,46 @@ class DeltaReport(StreamingReport, ReportEnvelope):
             return None
         return rebuild / inc
 
-    def incremental_all_match(self) -> bool:
-        """Every compared step re-solved bit-identically to scratch."""
-        return all(
-            o.incremental_matches_scratch is not False for _, o in self._outcomes()
-        )
-
-    def incremental_divergences(self) -> List[Tuple[str, str, List[str]]]:
-        return [
-            (record.prefix, outcome.step, list(outcome.divergent))
-            for record, outcome in self._outcomes()
-            if outcome.incremental_matches_scratch is False
-        ]
-
-    def reuse_counts(self) -> Dict[str, int]:
-        """How (class, step) pairs fared against the baseline abstraction."""
-        counts = {"checked": 0, "reused": 0, "recompressed": 0, "disagreed": 0}
-        for _, outcome in self._outcomes():
-            if outcome.reused is None:
-                continue
-            counts["checked"] += 1
-            if outcome.reused:
-                counts["reused"] += 1
-            if outcome.recompressed:
-                counts["recompressed"] += 1
-            if outcome.abstract_agrees() is False:
-                counts["disagreed"] += 1
-        return counts
-
-    def abstract_disagreements(self) -> List[Tuple[str, str, Dict]]:
-        return [
-            (record.prefix, outcome.step, dict(outcome.revalidation or {}))
-            for record, outcome in self._outcomes()
-            if outcome.abstract_agrees() is False
-        ]
-
-    def first_breaking_change(self) -> Dict[str, Optional[str]]:
-        """Per property: the first step (script order) breaking it anywhere."""
-        order = {name: index for index, name in enumerate(self.step_names)}
-        first: Dict[str, Optional[str]] = {name: None for name in self.properties}
-        for _, outcome in self._outcomes():
-            for prop, nodes in outcome.newly_failing.items():
-                if not nodes:
-                    continue
-                current = first.get(prop)
-                if current is None or order.get(outcome.step, 1 << 30) < order.get(
-                    current, 1 << 30
-                ):
-                    first[prop] = outcome.step
-        return first
-
     def first_property_broken(self) -> Optional[Tuple[str, str]]:
         """The earliest ``(property, step)`` break of the whole sweep."""
-        order = {name: index for index, name in enumerate(self.step_names)}
-        best: Optional[Tuple[str, str]] = None
-        for prop, step in self.first_breaking_change().items():
-            if step is None:
-                continue
-            if best is None or order.get(step, 1 << 30) < order.get(best[1], 1 << 30):
-                best = (prop, step)
-        return best
+        rank = self._rank()
+        breaks = [(p, step) for p, step in self.first_break().items() if step is not None]
+        return min(breaks, key=lambda item: rank(item[1]), default=None)
 
-    def property_break_counts(self) -> Dict[str, int]:
-        """Per property: how many (class, step) pairs newly break it."""
-        counts = {name: 0 for name in self.properties}
-        for _, outcome in self._outcomes():
-            for prop, nodes in outcome.newly_failing.items():
-                if nodes:
-                    counts[prop] = counts.get(prop, 0) + 1
-        return counts
-
-    def ok(self) -> bool:
-        """The sweep-level gate: no divergence, no abstract disagreement."""
-        return self.incremental_all_match() and not self.abstract_disagreements()
-
-    def canonical_records(self) -> Tuple[Tuple, ...]:
-        return tuple(
-            record.canonical()
-            for record in sorted(self.iter_records(), key=lambda r: r.prefix)
-        )
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-    @classmethod
-    def record_from_payload(cls, payload: Dict) -> ClassDeltaRecord:
-        raw = dict(payload)
-        steps = [ChangeOutcome(**outcome) for outcome in raw.pop("steps", [])]
-        return ClassDeltaRecord(steps=steps, **raw)
-
-    def to_dict(self, include_records: bool = True) -> Dict:
-        data = asdict(self)
-        data.pop("records", None)
-        if include_records:
-            data["records"] = self.records_payload()
-        data.update(self.envelope_dict())
-        data["aggregate"] = {
-            "incremental_seconds": self.incremental_seconds,
-            "scratch_seconds": self.scratch_seconds,
-            "incremental_speedup": self.incremental_speedup,
-            "incremental_all_match": self.incremental_all_match(),
-            "reuse": self.reuse_counts(),
-            "first_breaking_change": self.first_breaking_change(),
-            "first_property_broken": self.first_property_broken(),
-            "property_break_counts": self.property_break_counts(),
-        }
-        return data
+    def aggregate(self) -> Dict[str, object]:
+        block = super().aggregate()
+        block["first_property_broken"] = self.first_property_broken()
+        return block
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        # Defined here, not just inherited: the e2e benchmark's layer
+        # ledger wraps it through this class's own ``__dict__``.
+        return super().to_json(indent)
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DeltaReport":
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
-        records = [
-            cls.record_from_payload(raw) for raw in payload.pop("records", [])
-        ]
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeltaReport":
-        return cls.from_dict(json.loads(text))
-
-    # ------------------------------------------------------------------
-    # Display
-    # ------------------------------------------------------------------
     def summary_lines(self) -> List[str]:
-        lines = [
-            f"network: {self.network_name}",
-            f"executor: {self.executor} (workers={self.workers})",
+        lines = []
+        if self.baseline_fingerprint is not None:
+            warm = sum(1 for r in self.iter_records() if r.baseline_from_store)
+            lines.append(
+                f"warm baseline {self.baseline_fingerprint[:12]}...: "
+                f"{warm}/{self.record_count()} classes seeded from the store"
+            )
+        speedup = self.incremental_speedup
+        lines += self._summary_head(
             f"change script: {self.num_steps} steps x {self.num_classes} classes",
-            f"properties: {', '.join(self.properties)}",
-        ]
-        if self.oracle:
-            speedup = self.incremental_speedup
-            lines.append(
-                f"incremental re-verify: {self.incremental_seconds:.3f}s vs "
-                f"scratch solve {self.scratch_seconds:.3f}s"
-                + (
-                    f" (vs full rebuild: {speedup:.2f}x)"
-                    if speedup is not None
-                    else ""
-                )
-            )
-            lines.append(
-                "incremental labelings IDENTICAL to the scratch oracle"
-                if self.incremental_all_match()
-                else f"INCREMENTAL DIVERGED: {self.incremental_divergences()}"
-            )
+            f"incremental re-verify: {self.incremental_seconds:.3f}s vs "
+            f"scratch solve {self.scratch_seconds:.3f}s"
+            + (f" (vs full rebuild: {speedup:.2f}x)" if speedup is not None else ""),
+        )
         if self.revalidate:
-            counts = self.reuse_counts()
+            counts = self.abstraction_counts()
             lines.append(
                 f"abstraction revalidation: {counts['reused']}/{counts['checked']} "
                 f"(class, step) pairs reused the baseline abstraction, "
                 f"{counts['recompressed']} re-compressed, "
                 f"{counts['disagreed']} verdict disagreements"
             )
-        first = self.first_breaking_change()
-        for prop in self.properties:
-            step = first.get(prop)
-            lines.append(
-                f"  {prop}: "
-                + ("survives every change" if step is None else f"first broken by {step}")
-            )
-        return lines
+        return lines + self._summary_breaks()
 
 
 # ----------------------------------------------------------------------
@@ -415,18 +236,10 @@ class _ScriptState:
     destination-independent base compilations and the route-map
     specialization memos."""
 
-    __slots__ = (
-        "key",
-        "steps",
-        "bonsais",
-        "base_compiled",
-        "ignore",
-        "spec_caches",
-        "compiled",
-    )
-
-    def __init__(self, key, steps):
+    def __init__(self, key, baseline: Network, steps):
         self.key = key
+        #: The unchanged network the script applies to.
+        self.baseline = baseline
         #: ``[(ChangeSet, changed Network)]``, cumulative.
         self.steps = steps
         #: ``step index -> Bonsai`` over that step's network (lazy).
@@ -447,15 +260,22 @@ class _ScriptState:
         #: policy-key computation.
         self.compiled: Dict[int, Tuple[object, Dict]] = {}
 
-    def network_for(self, step: int, baseline: Network) -> Network:
-        return baseline if step == _BASELINE_STEP else self.steps[step][1]
+    def network_for(self, step: int) -> Network:
+        return self.baseline if step == _BASELINE_STEP else self.steps[step][1]
 
-    def compiled_for(self, step: int, baseline: Network, prefix) -> Dict:
+    def bonsai_for(self, step: int, use_bdds: bool) -> Bonsai:
+        """The fresh Bonsai over one step's changed network (built lazily)."""
+        bonsai = self.bonsais.get(step)
+        if bonsai is None:
+            bonsai = self.bonsais[step] = Bonsai(self.steps[step][1], use_bdds=use_bdds)
+        return bonsai
+
+    def compiled_for(self, step: int, prefix) -> Dict:
         """The destination-specialized compiled edges of one step's network."""
         cached = self.compiled.get(step)
         if cached is not None and cached[0] == prefix:
             return cached[1]
-        network = self.network_for(step, baseline)
+        network = self.network_for(step)
         base = self.base_compiled.get(step)
         if base is None:
             base = self.base_compiled[step] = compile_base_edges(network)
@@ -463,7 +283,7 @@ class _ScriptState:
         self.compiled[step] = (prefix, compiled)
         return compiled
 
-    def policy_keys(self, step: int, baseline: Network, prefix) -> Dict:
+    def policy_keys(self, step: int, prefix) -> Dict:
         """The specialized syntactic policy keys of one step's network.
 
         Every layer is cached: the base compilation and unused-community
@@ -473,7 +293,7 @@ class _ScriptState:
         copy-on-write views share the unchanged route-map and device
         objects.
         """
-        network = self.network_for(step, baseline)
+        network = self.network_for(step)
         ignore = self.ignore.get(step)
         if ignore is None:
             ignore = self.ignore[step] = network.unused_communities()
@@ -481,7 +301,7 @@ class _ScriptState:
         return syntactic_policy_keys(
             network,
             prefix,
-            self.compiled_for(step, baseline, prefix),
+            self.compiled_for(step, prefix),
             ignore,
             specialize_cache=spec_cache,
         )
@@ -496,26 +316,28 @@ def _script_state(bonsai: Bonsai, script: Sequence[ChangeSet]) -> _ScriptState:
         for changeset in script:
             current = changeset.apply(current)
             steps.append((changeset, current))
-        state = _ScriptState(key, steps)
+        state = _ScriptState(key, bonsai.network, steps)
         bonsai._delta_script_state = state
     return state
-
-
-def _step_bonsai(state: _ScriptState, step: int, network: Network, use_bdds: bool):
-    """A lazy factory for the fresh Bonsai over one step's changed network."""
-
-    def factory() -> Bonsai:
-        bonsai = state.bonsais.get(step)
-        if bonsai is None:
-            bonsai = state.bonsais[step] = Bonsai(network, use_bdds=use_bdds)
-        return bonsai
-
-    return factory
 
 
 # ----------------------------------------------------------------------
 # The per-class "delta" task (runs inside pipeline workers)
 # ----------------------------------------------------------------------
+class _ChainLink(NamedTuple):
+    """Where a class's incremental chain stands: what the next step's
+    re-solve seeds from."""
+
+    step: int
+    network: Network
+    #: The class simulated at this step (``None``: nothing routable).
+    simulated: Optional[EquivalenceClass]
+    #: ``None`` after an unroutable step: the chain cannot seed from it.
+    solution: Optional[Solution]
+    #: The step's specialized policy keys, when already computed.
+    keys: Optional[Dict] = None
+
+
 def _class_on(network: Network, prefix) -> Tuple[Optional[EquivalenceClass], bool]:
     """The changed network's class for ``prefix``: ``(class, reshaped)``.
 
@@ -536,65 +358,37 @@ def _class_on(network: Network, prefix) -> Tuple[Optional[EquivalenceClass], boo
 
 def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
     """Run every change step against one equivalence class."""
-    suite = PropertySuite.from_options(options)
     script = [ChangeSet.from_dict(raw) for raw in options.get("script", [])]
-    oracle = bool(options.get("oracle", True))
     revalidate_on = bool(options.get("revalidate", True))
     rebuild_oracle = bool(options.get("rebuild_oracle", True))
-    max_rounds = int(options.get("max_rounds", 1000))
 
     network: Network = bonsai.network
     prefix = equivalence_class.prefix
-    origins = set(equivalence_class.origins)
-    specs = suite.specs()
-    nodes = sorted(network.graph.nodes, key=str)
-    node_names = [str(n) for n in nodes]
-    path_bound = (
-        suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
-    )
-    waypoints = (
-        frozenset(suite.waypoints)
-        if suite.waypoints is not None
-        else frozenset(str(origin) for origin in origins)
-    )
 
-    # -- unchanged baseline ----------------------------------------------
     # With a stored baseline the labeling comes from the artifact: a
     # zero-dirty seeded solve validates it against the live SRP (the
     # no-update round plus the O(E) stability scan) without a single
     # fixed-point iteration, and the stored transfer memo makes the offer
     # tables pure cache hits.  A bad seed (ConvergenceError) falls back to
     # a scratch solve instead of failing the run.
-    stored = options.get("baseline") or {}
-    class_baseline = stored.get(str(prefix))
-    baseline_start = time.perf_counter()
-    compiled = bonsai.compile_for(prefix)
-    baseline_srp = build_srp_from_network(
-        network, prefix, origins, compiled=compiled, include_syntactic_keys=False
-    )
-    baseline_solution = None
-    if class_baseline is not None:
+    stored = (options.get("baseline") or {}).get(str(prefix))
+
+    def from_store(srp):
         try:
-            baseline_solution = solve_seeded(
-                baseline_srp,
-                class_baseline.labeling,
+            return solve_seeded(
+                srp,
+                stored.labeling,
                 dirty=(),
-                transfer_cache=TransferCache().seeded_from(
-                    class_baseline.transfer_memo
-                ),
-                max_rounds=max_rounds,
+                transfer_cache=TransferCache().seeded_from(stored.transfer_memo),
             )
         except ConvergenceError:
-            class_baseline = None
-    if baseline_solution is None:
-        baseline_solution = solve(baseline_srp)
-    baseline_table = forwarding_table_from_solution(
-        network, baseline_solution, equivalence_class
+            return None
+
+    baseline = TaskBaseline(
+        bonsai, equivalence_class, options, from_store if stored is not None else None
     )
-    baseline_verdicts = evaluate_suite(
-        specs, baseline_table, nodes, waypoints, path_bound
-    )
-    baseline_seconds = time.perf_counter() - baseline_start
+    if not baseline.seeded:
+        stored = None
 
     state = _script_state(bonsai, script)
 
@@ -603,12 +397,12 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     compression_seconds = 0.0
     if revalidate_on:
         if (
-            class_baseline is not None
-            and class_baseline.compression is not None
-            and class_baseline.compression.abstract_network is not None
+            stored is not None
+            and stored.compression is not None
+            and stored.compression.abstract_network is not None
         ):
-            compression = class_baseline.compression
-            baseline_signature = class_baseline.signature
+            compression = stored.compression
+            baseline_signature = stored.signature
         else:
             compression = bonsai.compress(equivalence_class, build_network=True)
             compression_seconds = compression.compression_seconds
@@ -616,71 +410,54 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 network,
                 prefix,
                 equivalence_class.origins,
-                keys=state.policy_keys(_BASELINE_STEP, network, prefix),
+                keys=state.policy_keys(_BASELINE_STEP, prefix),
             )
 
     record = ClassDeltaRecord(
-        prefix=str(prefix),
-        origins=sorted(str(origin) for origin in origins),
-        baseline_seconds=baseline_seconds,
+        **baseline.record_fields(),
         compression_seconds=compression_seconds,
-        baseline_failing={
-            prop: [n for n in node_names if not per_node[n]]
-            for prop, per_node in baseline_verdicts.items()
-        },
-        baseline_from_store=class_baseline is not None,
+        baseline_from_store=stored is not None,
     )
+
+    def srp_on(step: int, ec: EquivalenceClass):
+        # Every SRP build of one (step, class) -- both oracle arms, the
+        # chunk fast-forward -- shares one specialized compilation via the
+        # script state; compiling is destination-work a real rebuild pays
+        # once, not per arm.
+        return build_srp_from_network(
+            state.steps[step][1],
+            ec.prefix,
+            set(ec.origins),
+            compiled=state.compiled_for(step, ec.prefix),
+            include_syntactic_keys=False,
+        )
 
     # The incremental chain: each step seeds from the previous step's
     # solution, so a ten-step script never re-solves from scratch.
-    prev_step = _BASELINE_STEP
-    prev_network = network
-    prev_solution = baseline_solution
-    prev_origins = frozenset(str(origin) for origin in origins)
-    prev_prefix = prefix
-    prev_keys = None
-    prev_index = BaselineIndex.from_solution(baseline_solution)
+    prev = _ChainLink(_BASELINE_STEP, network, equivalence_class, baseline.solution)
     #: Reuse-side lifted verdicts, fixed across steps by a matching
     #: signature; computed at most once per class.
     baseline_lifted = None
 
-    # Sub-class chunking (the shard coordinator's ``step_range`` patches):
-    # run only steps ``[range_start, range_end)``.  A chunk starting
-    # mid-script fast-forwards the incremental chain by scratch-solving
-    # the step just before it -- SRP labelings are unique fixed points,
-    # so the seeded state (and hence every chunk outcome) is identical to
-    # the chained serial run's; only timings differ.
-    range_start, range_end = 0, len(state.steps)
-    if options.get("step_range") is not None:
-        range_start, range_end = (int(bound) for bound in options["step_range"])
-        range_start = max(0, range_start)
-        range_end = min(range_end, len(state.steps))
-    if range_start > 0:
-        prev_step = range_start - 1
-        prev_network = state.steps[prev_step][1]
-        prev_ec, _ = _class_on(prev_network, prefix)
-        if prev_ec is None:
-            # Serial left the chain unseedable after an unroutable step.
-            prev_solution = None
-            prev_keys = None
-            prev_index = None
-        else:
-            sim_prefix = prev_ec.prefix
-            sim_origins = set(prev_ec.origins)
-            forward_srp = build_srp_from_network(
-                prev_network,
-                sim_prefix,
-                sim_origins,
-                compiled=state.compiled_for(prev_step, network, sim_prefix),
-                include_syntactic_keys=False,
-            )
-            prev_solution = solve(forward_srp, max_rounds=max_rounds)
-            prev_keys = state.policy_keys(prev_step, network, sim_prefix)
-            prev_index = BaselineIndex.from_solution(prev_solution)
-            prev_prefix = sim_prefix
-            prev_origins = frozenset(str(origin) for origin in sim_origins)
+    # Sub-class chunking (the shard coordinator's ``unit_range`` patches):
+    # run only the steps of this chunk.  A chunk starting mid-script
+    # fast-forwards the incremental chain by scratch-solving the step just
+    # before it -- SRP labelings are unique fixed points, so the seeded
+    # state (and hence every chunk outcome) is identical to the chained
+    # serial run's; only timings differ.
+    steps = unit_range(options, len(state.steps))
+    if steps.start > 0:
+        step = steps.start - 1
+        prev_ec, _ = _class_on(state.steps[step][1], prefix)
+        prev = _ChainLink(
+            step,
+            state.steps[step][1],
+            prev_ec,
+            # ``None``: serial left the chain unseedable after this step.
+            None if prev_ec is None else solve(srp_on(step, prev_ec)),
+        )
 
-    for step_index in range(range_start, range_end):
+    for step_index in steps:
         changeset, changed_network = state.steps[step_index]
         # One span per *in-range* step -- the chunk fast-forward replay
         # above is deliberately unspanned, so a step-range chunk's trace
@@ -691,6 +468,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 step=changeset.name,
                 changes=[change.describe() for change in changeset.changes],
             )
+            record.steps.append(outcome)
             changed_ec, reshaped = _class_on(changed_network, prefix)
             outcome.partition_changed = reshaped
             # The delta universe is the *changed* network's nodes: devices a
@@ -702,123 +480,58 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
             # verifier convention: origin sets are unions of abstraction
             # groups by construction, arbitrary sets need not be); explicit
             # suite waypoints are kept, restricted to surviving devices.
-            if suite.waypoints is None and changed_ec is not None:
+            if baseline.suite.waypoints is None and changed_ec is not None:
                 step_waypoints = frozenset(str(o) for o in changed_ec.origins)
             else:
                 step_waypoints = frozenset(
-                    w for w in waypoints if changed_network.graph.has_node(w)
+                    w for w in baseline.waypoints if changed_network.graph.has_node(w)
                 )
 
             if changed_ec is None:
-                # Nothing originates the destination any more: no control
-                # plane to solve, every property trivially fails everywhere.
-                outcome.unroutable = True
-                empty = ForwardingTable(
-                    destination=prefix,
-                    origins=set(),
-                    next_hops={node: set() for node in changed_network.graph.nodes},
+                # No routable class overlaps the destination any more.
+                baseline.mark_unroutable(
+                    outcome, changed_network, step_waypoints, surviving
                 )
-                verdicts = evaluate_suite(
-                    specs, empty, changed_network.graph.nodes, step_waypoints, path_bound
-                )
-                outcome.newly_failing, outcome.newly_passing = verdict_delta(
-                    baseline_verdicts, verdicts, surviving
-                )
-                record.steps.append(outcome)
-                prev_step = step_index
-                prev_network = changed_network
-                prev_solution = None
-                prev_keys = None
-                prev_index = None
+                prev = _ChainLink(step_index, changed_network, None, None)
                 continue
 
-            sim_prefix = changed_ec.prefix
-            sim_origins = set(changed_ec.origins)
-            sim_origin_names = frozenset(str(origin) for origin in sim_origins)
-            can_seed = (
-                prev_solution is not None
-                and sim_prefix == prev_prefix
-                and sim_origin_names == prev_origins
-            )
+            # Seeding needs the SRP's destination structure (prefix, origin
+            # set) to line up with the previous step's.
+            can_seed = prev.solution is not None and changed_ec == prev.simulated
             outcome.origins_changed = not can_seed
+            new_keys = state.policy_keys(step_index, changed_ec.prefix)
 
-            def build_changed_srp():
-                # Both oracle arms (and the policy-key computation) share one
-                # specialized compilation per (step, class) via the script
-                # state; compiling is destination-work a real rebuild pays
-                # once, not per arm.
-                return build_srp_from_network(
-                    changed_network,
-                    sim_prefix,
-                    set(sim_origins),
-                    compiled=state.compiled_for(step_index, network, sim_prefix),
-                    include_syntactic_keys=False,
-                )
-
-            scratch_solution = None
-            if oracle or not can_seed:
-                scratch_srp = build_changed_srp()
-                scratch_start = time.perf_counter()
-                scratch_solution = solve(scratch_srp, max_rounds=max_rounds)
-                outcome.scratch_seconds = time.perf_counter() - scratch_start
-
-            new_keys = state.policy_keys(step_index, network, sim_prefix)
-            if not can_seed:
-                solution = scratch_solution
-            else:
-                if prev_keys is None:
-                    prev_keys = state.policy_keys(prev_step, network, sim_prefix)
+            def seeded():
                 diff = diff_network_edges(
-                    prev_network,
+                    prev.network,
                     changed_network,
-                    sim_prefix,
-                    old_keys=prev_keys,
+                    changed_ec.prefix,
+                    old_keys=prev.keys or state.policy_keys(prev.step, changed_ec.prefix),
                     new_keys=new_keys,
                 )
                 outcome.edges_removed = len(diff.removed)
                 outcome.edges_added = len(diff.added)
                 outcome.edges_changed = len(diff.changed)
-                result = delta_resolve(
-                    build_changed_srp(),
-                    prev_solution,
+                return delta_resolve(
+                    srp_on(step_index, changed_ec),
+                    prev.solution,
                     diff,
-                    index=prev_index,
-                    max_rounds=max_rounds,
+                    index=BaselineIndex.from_solution(prev.solution),
                 )
-                solution = result.solution
-                outcome.incremental_used = result.incremental_used
-                outcome.incremental_seconds = result.seconds
-                outcome.tainted = len(result.tainted)
-                outcome.dirty = result.dirty_count
-                if scratch_solution is not None:
-                    matches = solution.labeling == scratch_solution.labeling
-                    outcome.incremental_matches_scratch = matches
-                    if not matches:
-                        outcome.divergent = [
-                            str(n) for n in divergent_nodes(solution, scratch_solution)
-                        ]
 
-            table = forwarding_table_from_solution(changed_network, solution, changed_ec)
-            verdicts = evaluate_suite(
-                specs, table, changed_network.graph.nodes, step_waypoints, path_bound
+            solution = baseline.resolve(
+                outcome,
+                functools.partial(srp_on, step_index, changed_ec),
+                seeded if can_seed else None,
             )
-            outcome.newly_failing, outcome.newly_passing = verdict_delta(
-                baseline_verdicts, verdicts, surviving
+            verdicts = baseline.record_verdicts(
+                outcome, changed_network, solution, changed_ec, step_waypoints, surviving
             )
-            if outcome.newly_failing:
-                context = PropertyContext(
-                    table=table, waypoints=step_waypoints, path_bound=path_bound
-                )
-                for spec in specs:
-                    broken = outcome.newly_failing.get(spec.name)
-                    if broken:
-                        witness = failure_witness(spec, context, broken[0])
-                        if witness is not None:
-                            outcome.witnesses[spec.name] = witness
+            prev = _ChainLink(step_index, changed_network, changed_ec, solution, new_keys)
 
-            if revalidate_on and compression is not None:
-                factory = _step_bonsai(
-                    state, step_index, changed_network, bonsai.use_bdds
+            if compression is not None:
+                factory = functools.partial(
+                    state.bonsai_for, step_index, bonsai.use_bdds
                 )
                 reval = revalidate_class(
                     compression,
@@ -826,9 +539,9 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     changed_network,
                     changed_ec,
                     verdicts,
-                    specs,
+                    baseline.specs,
                     step_waypoints,
-                    path_bound,
+                    baseline.path_bound,
                     recompress_bonsai=factory,
                     changed_keys=new_keys,
                     baseline_lifted=baseline_lifted,
@@ -856,54 +569,40 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                         rebuilt.abstraction,
                         rebuilt.abstract_network,
                         changed_ec,
-                        specs,
+                        baseline.specs,
                         surviving,
                         step_waypoints,
-                        path_bound,
+                        baseline.path_bound,
                     )
                     outcome.rebuild_compress_seconds = (
                         time.perf_counter() - rebuild_start
                     )
 
-            record.steps.append(outcome)
-            prev_step = step_index
-            prev_network = changed_network
-            prev_solution = solution
-            prev_origins = sim_origin_names
-            prev_prefix = sim_prefix
-            prev_keys = new_keys
-            prev_index = (
-                BaselineIndex.from_solution(solution) if solution is not None else None
-            )
-
     return record
 
 
-register_class_task("delta", "repro.delta.sweep:delta_class_task")
+_TASK_PATH = "repro.delta.sweep:delta_class_task"
+register_class_task("delta", _TASK_PATH)
+register_unit_splitter(_TASK_PATH, "script", "steps")
 
 
 # ----------------------------------------------------------------------
 # The sweep driver
 # ----------------------------------------------------------------------
-class DeltaSweep:
+class DeltaSweep(PerturbationSweep):
     """Run a change script over every destination equivalence class.
 
-    Parameters mirror :class:`~repro.pipeline.core.ClassFanOut`
-    (``executor`` / ``workers`` / ``batch_size`` / ``limit`` /
-    ``use_bdds`` / ``artifact``), plus:
+    Takes :class:`~repro.pipeline.perturb.PerturbationSweep`'s parameters
+    (network / ``artifact``, ``suite``, ``oracle``, the fan-out and spill
+    knobs), plus:
 
     script:
         The ordered change script: a sequence of
         :class:`~repro.delta.changeset.ChangeSet` steps applied
         cumulatively.  Every step is validated against the network state
         the previous steps produce before any work is dispatched.
-    suite:
-        The :class:`~repro.analysis.batch.PropertySuite` to evaluate
-        (default: the full registered catalogue).
-    oracle:
-        Also scratch-solve every step and compare labelings (default
-        True -- the incremental solver's soundness gate and the source of
-        the reported speedup).
+    baseline:
+        A stored :class:`~repro.store.BaselineArtifact` to seed from.
     revalidate:
         Run the per-step abstraction revalidator (default True).
     rebuild_oracle:
@@ -913,32 +612,20 @@ class DeltaSweep:
         possible smoke runs).
     """
 
+    TASK = "delta"
+    REPORT_CLASS = DeltaReport
+
     def __init__(
         self,
         network: Optional[Network] = None,
         *,
-        artifact: Optional[EncodedNetwork] = None,
+        artifact=None,
         baseline=None,
         script: Sequence[ChangeSet] = (),
-        suite: Optional[PropertySuite] = None,
-        oracle: bool = True,
         revalidate: bool = True,
         rebuild_oracle: bool = True,
-        executor: str = "serial",
-        workers: int = 4,
-        batch_size: Optional[int] = None,
-        limit: Optional[int] = None,
-        use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
-        spill: bool = False,
-        spill_path: Optional[str] = None,
+        **common,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
         if baseline is not None:
             # A stored BaselineArtifact supplies both the one-time encoding
             # (skipping the re-encode) and the per-class labelings /
@@ -953,88 +640,37 @@ class DeltaSweep:
                         "stored baseline artifact does not match the network "
                         "(content fingerprints differ); rebuild the artifact"
                     )
+        super().__init__(network, artifact=artifact, **common)
         self.baseline = baseline
-        if network is None and artifact is None:
-            raise ValueError("either a network or an EncodedNetwork is required")
-        self.network = artifact.network if artifact is not None else network
         self.script: List[ChangeSet] = list(script)
         if not self.script:
             raise ValueError("a delta sweep needs at least one change step")
         current = self.network
         for changeset in self.script:
             current = changeset.apply(current)  # raises ChangeError when invalid
-        self.suite = suite or PropertySuite.default()
-        self.oracle = oracle
         self.revalidate = revalidate
         self.rebuild_oracle = rebuild_oracle
-        self.executor = executor
-        self.workers = workers
-        self.spill = spill
-        self.spill_path = spill_path
-        self._fanout_kwargs = dict(
-            artifact=artifact,
-            executor=executor,
-            workers=workers,
-            batch_size=batch_size,
-            limit=limit,
-            use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
-            unit_costs=unit_costs,
-        )
 
     def run(self) -> DeltaReport:
-        from repro import obs
-
-        counters_before = obs.snapshot_run()
-        start = time.perf_counter()
-        options = self.suite.to_options()
-        options["script"] = [changeset.to_dict() for changeset in self.script]
-        options["oracle"] = self.oracle
-        options["revalidate"] = self.revalidate
-        options["rebuild_oracle"] = self.rebuild_oracle
+        options = {
+            "script": [changeset.to_dict() for changeset in self.script],
+            "revalidate": self.revalidate,
+            "rebuild_oracle": self.rebuild_oracle,
+        }
         if self.baseline is not None:
             options["baseline"] = self.baseline.baselines
-        fanout = ClassFanOut(
-            self.network,
-            task="delta",
-            task_options=options,
-            **self._fanout_kwargs,
-        )
-        artifact, classes = fanout.prepare()
-        report = DeltaReport(
-            network_name=fanout.network.name,
-            executor=self.executor,
-            workers=1 if self.executor == "serial" else self.workers,
-            num_classes=len(classes),
-            num_steps=len(self.script),
-            properties=list(self.suite.names),
-            path_bound=self.suite.path_bound,
-            oracle=self.oracle,
-            revalidate=self.revalidate,
-            rebuild_oracle=self.rebuild_oracle,
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=0.0,
-            step_names=[changeset.name for changeset in self.script],
-            baseline_fingerprint=(
-                self.baseline.fingerprint if self.baseline is not None else None
+        return self._sweep(
+            options,
+            dict(
+                num_steps=len(self.script),
+                revalidate=self.revalidate,
+                rebuild_oracle=self.rebuild_oracle,
+                step_names=[changeset.name for changeset in self.script],
+                baseline_fingerprint=(
+                    self.baseline.fingerprint if self.baseline is not None else None
+                ),
             ),
         )
-        if self.spill:
-            from repro.pipeline.stream import RecordSpill
-
-            report.attach_spill(RecordSpill(self.spill_path))
-
-        # Records merge into the report as they stream off the pool (in
-        # class order at merge time, whatever order the scheduler
-        # completed them in) instead of collecting the whole sweep first.
-        def on_result(index: int, record: ClassDeltaRecord, seconds: float) -> None:
-            report.merge_partial(index, record)
-
-        fanout.execute(on_result=on_result, collect=False)
-        report.total_seconds = time.perf_counter() - start
-        obs.finish_run(report, counters_before)
-        return report
 
 
 def sweep_changes(
@@ -1044,9 +680,4 @@ def sweep_changes(
     **kwargs,
 ) -> DeltaReport:
     """One-call change-impact sweep (serial by default)."""
-    suite = (
-        PropertySuite.default()
-        if properties is None
-        else PropertySuite.from_names(properties)
-    )
-    return DeltaSweep(network, script=script, suite=suite, **kwargs).run()
+    return DeltaSweep.over(network, properties, script=script, **kwargs)

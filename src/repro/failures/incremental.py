@@ -48,7 +48,7 @@ from repro.topology.graph import Edge, Node
 
 @dataclass
 class IncrementalSolve:
-    """The outcome of one incremental re-solve."""
+    """The outcome of one seeded re-solve (failure or change)."""
 
     solution: Solution
     #: False when the seeded solve failed (``ConvergenceError``) and the
@@ -194,6 +194,97 @@ def tainted_nodes(
     return tainted
 
 
+def seeded_resolve(
+    srp: SRP,
+    baseline: Solution,
+    *,
+    perturbed_edges: FrozenSet[Edge],
+    removed_nodes: FrozenSet[Node],
+    added_edges: FrozenSet[Edge] = frozenset(),
+    added_nodes: FrozenSet[Node] = frozenset(),
+    transfer_cache: Optional[TransferCache] = None,
+    index: Optional[BaselineIndex] = None,
+    solver: str,
+) -> IncrementalSolve:
+    """Solve ``srp`` seeded from ``baseline``: the one re-solve body behind
+    :func:`incremental_resolve` (failures) and
+    :func:`repro.delta.incremental.delta_resolve` (changes).
+
+    ``perturbed_edges`` are the directed edges whose baseline-derived
+    labels cannot be trusted (removed, or compiled transfer changed);
+    every surviving endpoint of a perturbed or added edge is re-examined,
+    and added devices start without a label.  ``solver`` labels the
+    ``fallback.scratch`` event.  ``transfer_cache`` is used as given: a
+    caller whose perturbation invalidates memo entries evicts them first
+    (:func:`repro.delta.incremental.seed_transfer_cache`); failure sweeps
+    share one memo across independent scenarios and must not.
+    """
+    start = time.perf_counter()
+    if transfer_cache is None:
+        transfer_cache = TransferCache().seeded_from(baseline.transfer_cache)
+
+    tainted = tainted_nodes(baseline, perturbed_edges, removed_nodes, index=index)
+    graph = srp.graph
+    seed_labeling = {
+        node: (
+            None
+            if node in tainted or str(node) in added_nodes
+            else baseline.labeling.get(node)
+        )
+        for node in graph.nodes
+    }
+
+    dirty: Set[Node] = set(tainted)
+    # A removed or changed out-edge perturbs the node's offer set even off
+    # the forwarding paths (the lost/altered offer may have been the
+    # tie-broken runner-up); an added edge grows it.  Re-examine every
+    # surviving endpoint.
+    for u, v in perturbed_edges | added_edges:
+        if graph.has_node(u):
+            dirty.add(u)
+        if graph.has_node(v):
+            dirty.add(v)
+    # Offers into a tainted (reset) node were computed from its old label.
+    for node in tainted:
+        if graph.has_node(node):
+            for upstream, _ in graph.in_edges(node):
+                dirty.add(upstream)
+    # Neighbours of removed nodes lost an offer each.
+    for node in removed_nodes:
+        if baseline.srp.graph.has_node(node):
+            for upstream in baseline.srp.graph.predecessors(node):
+                if graph.has_node(upstream):
+                    dirty.add(upstream)
+    for node in added_nodes:
+        if graph.has_node(node):
+            dirty.add(node)
+            for upstream, _ in graph.in_edges(node):
+                dirty.add(upstream)
+
+    try:
+        solution = solve_seeded(
+            srp, seed_labeling, sorted(dirty, key=str), transfer_cache=transfer_cache
+        )
+        used = True
+    except ConvergenceError:
+        # Defensive: a seed the worklist cannot repair (or a genuinely
+        # oscillating perturbed network).  Fall back to the scratch solver
+        # so the caller still gets an answer -- or the scratch solver's
+        # own ConvergenceError, which is then a property of the network,
+        # not of the seeding.
+        _metrics.counter("incremental.scratch_fallbacks").inc()
+        _events.emit("fallback.scratch", solver=solver, dirty=len(dirty))
+        solution = solve(srp, transfer_cache=transfer_cache)
+        used = False
+    return IncrementalSolve(
+        solution=solution,
+        incremental_used=used,
+        tainted=frozenset(tainted),
+        dirty_count=len(dirty),
+        seconds=time.perf_counter() - start,
+    )
+
+
 def incremental_resolve(
     failed_srp: SRP,
     baseline: Solution,
@@ -201,7 +292,6 @@ def incremental_resolve(
     removed_nodes: FrozenSet[Node] = frozenset(),
     transfer_cache: Optional[TransferCache] = None,
     index: Optional[BaselineIndex] = None,
-    max_rounds: int = 1000,
 ) -> IncrementalSolve:
     """Solve ``failed_srp`` seeded from the baseline solution.
 
@@ -218,78 +308,12 @@ def incremental_resolve(
     :meth:`BaselineIndex.from_solution` saves re-walking the baseline
     forwarding relation per scenario.
     """
-    start = time.perf_counter()
-    if transfer_cache is None:
-        transfer_cache = TransferCache().seeded_from(baseline.transfer_cache)
-
-    tainted = tainted_nodes(baseline, removed_edges, removed_nodes, index=index)
-    graph = failed_srp.graph
-    seed_labeling = {
-        node: (None if node in tainted else baseline.labeling.get(node))
-        for node in graph.nodes
-    }
-
-    dirty: Set[Node] = set(tainted)
-    # Losing an out-edge shrinks a node's offer set even off the
-    # forwarding paths (the lost offer may have been the tie-broken
-    # runner-up); re-examine both endpoints that survive.
-    for u, v in removed_edges:
-        if graph.has_node(u):
-            dirty.add(u)
-        if graph.has_node(v):
-            dirty.add(v)
-    # Offers into a tainted (reset) node were computed from its old label.
-    for node in tainted:
-        if graph.has_node(node):
-            for upstream, _ in graph.in_edges(node):
-                dirty.add(upstream)
-    # Neighbours of removed nodes lost an offer each.
-    for node in removed_nodes:
-        for upstream in baseline.srp.graph.predecessors(node):
-            if graph.has_node(upstream):
-                dirty.add(upstream)
-
-    try:
-        solution = solve_seeded(
-            failed_srp,
-            seed_labeling,
-            sorted(dirty, key=str),
-            transfer_cache=transfer_cache,
-            max_rounds=max_rounds,
-        )
-        used = True
-    except ConvergenceError:
-        # Defensive: a seed the worklist cannot repair (or a genuinely
-        # oscillating failed network).  Fall back to the scratch solver so
-        # the caller still gets an answer -- or the scratch solver's own
-        # ConvergenceError, which is then a property of the network, not
-        # of the seeding.
-        _metrics.counter("incremental.scratch_fallbacks").inc()
-        _events.emit(
-            "fallback.scratch", solver="failures", dirty=len(dirty)
-        )
-        solution = solve(failed_srp, max_rounds=max_rounds, transfer_cache=transfer_cache)
-        used = False
-    return IncrementalSolve(
-        solution=solution,
-        incremental_used=used,
-        tainted=frozenset(tainted),
-        dirty_count=len(dirty),
-        seconds=time.perf_counter() - start,
-    )
-
-
-def labelings_match(a: Solution, b: Solution) -> bool:
-    """Label-for-label equality of two solutions over their shared nodes."""
-    return a.labeling == b.labeling
-
-
-def divergent_nodes(a: Solution, b: Solution) -> Tuple[Node, ...]:
-    """The nodes on which two labelings disagree (for diagnostics)."""
-    nodes = set(a.labeling) | set(b.labeling)
-    return tuple(
-        sorted(
-            (n for n in nodes if a.labeling.get(n) != b.labeling.get(n)),
-            key=str,
-        )
+    return seeded_resolve(
+        failed_srp,
+        baseline,
+        perturbed_edges=removed_edges,
+        removed_nodes=removed_nodes,
+        transfer_cache=transfer_cache,
+        index=index,
+        solver="failures",
     )

@@ -41,10 +41,9 @@ from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.analysis.dataplane import compute_forwarding_table
-from repro.analysis.properties import PropertyContext, PropertySpec
+from repro.analysis.properties import PropertyContext, PropertySpec, VerdictMap
 from repro.config.network import Network
 from repro.config.transfer import VIRTUAL_DESTINATION
-from repro.analysis.properties import VerdictMap
 from repro.failures.scenario import FailureScenario, canonical_link
 
 
@@ -265,7 +264,6 @@ def check_scenario_soundness(
     specs: List[PropertySpec],
     waypoints: FrozenSet[str],
     path_bound: int,
-    recompress_fallback: bool = True,
 ) -> SoundnessOutcome:
     """Judge whether the baseline abstraction survives one scenario.
 
@@ -275,60 +273,37 @@ def check_scenario_soundness(
     """
     abstraction = baseline.abstraction
     mapped, reason = abstract_scenario_for(abstraction, bonsai.network, scenario)
-    surviving = sorted(
-        (str(n) for n in failed_network.graph.nodes), key=str
-    )
+    surviving = sorted(str(n) for n in failed_network.graph.nodes)
 
-    if mapped is not None and baseline.abstract_network is not None:
-        failed_abstract = mapped.apply_loose(baseline.abstract_network)
-        lifted = lifted_abstract_verdicts(
-            abstraction,
-            failed_abstract,
-            failed_ec,
-            specs,
-            surviving,
-            waypoints,
-            path_bound,
+    sound = mapped is not None and baseline.abstract_network is not None
+    if sound:
+        abstract_network = mapped.apply_loose(baseline.abstract_network)
+        abstract_nodes = abstract_network.graph.num_nodes()
+    else:
+        # Fallback: compress the failed network from scratch.  The
+        # baseline's policy-BDD encoder is reused (device configurations
+        # are shared by the failure view, so every per-edge BDD is already
+        # encoded); only refinement and abstract-network emission run per
+        # scenario.
+        fallback = Bonsai(
+            failed_network,
+            use_bdds=bonsai.use_bdds,
+            encoder=bonsai.encoder if bonsai.use_bdds else None,
         )
-        mismatched = compare_verdicts(concrete_verdicts, lifted)
-        return SoundnessOutcome(
-            sound_under_failure=True,
-            abstract_scenario=mapped,
-            recompressed=False,
-            agrees=not mismatched,
-            mismatched=mismatched,
-            abstract_nodes=failed_abstract.graph.num_nodes(),
-        )
-
-    if not recompress_fallback:
-        return SoundnessOutcome(sound_under_failure=False, reason=reason)
-
-    # Fallback: compress the failed network from scratch.  The baseline's
-    # policy-BDD encoder is reused (device configurations are shared by
-    # the failure view, so every per-edge BDD is already encoded); only
-    # refinement and abstract-network emission run per scenario.
-    fallback = Bonsai(
-        failed_network,
-        use_bdds=bonsai.use_bdds,
-        encoder=bonsai.encoder if bonsai.use_bdds else None,
-    )
-    result = fallback.compress(failed_ec, build_network=True)
+        result = fallback.compress(failed_ec, build_network=True)
+        abstraction = result.abstraction
+        abstract_network = result.abstract_network
+        abstract_nodes = result.abstract_nodes
     lifted = lifted_abstract_verdicts(
-        result.abstraction,
-        result.abstract_network,
-        failed_ec,
-        specs,
-        surviving,
-        waypoints,
-        path_bound,
+        abstraction, abstract_network, failed_ec, specs, surviving, waypoints, path_bound
     )
     mismatched = compare_verdicts(concrete_verdicts, lifted)
     return SoundnessOutcome(
-        sound_under_failure=False,
+        sound_under_failure=sound,
         reason=reason,
-        abstract_scenario=None,
-        recompressed=True,
+        abstract_scenario=mapped if sound else None,
+        recompressed=not sound,
         agrees=not mismatched,
         mismatched=mismatched,
-        abstract_nodes=result.abstract_nodes,
+        abstract_nodes=abstract_nodes,
     )

@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     error messages and exit codes; new invocations should prefer the
     subcommands from :func:`build_subcommand_parser`.
     """
-    families = ", ".join(
-        f"{name} ({hint})" for name, (_, hint) in sorted(TOPOLOGY_FAMILIES.items())
-    )
     parser = argparse.ArgumentParser(
         prog="python -m repro.pipeline",
         description="Compress every destination equivalence class of a "
@@ -117,46 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         "prefer the subcommands compress, verify, failures, delta, store "
         "and serve.)",
     )
-    parser.add_argument(
-        "--topo",
-        choices=sorted(TOPOLOGY_FAMILIES),
-        help=f"topology family; size parameter per family: {families}",
-    )
-    parser.add_argument(
-        "--family",
-        choices=sorted(TOPOLOGY_FAMILIES) + ["all"],
-        help="alias for --topo; 'all' runs every family at its default size",
-    )
-    parser.add_argument(
-        "--size",
-        type=int,
-        default=None,
-        help="family size parameter (defaults to a small per-family size)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="worker count for parallel executors"
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="process",
-        help="how to run the per-class work (default: process)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, help="classes per work unit"
-    )
-    parser.add_argument(
-        "--limit", type=int, default=None, help="process only the first N classes"
-    )
+    _topology_arguments(parser)
+    _fanout_arguments(parser)
     parser.add_argument(
         "--build-networks",
         action="store_true",
         help="also emit the abstract configured network for every class",
-    )
-    parser.add_argument(
-        "--syntactic",
-        action="store_true",
-        help="use syntactic policy keys instead of BDDs (ablation mode)",
     )
     parser.add_argument(
         "--output",
@@ -179,24 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differentially verify the property catalogue on the concrete "
         "and compressed networks instead of just compressing",
     )
-    verify.add_argument(
-        "--properties",
-        default=None,
-        help="comma-separated registered property names "
-        f"(default: all of {', '.join(registered_properties())})",
-    )
-    verify.add_argument(
-        "--path-bound",
-        type=int,
-        default=None,
-        help="hop bound for bounded-path-length (default: concrete node count)",
-    )
-    verify.add_argument(
-        "--waypoints",
-        default=None,
-        help="comma-separated device names for waypointing "
-        "(default: each class's originating devices)",
-    )
+    _suite_arguments(verify)
     verify.add_argument(
         "--timeout",
         type=float,
@@ -214,38 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict deltas vs. the failure-free baseline, and per-scenario "
         "abstraction-soundness flags",
     )
-    failures.add_argument(
-        "--k",
-        type=int,
-        default=None,
-        help="enumerate all scenarios of at most k simultaneous failures "
-        "(default 1: every single-link failure)",
-    )
-    failures.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        help="deterministically sample this many scenarios instead of "
-        "enumerating (default: per-family cap for k>=2, exhaustive for k=1)",
-    )
-    failures.add_argument(
-        "--seed", type=int, default=None, help="seed for --sample (default 0)"
-    )
-    failures.add_argument(
-        "--fail-nodes",
-        action="store_true",
-        help="also enumerate node failures (default: links only)",
-    )
-    failures.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the scratch-solve oracle cross-check (faster, ungated)",
-    )
-    failures.add_argument(
-        "--no-soundness",
-        action="store_true",
-        help="skip the per-scenario abstraction-soundness checker",
-    )
+    _failure_arguments(failures)
 
     delta = parser.add_argument_group("change-impact sweeps (--delta)")
     delta.add_argument(
@@ -256,40 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per-property verdict deltas vs the unchanged baseline, and "
         "per-class abstraction revalidation (reuse vs re-compress)",
     )
-    delta.add_argument(
-        "--changes",
-        default=None,
-        metavar="FILE|generated",
-        help="JSON change script (a list of change sets, a single change "
-        "set, or {\"script\": [...]}), or the literal 'generated' for the "
-        "deterministic per-family change scenarios (the default)",
-    )
-    delta.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="cap the generated change script at this many steps "
-        "(default: per-family)",
-    )
-    delta.add_argument(
-        "--baseline",
-        default=None,
-        metavar="STORE|ENTRY",
-        help="validate against a stored baseline artifact (an artifact "
-        "store root, or one entry directory): zero baseline re-solves, "
-        "stored compressions reused for revalidation",
-    )
-    delta.add_argument(
-        "--no-revalidate",
-        action="store_true",
-        help="skip the per-step abstraction revalidator",
-    )
-    delta.add_argument(
-        "--no-rebuild-oracle",
-        action="store_true",
-        help="skip timing the full-rebuild arm when the abstraction is "
-        "reused (faster; the reported speedup loses its denominator)",
-    )
+    _delta_arguments(delta)
     return parser
 
 
@@ -318,7 +200,8 @@ def _topology_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _execution_arguments(parser: argparse.ArgumentParser) -> None:
+def _fanout_arguments(parser: argparse.ArgumentParser) -> None:
+    """The per-class fan-out flags both parsers have always had."""
     parser.add_argument(
         "--workers", type=int, default=4, help="worker count for parallel executors"
     )
@@ -339,6 +222,10 @@ def _execution_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="use syntactic policy keys instead of BDDs (ablation mode)",
     )
+
+
+def _execution_arguments(parser: argparse.ArgumentParser) -> None:
+    _fanout_arguments(parser)
     parser.add_argument(
         "--scheduler",
         choices=SCHEDULERS,
@@ -394,6 +281,80 @@ def _trace_argument(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="render a live progress meter on stderr (ETA from the cost "
         "model's per-class estimates)",
+    )
+
+
+def _failure_arguments(parser) -> None:
+    """The failure-sweep flags (legacy ``--failures`` group and subcommand)."""
+    parser.add_argument(
+        "--k",
+        type=int,
+        default=None,
+        help="enumerate all scenarios of at most k simultaneous failures "
+        "(default 1: every single-link failure)",
+    )
+    parser.add_argument(
+        "--sample",
+        type=int,
+        default=None,
+        help="deterministically sample this many scenarios instead of "
+        "enumerating (default: per-family cap for k>=2, exhaustive for k=1)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="seed for --sample (default 0)"
+    )
+    parser.add_argument(
+        "--fail-nodes",
+        action="store_true",
+        help="also enumerate node failures (default: links only)",
+    )
+    parser.add_argument(
+        "--no-oracle",
+        action="store_true",
+        help="skip the scratch-solve oracle cross-check (faster, ungated)",
+    )
+    parser.add_argument(
+        "--no-soundness",
+        action="store_true",
+        help="skip the per-scenario abstraction-soundness checker",
+    )
+
+
+def _delta_arguments(parser) -> None:
+    """The change-sweep flags (legacy ``--delta`` group and subcommand)."""
+    parser.add_argument(
+        "--changes",
+        default=None,
+        metavar="FILE|generated",
+        help="JSON change script (a list of change sets, a single change "
+        "set, or {\"script\": [...]}), or the literal 'generated' for the "
+        "deterministic per-family change scenarios (the default)",
+    )
+    parser.add_argument(
+        "--steps",
+        type=int,
+        default=None,
+        help="cap the generated change script at this many steps "
+        "(default: per-family)",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        metavar="STORE|ENTRY",
+        help="validate against a stored baseline artifact (an artifact "
+        "store root, or one entry directory): zero baseline re-solves, "
+        "stored compressions reused for revalidation",
+    )
+    parser.add_argument(
+        "--no-revalidate",
+        action="store_true",
+        help="skip the per-step abstraction revalidator",
+    )
+    parser.add_argument(
+        "--no-rebuild-oracle",
+        action="store_true",
+        help="skip timing the full-rebuild arm when the abstraction is "
+        "reused (faster; the reported speedup loses its denominator)",
     )
 
 
@@ -478,29 +439,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     _execution_arguments(failures)
     _output_arguments(failures)
     _suite_arguments(failures)
-    failures.add_argument(
-        "--k", type=int, default=None,
-        help="enumerate all scenarios of at most k simultaneous failures",
-    )
-    failures.add_argument(
-        "--sample", type=int, default=None,
-        help="deterministically sample this many scenarios",
-    )
-    failures.add_argument(
-        "--seed", type=int, default=None, help="seed for --sample (default 0)"
-    )
-    failures.add_argument(
-        "--fail-nodes", action="store_true",
-        help="also enumerate node failures (default: links only)",
-    )
-    failures.add_argument(
-        "--no-oracle", action="store_true",
-        help="skip the scratch-solve oracle cross-check",
-    )
-    failures.add_argument(
-        "--no-soundness", action="store_true",
-        help="skip the per-scenario abstraction-soundness checker",
-    )
+    _failure_arguments(failures)
 
     delta = commands.add_parser(
         "delta",
@@ -511,35 +450,14 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     _execution_arguments(delta)
     _output_arguments(delta)
     _suite_arguments(delta)
-    delta.add_argument(
-        "--changes", default=None, metavar="FILE|generated",
-        help="JSON change script, or 'generated' (the default)",
-    )
-    delta.add_argument(
-        "--steps", type=int, default=None,
-        help="cap the generated change script at this many steps",
-    )
+    _delta_arguments(delta)
     delta.add_argument(
         "--seed", type=int, default=None,
         help="seed for the generated change script (default 0)",
     )
     delta.add_argument(
-        "--baseline", default=None, metavar="STORE|ENTRY",
-        help="validate against a stored baseline artifact (an artifact "
-        "store root, or one entry directory): zero baseline re-solves, "
-        "stored compressions reused for revalidation",
-    )
-    delta.add_argument(
         "--no-oracle", action="store_true",
         help="skip the scratch-solve oracle cross-check",
-    )
-    delta.add_argument(
-        "--no-revalidate", action="store_true",
-        help="skip the per-step abstraction revalidator",
-    )
-    delta.add_argument(
-        "--no-rebuild-oracle", action="store_true",
-        help="skip timing the full-rebuild arm on abstraction reuse",
     )
 
     store = commands.add_parser(
@@ -895,66 +813,91 @@ def _run_verify(args, families: List[str]) -> int:
     return _report_status(diverged or timed_out, _emit_reports(args, reports))
 
 
-def _run_failures(args, families: List[str]) -> int:
-    from repro.failures import FailureSweep
+class _SweepRefused(Exception):
+    """A sweep kind declined to run a family: ``(exit status, message)``."""
 
+
+def _run_sweep(args, families: List[str], title, make_sweep, class_line) -> int:
+    """The skeleton the perturbation-sweep subcommands share: suite, then
+    per family build -> sweep under a ``family`` span -> summary -> memory
+    budget -> per-class lines, then the one ``--output`` convention.
+
+    ``make_sweep(family, size, network, common)`` returns the kind's
+    configured sweep (``common`` holds the flags every kind takes) or
+    raises :class:`_SweepRefused`; ``class_line(record)`` renders one
+    ``--per-class`` line.
+    """
     try:
         suite = _build_suite(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    k = args.k if args.k is not None else 1
+    common = dict(
+        suite=suite,
+        oracle=not args.no_oracle,
+        executor=args.executor,
+        workers=args.workers,
+        batch_size=args.batch_size,
+        limit=args.limit,
+        use_bdds=not args.syntactic,
+        **_sweep_scale_kwargs(args),
+    )
     reports = {}
     failed = False
     for family in families:
         size = args.size if args.size is not None else default_size(family)
         network = build_topology(family, size)
-        sample = (
-            args.sample
-            if args.sample is not None
-            else default_failure_sample(family, k)
-        )
         try:
-            sweep = FailureSweep(
-                network,
-                k=k,
-                sample=sample,
-                seed=args.seed if args.seed is not None else 0,
-                include_nodes=args.fail_nodes,
-                suite=suite,
-                oracle=not args.no_oracle,
-                soundness=not args.no_soundness,
-                executor=args.executor,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                limit=args.limit,
-                use_bdds=not args.syntactic,
-                **_sweep_scale_kwargs(args),
-            )
+            sweep = make_sweep(family, size, network, common)
             with trace.span("family", family=family, size=str(size)):
                 report = sweep.run()
+        except _SweepRefused as exc:
+            status, message = exc.args
+            print(message, file=sys.stderr)
+            return status
         except PipelineError as exc:
-            print(f"failure sweep failed: {exc}", file=sys.stderr)
+            print(f"{title} failed: {exc}", file=sys.stderr)
             return 1
         reports[family] = report
         failed = failed or not report.ok()
-        print(f"== failure sweep: {family}({size}) ==")
+        print(f"== {title}: {family}({size}) ==")
         for line in report.summary_lines():
             print(f"  {line}")
         if not _check_memory_budget(args, report):
             failed = True
         if args.per_class:
             for record in report.iter_records():
-                broken = sum(
-                    1 for outcome in record.scenarios if outcome.newly_failing
-                )
-                print(
-                    f"  {record.prefix}: {broken}/{len(record.scenarios)} "
-                    f"scenarios change a verdict"
-                )
+                print(f"  {record.prefix}: {class_line(record)}")
 
     return _report_status(failed, _emit_reports(args, reports))
+
+
+def _run_failures(args, families: List[str]) -> int:
+    from repro.failures import FailureSweep
+
+    k = args.k if args.k is not None else 1
+
+    def make_sweep(family, size, network, common):
+        return FailureSweep(
+            network,
+            k=k,
+            sample=(
+                args.sample
+                if args.sample is not None
+                else default_failure_sample(family, k)
+            ),
+            seed=args.seed if args.seed is not None else 0,
+            include_nodes=args.fail_nodes,
+            soundness=not args.no_soundness,
+            **common,
+        )
+
+    def class_line(record) -> str:
+        broken = sum(1 for outcome in record.scenarios if outcome.newly_failing)
+        return f"{broken}/{len(record.scenarios)} scenarios change a verdict"
+
+    return _run_sweep(args, families, "failure sweep", make_sweep, class_line)
 
 
 def _load_baseline_artifact(path: str, network):
@@ -978,12 +921,6 @@ def _run_delta(args, families: List[str]) -> int:
     from repro.netgen.changes import default_change_steps, generated_change_script
     from repro.store import StoreError
 
-    try:
-        suite = _build_suite(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     file_script = None
     if args.changes is not None and args.changes != "generated":
         misused = [
@@ -1006,21 +943,16 @@ def _run_delta(args, families: List[str]) -> int:
             return 2
 
     baseline_path = getattr(args, "baseline", None)
-    reports = {}
-    failed = False
-    for family in families:
-        size = args.size if args.size is not None else default_size(family)
-        network = build_topology(family, size)
+
+    def make_sweep(family, size, network, common):
         baseline = None
         if baseline_path:
             try:
                 baseline = _load_baseline_artifact(baseline_path, network)
             except StoreError as exc:
-                print(
-                    f"error: cannot use baseline artifact at {baseline_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
+                raise _SweepRefused(
+                    1, f"error: cannot use baseline artifact at {baseline_path}: {exc}"
+                ) from exc
         if file_script is not None:
             script = file_script
         else:
@@ -1031,54 +963,28 @@ def _run_delta(args, families: List[str]) -> int:
                 network, family, steps=steps, seed=args.seed if args.seed is not None else 0
             )
         try:
-            sweep = DeltaSweep(
+            return DeltaSweep(
                 network,
                 script=script,
-                suite=suite,
                 baseline=baseline,
-                oracle=not args.no_oracle,
                 revalidate=not args.no_revalidate,
                 rebuild_oracle=not args.no_rebuild_oracle,
-                executor=args.executor,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                limit=args.limit,
-                use_bdds=not args.syntactic,
-                **_sweep_scale_kwargs(args),
+                **common,
             )
-            with trace.span("family", family=family, size=str(size)):
-                report = sweep.run()
         except ChangeError as exc:
-            print(f"invalid change script for {family}({size}): {exc}", file=sys.stderr)
-            return 2
-        except PipelineError as exc:
-            print(f"change sweep failed: {exc}", file=sys.stderr)
-            return 1
-        reports[family] = report
-        failed = failed or not report.ok()
-        print(f"== change-impact sweep: {family}({size}) ==")
-        if baseline is not None:
-            warm = sum(
-                1 for record in report.iter_records() if record.baseline_from_store
-            )
-            print(
-                f"  warm baseline {baseline.fingerprint[:12]}...: "
-                f"{warm}/{report.record_count()} classes seeded from the store"
-            )
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if not _check_memory_budget(args, report):
-            failed = True
-        if args.per_class:
-            for record in report.iter_records():
-                broken = sum(1 for outcome in record.steps if outcome.newly_failing)
-                reused = sum(1 for outcome in record.steps if outcome.reused)
-                print(
-                    f"  {record.prefix}: {broken}/{len(record.steps)} steps "
-                    f"change a verdict, {reused} reused the abstraction"
-                )
+            raise _SweepRefused(
+                2, f"invalid change script for {family}({size}): {exc}"
+            ) from exc
 
-    return _report_status(failed, _emit_reports(args, reports))
+    def class_line(record) -> str:
+        broken = sum(1 for outcome in record.steps if outcome.newly_failing)
+        reused = sum(1 for outcome in record.steps if outcome.reused)
+        return (
+            f"{broken}/{len(record.steps)} steps change a verdict, "
+            f"{reused} reused the abstraction"
+        )
+
+    return _run_sweep(args, families, "change-impact sweep", make_sweep, class_line)
 
 
 def _run_compress(args, family: str) -> int:

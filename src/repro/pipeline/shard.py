@@ -9,9 +9,9 @@ other workers idle.  :class:`ShardCoordinator` replaces the pre-cut with
 a shared work queue:
 
 * the classes are turned into **cost-weighted work units** -- whole
-  classes, or (for the failures/delta tasks, whose per-class work is a
-  list of independent scenarios / a chainable list of steps) sub-class
-  chunks registered in :data:`UNIT_SPLITTERS`;
+  classes, or (for tasks whose per-class work is a sequence of units: a
+  list of independent scenarios, a chainable list of steps) sub-class
+  chunks, for tasks that called :func:`register_unit_splitter`;
 * unit costs come from **observed wall-clock of prior runs**, recorded
   per ``(network fingerprint, task)`` into an in-process cache and --
   when a cost store is configured -- a schema-versioned ``costs.json``
@@ -111,7 +111,7 @@ def heuristic_cost(equivalence_class: EquivalenceClass) -> float:
 
 
 # ----------------------------------------------------------------------
-# Sub-class unit splitting (failures: scenarios; delta: step ranges)
+# Sub-class unit splitting (contiguous ranges of a task's unit sequence)
 # ----------------------------------------------------------------------
 def _chunk_bounds(total: int, pieces: int) -> List[Tuple[int, int]]:
     """``pieces`` near-equal contiguous ``[start, end)`` ranges of
@@ -127,72 +127,44 @@ def _chunk_bounds(total: int, pieces: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _split_failure_options(options: dict, pieces: int):
-    """Scenario chunks: outcomes are independent per scenario, so a chunk
-    is just the same task over a slice of ``options["scenarios"]``."""
-    scenarios = options.get("scenarios") or []
-    if len(scenarios) < 2:
-        return None
-    bounds = _chunk_bounds(len(scenarios), pieces)
+def split_units(options: dict, key: str, pieces: int):
+    """Cut the unit sequence at ``options[key]`` into ``pieces`` chunks:
+    ``(options patches, weight fractions)``, each patch carrying
+    ``unit_range=[a, b)`` for the task to run only those units
+    (:func:`repro.pipeline.perturb.unit_range`), or ``None`` when the
+    sequence is too short to cut in two.  Whether units are independent
+    (failure scenarios) or chain (change steps, where a chunk starting
+    mid-script first replays its predecessor) is the task's business."""
+    total = len(options.get(key) or [])
+    bounds = _chunk_bounds(total, pieces)
     if len(bounds) < 2:
         return None
-    patches = [{"scenarios": scenarios[a:b]} for a, b in bounds]
-    fractions = [(b - a) / len(scenarios) for a, b in bounds]
+    patches = [{"unit_range": [a, b]} for a, b in bounds]
+    fractions = [(b - a) / total for a, b in bounds]
     return patches, fractions
 
 
-def _split_delta_options(options: dict, pieces: int):
-    """Step-range chunks: steps chain (each seeds from the previous), so
-    a chunk carries ``step_range=[a, b)`` and the task fast-forwards by
-    scratch-solving step ``a-1`` as its seed -- labelings are unique
-    fixed points, so the chunk's outcomes match the chained serial run's
-    (``repro.delta.sweep.delta_class_task`` implements the replay)."""
-    script = options.get("script") or []
-    if len(script) < 2:
-        return None
-    bounds = _chunk_bounds(len(script), pieces)
-    if len(bounds) < 2:
-        return None
-    patches = [{"step_range": [a, b]} for a, b in bounds]
-    fractions = [(b - a) / len(script) for a, b in bounds]
-    return patches, fractions
-
-
-def _merge_failure_chunks(chunks: List[object]) -> object:
-    """Chunk 0's record (baseline fields) with every chunk's scenarios
-    concatenated in chunk order == original scenario order."""
+def merge_chunks(chunks: List[object], attr: str) -> object:
+    """Chunk 0's record (it carries the class baseline fields) with every
+    chunk's ``record.<attr>`` list concatenated in chunk order, which is
+    the original unit order."""
     merged = chunks[0]
     for extra in chunks[1:]:
-        merged.scenarios.extend(extra.scenarios)
+        getattr(merged, attr).extend(getattr(extra, attr))
     return merged
 
 
-def _merge_delta_chunks(chunks: List[object]) -> object:
-    merged = chunks[0]
-    for extra in chunks[1:]:
-        merged.steps.extend(extra.steps)
-    return merged
+#: ``task path -> (options key of the task's unit sequence, record
+#: attribute holding its per-unit results)``, for the tasks whose classes
+#: may be split; filled by :func:`register_unit_splitter` as they import.
+UNIT_SEQUENCES: Dict[str, Tuple[str, str]] = {}
 
 
-#: ``task path -> splitter(options, pieces) -> (patches, fractions) | None``.
-UNIT_SPLITTERS: Dict[str, Callable] = {
-    "repro.failures.sweep:failure_class_task": _split_failure_options,
-    "repro.delta.sweep:delta_class_task": _split_delta_options,
-}
-
-#: ``task path -> merger(chunk results in chunk order) -> record``.
-UNIT_MERGERS: Dict[str, Callable] = {
-    "repro.failures.sweep:failure_class_task": _merge_failure_chunks,
-    "repro.delta.sweep:delta_class_task": _merge_delta_chunks,
-}
-
-
-def register_unit_splitter(task_path: str, splitter: Callable, merger: Callable) -> None:
-    """Register sub-class splitting for a task: ``splitter(options,
-    pieces)`` returns ``(options patches, weight fractions)`` or ``None``;
-    ``merger(chunk results)`` reassembles the per-class record."""
-    UNIT_SPLITTERS[task_path] = splitter
-    UNIT_MERGERS[task_path] = merger
+def register_unit_splitter(task_path: str, options_key: str, record_attr: str) -> None:
+    """Let the coordinator split a task's classes into sub-class chunks
+    (:func:`split_units` over ``options[options_key]``, re-merged by
+    :func:`merge_chunks` over ``record.<record_attr>``)."""
+    UNIT_SEQUENCES[task_path] = (options_key, record_attr)
 
 
 # ----------------------------------------------------------------------
@@ -345,8 +317,8 @@ class ShardCoordinator:
         # to keep the pool busy; chunk overhead (each chunk re-pays the
         # class baseline) is only worth paying to kill stragglers.
         pieces = 1
-        splitter = UNIT_SPLITTERS.get(self.task_path) if self.split else None
-        if splitter is not None and self.classes:
+        sequence = UNIT_SEQUENCES.get(self.task_path) if self.split else None
+        if sequence is not None and self.classes:
             if len(self.classes) < self.workers * 2:
                 pieces = -(-self.workers * 2 // len(self.classes))
 
@@ -355,7 +327,7 @@ class ShardCoordinator:
             cost = known.get(
                 str(equivalence_class.prefix), heuristic_cost(equivalence_class)
             )
-            plan = splitter(self.options, pieces) if (splitter and pieces > 1) else None
+            plan = split_units(self.options, sequence[0], pieces) if pieces > 1 else None
             if plan is None:
                 units.append(
                     WorkUnit(index=index, equivalence_class=equivalence_class, cost=cost)
@@ -447,7 +419,8 @@ class ShardCoordinator:
         if not bundles:
             return results
         capture_trace = trace.active()
-        merger = UNIT_MERGERS.get(self.task_path)
+        # Only a registered task is ever planned into chunks.
+        _, results_attr = UNIT_SEQUENCES.get(self.task_path, (None, None))
         #: class index -> {chunk: result} for classes awaiting chunks.
         partial: Dict[int, Dict[int, object]] = {}
         expected: Dict[int, int] = {}
@@ -521,11 +494,7 @@ class ShardCoordinator:
                                     ordered = [
                                         chunks[i] for i in range(expected[index])
                                     ]
-                                    record = (
-                                        merger(ordered)
-                                        if merger is not None
-                                        else ordered[-1]
-                                    )
+                                    record = merge_chunks(ordered, results_attr)
                                     del partial[index]
                                     finish(index, unit, record)
                 except BaseException:

@@ -4,10 +4,11 @@ Four subsystems emit run-level JSON reports -- compression
 (:class:`~repro.pipeline.report.PipelineReport`), batch verification
 (:class:`~repro.analysis.batch.VerificationReport`), failure sweeps
 (:class:`~repro.failures.sweep.FailureReport`) and change-impact sweeps
-(:class:`~repro.delta.sweep.DeltaReport`).  Each grew its own wire format
-PR by PR; consumers (CI gates, benchmarks, the artifact store, the serve
-API) had to know which class wrote a given file before they could read
-it.
+(:class:`~repro.delta.sweep.DeltaReport`; both views of
+:class:`~repro.pipeline.perturb.PerturbationReport`).  Each grew its own
+wire format PR by PR; consumers (CI gates, benchmarks, the artifact
+store, the serve API) had to know which class wrote a given file before
+they could read it.
 
 :class:`ReportEnvelope` is the shared base: every report now serialises
 a common envelope --

@@ -324,7 +324,7 @@ class TestRevalidation:
         network = build_topology("fattree", 4)
         changeset = invariant_acl_change(network, random.Random(0))
         report = DeltaSweep(network, script=[changeset], executor="serial").run()
-        counts = report.reuse_counts()
+        counts = report.abstraction_counts()
         assert counts["recompressed"] == 0
         assert counts["reused"] == counts["checked"] > 0
         assert counts["disagreed"] == 0
@@ -396,7 +396,7 @@ class TestDeltaSweep:
             ),
         ]
         report = DeltaSweep(network, script=script, executor="serial").run()
-        first = report.first_breaking_change()
+        first = report.first_break()
         assert first["reachability"] == "withdraw"
         prop, step = report.first_property_broken()
         assert step == "withdraw"
@@ -436,7 +436,7 @@ class TestDeltaSweep:
             for node in record.steps[0].newly_failing.get("reachability", [])
         }
         assert "stranded" in failing
-        assert report.first_breaking_change()["reachability"] == "strand"
+        assert report.first_break()["reachability"] == "strand"
 
     def test_thread_executor_matches_serial(self):
         network = build_topology("ring", 6)

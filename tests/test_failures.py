@@ -369,11 +369,11 @@ class TestFailureSweep:
 
     def test_verdict_deltas_and_first_failing_scenario(self):
         report = FailureSweep(chain_network(5), k=1, executor="serial").run()
-        first = report.first_failing_scenario()
+        first = report.first_break()
         assert first["reachability"] == "link:r0|r1"
         outcome = report.records[0].scenarios[0]
         assert outcome.newly_failing["reachability"] == ["r0"]
-        counts = report.property_failure_counts()
+        counts = report.break_counts()
         assert counts["reachability"] == 4
         # Each broken property carries one structured witness.
         witness = outcome.witnesses["reachability"]
@@ -489,7 +489,6 @@ class TestKResilience:
             # The fabric is 2-connected above the edge tier: most nodes
             # keep reachability under every single-link cut.
             assert entry["resilient"], (record.prefix, entry)
-        assert report.k_resilient_nodes()  # convenience accessor agrees
         aggregate = report.to_dict()["aggregate"]
         assert aggregate["k_resilience"]["complete"] is True
 

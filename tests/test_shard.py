@@ -16,12 +16,12 @@ from repro.pipeline.shard import (
     ShardCoordinator,
     WorkUnit,
     _chunk_bounds,
-    _split_delta_options,
-    _split_failure_options,
     heuristic_cost,
     lookup_costs,
+    merge_chunks,
     remember_costs,
     resolve_cost_store,
+    split_units,
 )
 from repro.pipeline.stream import RecordSpill
 from repro.store import ArtifactStore
@@ -52,29 +52,62 @@ class TestChunkBounds:
 
 
 class TestSplitters:
-    def test_failure_split_slices_scenarios(self):
-        scenarios = [("link", i) for i in range(6)]
-        plan = _split_failure_options({"scenarios": scenarios}, 3)
-        assert plan is not None
-        patches, fractions = plan
-        merged = [s for patch in patches for s in patch["scenarios"]]
-        assert merged == scenarios
+    """The one range splitter / chunk merger every sub-class-splitting
+    task registers with (failures: ``scenarios``; delta: ``script`` /
+    ``steps``)."""
+
+    @staticmethod
+    def _ranges(plan):
+        patches, _ = plan
+        return [tuple(patch["unit_range"]) for patch in patches]
+
+    def test_too_short_sequence_declines(self):
+        assert split_units({"scenarios": [("link", 0)]}, "scenarios", 4) is None
+        assert split_units({"scenarios": []}, "scenarios", 4) is None
+        assert split_units({}, "scenarios", 4) is None
+
+    def test_near_equal_contiguous_bounds(self):
+        plan = split_units({"script": ["a", "b", "c", "d", "e"]}, "script", 2)
+        assert self._ranges(plan) == [(0, 3), (3, 5)]
+        plan = split_units({"scenarios": list(range(6))}, "scenarios", 3)
+        assert self._ranges(plan) == [(0, 2), (2, 4), (4, 6)]
+
+    def test_fractions_sum_to_one(self):
+        _, fractions = split_units({"script": list("abcdefg")}, "script", 3)
         assert sum(fractions) == pytest.approx(1.0)
+        assert fractions == pytest.approx([3 / 7, 2 / 7, 2 / 7])
 
-    def test_failure_split_declines_single_scenario(self):
-        assert _split_failure_options({"scenarios": [("link", 0)]}, 4) is None
-        assert _split_failure_options({}, 4) is None
+    def test_more_pieces_than_items_gives_one_unit_per_chunk(self):
+        plan = split_units({"scenarios": ["x", "y", "z"]}, "scenarios", 8)
+        assert self._ranges(plan) == [(0, 1), (1, 2), (2, 3)]
+        assert plan[1] == pytest.approx([1 / 3] * 3)
 
-    def test_delta_split_covers_all_steps(self):
-        plan = _split_delta_options({"script": ["a", "b", "c", "d", "e"]}, 2)
-        assert plan is not None
-        patches, fractions = plan
-        ranges = [tuple(p["step_range"]) for p in patches]
-        assert ranges == [(0, 3), (3, 5)]
-        assert sum(fractions) == pytest.approx(1.0)
+    def test_splitter_reads_only_the_named_key(self):
+        options = {"scenarios": list(range(4)), "script": ["only"]}
+        assert split_units(options, "script", 2) is None
+        assert len(split_units(options, "scenarios", 2)[0]) == 2
 
-    def test_delta_split_declines_single_step(self):
-        assert _split_delta_options({"script": ["a"]}, 4) is None
+    def test_merge_order_is_original_order(self):
+        class Record:
+            def __init__(self, baseline, steps):
+                self.baseline = baseline
+                self.steps = steps
+
+        units = list(range(7))
+        ranges = self._ranges(split_units({"script": units}, "script", 3))
+        chunks = [Record(f"chunk{i}", units[a:b]) for i, (a, b) in enumerate(ranges)]
+        merged = merge_chunks(chunks, "steps")
+        assert merged is chunks[0]
+        assert merged.baseline == "chunk0"
+        assert merged.steps == units
+
+    def test_sweep_tasks_register_their_unit_sequences(self):
+        assert shard.UNIT_SEQUENCES["repro.failures.sweep:failure_class_task"] == (
+            "scenarios", "scenarios",
+        )
+        assert shard.UNIT_SEQUENCES["repro.delta.sweep:delta_class_task"] == (
+            "script", "steps",
+        )
 
 
 class TestCoordinatorPlan:
@@ -131,8 +164,9 @@ class TestCoordinatorPlan:
         for index, units in by_index.items():
             assert len(units) > 1
             merged = [
-                s for u in sorted(units, key=lambda u: u.chunk)
-                for s in u.patch["scenarios"]
+                s
+                for u in sorted(units, key=lambda u: u.chunk)
+                for s in scenarios[slice(*u.patch["unit_range"])]
             ]
             assert merged == scenarios
 
