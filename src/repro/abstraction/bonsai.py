@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.abstraction.refinement import RefinementResult, compute_abstraction
+from repro.abstraction.refinement import ClassFamily, RefinementResult, compute_abstraction
 from repro.bdd.policy import PolicyBddEncoder
 from repro.obs import metrics as _metrics
 from repro.config.device import BgpNeighborConfig, DeviceConfig, OspfLinkConfig, StaticRouteConfig
@@ -44,6 +45,7 @@ class CompressionResult:
     """The result of compressing one destination equivalence class."""
 
     equivalence_class: EquivalenceClass
+    #: ``None`` only in transit from a process-pool worker (``repro.pipeline.core``).
     concrete_srp: SRP
     refinement: RefinementResult
     abstract_network: Optional[Network]
@@ -56,13 +58,11 @@ class CompressionResult:
     @property
     def abstract_nodes(self) -> int:
         """Abstract node count, excluding the virtual destination if added."""
-        nodes = self.abstraction.abstract_graph.nodes
-        virtual = {
-            node
-            for node in nodes
-            if self.abstraction.concrete_nodes(node) == frozenset({VIRTUAL_DESTINATION})
-        }
-        return len(nodes) - len(virtual)
+        abstraction = self.abstraction
+        return sum(
+            abstraction.concrete_nodes(node) != frozenset({VIRTUAL_DESTINATION})
+            for node in abstraction.abstract_graph.nodes
+        )
 
     @property
     def abstract_edges(self) -> int:
@@ -126,10 +126,15 @@ class CompressionSummary:
 class Bonsai:
     """Compress a configured network, one destination class at a time.
 
-    ``REFINEMENT_CACHE_LIMIT`` bounds the cross-class refinement cache
-    (cleared wholesale on overflow, like the BDD manager's ``ite`` memo):
-    pipeline workers keep one ``Bonsai`` alive for thousands of classes,
-    and each retained ``RefinementResult`` holds full node maps.
+    One at a time, but not from scratch: classes whose policy keys
+    specialise to the same map form a *class family*
+    (:class:`~repro.abstraction.refinement.ClassFamily`) and share that
+    map, the refinement inputs built from it and the destination-free
+    base partition their refinements start from.
+    ``REFINEMENT_CACHE_LIMIT`` bounds what is retained (families, and
+    ``RefinementResult``s holding full node maps; cleared wholesale on
+    overflow, like the BDD manager's ``ite`` memo): pipeline workers keep
+    one ``Bonsai`` alive for thousands of classes.
 
     A ``Bonsai`` assumes the network configuration does not change while
     it is alive: the policy-BDD encoder collects its variable universe at
@@ -170,20 +175,19 @@ class Bonsai:
         self.bdd_seconds = 0.0
         #: The aggregated report of the most recent :meth:`compress_all`.
         self.last_report = None
-        #: Cross-class abstraction reuse: destination classes whose
-        #: specialized policy keys, origins and local-preference sets all
-        #: coincide induce the *same* refinement problem, so they share one
-        #: :class:`~repro.abstraction.refinement.RefinementResult` instead
-        #: of recomputing it per class (common for netgen families where
-        #: many prefixes specialize identically).
-        self._refinement_cache: Dict[Hashable, RefinementResult] = {}
+        #: Family level of the cross-class memo: specialisation signature
+        #: (see :meth:`policy_keys`) -> the family's interned key map.
+        self._families: Dict[Hashable, ClassFamily] = {}
+        #: Exact level: ``(id(family), origins)`` -> ``(family, result)``;
+        #: the entry pins its family, so the id cannot be reused under it.
+        self._refinement_cache: Dict[Hashable, Tuple[ClassFamily, RefinementResult]] = {}
         self._refinement_hits = 0
         self._refinement_misses = 0
-        #: Single-entry memo of the last compiled edge map: several stages
-        #: of a per-class task (concrete simulation, compression) compile
-        #: the same destination back to back.  The destination-independent
-        #: base compilation is built once and specialized per class.
-        self._compile_memo: Optional[Tuple[Prefix, Dict]] = None
+        #: Single-entry memo of the last compiled edge map (and which edges
+        #: differ from the base): several stages of a per-class task
+        #: (concrete simulation, compression) compile the same destination
+        #: back to back.  The base compilation is built once.
+        self._compile_memo: Optional[Tuple[Prefix, Dict, FrozenSet]] = None
         self._base_compiled: Optional[Dict] = None
 
     # ------------------------------------------------------------------
@@ -217,20 +221,86 @@ class Bonsai:
             return cached[1]
         if self._base_compiled is None:
             self._base_compiled = compile_base_edges(self.network)
-        compiled = specialize_compiled_edges(self.network, prefix, self._base_compiled)
-        self._compile_memo = (prefix, compiled)
+        base = self._base_compiled
+        # Classes no static route or ACL singles out share the base itself.
+        compiled = specialize_compiled_edges(self.network, prefix, base)
+        changed = frozenset() if compiled is base else frozenset(
+            (edge, info.has_static, info.acl_permits)
+            for edge, info in compiled.items()
+            if info is not base[edge]
+        )
+        self._compile_memo = (prefix, compiled, changed)
         return compiled
 
-    def policy_keys(self, prefix: Prefix) -> Dict[Edge, Hashable]:
-        """Per-edge policy keys specialized to one destination."""
+    @cached_property
+    def _class_invariants(self) -> Tuple[FrozenSet[str], Dict]:
+        """The network's unused communities and per-device local-preference
+        values, the same for every class: taken once, on first use."""
+        return self.network.unused_communities(), self.network.local_pref_values_by_device()
+
+    def policy_keys(self, prefix: Prefix) -> ClassFamily:
+        """Per-edge policy keys specialized to one destination.
+
+        The map is interned: destinations with the same specialisation
+        signature get the *same* (read-only) object, their class family.
+        BDD keys are a function of the destination's restriction
+        assignment and of the edges compilation singled out for it, so a
+        family's later classes never rebuild the map; syntactic keys have
+        no cheaper signature than their own content.
+        """
         compiled = self.compile_for(prefix)
+        keys = None
         if self.use_bdds:
-            return self.encoder.specialized_policy_keys(prefix, compiled)
-        return dict(syntactic_policy_keys(self.network, prefix, compiled))
+            signature: Hashable = (self._compile_memo[2], self.encoder.assignment_key(prefix))
+        else:
+            keys = syntactic_policy_keys(
+                self.network, prefix, compiled, self._class_invariants[0]
+            )
+            signature = frozenset(keys.items())
+        family = self._families.get(signature)
+        if family is None:
+            if keys is None:
+                keys = self.encoder.specialized_policy_keys(prefix, compiled)
+                # Encoding may just have allocated variables: the signature
+                # is the assignment over all of them, taken after the build.
+                signature = (signature[0], self.encoder.assignment_key(prefix))
+            self._make_room()
+            family = self._families[signature] = ClassFamily(keys)
+            _metrics.counter("abstraction.class_families").inc()
+        return family
+
+    def _make_room(self) -> None:
+        """Clear-on-overflow, both levels together (the ``BddManager``
+        ``cache_limit`` precedent): the memo is an optimisation only, and
+        a worker ``Bonsai`` can live for thousands of classes."""
+        if max(len(self._families), len(self._refinement_cache)) >= self.REFINEMENT_CACHE_LIMIT:
+            self._families.clear()
+            self._refinement_cache.clear()
+            _metrics.counter("abstraction.refinement_cache.overflows").inc()
 
     # ------------------------------------------------------------------
     # Compression
     # ------------------------------------------------------------------
+    def concrete_srp(self, equivalence_class: EquivalenceClass) -> SRP:
+        """The concrete SRP :meth:`compress` refines for one class."""
+        prefix = equivalence_class.prefix
+        # Compile the edges once and share the result between the SRP
+        # build and the policy-key specialization (each used to recompile).
+        compiled = self.compile_for(prefix)
+        unused_communities, local_prefs = self._class_invariants
+        return build_srp_from_network(
+            self.network,
+            prefix,
+            set(equivalence_class.origins),
+            ignore_communities=unused_communities,
+            compiled=compiled,
+            # Refinement runs on the explicit (BDD or syntactic) keys; the
+            # SRP's own syntactic keys would only be recomputed to be
+            # ignored.  Virtual-destination edges keep their key.
+            include_syntactic_keys=False,
+            local_prefs=local_prefs,
+        )
+
     def compress(
         self,
         equivalence_class: EquivalenceClass,
@@ -238,26 +308,9 @@ class Bonsai:
     ) -> CompressionResult:
         """Compress the network for one destination equivalence class."""
         start = time.perf_counter()
-        prefix = equivalence_class.prefix
-        # Compile the edges once and share the result between the SRP
-        # build and the policy-key specialization (each used to recompile).
-        compiled = self.compile_for(prefix)
-        srp = build_srp_from_network(
-            self.network,
-            prefix,
-            set(equivalence_class.origins),
-            compiled=compiled,
-            # Refinement runs on the explicit (BDD or syntactic) keys built
-            # below; the SRP's own syntactic keys would only be recomputed
-            # to be ignored.  Virtual-destination edges keep their key.
-            include_syntactic_keys=False,
-        )
-        keys = self.policy_keys(prefix)
-        # Edges to the virtual destination (if any) need a key too.
-        for edge in srp.graph.edges:
-            if edge not in keys:
-                keys[edge] = srp.policy_key(edge)
-        refinement = self._refine_cached(srp, keys, equivalence_class)
+        srp = self.concrete_srp(equivalence_class)
+        family = self.policy_keys(equivalence_class.prefix)
+        refinement = self._refine_cached(srp, family, equivalence_class)
         abstract_network = (
             self.build_abstract_network(refinement.abstraction, equivalence_class)
             if build_network
@@ -275,51 +328,45 @@ class Bonsai:
     def _refine_cached(
         self,
         srp: SRP,
-        keys: Dict[Edge, Hashable],
+        family: ClassFamily,
         equivalence_class: EquivalenceClass,
     ) -> RefinementResult:
-        """Run abstraction refinement, deduped across equivalence classes.
+        """Run abstraction refinement, reusing what the class's family has.
 
-        The refinement outcome is a pure function of (graph, per-edge
-        policy keys, per-node local-preference sets); the graph is the
-        network graph plus a virtual destination determined by the origin
-        set.  Classes with equal signatures therefore share one
-        ``RefinementResult`` (BDD keys are canonical within this Bonsai's
-        encoder, so equal signatures really mean equal refinement inputs).
+        The outcome is a pure function of (graph, per-edge policy keys,
+        per-node local-preference sets); the origin set determines the
+        graph, the local preferences are one map per ``Bonsai``.  So
+        classes of one family with equal origins share one result, the
+        others the family's inputs and base partition: both are hits.
         """
-        try:
-            signature: Optional[Hashable] = (
-                frozenset(keys.items()),
-                equivalence_class.origins,
-                tuple(sorted(srp.node_prefs.items())),
-            )
-        except TypeError:
-            signature = None  # unhashable custom keys: skip the cache
-        if signature is not None:
-            cached = self._refinement_cache.get(signature)
-            if cached is not None:
-                self._refinement_hits += 1
-                _metrics.counter("abstraction.refinement_cache.hits").inc()
-                return cached
+        key = (id(family), equivalence_class.origins)
+        cached = self._refinement_cache.get(key)
+        if cached is not None or family.refinements:
+            self._refinement_hits += 1
+            _metrics.counter("abstraction.refinement_cache.hits").inc()
+        else:
             self._refinement_misses += 1
             _metrics.counter("abstraction.refinement_cache.misses").inc()
+        if cached is not None:
+            return cached[1]
+        keys: Dict[Edge, Hashable] = family
+        virtual_edges = srp.transfer.virtual_edges
+        if virtual_edges:
+            # Edges to the virtual destination need a key too; the family
+            # is shared, so they go into a copy (a family of one).
+            keys = {**family, **{edge: srp.policy_key(edge) for edge in virtual_edges}}
         refinement = compute_abstraction(srp, policy_keys=keys)
-        if signature is not None:
-            # Clear-on-overflow (the BddManager cache_limit precedent):
-            # the cache is an optimisation only, and a worker Bonsai can
-            # live for thousands of classes.
-            if len(self._refinement_cache) >= self.REFINEMENT_CACHE_LIMIT:
-                self._refinement_cache.clear()
-                _metrics.counter("abstraction.refinement_cache.overflows").inc()
-            self._refinement_cache[signature] = refinement
+        self._make_room()
+        self._refinement_cache[key] = (family, refinement)
         return refinement
 
     def abstraction_cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the cross-class refinement cache."""
+        """Hit/miss counters of the cross-class memo; results and families retained."""
         return {
             "hits": self._refinement_hits,
             "misses": self._refinement_misses,
             "size": len(self._refinement_cache),
+            "families": len(self._families),
         }
 
     def compress_prefix(self, prefix: Prefix, build_network: bool = True) -> CompressionResult:

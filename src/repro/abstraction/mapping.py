@@ -60,35 +60,25 @@ class NetworkAbstraction:
         abstract = Graph()
         split_groups = dict(split_groups or {})
 
-        if not split_groups:
-            # Fast path (no BGP case splitting): one copy per base name.
-            # Must stay behaviourally in sync with the general path below
-            # (which it equals when copies() degenerates to one-tuples).
-            for node in concrete_graph.nodes:
-                abstract.add_node(node_map[node])
-            for u, v in concrete_graph.edges:
-                cu = node_map[u]
-                cv = node_map[v]
-                if cu != cv:
-                    abstract.add_edge(cu, cv)
-            return cls(
-                node_map=dict(node_map),
-                abstract_graph=abstract,
-                protocol=protocol,
-                split_groups=split_groups,
-            )
-
         def copies(base: str) -> Tuple[str, ...]:
             return split_groups.get(base, (base,))
 
+        # The groups each group has an edge to, de-duplicated first: one
+        # add per abstract node and edge, not per concrete node and edge.
+        images: Dict[str, Set[str]] = {}
         for node in concrete_graph.nodes:
-            for copy in copies(node_map[node]):
+            images.setdefault(node_map[node], set()).update(
+                map(node_map.__getitem__, concrete_graph.successors(node))
+            )
+        for base in images:
+            for copy in copies(base):
                 abstract.add_node(copy)
-        for u, v in concrete_graph.edges:
-            for cu in copies(node_map[u]):
-                for cv in copies(node_map[v]):
-                    if cu != cv:
-                        abstract.add_edge(cu, cv)
+        for base_u, targets in images.items():
+            for cu in copies(base_u):
+                for base_v in targets:
+                    for cv in copies(base_v):
+                        if cu != cv:
+                            abstract.add_edge(cu, cv)
         return cls(
             node_map=dict(node_map),
             abstract_graph=abstract,
@@ -112,20 +102,28 @@ class NetworkAbstraction:
         """Apply ``f`` to a path of concrete nodes."""
         return tuple(self.node_map[node] for node in path)
 
+    def _inverse(self) -> Tuple[Dict[str, FrozenSet[Node]], Dict[str, str]]:
+        """``(base name -> concrete members, split copy -> base name)``, built
+        on first use: ``node_map`` / ``split_groups`` are not edited later."""
+        cached = self.__dict__.get("_inverse_index")
+        if cached is None:
+            buckets: Dict[str, Set[Node]] = {}
+            for node, name in self.node_map.items():
+                buckets.setdefault(name, set()).add(node)
+            cached = self._inverse_index = (
+                {name: frozenset(members) for name, members in buckets.items()},
+                {copy: base for base, copies in self.split_groups.items() for copy in copies},
+            )
+        return cached
+
     def concrete_nodes(self, abstract_node: str) -> FrozenSet[Node]:
         """The concrete nodes mapped to ``abstract_node`` (or to its base,
         for split copies)."""
-        base = self.base_of(abstract_node)
-        return frozenset(
-            node for node, name in self.node_map.items() if name == base
-        )
+        return self._inverse()[0].get(self.base_of(abstract_node), frozenset())
 
     def base_of(self, abstract_node: str) -> str:
         """The pre-split abstract node a split copy belongs to."""
-        for base, copies in self.split_groups.items():
-            if abstract_node in copies:
-                return base
-        return abstract_node
+        return self._inverse()[1].get(abstract_node, abstract_node)
 
     def copies_of(self, base: str) -> Tuple[str, ...]:
         """The split copies of a base abstract node (itself if unsplit)."""
@@ -158,10 +156,7 @@ class NetworkAbstraction:
 
     def groups(self) -> List[FrozenSet[Node]]:
         """The partition of concrete nodes induced by ``f`` (base groups)."""
-        buckets: Dict[str, Set[Node]] = {}
-        for node, name in self.node_map.items():
-            buckets.setdefault(name, set()).add(node)
-        return [frozenset(members) for members in buckets.values()]
+        return list(self._inverse()[0].values())
 
     def edge_preimages(
         self, concrete_graph: Graph

@@ -64,6 +64,13 @@ class UnionSplitFind:
         """
         return self._group_of
 
+    def copy(self) -> "UnionSplitFind":
+        """An independent partition with the same groups and group ids."""
+        clone = object.__new__(UnionSplitFind)
+        clone._group_of = dict(self._group_of)
+        clone._members = {group: set(members) for group, members in self._members.items()}
+        clone._next_group = self._next_group
+        return clone
 
     def members(self, group: int) -> FrozenSet[Node]:
         """The nodes in ``group``."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.abstraction.partition import UnionSplitFind
@@ -99,6 +99,145 @@ def _refine_group(
     return len(new_groups) - 1
 
 
+class ClassFamily(dict):
+    """An interned per-edge policy-key map, and with it a *class family*.
+
+    Destination classes of one network that specialise to the same key
+    map (and share its local-preference map) differ by nothing but the
+    destination node.  What refinement derives from the keys alone is
+    built once, on first use, and kept here: the per-node edge summaries
+    and, from the second class on, the *base partition* -- the same
+    refinement with no destination distinguished.  Pass the family
+    itself as ``policy_keys``; it must not be mutated.
+    """
+
+    #: Refinements started from this family's inputs.
+    refinements = 0
+    #: The graph the inputs were built for (``None``: not built yet).
+    graph: Optional[Graph] = None
+
+    def over(self, srp: SRP) -> "ClassFamily":
+        """This family, its inputs built for ``srp``'s graph and local
+        preferences -- or a one-off copy if they were built for others."""
+        graph = srp.graph
+        if self.graph is not None:
+            same = (self.graph, self.version, self.prefs) == (graph, graph.version, srp.node_prefs)
+            return self if same else ClassFamily(self).over(srp)
+        self.graph, self.version, self.prefs = graph, graph.version, srp.node_prefs
+        default_key = ("default",)
+        #: Per node, its incident edges as parallel tuples: each edge's
+        #: (direction, policy) -- numbered, so that signing a node does
+        #: not hash policy keys again -- and the neighbour it leads to.
+        self.edge_summary: Dict[Node, Tuple[Tuple, Tuple]] = {}
+        #: The neighbours whose group movement changes a node's signature.
+        self.neighbours_of: Dict[Node, Tuple] = {}
+        #: Their union over a group decides its ∀∀ vs ∀∃ condition.
+        self.pref_sets: Dict[Node, FrozenSet[int]] = {}
+        numbers: Dict[Tuple, int] = {}
+        for node in graph.nodes:
+            out_edges, in_edges = graph.out_edges(node), graph.in_edges(node)
+            # Incoming edges count too: the key of an edge (w, u) contains
+            # u's *export* policy towards w, so without them two nodes whose
+            # own export policies differ could be merged.
+            policies = [("out", self.get(edge, default_key)) for edge in out_edges]
+            policies += [("in", self.get(edge, default_key)) for edge in in_edges]
+            ends = tuple(edge[1] for edge in out_edges) + tuple(edge[0] for edge in in_edges)
+            numbered = tuple(numbers.setdefault(policy, len(numbers)) for policy in policies)
+            self.edge_summary[node] = (numbered, ends)
+            self.neighbours_of[node] = tuple(set(ends))
+            self.pref_sets[node] = frozenset(srp.prefs(node))
+        #: With at most one local-preference value no group ever needs the
+        #: ∀∀ condition: signatures only name neighbour groups, the coarsest
+        #: stable partition below any start is unique, and the destination-
+        #: free fixed point is coarser than every class's.  With more, the
+        #: condition depends on group membership and that argument fails:
+        #: every class then starts from the trivial partition.
+        self.single_pref = len(frozenset().union(*self.pref_sets.values())) <= 1
+        self.base: Optional[UnionSplitFind] = None
+        return self
+
+    def start(self, destination: Node) -> Tuple[UnionSplitFind, Dict[int, Set[Node]]]:
+        """The partition one class starts from and, per group, the members
+        whose signature is not yet known to equal their group's.
+
+        The first class (a family seen once never pays for a base) and
+        every class under several local-preference values start from
+        {destination} / {the rest}, nothing signed.  Later ones copy the
+        base, split the destination off and re-sign only its neighbours.
+        """
+        self.refinements += 1
+        if not self.single_pref or self.refinements == 1:
+            partition = UnionSplitFind(self.graph.nodes)
+            partition.split({destination})
+            return partition, {g: set(partition.members(g)) for g in partition.groups()}
+        if self.base is None:
+            self.base = UnionSplitFind(self.graph.nodes)
+            _refine(self, self.base, {0: set(self.graph.nodes)}, 10_000)
+        partition = self.base.copy()
+        partition.split({destination})
+        touched: Dict[int, Set[Node]] = {}
+        for neighbour in self.neighbours_of[destination]:
+            touched.setdefault(partition.group_of[neighbour], set()).add(neighbour)
+        return partition, touched
+
+
+def _refine(
+    family: ClassFamily,
+    partition: UnionSplitFind,
+    touched: Dict[int, Set[Node]],
+    max_iterations: int,
+) -> int:
+    """Split ``partition`` until every group's members share a signature.
+
+    ``touched`` maps a group to the members whose signature may differ
+    from the rest of their group; the untouched members of a group always
+    share one signature, so one of them stands witness for all.  A pass
+    signs the touched nodes of every listed group, splits those that
+    disagree into new groups, and touches the neighbours of every node
+    that moved -- only their signatures name a group that changed.
+    Returns the number of passes.
+    """
+    edge_summary, neighbours_of = family.edge_summary, family.neighbours_of
+    group_of = partition.group_of
+    iterations = 0
+    while touched and iterations < max_iterations:
+        iterations += 1
+        current, touched = touched, {}
+        for group in sorted(current):
+            # Nodes touched earlier in this very pass must be signed now:
+            # they are no witness for the signature their group had.
+            nodes = current[group] | touched.pop(group, set())
+            members = partition.members(group)
+            if len(members) <= 1:
+                continue
+            use_concrete = not family.single_pref and len(
+                frozenset().union(*(family.pref_sets[node] for node in members))
+            ) > 1
+            witness = next((node for node in members if node not in nodes), None)
+            buckets: Dict[Hashable, List[Node]] = {}
+            for node in nodes if witness is None else (witness, *nodes):
+                policies, ends = edge_summary[node]
+                if not use_concrete:
+                    ends = map(group_of.__getitem__, ends)
+                buckets.setdefault(frozenset(zip(policies, ends)), []).append(node)
+            if len(buckets) == 1:
+                continue
+            if witness is not None:
+                # Every untouched member is signed like the witness (first).
+                next(iter(buckets.values())).extend(members - nodes - {witness})
+            # The largest bucket stays in place: the fewest nodes move, and
+            # only a moved node's neighbours need signing again.
+            stay = max(buckets.values(), key=len)
+            affected: Set[Node] = set()
+            for bucket in buckets.values():
+                if bucket is not stay:
+                    partition.split(bucket)
+                    affected.update(*(neighbours_of[node] for node in bucket))
+            for neighbour in affected:
+                touched.setdefault(group_of[neighbour], set()).add(neighbour)
+    return iterations
+
+
 def find_abstraction_partition(
     srp: SRP,
     policy_keys: Optional[Dict[Edge, Hashable]] = None,
@@ -106,95 +245,24 @@ def find_abstraction_partition(
 ) -> Tuple[UnionSplitFind, int]:
     """Compute the pre-split partition (Algorithm 1 up to the fixed point).
 
-    This is the dirty-group *worklist* form: a group is only re-examined
-    when a node adjacent to one of its members moved to a different group
-    (the split keeps the largest part in place, so the moved nodes are the
-    smaller halves).  The refinement fixed point -- the coarsest partition
-    stable under the signature function -- is independent of the
-    examination order, so the resulting partition is identical to the
+    This is the *touched-node worklist* form (:func:`_refine`): a node is
+    only re-signed when a neighbour moved to a different group.  A
+    :class:`ClassFamily` as ``policy_keys`` shares its inputs and base
+    partition with the family's other classes; any other mapping is a
+    family of one.  The fixed point -- the coarsest partition below the
+    start that is stable under the signature function -- is independent
+    of the examination order, so the result is identical to the
     full-rescan reference (:func:`find_abstraction_partition_reference`),
     which is kept as the equivalence-test oracle.
 
-    Returns the partition and the number of worklist passes performed.
+    Returns the partition and the number of worklist passes from the start.
     """
-    graph = srp.graph
     keys = policy_keys if policy_keys is not None else {
-        edge: srp.policy_key(edge) for edge in graph.edges
+        edge: srp.policy_key(edge) for edge in srp.graph.edges
     }
-
-    partition = UnionSplitFind(graph.nodes)
-    partition.split({srp.destination})
-    group_of = partition.group_of
-
-    # Static per-node inputs, materialised once: the (direction, policy,
-    # neighbour) summary of every incident edge, the neighbours whose
-    # group movement dirties the node's group, and the local-preference
-    # value set (whose union decides the ∀∀ vs ∀∃ condition per group).
-    default_key = ("default",)
-    edge_summary: Dict[Node, Tuple] = {}
-    neighbours_of: Dict[Node, Tuple] = {}
-    pref_sets: Dict[Node, FrozenSet[int]] = {}
-    for node in graph.nodes:
-        summary = []
-        for edge in graph.out_edges(node):
-            summary.append(("out", keys.get(edge, default_key), edge[1]))
-        # Also summarise the node's incoming edges.  The policy key of an
-        # edge (w, u) contains u's *export* policy towards w, so without
-        # this, two nodes whose own export policies differ could be merged
-        # and violate transfer-equivalence.
-        for edge in graph.in_edges(node):
-            summary.append(("in", keys.get(edge, default_key), edge[0]))
-        edge_summary[node] = tuple(summary)
-        neighbours_of[node] = tuple({nb for _, _, nb in summary})
-        pref_sets[node] = frozenset(srp.prefs(node))
-
-    def refine(group: int) -> list:
-        """Split ``group`` by member signature; returns the moved nodes."""
-        members = partition.members(group)
-        if len(members) <= 1:
-            return []
-        group_prefs = frozenset().union(*(pref_sets[node] for node in members))
-        use_concrete = len(group_prefs) > 1
-        signature: Dict[Node, Hashable] = {}
-        if use_concrete:
-            for node in members:
-                signature[node] = frozenset(edge_summary[node])
-        else:
-            for node in members:
-                signature[node] = frozenset(
-                    (direction, policy, group_of[nb])
-                    for direction, policy, nb in edge_summary[node]
-                )
-        new_groups = partition.split_by_key(group, signature)
-        moved: list = []
-        for new_group in new_groups[1:]:
-            moved.extend(partition.members(new_group))
-        return moved
-
-    dirty = sorted(partition.groups())
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        moved_nodes: list = []
-        for group in dirty:
-            moved_nodes.extend(refine(group))
-        if not moved_nodes:
-            # Fixed point of the signature-based refinement.  Verify
-            # transfer-equivalence explicitly and split any group whose
-            # members still disagree on the policy towards some abstract
-            # neighbour (possible with parallel edges of mixed policy);
-            # continue refining if that created new groups.
-            moved_nodes = _split_transfer_violations(
-                graph, keys, partition, edge_summary
-            )
-            if not moved_nodes:
-                break
-        next_dirty = set()
-        for node in moved_nodes:
-            for neighbour in neighbours_of[node]:
-                next_dirty.add(group_of[neighbour])
-        dirty = sorted(next_dirty)
-    return partition, iterations
+    family = (keys if isinstance(keys, ClassFamily) else ClassFamily(keys)).over(srp)
+    partition, touched = family.start(srp.destination)
+    return partition, _refine(family, partition, touched, max_iterations)
 
 
 def find_abstraction_partition_reference(
@@ -242,14 +310,13 @@ def _split_transfer_violations(
     graph: Graph,
     policy_keys: Dict[Edge, Hashable],
     partition: UnionSplitFind,
-    edge_summary: Optional[Dict[Node, Tuple]] = None,
 ) -> List[Node]:
     """Split groups whose members apply different policies towards the same
     abstract neighbour group.  Returns the nodes moved to new groups.
 
-    ``edge_summary`` optionally reuses the worklist's precomputed
-    per-node ``(direction, policy, neighbour)`` tuples instead of walking
-    the graph's edge lists again.
+    The reference loop's safety net: at a signature fixed point it cannot
+    fire (no parallel edges, and the ``(policy, target)`` pairs a group
+    agrees on determine its per-target policy sets); a property test pins it.
     """
     group_of = partition.group_of
     default_key = ("default",)
@@ -261,16 +328,10 @@ def _split_transfer_violations(
         signature: Dict[Node, Hashable] = {}
         for node in members:
             per_target: Dict[int, set] = {}
-            if edge_summary is None:
-                for edge in graph.out_edges(node):
-                    _, neighbour = edge
-                    per_target.setdefault(group_of[neighbour], set()).add(
-                        policy_keys.get(edge, default_key)
-                    )
-            else:
-                for direction, policy, neighbour in edge_summary[node]:
-                    if direction == "out":
-                        per_target.setdefault(group_of[neighbour], set()).add(policy)
+            for edge in graph.out_edges(node):
+                per_target.setdefault(group_of[edge[1]], set()).add(
+                    policy_keys.get(edge, default_key)
+                )
             signature[node] = frozenset(
                 (target, frozenset(keys)) for target, keys in per_target.items()
             )

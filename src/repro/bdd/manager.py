@@ -251,11 +251,6 @@ class BddManager:
 
         return values[-1]
 
-    def _cofactor_at(self, node: int, var: int) -> Tuple[int, int]:
-        if node in (FALSE, TRUE) or self._var[node] != var:
-            return node, node
-        return self._low[node], self._high[node]
-
     # ------------------------------------------------------------------
     # Boolean connectives
     # ------------------------------------------------------------------

@@ -411,9 +411,13 @@ class PolicyBddEncoder:
             ).permits(destination)
         return assignment
 
-    def _restrict_cached(
-        self, bdd: int, assignment: Dict[int, bool], assignment_key: Tuple[Tuple[int, bool], ...]
-    ) -> int:
+    def assignment_key(self, destination: Prefix) -> Tuple[Tuple[int, bool], ...]:
+        """:meth:`specialization_assignment` in canonical, hashable form:
+        destinations with equal keys specialise every encoded BDD alike.
+        Complete once every edge is encoded (encoding allocates variables)."""
+        return tuple(sorted(self.specialization_assignment(destination).items()))
+
+    def _restrict_cached(self, bdd: int, assignment_key: Tuple[Tuple[int, bool], ...]) -> int:
         """LRU-cached :meth:`BddManager.restrict`.
 
         The key pairs the BDD identity with the canonical assignment, so
@@ -422,7 +426,7 @@ class PolicyBddEncoder:
         reuse each other's cofactors instead of re-walking the BDD.
         """
         if self.specialize_cache_limit <= 0:
-            return self.manager.restrict(bdd, assignment)
+            return self.manager.restrict(bdd, dict(assignment_key))
         key = (bdd, assignment_key)
         cached = self._specialize_cache.get(key)
         if cached is not None:
@@ -430,7 +434,7 @@ class PolicyBddEncoder:
             self._specialize_hits += 1
             return cached
         self._specialize_misses += 1
-        result = self.manager.restrict(bdd, assignment)
+        result = self.manager.restrict(bdd, dict(assignment_key))
         self._specialize_cache[key] = result
         if len(self._specialize_cache) > self.specialize_cache_limit:
             self._specialize_cache.popitem(last=False)
@@ -447,9 +451,7 @@ class PolicyBddEncoder:
 
     def specialize(self, bdd: int, destination: Prefix) -> int:
         """Restrict a generic policy BDD to a concrete destination prefix."""
-        assignment = self.specialization_assignment(destination)
-        key = tuple(sorted(assignment.items()))
-        return self._restrict_cached(bdd, assignment, key)
+        return self._restrict_cached(bdd, self.assignment_key(destination))
 
     def specialized_policy_keys(
         self, destination: Prefix, compiled: Optional[Dict[Edge, CompiledEdge]] = None
@@ -462,15 +464,14 @@ class PolicyBddEncoder:
         # allocate prefix-list/ACL variables, and the assignment must cover
         # all of them for the specialization to be complete.
         bdds = {edge: self.encode_edge(info) for edge, info in compiled.items()}
-        assignment = self.specialization_assignment(destination)
-        assignment_key = tuple(sorted(assignment.items()))
+        assignment_key = self.assignment_key(destination)
         keys: Dict[Edge, Hashable] = {}
         # The per-edge loop keeps its fast local cache counters; their
         # delta is absorbed into the obs registry once per destination.
         hits0, misses0 = self._specialize_hits, self._specialize_misses
         for edge, info in compiled.items():
             bdd = bdds[edge]
-            specialized = self._restrict_cached(bdd, assignment, assignment_key)
+            specialized = self._restrict_cached(bdd, assignment_key)
             keys[edge] = (
                 specialized,
                 info.has_static,

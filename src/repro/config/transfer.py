@@ -197,10 +197,12 @@ def specialize_compiled_edges(
     """Fix up a base compilation for one destination.
 
     Only edges carrying a matching static route or a configured interface
-    ACL differ from the base; everything else is shared, so the per-class
-    cost is O(devices + affected edges) instead of O(edges).
+    ACL that denies the destination differ from the base, so the
+    per-class cost is O(devices + affected edges) instead of O(edges).
+    When none differs ``base`` itself is returned: the result is
+    read-only.
     """
-    compiled = dict(base)
+    overrides: Dict[Edge, CompiledEdge] = {}
     graph = network.graph
     for name, device in network.devices.items():
         if not graph.has_node(name):
@@ -208,18 +210,16 @@ def specialize_compiled_edges(
         static = device.static_route_for(destination)
         if static is not None:
             edge = (name, static.next_hop)
-            info = compiled.get(edge)
-            if info is not None:
-                compiled[edge] = replace(info, has_static=True)
+            if edge in base:
+                overrides[edge] = replace(base[edge], has_static=True)
         for sender, acl_name in device.interface_acls.items():
             acl = device.acls.get(acl_name)
             if acl is None or acl.permits(destination):
                 continue
             edge = (name, sender)
-            info = compiled.get(edge)
-            if info is not None:
-                compiled[edge] = replace(info, acl_permits=False)
-    return compiled
+            if edge in base:
+                overrides[edge] = replace(overrides.get(edge, base[edge]), acl_permits=False)
+    return {**base, **overrides} if overrides else base
 
 
 def compile_edges(network: Network, destination: Prefix) -> Dict[Edge, CompiledEdge]:
@@ -462,6 +462,7 @@ def build_srp_from_network(
     ignore_communities: Optional[FrozenSet[str]] = None,
     compiled: Optional[Dict[Edge, CompiledEdge]] = None,
     include_syntactic_keys: bool = True,
+    local_prefs: Optional[Dict[Node, tuple]] = None,
 ) -> SRP:
     """Build the concrete SRP for one destination equivalence class.
 
@@ -477,6 +478,9 @@ def build_srp_from_network(
     destination edges keep a key); callers that just *solve* the SRP --
     the data-plane simulation behind the verifiers -- never read them, and
     computing the keys costs as much as a full solver round.
+    ``ignore_communities`` and ``local_prefs`` default to the network's
+    ``unused_communities()`` and ``local_pref_values_by_device()``; a
+    caller building many classes of an unchanging network derives both once.
     """
     if origins is None:
         origins = network.originators_of(destination)
@@ -507,13 +511,9 @@ def build_srp_from_network(
     for edge in virtual_edges:
         edge_policies[edge] = ("virtual-destination",)
 
-    lp_values = network.local_pref_values_by_device()
-    node_prefs: Dict[Node, tuple] = {}
-    for node in graph.nodes:
-        if node == VIRTUAL_DESTINATION:
-            node_prefs[node] = (DEFAULT_LOCAL_PREF,)
-            continue
-        node_prefs[node] = lp_values[node]
+    node_prefs = local_prefs if local_prefs is not None else network.local_pref_values_by_device()
+    if virtual_edges:
+        node_prefs = {**node_prefs, VIRTUAL_DESTINATION: (DEFAULT_LOCAL_PREF,)}
 
     initial = RibAttribute(
         bgp=bgp.initial_attribute(dest_node),

@@ -119,9 +119,12 @@ def compress_class_task(
 ) -> CompressionResult:
     """The ``"compress"`` task: Bonsai compression of one class."""
     with trace.span("compress", cls=str(equivalence_class.prefix)):
-        return bonsai.compress(
+        result = bonsai.compress(
             equivalence_class, build_network=bool(options.get("build_networks", False))
         )
+    if options.get("detach_srp"):  # CompressionPipeline._with_concrete_srp puts it back
+        result.concrete_srp = None
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -716,7 +719,7 @@ class CompressionPipeline(ClassFanOut):
             network,
             artifact=artifact,
             task="compress",
-            task_options={"build_networks": build_networks},
+            task_options={"build_networks": build_networks, "detach_srp": executor == "process"},
             executor=executor,
             workers=workers,
             batch_size=batch_size,
@@ -727,6 +730,20 @@ class CompressionPipeline(ClassFanOut):
             unit_costs=unit_costs,
         )
         self.build_networks = build_networks
+        self._srp_bonsai: Optional[Bonsai] = None
+
+    def _with_concrete_srp(self, result: CompressionResult) -> CompressionResult:
+        """Rebuild the concrete SRP a process worker's result left behind.
+
+        Its transfer function holds the network and the compiled edges:
+        350 KB in every result message on a k=12 fat-tree, which made the
+        result pipe what a pooled run waited for.  The coordinator has both.
+        """
+        if result.concrete_srp is None:
+            if self._srp_bonsai is None:
+                self._srp_bonsai = self.artifact.make_bonsai()
+            result.concrete_srp = self._srp_bonsai.concrete_srp(result.equivalence_class)
+        return result
 
     @classmethod
     def from_bonsai(cls, bonsai: Bonsai, **kwargs) -> "CompressionPipeline":
@@ -745,7 +762,7 @@ class CompressionPipeline(ClassFanOut):
 
         counters_before = obs.snapshot_run()
         start = time.perf_counter()
-        results = self.execute()
+        results = [self._with_concrete_srp(result) for result in self.execute()]
         total_seconds = time.perf_counter() - start
         artifact = self.artifact
         classes = self.last_classes
@@ -798,7 +815,7 @@ class CompressionPipeline(ClassFanOut):
             report.attach_spill(RecordSpill(spill_path))
 
         def on_result(index: int, result, seconds: float) -> None:
-            report.merge_partial(index, EcRecord.from_result(result))
+            report.merge_partial(index, EcRecord.from_result(self._with_concrete_srp(result)))
 
         self.execute(on_result=on_result, collect=False)
         batches = self.last_batches

@@ -51,9 +51,10 @@ class EcRecord:
             for group in abstraction.groups()
             if group != frozenset({VIRTUAL_DESTINATION})
         )
-        concrete_nodes = result.concrete_srp.graph.num_nodes()
-        concrete_edges = result.concrete_srp.graph.num_undirected_edges()
-        if VIRTUAL_DESTINATION in result.concrete_srp.graph.nodes:
+        graph = result.concrete_srp.graph
+        concrete_nodes = graph.num_nodes()
+        concrete_edges = graph.num_undirected_edges()
+        if graph.has_node(VIRTUAL_DESTINATION):
             concrete_nodes -= 1
             concrete_edges -= len(result.equivalence_class.origins)
         split_cases = sorted(
@@ -226,6 +227,10 @@ class PipelineReport(StreamingReport, ReportEnvelope):
             f"{self.mean_abstract_edges:.1f} edges "
             f"(mean node ratio {self.mean_node_ratio:.2f}x)",
         ]
+        counters = (self.__dict__.get("_obs_metrics") or {}).get("counters", {})
+        families = int(counters.get("abstraction.class_families", 0))
+        if families:  # classes of one family share key map, inputs and base
+            lines.append(f"class families: {families} ({self.record_count()} classes)")
         if self.speedup is not None:
             lines.append(
                 f"speedup vs serial: {self.speedup:.2f}x "

@@ -8,7 +8,7 @@ dropping routes that exceed the limit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.routing.attributes import NO_ROUTE, RipAttribute
 from repro.routing.protocol import Protocol
@@ -69,17 +69,3 @@ def build_rip_srp(
         transfer=transfer,
         protocol=protocol,
     )
-
-
-def rip_edge_policy_keys(graph: Graph, link_filter=None) -> Dict[Edge, object]:
-    """Canonical per-edge policy keys for RIP, used by abstraction refinement.
-
-    Every RIP edge has the same transfer function (increment the metric)
-    unless a filter blocks it, so the key is simply whether the edge is
-    filtered.
-    """
-    keys: Dict[Edge, object] = {}
-    for edge in graph.edges:
-        blocked = link_filter is not None and not link_filter(edge)
-        keys[edge] = ("rip", "blocked" if blocked else "allow")
-    return keys

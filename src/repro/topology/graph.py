@@ -157,12 +157,15 @@ class Graph:
 
         The paper reports undirected edge counts for topologies (e.g. a
         180-node fattree has 2124 edges); this helper makes those numbers
-        directly comparable.
+        directly comparable.  Memoised per mutation :attr:`version`.
         """
-        seen = set()
-        for u, v in self.edges:
-            seen.add(frozenset((u, v)))
-        return len(seen)
+        cached = self.__dict__.get("_undirected_count")
+        if cached is None or cached[0] != self._version:
+            cached = self._undirected_count = (
+                self._version,
+                len({frozenset(edge) for edge in self.edges}),
+            )
+        return cached[1]
 
     def has_self_loop(self) -> bool:
         """True if any edge ``(v, v)`` exists (forbidden in well-formed SRPs)."""

@@ -9,6 +9,7 @@ memoisation, and the cross-class abstraction reuse.
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -17,21 +18,28 @@ from hypothesis import given, settings, strategies as st
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import routable_equivalence_classes
 from repro.abstraction.refinement import (
+    ClassFamily,
     find_abstraction_partition,
     find_abstraction_partition_reference,
 )
 from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.config.acl import Acl, AclLine
+from repro.config.device import StaticRouteConfig
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.routemap import PrefixList, PrefixListEntry, RouteMap, RouteMapClause
 from repro.config.transfer import build_srp_from_network
 from repro.netgen.base import make_bgp_device, uniform_bgp_network
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
+from repro.netgen.fattree import fattree_network
+from repro.pipeline.report import EcRecord
 from repro.srp.instance import SRP
 from repro.srp.solver import ConvergenceError, solve, solve_sweep
+from repro.topology import ring_topology
 from repro.topology.graph import Graph
 
 from test_property_based import random_connected_graph
+from test_refinement import bare_srp, refinement_problems
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +394,11 @@ class TestCrossClassAbstractionReuse:
         assert len(results) == 2
         info = bonsai.abstraction_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
+        # Both levels of the memo: one family (one interned key map), and
+        # under it one result for the one origin set.
+        assert info["families"] == 1 and info["size"] == 1
+        first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
+        assert first is second and isinstance(first, ClassFamily)
         # The shared RefinementResult yields the identical partition.
         assert results[0].refinement is results[1].refinement
         assert (
@@ -416,10 +429,15 @@ class TestCrossClassAbstractionReuse:
         device.route_maps["DENY-10-2"] = deny_map
         device.bgp_neighbors["b"].import_policy = "DENY-10-2"
         bonsai = Bonsai(network)
-        for ec in bonsai.equivalence_classes():
-            bonsai.compress(ec, build_network=False)
+        results = [
+            bonsai.compress(ec, build_network=False) for ec in bonsai.equivalence_classes()
+        ]
         info = bonsai.abstraction_cache_info()
         assert info["hits"] == 0 and info["misses"] == 2
+        assert info["families"] == 2 and info["size"] == 2
+        assert results[0].refinement is not results[1].refinement
+        first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
+        assert first is not second and first != second
 
     def test_pipeline_results_with_reuse_stay_bit_identical(self):
         network = self._two_prefix_network()
@@ -434,3 +452,165 @@ class TestCrossClassAbstractionReuse:
                 shared.refinement.partition.partitions()
                 == independent.refinement.partition.partitions()
             )
+
+
+# ----------------------------------------------------------------------
+# Class families: shared inputs, base partition, incremental refinement
+# ----------------------------------------------------------------------
+def _reference_groups(bonsai, result):
+    """The class's partition by the full-rescan oracle, from scratch."""
+    srp = result.concrete_srp
+    keys = dict(bonsai.policy_keys(result.equivalence_class.prefix))
+    keys.update({edge: srp.policy_key(edge) for edge in srp.transfer.virtual_edges})
+    reference, _ = find_abstraction_partition_reference(srp, keys)
+    return set(reference.partitions())
+
+
+def _canonical(results):
+    return sorted(EcRecord.from_result(result).canonical() for result in results)
+
+
+def _two_site_network():
+    """A 6-ring where r0 and r3 each originate a /24 of their own and
+    both originate a third (a two-origin anycast class)."""
+    graph, _ = ring_topology(6)
+    network = uniform_bgp_network(graph, name="two-site", originators=["r0", "r3"])
+    for origin in ("r0", "r3"):
+        network.devices[origin].originated_prefixes.append(Prefix.parse("10.0.9.0/24"))
+    return network
+
+
+FAMILY_NETWORKS = {
+    **{family: (lambda family=family: build_topology(family)) for family in TOPOLOGY_FAMILIES},
+    "prefer_bottom": lambda: fattree_network(4, policy="prefer_bottom"),
+    "anycast": _two_site_network,
+}
+
+
+class TestClassFamilyRefinement:
+    @pytest.mark.parametrize("name", sorted(FAMILY_NETWORKS))
+    def test_sweep_matches_reference_and_is_order_independent(self, name):
+        """One ``Bonsai`` over all classes (later classes of a family start
+        from its base partition) equals the oracle class by class, and
+        the records do not depend on which class a family met first."""
+        network = FAMILY_NETWORKS[name]()
+        bonsai = Bonsai(network)
+        classes = bonsai.equivalence_classes()
+        results = [bonsai.compress(ec, build_network=False) for ec in classes]
+        for result in results:
+            groups = set(result.refinement.partition.partitions())
+            assert groups == _reference_groups(bonsai, result), result.equivalence_class
+        info = bonsai.abstraction_cache_info()
+        assert info["hits"] + info["misses"] == len(classes)
+        assert info["misses"] >= info["families"] >= 1
+
+        serial = _canonical(results)
+        shuffled = list(classes)
+        random.Random(name).shuffle(shuffled)
+        for order in (classes[::-1], shuffled):
+            other = Bonsai(network)
+            assert _canonical(other.compress(ec, build_network=False) for ec in order) == serial
+        alone = [Bonsai(network).compress(ec, build_network=False) for ec in classes]
+        assert _canonical(alone) == serial
+
+    def test_fattree_is_one_family_refined_from_its_base(self):
+        bonsai = Bonsai(build_topology("fattree"))
+        classes = bonsai.equivalence_classes()
+        for ec in classes:
+            bonsai.compress(ec, build_network=False)
+        info = bonsai.abstraction_cache_info()
+        assert info["families"] == 1
+        assert (info["hits"], info["misses"]) == (len(classes) - 1, 1)
+        family = bonsai.policy_keys(classes[0].prefix)
+        assert family.refinements == len(classes)
+        assert family.base is not None
+
+    def test_several_local_prefs_never_build_a_base(self):
+        """``prefer_bottom`` assigns two local-preference values, so the
+        ∀∀/∀∃ choice depends on group membership and a destination-free
+        fixed point need not be coarser than a class's: every class
+        starts from the trivial partition (the family still shares its
+        key map and static inputs)."""
+        bonsai = Bonsai(fattree_network(4, policy="prefer_bottom"))
+        classes = bonsai.equivalence_classes()
+        for ec in classes:
+            bonsai.compress(ec, build_network=False)
+        family = bonsai.policy_keys(classes[0].prefix)
+        assert family.refinements > 1
+        assert not family.single_pref and family.base is None
+
+    def test_one_class_on_a_fresh_bonsai_builds_no_base(self):
+        """``delta`` recompression compresses a few classes on a fresh
+        ``Bonsai`` per step: a family seen once must not pay for a base."""
+        bonsai = Bonsai(build_topology("fattree"))
+        ec = bonsai.equivalence_classes()[0]
+        bonsai.compress(ec, build_network=False)
+        family = bonsai.policy_keys(ec.prefix)
+        assert family.refinements == 1 and family.base is None
+
+    def test_anycast_class_does_not_write_into_the_shared_key_map(self):
+        network = _two_site_network()
+        bonsai = Bonsai(network)
+        classes = sorted(bonsai.equivalence_classes(), key=lambda ec: len(ec.origins))
+        assert [len(ec.origins) for ec in classes] == [1, 1, 2]
+        anycast = classes[-1]
+        family = bonsai.policy_keys(anycast.prefix)
+        before = dict(family)
+        result = bonsai.compress(anycast, build_network=False)
+        assert result.concrete_srp.transfer.virtual_edges
+        assert dict(family) == before
+        assert set(family) == set(network.graph.edges)
+        # The single-origin classes of the same family still refine right.
+        for ec in classes[:-1]:
+            assert bonsai.policy_keys(ec.prefix) is family
+            single = bonsai.compress(ec, build_network=False)
+            groups = set(single.refinement.partition.partitions())
+            assert groups == _reference_groups(bonsai, single)
+
+    @pytest.mark.parametrize("kind", ["static", "acl"])
+    def test_static_route_or_acl_puts_a_class_in_a_family_of_its_own(self, kind):
+        """Two classes that differ only by one static route (respectively
+        one interface ACL denying one of them) do not share a key map."""
+        network = _two_site_network()
+        plain = Bonsai(network)
+        assert len({id(plain.policy_keys(ec.prefix)) for ec in plain.equivalence_classes()}) == 1
+        singled_out = Prefix.parse("10.0.1.0/24")  # originated at r3 only
+        device = network.devices["r1"]
+        if kind == "static":
+            device.static_routes.append(StaticRouteConfig(prefix=singled_out, next_hop="r2"))
+        else:
+            device.acls["NO-SITE-1"] = Acl(
+                name="NO-SITE-1",
+                lines=(AclLine(action="deny", prefix=singled_out),),
+                default_action="permit",
+            )
+            device.interface_acls["r2"] = "NO-SITE-1"
+        bonsai = Bonsai(network)
+        classes = bonsai.equivalence_classes()
+        results = {ec.prefix: bonsai.compress(ec, build_network=False) for ec in classes}
+        families = {prefix: bonsai.policy_keys(prefix) for prefix in results}
+        others = [family for prefix, family in families.items() if prefix != singled_out]
+        assert all(family is others[0] for family in others)
+        assert families[singled_out] is not others[0]
+        assert families[singled_out] != others[0]
+        for result in results.values():
+            groups = set(result.refinement.partition.partitions())
+            assert groups == _reference_groups(bonsai, result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(refinement_problems(), st.randoms(use_true_random=False))
+    def test_family_refinement_matches_reference_on_random_problems(self, problem, rng):
+        """Random digraphs x edge keys x local-preference sets: every
+        destination refined through one shared family, in random order,
+        equals the oracle run from scratch on a plain key dict."""
+        graph, keys, prefs = problem
+        family = ClassFamily(keys)
+        destinations = list(graph.nodes)
+        rng.shuffle(destinations)
+        for destination in destinations:
+            srp = bare_srp(graph, destination, prefs)
+            fast, _ = find_abstraction_partition(srp, family)
+            reference, _ = find_abstraction_partition_reference(srp, dict(keys))
+            assert set(fast.partitions()) == set(reference.partitions())
+        assert family.refinements == len(destinations)
+        assert dict(family) == keys

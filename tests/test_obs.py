@@ -340,6 +340,13 @@ class TestReportEnvelope:
         data = report.to_dict()
         block = data["obs_metrics"]
         assert block["counters"].get("abstraction.refinement_cache.misses", 0) > 0
+        # One family per distinct specialised key map; the text summary
+        # says how many classes shared them (no report field of its own).
+        families = block["counters"]["abstraction.class_families"]
+        assert families == block["counters"]["abstraction.refinement_cache.misses"]
+        assert f"class families: {int(families)} ({len(report.records)} classes)" in (
+            report.summary_lines()
+        )
         assert "pipeline.class_seconds" in block["histograms"]
         assert block["gauges"].get("process.peak_rss_mb", 0) > 0
         assert data.get("trace_summary") is None or "trace_summary" not in data

@@ -59,6 +59,18 @@ def test_find_unknown_node_rejected():
         p.members(999)
 
 
+def test_copy_is_independent_and_keeps_group_ids():
+    p = UnionSplitFind(["a", "b", "c", "d"])
+    p.split({"a"})
+    clone = p.copy()
+    assert clone.as_mapping() == p.as_mapping()
+    moved = clone.split({"b", "c"})
+    assert clone.num_groups() == 3 and p.num_groups() == 2
+    assert p.same_group("b", "d") and not clone.same_group("b", "d")
+    # Fresh ids continue from the original's counter on both sides.
+    assert p.split({"d"}) == moved
+
+
 def test_split_by_key_groups_members():
     p = UnionSplitFind(["a", "b", "c", "d"])
     group = p.find("a")

@@ -64,6 +64,32 @@ class TestParity:
             EcRecord.from_result(r).canonical() for r in parallel_results
         ]
 
+    @pytest.mark.parametrize("scheduler", ["stealing", "static"])
+    def test_process_results_get_their_concrete_srp_back(self, small_fattree, scheduler):
+        """Workers return results without the SRP (it would carry the
+        network through the result pipe); the coordinator rebuilds it on
+        its own network, and it solves like the serial run's."""
+        from repro.pipeline.core import _worker_state, _init_worker, compress_class_task
+        from repro.srp.solver import solve
+
+        artifact = EncodedNetwork.build(small_fattree)
+        serial = CompressionPipeline(artifact=artifact, executor="serial").run()
+        pooled = CompressionPipeline(
+            artifact=artifact, executor="process", workers=2, scheduler=scheduler
+        ).run()
+        for ours, theirs in zip(pooled.results, serial.results):
+            assert ours.concrete_srp.transfer.network is artifact.network
+            assert ours.concrete_srp.destination == theirs.concrete_srp.destination
+            assert solve(ours.concrete_srp).labeling == solve(theirs.concrete_srp).labeling
+            assert ours.node_compression_ratio() == theirs.node_compression_ratio()
+        # What crosses the pipe: the worker-side task drops the SRP when asked.
+        _init_worker(artifact.to_bytes())
+        shipped = compress_class_task(
+            _worker_state.bonsai, artifact.classes[0], {"detach_srp": True}
+        )
+        assert shipped.concrete_srp is None
+        assert len(pickle.dumps(shipped)) < len(artifact.to_bytes()) // 4
+
     def test_limit_and_build_networks(self, small_fattree):
         run = run_pipeline(
             small_fattree, executor="process", workers=2, limit=3, build_networks=True

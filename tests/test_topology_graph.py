@@ -29,6 +29,21 @@ def test_add_undirected_edge_adds_both_directions():
     assert g.num_edges() == 2
 
 
+def test_undirected_edge_count_follows_mutation():
+    """The count is memoised per mutation version, never served stale."""
+    g = Graph()
+    g.add_undirected_edge("a", "b")
+    g.add_undirected_edge("b", "c")
+    assert g.num_undirected_edges() == 2 == g.num_undirected_edges()
+    g.remove_edge("a", "b")
+    assert g.num_undirected_edges() == 2  # (b, a) still connects the pair
+    g.remove_edge("b", "a")
+    assert g.num_undirected_edges() == 1
+    g.add_edge("c", "a")
+    assert g.num_undirected_edges() == 2
+    assert g.copy().num_undirected_edges() == 2
+
+
 def test_duplicate_edges_are_idempotent():
     g = Graph()
     g.add_edge("a", "b")
