@@ -12,19 +12,26 @@ port, and fire a burst of concurrent queries at it --
 * a ``/delta`` what-if change script (validated with zero baseline
   re-solves),
 * a ``/k-resilience`` probe,
+* 50 ``/verify`` and 2 ``/delta`` requests over *one* persistent
+  HTTP/1.1 connection, the shape a long-lived client has (a response
+  written as two small sends stalls 40 ms there and nowhere else),
 
 then prints the service's per-kind latency percentiles.  Exits non-zero
-unless every response is 2xx with ``ok: true``.
+unless every response is 2xx with ``ok: true`` and the persistent
+``/verify`` median stays under ``PERSISTENT_VERIFY_BUDGET_MS``.
 
 Run with::
 
     PYTHONPATH=src python examples/serve_queries.py
 """
 
+import http.client
 import json
+import statistics
 import sys
 import tempfile
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,6 +52,32 @@ def post(url, payload):
 def get(url):
     with urllib.request.urlopen(url, timeout=30) as response:
         return response.status, json.loads(response.read())
+
+
+#: A cached per-class ``/verify`` on a kept-alive connection takes under a
+#: millisecond; with the two-write stall it took 44.  Loose enough for a
+#: shared CI runner, tight enough to catch the stall coming back.
+PERSISTENT_VERIFY_BUDGET_MS = 20.0
+
+
+def persistent_leg(host, port, verify_payload, delta_payload, expect_ok):
+    """50 ``/verify`` + 2 ``/delta`` over one connection -> latencies in ms."""
+    latencies = {"/verify": [], "/delta": []}
+    connection = http.client.HTTPConnection(host, port, timeout=120)
+    try:
+        for path, payload in [("/verify", verify_payload)] * 50 + [("/delta", delta_payload)] * 2:
+            start = time.perf_counter()
+            connection.request(
+                "POST", path, body=json.dumps(payload),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+            latencies[path].append((time.perf_counter() - start) * 1e3)
+            expect_ok(f"persistent {path}", response.status, answer)
+    finally:
+        connection.close()
+    return latencies
 
 
 def main() -> int:
@@ -120,6 +153,20 @@ def main() -> int:
         expect_ok("k-resilience", status, answer)
         if status == 200:
             print(f"k-resilience: breaking_k={answer.get('breaking_k')}")
+
+        latencies = persistent_leg(host, port, queries[0], {"script": script}, expect_ok)
+        print("one persistent connection:")
+        for path, values in latencies.items():
+            print(
+                f"  {path:8s} n={len(values):3d} "
+                f"median {statistics.median(values):7.2f}ms  max {max(values):7.2f}ms"
+            )
+        verify_median = statistics.median(latencies["/verify"])
+        if verify_median > PERSISTENT_VERIFY_BUDGET_MS:
+            failures.append(
+                f"persistent /verify median {verify_median:.1f}ms exceeds "
+                f"{PERSISTENT_VERIFY_BUDGET_MS:.0f}ms (responses leaving in two writes?)"
+            )
 
         # Latency accounting straight from the service.
         status, stats = get(f"{base}/stats")

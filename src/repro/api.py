@@ -9,8 +9,11 @@ pillars as methods -- :meth:`verify`, :meth:`failures`, :meth:`delta`,
 an :class:`~repro.store.ArtifactStore`.
 
 The warm paths are the point: :meth:`verify` answers off the stored
-forwarding tables and compressions (no re-solve, no re-compression) and
-:meth:`delta` validates change scripts with zero baseline re-solves.
+forwarding tables and compressions (no re-solve, no re-compression), and
+:meth:`delta` / :meth:`failures` compare every perturbation against
+per-class baselines validated from the store on a class's first query and
+kept for the session's life: zero baseline re-solves, and nothing that
+does not depend on the request is redone per request.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.delta.changeset import ChangeSet
 from repro.delta.sweep import DeltaReport, DeltaSweep
 from repro.failures.soundness import compare_verdicts, lifted_abstract_verdicts
 from repro.failures.sweep import FailureReport, FailureSweep
+from repro.pipeline.perturb import PerturbationSweep, WarmBaselines
 from repro.store import ArtifactStore, BaselineArtifact
 from repro.store.artifact import ClassBaseline
 
@@ -144,6 +148,8 @@ class Session:
         self.baseline = baseline
         self.network = baseline.network
         self._store_root = store
+        #: What :meth:`delta` and :meth:`failures` queries share (never persisted).
+        self._warm = WarmBaselines(baseline.baselines)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -280,18 +286,24 @@ class Session:
             artifact=self.baseline.encoded, suite=suite, **kwargs
         ).run()
 
+    def _run_warm(self, sweep: PerturbationSweep):
+        """Run ``sweep`` against the baselines this session keeps, not a memo of its own."""
+        sweep.warm = self._warm
+        return sweep.run()
+
     def failures(
         self,
         k: int = 1,
         properties: Optional[Sequence[str]] = None,
         **kwargs,
     ) -> FailureReport:
-        """k-failure sweep over the session's network (shared encoding)."""
+        """k-failure sweep against the stored baseline: zero baseline
+        re-solves, stored compressions for the soundness check."""
         suite = None if properties is None else PropertySuite.from_names(list(properties))
         kwargs.setdefault("executor", "serial")
-        return FailureSweep(
-            artifact=self.baseline.encoded, k=k, suite=suite, **kwargs
-        ).run()
+        return self._run_warm(
+            FailureSweep(baseline=self.baseline, k=k, suite=suite, **kwargs)
+        )
 
     def k_resilience(
         self, max_k: int = 2, prop: str = "reachability", **kwargs
@@ -321,6 +333,6 @@ class Session:
         kwargs.setdefault("executor", "serial")
         kwargs.setdefault("oracle", False)
         kwargs.setdefault("rebuild_oracle", False)
-        return DeltaSweep(
-            baseline=self.baseline, script=list(script), suite=suite, **kwargs
-        ).run()
+        return self._run_warm(
+            DeltaSweep(baseline=self.baseline, script=list(script), suite=suite, **kwargs)
+        )

@@ -62,17 +62,17 @@ from repro.failures.soundness import lifted_abstract_verdicts
 from repro.obs import trace
 from repro.pipeline.core import register_class_task
 from repro.pipeline.perturb import (
-    TaskBaseline,
     ClassPerturbationRecord,
     PerturbationOutcome,
     PerturbationReport,
     PerturbationSweep,
+    task_baseline,
     unit_range,
 )
 from repro.pipeline.shard import register_unit_splitter
 from repro.reporting import register_report
 from repro.srp.solution import Solution
-from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
+from repro.srp.solver import solve
 
 #: Format version of the JSON delta reports.
 DELTA_REPORT_VERSION = 1
@@ -361,34 +361,17 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     script = [ChangeSet.from_dict(raw) for raw in options.get("script", [])]
     revalidate_on = bool(options.get("revalidate", True))
     rebuild_oracle = bool(options.get("rebuild_oracle", True))
+    oracle = bool(options.get("oracle", True))
 
     network: Network = bonsai.network
     prefix = equivalence_class.prefix
 
-    # With a stored baseline the labeling comes from the artifact: a
-    # zero-dirty seeded solve validates it against the live SRP (the
-    # no-update round plus the O(E) stability scan) without a single
-    # fixed-point iteration, and the stored transfer memo makes the offer
-    # tables pure cache hits.  A bad seed (ConvergenceError) falls back to
-    # a scratch solve instead of failing the run.
-    stored = (options.get("baseline") or {}).get(str(prefix))
-
-    def from_store(srp):
-        try:
-            return solve_seeded(
-                srp,
-                stored.labeling,
-                dirty=(),
-                transfer_cache=TransferCache().seeded_from(stored.transfer_memo),
-            )
-        except ConvergenceError:
-            return None
-
-    baseline = TaskBaseline(
-        bonsai, equivalence_class, options, from_store if stored is not None else None
-    )
-    if not baseline.seeded:
-        stored = None
+    # Over a stored artifact the labeling (validated, not re-solved), the
+    # compression and the baseline step's policy keys come from the store.
+    start = time.perf_counter()
+    baseline = task_baseline(bonsai, equivalence_class, options)
+    baseline_seconds = time.perf_counter() - start
+    stored = baseline.stored
 
     state = _script_state(bonsai, script)
 
@@ -396,12 +379,8 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     baseline_signature = None
     compression_seconds = 0.0
     if revalidate_on:
-        if (
-            stored is not None
-            and stored.compression is not None
-            and stored.compression.abstract_network is not None
-        ):
-            compression = stored.compression
+        compression = baseline.stored_compression
+        if compression is not None:
             baseline_signature = stored.signature
         else:
             compression = bonsai.compress(equivalence_class, build_network=True)
@@ -415,6 +394,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
 
     record = ClassDeltaRecord(
         **baseline.record_fields(),
+        baseline_seconds=baseline_seconds,
         compression_seconds=compression_seconds,
         baseline_from_store=stored is not None,
     )
@@ -434,7 +414,8 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
 
     # The incremental chain: each step seeds from the previous step's
     # solution, so a ten-step script never re-solves from scratch.
-    prev = _ChainLink(_BASELINE_STEP, network, equivalence_class, baseline.solution)
+    keys = None if stored is None else stored.signature[1]
+    prev = _ChainLink(_BASELINE_STEP, network, equivalence_class, baseline.solution, keys)
     #: Reuse-side lifted verdicts, fixed across steps by a matching
     #: signature; computed at most once per class.
     baseline_lifted = None
@@ -516,13 +497,18 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     srp_on(step_index, changed_ec),
                     prev.solution,
                     diff,
-                    index=BaselineIndex.from_solution(prev.solution),
+                    index=(
+                        baseline.index
+                        if prev.solution is baseline.solution
+                        else BaselineIndex.from_solution(prev.solution)
+                    ),
                 )
 
             solution = baseline.resolve(
                 outcome,
                 functools.partial(srp_on, step_index, changed_ec),
                 seeded if can_seed else None,
+                oracle,
             )
             verdicts = baseline.record_verdicts(
                 outcome, changed_network, solution, changed_ec, step_waypoints, surviving
@@ -593,16 +579,14 @@ class DeltaSweep(PerturbationSweep):
     """Run a change script over every destination equivalence class.
 
     Takes :class:`~repro.pipeline.perturb.PerturbationSweep`'s parameters
-    (network / ``artifact``, ``suite``, ``oracle``, the fan-out and spill
-    knobs), plus:
+    (network / ``artifact``, ``baseline``, ``suite``, ``oracle``, the
+    fan-out and spill knobs), plus:
 
     script:
         The ordered change script: a sequence of
         :class:`~repro.delta.changeset.ChangeSet` steps applied
         cumulatively.  Every step is validated against the network state
         the previous steps produce before any work is dispatched.
-    baseline:
-        A stored :class:`~repro.store.BaselineArtifact` to seed from.
     revalidate:
         Run the per-step abstraction revalidator (default True).
     rebuild_oracle:
@@ -619,29 +603,12 @@ class DeltaSweep(PerturbationSweep):
         self,
         network: Optional[Network] = None,
         *,
-        artifact=None,
-        baseline=None,
         script: Sequence[ChangeSet] = (),
         revalidate: bool = True,
         rebuild_oracle: bool = True,
         **common,
     ):
-        if baseline is not None:
-            # A stored BaselineArtifact supplies both the one-time encoding
-            # (skipping the re-encode) and the per-class labelings /
-            # compressions (skipping every baseline re-solve).  A network
-            # passed alongside must be the artifact's own network by
-            # content, or the stored labelings would be silently wrong.
-            if artifact is None:
-                artifact = baseline.encoded
-            if network is not None and network is not baseline.network:
-                if not baseline.matches(network):
-                    raise ValueError(
-                        "stored baseline artifact does not match the network "
-                        "(content fingerprints differ); rebuild the artifact"
-                    )
-        super().__init__(network, artifact=artifact, **common)
-        self.baseline = baseline
+        super().__init__(network, **common)
         self.script: List[ChangeSet] = list(script)
         if not self.script:
             raise ValueError("a delta sweep needs at least one change step")
@@ -652,15 +619,12 @@ class DeltaSweep(PerturbationSweep):
         self.rebuild_oracle = rebuild_oracle
 
     def run(self) -> DeltaReport:
-        options = {
-            "script": [changeset.to_dict() for changeset in self.script],
-            "revalidate": self.revalidate,
-            "rebuild_oracle": self.rebuild_oracle,
-        }
-        if self.baseline is not None:
-            options["baseline"] = self.baseline.baselines
         return self._sweep(
-            options,
+            {
+                "script": [changeset.to_dict() for changeset in self.script],
+                "revalidate": self.revalidate,
+                "rebuild_oracle": self.rebuild_oracle,
+            },
             dict(
                 num_steps=len(self.script),
                 revalidate=self.revalidate,

@@ -38,23 +38,24 @@ recompile), structural soundness and k-resilience.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.abstraction.ec import EquivalenceClass
 from repro.config.network import Network
 from repro.config.transfer import build_srp_from_network
-from repro.failures.incremental import BaselineIndex, incremental_resolve
+from repro.failures.incremental import incremental_resolve
 from repro.failures.scenario import FailureScenario, scenarios_for
 from repro.failures.soundness import check_scenario_soundness
 from repro.obs import trace
 from repro.pipeline.core import register_class_task
 from repro.pipeline.perturb import (
-    TaskBaseline,
     ClassPerturbationRecord,
     PerturbationOutcome,
     PerturbationReport,
     PerturbationSweep,
+    task_baseline,
     unit_range,
 )
 from repro.pipeline.shard import register_unit_splitter
@@ -224,25 +225,32 @@ class FailureReport(PerturbationReport):
 # ----------------------------------------------------------------------
 def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
     """Run every failure scenario against one equivalence class."""
-    baseline = TaskBaseline(bonsai, equivalence_class, options)
+    oracle = bool(options.get("oracle", True))
+    # Over a stored artifact the labeling (validated, not re-solved) and
+    # the compression come from the store.
+    start = time.perf_counter()
+    baseline = task_baseline(bonsai, equivalence_class, options)
+    baseline_seconds = time.perf_counter() - start
     network = baseline.network
     prefix = equivalence_class.prefix
     compression = None
+    compression_seconds = 0.0
     if options.get("soundness", True):
-        compression = bonsai.compress(equivalence_class, build_network=True)
+        compression = baseline.stored_compression
+        if compression is None:
+            compression = bonsai.compress(equivalence_class, build_network=True)
+            compression_seconds = compression.compression_seconds
 
     # One bounded transfer memo shared by every scenario's incremental
     # re-solve, seeded once from the baseline and never evicted: scenarios
     # are independent views of one baseline, so every entry stays exact.
-    # The forwarding index likewise amortises taint queries per class.
+    # The baseline's forwarding index likewise amortises taint queries.
     shared_cache = TransferCache().seeded_from(baseline.solution.transfer_cache)
-    baseline_index = BaselineIndex.from_solution(baseline.solution)
 
     record = ClassFailureRecord(
         **baseline.record_fields(),
-        compression_seconds=(
-            compression.compression_seconds if compression is not None else 0.0
-        ),
+        baseline_seconds=baseline_seconds,
+        compression_seconds=compression_seconds,
         nodes=list(baseline.node_names),
     )
     # Sub-class chunking: scenarios are independent, so a shard chunk is
@@ -303,14 +311,14 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                     removed,
                     frozenset(scenario.nodes),
                     transfer_cache=shared_cache,
-                    index=baseline_index,
+                    index=baseline.index,
                 )
 
             # A changed origin set reshapes the SRP's destination structure:
             # the baseline labeling does not line up node-for-node.
             origins_changed = surviving_origins != set(equivalence_class.origins)
             solution = baseline.resolve(
-                outcome, build_failed_srp, None if origins_changed else seeded
+                outcome, build_failed_srp, None if origins_changed else seeded, oracle
             )
             scenario_waypoints = frozenset(
                 w for w in baseline.waypoints if w not in scenario.nodes
@@ -347,8 +355,8 @@ class FailureSweep(PerturbationSweep):
     """Run a failure sweep over every destination equivalence class.
 
     Takes :class:`~repro.pipeline.perturb.PerturbationSweep`'s parameters
-    (network / ``artifact``, ``suite``, ``oracle``, the fan-out and spill
-    knobs), plus:
+    (network / ``artifact``, ``baseline``, ``suite``, ``oracle``, the
+    fan-out and spill knobs), plus:
 
     k:
         Enumerate all scenarios of at most ``k`` simultaneous failures.

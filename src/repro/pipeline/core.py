@@ -298,7 +298,8 @@ class ClassFanOut:
         #: (what gets recorded into the cost model).
         self.last_unit_seconds: Dict[str, float] = {}
         self.last_unit_counts: Dict[str, int] = {}
-        self._fingerprint: Optional[str] = None
+        #: ``network``'s content fingerprint: hashed on first use unless set.
+        self.fingerprint: Optional[str] = None
         self._unit_obs: List[Tuple[int, int, dict]] = []
 
     # ------------------------------------------------------------------
@@ -345,11 +346,11 @@ class ClassFanOut:
 
     def network_fingerprint(self) -> str:
         """The content fingerprint keying this network's observed costs."""
-        if self._fingerprint is None:
+        if self.fingerprint is None:
             from repro.store.fingerprint import network_fingerprint
 
-            self._fingerprint = network_fingerprint(self.network)
-        return self._fingerprint
+            self.fingerprint = network_fingerprint(self.network)
+        return self.fingerprint
 
     def execute(
         self,

@@ -56,7 +56,7 @@ from repro.pipeline.core import ClassFanOut
 from repro.pipeline.stream import RecordSpill
 from repro.reporting import ReportEnvelope, StreamingReport
 from repro.srp.solution import Solution
-from repro.srp.solver import solve
+from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
 
 # ----------------------------------------------------------------------
 # Records
@@ -373,24 +373,31 @@ class TaskBaseline:
     """One class solved and evaluated on the unperturbed network: what
     every unit of a per-class task is compared against.
 
-    ``seed_solution(srp)`` may supply the labeling from somewhere cheaper
-    than a scratch solve (a stored baseline artifact); returning ``None``
-    falls back to solving.  Building the baseline is deliberately
-    unspanned: split shard chunks re-pay it per chunk, and the
-    chunk-merged trace must reproduce the serial tree span for span.
+    ``stored`` (the class's :class:`~repro.store.artifact.ClassBaseline`)
+    supplies the labeling without a scratch solve: a zero-dirty seeded
+    solve validates it against the live SRP (the no-update round plus the
+    O(E) stability scan, every offer a hit in the stored transfer memo).
+    A labeling that does not validate (``ConvergenceError``) falls back to
+    the scratch solve and leaves :attr:`stored` ``None``.
+
+    Read-only once built, because a :class:`WarmBaselines` hands one
+    instance to every request thread of a service: the methods write only
+    into the ``outcome`` they are handed, and the seeded re-solves copy
+    the solution's transfer memo before use.  (:attr:`index` memoises
+    taint queries: bounded, and safe under racing writers.)
+
+    Building the baseline is deliberately unspanned: split shard chunks
+    re-pay it per chunk, and the chunk-merged trace must reproduce the
+    serial tree span for span.
     """
 
-    def __init__(
-        self,
-        bonsai,
-        equivalence_class: EquivalenceClass,
-        options: dict,
-        seed_solution: Optional[Callable] = None,
-    ):
+    def __init__(self, bonsai, equivalence_class: EquivalenceClass, options: dict, stored=None):
+        # failures imports this module; by the time a task runs it is loaded.
+        from repro.failures.incremental import BaselineIndex
+
         self.equivalence_class = equivalence_class
         self.network = network = bonsai.network
         self.suite = suite = PropertySuite.from_options(options)
-        self.oracle = bool(options.get("oracle", True))
         self.specs = suite.specs()
         prefix = equivalence_class.prefix
         origins = set(equivalence_class.origins)
@@ -400,28 +407,42 @@ class TaskBaseline:
             suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
         )
         self.waypoints = _waypoints_for(suite, equivalence_class)
-        start = time.perf_counter()
         #: The class's destination-specialized compiled edges.
         self.compiled = bonsai.compile_for(prefix)
         srp = build_srp_from_network(
             network, prefix, origins, compiled=self.compiled, include_syntactic_keys=False
         )
-        solution = seed_solution(srp) if seed_solution is not None else None
-        #: Whether ``seed_solution`` (not a scratch solve) gave the labeling.
-        self.seeded = solution is not None
-        self.solution: Solution = solution if self.seeded else solve(srp)
+        solution = None
+        if stored is not None:
+            try:
+                memo = TransferCache().seeded_from(stored.transfer_memo)
+                solution = solve_seeded(srp, stored.labeling, dirty=(), transfer_cache=memo)
+            except ConvergenceError:
+                stored = None
+        #: The stored baseline the labeling was validated from, if any.
+        self.stored = stored
+        compression = None if stored is None else stored.compression
+        if compression is not None and compression.abstract_network is None:
+            compression = None
+        #: The stored compression, when it can stand in for compressing anew.
+        self.stored_compression = compression
+        self.solution: Solution = solution if solution is not None else solve(srp)
         table = forwarding_table_from_solution(network, self.solution, equivalence_class)
         self.verdicts = evaluate_suite(
             self.specs, table, nodes, self.waypoints, self.path_bound
         )
-        self.seconds = time.perf_counter() - start
+        #: Forwarding views of :attr:`solution` for the units' taint queries.
+        self.index = BaselineIndex.from_solution(self.solution)
+        if stored is not None:
+            # Every reader copies the memo before solving and validation hit
+            # only entries the artifact holds: keep its dict, not our copy.
+            self.solution.transfer_cache = stored.transfer_memo
 
     def record_fields(self) -> Dict[str, object]:
         """The :class:`ClassPerturbationRecord` fields the baseline fixes."""
         return dict(
             prefix=str(self.equivalence_class.prefix),
             origins=sorted(str(origin) for origin in self.equivalence_class.origins),
-            baseline_seconds=self.seconds,
             baseline_failing={
                 prop: [n for n in self.node_names if not per_node[n]]
                 for prop, per_node in self.verdicts.items()
@@ -429,7 +450,11 @@ class TaskBaseline:
         )
 
     def resolve(
-        self, outcome: PerturbationOutcome, build_srp: Callable, seeded: Optional[Callable]
+        self,
+        outcome: PerturbationOutcome,
+        build_srp: Callable,
+        seeded: Optional[Callable],
+        oracle: bool,
     ) -> Solution:
         """Solve one unit's perturbed SRP, recording both arms on ``outcome``.
 
@@ -443,7 +468,7 @@ class TaskBaseline:
         solve costs" yardstick).
         """
         scratch = None
-        if self.oracle or seeded is None:
+        if oracle or seeded is None:
             scratch_srp = build_srp()
             scratch_start = time.perf_counter()
             scratch = solve(scratch_srp)
@@ -518,6 +543,58 @@ class TaskBaseline:
         return verdicts
 
 
+class WarmBaselines:
+    """A stored artifact's per-class baselines as the class tasks get them
+    (``options["baseline"]``), plus every :class:`TaskBaseline` validated
+    from them so far, keyed by class and property suite.
+
+    A sweep over a :class:`~repro.store.BaselineArtifact` makes one for
+    its run; a :class:`~repro.api.Session` keeps one for its life (its
+    network never changes), so validating the stored labeling, the
+    baseline verdicts and the forwarding index are paid on a class's first
+    query, not on every request.  Filled lazily, cleared wholesale on
+    overflow, never pickled (pool workers get the stored baselines only;
+    the artifact is not touched).  No lock is held while a baseline is
+    built: racing threads may both build it (equal results, last wins).
+    """
+
+    #: Kept baselines (classes x distinct suites) before the memo clears.
+    LIMIT = 1024
+
+    def __init__(self, stored: Dict[str, object]):
+        #: ``str(prefix) -> ClassBaseline``, the artifact's own dict.
+        self.stored = stored
+        self._kept: Dict[Tuple[str, PropertySuite], TaskBaseline] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"stored": self.stored, "_kept": {}}
+
+    def task_baseline(self, bonsai, equivalence_class: EquivalenceClass, options: dict):
+        prefix = str(equivalence_class.prefix)
+        key = (prefix, PropertySuite.from_options(options))
+        kept = self._kept.get(key)
+        # A pool thread's Bonsai works on its own copy of the network; the
+        # change kind shares configuration objects with it by identity.
+        if kept is not None and kept.network is bonsai.network:
+            return kept
+        built = TaskBaseline(bonsai, equivalence_class, options, self.stored.get(prefix))
+        if built.stored is not None:  # a scratch fallback is not a validated baseline
+            if len(self._kept) >= self.LIMIT:
+                self._kept.clear()
+            self._kept[key] = built
+        return built
+
+
+def task_baseline(bonsai, equivalence_class: EquivalenceClass, options: dict) -> TaskBaseline:
+    """The baseline a class task compares its units against: kept by, or
+    validated from, the :class:`WarmBaselines` in ``options["baseline"]``
+    when the sweep runs over a stored artifact; solved here otherwise."""
+    warm = options.get("baseline")
+    if warm is None:
+        return TaskBaseline(bonsai, equivalence_class, options)
+    return warm.task_baseline(bonsai, equivalence_class, options)
+
+
 def unit_range(options: dict, total: int) -> range:
     """The units of a class this task invocation runs: all ``total`` of
     them, or the ``[start, end)`` chunk the shard coordinator's
@@ -545,6 +622,9 @@ class PerturbationSweep:
         Also scratch-solve every unit and compare labelings (default
         True -- this is the incremental solver's soundness gate and the
         source of the reported speedup).
+    baseline:
+        A stored :class:`~repro.store.BaselineArtifact` to seed from: its
+        encoding, labelings, compressions and fingerprint are not redone.
     spill / spill_path:
         Stream per-class records to a JSONL spill instead of holding
         them in memory.
@@ -561,11 +641,32 @@ class PerturbationSweep:
         suite: Optional[PropertySuite] = None,
         oracle: bool = True,
         executor: str = "serial",
+        artifact=None,
+        baseline=None,
         spill: bool = False,
         spill_path: Optional[str] = None,
         **fanout,
     ):
-        self._fanout = ClassFanOut(network, task=self.TASK, executor=executor, **fanout)
+        if baseline is not None:
+            if artifact is None:
+                artifact = baseline.encoded
+            # A network passed alongside must be the artifact's own network
+            # by content, or the stored labelings would be silently wrong.
+            if network is not None and network is not baseline.network:
+                if not baseline.matches(network):
+                    raise ValueError(
+                        "stored baseline artifact does not match the network "
+                        "(content fingerprints differ); rebuild the artifact"
+                    )
+        self._fanout = ClassFanOut(
+            network, task=self.TASK, executor=executor, artifact=artifact, **fanout
+        )
+        self.baseline = baseline
+        #: What the class tasks get as ``options["baseline"]``; a
+        #: :class:`~repro.api.Session` puts the one it keeps here.
+        self.warm = None if baseline is None else WarmBaselines(baseline.baselines)
+        if baseline is not None:
+            self._fanout.fingerprint = baseline.fingerprint
         self.network = self._fanout.network
         self.suite = suite or PropertySuite.default()
         self.oracle = oracle
@@ -589,6 +690,8 @@ class PerturbationSweep:
         fanout.task_options = {
             **self.suite.to_options(), "oracle": self.oracle, **task_options
         }
+        if self.warm is not None:
+            fanout.task_options["baseline"] = self.warm
         artifact, classes = fanout.prepare()
         report = self.REPORT_CLASS(
             network_name=self.network.name,

@@ -309,9 +309,9 @@ class VerificationService:
         return answer
 
     def delta(self, script: Sequence[Dict], revalidate: bool = True) -> Dict:
-        """Validate a change script (list of ChangeSet dicts) against the
+        """Validate a change script (see :func:`parse_script`) against the
         stored baseline: zero baseline re-solves."""
-        changesets = [ChangeSet.from_dict(dict(raw)) for raw in script]
+        changesets = parse_script(script)
         key = ("delta", json.dumps([cs.to_dict() for cs in changesets], sort_keys=True), revalidate)
         start = time.perf_counter()
 

@@ -6,9 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.abstraction.ec import routable_equivalence_classes
+from repro.api import Session
 from repro.config.transfer import build_srp_from_network
 from repro.failures.incremental import BaselineIndex, tainted_nodes
 from repro.failures.scenario import link_scenario, undirected_links
+from repro.netgen.changes import generated_change_script
 from repro.netgen.families import build_topology
 from repro.srp.solver import TransferCache, solve
 from repro.topology.graph import Graph
@@ -173,6 +175,53 @@ class TestBaselineIndexTaintCache:
             again = tainted_nodes(baseline, removed, index=index)  # memo hit
             fresh = tainted_nodes(baseline, removed)  # no index, no memo
             assert warmed == again == fresh
+
+
+# ----------------------------------------------------------------------
+# Session-kept perturbation baselines (classes x distinct suites)
+# ----------------------------------------------------------------------
+class TestWarmBaselines:
+    def test_one_entry_per_class_and_suite_cleared_on_overflow(self):
+        network = build_topology("ring", 5)
+        session = Session(network)
+        kept = session._warm._kept
+        assert kept == {}  # nothing is built before the first query
+        sample = dict(k=1, sample=2, oracle=False, soundness=False)
+        session.failures(**sample)
+        assert len(kept) == 5
+        first = dict(kept)
+        session.failures(**sample)
+        assert kept == first  # the same objects, not rebuilt
+        session.failures(properties=["reachability"], **sample)
+        assert len(kept) == 10
+
+        session._warm.LIMIT = 12  # instance-level override
+        report = session.failures(properties=["black-hole-freedom"], **sample)
+        # Two more fit, the third clears the memo, the last two refill it.
+        assert len(kept) == 3
+        assert report.canonical_records() == session.failures(
+            properties=["black-hole-freedom"], **sample
+        ).canonical_records()
+
+    def test_a_labeling_that_does_not_validate_is_solved_but_not_kept(self):
+        network = build_topology("ring", 5)
+        session = Session(network)
+        expected = session.failures(k=1, sample=2).canonical_records()
+        # Corrupt one stored labeling: every node claims the origin's label.
+        stale = session.baseline.baselines[str(session.classes[0].prefix)]
+        origin_label = stale.labeling[stale.origins[0]]
+        stale.labeling = {node: origin_label for node in stale.labeling}
+        fresh = Session(baseline=session.baseline)
+        assert fresh.failures(k=1, sample=2).canonical_records() == expected
+        assert len(fresh._warm._kept) == 4
+        # Reported as what it is, on the first request and on the next.
+        script = generated_change_script(network, "ring", steps=1, seed=0)
+        for _ in range(2):
+            from_store = {
+                record.prefix: record.baseline_from_store
+                for record in fresh.delta(script).records
+            }
+            assert from_store.pop(stale.prefix) is False and all(from_store.values())
 
 
 # ----------------------------------------------------------------------

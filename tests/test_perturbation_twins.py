@@ -5,19 +5,29 @@
 with a one-step change script must give every destination class the same
 verdict delta -- except where a node failure kills a class's *every*
 origin, the one place the kinds differ on purpose (pinned below).
+
+Where the baseline comes from must not matter either: solved in the run,
+validated from a stored artifact, or kept by a ``Session`` since an
+earlier request, the report is the same.
 """
 
 from __future__ import annotations
 
 import functools
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden_reports import scrub
 
+from repro.api import Session
 from repro.delta import ChangeSet, DeltaSweep, DeviceRemove, LinkRemove
 from repro.failures import FailureScenario, FailureSweep
 from repro.failures.scenario import undirected_links
+from repro.netgen.changes import default_change_steps, generated_change_script
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
 from repro.pipeline.encoded import EncodedNetwork
+from repro.srp.solver import COUNTERS
+from repro.store import BaselineArtifact
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,3 +111,53 @@ def test_origin_killing_node_failure_is_where_the_kinds_differ():
     surviving = sorted(set(map(str, artifact.network.graph.nodes)) - {"hub0"})
     assert outcome.newly_failing["reachability"] == surviving
     assert set(step.newly_failing.get("reachability", [])) < set(surviving)
+
+
+# ----------------------------------------------------------------------
+# Scratch, stored and session-kept baselines give one report
+# ----------------------------------------------------------------------
+#: The two report fields that say where the baseline came from.
+_PROVENANCE = ("baseline_fingerprint", "baseline_from_store")
+
+
+@pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+def test_delta_warm_equals_cold_equals_scratch(family):
+    """One script answered as a fresh session's first request, as a used
+    session's third, and by a sweep with no stored baseline at all."""
+    network = build_topology(family)
+    artifact = BaselineArtifact.build(network)
+    target, *others = (
+        generated_change_script(
+            network, family, steps=default_change_steps(family), seed=seed
+        )
+        for seed in (0, 1, 2)
+    )
+    scratch = DeltaSweep(network, script=target, oracle=False, rebuild_oracle=False).run()
+    assert not any(record.baseline_from_store for record in scratch.records)
+    cold = Session(baseline=artifact).delta(target)
+    used = Session(baseline=artifact)
+    for script in others:
+        used.delta(script)
+    warm = used.delta(target)
+    assert all(record.baseline_from_store for record in cold.records + warm.records)
+    expected = scrub(scratch.to_dict(), _PROVENANCE)
+    assert scrub(cold.to_dict(), _PROVENANCE) == expected
+    assert scrub(warm.to_dict(), _PROVENANCE) == expected
+
+
+@pytest.mark.parametrize("family", ["ring", "fattree", "wan"])
+def test_failures_over_a_stored_baseline_equal_failures_without(family):
+    network = build_topology(family)
+    session = Session(network)
+    sample = dict(k=2, sample=6, seed=1)
+    expected = scrub(FailureSweep(network, **sample).run().to_dict())
+    assert scrub(session.failures(**sample).to_dict()) == expected
+    # Again, now against the baselines the session kept.
+    assert scrub(session.failures(**sample).to_dict()) == expected
+
+    # Link failures never reshape a class: with the oracle and the
+    # (abstract-network-solving) soundness check off, nothing is solved
+    # from scratch -- not the baseline either.
+    COUNTERS.reset()
+    session.failures(oracle=False, soundness=False, **sample)
+    assert COUNTERS.scratch_solves == 0 and COUNTERS.seeded_solves > 0

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import pickle
+import socket
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from http.server import ThreadingHTTPServer
+from urllib.parse import urlparse
 
 import pytest
+from test_golden_reports import scrub
 
 from repro.api import Session
+from repro.netgen.changes import generated_change_script
 from repro.netgen.families import build_topology
 from repro.serve import VerificationService, create_server, parse_script, warm_service
+from repro.serve.http import MAX_BODY_BYTES, ServeHandler
 from repro.serve.service import QueryStats, _percentile
 
 
@@ -160,6 +169,12 @@ class TestParseScript:
         with pytest.raises(ValueError, match="ChangeSet dict"):
             parse_script(["not-a-dict"])
 
+    def test_service_delta_parses_with_it(self, service):
+        with pytest.raises(ValueError, match="must be a list of ChangeSet objects"):
+            service.delta(script="nope")
+        bare = _change_script(service.session.network)[0]["changes"]
+        assert service.delta(script=bare)["num_steps"] == 1
+
 
 # ----------------------------------------------------------------------
 # HTTP front end
@@ -214,14 +229,10 @@ class TestHttp:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
-    def test_negative_content_length_400(self, server):
-        """Regression: a negative Content-Length used to reach
-        ``rfile.read(-1)``, which blocks the handler thread on the open
-        keep-alive connection until the client hangs up.  It must be
-        rejected with a 400 immediately instead."""
-        import socket
-        from urllib.parse import urlparse
-
+    @staticmethod
+    def _refused_before_body(server, content_length: bytes) -> bytes:
+        """Everything the server sends, up to its hanging up, for a POST it
+        must refuse without reading the body -- which is a second request."""
         parsed = urlparse(server)
         with socket.create_connection(
             (parsed.hostname, parsed.port), timeout=10
@@ -230,17 +241,35 @@ class TestHttp:
                 b"POST /verify HTTP/1.1\r\n"
                 b"Host: test\r\n"
                 b"Content-Type: application/json\r\n"
-                b"Content-Length: -1\r\n"
+                b"Content-Length: " + content_length + b"\r\n"
                 b"\r\n"
+                b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
             )
             response = b""
-            while b"bad request body" not in response:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
+            while chunk := sock.recv(4096):  # until EOF
                 response += chunk
+        return response
+
+    def test_negative_content_length_400(self, server):
+        """Regression, twice over.  A negative Content-Length used to reach
+        ``rfile.read(-1)``, which blocks the handler thread on the open
+        keep-alive connection until the client hangs up: it must be a 400
+        at once.  And a request refused *before its body is read* used to
+        leave the connection open, so the unread body was parsed as the
+        next request and the smuggled ``GET /health`` got a response of
+        its own.  Exactly one response, then EOF."""
+        response = self._refused_before_body(server, b"-1")
         assert response.startswith(b"HTTP/1.1 400")
         assert b"bad request body" in response
+        assert response.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize(
+        "content_length", [b"many", str(MAX_BODY_BYTES + 1).encode()], ids=["text", "oversize"]
+    )
+    def test_other_unread_body_refusals_hang_up_too(self, server, content_length):
+        response = self._refused_before_body(server, content_length)
+        assert response.startswith(b"HTTP/1.1 400")
+        assert response.count(b"HTTP/1.1 ") == 1
 
     def test_unknown_prefix_400(self, server):
         status, answer = _post(server, "/verify", {"prefix": "203.0.113.0/24"})
@@ -255,6 +284,122 @@ class TestHttp:
         assert all(status == 200 for status, _ in results)
         first = results[0][1]
         assert all(answer == first for _, answer in results)
+
+
+class TestPersistentConnection:
+    """What only a kept-alive client sees (every other test here opens a
+    connection per request, where a two-write response costs nothing)."""
+
+    def test_every_response_is_one_write(self, service):
+        writes = []
+
+        class Counting(ServeHandler):
+            def setup(self):
+                super().setup()
+                send = self.wfile.write
+
+                def counted(data):
+                    writes.append(len(data))
+                    return send(data)
+
+                self.wfile.write = counted
+
+        bounded = VerificationService(service.session, max_inflight=1)
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Counting)
+        httpd.service = bounded
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        connection = http.client.HTTPConnection(*httpd.server_address[:2], timeout=60)
+
+        def post(path, body):
+            connection.request(
+                "POST", path, body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            prefix = str(service.session.classes[0].prefix)
+            for _ in range(20):
+                assert post("/verify", json.dumps({"prefix": prefix}))[0] == 200
+            script = _change_script(service.session.network)
+            assert post("/delta", json.dumps({"script": script}))[0] == 200
+            # The 400 parse_request sends itself, before any do_POST.
+            assert post("/verify", "{broken")[0] == 400
+            with bounded.track_request("verify"):
+                assert post("/verify", "{}")[0] == 503
+            # Still the same connection, still in step.
+            assert post("/verify", "{}")[0] == 200
+        finally:
+            connection.close()
+            httpd.shutdown()
+            httpd.server_close()
+        assert len(writes) == 24 and all(writes)
+
+
+class TestSessionKeptBaselines:
+    """The per-class baselines a session keeps between requests."""
+
+    @staticmethod
+    def _scripts(network, count):
+        return [
+            [step.to_dict() for step in generated_change_script(network, "ring", steps=1, seed=seed)]
+            for seed in range(count)
+        ]
+
+    def test_racing_first_requests_answer_like_serial_ones(self):
+        """4 threads, distinct scripts, one cold service: the threads race
+        to fill the kept baselines (nothing is locked while one is built)
+        and every answer equals the one a serial service gives."""
+        network = build_topology("ring", 5)
+        scripts = self._scripts(network, 8)
+        serial = VerificationService(Session(network))
+        expected = [scrub(serial.delta(script)) for script in scripts]
+        racing = VerificationService(Session(network))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(racing.delta, scripts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [scrub(answer) for answer in answers] == expected
+        assert len(racing.session._warm._kept) == len(racing.session.classes)
+
+    def test_a_sweep_over_a_stored_baseline_never_fingerprints(self, service, monkeypatch):
+        """``sweep.start`` carries cost estimates looked up by fingerprint,
+        and a service's event log is always listening: the artifact's own
+        fingerprint must be used, not a re-hash of the whole network."""
+        import repro.store.fingerprint
+
+        hashed = []
+        monkeypatch.setattr(repro.store.fingerprint, "network_fingerprint", hashed.append)
+        cursor = service.event_log.latest_cursor()
+        script = _change_script(service.session.network)
+        assert service.delta(script)["ok"] is True
+        assert service.failures(k=1, sample=2, properties=["reachability"])["kind"] == "failures"
+        started = [
+            event for event in service.event_log.since(cursor)["events"]
+            if event["type"] == "sweep.start"
+        ]
+        assert len(started) == 2 and all(event["costs"] for event in started)
+        assert hashed == []
+
+    def test_nothing_kept_rides_in_the_artifact(self):
+        network = build_topology("ring", 5)
+        session = Session(network)
+        # The stored compressions and tables fill lazy path/inverse caches
+        # of their own on first use; get those out of the way under
+        # another suite, so that the requests below still start cold.
+        script = generated_change_script(network, "ring", steps=1, seed=99)
+        session.delta(script, properties=["reachability"])
+        before = len(pickle.dumps(session.baseline))
+        service = VerificationService(session)
+        for script in self._scripts(network, 10):
+            assert service.delta(script)["ok"] is True
+        assert len(session._warm._kept) == 2 * len(session.classes)
+        assert len(pickle.dumps(session.baseline)) == before
+        # Pool workers get the stored baselines, not what was built from them.
+        assert pickle.loads(pickle.dumps(session._warm))._kept == {}
 
 
 class TestWarmService:
