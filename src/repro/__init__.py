@@ -15,143 +15,49 @@ Typical usage::
     print(bonsai.summarize(results).as_row())
 """
 
-from repro.abstraction import (
-    Bonsai,
-    CompressionResult,
-    CompressionSummary,
-    NetworkAbstraction,
-    build_abstract_srp,
-    check_bgp_effective,
-    check_cp_equivalence,
-    check_effective,
-    compute_abstraction,
-)
-from repro.analysis import (
-    BatchVerifier,
-    PropertySuite,
-    VerificationReport,
-    compute_data_plane,
-    compute_forwarding_table,
-    single_reachability_query,
-    verify_all_pairs_reachability,
-    verify_network,
-    verify_with_abstraction,
-)
-from repro.config import Network, Prefix, parse_network
-from repro.delta import (
-    ChangeSet,
-    DeltaReport,
-    DeltaSweep,
-    load_change_script,
-    sweep_changes,
-)
-from repro.failures import (
-    FailureReport,
-    FailureScenario,
-    FailureSweep,
-    enumerate_link_failures,
-    incremental_resolve,
-    sweep_network,
-)
-from repro.netgen import (
-    datacenter_network,
-    fattree_network,
-    full_mesh_network,
-    ring_network,
-    wan_network,
-)
-from repro.routing import (
-    build_bgp_srp,
-    build_multiprotocol_srp,
-    build_ospf_srp,
-    build_rip_srp,
-    build_static_srp,
-)
-from repro.pipeline import (
-    CompressionPipeline,
-    EncodedNetwork,
-    PipelineError,
-    PipelineReport,
-)
-from repro.srp import SRP, Solution, solve
-from repro.topology import Graph
-
-# The store / facade / service layers import the analysis modules above,
-# so they come last (absolute imports keep this cycle-free regardless).
-from repro.reporting import ReportEnvelope, load_report, register_report
-from repro.store import (
-    ArtifactStore,
-    BaselineArtifact,
-    ClassBaseline,
-    StoreError,
-    network_fingerprint,
-)
-from repro.api import Session
-from repro.serve import VerificationService, warm_service
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Bonsai",
-    "CompressionResult",
-    "CompressionSummary",
-    "NetworkAbstraction",
-    "build_abstract_srp",
-    "check_bgp_effective",
-    "check_cp_equivalence",
-    "check_effective",
-    "compute_abstraction",
-    "compute_data_plane",
-    "compute_forwarding_table",
-    "single_reachability_query",
-    "BatchVerifier",
-    "PropertySuite",
-    "VerificationReport",
-    "verify_network",
-    "verify_all_pairs_reachability",
-    "verify_with_abstraction",
-    "Network",
-    "Prefix",
-    "parse_network",
-    "ChangeSet",
-    "DeltaReport",
-    "DeltaSweep",
-    "load_change_script",
-    "sweep_changes",
-    "FailureScenario",
-    "FailureSweep",
-    "FailureReport",
-    "enumerate_link_failures",
-    "incremental_resolve",
-    "sweep_network",
-    "datacenter_network",
-    "fattree_network",
-    "full_mesh_network",
-    "ring_network",
-    "wan_network",
-    "build_bgp_srp",
-    "build_multiprotocol_srp",
-    "build_ospf_srp",
-    "build_rip_srp",
-    "build_static_srp",
-    "CompressionPipeline",
-    "EncodedNetwork",
-    "PipelineError",
-    "PipelineReport",
-    "SRP",
-    "Solution",
-    "solve",
-    "Graph",
-    "ReportEnvelope",
-    "load_report",
-    "register_report",
-    "ArtifactStore",
-    "BaselineArtifact",
-    "ClassBaseline",
-    "StoreError",
-    "network_fingerprint",
-    "Session",
-    "VerificationService",
-    "warm_service",
-    "__version__",
-]
+# Resolved on first use (see repro._lazy): ``import repro`` loads no pillar.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".abstraction": (
+        "Bonsai", "CompressionResult", "CompressionSummary", "NetworkAbstraction",
+        "build_abstract_srp", "check_bgp_effective", "check_cp_equivalence",
+        "check_effective", "compute_abstraction",
+    ),
+    ".analysis": (
+        "compute_data_plane", "compute_forwarding_table", "single_reachability_query",
+        "BatchVerifier", "PropertySuite", "VerificationReport", "verify_network",
+        "verify_all_pairs_reachability", "verify_with_abstraction",
+    ),
+    ".config": ("Network", "Prefix", "parse_network"),
+    ".delta": (
+        "ChangeSet", "DeltaReport", "DeltaSweep", "load_change_script", "sweep_changes",
+    ),
+    ".failures": (
+        "FailureScenario", "FailureSweep", "FailureReport", "enumerate_link_failures",
+        "incremental_resolve", "sweep_network",
+    ),
+    ".netgen": (
+        "datacenter_network", "fattree_network", "full_mesh_network", "ring_network",
+        "wan_network",
+    ),
+    ".routing": (
+        "build_bgp_srp", "build_multiprotocol_srp", "build_ospf_srp", "build_rip_srp",
+        "build_static_srp",
+    ),
+    ".pipeline": (
+        "CompressionPipeline", "EncodedNetwork", "PipelineError", "PipelineReport",
+    ),
+    ".srp": ("SRP", "Solution", "solve"),
+    ".topology": ("Graph",),
+    ".reporting": ("ReportEnvelope", "load_report", "register_report"),
+    ".store": (
+        "ArtifactStore", "BaselineArtifact", "ClassBaseline", "StoreError",
+        "network_fingerprint",
+    ),
+    ".api": ("Session",),
+    ".serve": ("VerificationService", "warm_service"),
+})
+__all__.append("__version__")

@@ -385,21 +385,23 @@ class Bonsai:
         """Compress every equivalence class (optionally only the first few).
 
         The classes are independent (§5.1), so the work is delegated to the
-        :mod:`repro.pipeline` subsystem.  By default it runs serially on
-        this instance's encoder; passing ``workers`` (and optionally an
-        ``executor`` of ``"process"`` or ``"thread"``) fans the classes out
-        over a pool, with the one-time BDD encoding shared via a pickled
-        artifact.  The aggregated :class:`~repro.pipeline.report.PipelineReport`
-        of the last run is kept on ``self.last_report``.
+        :mod:`repro.pipeline` subsystem.  By default it starts inline on
+        this instance's encoder and forks only when the measured per-class
+        cost says a pool pays (the ``"auto"`` executor); passing ``workers``
+        (and optionally an ``executor`` of ``"process"`` or ``"thread"``)
+        asks for a pool outright, with the one-time BDD encoding shared via
+        a pickled artifact.  The aggregated
+        :class:`~repro.pipeline.report.PipelineReport` of the last run is
+        kept on ``self.last_report``.
         """
         from repro.pipeline.core import CompressionPipeline
 
         if executor is None:
-            executor = "serial" if not workers else "process"
+            executor = "process" if workers else "auto"
         pipeline = CompressionPipeline.from_bonsai(
             self,
             executor=executor,
-            workers=workers or 1,
+            workers=workers,
             limit=limit,
             build_networks=build_networks,
         )

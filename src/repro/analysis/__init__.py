@@ -1,85 +1,26 @@
 """Downstream analyses run on concrete or compressed networks."""
 
-from repro.analysis.batch import (
-    BatchVerifier,
-    ClassVerificationRecord,
-    PropertySuite,
-    PropertyVerdict,
-    VerificationReport,
-    lift_counterexample,
-    verify_network,
-)
-from repro.analysis.dataplane import (
-    DataPlane,
-    ForwardingTable,
-    compute_data_plane,
-    compute_forwarding_table,
-    forwarding_table_from_solution,
-)
-from repro.analysis.properties import (
-    PROPERTY_REGISTRY,
-    Counterexample,
-    PropertyContext,
-    PropertyResult,
-    PropertySpec,
-    check_all_paths_reach,
-    check_black_hole,
-    check_bounded_path_length,
-    check_multipath_consistency,
-    check_path_length,
-    check_reachability,
-    check_routing_loop,
-    check_waypointing,
-    get_property,
-    path_lengths,
-    reachable_sources,
-    register_property,
-    registered_properties,
-)
-from repro.analysis.verifier import (
-    ReachabilityMatrix,
-    VerificationResult,
-    VerificationTimeout,
-    single_reachability_query,
-    verify_all_pairs_reachability,
-    verify_with_abstraction,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchVerifier",
-    "ClassVerificationRecord",
-    "PropertySuite",
-    "PropertyVerdict",
-    "VerificationReport",
-    "lift_counterexample",
-    "verify_network",
-    "DataPlane",
-    "ForwardingTable",
-    "compute_data_plane",
-    "compute_forwarding_table",
-    "forwarding_table_from_solution",
-    "PROPERTY_REGISTRY",
-    "Counterexample",
-    "PropertyContext",
-    "PropertyResult",
-    "PropertySpec",
-    "check_all_paths_reach",
-    "check_black_hole",
-    "check_bounded_path_length",
-    "check_multipath_consistency",
-    "check_path_length",
-    "check_reachability",
-    "check_routing_loop",
-    "check_waypointing",
-    "get_property",
-    "path_lengths",
-    "reachable_sources",
-    "register_property",
-    "registered_properties",
-    "ReachabilityMatrix",
-    "VerificationResult",
-    "VerificationTimeout",
-    "single_reachability_query",
-    "verify_all_pairs_reachability",
-    "verify_with_abstraction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".batch": (
+        "BatchVerifier", "ClassVerificationRecord", "PropertySuite", "PropertyVerdict",
+        "VerificationReport", "lift_counterexample", "verify_network",
+    ),
+    ".dataplane": (
+        "DataPlane", "ForwardingTable", "compute_data_plane", "compute_forwarding_table",
+        "forwarding_table_from_solution",
+    ),
+    ".properties": (
+        "PROPERTY_REGISTRY", "Counterexample", "PropertyContext", "PropertyResult",
+        "PropertySpec", "check_all_paths_reach", "check_black_hole",
+        "check_bounded_path_length", "check_multipath_consistency", "check_path_length",
+        "check_reachability", "check_routing_loop", "check_waypointing", "get_property",
+        "path_lengths", "reachable_sources", "register_property", "registered_properties",
+    ),
+    ".verifier": (
+        "ReachabilityMatrix", "VerificationResult", "VerificationTimeout",
+        "single_reachability_query", "verify_all_pairs_reachability",
+        "verify_with_abstraction",
+    ),
+})

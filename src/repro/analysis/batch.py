@@ -43,7 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.analysis.dataplane import compute_forwarding_table
+from repro.analysis.dataplane import compute_forwarding_table, forwarding_table_from_solution
 from repro.analysis.properties import (
     Counterexample,
     PropertyContext,
@@ -55,9 +55,10 @@ from repro.analysis.properties import (
 from repro.analysis.verifier import VerificationTimeout
 from repro.config.network import Network
 from repro.obs import trace
-from repro.pipeline.core import EXECUTORS, ClassFanOut, register_class_task
+from repro.pipeline.core import EXECUTORS, ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import ReportEnvelope, register_report
+from repro.srp.solver import solve
 
 #: Format version for the JSON verification reports.
 VERIFICATION_REPORT_VERSION = 1
@@ -355,7 +356,7 @@ class VerificationReport(ReportEnvelope):
         agree = self.verdicts_agree()
         lines = [
             f"network: {self.network_name}",
-            f"executor: {self.executor} (workers={self.workers})",
+            self.executor_line(),
             f"equivalence classes: {self.num_classes}",
             f"properties: {', '.join(self.properties)}",
             f"concrete verification: {self.concrete_seconds:.3f}s",
@@ -471,10 +472,11 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
 
         # -- concrete side ---------------------------------------------------
         concrete_start = time.perf_counter()
-        concrete_table = compute_forwarding_table(
-            network,
-            equivalence_class,
-            compiled=bonsai.compile_for(equivalence_class.prefix),
+        # ``compute_forwarding_table`` on the SRP the compression below
+        # refines: one compilation, and the per-``Bonsai`` class invariants
+        # instead of a walk over every device's communities per class.
+        concrete_table = forwarding_table_from_solution(
+            network, solve(bonsai.concrete_srp(equivalence_class)), equivalence_class
         )
         concrete_context = PropertyContext(
             table=concrete_table, waypoints=waypoints, path_bound=path_bound
@@ -630,8 +632,6 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         )
 
 
-register_class_task("verify", "repro.analysis.batch:verify_class_task")
-
 
 # ----------------------------------------------------------------------
 # The batch engine
@@ -641,7 +641,7 @@ class BatchVerifier:
 
     The per-class work is dispatched through the pipeline's
     :class:`~repro.pipeline.core.ClassFanOut` engine, so it scales over the
-    same ``serial`` / ``thread`` / ``process`` executors as compression,
+    same ``auto`` / ``serial`` / ``thread`` / ``process`` executors as compression,
     and the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
     artifact can be shared between arms.
 
@@ -664,8 +664,8 @@ class BatchVerifier:
         *,
         artifact: Optional[EncodedNetwork] = None,
         suite: Optional[PropertySuite] = None,
-        executor: str = "process",
-        workers: int = 4,
+        executor: str = "auto",
+        workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
@@ -714,7 +714,7 @@ class BatchVerifier:
         report = VerificationReport(
             network_name=fanout.network.name,
             executor=self.executor,
-            workers=1 if self.executor == "serial" else self.workers,
+            workers=1 if self.executor == "serial" else fanout.workers,
             num_classes=num_classes,
             properties=list(self.suite.names),
             path_bound=self.suite.path_bound,
@@ -723,7 +723,7 @@ class BatchVerifier:
             records=records,
             timed_out=any(record.timed_out for record in records),
         )
-        obs.finish_run(report, counters_before)
+        obs.finish_run(report, counters_before, fanout.last_selection)
         if report.timed_out and raise_on_timeout:
             skipped = sum(1 for record in records if record.timed_out)
             raise VerificationTimeout(

@@ -1,31 +1,14 @@
 """Binary decision diagrams: the canonical policy representation substrate."""
 
-from repro.bdd.arrays import ArrayBddManager
-from repro.bdd.backend import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    available_backends,
-    make_manager,
-    register_backend,
-    resolve_backend,
-)
-from repro.bdd.manager import FALSE, TRUE, BddError, BddManager
-from repro.bdd.bitvector import BitVector
-from repro.bdd.policy import PolicyBddEncoder, UNCHANGED
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayBddManager",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "FALSE",
-    "TRUE",
-    "BddError",
-    "BddManager",
-    "BitVector",
-    "PolicyBddEncoder",
-    "UNCHANGED",
-    "available_backends",
-    "make_manager",
-    "register_backend",
-    "resolve_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".arrays": ("ArrayBddManager",),
+    ".backend": (
+        "BACKEND_ENV_VAR", "DEFAULT_BACKEND", "available_backends", "make_manager",
+        "register_backend", "resolve_backend",
+    ),
+    ".manager": ("FALSE", "TRUE", "BddError", "BddManager"),
+    ".bitvector": ("BitVector",),
+    ".policy": ("PolicyBddEncoder", "UNCHANGED"),
+})

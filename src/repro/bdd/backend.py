@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional
 
-from repro.bdd.arrays import ArrayBddManager
 from repro.bdd.manager import BddError, BddManager
 
 #: Environment variable naming the default backend for ``make_manager``.
@@ -79,5 +78,12 @@ def make_manager(
     return factory(num_vars=num_vars, cache_limit=cache_limit)
 
 
+def _array_manager(**kwargs):
+    # Imported when selected: the default backend never pays for the module.
+    from repro.bdd.arrays import ArrayBddManager
+
+    return ArrayBddManager(**kwargs)
+
+
 register_backend(BddManager.backend_name, BddManager)
-register_backend(ArrayBddManager.backend_name, ArrayBddManager)
+register_backend("array", _array_manager)

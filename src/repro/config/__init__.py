@@ -1,63 +1,22 @@
 """Vendor-independent configuration IR (the Batfish-substitute substrate)."""
 
-from repro.config.acl import Acl, AclLine, PERMIT_ALL_ACL
-from repro.config.device import (
-    BgpNeighborConfig,
-    ConfigError,
-    DeviceConfig,
-    OspfLinkConfig,
-    StaticRouteConfig,
-)
-from repro.config.network import Network
-from repro.config.parser import ParseError, format_network, parse_network
-from repro.config.prefix import DEFAULT_PREFIX, Prefix, PrefixTrie
-from repro.config.routemap import (
-    DENY_ALL,
-    PERMIT_ALL,
-    CommunityList,
-    PrefixList,
-    PrefixListEntry,
-    RouteMap,
-    RouteMapClause,
-)
-from repro.config.transfer import (
-    CompiledEdge,
-    VIRTUAL_DESTINATION,
-    build_srp_from_network,
-    compile_edges,
-    evaluate_route_map,
-    specialize_route_map,
-    syntactic_policy_keys,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Acl",
-    "AclLine",
-    "PERMIT_ALL_ACL",
-    "BgpNeighborConfig",
-    "ConfigError",
-    "DeviceConfig",
-    "OspfLinkConfig",
-    "StaticRouteConfig",
-    "Network",
-    "ParseError",
-    "format_network",
-    "parse_network",
-    "DEFAULT_PREFIX",
-    "Prefix",
-    "PrefixTrie",
-    "DENY_ALL",
-    "PERMIT_ALL",
-    "CommunityList",
-    "PrefixList",
-    "PrefixListEntry",
-    "RouteMap",
-    "RouteMapClause",
-    "CompiledEdge",
-    "VIRTUAL_DESTINATION",
-    "build_srp_from_network",
-    "compile_edges",
-    "evaluate_route_map",
-    "specialize_route_map",
-    "syntactic_policy_keys",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".acl": ("Acl", "AclLine", "PERMIT_ALL_ACL"),
+    ".device": (
+        "BgpNeighborConfig", "ConfigError", "DeviceConfig", "OspfLinkConfig",
+        "StaticRouteConfig",
+    ),
+    ".network": ("Network",),
+    ".parser": ("ParseError", "format_network", "parse_network"),
+    ".prefix": ("DEFAULT_PREFIX", "Prefix", "PrefixTrie"),
+    ".routemap": (
+        "DENY_ALL", "PERMIT_ALL", "CommunityList", "PrefixList", "PrefixListEntry",
+        "RouteMap", "RouteMapClause",
+    ),
+    ".transfer": (
+        "CompiledEdge", "VIRTUAL_DESTINATION", "build_srp_from_network", "compile_edges",
+        "evaluate_route_map", "specialize_route_map", "syntactic_policy_keys",
+    ),
+})

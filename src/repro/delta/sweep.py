@@ -60,7 +60,7 @@ from repro.delta.revalidate import class_signature, revalidate_class
 from repro.failures.incremental import BaselineIndex
 from repro.failures.soundness import lifted_abstract_verdicts
 from repro.obs import trace
-from repro.pipeline.core import register_class_task
+from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
     ClassPerturbationRecord,
     PerturbationOutcome,
@@ -567,9 +567,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     return record
 
 
-_TASK_PATH = "repro.delta.sweep:delta_class_task"
-register_class_task("delta", _TASK_PATH)
-register_unit_splitter(_TASK_PATH, "script", "steps")
+register_unit_splitter(CLASS_TASKS["delta"], "script", "steps")
 
 
 # ----------------------------------------------------------------------
@@ -643,5 +641,5 @@ def sweep_changes(
     properties: Optional[Sequence[str]] = None,
     **kwargs,
 ) -> DeltaReport:
-    """One-call change-impact sweep (serial by default)."""
+    """One-call change-impact sweep (``DeltaSweep``'s defaults)."""
     return DeltaSweep.over(network, properties, script=script, **kwargs)

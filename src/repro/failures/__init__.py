@@ -8,58 +8,18 @@ still sound once the topology loses edges (the paper's stated
 limitation).
 """
 
-from repro.failures.incremental import (
-    IncrementalSolve,
-    incremental_resolve,
-    tainted_nodes,
-)
-from repro.failures.scenario import (
-    FailureScenario,
-    ScenarioError,
-    canonical_link,
-    enumerate_link_failures,
-    link_scenario,
-    node_scenario,
-    points_of_interest,
-    sample_link_failures,
-    scenarios_for,
-    undirected_links,
-)
-from repro.failures.soundness import (
-    SoundnessOutcome,
-    abstract_scenario_for,
-    check_scenario_soundness,
-)
-from repro.failures.sweep import (
-    ClassFailureRecord,
-    FailureReport,
-    FailureSweep,
-    ScenarioOutcome,
-    failure_class_task,
-    sweep_network,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FailureScenario",
-    "ScenarioError",
-    "canonical_link",
-    "enumerate_link_failures",
-    "sample_link_failures",
-    "scenarios_for",
-    "link_scenario",
-    "node_scenario",
-    "points_of_interest",
-    "undirected_links",
-    "IncrementalSolve",
-    "incremental_resolve",
-    "tainted_nodes",
-    "SoundnessOutcome",
-    "abstract_scenario_for",
-    "check_scenario_soundness",
-    "FailureSweep",
-    "FailureReport",
-    "ClassFailureRecord",
-    "ScenarioOutcome",
-    "failure_class_task",
-    "sweep_network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".incremental": ("IncrementalSolve", "incremental_resolve", "tainted_nodes"),
+    ".scenario": (
+        "FailureScenario", "ScenarioError", "canonical_link", "enumerate_link_failures",
+        "link_scenario", "node_scenario", "points_of_interest", "sample_link_failures",
+        "scenarios_for", "undirected_links",
+    ),
+    ".soundness": ("SoundnessOutcome", "abstract_scenario_for", "check_scenario_soundness"),
+    ".sweep": (
+        "ClassFailureRecord", "FailureReport", "FailureSweep", "ScenarioOutcome",
+        "failure_class_task", "sweep_network",
+    ),
+})

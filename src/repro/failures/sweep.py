@@ -49,7 +49,7 @@ from repro.failures.incremental import incremental_resolve
 from repro.failures.scenario import FailureScenario, scenarios_for
 from repro.failures.soundness import check_scenario_soundness
 from repro.obs import trace
-from repro.pipeline.core import register_class_task
+from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
     ClassPerturbationRecord,
     PerturbationOutcome,
@@ -343,9 +343,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
     return record
 
 
-_TASK_PATH = "repro.failures.sweep:failure_class_task"
-register_class_task("failures", _TASK_PATH)
-register_unit_splitter(_TASK_PATH, "scenarios", "scenarios")
+register_unit_splitter(CLASS_TASKS["failures"], "scenarios", "scenarios")
 
 
 # ----------------------------------------------------------------------
@@ -417,5 +415,5 @@ class FailureSweep(PerturbationSweep):
 def sweep_network(
     network: Network, k: int = 1, properties: Optional[Sequence[str]] = None, **kwargs
 ) -> FailureReport:
-    """One-call failure sweep (serial by default)."""
+    """One-call failure sweep (``FailureSweep``'s defaults)."""
     return FailureSweep.over(network, properties, k=k, **kwargs)

@@ -1,71 +1,27 @@
 """Configured-network generators for the evaluation workloads."""
 
-from repro.netgen.base import (
-    EXPORT_MAP,
-    IMPORT_MAP,
-    SITE_AGGREGATE,
-    SITE_PREFIX_LIST,
-    make_bgp_device,
-    permit_all_map,
-    prefix_for_index,
-    site_prefix_list,
-    standard_export_map,
-    uniform_bgp_network,
-)
-from repro.netgen.fattree import (
-    PREFER_BOTTOM_LOCAL_PREF,
-    POLICIES,
-    fattree_network,
-    fattree_roles,
-)
-from repro.netgen.ring import ring_network
-from repro.netgen.mesh import full_mesh_network
-from repro.netgen.datacenter import (
-    DatacenterParams,
-    PAPER_SCALE as DATACENTER_PAPER_SCALE,
-    SMALL_SCALE as DATACENTER_SMALL_SCALE,
-    datacenter_network,
-)
-from repro.netgen.families import (
-    DEFAULT_FAMILY_SIZES,
-    TOPOLOGY_FAMILIES,
-    build_topology,
-    default_size,
-)
-from repro.netgen.wan import (
-    PAPER_SCALE as WAN_PAPER_SCALE,
-    SMALL_SCALE as WAN_SMALL_SCALE,
-    WanParams,
-    wan_network,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPORT_MAP",
-    "IMPORT_MAP",
-    "SITE_AGGREGATE",
-    "SITE_PREFIX_LIST",
-    "make_bgp_device",
-    "permit_all_map",
-    "prefix_for_index",
-    "site_prefix_list",
-    "standard_export_map",
-    "uniform_bgp_network",
-    "PREFER_BOTTOM_LOCAL_PREF",
-    "POLICIES",
-    "fattree_network",
-    "fattree_roles",
-    "ring_network",
-    "full_mesh_network",
-    "DatacenterParams",
-    "DATACENTER_PAPER_SCALE",
-    "DATACENTER_SMALL_SCALE",
-    "datacenter_network",
-    "WAN_PAPER_SCALE",
-    "WAN_SMALL_SCALE",
-    "WanParams",
-    "wan_network",
-    "DEFAULT_FAMILY_SIZES",
-    "TOPOLOGY_FAMILIES",
-    "build_topology",
-    "default_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": (
+        "EXPORT_MAP", "IMPORT_MAP", "SITE_AGGREGATE", "SITE_PREFIX_LIST", "make_bgp_device",
+        "permit_all_map", "prefix_for_index", "site_prefix_list", "standard_export_map",
+        "uniform_bgp_network",
+    ),
+    ".fattree": (
+        "PREFER_BOTTOM_LOCAL_PREF", "POLICIES", "fattree_network", "fattree_roles",
+    ),
+    ".ring": ("ring_network",),
+    ".mesh": ("full_mesh_network",),
+    ".datacenter": (
+        "DatacenterParams", "DATACENTER_PAPER_SCALE=PAPER_SCALE",
+        "DATACENTER_SMALL_SCALE=SMALL_SCALE", "datacenter_network",
+    ),
+    ".families": (
+        "DEFAULT_FAMILY_SIZES", "TOPOLOGY_FAMILIES", "build_topology", "default_size",
+    ),
+    ".wan": (
+        "WAN_PAPER_SCALE=PAPER_SCALE", "WAN_SMALL_SCALE=SMALL_SCALE", "WanParams",
+        "wan_network",
+    ),
+})

@@ -39,13 +39,18 @@ def snapshot_run() -> Dict[str, float]:
     return metrics.snapshot_counters()
 
 
-def finish_run(report, counters_before: Optional[Dict[str, float]] = None) -> None:
+def finish_run(
+    report,
+    counters_before: Optional[Dict[str, float]] = None,
+    executor_selected: str = "",
+) -> None:
     """Stamp run-level observability onto a report envelope.
 
     Records the ``process.peak_rss_mb`` gauge (every report now carries
     peak RSS, not just ``--memory-budget`` runs) and attaches the
     run's counter delta, gauges and histogram summaries -- plus a trace
-    summary when tracing is active -- via
+    summary when tracing is active, and what the ``"auto"`` executor
+    chose (:attr:`ClassFanOut.last_selection`) -- via
     :meth:`~repro.reporting.ReportEnvelope.attach_observability`.
     """
     from repro.perfutil import peak_rss_mb
@@ -76,4 +81,8 @@ def finish_run(report, counters_before: Optional[Dict[str, float]] = None) -> No
         trace_summary = trace.summary(root)
     attach = getattr(report, "attach_observability", None)
     if attach is not None:
-        attach(metrics_block=block, trace_summary=trace_summary)
+        attach(
+            metrics_block=block,
+            trace_summary=trace_summary,
+            executor_selected=executor_selected,
+        )

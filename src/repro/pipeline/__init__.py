@@ -16,27 +16,13 @@ provides the batching/fan-out/aggregation machinery:
   families (compression by default, batch verification with ``--verify``).
 """
 
-from repro.pipeline.core import (
-    CLASS_TASKS,
-    EXECUTORS,
-    ClassFanOut,
-    CompressionPipeline,
-    PipelineError,
-    PipelineRun,
-    register_class_task,
-)
-from repro.pipeline.encoded import EncodedNetwork
-from repro.pipeline.report import EcRecord, PipelineReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CLASS_TASKS",
-    "EXECUTORS",
-    "ClassFanOut",
-    "CompressionPipeline",
-    "EncodedNetwork",
-    "EcRecord",
-    "PipelineError",
-    "PipelineReport",
-    "PipelineRun",
-    "register_class_task",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": (
+        "CLASS_TASKS", "EXECUTORS", "ClassFanOut", "CompressionPipeline", "PipelineError",
+        "PipelineRun", "register_class_task",
+    ),
+    ".encoded": ("EncodedNetwork",),
+    ".report": ("EcRecord", "PipelineReport"),
+})

@@ -58,12 +58,11 @@ import json
 import sys
 import time
 import warnings
-from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.batch import BatchVerifier, PropertySuite, VerificationReport
+# A pillar (verification, sweeps, store, service) is imported inside the
+# subcommand that runs it: ``compress`` loads none of them.
 from repro.analysis.properties import registered_properties
-from repro.analysis.verifier import VerificationTimeout
 from repro.netgen.families import (
     TOPOLOGY_FAMILIES,
     build_topology,
@@ -203,13 +202,17 @@ def _topology_arguments(parser: argparse.ArgumentParser) -> None:
 def _fanout_arguments(parser: argparse.ArgumentParser) -> None:
     """The per-class fan-out flags both parsers have always had."""
     parser.add_argument(
-        "--workers", type=int, default=4, help="worker count for parallel executors"
+        "--workers",
+        type=int,
+        default=None,
+        help="worker count for parallel executors (default: one per CPU)",
     )
     parser.add_argument(
         "--executor",
         choices=EXECUTORS,
-        default="process",
-        help="how to run the per-class work (default: process)",
+        default="auto",
+        help="how to run the per-class work (default: auto -- start inline, "
+        "fork a process pool once the measured per-class cost says it pays)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=None, help="classes per work unit"
@@ -492,8 +495,8 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         help="how to parallelise the per-class bake (default: serial)",
     )
     store_save.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count for thread/process bakes",
+        "--workers", type=int, default=None,
+        help="worker count for thread/process bakes (default: one per CPU)",
     )
     _trace_argument(store_save)
 
@@ -641,7 +644,9 @@ def _selected_families(args) -> Optional[List[str]]:
     return [family]
 
 
-def _build_suite(args) -> PropertySuite:
+def _build_suite(args):
+    from repro.analysis.batch import PropertySuite
+
     waypoints = (
         None
         if args.waypoints is None
@@ -739,6 +744,9 @@ def _check_memory_budget(args, report) -> bool:
 
 
 def _run_verify(args, families: List[str]) -> int:
+    from repro.analysis.batch import BatchVerifier, VerificationReport
+    from repro.analysis.verifier import VerificationTimeout
+
     try:
         suite = _build_suite(args)
     except ValueError as exc:
@@ -765,7 +773,7 @@ def _run_verify(args, families: List[str]) -> int:
             report = VerificationReport(
                 network_name=f"{family}-{size}",
                 executor=args.executor,
-                workers=args.workers,
+                workers=args.workers or 1,
                 num_classes=0,
                 properties=list(suite.names),
                 path_bound=suite.path_bound,
@@ -792,6 +800,9 @@ def _run_verify(args, families: List[str]) -> int:
                     report = verifier.run(raise_on_timeout=False)
             except PipelineError as exc:
                 print(f"verification failed: {exc}", file=sys.stderr)
+                return 1
+            except VerificationTimeout as exc:  # pragma: no cover - defensive
+                print(f"verification timed out: {exc}", file=sys.stderr)
                 return 1
         reports[family] = report
         diverged = diverged or not report.verdicts_agree()
@@ -908,6 +919,8 @@ def _load_baseline_artifact(path: str, network):
     Raises :class:`~repro.store.StoreError` on any verification failure:
     the CLI refuses rather than silently re-solving.
     """
+    from pathlib import Path
+
     from repro.store import ArtifactStore
 
     candidate = Path(path)
@@ -919,7 +932,6 @@ def _load_baseline_artifact(path: str, network):
 def _run_delta(args, families: List[str]) -> int:
     from repro.delta import ChangeError, DeltaSweep, load_change_script
     from repro.netgen.changes import default_change_steps, generated_change_script
-    from repro.store import StoreError
 
     file_script = None
     if args.changes is not None and args.changes != "generated":
@@ -947,6 +959,8 @@ def _run_delta(args, families: List[str]) -> int:
     def make_sweep(family, size, network, common):
         baseline = None
         if baseline_path:
+            from repro.store import StoreError
+
             try:
                 baseline = _load_baseline_artifact(baseline_path, network)
             except StoreError as exc:
@@ -1141,6 +1155,9 @@ def _run_store(args) -> int:
 
 
 def _run_serve(args) -> int:
+    # repro.serve imports every pillar a request can reach at module
+    # level, so all of it is loaded here, before the service binds: a
+    # first /verify or /delta never pays an import (tests/test_startup.py).
     from repro.serve import serve as serve_forever, warm_service
 
     families = _selected_families(args)
@@ -1385,9 +1402,6 @@ def _legacy_main(argv: List[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationTimeout as exc:  # pragma: no cover - defensive
-        print(f"verification timed out: {exc}", file=sys.stderr)
-        return 1
 
 
 def _begin_obs(args) -> dict:
@@ -1487,9 +1501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            except VerificationTimeout as exc:  # pragma: no cover - defensive
-                print(f"verification timed out: {exc}", file=sys.stderr)
-                return 1
             finally:
                 _finish_obs(obs_state)
         return _legacy_main(argv)

@@ -5,9 +5,16 @@ compression, property verification, ... -- can be fanned out over a pool
 of workers once the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
 artifact is in hand.  :class:`ClassFanOut` is that generic engine: it
 splits the classes into batches, dispatches a *registered task* to a pool,
-and streams the per-class results back in class order.  Three executors
+and streams the per-class results back in class order.  Four executors
 are supported:
 
+* ``"auto"`` (the default) -- probe, then fork: classes start running
+  inline like ``"serial"``, every finished class updates the measured
+  per-class cost, and the remaining classes go to the ``"process"``
+  executor only once the time a pool would save exceeds what starting
+  one costs (:data:`POOL_START_SECONDS`).  A run whose classes cost a
+  millisecond each never forks; one whose classes cost tens of
+  milliseconds forks after its second class;
 * ``"process"`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`; the
   one-time artifact is pickled once and handed to each worker process via
   the pool initializer, so every process owns a private, fully hash-consed
@@ -36,16 +43,10 @@ rides the same executors with the ``"verify"`` task.
 from __future__ import annotations
 
 import importlib
+import os
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,24 @@ from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import EcRecord, PipelineReport
 
 #: The executors understood by :class:`ClassFanOut`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "thread", "process")
+
+#: What a process pool costs before it saves anything, in seconds of
+#: wall clock: fork, one unpickle of the artifact and one warm-up class
+#: per worker, the cost-model lookup, shutdown.  Measured, not tuned: the
+#: e2e ledger's ``pipeline.run_default_s`` - ``pipeline.run_serial_s`` / 2
+#: on ``compress-fattree-pool`` (0.32 - 0.11 / 2 = 0.26 s; README,
+#: "Start-up and executor selection").  The ``"auto"`` executor forks
+#: only when the pool is estimated to save more than this.
+POOL_START_SECONDS = 0.25
+
+#: What the pool adds per class, in seconds: dispatch, the result pickled
+#: in the worker, unpickled and merged by the coordinator.  A class
+#: cheaper than this is not worth shipping however many there are.
+#: Measured with the constant above: a 2-worker fat-tree compress costs
+#: 0.22 / 0.50 / 0.86 s more than half its serial run at k=12 / 16 / 24
+#: (72 / 128 / 288 classes), i.e. 0.25 s + 2 ms a class.
+POOL_UNIT_SECONDS = 0.002
 
 #: The process-executor schedulers: ``"stealing"`` routes through the
 #: cost-aware :class:`~repro.pipeline.shard.ShardCoordinator`; ``"static"``
@@ -77,9 +95,16 @@ class PipelineError(RuntimeError):
 #: Short task name -> ``"module:function"`` path of a per-class callable
 #: ``task(bonsai, equivalence_class, options) -> result``.  The *path* is
 #: what gets shipped to workers, so fresh processes resolve the callable
-#: by import without needing the registering module pre-loaded.
+#: by import without needing the registering module pre-loaded.  The
+#: built-in tasks are listed here rather than registered as their modules
+#: import, so a name resolves whichever pillars the process has loaded.
 CLASS_TASKS: Dict[str, str] = {
     "compress": "repro.pipeline.core:compress_class_task",
+    "verify": "repro.analysis.batch:verify_class_task",
+    "failures": "repro.failures.sweep:failure_class_task",
+    "delta": "repro.delta.sweep:delta_class_task",
+    "baseline": "repro.store.artifact:baseline_class_task",
+    "bench-sleep": "repro.pipeline.shard:sleep_class_task",
 }
 
 
@@ -215,9 +240,12 @@ class ClassFanOut:
     task_options:
         A pickleable dictionary passed verbatim to every task invocation.
     executor:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"auto"`` (default), ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"auto"`` with an explicit ``batch_size`` or the ``"static"``
+        scheduler is ``"process"``: both ask for a particular pool.
     workers:
-        Worker count for the parallel executors (default: 4).
+        Worker count for the parallel executors (default: one per CPU;
+        a pool never starts more workers than it has work units).
     batch_size:
         Classes per work unit.  Defaults to spreading the classes evenly
         so each worker sees about four batches (cheap load balancing
@@ -235,6 +263,9 @@ class ClassFanOut:
         queue dispatched largest-first from observed per-class costs;
         ``"static"`` keeps the original contiguous pre-batching.  The
         serial/thread executors ignore this.
+    pool_task_options:
+        Overlaid on ``task_options`` for the classes a *process* worker
+        runs (what must not cross the result pipe, say).
     cost_store:
         An :class:`~repro.store.ArtifactStore` (or its path) whose
         ``costs.json`` sidecars persist observed per-class wall-clock
@@ -253,14 +284,15 @@ class ClassFanOut:
         artifact: Optional[EncodedNetwork] = None,
         task: str = "compress",
         task_options: Optional[dict] = None,
-        executor: str = "process",
-        workers: int = 4,
+        executor: str = "auto",
+        workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         use_bdds: bool = True,
         scheduler: str = "stealing",
         cost_store=None,
         unit_costs: Optional[Dict[str, float]] = None,
+        pool_task_options: Optional[dict] = None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -272,6 +304,8 @@ class ClassFanOut:
             )
         if network is None and artifact is None:
             raise ValueError("either a network or an EncodedNetwork is required")
+        if workers is None:
+            workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if batch_size is not None and batch_size < 1:
@@ -282,6 +316,7 @@ class ClassFanOut:
         self.artifact = artifact
         self.task = resolve_class_task(task)
         self.task_options = dict(task_options or {})
+        self.pool_task_options = dict(pool_task_options or {})
         self.executor = executor
         self.workers = workers
         self.batch_size = batch_size
@@ -294,6 +329,9 @@ class ClassFanOut:
         self.last_classes: List[EquivalenceClass] = []
         self.last_batches: List[List[Tuple[int, EquivalenceClass]]] = []
         self.last_scheduler: str = "static"
+        #: What the ``"auto"`` executor chose on the last execute, as the
+        #: reports' summaries print it ("" under an explicit executor).
+        self.last_selection: str = ""
         #: Observed per-class wall-clock / unit counts of the last execute
         #: (what gets recorded into the cost model).
         self.last_unit_seconds: Dict[str, float] = {}
@@ -378,38 +416,42 @@ class ClassFanOut:
         artifact, classes = self.prepare()
         self.last_unit_seconds = {}
         self.last_unit_counts = {}
+        self.last_batches = []
+        self.last_scheduler = "static"
+        self.last_selection = ""
         sweep_t0 = time.perf_counter()
         if _events.enabled():
             self._emit_sweep_start(classes)
 
-        stealing = (
-            self.executor == "process"
-            and self.scheduler == "stealing"
-            and self.batch_size is None
-            and bool(classes)
-        )
-        self.last_scheduler = "stealing" if stealing else "static"
         #: Per-unit observability captures -- ``(index, chunk, blob)`` --
         #: buffered during the run and folded in *sorted by (index,
         #: chunk)* afterwards, so the attached trace subtrees (and merged
         #: counter deltas) are independent of completion order.
         self._unit_obs: List[Tuple[int, int, dict]] = []
-        if stealing:
-            indexed_results = self._run_stealing(
-                artifact, classes, on_result=on_result, collect=collect
-            )
+        out: Optional[List[Tuple[int, object]]] = [] if collect else None
+        if (
+            self.executor in ("auto", "process")
+            and self.scheduler == "stealing"
+            and self.batch_size is None
+            and classes
+        ):
+            probed = 0
+            if self.executor == "auto":
+                probed = self._probe(artifact, classes, on_result, out)
+            pooled = probed < len(classes)
+            if pooled:
+                self._run_stealing(artifact, classes, probed, on_result, out)
         else:
             batches = self.partition(classes)
             self.last_batches = batches
-            if self.executor == "serial" or not batches:
-                indexed_results = self._run_serial(
-                    artifact, batches, on_result=on_result, collect=collect
-                )
+            pooled = self.executor != "serial" and bool(batches)
+            if pooled:
+                self._run_pool(artifact, batches, on_result, out)
             else:
-                indexed_results = self._run_pool(
-                    artifact, batches, on_result=on_result, collect=collect
-                )
-        self._finalize_unit_obs(merge_metrics=self.executor == "process")
+                indexed = [pair for batch in batches for pair in batch]
+                self._run_serial(artifact, indexed, on_result, out)
+        _metrics.counter(f"pipeline.executor.{'pool' if pooled else 'serial'}").inc()
+        self._finalize_unit_obs()
         self._record_costs()
         _events.emit(
             "sweep.end",
@@ -419,9 +461,9 @@ class ClassFanOut:
             seconds=round(time.perf_counter() - sweep_t0, 6),
         )
 
-        if not collect:
+        if out is None:
             return None
-        return [result for _, result in sorted(indexed_results, key=lambda p: p[0])]
+        return [result for _, result in sorted(out, key=lambda p: p[0])]
 
     def _emit_sweep_start(self, classes: Sequence[EquivalenceClass]) -> None:
         """The ``sweep.start`` event, carrying the cost model's per-class
@@ -480,22 +522,23 @@ class ClassFanOut:
         if out is not None:
             out.append((index, result))
 
-    def _finalize_unit_obs(self, merge_metrics: bool) -> None:
+    def _finalize_unit_obs(self) -> None:
         """Fold the buffered per-unit captures into the coordinator.
 
-        Worker counter deltas merge into the global registry (process
-        pools only); captured span subtrees attach under the current span
-        sorted by (class index, chunk index), a split class's chunks
+        Counter deltas merge into the global registry: only units a
+        process worker ran carry one (inline and thread units, the probed
+        prefix of an ``"auto"`` run included, counted in this registry
+        as they ran).  Captured span subtrees attach under the current
+        span sorted by (class index, chunk index), a split class's chunks
         merged back into one class span -- so the resulting trace tree is
         bit-identical across serial, thread, process and stealing runs.
         """
         entries = self._unit_obs
         self._unit_obs = []
-        if merge_metrics:
-            for _, _, blob in entries:
-                delta = blob.get("metrics")
-                if delta:
-                    _metrics.merge_counters(delta)
+        for _, _, blob in entries:
+            delta = blob.get("metrics")
+            if delta:
+                _metrics.merge_counters(delta)
         for prefix, seconds in sorted(self.last_unit_seconds.items()):
             _metrics.histogram("pipeline.class_seconds").observe(seconds)
         _metrics.counter("pipeline.classes_completed").inc(
@@ -532,110 +575,169 @@ class ClassFanOut:
         except Exception:  # noqa: BLE001 - cost data is advisory
             pass
 
+    def _probe(self, artifact: EncodedNetwork, classes, on_result, out) -> int:
+        """The first half of ``"auto"``: run classes inline until handing
+        the rest to a process pool is estimated to pay.  Returns how many
+        classes ran: all of them when a pool never pays.
+
+        The estimate is ``remaining x (mean x (1 - 1/w) - POOL_UNIT_SECONDS)``
+        against :data:`POOL_START_SECONDS`, with ``w`` the workers that
+        could be busy (at most one per CPU and per remaining class) and
+        ``mean`` taken over every probed class but the first: that one
+        pays the per-``Bonsai`` caches (compiled base, class family,
+        specialised BDDs -- 13 ms against 1.5 ms on a k=12 fat-tree),
+        which every pool worker would pay again.
+        """
+        cpus = os.cpu_count() or 1
+        first = total = mean = 0.0
+
+        def pool_pays(done: int, seconds: float) -> bool:
+            nonlocal first, total, mean
+            total += seconds
+            remaining = len(classes) - done
+            if done == 1:
+                first = seconds
+            if done == 1 or not remaining:
+                return False
+            mean = (total - first) / (done - 1)
+            width = min(self.workers, cpus, remaining)
+            saved = remaining * (mean * (1 - 1 / width) - POOL_UNIT_SECONDS)
+            return saved > POOL_START_SECONDS
+
+        probed = self._run_serial(
+            artifact, list(enumerate(classes)), on_result, out, pool_pays
+        )
+        self.last_batches = [list(enumerate(classes[:probed]))]
+        remaining = len(classes) - probed
+        _events.emit(
+            "executor.selected",
+            task=self.task,
+            decision="pool" if remaining else "serial",
+            probed=probed,
+            mean_seconds=round(mean, 6),
+            remainder_seconds=round(remaining * mean, 6),
+            break_even_seconds=POOL_START_SECONDS,
+        )
+        if remaining:
+            self.last_selection = (
+                f"pool after {probed} of {len(classes)} classes "
+                f"({mean:.4f} s/class, {remaining * mean:.2f} s left; "
+            )
+        else:
+            self.last_selection = f"serial ({probed} classes, {total:.2f} s; "
+        self.last_selection += f"pool break-even {POOL_START_SECONDS} s)"
+        return probed
+
     def _run_stealing(
         self,
         artifact: EncodedNetwork,
         classes: Sequence[EquivalenceClass],
+        start: int,
         on_result,
-        collect: bool,
-    ) -> List[Tuple[int, object]]:
+        out: Optional[List[Tuple[int, object]]],
+    ) -> None:
+        """Hand ``classes[start:]`` to the cost-aware shard coordinator."""
         from repro.pipeline import shard
 
+        # Before planning and forking: a splittable task registers its unit
+        # sequence as it imports, and the workers inherit the module.
+        _import_task(self.task)
         coordinator = shard.ShardCoordinator(
             artifact=artifact,
             task_path=self.task,
-            options=self.task_options,
+            options={**self.task_options, **self.pool_task_options},
             classes=classes,
+            start=start,
             workers=self.workers,
             unit_costs=self.unit_costs,
             fingerprint=self.network_fingerprint(),
             cost_store=self.cost_store,
         )
         coordinator.plan()
-        self.last_batches = [
+        self.last_scheduler = "stealing"
+        self.last_batches += [
             [(unit.index, unit.equivalence_class) for unit in bundle]
             for bundle in coordinator.bundles
         ]
-        results = coordinator.run(on_result=on_result, collect=collect)
-        self.last_unit_seconds = dict(coordinator.observed_seconds)
-        self.last_unit_counts = dict(coordinator.observed_units)
+        results = coordinator.run(on_result=on_result, collect=out is not None)
+        self.last_unit_seconds.update(coordinator.observed_seconds)
+        self.last_unit_counts.update(coordinator.observed_units)
         self._unit_obs.extend(coordinator.captured_obs)
-        return results if results is not None else []
+        if out is not None:
+            out.extend(results)
 
     def _run_serial(
         self,
         artifact: EncodedNetwork,
-        batches: List[List[Tuple[int, EquivalenceClass]]],
-        on_result=None,
-        collect: bool = True,
-    ) -> List[Tuple[int, object]]:
+        indexed: Sequence[Tuple[int, EquivalenceClass]],
+        on_result,
+        out: Optional[List[Tuple[int, object]]],
+        stop: Optional[Callable[[int, float], bool]] = None,
+    ) -> int:
+        """Run ``indexed`` classes inline, in order, on one ``Bonsai`` of
+        this process; returns how many ran.  ``stop(done, seconds)`` is
+        asked after every class whether to leave the rest to someone else.
+        """
         bonsai = artifact.make_bonsai()
         task = _import_task(self.task)
         capture = trace.active()
-        out: Optional[List[Tuple[int, object]]] = [] if collect else None
-        for batch in batches:
-            for index, equivalence_class in batch:
-                start = time.perf_counter()
-                # Even inline units go through capture_unit: spans buffer
-                # and attach index-sorted afterwards, exactly like pool
-                # units, so serial and pooled trace trees are identical.
-                with trace.capture_unit(
-                    capture, False, cls=str(equivalence_class.prefix)
-                ) as obs:
-                    try:
-                        result = task(bonsai, equivalence_class, self.task_options)
-                    except Exception as exc:
-                        raise PipelineError(
-                            f"task {self.task!r} on equivalence class "
-                            f"{equivalence_class.prefix} failed: {exc!r}"
-                        ) from exc
-                if capture:
-                    self._unit_obs.append((index, 0, obs))
-                self._note_unit(
-                    index,
-                    equivalence_class,
-                    result,
-                    time.perf_counter() - start,
-                    on_result,
-                    out,
-                )
-        return out if out is not None else []
-
-    def _make_pool(self, payload: bytes) -> Executor:
-        if self.executor == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(payload,),
-            )
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(payload,),
-        )
+        for done, (index, equivalence_class) in enumerate(indexed, 1):
+            start = time.perf_counter()
+            # Even inline units go through capture_unit: spans buffer
+            # and attach index-sorted afterwards, exactly like pool
+            # units, so serial and pooled trace trees are identical.
+            with trace.capture_unit(
+                capture, False, cls=str(equivalence_class.prefix)
+            ) as obs:
+                try:
+                    result = task(bonsai, equivalence_class, self.task_options)
+                except Exception as exc:
+                    raise PipelineError(
+                        f"task {self.task!r} on equivalence class "
+                        f"{equivalence_class.prefix} failed: {exc!r}"
+                    ) from exc
+            if capture:
+                self._unit_obs.append((index, 0, obs))
+            seconds = time.perf_counter() - start
+            self._note_unit(index, equivalence_class, result, seconds, on_result, out)
+            if stop is not None and stop(done, seconds):
+                return done
+        return len(indexed)
 
     def _run_pool(
         self,
         artifact: EncodedNetwork,
         batches: List[List[Tuple[int, EquivalenceClass]]],
-        on_result=None,
-        collect: bool = True,
-    ) -> List[Tuple[int, object]]:
+        on_result,
+        out: Optional[List[Tuple[int, object]]],
+    ) -> None:
+        # Imported where a pool is created: a run that never forks never
+        # loads multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        kind = "thread" if self.executor == "thread" else "process"
+        if kind == "thread":
+            from concurrent.futures import ThreadPoolExecutor as Pool
+
+            options = self.task_options
+        else:
+            from concurrent.futures import ProcessPoolExecutor as Pool
+
+            _import_task(self.task)  # before the fork: the workers inherit the module
+            options = {**self.task_options, **self.pool_task_options}
         payload = artifact.to_bytes()
         class_by_index = {index: ec for batch in batches for index, ec in batch}
-        out: Optional[List[Tuple[int, object]]] = [] if collect else None
         capture = trace.active()
-        ship_metrics = self.executor == "process"
+        ship_metrics = kind == "process"
         try:
-            with self._make_pool(payload) as pool:
+            with Pool(
+                max_workers=min(self.workers, len(batches)),
+                initializer=_init_worker,
+                initargs=(payload,),
+            ) as pool:
                 pending = {
                     pool.submit(
-                        _run_batch,
-                        self.task,
-                        batch,
-                        self.task_options,
-                        capture,
-                        ship_metrics,
+                        _run_batch, self.task, batch, options, capture, ship_metrics
                     )
                     for batch in batches
                 }
@@ -648,7 +750,7 @@ class ClassFanOut:
                                     raise PipelineError(
                                         f"task {self.task!r} on equivalence class "
                                         f"{item.prefix} failed in a "
-                                        f"{self.executor} worker: {item.error}\n"
+                                        f"{kind} worker: {item.error}\n"
                                         f"{item.traceback}"
                                     )
                                 if obs is not None:
@@ -671,10 +773,9 @@ class ClassFanOut:
         except Exception as exc:
             # e.g. BrokenProcessPool when a worker dies outright.
             raise PipelineError(
-                f"{self.executor} pool failed while running {self.task!r} on "
+                f"{kind} pool failed while running {self.task!r} on "
                 f"{self.network.name}: {exc!r}"
             ) from exc
-        return out if out is not None else []
 
 
 @dataclass
@@ -706,8 +807,8 @@ class CompressionPipeline(ClassFanOut):
         network: Optional[Network] = None,
         *,
         artifact: Optional[EncodedNetwork] = None,
-        executor: str = "process",
-        workers: int = 4,
+        executor: str = "auto",
+        workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         build_networks: bool = False,
@@ -720,7 +821,8 @@ class CompressionPipeline(ClassFanOut):
             network,
             artifact=artifact,
             task="compress",
-            task_options={"build_networks": build_networks, "detach_srp": executor == "process"},
+            task_options={"build_networks": build_networks},
+            pool_task_options={"detach_srp": True},
             executor=executor,
             workers=workers,
             batch_size=batch_size,
@@ -779,7 +881,7 @@ class CompressionPipeline(ClassFanOut):
             total_seconds=total_seconds,
             records=[EcRecord.from_result(result) for result in results],
         )
-        obs.finish_run(report, counters_before)
+        obs.finish_run(report, counters_before, self.last_selection)
         return PipelineRun(results=results, report=report)
 
     def run_streaming(
@@ -823,5 +925,5 @@ class CompressionPipeline(ClassFanOut):
         report.batch_size = len(batches[0]) if batches else 0
         report.num_batches = len(batches)
         report.total_seconds = time.perf_counter() - start
-        obs.finish_run(report, counters_before)
+        obs.finish_run(report, counters_before, self.last_selection)
         return report

@@ -50,7 +50,6 @@ from repro.analysis.properties import (
     verdict_delta,
 )
 from repro.config.network import Network
-from repro.config.transfer import build_srp_from_network
 from repro.obs import finish_run, snapshot_run
 from repro.pipeline.core import ClassFanOut
 from repro.pipeline.stream import RecordSpill
@@ -340,7 +339,7 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
         was swept, ``oracle_line`` compares the two re-solve arms."""
         lines = [
             f"network: {self.network_name}",
-            f"executor: {self.executor} (workers={self.workers})",
+            self.executor_line(),
             shape,
             f"properties: {', '.join(self.properties)}",
         ]
@@ -399,8 +398,6 @@ class TaskBaseline:
         self.network = network = bonsai.network
         self.suite = suite = PropertySuite.from_options(options)
         self.specs = suite.specs()
-        prefix = equivalence_class.prefix
-        origins = set(equivalence_class.origins)
         nodes = sorted(network.graph.nodes, key=str)
         self.node_names = [str(n) for n in nodes]
         self.path_bound = (
@@ -408,10 +405,8 @@ class TaskBaseline:
         )
         self.waypoints = _waypoints_for(suite, equivalence_class)
         #: The class's destination-specialized compiled edges.
-        self.compiled = bonsai.compile_for(prefix)
-        srp = build_srp_from_network(
-            network, prefix, origins, compiled=self.compiled, include_syntactic_keys=False
-        )
+        self.compiled = bonsai.compile_for(equivalence_class.prefix)
+        srp = bonsai.concrete_srp(equivalence_class)
         solution = None
         if stored is not None:
             try:
@@ -613,7 +608,7 @@ class PerturbationSweep:
     ``batch_size``, ``limit``, ``use_bdds``, ``scheduler``,
     ``cost_store``, ``unit_costs``) are
     :class:`~repro.pipeline.core.ClassFanOut`'s, which validates them on
-    construction; sweeps default to the serial executor.  Plus:
+    construction, ``executor`` (default ``"auto"``) included.  Plus:
 
     suite:
         The :class:`~repro.analysis.batch.PropertySuite` to evaluate
@@ -640,7 +635,6 @@ class PerturbationSweep:
         *,
         suite: Optional[PropertySuite] = None,
         oracle: bool = True,
-        executor: str = "serial",
         artifact=None,
         baseline=None,
         spill: bool = False,
@@ -658,9 +652,7 @@ class PerturbationSweep:
                         "stored baseline artifact does not match the network "
                         "(content fingerprints differ); rebuild the artifact"
                     )
-        self._fanout = ClassFanOut(
-            network, task=self.TASK, executor=executor, artifact=artifact, **fanout
-        )
+        self._fanout = ClassFanOut(network, task=self.TASK, artifact=artifact, **fanout)
         self.baseline = baseline
         #: What the class tasks get as ``options["baseline"]``; a
         #: :class:`~repro.api.Session` puts the one it keeps here.
@@ -716,5 +708,5 @@ class PerturbationSweep:
 
         fanout.execute(on_result=on_result, collect=False)
         report.total_seconds = time.perf_counter() - start
-        finish_run(report, counters_before)
+        finish_run(report, counters_before, fanout.last_selection)
         return report

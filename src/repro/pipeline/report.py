@@ -217,8 +217,9 @@ class PipelineReport(StreamingReport, ReportEnvelope):
     def summary_lines(self) -> List[str]:
         lines = [
             f"network: {self.network_name}",
-            f"executor: {self.executor} (workers={self.workers}, "
-            f"batch_size={self.batch_size}, batches={self.num_batches})",
+            self.executor_line(
+                f", batch_size={self.batch_size}, batches={self.num_batches}"
+            ),
             f"equivalence classes: {self.num_classes}",
             f"one-time encoding: {self.encode_seconds:.3f}s",
             f"wall clock: {self.total_seconds:.3f}s "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -249,6 +248,9 @@ class ShardCoordinator:
         Task options shared by every unit (chunk patches overlay them).
     classes:
         The (already limited) classes, in report order.
+    start:
+        Index of the first class to run: an ``"auto"`` fan-out has run
+        ``classes[:start]`` itself before handing over.
     workers:
         Pool size.
     unit_costs:
@@ -270,6 +272,7 @@ class ShardCoordinator:
         options: dict,
         classes: Sequence[EquivalenceClass],
         workers: int,
+        start: int = 0,
         unit_costs: Optional[Dict[str, float]] = None,
         fingerprint: Optional[str] = None,
         cost_store=None,
@@ -279,6 +282,7 @@ class ShardCoordinator:
         self.task_path = task_path
         self.options = dict(options or {})
         self.classes = list(classes)
+        self.start = start
         self.workers = max(1, int(workers))
         self.unit_costs = dict(unit_costs) if unit_costs else None
         self.fingerprint = fingerprint
@@ -311,19 +315,20 @@ class ShardCoordinator:
         if self.bundles:
             return self.bundles
         known = self._known_costs()
-        self.warm = any(str(ec.prefix) in known for ec in self.classes)
+        todo = list(enumerate(self.classes))[self.start :]
+        self.warm = any(str(ec.prefix) in known for _, ec in todo)
 
         # Split classes into chunks only when there are too few of them
         # to keep the pool busy; chunk overhead (each chunk re-pays the
         # class baseline) is only worth paying to kill stragglers.
         pieces = 1
         sequence = UNIT_SEQUENCES.get(self.task_path) if self.split else None
-        if sequence is not None and self.classes:
-            if len(self.classes) < self.workers * 2:
-                pieces = -(-self.workers * 2 // len(self.classes))
+        if sequence is not None and todo:
+            if len(todo) < self.workers * 2:
+                pieces = -(-self.workers * 2 // len(todo))
 
         units: List[WorkUnit] = []
-        for index, equivalence_class in enumerate(self.classes):
+        for index, equivalence_class in todo:
             cost = known.get(
                 str(equivalence_class.prefix), heuristic_cost(equivalence_class)
             )
@@ -411,6 +416,10 @@ class ShardCoordinator:
         record, seconds)`` as their last chunk lands (chunks re-merged in
         chunk order, so merged records match the unsplit task's output).
         Returns the ``(index, record)`` list when ``collect``."""
+        # Imported where the pool is created: a sweep that never forks
+        # never loads multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         bundles = self.plan()
         results: Optional[List[Tuple[int, object]]] = [] if collect else None
         self.observed_seconds = {}
@@ -529,5 +538,3 @@ def sleep_class_task(bonsai, equivalence_class, options: dict) -> str:
     time.sleep(seconds)
     return str(equivalence_class.prefix)
 
-
-_core.register_class_task("bench-sleep", "repro.pipeline.shard:sleep_class_task")

@@ -76,15 +76,29 @@ class ReportEnvelope:
         """The report-level gate: True when the run passed its checks."""
         raise NotImplementedError
 
-    def attach_observability(self, metrics_block=None, trace_summary=None) -> None:
+    def attach_observability(
+        self, metrics_block=None, trace_summary=None, executor_selected: str = ""
+    ) -> None:
         """Stamp run-level telemetry (counter deltas, gauges, histogram
         summaries, optional trace hotspots) onto the envelope; emitted by
         :meth:`envelope_dict` when present.  Stored in ``__dict__`` so
-        frozen/slotted report dataclasses need no new fields."""
+        frozen/slotted report dataclasses need no new fields.
+        ``executor_selected`` (what the ``"auto"`` executor chose) goes
+        into :meth:`executor_line` only, never into the JSON."""
         if metrics_block is not None:
             self.__dict__["_obs_metrics"] = metrics_block
         if trace_summary is not None:
             self.__dict__["_trace_summary"] = trace_summary
+        if executor_selected:
+            self.__dict__["_executor_selected"] = executor_selected
+
+    def executor_line(self, detail: str = "") -> str:
+        """The summary's executor line: the requested executor and, when
+        the fan-out chose for itself, what ran and why."""
+        selected = self.__dict__.get("_executor_selected")
+        if selected:
+            return f"executor: {self.executor} -> {selected}"
+        return f"executor: {self.executor} (workers={self.workers}{detail})"
 
     def envelope_dict(self) -> Dict[str, object]:
         envelope: Dict[str, object] = {

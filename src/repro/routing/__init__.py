@@ -1,70 +1,20 @@
 """Routing protocol models: RIP, OSPF, BGP, static routes and multi-protocol."""
 
-from repro.routing.attributes import (
-    ADMIN_DISTANCE,
-    DEFAULT_LOCAL_PREF,
-    NO_ROUTE,
-    BgpAttribute,
-    OspfAttribute,
-    RibAttribute,
-    RipAttribute,
-    StaticAttribute,
-)
-from repro.routing.protocol import Protocol
-from repro.routing.rip import RipProtocol, build_rip_srp
-from repro.routing.ospf import OspfProtocol, build_ospf_srp
-from repro.routing.static import StaticProtocol, build_static_srp
-from repro.routing.bgp import (
-    AddCommunity,
-    AllowAll,
-    BgpPolicy,
-    BgpProtocol,
-    Chain,
-    DenyAll,
-    FilterCommunity,
-    PrependAs,
-    RemoveCommunity,
-    SetLocalPref,
-    build_bgp_srp,
-    chain,
-    policy_local_prefs,
-)
-from repro.routing.multiprotocol import (
-    MultiProtocol,
-    MultiProtocolConfig,
-    build_multiprotocol_srp,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADMIN_DISTANCE",
-    "DEFAULT_LOCAL_PREF",
-    "NO_ROUTE",
-    "BgpAttribute",
-    "OspfAttribute",
-    "RibAttribute",
-    "RipAttribute",
-    "StaticAttribute",
-    "Protocol",
-    "RipProtocol",
-    "build_rip_srp",
-    "OspfProtocol",
-    "build_ospf_srp",
-    "StaticProtocol",
-    "build_static_srp",
-    "AddCommunity",
-    "AllowAll",
-    "BgpPolicy",
-    "BgpProtocol",
-    "Chain",
-    "DenyAll",
-    "FilterCommunity",
-    "PrependAs",
-    "RemoveCommunity",
-    "SetLocalPref",
-    "build_bgp_srp",
-    "chain",
-    "policy_local_prefs",
-    "MultiProtocol",
-    "MultiProtocolConfig",
-    "build_multiprotocol_srp",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".attributes": (
+        "ADMIN_DISTANCE", "DEFAULT_LOCAL_PREF", "NO_ROUTE", "BgpAttribute", "OspfAttribute",
+        "RibAttribute", "RipAttribute", "StaticAttribute",
+    ),
+    ".protocol": ("Protocol",),
+    ".rip": ("RipProtocol", "build_rip_srp"),
+    ".ospf": ("OspfProtocol", "build_ospf_srp"),
+    ".static": ("StaticProtocol", "build_static_srp"),
+    ".bgp": (
+        "AddCommunity", "AllowAll", "BgpPolicy", "BgpProtocol", "Chain", "DenyAll",
+        "FilterCommunity", "PrependAs", "RemoveCommunity", "SetLocalPref", "build_bgp_srp",
+        "chain", "policy_local_prefs",
+    ),
+    ".multiprotocol": ("MultiProtocol", "MultiProtocolConfig", "build_multiprotocol_srp"),
+})

@@ -8,15 +8,9 @@ bounded memos across requests and reporting per-query latency
 percentiles.  Start it with ``python -m repro.pipeline serve``.
 """
 
-from repro.serve.http import ServeHandler, create_server, serve, warm_service
-from repro.serve.service import QueryStats, VerificationService, parse_script
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueryStats",
-    "ServeHandler",
-    "VerificationService",
-    "create_server",
-    "parse_script",
-    "serve",
-    "warm_service",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".http": ("ServeHandler", "create_server", "serve", "warm_service"),
+    ".service": ("QueryStats", "VerificationService", "parse_script"),
+})

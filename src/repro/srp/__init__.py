@@ -1,27 +1,13 @@
 """The Stable Routing Problem: instances, solutions and solvers (§3)."""
 
-from repro.srp.instance import SRP, SRPError
-from repro.srp.solution import Labeling, Solution
-from repro.srp.solver import (
-    ConvergenceError,
-    enumerate_solutions,
-    has_stable_solution,
-    solve,
-    solve_with_activation_order,
-)
-from repro.srp.wellformed import WellFormednessReport, assert_well_formed, check_well_formed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SRP",
-    "SRPError",
-    "Labeling",
-    "Solution",
-    "ConvergenceError",
-    "enumerate_solutions",
-    "has_stable_solution",
-    "solve",
-    "solve_with_activation_order",
-    "WellFormednessReport",
-    "assert_well_formed",
-    "check_well_formed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".instance": ("SRP", "SRPError"),
+    ".solution": ("Labeling", "Solution"),
+    ".solver": (
+        "ConvergenceError", "enumerate_solutions", "has_stable_solution", "solve",
+        "solve_with_activation_order",
+    ),
+    ".wellformed": ("WellFormednessReport", "assert_well_formed", "check_well_formed"),
+})

@@ -10,27 +10,12 @@ processes: ``--baseline`` delta runs, :class:`repro.api.Session` and the
 ``repro.serve`` daemon.
 """
 
-from repro.store.artifact import (
-    ARTIFACT_SCHEMA_VERSION,
-    BaselineArtifact,
-    ClassBaseline,
-)
-from repro.store.fingerprint import canonical_form, network_fingerprint
-from repro.store.store import (
-    COSTS_SCHEMA_VERSION,
-    STORE_SCHEMA_VERSION,
-    ArtifactStore,
-    StoreError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
-    "COSTS_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "ArtifactStore",
-    "BaselineArtifact",
-    "ClassBaseline",
-    "StoreError",
-    "canonical_form",
-    "network_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".artifact": ("ARTIFACT_SCHEMA_VERSION", "BaselineArtifact", "ClassBaseline"),
+    ".fingerprint": ("canonical_form", "network_fingerprint"),
+    ".store": (
+        "COSTS_SCHEMA_VERSION", "STORE_SCHEMA_VERSION", "ArtifactStore", "StoreError",
+    ),
+})

@@ -21,9 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.abstraction.bonsai import CompressionResult
 from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
 from repro.config.network import Network
-from repro.config.transfer import build_srp_from_network
 from repro.delta.revalidate import class_signature
-from repro.pipeline.core import ClassFanOut, register_class_task
+from repro.pipeline.core import ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import EcRecord
 from repro.srp.solver import TransferCache, solve
@@ -69,15 +68,8 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
     prefix = equivalence_class.prefix
     origins = set(equivalence_class.origins)
     solve_start = time.perf_counter()
-    srp = build_srp_from_network(
-        network,
-        prefix,
-        origins,
-        compiled=bonsai.compile_for(prefix),
-        include_syntactic_keys=False,
-    )
     cache = TransferCache()
-    solution = solve(srp, transfer_cache=cache)
+    solution = solve(bonsai.concrete_srp(equivalence_class), transfer_cache=cache)
     table = forwarding_table_from_solution(network, solution, equivalence_class)
     solve_seconds = time.perf_counter() - solve_start
 
@@ -102,8 +94,6 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
         compress_seconds=compress_seconds,
     )
 
-
-register_class_task("baseline", "repro.store.artifact:baseline_class_task")
 
 
 @dataclass
@@ -133,7 +123,7 @@ class BaselineArtifact:
         compress: bool = True,
         limit: Optional[int] = None,
         executor: str = "serial",
-        workers: int = 4,
+        workers: Optional[int] = None,
         scheduler: str = "stealing",
         cost_store=None,
     ) -> "BaselineArtifact":

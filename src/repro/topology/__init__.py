@@ -1,24 +1,11 @@
 """Network topology substrate: directed graphs and topology builders."""
 
-from repro.topology.graph import Edge, Graph, GraphError, Node
-from repro.topology.builders import (
-    chain_topology,
-    fattree_topology,
-    full_mesh_topology,
-    grid_topology,
-    ring_topology,
-    star_topology,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "GraphError",
-    "Node",
-    "chain_topology",
-    "fattree_topology",
-    "full_mesh_topology",
-    "grid_topology",
-    "ring_topology",
-    "star_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".graph": ("Edge", "Graph", "GraphError", "Node"),
+    ".builders": (
+        "chain_topology", "fattree_topology", "full_mesh_topology", "grid_topology",
+        "ring_topology", "star_topology",
+    ),
+})

@@ -136,3 +136,16 @@ def broken_acl_network():
     from repro.config import parse_network
 
     return parse_network(BROKEN_ACL_NETWORK)
+
+
+@pytest.fixture
+def always_fork(monkeypatch):
+    """The ``"auto"`` executor on a box with four CPUs and a free pool: it
+    forks after its second class whatever the classes cost."""
+    import os
+
+    from repro.pipeline import core
+
+    monkeypatch.setattr(core, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(core, "POOL_UNIT_SECONDS", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)

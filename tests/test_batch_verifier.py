@@ -17,7 +17,7 @@ from repro.analysis import (
     verify_network,
 )
 from repro.analysis.properties import PropertySpec
-from repro.netgen import full_mesh_network, ring_network
+from repro.netgen import fattree_network, full_mesh_network, ring_network
 from repro.pipeline import ClassFanOut, EncodedNetwork, PipelineError
 from repro.pipeline.cli import main as pipeline_main
 
@@ -142,6 +142,21 @@ class TestExecutors:
         ).run()
         assert report.num_classes == 2
         assert len(report.records) == 2
+
+    def test_auto_probe_then_fork_matches_serial_and_process(self, always_fork):
+        """Fig. 11's policy (case splitting) under the default executor,
+        forced to fork after its probe: same verdicts, class for class."""
+        artifact = EncodedNetwork.build(fattree_network(4, policy="prefer_bottom"))
+        serial = BatchVerifier(artifact=artifact, executor="serial").run()
+        pooled = BatchVerifier(artifact=artifact, executor="process", workers=2).run()
+        auto = BatchVerifier(artifact=artifact, workers=2).run()
+        assert auto.executor == "auto" and auto.workers == 2
+        assert (
+            auto.canonical_records()
+            == serial.canonical_records()
+            == pooled.canonical_records()
+        )
+        assert auto.summary_lines()[1].startswith("executor: auto -> pool after 2 of 8 classes")
 
     def test_shared_artifact_between_arms(self):
         artifact = EncodedNetwork.build(ring_network(6))

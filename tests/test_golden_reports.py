@@ -4,8 +4,10 @@
 failure and change sweeps on all five netgen families at default size,
 written by the code *before* the sweeps were merged onto one perturbation
 engine.  Serial, process+stealing (classes limited to 7 under 4 workers,
-so the shard coordinator must split every class into sub-class chunks)
-and spilled runs must all reproduce them key for key.
+so the shard coordinator must split every class into sub-class chunks),
+the default ``"auto"`` executor made to fork after its two-class probe
+(the other five classes split the same way) and spilled runs must all
+reproduce them key for key.
 
 Regenerate (only when a report's content is *meant* to change):
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -54,6 +56,7 @@ CASES = {
 MODES = {
     "serial": dict(executor="serial"),
     "split": dict(executor="process", workers=SPLIT_WORKERS, limit=SPLIT_LIMIT),
+    "auto": dict(executor="auto", workers=SPLIT_WORKERS, limit=SPLIT_LIMIT),
     "spill": dict(executor="serial", spill=True),
 }
 
@@ -88,14 +91,16 @@ def load_golden(name: str) -> dict:
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, mode, tmp_path):
+def test_report_matches_golden(name, mode, tmp_path, request):
     options = dict(MODES[mode])
     if options.get("spill"):
         options["spill_path"] = str(tmp_path / "records.jsonl")
+    if mode == "auto":
+        request.getfixturevalue("always_fork")
     report = run_case(name, **options)
     expected = load_golden(name)
     drop = ["executor", "workers"]
-    if mode == "split":
+    if mode in ("split", "auto"):
         # The golden run swept every class, this one the first few: the
         # records must match one for one; the aggregates are functions of
         # the records and are pinned by the two full-sweep modes.

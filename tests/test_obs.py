@@ -300,6 +300,37 @@ class TestExecutorParity:
         )
         assert serial == stolen
 
+    def test_auto_probe_then_fork_traces_and_counts_like_serial(
+        self, small_fattree, always_fork
+    ):
+        """The probed prefix runs in this process, the suffix in a pool
+        (split into scenario chunks: 2 classes left for 4 workers): one
+        trace tree, and every class's counters counted exactly once."""
+        from repro.failures import FailureSweep
+
+        kwargs = dict(k=1, soundness=False, oracle=False, limit=4)
+
+        def traced_and_counted(**executor):
+            before = metrics.snapshot_counters()
+            structure = _traced_structure(
+                lambda: FailureSweep(small_fattree, **kwargs, **executor).run()
+            )
+            delta = metrics.counters_delta(before)
+            return structure, {
+                name: delta.get(name, 0)
+                for name in ("srp.seeded_solves", "srp.scratch_solves")
+            }, delta
+
+        serial, serial_solves, _ = traced_and_counted(executor="serial")
+        auto, auto_solves, delta = traced_and_counted(workers=4)
+        assert auto == serial
+        assert delta.get("pipeline.executor.pool") == 1
+        assert delta.get("shard.split_classes") == 2
+        # Seeded re-solves are one per (class, scenario) wherever they ran;
+        # a split class re-pays its scratch baseline once per chunk.
+        assert auto_solves["srp.seeded_solves"] == serial_solves["srp.seeded_solves"] > 0
+        assert auto_solves["srp.scratch_solves"] > serial_solves["srp.scratch_solves"]
+
     @given(st.integers(1, 6))
     @settings(max_examples=5, deadline=None)
     def test_thread_parity_any_worker_count(self, workers):

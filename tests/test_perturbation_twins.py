@@ -132,7 +132,9 @@ def test_delta_warm_equals_cold_equals_scratch(family):
         )
         for seed in (0, 1, 2)
     )
-    scratch = DeltaSweep(network, script=target, oracle=False, rebuild_oracle=False).run()
+    scratch = DeltaSweep(
+        network, script=target, oracle=False, rebuild_oracle=False, executor="serial"
+    ).run()
     assert not any(record.baseline_from_store for record in scratch.records)
     cold = Session(baseline=artifact).delta(target)
     used = Session(baseline=artifact)
@@ -150,7 +152,7 @@ def test_failures_over_a_stored_baseline_equal_failures_without(family):
     network = build_topology(family)
     session = Session(network)
     sample = dict(k=2, sample=6, seed=1)
-    expected = scrub(FailureSweep(network, **sample).run().to_dict())
+    expected = scrub(FailureSweep(network, executor="serial", **sample).run().to_dict())
     assert scrub(session.failures(**sample).to_dict()) == expected
     # Again, now against the baselines the session kept.
     assert scrub(session.failures(**sample).to_dict()) == expected

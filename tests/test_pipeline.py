@@ -101,6 +101,116 @@ class TestParity:
 
 
 # ----------------------------------------------------------------------
+# The "auto" executor: probe, then fork
+# ----------------------------------------------------------------------
+class TestAutoExecutor:
+    def test_auto_is_the_default_with_one_worker_per_cpu(self, small_ring):
+        import os
+
+        pipeline = CompressionPipeline(small_ring)
+        assert pipeline.executor == "auto"
+        assert pipeline.workers == (os.cpu_count() or 1)
+        bonsai = Bonsai(small_ring)
+        assert bonsai.compress_all() and bonsai.last_report.executor == "auto"
+
+    def test_cheap_classes_never_fork(self, small_fattree, monkeypatch):
+        """Millisecond classes stay below the break-even: the whole run
+        is the probe, and no pool is ever constructed."""
+        import concurrent.futures
+
+        from repro.obs import metrics
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        artifact = EncodedNetwork.build(small_fattree)
+        serial = CompressionPipeline(artifact=artifact, executor="serial").run()
+        before = metrics.snapshot_counters()
+        pipeline = CompressionPipeline(artifact=artifact)
+        auto = pipeline.run()
+        delta = metrics.counters_delta(before)
+        assert auto.report.canonical_records() == serial.report.canonical_records()
+        assert auto.report.executor == "auto"  # the requested name
+        assert delta.get("pipeline.executor.serial") == 1
+        assert not delta.get("pipeline.executor.pool")
+        assert pipeline.last_scheduler == "static"
+        assert pipeline.last_selection.startswith(f"serial ({len(artifact.classes)} classes")
+        assert any(
+            line.startswith("executor: auto -> serial (") and "pool break-even" in line
+            for line in auto.report.summary_lines()
+        )
+        assert "executor_selected" not in auto.report.to_json()
+
+    def test_explicit_batching_asks_for_the_static_pool(self, small_ring):
+        pipeline = CompressionPipeline(small_ring, batch_size=3, workers=2)
+        run = pipeline.run()
+        assert pipeline.last_selection == ""
+        assert run.report.num_batches == 3 and run.report.batch_size == 3
+
+    @pytest.mark.parametrize("fixture", ["small_fattree", "small_fattree_prefer_bottom"])
+    def test_forced_escalation_matches_serial_and_process(
+        self, request, fixture, always_fork
+    ):
+        artifact = EncodedNetwork.build(request.getfixturevalue(fixture))
+        serial = CompressionPipeline(artifact=artifact, executor="serial").run()
+        pooled = CompressionPipeline(artifact=artifact, executor="process", workers=2).run()
+        pipeline = CompressionPipeline(artifact=artifact, workers=2)
+        auto = pipeline.run()
+        assert (
+            auto.report.canonical_records()
+            == serial.report.canonical_records()
+            == pooled.report.canonical_records()
+        )
+        assert pipeline.last_scheduler == "stealing"
+        assert pipeline.last_selection.startswith(
+            f"pool after 2 of {len(artifact.classes)} classes"
+        )
+        # The probed prefix is one batch, the pooled suffix the rest.
+        assert [index for index, _ in pipeline.last_batches[0]] == [0, 1]
+        assert sorted(i for batch in pipeline.last_batches for i, _ in batch) == list(
+            range(len(artifact.classes))
+        )
+        # Probed results kept their SRP, pooled ones got it back.
+        for ours, theirs in zip(auto.results, serial.results):
+            assert ours.concrete_srp.destination == theirs.concrete_srp.destination
+
+    def test_forced_escalation_streams_every_class_once(self, small_fattree, always_fork):
+        from repro.pipeline.core import ClassFanOut
+
+        seen = []
+        fanout = ClassFanOut(small_fattree, workers=2, limit=6)
+        assert fanout.execute(on_result=lambda i, r, s: seen.append(i)) is None
+        assert seen[:2] == [0, 1]  # the probe, in class order
+        assert sorted(seen) == list(range(6))
+        assert len(fanout.last_unit_seconds) == 6
+        streamed = CompressionPipeline(small_fattree, workers=2, limit=6).run_streaming(
+            spill=False
+        )
+        serial = CompressionPipeline(small_fattree, executor="serial", limit=6).run()
+        assert streamed.canonical_records() == serial.report.canonical_records()
+
+    def test_forced_escalation_worker_failure_is_a_pipeline_error(
+        self, small_fattree, always_fork
+    ):
+        from repro.pipeline.core import ClassFanOut
+
+        classes = EncodedNetwork.build(small_fattree).classes
+        fanout = ClassFanOut(
+            small_fattree,
+            task="bench-sleep",
+            task_options={
+                "default_sleep": 0.001,
+                "sleep_seconds": {str(classes[4].prefix): "not-a-number"},
+            },
+            workers=2,
+        )
+        with pytest.raises(PipelineError, match="failed in a process worker") as excinfo:
+            fanout.execute()
+        assert str(classes[4].prefix) in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
 # Batching
 # ----------------------------------------------------------------------
 class TestBatching:
