@@ -14,11 +14,15 @@ port, and fire a burst of concurrent queries at it --
 * a ``/k-resilience`` probe,
 * 50 ``/verify`` and 2 ``/delta`` requests over *one* persistent
   HTTP/1.1 connection, the shape a long-lived client has (a response
-  written as two small sends stalls 40 ms there and nowhere else),
+  written as two small sends stalls 40 ms there and nowhere else); the
+  ``/delta`` script is an ACL over off-site space, which no class's edge
+  diff notices,
 
 then prints the service's per-kind latency percentiles.  Exits non-zero
-unless every response is 2xx with ``ok: true`` and the persistent
-``/verify`` median stays under ``PERSISTENT_VERIFY_BUDGET_MS``.
+unless every response is 2xx with ``ok: true``, the persistent
+``/verify`` median stays under ``PERSISTENT_VERIFY_BUDGET_MS`` and
+``/metrics`` shows every class-step of the two invariant ``/delta``
+requests carried forward (a work count, so it holds on a noisy runner).
 
 Run with::
 
@@ -37,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import fattree_network
 from repro.api import Session
+from repro.netgen.changes import generated_change_script
 from repro.serve import VerificationService, create_server
 
 
@@ -60,11 +65,24 @@ def get(url):
 PERSISTENT_VERIFY_BUDGET_MS = 20.0
 
 
+def class_steps(connection):
+    """``(carried, resolved)`` delta class-steps so far, from ``/metrics``."""
+    connection.request("GET", "/metrics")
+    text = connection.getresponse().read().decode("utf-8")
+    counts = dict(line.split() for line in text.splitlines() if not line.startswith("#"))
+    return tuple(
+        int(counts.get(f"repro_delta_class_steps_{path}_total", 0))
+        for path in ("carried", "resolved")
+    )
+
+
 def persistent_leg(host, port, verify_payload, delta_payload, expect_ok):
-    """50 ``/verify`` + 2 ``/delta`` over one connection -> latencies in ms."""
+    """50 ``/verify`` + 2 ``/delta`` over one connection -> latencies in ms,
+    and the ``(carried, resolved)`` class-steps the two ``/delta`` cost."""
     latencies = {"/verify": [], "/delta": []}
     connection = http.client.HTTPConnection(host, port, timeout=120)
     try:
+        before = class_steps(connection)
         for path, payload in [("/verify", verify_payload)] * 50 + [("/delta", delta_payload)] * 2:
             start = time.perf_counter()
             connection.request(
@@ -75,9 +93,10 @@ def persistent_leg(host, port, verify_payload, delta_payload, expect_ok):
             answer = json.loads(response.read())
             latencies[path].append((time.perf_counter() - start) * 1e3)
             expect_ok(f"persistent {path}", response.status, answer)
+        after = class_steps(connection)
     finally:
         connection.close()
-    return latencies
+    return latencies, tuple(now - then for now, then in zip(after, before))
 
 
 def main() -> int:
@@ -154,7 +173,12 @@ def main() -> int:
         if status == 200:
             print(f"k-resilience: breaking_k={answer.get('breaking_k')}")
 
-        latencies = persistent_leg(host, port, queries[0], {"script": script}, expect_ok)
+        invariant = [
+            step.to_dict() for step in generated_change_script(network, "fattree", steps=1)
+        ]
+        latencies, (carried, resolved) = persistent_leg(
+            host, port, queries[0], {"script": invariant}, expect_ok
+        )
         print("one persistent connection:")
         for path, values in latencies.items():
             print(
@@ -166,6 +190,13 @@ def main() -> int:
             failures.append(
                 f"persistent /verify median {verify_median:.1f}ms exceeds "
                 f"{PERSISTENT_VERIFY_BUDGET_MS:.0f}ms (responses leaving in two writes?)"
+            )
+
+        print(f"  invariant /delta x2: {carried} class-steps carried, {resolved} re-solved")
+        if (carried, resolved) != (2 * len(session.classes), 0):
+            failures.append(
+                f"invariant /delta: {carried} class-steps carried and {resolved} re-solved, "
+                f"expected {2 * len(session.classes)} and 0"
             )
 
         # Latency accounting straight from the service.

@@ -157,6 +157,38 @@ def build_abstract_srp(srp: SRP, abstraction: NetworkAbstraction) -> SRP:
 # ----------------------------------------------------------------------
 # Attribute comparison helpers
 # ----------------------------------------------------------------------
+class UnmappedAsError(KeyError):
+    """A label ``h`` cannot map: an AS-path element names neither a node
+    of the abstraction nor an AS that one of its devices carries."""
+
+
+def _h(srp: SRP, abstraction: NetworkAbstraction, label: Any) -> Any:
+    """``abstraction.h(label)``, with AS-path elements that are no node --
+    an AS number several devices share, as iBGP cores do -- mapped through
+    the devices that carry it: to their abstraction groups, joined."""
+    devices = getattr(getattr(srp.transfer, "network", None), "devices", {})
+    node_map = abstraction.node_map
+
+    def f(element):
+        if element in node_map:
+            return node_map[element]
+        groups = {
+            node_map[name]
+            for name, device in devices.items()
+            if device.asn == element and name in node_map
+        }
+        if not groups:
+            raise UnmappedAsError(
+                f"cannot map label {label!r}: AS-path element {element!r} "
+                "names neither a node nor a device's AS"
+            )
+        return "|".join(sorted(groups))
+
+    if abstraction.protocol is None:
+        return label
+    return abstraction.protocol.abstract_attribute(label, f)
+
+
 def _labels_related(
     srp: SRP,
     abstraction: NetworkAbstraction,
@@ -173,7 +205,7 @@ def _labels_related(
     length and (relevant) communities, which is what the preserved
     properties of §4.4 depend on.
     """
-    mapped = abstraction.h(concrete_label)
+    mapped = _h(srp, abstraction, concrete_label)
     if mapped is None or abstract_label is None:
         return mapped is None and abstract_label is None
     if strict:
@@ -359,16 +391,21 @@ def check_cp_equivalence(
 
     This is the end-to-end validation used throughout the test-suite: it
     exercises the full bisimulation claim on the particular solutions the
-    deterministic solver finds.
+    deterministic solver finds.  A label ``h`` cannot map is a failed
+    report naming the class, the label and the reason -- not an exception.
     """
     if abstract_srp is None:
         abstract_srp = build_abstract_srp(srp, abstraction)
     concrete_solution = solve(srp)
     abstract_solution = solve(abstract_srp)
-    if abstraction.split_groups:
-        return check_bgp_solution_equivalence(
-            concrete_solution, abstract_solution, abstraction
+    try:
+        if abstraction.split_groups:
+            return check_bgp_solution_equivalence(
+                concrete_solution, abstract_solution, abstraction
+            )
+        return check_solution_equivalence(
+            concrete_solution, abstract_solution, abstraction, strict_labels=strict_labels
         )
-    return check_solution_equivalence(
-        concrete_solution, abstract_solution, abstraction, strict_labels=strict_labels
-    )
+    except UnmappedAsError as exc:
+        destination = getattr(srp.transfer, "destination", srp.destination)
+        return EquivalenceReport(False, False, [f"class {destination}: {exc.args[0]}"])

@@ -93,19 +93,23 @@ def diff_network_edges(
     e.g. a clause guarded by a prefix list not matching it -- is correctly
     reported as *unchanged*.  Callers that already hold either key map
     (the sweep threads each step's keys into the next step's diff) pass
-    them in to skip the recomputation.
+    them in to skip the recomputation; handing in the *same* map twice
+    (the sweep does when re-keying the edges a step touched changed
+    none) says no edge differs without a scan.
     """
     if old_keys is None:
         old_keys = syntactic_policy_keys(old_network, destination)
     if new_keys is None:
         new_keys = syntactic_policy_keys(new_network, destination)
-    removed = frozenset(edge for edge in old_keys if edge not in new_keys)
-    added = frozenset(edge for edge in new_keys if edge not in old_keys)
-    changed = frozenset(
-        edge
-        for edge, key in new_keys.items()
-        if edge in old_keys and old_keys[edge] != key
-    )
+    removed = added = changed = frozenset()
+    if old_keys is not new_keys:
+        removed = frozenset(edge for edge in old_keys if edge not in new_keys)
+        added = frozenset(edge for edge in new_keys if edge not in old_keys)
+        changed = frozenset(
+            edge
+            for edge, key in new_keys.items()
+            if edge in old_keys and old_keys[edge] != key
+        )
     old_nodes = {str(node) for node in old_network.graph.nodes}
     new_nodes = {str(node) for node in new_network.graph.nodes}
     return EdgeDiff(

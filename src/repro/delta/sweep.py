@@ -42,23 +42,22 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.analysis.properties import VerdictMap
 from repro.config.network import Network
-from repro.config.transfer import (
-    build_srp_from_network,
-    compile_base_edges,
-    specialize_compiled_edges,
-    syntactic_policy_keys,
-)
+from repro.config.transfer import syntactic_policy_keys
 from repro.delta.changeset import ChangeSet
 from repro.delta.incremental import delta_resolve, diff_network_edges
-from repro.delta.revalidate import class_signature, revalidate_class
-from repro.failures.incremental import BaselineIndex
+from repro.delta.revalidate import RevalidationOutcome, class_signature, revalidate_class
+from repro.failures.incremental import BaselineIndex, IncrementalSolve
 from repro.failures.soundness import lifted_abstract_verdicts
+from repro.obs import events as _events
+from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
@@ -185,6 +184,22 @@ class DeltaReport(PerturbationReport):
         breaks = [(p, step) for p, step in self.first_break().items() if step is not None]
         return min(breaks, key=lambda item: rank(item[1]), default=None)
 
+    def pairs_by_diff(self) -> Dict[str, int]:
+        """(class, step) pairs by what decided them: ``unchanged`` -- the
+        edge diff against the previous step was empty, so that step's
+        answer stood -- or why a re-solve was needed."""
+        counts = dict.fromkeys(("unchanged", "diff_nonempty", "origins_changed", "unroutable"), 0)
+        for _, o in self._outcomes():
+            if o.unroutable:
+                counts["unroutable"] += 1
+            elif o.origins_changed:
+                counts["origins_changed"] += 1
+            elif o.edges_removed or o.edges_added or o.edges_changed or o.tainted or o.dirty:
+                counts["diff_nonempty"] += 1
+            else:
+                counts["unchanged"] += 1
+        return counts
+
     def aggregate(self) -> Dict[str, object]:
         block = super().aggregate()
         block["first_property_broken"] = self.first_property_broken()
@@ -218,6 +233,11 @@ class DeltaReport(PerturbationReport):
                 f"{counts['recompressed']} re-compressed, "
                 f"{counts['disagreed']} verdict disagreements"
             )
+        pairs = self.pairs_by_diff()
+        lines.append(
+            f"unchanged by the edge diff: {pairs['unchanged']}/{sum(pairs.values())} "
+            "(class, step) pairs carried forward"
+        )
         return lines + self._summary_breaks()
 
 
@@ -232,79 +252,120 @@ _BASELINE_STEP = -1
 class _ScriptState:
     """The cumulative changed networks (and per-network caches) of one
     script, cached on the worker's Bonsai so every class the worker
-    handles shares the applied networks, each step's policy encoder, the
-    destination-independent base compilations and the route-map
-    specialization memos."""
+    handles shares the applied networks, each step's Bonsai -- policy
+    encoder, compilations, class invariants -- and class list, and the
+    route-map specialization memos."""
 
-    def __init__(self, key, baseline: Network, steps):
+    def __init__(self, key, bonsai: Bonsai, steps):
         self.key = key
-        #: The unchanged network the script applies to.
-        self.baseline = baseline
         #: ``[(ChangeSet, changed Network)]``, cumulative.
         self.steps = steps
-        #: ``step index -> Bonsai`` over that step's network (lazy).
-        self.bonsais: Dict[int, Bonsai] = {}
-        #: ``step index -> destination-independent compiled edges``.
-        self.base_compiled: Dict[int, Dict] = {}
-        #: ``step index -> unused-community set``.
-        self.ignore: Dict[int, frozenset] = {}
+        #: ``step index -> Bonsai`` over that step's network (lazy); the
+        #: baseline step's is the worker's own (which owns this state: a
+        #: strong reference back would leave both to the cycle collector).
+        self.bonsais: Dict[int, Bonsai] = {_BASELINE_STEP: weakref.proxy(bonsai)}
+        #: ``step index -> routable equivalence classes``.
+        self.classes: Dict[int, List[EquivalenceClass]] = {}
+        #: ``step index -> edges`` :meth:`touched_edges` found.
+        self.touched: Dict[int, Optional[set]] = {}
         #: ``(ignore set, prefix) -> specialize_route_map memo``.  Scoped
         #: per destination-and-ignore pair as the memo contract requires;
         #: steps whose ignore set is unchanged share one memo, so route
         #: maps shared across the copy-on-write step networks are
         #: specialized once for the whole script.
         self.spec_caches: Dict[Tuple[frozenset, object], Dict] = {}
-        #: ``step index -> (prefix, specialized compiled edges)``: a
-        #: single-entry memo per step (one class runs all its steps back
-        #: to back) shared by the SRP builds of both oracle arms and the
-        #: policy-key computation.
-        self.compiled: Dict[int, Tuple[object, Dict]] = {}
 
-    def network_for(self, step: int) -> Network:
-        return self.baseline if step == _BASELINE_STEP else self.steps[step][1]
-
-    def bonsai_for(self, step: int, use_bdds: bool) -> Bonsai:
-        """The fresh Bonsai over one step's changed network (built lazily)."""
+    def bonsai_for(self, step: int) -> Bonsai:
+        """The Bonsai over one step's network (built lazily).  Everything
+        per step and not per class is its to hold: the base compilation
+        and the specialized one of the current class (one class runs all
+        its steps back to back; both oracle arms and the policy keys share
+        it), the unused communities and per-device local preferences."""
         bonsai = self.bonsais.get(step)
         if bonsai is None:
-            bonsai = self.bonsais[step] = Bonsai(self.steps[step][1], use_bdds=use_bdds)
+            bonsai = self.bonsais[step] = Bonsai(
+                self.steps[step][1], use_bdds=self.bonsais[_BASELINE_STEP].use_bdds
+            )
         return bonsai
 
-    def compiled_for(self, step: int, prefix) -> Dict:
-        """The destination-specialized compiled edges of one step's network."""
-        cached = self.compiled.get(step)
-        if cached is not None and cached[0] == prefix:
-            return cached[1]
-        network = self.network_for(step)
-        base = self.base_compiled.get(step)
-        if base is None:
-            base = self.base_compiled[step] = compile_base_edges(network)
-        compiled = specialize_compiled_edges(network, prefix, base)
-        self.compiled[step] = (prefix, compiled)
-        return compiled
+    def class_on(self, step: int, prefix) -> Tuple[Optional[EquivalenceClass], bool]:
+        """One step network's class for ``prefix``: ``(class, reshaped)``.
 
-    def policy_keys(self, step: int, prefix) -> Dict:
+        ``reshaped`` is True when the destination partition no longer has a
+        class at exactly this prefix (origination churn refined or merged the
+        trie); the most specific overlapping routable class stands in, so the
+        swept destination still gets verdicts.
+        """
+        classes = self.classes.get(step)
+        if classes is None:
+            classes = self.classes[step] = routable_equivalence_classes(self.steps[step][1])
+        for candidate in classes:
+            if candidate.prefix == prefix:
+                return candidate, False
+        overlapping = [c for c in classes if c.prefix.overlaps(prefix)]
+        if not overlapping:
+            return None, True
+        return max(overlapping, key=lambda c: c.prefix.length), True
+
+    def touched_edges(self, step: int) -> Optional[set]:
+        """The edges whose specialized key can differ from the step
+        before's, or ``None`` when any can.
+
+        A key reads the edge's two endpoint ``DeviceConfig``s, the
+        destination and the unused communities, and ``ChangeSet.apply`` is
+        copy-on-write: between two step networks with the same edges,
+        device names and unused communities, only an edge with an endpoint
+        whose configuration object was replaced can have changed key.
+        """
+        if step not in self.touched:
+            before, after = self.bonsai_for(step - 1), self.bonsai_for(step)
+            old, new = before.network, after.network
+            edges = None
+            if (
+                old.devices.keys() == new.devices.keys()
+                and set(old.graph.edges) == set(new.graph.edges)
+                and before._class_invariants[0] == after._class_invariants[0]
+            ):
+                edges = {
+                    edge
+                    for name, device in new.devices.items()
+                    if old.devices[name] is not device and new.graph.has_node(name)
+                    for edge in new.graph.out_edges(name) + new.graph.in_edges(name)
+                }
+            self.touched[step] = edges
+        return self.touched[step]
+
+    def policy_keys(self, step: int, prefix, before: Optional[Dict] = None) -> Dict:
         """The specialized syntactic policy keys of one step's network.
 
-        Every layer is cached: the base compilation and unused-community
-        set per step network, the specialized compilation per (step,
-        current class), and the route-map specialization memo per
-        (ignore set, destination) -- shared across steps, since the
-        copy-on-write views share the unchanged route-map and device
-        objects.
+        The route-map specialization memo is per (ignore set,
+        destination) and shared across steps, since the copy-on-write
+        views share the unchanged route-map and device objects.
+
+        ``before`` is the same prefix's key map on the step just before,
+        when the caller holds it: only :meth:`touched_edges` are re-keyed
+        then, and when none of them changed ``before`` itself comes back
+        -- the *same* object, so the edge diff is empty without a scan.
         """
-        network = self.network_for(step)
-        ignore = self.ignore.get(step)
-        if ignore is None:
-            ignore = self.ignore[step] = network.unused_communities()
-        spec_cache = self.spec_caches.setdefault((ignore, prefix), {})
-        return syntactic_policy_keys(
-            network,
+        bonsai = self.bonsai_for(step)
+        ignore = bonsai._class_invariants[0]
+        compiled = bonsai.compile_for(prefix)
+        touched = None if before is None else self.touched_edges(step)
+        _metrics.counter(f"delta.keys.{'full' if touched is None else 'localised'}").inc()
+        if touched is not None:
+            compiled = {edge: compiled[edge] for edge in touched}
+        keys = syntactic_policy_keys(
+            bonsai.network,
             prefix,
-            self.compiled_for(step, prefix),
+            compiled,
             ignore,
-            specialize_cache=spec_cache,
+            specialize_cache=self.spec_caches.setdefault((ignore, prefix), {}),
         )
+        if touched is None:
+            return keys
+        if all(before[edge] == key for edge, key in keys.items()):
+            return before
+        return {**before, **keys}
 
 
 def _script_state(bonsai: Bonsai, script: Sequence[ChangeSet]) -> _ScriptState:
@@ -316,7 +377,7 @@ def _script_state(bonsai: Bonsai, script: Sequence[ChangeSet]) -> _ScriptState:
         for changeset in script:
             current = changeset.apply(current)
             steps.append((changeset, current))
-        state = _ScriptState(key, bonsai.network, steps)
+        state = _ScriptState(key, bonsai, steps)
         bonsai._delta_script_state = state
     return state
 
@@ -336,24 +397,12 @@ class _ChainLink(NamedTuple):
     solution: Optional[Solution]
     #: The step's specialized policy keys, when already computed.
     keys: Optional[Dict] = None
-
-
-def _class_on(network: Network, prefix) -> Tuple[Optional[EquivalenceClass], bool]:
-    """The changed network's class for ``prefix``: ``(class, reshaped)``.
-
-    ``reshaped`` is True when the destination partition no longer has a
-    class at exactly this prefix (origination churn refined or merged the
-    trie); the most specific overlapping routable class stands in, so the
-    swept destination still gets verdicts.
-    """
-    classes = routable_equivalence_classes(network)
-    for candidate in classes:
-        if candidate.prefix == prefix:
-            return candidate, False
-    overlapping = [c for c in classes if c.prefix.overlaps(prefix)]
-    if not overlapping:
-        return None, True
-    return max(overlapping, key=lambda c: c.prefix.length), True
+    #: The step's verdicts (``None``: solved, never evaluated -- a chunk's
+    #: fast-forward step), outcome (``None``: the baseline) and revalidation:
+    #: what a later step the edge diff leaves unchanged carries forward.
+    verdicts: Optional[VerdictMap] = None
+    outcome: Optional[ChangeOutcome] = None
+    check: Optional[RevalidationOutcome] = None
 
 
 def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
@@ -375,6 +424,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
 
     state = _script_state(bonsai, script)
 
+    keys = None if stored is None else stored.signature[1]
     compression = None
     baseline_signature = None
     compression_seconds = 0.0
@@ -385,12 +435,20 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
         else:
             compression = bonsai.compress(equivalence_class, build_network=True)
             compression_seconds = compression.compression_seconds
+            keys = state.policy_keys(_BASELINE_STEP, prefix)
             baseline_signature = class_signature(
                 network,
                 prefix,
                 equivalence_class.origins,
-                keys=state.policy_keys(_BASELINE_STEP, prefix),
+                keys=keys,
             )
+    #: The baseline revalidated against its own stored compression: what a
+    #: step carried from the baseline link takes, kept (with the baseline)
+    #: across a session's requests.  Its reuse-side lifted verdicts are
+    #: fixed across steps by a matching signature.
+    keep_check = compression is not None and compression is baseline.stored_compression
+    check = baseline.check if keep_check else None
+    baseline_lifted = None if check is None else check.lifted
 
     record = ClassDeltaRecord(
         **baseline.record_fields(),
@@ -401,24 +459,17 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
 
     def srp_on(step: int, ec: EquivalenceClass):
         # Every SRP build of one (step, class) -- both oracle arms, the
-        # chunk fast-forward -- shares one specialized compilation via the
-        # script state; compiling is destination-work a real rebuild pays
+        # chunk fast-forward -- shares the step Bonsai's specialized
+        # compilation; compiling is destination-work a real rebuild pays
         # once, not per arm.
-        return build_srp_from_network(
-            state.steps[step][1],
-            ec.prefix,
-            set(ec.origins),
-            compiled=state.compiled_for(step, ec.prefix),
-            include_syntactic_keys=False,
-        )
+        return state.bonsai_for(step).concrete_srp(ec)
 
     # The incremental chain: each step seeds from the previous step's
     # solution, so a ten-step script never re-solves from scratch.
-    keys = None if stored is None else stored.signature[1]
-    prev = _ChainLink(_BASELINE_STEP, network, equivalence_class, baseline.solution, keys)
-    #: Reuse-side lifted verdicts, fixed across steps by a matching
-    #: signature; computed at most once per class.
-    baseline_lifted = None
+    prev = _ChainLink(
+        _BASELINE_STEP, network, equivalence_class, baseline.solution, keys,
+        verdicts=baseline.verdicts, check=check,
+    )
 
     # Sub-class chunking (the shard coordinator's ``unit_range`` patches):
     # run only the steps of this chunk.  A chunk starting mid-script
@@ -429,7 +480,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     steps = unit_range(options, len(state.steps))
     if steps.start > 0:
         step = steps.start - 1
-        prev_ec, _ = _class_on(state.steps[step][1], prefix)
+        prev_ec, _ = state.class_on(step, prefix)
         prev = _ChainLink(
             step,
             state.steps[step][1],
@@ -450,7 +501,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 changes=[change.describe() for change in changeset.changes],
             )
             record.steps.append(outcome)
-            changed_ec, reshaped = _class_on(changed_network, prefix)
+            changed_ec, reshaped = state.class_on(step_index, prefix)
             outcome.partition_changed = reshaped
             # The delta universe is the *changed* network's nodes: devices a
             # change removed drop out, devices it added are included (an
@@ -474,25 +525,40 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     outcome, changed_network, step_waypoints, surviving
                 )
                 prev = _ChainLink(step_index, changed_network, None, None)
+                _metrics.counter("delta.class_steps.resolved").inc()
                 continue
 
             # Seeding needs the SRP's destination structure (prefix, origin
             # set) to line up with the previous step's.
             can_seed = prev.solution is not None and changed_ec == prev.simulated
             outcome.origins_changed = not can_seed
-            new_keys = state.policy_keys(step_index, changed_ec.prefix)
+            # The previous link's keys for the same destination, when it has
+            # one: what this step's keys are derived from and diffed against.
+            old_keys = None
+            if prev.simulated is not None and prev.simulated.prefix == changed_ec.prefix:
+                old_keys = prev.keys or state.policy_keys(prev.step, changed_ec.prefix)
+            new_keys = state.policy_keys(step_index, changed_ec.prefix, old_keys)
 
             def seeded():
+                started = time.perf_counter()
                 diff = diff_network_edges(
                     prev.network,
                     changed_network,
                     changed_ec.prefix,
-                    old_keys=prev.keys or state.policy_keys(prev.step, changed_ec.prefix),
+                    old_keys=old_keys,
                     new_keys=new_keys,
                 )
                 outcome.edges_removed = len(diff.removed)
                 outcome.edges_added = len(diff.added)
                 outcome.edges_changed = len(diff.changed)
+                if diff.is_empty():
+                    # Same class, origins, nodes, edges and per-edge keys:
+                    # this step's SRP is the seed's.  A seeded solve would
+                    # read every offer from the seed's own memo and
+                    # re-derive its labeling; take the solution instead.
+                    return IncrementalSolve(
+                        prev.solution, True, frozenset(), 0, time.perf_counter() - started
+                    )
                 return delta_resolve(
                     srp_on(step_index, changed_ec),
                     prev.solution,
@@ -510,28 +576,47 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 seeded if can_seed else None,
                 oracle,
             )
-            verdicts = baseline.record_verdicts(
-                outcome, changed_network, solution, changed_ec, step_waypoints, surviving
-            )
-            prev = _ChainLink(step_index, changed_network, changed_ec, solution, new_keys)
+            # The seed's own solution back: same SRP, and so (waypoints follow
+            # the origins, or the surviving nodes) the seed's answer.
+            carried = solution is prev.solution and prev.verdicts is not None
+            if carried:
+                verdicts = prev.verdicts
+                baseline.carry_forward(outcome, prev.outcome)
+            else:
+                verdicts = baseline.record_verdicts(
+                    outcome, changed_network, solution, changed_ec, step_waypoints, surviving
+                )
+            _metrics.counter(
+                f"delta.class_steps.{'carried' if carried else 'resolved'}"
+            ).inc()
 
+            reval = None
             if compression is not None:
-                factory = functools.partial(
-                    state.bonsai_for, step_index, bonsai.use_bdds
+                factory = functools.partial(state.bonsai_for, step_index)
+                # Carried, with the previous step's local preferences: every
+                # input of that step's revalidation is this step's too.
+                same_inputs = carried and (
+                    factory()._class_invariants[1]
+                    == state.bonsai_for(prev.step)._class_invariants[1]
                 )
-                reval = revalidate_class(
-                    compression,
-                    baseline_signature,
-                    changed_network,
-                    changed_ec,
-                    verdicts,
-                    baseline.specs,
-                    step_waypoints,
-                    baseline.path_bound,
-                    recompress_bonsai=factory,
-                    changed_keys=new_keys,
-                    baseline_lifted=baseline_lifted,
-                )
+                if same_inputs and prev.check is not None:
+                    reval = replace(prev.check, seconds=0.0, recompress_seconds=0.0)
+                else:
+                    reval = revalidate_class(
+                        compression,
+                        baseline_signature,
+                        changed_network,
+                        changed_ec,
+                        verdicts,
+                        baseline.specs,
+                        step_waypoints,
+                        baseline.path_bound,
+                        recompress_bonsai=factory,
+                        changed_keys=new_keys,
+                        baseline_lifted=baseline_lifted,
+                    )
+                    if same_inputs and keep_check and prev.step == _BASELINE_STEP:
+                        baseline.check = reval
                 if reval.reused and baseline_lifted is None:
                     baseline_lifted = reval.lifted
                 outcome.reused = reval.reused
@@ -539,11 +624,12 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 outcome.revalidate_seconds = reval.seconds
                 outcome.recompress_seconds = reval.recompress_seconds
                 outcome.revalidation = reval.to_dict()
-                if reval.recompressed:
+                if reval.recompress_seconds:
                     outcome.rebuild_compress_seconds = reval.recompress_seconds
                 elif rebuild_oracle:
-                    # The abstraction was reused, so the incremental arm paid
-                    # no compression.  Time what a full rebuild would have
+                    # The incremental arm paid no compression (the
+                    # abstraction was reused, or a re-compression's verdict
+                    # carried forward).  Time what a full rebuild would have
                     # paid for the same answer -- a fresh per-class
                     # compression of the changed network plus the abstract
                     # re-verification on it (mirroring what the dirty path's
@@ -563,6 +649,10 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     outcome.rebuild_compress_seconds = (
                         time.perf_counter() - rebuild_start
                     )
+            prev = _ChainLink(
+                step_index, changed_network, changed_ec, solution, new_keys,
+                verdicts=verdicts, outcome=outcome, check=reval,
+            )
 
     return record
 
@@ -617,7 +707,7 @@ class DeltaSweep(PerturbationSweep):
         self.rebuild_oracle = rebuild_oracle
 
     def run(self) -> DeltaReport:
-        return self._sweep(
+        report = self._sweep(
             {
                 "script": [changeset.to_dict() for changeset in self.script],
                 "revalidate": self.revalidate,
@@ -633,6 +723,18 @@ class DeltaSweep(PerturbationSweep):
                 ),
             ),
         )
+        if _events.enabled():
+            pairs = report.pairs_by_diff()
+            unchanged = pairs.pop("unchanged")
+            carried = report.envelope_dict()["obs_metrics"]["counters"].get(
+                "delta.class_steps.carried", 0
+            )
+            # An empty diff that was still re-solved: the first step of a
+            # mid-script chunk, seeded from an unevaluated fast-forward.
+            _events.emit(
+                "delta.carried", carried=carried, chunk_start=max(0, unchanged - carried), **pairs
+            )
+        return report
 
 
 def sweep_changes(

@@ -290,6 +290,10 @@ def check_scenario_soundness(
             use_bdds=bonsai.use_bdds,
             encoder=bonsai.encoder if bonsai.use_bdds else None,
         )
+        if not scenario.nodes:
+            # The class invariants read device configs alone, which a link
+            # failure shares with the baseline by identity.
+            fallback._class_invariants = bonsai._class_invariants
         result = fallback.compress(failed_ec, build_network=True)
         abstraction = result.abstraction
         abstract_network = result.abstract_network

@@ -38,6 +38,7 @@ recompile), structural soundness and k-resilience.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -295,13 +296,24 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                 prefix=prefix, origins=frozenset(surviving_origins)
             )
 
+            # Unused communities and local preferences read device configs
+            # alone: a link failure keeps the baseline's, a failed device
+            # drops out of them (``None``: derived from the failed view).
+            unused_communities, local_prefs = (
+                (None, None) if scenario.nodes else bonsai._class_invariants
+            )
+
+            @functools.cache
             def build_failed_srp():
+                # Once per unit: the scratch arm solves it first, cold.
                 return build_srp_from_network(
                     failed_network,
                     prefix,
                     set(surviving_origins),
+                    ignore_communities=unused_communities,
                     compiled=compiled_failed,
                     include_syntactic_keys=False,
+                    local_prefs=local_prefs,
                 )
 
             def seeded():

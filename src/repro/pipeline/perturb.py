@@ -383,7 +383,8 @@ class TaskBaseline:
     instance to every request thread of a service: the methods write only
     into the ``outcome`` they are handed, and the seeded re-solves copy
     the solution's transfer memo before use.  (:attr:`index` memoises
-    taint queries: bounded, and safe under racing writers.)
+    taint queries and :attr:`check` one result: bounded, and safe under
+    racing writers.)
 
     Building the baseline is deliberately unspanned: split shard chunks
     re-pay it per chunk, and the chunk-merged trace must reproduce the
@@ -421,6 +422,10 @@ class TaskBaseline:
             compression = None
         #: The stored compression, when it can stand in for compressing anew.
         self.stored_compression = compression
+        #: The kind's abstraction check of the unperturbed network against
+        #: :attr:`stored_compression`, lifted verdicts included, once a unit
+        #: whose SRP is the baseline's has run it.
+        self.check = None
         self.solution: Solution = solution if solution is not None else solve(srp)
         table = forwarding_table_from_solution(network, self.solution, equivalence_class)
         self.verdicts = evaluate_suite(
@@ -457,10 +462,11 @@ class TaskBaseline:
         :class:`~repro.failures.incremental.IncrementalSolve`; pass
         ``None`` when the SRP's destination structure (virtual node,
         initial edges) no longer lines up with the seed's, so the scratch
-        result has to stand.  The scratch arm runs whenever it is the
-        answer or the ``oracle`` option asks for the label-for-label
-        comparison; it stays cold on purpose (it is the "what a fresh
-        solve costs" yardstick).
+        result has to stand; a unit whose SRP provably *is* the seed's hands
+        back the seed's own solution, unsolved (:meth:`carry_forward`).  The
+        scratch arm runs whenever it is the answer or the ``oracle`` option
+        asks for the label-for-label comparison; it stays cold on purpose
+        (it is the "what a fresh solve costs" yardstick).
         """
         scratch = None
         if oracle or seeded is None:
@@ -486,6 +492,23 @@ class TaskBaseline:
                     if labels.get(n) != oracle_labels.get(n)
                 )
         return solution
+
+    def carry_forward(
+        self, outcome: PerturbationOutcome, seed: Optional[PerturbationOutcome]
+    ) -> None:
+        """Answer a unit whose SRP provably equals an earlier unit's
+        (``seed``; ``None``: the baseline's own) with that unit's answer.
+
+        The kind supplies the predicate -- same class, node set, origin
+        set and waypoints, no edge differing -- and, from its re-solve,
+        the seed's own solution; the forwarding table, the verdicts (the
+        kind holds the seed's), the verdict delta and the witnesses are
+        functions of inputs that did not change.  They are taken by
+        reference; nothing is extracted or evaluated."""
+        if seed is not None:
+            outcome.newly_failing = seed.newly_failing
+            outcome.newly_passing = seed.newly_passing
+            outcome.witnesses = dict(seed.witnesses)
 
     def _compare(self, outcome, table, network, waypoints, surviving) -> VerdictMap:
         verdicts = evaluate_suite(

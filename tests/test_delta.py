@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.abstraction.ec import routable_equivalence_classes
+from repro.config.acl import AclLine
 from repro.config.prefix import Prefix
 from repro.config.routemap import RouteMapClause
-from repro.config.transfer import build_srp_from_network
+from repro.config.transfer import build_srp_from_network, syntactic_policy_keys
 from repro.delta import (
     ChangeError,
     ChangeSet,
@@ -18,6 +19,7 @@ from repro.delta import (
     DeltaSweep,
     DeviceAdd,
     DeviceRemove,
+    InterfaceAclSet,
     LinkAdd,
     LinkRemove,
     LocalPrefOverride,
@@ -33,6 +35,7 @@ from repro.delta import (
     sweep_changes,
 )
 from repro.delta.revalidate import class_signature, signature_matches
+from repro.delta.sweep import _script_state
 from repro.netgen.base import uniform_bgp_network
 from repro.netgen.changes import (
     anycast_origin_change,
@@ -44,7 +47,9 @@ from repro.netgen.changes import (
     tighten_export_change,
 )
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
+from repro.obs import events
 from repro.pipeline.cli import main as pipeline_main
+from repro.pipeline.encoded import EncodedNetwork
 from repro.srp.solver import solve
 from repro.topology.builders import chain_topology
 
@@ -315,6 +320,131 @@ class TestDeltaResolve:
 
 
 # ----------------------------------------------------------------------
+# A step's key map, derived from the step before's
+# ----------------------------------------------------------------------
+def _state_for(network, script):
+    bonsai = EncodedNetwork.build(network).make_bonsai()
+    state = _script_state(bonsai, script)
+    state.owner = bonsai  # the state refers to the Bonsai it hangs off weakly
+    return state
+
+
+def _assert_localised_keys_are_the_full_keys(network, script):
+    """Chain every class through the script the way the task does; the
+    map derived from the step before must equal the one computed in full."""
+    state = _state_for(network, script)
+    for ec in routable_equivalence_classes(network):
+        before = state.policy_keys(-1, ec.prefix)
+        assert before == syntactic_policy_keys(network, ec.prefix)
+        for step, (_, changed) in enumerate(state.steps):
+            keys = state.policy_keys(step, ec.prefix, before)
+            assert keys == syntactic_policy_keys(changed, ec.prefix), (step, str(ec.prefix))
+            before = keys
+    return state
+
+
+class TestLocalisedKeys:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_generated_scripts(self, family, seed):
+        network = build_topology(family, default_size(family))
+        script = generated_change_script(network, family, seed=seed)
+        state = _assert_localised_keys_are_the_full_keys(network, script)
+        # The invariant ACL is localised; a decommissioned link is not.
+        assert state.touched_edges(0) is not None
+        assert any(state.touched_edges(step) is None for step in range(1, len(script)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(sorted(TOPOLOGY_FAMILIES)), data=st.data())
+    def test_random_changes(self, family, data):
+        network = build_topology(family, default_size(family))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**16)))
+        samplers = [
+            invariant_acl_change,
+            tighten_export_change,
+            prefer_neighbour_change,
+            decommission_link_change,
+            anycast_origin_change,
+        ]
+        script = []
+        for sampler in data.draw(st.lists(st.sampled_from(samplers), min_size=1, max_size=3)):
+            changeset = sampler(network, rng)
+            current = network
+            try:
+                for earlier in script:
+                    current = earlier.apply(current)
+                if changeset is not None:
+                    changeset.assert_valid(current)
+                    script.append(changeset)
+            except ChangeError:
+                continue
+        if script:
+            _assert_localised_keys_are_the_full_keys(network, script)
+
+    def test_an_unchanged_class_gets_the_very_map_it_gave(self):
+        network = build_topology("fattree", 4)
+        state = _state_for(network, [invariant_acl_change(network, random.Random(0))])
+        for ec in routable_equivalence_classes(network):
+            before = state.policy_keys(-1, ec.prefix)
+            assert state.policy_keys(0, ec.prefix, before) is before
+            assert diff_network_edges(
+                network, state.steps[0][1], ec.prefix, before, before
+            ).is_empty()
+
+    def test_an_acl_that_bites_changes_only_the_class_it_denies(self):
+        network = build_topology("fattree", 4)
+        target, other = routable_equivalence_classes(network)[:2]
+        hub = sorted(str(n) for n in network.graph.nodes if str(n) not in target.origins)[0]
+        peer = sorted(str(n) for n in network.graph.successors(hub))[0]
+        bite = ChangeSet(changes=(InterfaceAclSet(
+            device=hub, peer=peer, name="BITE",
+            lines=(AclLine(action="deny", prefix=target.prefix),), default_action="permit",
+        ),))
+        state = _assert_localised_keys_are_the_full_keys(network, [bite])
+        before = state.policy_keys(-1, other.prefix)
+        assert state.policy_keys(0, other.prefix, before) is before
+        before = state.policy_keys(-1, target.prefix)
+        after = state.policy_keys(0, target.prefix, before)
+        assert [e for e in after if after[e] != before[e]] == [(hub, peer)]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # Attaches a community nothing matches: the unused set grows.
+            RouteMapClauseInsert(
+                device="r1", route_map="EXPORT-FILTER",
+                clause=RouteMapClause(sequence=1, action="permit", set_communities=("65000:77",)),
+            ),
+            LinkAdd(u="r0", v="r2"),
+            LinkRemove(u="r1", v="r2"),
+            DeviceAdd(name="extra", neighbours=("r0",)),
+            DeviceRemove(name="r0"),
+        ],
+        ids=lambda change: type(change).__name__,
+    )
+    def test_fall_back_when_more_than_device_configs_changed(self, change):
+        network = chain_network(5)
+        state = _assert_localised_keys_are_the_full_keys(network, [ChangeSet(changes=(change,))])
+        assert state.touched_edges(0) is None
+
+    def test_fall_back_after_an_unroutable_step(self):
+        """Withdrawn then re-originated: the second step has no previous
+        key map to start from, and is keyed in full."""
+        network = chain_network(5)
+        prefix = network.devices["r4"].originated_prefixes[0]
+        script = [
+            ChangeSet(changes=(PrefixWithdraw(device="r4", prefix=prefix),)),
+            ChangeSet(changes=(PrefixOriginate(device="r4", prefix=prefix),)),
+        ]
+        report = DeltaSweep(network, script=script, executor="serial", revalidate=False).run()
+        gone, back = report.records[0].steps
+        assert gone.unroutable and back.origins_changed and not back.newly_failing
+        counters = report.envelope_dict()["obs_metrics"]["counters"]
+        assert counters["delta.keys.full"] == 1 and "delta.keys.localised" not in counters
+        assert report.ok()
+
+
+# ----------------------------------------------------------------------
 # Abstraction revalidation
 # ----------------------------------------------------------------------
 class TestRevalidation:
@@ -437,6 +567,60 @@ class TestDeltaSweep:
         }
         assert "stranded" in failing
         assert report.first_break()["reachability"] == "strand"
+
+    def test_unchanged_step_carries_the_step_before_not_the_baseline(self):
+        """Step 1 breaks a class, step 2 (an ACL over off-site space) changes
+        no edge of it: step 2 reports step 1's breakage and witnesses."""
+        network = build_topology("wan")
+        script = [
+            tighten_export_change(network, random.Random(0)),
+            invariant_acl_change(network, random.Random(0)),
+        ]
+        report = DeltaSweep(network, script=script, executor="serial").run()
+        broken = [r for r in report.records if r.steps[0].newly_failing]
+        assert len(broken) == 1
+        first, second = broken[0].steps
+        assert (second.edges_changed, second.tainted, second.dirty) == (0, 0, 0)
+        assert second.newly_failing == first.newly_failing != {}
+        assert second.witnesses == first.witnesses != {}
+        assert second.witnesses is not first.witnesses
+        assert second.incremental_matches_scratch is True
+        assert (second.reused, second.recompressed) == (first.reused, first.recompressed)
+        assert second.revalidation["agrees"] is True
+        assert report.ok()
+
+    def test_report_and_telemetry_say_which_path_ran(self):
+        network = build_topology("wan")
+        script = generated_change_script(network, "wan", seed=1)
+        seen = []
+        events.subscribe(seen.append)
+        try:
+            report = DeltaSweep(network, script=script, executor="serial").run()
+        finally:
+            events.unsubscribe(seen.append)
+        pairs = report.pairs_by_diff()
+        assert sum(pairs.values()) == report.num_classes * report.num_steps
+        # Step 1 touches no class, step 2 exactly one.
+        assert pairs["unchanged"] == 2 * report.num_classes - 1
+        line = (
+            f"unchanged by the edge diff: {pairs['unchanged']}/{sum(pairs.values())} "
+            "(class, step) pairs carried forward"
+        )
+        assert line in report.summary_lines()
+        counters = report.envelope_dict()["obs_metrics"]["counters"]
+        assert counters["delta.class_steps.carried"] == pairs["unchanged"]
+        assert (
+            counters["delta.class_steps.carried"] + counters["delta.class_steps.resolved"]
+            == sum(pairs.values())
+        )
+        assert counters["delta.keys.localised"] > 0 and counters["delta.keys.full"] > 0
+        (event,) = [e for e in seen if e["type"] == "delta.carried"]
+        assert event["carried"] == pairs["unchanged"] and event["chunk_start"] == 0
+        assert {k: event[k] for k in ("diff_nonempty", "origins_changed", "unroutable")} == {
+            k: pairs[k] for k in ("diff_nonempty", "origins_changed", "unroutable")
+        }
+        # The wire format has no key for any of it.
+        assert DeltaReport.from_json(report.to_json()).pairs_by_diff() == pairs
 
     def test_thread_executor_matches_serial(self):
         network = build_topology("ring", 6)

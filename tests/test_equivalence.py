@@ -1,5 +1,6 @@
 """Unit and integration tests for abstract SRPs and CP-equivalence (§4.2)."""
 
+import pytest
 
 from repro.abstraction import (
     build_abstract_srp,
@@ -15,6 +16,10 @@ from repro.routing import (
     build_rip_srp,
     build_static_srp,
 )
+from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
+from repro.pipeline.encoded import EncodedNetwork
+from repro.abstraction.equivalence import _h
+from repro.routing.bgp import PrependAs
 from repro.srp import Solution, solve
 from repro.topology import Graph, full_mesh_topology, ring_topology
 
@@ -143,3 +148,51 @@ class TestSolutionEquivalenceChecker:
         report = check_solution_equivalence(concrete_solution, broken, result.abstraction)
         assert not report.label_equivalent
         assert report.violations
+
+
+# ----------------------------------------------------------------------
+# The theorem on every generated family, and labels h cannot map
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+def test_every_class_of_every_family_is_cp_equivalent(family):
+    """``check_cp_equivalence`` is the repo's executable form of the
+    paper's theorem; it must run (not raise) and hold on every class.
+    WAN cores share AS 65000, which is in every AS path and is no node."""
+    artifact = EncodedNetwork.build(build_topology(family))
+    bonsai = artifact.make_bonsai()
+    assert artifact.classes
+    for equivalence_class in artifact.classes:
+        result = bonsai.compress(equivalence_class, build_network=False)
+        report = check_cp_equivalence(result.concrete_srp, result.abstraction)
+        assert report.cp_equivalent, (str(equivalence_class.prefix), report.violations[:2])
+
+
+class TestAsPathElementsThatAreNotNodes:
+    def test_shared_as_maps_to_the_groups_of_the_devices_that_carry_it(self):
+        artifact = EncodedNetwork.build(build_topology("wan"))
+        result = artifact.make_bonsai().compress(artifact.classes[0], build_network=False)
+        srp, abstraction = result.concrete_srp, result.abstraction
+        cores = [n for n, d in artifact.network.devices.items() if d.asn == "65000"]
+        assert len(cores) > 1 and "65000" not in abstraction.node_map
+        label = next(
+            label for label in solve(srp).labeling.values()
+            if label is not None and label.bgp is not None and "65000" in label.bgp.as_path
+        )
+        mapped = _h(srp, abstraction, label).bgp.as_path
+        assert len(mapped) == len(label.bgp.as_path)
+        assert "|".join(sorted({abstraction.f(core) for core in cores})) in mapped
+
+    def test_unmappable_label_is_a_reported_violation_not_an_exception(self):
+        """An AS nobody carries, prepended by policy: the check must fail
+        with the class, the label and the reason -- never raise, never pass."""
+        graph, _ = ring_topology(4)
+        nodes = sorted(graph.nodes)
+        srp = build_bgp_srp(
+            graph, nodes[0],
+            export_policies={edge: PrependAs("64999") for edge in graph.edges},
+        )
+        report = check_cp_equivalence(srp, compute_abstraction(srp).abstraction)
+        assert not report.cp_equivalent and not report.label_equivalent
+        (violation,) = report.violations
+        assert violation.startswith(f"class {nodes[0]}: cannot map label Bgp")
+        assert "'64999' names neither a node nor a device's AS" in violation

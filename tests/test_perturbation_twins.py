@@ -21,6 +21,7 @@ from test_golden_reports import scrub
 
 from repro.api import Session
 from repro.delta import ChangeSet, DeltaSweep, DeviceRemove, LinkRemove
+from repro.delta.incremental import EdgeDiff
 from repro.failures import FailureScenario, FailureSweep
 from repro.failures.scenario import undirected_links
 from repro.netgen.changes import default_change_steps, generated_change_script
@@ -163,3 +164,90 @@ def test_failures_over_a_stored_baseline_equal_failures_without(family):
     COUNTERS.reset()
     session.failures(oracle=False, soundness=False, **sample)
     assert COUNTERS.scratch_solves == 0 and COUNTERS.seeded_solves > 0
+
+
+# ----------------------------------------------------------------------
+# A step the edge diff leaves unchanged: carried forward == re-solved
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+def test_delta_carried_equals_the_long_path(family, seed, monkeypatch):
+    """Every (class, step) whose edge diff is empty takes its seed's answer
+    by reference; forced through the seeded re-solve, table extraction,
+    property evaluation and revalidation instead (an ``EdgeDiff`` that is
+    never empty -- there is no option to ask for it), the report is the
+    same, audit arms on or off, stored baseline or none."""
+    network = build_topology(family)
+    script = generated_change_script(
+        network, family, steps=default_change_steps(family), seed=seed
+    )
+    variants = [
+        dict(oracle=oracle, rebuild_oracle=oracle, revalidate=revalidate, **source)
+        for oracle in (True, False)
+        for revalidate in (True, False)
+        for source in (dict(network=network), dict(baseline=BaselineArtifact.build(network)))
+    ]
+
+    def reports():
+        return [
+            scrub(DeltaSweep(script=script, executor="serial", **variant).run().to_dict())
+            for variant in variants
+        ]
+
+    carried = reports()
+    monkeypatch.setattr(EdgeDiff, "is_empty", lambda self: False)
+    assert reports() == carried
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap every ``repro`` module's binding of the named functions;
+    returns the live ``name -> calls`` tally."""
+    import sys
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        for module in list(sys.modules.values()):
+            original = getattr(module, "__dict__", {}).get(name)
+            if not getattr(module, "__name__", "").startswith("repro") or not callable(original):
+                continue
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_PER_UNIT_WORK = ("forwarding_table_from_solution", "evaluate_suite", "lifted_abstract_verdicts")
+
+
+def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeypatch):
+    """From a session's second request on, a script no class's edge diff
+    notices costs no solve, no table, no property evaluation, no lifting:
+    all 18 classes carry the kept baseline's answer."""
+    network = build_topology("fattree", 6)
+    session = Session(network)
+    script = generated_change_script(network, "fattree", steps=1, seed=3)
+    first = session.delta(script)
+    calls = _count_calls(monkeypatch, *_PER_UNIT_WORK)
+    COUNTERS.reset()
+    again = session.delta(script)
+    assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 0)
+    assert calls == dict.fromkeys(_PER_UNIT_WORK, 0)
+    assert again.num_classes == 18
+    counters = again.envelope_dict()["obs_metrics"]["counters"]
+    assert counters["delta.class_steps.carried"] == 18
+    assert "delta.class_steps.resolved" not in counters
+    assert again.canonical_records() == first.canonical_records()
+    assert "unchanged by the edge diff: 18/18" in "\n".join(again.summary_lines())
+
+    # The audit arm is not carried: one cold scratch solve per class-step
+    # (after one per class for the baseline), each agreeing with the answer.
+    COUNTERS.reset()
+    audited = DeltaSweep(
+        network, script=script, oracle=True, revalidate=False, rebuild_oracle=False,
+        executor="serial",
+    ).run()
+    assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 2 * 18)
+    assert [o.incremental_matches_scratch for r in audited.records for o in r.steps] == [True] * 18
