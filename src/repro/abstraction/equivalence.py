@@ -292,9 +292,9 @@ def check_solution_equivalence(
     for node in srp.graph.nodes:
         abstract_node = abstraction.f(node)
         abstract_next = {
-            abstraction.base_of(v) for _, v in abstract.forwarding_edges(abstract_node)
+            abstraction.base_of(v) for _, v in abstract.forwarding.get(abstract_node, ())
         }
-        for _, neighbour in concrete.forwarding_edges(node):
+        for _, neighbour in concrete.forwarding.get(node, ()):
             if abstraction.base_of(abstraction.f(neighbour)) not in abstract_next:
                 fwd_ok = False
                 violations.append(
@@ -305,10 +305,10 @@ def check_solution_equivalence(
     # Direction 2: abstract forwarding edges are realised by every member.
     for abstract_node in abstraction.abstract_graph.nodes:
         members = abstraction.concrete_nodes(abstract_node)
-        for _, abstract_neighbour in abstract.forwarding_edges(abstract_node):
+        for _, abstract_neighbour in abstract.forwarding.get(abstract_node, ()):
             target_members = abstraction.concrete_nodes(abstract_neighbour)
             for member in members:
-                concrete_next = {v for _, v in concrete.forwarding_edges(member)}
+                concrete_next = {v for _, v in concrete.forwarding.get(member, ())}
                 if not concrete_next & target_members:
                     fwd_ok = False
                     violations.append(
@@ -351,11 +351,11 @@ def check_bgp_solution_equivalence(
         ):
             return False
         abstract_next = {
-            abstraction.base_of(v) for _, v in abstract.forwarding_edges(copy)
+            abstraction.base_of(v) for _, v in abstract.forwarding.get(copy, ())
         }
         concrete_next = {
             abstraction.base_of(abstraction.f(v))
-            for _, v in concrete.forwarding_edges(node)
+            for _, v in concrete.forwarding.get(node, ())
         }
         return concrete_next == abstract_next
 

@@ -47,8 +47,10 @@ from repro.analysis.dataplane import compute_forwarding_table, forwarding_table_
 from repro.analysis.properties import (
     Counterexample,
     PropertyContext,
-    PropertyResult,
     PropertySpec,
+    VerdictMap,
+    evaluate_suite,
+    failure_witness,
     get_property,
     registered_properties,
 )
@@ -430,6 +432,27 @@ def _abstract_waypoints(
     return frozenset(lifted)
 
 
+def lift_verdicts(
+    abstraction: NetworkAbstraction,
+    specs: Sequence[PropertySpec],
+    abstract_verdicts: VerdictMap,
+    concrete_nodes: Sequence,
+) -> VerdictMap:
+    """Each concrete node's verdict from those of its abstract copies:
+    the spec's ``any``/``all`` over the copies ``abstract_verdicts``
+    covers (a node none of whose copies survived fails either way)."""
+    copies_of = {str(n): abstraction.copies_of(abstraction.f(n)) for n in concrete_nodes}
+    lifted: VerdictMap = {}
+    for spec in specs:
+        holds = abstract_verdicts[spec.name]
+        lift = any if spec.lift == "any" else all
+        per_node = lifted[spec.name] = {}
+        for name, copies in copies_of.items():
+            surviving = [holds[copy] for copy in copies if copy in holds]
+            per_node[name] = bool(surviving) and lift(surviving)
+    return lifted
+
+
 def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
     """Differentially verify one equivalence class (the ``"verify"`` task).
 
@@ -478,15 +501,7 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         concrete_table = forwarding_table_from_solution(
             network, solve(bonsai.concrete_srp(equivalence_class)), equivalence_class
         )
-        concrete_context = PropertyContext(
-            table=concrete_table, waypoints=waypoints, path_bound=path_bound
-        )
-        concrete_results: Dict[str, Dict[str, PropertyResult]] = {
-            spec.name: {
-                str(node): spec.evaluate(concrete_context, node) for node in nodes
-            }
-            for spec in specs
-        }
+        concrete_verdicts = evaluate_suite(specs, concrete_table, nodes, waypoints, path_bound)
         concrete_seconds = time.perf_counter() - concrete_start
 
         # -- abstract side (compression included in the timing) --------------
@@ -500,11 +515,17 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
             if candidate.prefix.overlaps(prefix)
         )
         abstract_table = compute_forwarding_table(abstract_network, abstract_ec)
-        abstract_context = PropertyContext(
-            table=abstract_table,
-            waypoints=_abstract_waypoints(abstraction, waypoints),
-            path_bound=path_bound,
+        abstract_waypoints = _abstract_waypoints(abstraction, waypoints)
+        # Every property on every abstract node *inside* the timed window,
+        # so abstract_seconds measures compression + abstract verification
+        # only; the differential comparison below (which scales with the
+        # concrete node count) is untimed -- otherwise the reported speedup
+        # would measure harness overhead.
+        abstract_verdicts = evaluate_suite(
+            specs, abstract_table, sorted(abstract_network.graph.nodes, key=str),
+            abstract_waypoints, path_bound,
         )
+        abstract_seconds = time.perf_counter() - abstract_start
 
         # Explicit waypoint sets are only expressible on the abstract network
         # when they are a union of abstraction groups (f⁻¹(f(W)) == W); the
@@ -521,23 +542,14 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
             }
             waypoints_closed = closure <= set(waypoints)
 
-        abstract_cache: Dict[Tuple[str, str], PropertyResult] = {}
-
-        def abstract_result(spec: PropertySpec, abstract_node: str) -> PropertyResult:
-            key = (spec.name, abstract_node)
-            if key not in abstract_cache:
-                abstract_cache[key] = spec.evaluate(abstract_context, abstract_node)
-            return abstract_cache[key]
-
-        # Evaluate every property on every abstract node *inside* the timed
-        # window, so abstract_seconds measures compression + abstract
-        # verification only; the differential comparison below (which scales
-        # with the concrete node count) runs against this cache, untimed --
-        # otherwise the reported speedup would measure harness overhead.
-        for spec in specs:
-            for abstract_node in sorted(abstract_network.graph.nodes, key=str):
-                abstract_result(spec, abstract_node)
-        abstract_seconds = time.perf_counter() - abstract_start
+        # Counterexamples are evaluated for the failing nodes reported only.
+        concrete_context = PropertyContext(
+            table=concrete_table, waypoints=waypoints, path_bound=path_bound
+        )
+        abstract_context = PropertyContext(
+            table=abstract_table, waypoints=abstract_waypoints, path_bound=path_bound
+        )
+        lifted_verdicts = lift_verdicts(abstraction, specs, abstract_verdicts, nodes)
 
         verdicts: List[PropertyVerdict] = []
         for spec in specs:
@@ -548,65 +560,37 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
                 else "waypoint set is not a union of abstraction groups; "
                 "abstract verdict is informational only"
             )
-            concrete_failing: List[str] = []
-            abstract_failing: List[str] = []
-            mismatched: List[str] = []
+            concrete_holds = concrete_verdicts[spec.name]
+            lifted_holds = lifted_verdicts[spec.name]
+            failing = [
+                node for node in nodes
+                if not (concrete_holds[str(node)] and lifted_holds[str(node)])
+            ]
             counterexamples: List[Dict] = []
-            for node in nodes:
-                name = str(node)
-                concrete = concrete_results[spec.name][name]
-                copies = abstraction.copies_of(abstraction.f(node))
-                copy_results = [abstract_result(spec, copy) for copy in copies]
-                if spec.lift == "any":
-                    lifted_holds = any(r.holds for r in copy_results)
-                else:
-                    lifted_holds = all(r.holds for r in copy_results)
-                if not concrete.holds:
-                    concrete_failing.append(name)
-                if not lifted_holds:
-                    abstract_failing.append(name)
-                if comparable and concrete.holds != lifted_holds:
-                    mismatched.append(name)
-                if (not concrete.holds or not lifted_holds) and (
-                    len(counterexamples) < MAX_COUNTEREXAMPLES
-                ):
-                    abstract_witness = next(
-                        (
-                            r.counterexample
-                            for r in copy_results
-                            if not r.holds and r.counterexample is not None
-                        ),
-                        None,
-                    )
-                    counterexamples.append(
-                        {
-                            "node": name,
-                            "concrete": (
-                                None
-                                if concrete.counterexample is None
-                                else concrete.counterexample.to_dict()
-                            ),
-                            "abstract": (
-                                None
-                                if abstract_witness is None
-                                else lift_counterexample(abstraction, abstract_witness)
-                            ),
-                        }
-                    )
-            # A path-quantified verdict built from a truncated enumeration is
-            # not exhaustive: the concrete network may hide a violation (or a
-            # mismatch artefact) past the cap, so flag rather than gate on it.
-            # The check runs after this spec's evaluations, so both tables'
-            # truncation sets are populated for it.
-            if spec.path_quantified and (
-                concrete_table.truncated_sources or abstract_table.truncated_sources
-            ):
-                if comparable:
-                    comparable = False
-                    mismatched = []
-                note = (note + "; " if note else "") + (
-                    "path enumeration hit the max_paths cap; verdict is not exhaustive"
+            for node in failing[:MAX_COUNTEREXAMPLES]:
+                concrete_witness = failure_witness(spec, concrete_context, (node,))
+                abstract_witness = failure_witness(
+                    spec, abstract_context, abstraction.copies_of(abstraction.f(node))
                 )
+                counterexamples.append(
+                    {
+                        "node": str(node),
+                        "concrete": (
+                            None if concrete_witness is None else concrete_witness.to_dict()
+                        ),
+                        "abstract": (
+                            None
+                            if abstract_witness is None
+                            else lift_counterexample(abstraction, abstract_witness)
+                        ),
+                    }
+                )
+            names = [str(node) for node in failing]
+            concrete_failing = [name for name in names if not concrete_holds[name]]
+            abstract_failing = [name for name in names if not lifted_holds[name]]
+            mismatched = [
+                name for name in names if concrete_holds[name] != lifted_holds[name]
+            ] if comparable else []
             verdicts.append(
                 PropertyVerdict(
                     property=spec.name,

@@ -10,7 +10,7 @@ configured data-plane ACLs on the forwarding edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.config.network import Network
@@ -21,57 +21,24 @@ from repro.srp.solver import solve
 from repro.topology.graph import Edge, Node
 
 
+class PathLimitExceeded(Exception):
+    """:meth:`ForwardingTable.all_paths` met more paths than its bound."""
+
+
 @dataclass
 class ForwardingTable:
     """Per-destination forwarding state of the whole network.
 
     ``next_hops[node]`` is the set of neighbours ``node`` forwards traffic
     for the destination to; an empty set means the traffic is dropped
-    (no route, or every forwarding edge blocked by an ACL).
+    (no route, or every forwarding edge blocked by an ACL).  A plain
+    value: nothing is cached on it.
     """
 
     destination: Prefix
     origins: Set[Node]
     next_hops: Dict[Node, Set[Node]] = field(default_factory=dict)
     acl_blocked: Set[Edge] = field(default_factory=set)
-    #: Memoised path walks.  The batch verifier evaluates several
-    #: path-quantified properties per source on one table, so the
-    #: enumeration is cached; tables are build-once/read-many, and callers
-    #: must not mutate ``next_hops`` after reading paths (or must call
-    #: :meth:`clear_path_cache`).
-    _outcome_cache: Dict[Tuple[Node, int], Tuple[str, List[Node]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _paths_cache: Dict[Tuple[Node, int], List[List[Node]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _sorted_hops_cache: Dict[Node, List[Node]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Sources whose :meth:`all_paths` enumeration hit the ``max_paths``
-    #: cap: their path sets are incomplete, and path-quantified property
-    #: verdicts on them are not exhaustive.  The batch verifier checks
-    #: this to avoid presenting a truncated verdict as a sound one.
-    truncated_sources: Set[Node] = field(
-        default_factory=set, repr=False, compare=False
-    )
-
-    def clear_path_cache(self) -> None:
-        """Drop memoised walks (call after mutating ``next_hops``)."""
-        self._outcome_cache.clear()
-        self._paths_cache.clear()
-        self._sorted_hops_cache.clear()
-        self.truncated_sources.clear()
-
-    def _sorted_hops(self, node: Node) -> List[Node]:
-        """``forwards_to(node)`` sorted by name, memoised (walk-heavy
-        property evaluation re-sorts the same nodes constantly)."""
-        hops = self._sorted_hops_cache.get(node)
-        if hops is None:
-            hops = self._sorted_hops_cache[node] = sorted(
-                self.next_hops.get(node, ()), key=str
-            )
-        return hops
 
     def forwards_to(self, node: Node) -> Set[Node]:
         return self.next_hops.get(node, set())
@@ -80,85 +47,166 @@ class ForwardingTable:
         """Whether the destination is attached at ``node``."""
         return node in self.origins
 
-    def reachable(self, source: Node, max_hops: int = 10_000) -> bool:
+    def reachable(self, source: Node) -> bool:
         """Whether traffic from ``source`` reaches an originating device."""
-        return self.path_outcome(source, max_hops)[0] == "delivered"
+        return self.path_outcome(source)[0] == "delivered"
 
-    def path_outcome(self, source: Node, max_hops: int = 10_000) -> Tuple[str, List[Node]]:
+    def path_outcome(self, source: Node) -> Tuple[str, List[Node]]:
         """Follow forwarding from ``source``.
 
         Returns ``(outcome, path)`` where outcome is ``"delivered"``,
-        ``"blackhole"`` (dropped), or ``"loop"``.  Multipath forwarding is
-        followed along the lexicographically smallest next hop; use
-        :meth:`all_paths` for the full set.
+        ``"blackhole"`` (dropped), or ``"loop"`` (the path then ends at the
+        first repeated node).  Multipath forwarding is followed along the
+        lexicographically smallest next hop; :meth:`iter_paths` walks the
+        full set.
         """
-        key = (source, max_hops)
-        cached = self._outcome_cache.get(key)
-        if cached is None:
-            cached = self._walk_outcome(source, max_hops)
-            self._outcome_cache[key] = cached
-        outcome, path = cached
-        return outcome, list(path)
-
-    def _walk_outcome(self, source: Node, max_hops: int) -> Tuple[str, List[Node]]:
         path = [source]
         node = source
-        for _ in range(max_hops):
-            if self.delivers(node):
-                return "delivered", path
-            hops = self._sorted_hops(node)
+        while not self.delivers(node):
+            hops = self.next_hops.get(node)
             if not hops:
                 return "blackhole", path
-            node = hops[0]
-            if node in path:
-                path.append(node)
-                return "loop", path
+            node = min(hops, key=str)
+            looped = node in path
             path.append(node)
-        return "loop", path
+            if looped:
+                return "loop", path
+        return "delivered", path
+
+    def _onward(self, node: Node) -> Optional[Iterator[Node]]:
+        """The next hops of ``node`` in name order; ``None`` where a path
+        ends (an originating device, or nowhere to forward to)."""
+        hops = None if node in self.origins else self.next_hops.get(node)
+        return iter(sorted(hops, key=str)) if hops else None
+
+    def iter_paths(
+        self, source: Node, admit: Callable[[Node, int], bool] = lambda hop, hops: True
+    ) -> Iterator[List[Node]]:
+        """Every forwarding path (under multipath) from ``source``,
+        depth-first with next hops in name order.
+
+        A path ends at an originating device, at a node with no next hop,
+        or at the first node it repeats (a loop; that node appears twice).
+        ``admit(hop, hops)`` prunes: the walk steps to a not yet visited
+        ``hop`` (the path's ``hops``-th) only if it says so.  The property
+        checks pass what :class:`ForwardingFacts` knows, so the first path
+        with the ending they look for is found without enumerating the
+        paths before it.
+        """
+        path = [source]
+        pending = [self._onward(source)]
+        if pending[0] is None:
+            yield path
+            return
+        while pending:
+            for hop in pending[-1]:
+                if hop in path:
+                    yield path + [hop]
+                elif admit(hop, len(path)):
+                    onward = self._onward(hop)
+                    if onward is None:
+                        yield path + [hop]
+                    else:
+                        path.append(hop)
+                        pending.append(onward)
+                        break
+            else:
+                pending.pop()
+                path.pop()
 
     def all_paths(self, source: Node, max_paths: int = 1000) -> List[List[Node]]:
-        """Every forwarding path (under multipath) from ``source``."""
-        return [list(path) for path in self.paths_view(source, max_paths)]
+        """The explicitly bounded enumerator: every path of
+        :meth:`iter_paths`, or :class:`PathLimitExceeded` when there are
+        more than ``max_paths``.  No registered property depends on it."""
+        paths: List[List[Node]] = []
+        for path in self.iter_paths(source):
+            if len(paths) == max_paths:
+                raise PathLimitExceeded(
+                    f"more than {max_paths} forwarding paths from {source!r}"
+                )
+            paths.append(path)
+        return paths
 
-    def paths_view(self, source: Node, max_paths: int = 1000) -> List[List[Node]]:
-        """Like :meth:`all_paths` but without the defensive copy.
 
-        The returned lists are the cached walk results; callers (the
-        property checks, which only read) must not mutate them.
-        """
-        key = (source, max_paths)
-        cached = self._paths_cache.get(key)
-        if cached is None:
-            cached = self._walk_all_paths(source, max_paths)
-            self._paths_cache[key] = cached
-        return cached
+class ForwardingFacts:
+    """One O(V + E) analysis of a table's forwarding graph, from which
+    every registered property is decided per node without walking.
 
-    def _walk_all_paths(self, source: Node, max_paths: int) -> List[List[Node]]:
-        results: List[List[Node]] = []
-        truncated = False
+    Originating devices are sinks (a path ends where it is delivered); a
+    *black hole* is any other node with no next hop, whether or not it is
+    a key of ``next_hops``.  A node the table never mentions is one too,
+    which is why the sets below are phrased so that absence means that.
+    """
 
-        def walk(node: Node, path: List[Node]) -> None:
-            nonlocal truncated
-            if len(results) >= max_paths:
-                truncated = True
-                return
-            if self.delivers(node):
-                results.append(path)
-                return
-            hops = self._sorted_hops(node)
-            if not hops:
-                results.append(path)
-                return
-            for nxt in hops:
-                if nxt in path:
-                    results.append(path + [nxt])
-                    continue
-                walk(nxt, path + [nxt])
+    def __init__(self, table: ForwardingTable):
+        origins = table.origins
+        hops_of = {
+            node: () if node in origins else hops
+            for node, hops in table.next_hops.items()
+        }
+        for node in origins.union(*hops_of.values()):
+            hops_of.setdefault(node, ())
+        #: ``node -> the nodes forwarding to it`` (origins forward nowhere).
+        self.preds: Dict[Node, List[Node]] = {node: [] for node in hops_of}
+        for node, hops in hops_of.items():
+            for hop in hops:
+                self.preds[hop].append(node)
 
-        walk(source, [source])
-        if truncated:
-            self.truncated_sources.add(source)
-        return results
+        # Peel from the sinks (Kahn): a node is peeled once all its next
+        # hops are.  What is never peeled reaches a cycle.
+        unpeeled = {node: len(hops) for node, hops in hops_of.items()}
+        order = [node for node, count in unpeeled.items() if not count]
+        #: Longest delivered path, in hops, of the peeled nodes having one.
+        self.longest: Dict[Node, int] = {}
+        for node in order:
+            if node in origins:
+                self.longest[node] = 0
+            else:
+                onward = [self.longest[hop] for hop in hops_of[node] if hop in self.longest]
+                if onward:
+                    self.longest[node] = 1 + max(onward)
+            for pred in self.preds[node]:
+                unpeeled[pred] -= 1
+                if not unpeeled[pred]:
+                    order.append(pred)
+        #: Nodes with a path into a forwarding cycle.
+        self.cyclic: Set[Node] = {node for node, count in unpeeled.items() if count}
+
+        #: Nodes with some delivered path.
+        self.delivering = self.closure(origins)
+        dropping = self.closure(
+            node for node, hops in hops_of.items() if not hops and node not in origins
+        )
+        #: Nodes with no path to a black hole.
+        self.drop_free: Set[Node] = hops_of.keys() - dropping
+        #: Nodes every path of which is delivered.
+        self.all_delivered: Set[Node] = self.drop_free - self.cyclic
+
+        #: ``ForwardingTable.path_outcome(node)[0]`` (black holes themselves
+        #: are left out): follow the smallest next hop, chains memoised.
+        self.outcome: Dict[Node, str] = dict.fromkeys(origins, "delivered")
+        for start, hops in hops_of.items():
+            chain = []
+            node = start
+            while hops and node not in self.outcome:
+                self.outcome[node] = "loop"  # if the chain comes back here
+                chain.append(node)
+                node = min(hops, key=str)
+                hops = hops_of[node]
+            for link in chain:
+                self.outcome[link] = self.outcome.get(node, "blackhole")
+
+    def closure(self, seeds: Iterable[Node], avoiding=frozenset()) -> Set[Node]:
+        """``seeds`` plus every node with a path to one that stays clear
+        of ``avoiding``."""
+        reached = set(seeds)
+        frontier = list(reached)
+        while frontier:
+            for pred in self.preds[frontier.pop()]:
+                if pred not in reached and pred not in avoiding:
+                    reached.add(pred)
+                    frontier.append(pred)
+        return reached
 
 
 @dataclass
@@ -191,14 +239,15 @@ def forwarding_table_from_solution(
     prefix = equivalence_class.prefix
     next_hops: Dict[Node, Set[Node]] = {}
     blocked: Set[Edge] = set()
+    forwarding = solution.forwarding
     for node in solution.srp.graph.nodes:
         if node == VIRTUAL_DESTINATION:
             continue
+        device = network.devices.get(node)
         hops: Set[Node] = set()
-        for _, neighbour in solution.forwarding_edges(node):
+        for _, neighbour in forwarding.get(node, ()):
             if neighbour == VIRTUAL_DESTINATION:
                 continue
-            device = network.devices.get(node)
             allowed = True
             if device is not None:
                 acl_name = device.interface_acls.get(neighbour)

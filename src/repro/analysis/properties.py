@@ -23,10 +23,11 @@ can name the broken device instead of echoing a bare boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dataplane import ForwardingTable
+from repro.analysis.dataplane import ForwardingFacts, ForwardingTable
 from repro.topology.graph import Node
 
 
@@ -81,120 +82,147 @@ class PropertyResult:
         return self.holds
 
 
-def check_reachability(table: ForwardingTable, source: Node) -> PropertyResult:
-    """Does traffic from ``source`` reach the destination?"""
-    outcome, path = table.path_outcome(source)
-    counterexample = None
-    if outcome != "delivered":
-        counterexample = Counterexample(
-            kind=outcome,
-            node=path[-1] if outcome == "blackhole" else source,
-            path=tuple(path),
-            cycle=_extract_cycle(path) if outcome == "loop" else (),
-            detail=f"traffic from {source!r} is {outcome}",
-        )
+def _witnessed(
+    holds: bool, kind: str, node: Node, path: Sequence[Node], message: str, detail: str
+) -> PropertyResult:
+    """The result a witness ``path`` decides, carrying it as counterexample."""
+    path = tuple(path)
     return PropertyResult(
-        holds=outcome == "delivered",
-        witness=tuple(path),
-        detail=f"{source!r}: {outcome}",
-        counterexample=counterexample,
+        holds,
+        path,
+        message,
+        Counterexample(
+            kind, node, path, _extract_cycle(path) if kind == "loop" else (), detail
+        ),
     )
 
 
-def check_all_paths_reach(table: ForwardingTable, source: Node) -> PropertyResult:
+def check_reachability(table: ForwardingTable, source: Node) -> PropertyResult:
+    """Does traffic from ``source`` reach the destination?"""
+    outcome, path = table.path_outcome(source)
+    if outcome == "delivered":
+        return PropertyResult(True, tuple(path), f"{source!r}: {outcome}")
+    return _witnessed(
+        False, outcome, path[-1] if outcome == "blackhole" else source, path,
+        f"{source!r}: {outcome}",
+        f"traffic from {source!r} is {outcome}",
+    )
+
+
+def _first_path(
+    table: ForwardingTable, source: Node,
+    admit: Callable[[Node, int], bool], offending: Callable[[List[Node]], bool],
+) -> Optional[List[Node]]:
+    """The first path of ``table.iter_paths(source)`` that is
+    ``offending`` -- the witness the full enumeration would report --
+    stepping only to hops that ``admit`` says can still lead to one.
+    Where ``source`` reaches no cycle an admitted hop always does, and the
+    walk never backtracks."""
+    return next(filter(offending, table.iter_paths(source, admit)), None)
+
+
+def _undelivered_path(table: ForwardingTable, facts: ForwardingFacts, source: Node) -> List[Node]:
+    """The first path from ``source`` (not in ``facts.all_delivered``)
+    that ends in a drop or a loop."""
+    return _first_path(
+        table, source,
+        lambda hop, hops: hop not in facts.all_delivered,
+        lambda path: not table.delivers(path[-1]),
+    )
+
+
+def check_all_paths_reach(
+    table: ForwardingTable, source: Node, facts: Optional[ForwardingFacts] = None
+) -> PropertyResult:
     """Do *all* multipath forwarding paths from ``source`` deliver traffic?"""
-    paths = table.paths_view(source)
-    for path in paths:
-        last = path[-1]
-        if not table.delivers(last):
-            return PropertyResult(
-                False,
-                tuple(path),
-                "some path fails to deliver",
-                counterexample=Counterexample(
-                    kind="blackhole",
-                    node=last,
-                    path=tuple(path),
-                    detail=f"path from {source!r} ends undelivered at {last!r}",
-                ),
-            )
-    return PropertyResult(True, None, f"{len(paths)} paths deliver")
+    facts = facts or ForwardingFacts(table)
+    if source in facts.all_delivered:
+        return PropertyResult(True, None, "every path delivers")
+    path = _undelivered_path(table, facts, source)
+    return _witnessed(
+        False, "blackhole", path[-1], path, "some path fails to deliver",
+        f"path from {source!r} ends undelivered at {path[-1]!r}",
+    )
+
+
+def path_lengths(table: ForwardingTable, source: Node) -> Set[int]:
+    """The set of delivered-path lengths from ``source`` (enumerates:
+    :meth:`ForwardingTable.all_paths` and its bound apply)."""
+    return {len(path) - 1 for path in table.all_paths(source) if table.delivers(path[-1])}
 
 
 def check_path_length(
     table: ForwardingTable, source: Node, expected_length: int
 ) -> PropertyResult:
-    """Do all forwarding paths from ``source`` have the expected hop count?"""
-    paths = table.paths_view(source)
-    for path in paths:
-        if not table.delivers(path[-1]):
-            continue
-        if len(path) - 1 != expected_length:
-            return PropertyResult(
-                False,
-                tuple(path),
+    """Do all forwarding paths from ``source`` have the expected hop count?
+    (Enumerates, like :func:`path_lengths`.)"""
+    for path in table.all_paths(source):
+        if table.delivers(path[-1]) and len(path) - 1 != expected_length:
+            return _witnessed(
+                False, "wrong-length", source, path,
                 f"path has length {len(path) - 1}, expected {expected_length}",
-                counterexample=Counterexample(
-                    kind="wrong-length",
-                    node=source,
-                    path=tuple(path),
-                    detail=f"{len(path) - 1} hops, expected {expected_length}",
-                ),
+                f"{len(path) - 1} hops, expected {expected_length}",
             )
     return PropertyResult(True, None, "all delivered paths match the expected length")
 
 
+def _path_longer_than(
+    table: ForwardingTable, facts: ForwardingFacts, source: Node, bound: int
+) -> Optional[List[Node]]:
+    """The first delivered path from ``source`` with more than ``bound``
+    hops, if any."""
+    longest = facts.longest
+    if source in facts.cyclic:
+        # Past a cycle the longest loop-free path is no fact of the peel
+        # order; no path has more hops than there are other nodes, and a
+        # smaller bound is left to the walk below.
+        if source not in facts.delivering or bound >= len(facts.preds) - 1:
+            return None
+    elif longest.get(source, 0) <= bound:
+        return None
+    return _first_path(
+        table, source,
+        lambda hop, hops: hop in facts.delivering
+        and (hop in facts.cyclic or hops + longest[hop] > bound),
+        lambda path: table.delivers(path[-1]) and len(path) - 1 > bound,
+    )
+
+
 def check_bounded_path_length(
-    table: ForwardingTable, source: Node, bound: int
+    table: ForwardingTable, source: Node, bound: int, facts: Optional[ForwardingFacts] = None
 ) -> PropertyResult:
     """Do all delivered paths from ``source`` have at most ``bound`` hops?"""
-    for path in table.paths_view(source):
-        if not table.delivers(path[-1]):
-            continue
-        if len(path) - 1 > bound:
-            return PropertyResult(
-                False,
-                tuple(path),
-                f"path has length {len(path) - 1} > bound {bound}",
-                counterexample=Counterexample(
-                    kind="too-long",
-                    node=source,
-                    path=tuple(path),
-                    detail=f"{len(path) - 1} hops exceeds bound {bound}",
-                ),
-            )
-    return PropertyResult(True, None, f"all delivered paths within {bound} hops")
+    path = _path_longer_than(table, facts or ForwardingFacts(table), source, bound)
+    if path is None:
+        return PropertyResult(True, None, f"all delivered paths within {bound} hops")
+    return _witnessed(
+        False, "too-long", source, path,
+        f"path has length {len(path) - 1} > bound {bound}",
+        f"{len(path) - 1} hops exceeds bound {bound}",
+    )
 
 
-def path_lengths(table: ForwardingTable, source: Node) -> Set[int]:
-    """The set of delivered-path lengths from ``source``."""
-    return {
-        len(path) - 1
-        for path in table.paths_view(source)
-        if table.delivers(path[-1])
-    }
-
-
-def check_black_hole(table: ForwardingTable, source: Node) -> PropertyResult:
+def check_black_hole(
+    table: ForwardingTable, source: Node, facts: Optional[ForwardingFacts] = None
+) -> PropertyResult:
     """Is there a forwarding path from ``source`` that ends in a drop?"""
-    for path in table.paths_view(source):
-        last = path[-1]
-        if not table.delivers(last) and len(set(path)) == len(path):
-            return PropertyResult(
-                True,
-                tuple(path),
-                "black hole reached",
-                counterexample=Counterexample(
-                    kind="blackhole",
-                    node=last,
-                    path=tuple(path),
-                    detail=f"{last!r} drops traffic from {source!r}",
-                ),
-            )
-    return PropertyResult(False, None, "no black hole reachable")
+    facts = facts or ForwardingFacts(table)
+    if source in facts.drop_free:
+        return PropertyResult(False, None, "no black hole reachable")
+    path = _first_path(
+        table, source,
+        lambda hop, hops: hop not in facts.drop_free,
+        lambda path: not table.delivers(path[-1]) and len(set(path)) == len(path),
+    )
+    return _witnessed(
+        True, "blackhole", path[-1], path, "black hole reached",
+        f"{path[-1]!r} drops traffic from {source!r}",
+    )
 
 
-def check_multipath_consistency(table: ForwardingTable, source: Node) -> PropertyResult:
+def check_multipath_consistency(
+    table: ForwardingTable, source: Node, facts: Optional[ForwardingFacts] = None
+) -> PropertyResult:
     """Multipath consistency: either all paths deliver or all drop.
 
     The property *fails* when traffic from the source is delivered along
@@ -203,63 +231,45 @@ def check_multipath_consistency(table: ForwardingTable, source: Node) -> Propert
     is consistent.  On failure the counterexample carries the offending
     source node and the dropped path, with a delivered path in the detail.
     """
-    paths = table.paths_view(source)
-    outcomes = set()
-    for path in paths:
-        outcomes.add(table.delivers(path[-1]))
-    if len(outcomes) <= 1:
+    facts = facts or ForwardingFacts(table)
+    if source not in facts.delivering or source in facts.all_delivered:
         return PropertyResult(True, None, "consistent")
-    dropped = next(path for path in paths if not table.delivers(path[-1]))
-    delivered = next(path for path in paths if table.delivers(path[-1]))
-    return PropertyResult(
-        False,
-        tuple(dropped),
-        "delivered on some paths, dropped on others",
-        counterexample=Counterexample(
-            kind="divergence",
-            node=source,
-            path=tuple(dropped),
-            detail=(
-                f"{source!r} delivers via {'>'.join(map(str, delivered))} "
-                f"but drops via {'>'.join(map(str, dropped))}"
-            ),
-        ),
+    dropped = _undelivered_path(table, facts, source)
+    delivered = _first_path(
+        table, source,
+        lambda hop, hops: hop in facts.delivering,
+        lambda path: table.delivers(path[-1]),
+    )
+    return _witnessed(
+        False, "divergence", source, dropped, "delivered on some paths, dropped on others",
+        f"{source!r} delivers via {'>'.join(map(str, delivered))} "
+        f"but drops via {'>'.join(map(str, dropped))}",
     )
 
 
 def check_waypointing(
-    table: ForwardingTable, source: Node, waypoints: Iterable[Node]
+    table: ForwardingTable, source: Node, waypoints: Iterable[Node],
+    facts: Optional[ForwardingFacts] = None,
 ) -> PropertyResult:
     """Does every delivered path from ``source`` traverse one of ``waypoints``?"""
-    waypoint_set = set(waypoints)
-    for path in table.paths_view(source):
-        if not table.delivers(path[-1]):
-            continue
-        if not waypoint_set & set(path):
-            return PropertyResult(
-                False,
-                tuple(path),
-                "path avoids all waypoints",
-                counterexample=Counterexample(
-                    kind="bypass",
-                    node=source,
-                    path=tuple(path),
-                    detail=f"delivered path from {source!r} avoids every waypoint",
-                ),
-            )
-    return PropertyResult(True, None, "all delivered paths traverse a waypoint")
+    avoiding = frozenset(waypoints)
+    bypassing = (facts or ForwardingFacts(table)).closure(table.origins - avoiding, avoiding)
+    if source not in bypassing:
+        return PropertyResult(True, None, "all delivered paths traverse a waypoint")
+    path = _first_path(
+        table, source,
+        lambda hop, hops: hop in bypassing,
+        lambda path: table.delivers(path[-1]),
+    )
+    return _witnessed(
+        False, "bypass", source, path, "path avoids all waypoints",
+        f"delivered path from {source!r} avoids every waypoint",
+    )
 
 
 def _extract_cycle(path: Sequence[Node]) -> Tuple[Node, ...]:
     """The repeated cycle at the end of a looping path (closed: first == last)."""
-    if not path:
-        return ()
-    last = path[-1]
-    try:
-        first = list(path).index(last)
-    except ValueError:  # pragma: no cover - defensive
-        return ()
-    return tuple(path[first:])
+    return tuple(path[path.index(path[-1]):])
 
 
 def check_routing_loop(
@@ -274,41 +284,32 @@ def check_routing_loop(
     for source in nodes:
         outcome, path = table.path_outcome(source)
         if outcome == "loop":
-            cycle = _extract_cycle(path)
-            return PropertyResult(
-                True,
-                tuple(path),
+            cycle = ">".join(map(str, _extract_cycle(path)))
+            return _witnessed(
+                True, "loop", source, path,
                 f"loop reachable from {source!r}",
-                counterexample=Counterexample(
-                    kind="loop",
-                    node=source,
-                    path=tuple(path),
-                    cycle=cycle,
-                    detail=f"cycle {'>'.join(map(str, cycle))} reachable from {source!r}",
-                ),
+                f"cycle {cycle} reachable from {source!r}",
             )
     return PropertyResult(False, None, "no forwarding loop")
 
 
 def failure_witness(
-    spec: "PropertySpec", context: "PropertyContext", node: Node
-) -> Optional[Dict[str, object]]:
-    """The structured counterexample for ``spec`` failing at ``node``.
-
-    Returns ``None`` when the property holds (or the evaluator produced no
-    witness).  The failure sweep uses this to attach one piece of concrete
-    evidence -- the offending path or cycle -- to every property a
-    scenario newly breaks, without keeping full per-node results around.
-    """
-    result = spec.evaluate(context, node)
-    if result.holds or result.counterexample is None:
-        return None
-    return result.counterexample.to_dict()
+    spec: "PropertySpec", context: "PropertyContext", nodes: Iterable[Node]
+) -> Optional[Counterexample]:
+    """The counterexample of the first of ``nodes`` that ``spec`` fails on
+    with one: the single piece of evidence -- offending path or cycle --
+    reports attach to a broken property, evaluated for that node alone."""
+    for node in nodes:
+        result = spec.evaluate(context, node)
+        if not result.holds and result.counterexample is not None:
+            return result.counterexample
+    return None
 
 
 def reachable_sources(table: ForwardingTable) -> Set[Node]:
     """All nodes whose traffic reaches the destination."""
-    return {node for node in table.next_hops if table.reachable(node)}
+    facts = ForwardingFacts(table)
+    return {node for node in table.next_hops if facts.outcome.get(node) == "delivered"}
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +333,22 @@ class PropertyContext:
     #: to the *concrete* node count so both networks share one bound).
     path_bound: Optional[int] = None
 
+    @property
+    def bound(self) -> int:
+        """:attr:`path_bound`, defaulting to the table's node count."""
+        return self.path_bound if self.path_bound is not None else len(self.table.next_hops)
+
+    @cached_property
+    def facts(self) -> ForwardingFacts:
+        """The table's forwarding-graph analysis, built on first use and
+        kept for this context's life (never on the table)."""
+        return ForwardingFacts(self.table)
+
+    @cached_property
+    def bypassing(self) -> Set[Node]:
+        """Nodes with a delivered path avoiding every waypoint."""
+        return self.facts.closure(self.table.origins - self.waypoints, self.waypoints)
+
 
 @dataclass(frozen=True)
 class PropertySpec:
@@ -345,26 +362,24 @@ class PropertySpec:
         One-line human description.
     evaluate:
         ``evaluate(context, source) -> PropertyResult``; ``holds`` is the
-        per-source verdict.
+        per-source verdict, and a failure carries the counterexample.
+    holds:
+        Optional ``holds(context, source) -> bool``: the verdict alone,
+        for bulk evaluation (:func:`evaluate_suite`) -- the catalogue's
+        own are O(1) reads of ``context.facts``.  Defaults to
+        ``evaluate(...).holds``.
     lift:
         How per-copy verdicts combine when BGP case splitting maps one
         concrete node to several abstract copies: ``"all"`` (the property
         must hold on every copy -- universal properties) or ``"any"``
         (one copy suffices -- existential properties like reachability).
-    path_quantified:
-        Whether the evaluator quantifies over the *full* multipath set
-        (``ForwardingTable.all_paths``).  Such verdicts are not exhaustive
-        when the enumeration hits its cap, and the batch verifier flags
-        them instead of treating a truncation artefact as a soundness
-        violation.  Single-walk checks (reachability, routing-loop
-        freedom) are unaffected.
     """
 
     name: str
     description: str
     evaluate: Callable[[PropertyContext, Node], PropertyResult]
     lift: str = "all"
-    path_quantified: bool = True
+    holds: Optional[Callable[[PropertyContext, Node], bool]] = None
     #: Whether the evaluator reads ``PropertyContext.waypoints``.  The
     #: batch verifier only trusts such verdicts differentially when the
     #: waypoint set is closed under the abstraction (a union of groups);
@@ -417,14 +432,18 @@ def evaluate_suite(
     waypoints: Iterable[str],
     path_bound: Optional[int],
 ) -> VerdictMap:
-    """Boolean verdicts of every spec on every node of one table."""
+    """Boolean verdicts of every spec on every node of one table: one
+    :class:`ForwardingFacts` for the call, no per-node results built."""
     context = PropertyContext(
         table=table, waypoints=frozenset(waypoints), path_bound=path_bound
     )
-    return {
-        spec.name: {str(node): spec.evaluate(context, node).holds for node in nodes}
-        for spec in specs
-    }
+    verdicts: VerdictMap = {}
+    for spec in specs:
+        holds = spec.holds or (
+            lambda ctx, node, evaluate=spec.evaluate: evaluate(ctx, node).holds
+        )
+        verdicts[spec.name] = {str(node): holds(context, node) for node in nodes}
+    return verdicts
 
 
 def verdict_delta(
@@ -450,38 +469,31 @@ def verdict_delta(
 
 
 def _negate(result: PropertyResult) -> PropertyResult:
-    """Turn an existence check into the corresponding freedom property.
-
-    The existence check's detail already reads correctly in both
-    directions ("no black hole reachable" when nothing was found, the
-    specific violation when one was), so it is kept as-is.
-    """
-    return PropertyResult(
-        holds=not result.holds,
-        witness=result.witness,
-        detail=result.detail,
-        counterexample=result.counterexample,
-    )
+    """An existence check as the corresponding freedom property (its
+    detail already reads correctly in both directions)."""
+    return replace(result, holds=not result.holds)
 
 
 register_property(PropertySpec(
     name="reachability",
     description="traffic from the source reaches the destination",
     evaluate=lambda ctx, source: check_reachability(ctx.table, source),
+    holds=lambda ctx, source: ctx.facts.outcome.get(source) == "delivered",
     lift="any",
-    path_quantified=False,
 ))
 
 register_property(PropertySpec(
     name="all-paths-reach",
     description="every multipath forwarding path from the source delivers",
-    evaluate=lambda ctx, source: check_all_paths_reach(ctx.table, source),
+    evaluate=lambda ctx, source: check_all_paths_reach(ctx.table, source, ctx.facts),
+    holds=lambda ctx, source: source in ctx.facts.all_delivered,
 ))
 
 register_property(PropertySpec(
     name="black-hole-freedom",
     description="no loop-free forwarding path from the source ends in a drop",
-    evaluate=lambda ctx, source: _negate(check_black_hole(ctx.table, source)),
+    evaluate=lambda ctx, source: _negate(check_black_hole(ctx.table, source, ctx.facts)),
+    holds=lambda ctx, source: source in ctx.facts.drop_free,
 ))
 
 register_property(PropertySpec(
@@ -490,28 +502,37 @@ register_property(PropertySpec(
     evaluate=lambda ctx, source: _negate(
         check_routing_loop(ctx.table, sources=[source])
     ),
-    path_quantified=False,
+    holds=lambda ctx, source: ctx.facts.outcome.get(source) != "loop",
 ))
 
 register_property(PropertySpec(
     name="bounded-path-length",
     description="every delivered path from the source stays within the hop bound",
     evaluate=lambda ctx, source: check_bounded_path_length(
-        ctx.table,
-        source,
-        ctx.path_bound if ctx.path_bound is not None else len(ctx.table.next_hops),
+        ctx.table, source, ctx.bound, ctx.facts
     ),
+    holds=lambda ctx, source: _path_longer_than(
+        ctx.table, ctx.facts, source, ctx.bound
+    ) is None,
 ))
 
 register_property(PropertySpec(
     name="waypointing",
     description="every delivered path from the source traverses a waypoint",
-    evaluate=lambda ctx, source: check_waypointing(ctx.table, source, ctx.waypoints),
+    evaluate=lambda ctx, source: check_waypointing(
+        ctx.table, source, ctx.waypoints, ctx.facts
+    ),
+    holds=lambda ctx, source: source not in ctx.bypassing,
     uses_waypoints=True,
 ))
 
 register_property(PropertySpec(
     name="multipath-consistency",
     description="all multipath choices from the source agree on delivery",
-    evaluate=lambda ctx, source: check_multipath_consistency(ctx.table, source),
+    evaluate=lambda ctx, source: check_multipath_consistency(
+        ctx.table, source, ctx.facts
+    ),
+    holds=lambda ctx, source: (
+        source not in ctx.facts.delivering or source in ctx.facts.all_delivered
+    ),
 ))

@@ -362,6 +362,13 @@ class NetworkTransfer:
         state["_eval_hits"] += 1
         return None if result is self._DROPPED else result
 
+    def offers_without_route(self, edge: Edge) -> bool:
+        """Whether ``self(edge, None)`` can be a route: only a static route
+        needs no announcement from the neighbour.  The solvers call the
+        transfer on a ``None`` label over these edges alone."""
+        info = self.compiled.get(edge)
+        return info is not None and info.has_static and edge not in self.virtual_edges
+
     def __call__(
         self, edge: Edge, attribute: Optional[RibAttribute]
     ) -> Optional[RibAttribute]:

@@ -65,10 +65,9 @@ class IncrementalSolve:
 class BaselineIndex:
     """The baseline-solution views every scenario's taint query needs.
 
-    Extracting forwarding edges from a :class:`Solution` costs preference
-    comparisons per edge; a sweep re-solving hundreds of scenarios against
-    one baseline builds this index once and answers each taint query with
-    set lookups only.
+    The solution's forwarding relation plus its reverse; a sweep
+    re-solving hundreds of scenarios against one baseline builds this
+    index once and answers each taint query with set lookups only.
 
     The index also memoises whole taint-query *results*: failure sweeps
     and change sweeps ask about the same ``(removed, changed)`` element
@@ -83,7 +82,7 @@ class BaselineIndex:
     #: Maximum retained taint-query results (clear-on-overflow).
     TAINT_CACHE_LIMIT = 4096
 
-    #: ``node -> its baseline forwarding edges``.
+    #: ``node -> its baseline forwarding edges`` (the solution's own dict).
     forwarding: dict
     #: ``node -> upstream nodes whose forwarding points at it``.
     forwarding_preds: dict
@@ -97,17 +96,11 @@ class BaselineIndex:
 
     @classmethod
     def from_solution(cls, baseline: Solution) -> "BaselineIndex":
-        forwarding: dict = {}
         preds: dict = {}
-        destination = baseline.srp.destination
-        for node in baseline.srp.graph.nodes:
-            if node == destination:
-                continue
-            edges = tuple(baseline.forwarding_edges(node))
-            forwarding[node] = edges
+        for node, edges in baseline.forwarding.items():
             for _, neighbour in edges:
                 preds.setdefault(neighbour, []).append(node)
-        return cls(forwarding=forwarding, forwarding_preds=preds)
+        return cls(forwarding=baseline.forwarding, forwarding_preds=preds)
 
     def cached_taint(
         self, removed_edges: FrozenSet[Edge], removed_nodes: FrozenSet[Node]

@@ -40,8 +40,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.abstraction.mapping import NetworkAbstraction
+from repro.analysis.batch import _abstract_waypoints, lift_verdicts
 from repro.analysis.dataplane import compute_forwarding_table
-from repro.analysis.properties import PropertyContext, PropertySpec, VerdictMap
+from repro.analysis.properties import PropertySpec, VerdictMap, evaluate_suite
 from repro.config.network import Network
 from repro.config.transfer import VIRTUAL_DESTINATION
 from repro.failures.scenario import FailureScenario, canonical_link
@@ -195,43 +196,17 @@ def lifted_abstract_verdicts(
         ),
         None,
     )
-    abstract_nodes = sorted(abstract_network.graph.nodes, key=str)
     if abstract_ec is None:
         # The failure disconnected every abstract origin: nothing routes.
         return {
             spec.name: {name: False for name in concrete_nodes} for spec in specs
         }
     table = compute_forwarding_table(abstract_network, abstract_ec)
-    lifted_waypoints = set()
-    for waypoint in waypoints:
-        if waypoint in abstraction.node_map:
-            for copy in abstraction.copies_of(abstraction.f(waypoint)):
-                lifted_waypoints.add(copy)
-    context = PropertyContext(
-        table=table, waypoints=frozenset(lifted_waypoints), path_bound=path_bound
+    abstract_verdicts = evaluate_suite(
+        specs, table, sorted(abstract_network.graph.nodes, key=str),
+        _abstract_waypoints(abstraction, waypoints), path_bound,
     )
-    by_abstract: Dict[Tuple[str, str], bool] = {}
-    for spec in specs:
-        for node in abstract_nodes:
-            by_abstract[(spec.name, node)] = spec.evaluate(context, node).holds
-
-    present = set(abstract_network.graph.nodes)
-    verdicts: VerdictMap = {}
-    for spec in specs:
-        per_node: Dict[str, bool] = {}
-        for name in concrete_nodes:
-            copies = [
-                copy
-                for copy in abstraction.copies_of(abstraction.f(name))
-                if copy in present
-            ]
-            if not copies:
-                per_node[name] = False
-                continue
-            results = [by_abstract[(spec.name, copy)] for copy in copies]
-            per_node[name] = any(results) if spec.lift == "any" else all(results)
-        verdicts[spec.name] = per_node
-    return verdicts
+    return lift_verdicts(abstraction, specs, abstract_verdicts, concrete_nodes)
 
 
 def compare_verdicts(

@@ -553,11 +553,10 @@ class TaskBaseline:
                 table=table, waypoints=waypoints, path_bound=self.path_bound
             )
             for spec in self.specs:
-                broken = outcome.newly_failing.get(spec.name)
-                if broken:
-                    witness = failure_witness(spec, context, broken[0])
-                    if witness is not None:
-                        outcome.witnesses[spec.name] = witness
+                broken = outcome.newly_failing.get(spec.name, ())
+                witness = failure_witness(spec, context, broken[:1])
+                if witness is not None:
+                    outcome.witnesses[spec.name] = witness.to_dict()
         return verdicts
 
 

@@ -10,6 +10,7 @@ contains the edges whose offered attribute is as good as the chosen one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.srp.instance import SRP
@@ -31,10 +32,7 @@ class Solution:
         The attribute chosen at each node (``None`` meaning no route).
     transfer_cache:
         Optional memo of ``(edge, neighbour_label) -> transferred
-        attribute`` filled in by the solver.  The final stability pass
-        evaluates every edge under the final labeling, so forwarding-edge
-        extraction afterwards is pure cache hits instead of re-running the
-        (route-map-heavy) transfer functions.
+        attribute`` filled in by the solver; seeds incremental re-solves.
     """
 
     srp: SRP
@@ -43,84 +41,42 @@ class Solution:
         default=None, repr=False, compare=False
     )
 
-    def _offers(self, node: Node) -> List[Tuple[Edge, Attribute]]:
-        """``choices_L(node)`` under this labeling, via the cache if set."""
-        cache = self.transfer_cache
-        if cache is None:
-            return self.srp.choices(node, self.labeling)
-        transfer = self.srp.transfer
-        get_label = self.labeling.get
-        result = []
-        for edge in self.srp.graph.out_edges(node):
-            label = get_label(edge[1])
-            key = (edge, label)
-            try:
-                attr = cache[key]
-            except KeyError:
-                attr = cache[key] = transfer(edge, label)
-            except TypeError:
-                attr = transfer(edge, label)
-            if attr is not None:
-                result.append((edge, attr))
-        return result
-
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
-    def forwarding_edges(self, node: Node) -> List[Edge]:
-        """The paper's ``fwd_L(node)``: edges carrying an offer as good as
-        the node's chosen attribute.  Empty for the destination and for
-        nodes with no route."""
-        chosen = self.labeling.get(node)
-        if chosen is None or node == self.srp.destination:
-            return []
-        edges = []
-        for edge, attr in self._offers(node):
-            if self.srp.equally_preferred(attr, chosen):
-                edges.append(edge)
-        return edges
+    @cached_property
+    def forwarding(self) -> Dict[Node, Tuple[Edge, ...]]:
+        """The paper's ``fwd_L``: per non-destination node, the edges
+        carrying an offer as good as its chosen attribute (none for a node
+        with no route), in out-edge order.  The worklist solvers assign it
+        from the offer tables they converged on; it is derived here, through
+        the live transfer, only for a solution built by hand."""
+        srp = self.srp
+        forwarding = {}
+        for node in srp.graph.nodes:
+            if node == srp.destination:
+                continue
+            chosen = self.labeling.get(node)
+            forwarding[node] = () if chosen is None else tuple(
+                edge
+                for edge, attr in srp.choices(node, self.labeling)
+                if srp.equally_preferred(attr, chosen)
+            )
+        return forwarding
 
     def forwarding_graph(self) -> Graph:
         """The sub-graph containing only forwarding edges."""
         g = Graph()
         for node in self.srp.graph.nodes:
             g.add_node(node)
-        for node in self.srp.graph.nodes:
-            for edge in self.forwarding_edges(node):
+        for edges in self.forwarding.values():
+            for edge in edges:
                 g.add_edge(*edge)
         return g
 
     def next_hops(self, node: Node) -> Set[Node]:
         """The neighbours ``node`` forwards traffic to."""
-        return {v for _, v in self.forwarding_edges(node)}
-
-    def forwarding_paths(self, source: Node, max_paths: int = 10_000) -> List[List[Node]]:
-        """All loop-free forwarding paths from ``source``.
-
-        Each path ends either at the destination, at a node with no route
-        (black hole), or at the first repeated node (loop; the repeated node
-        appears twice so callers can detect it).
-        """
-        paths: List[List[Node]] = []
-
-        def walk(node: Node, path: List[Node]) -> None:
-            if len(paths) >= max_paths:
-                return
-            if node == self.srp.destination:
-                paths.append(path)
-                return
-            hops = self.forwarding_edges(node)
-            if not hops:
-                paths.append(path)
-                return
-            for _, nxt in sorted(hops, key=lambda e: str(e[1])):
-                if nxt in path:
-                    paths.append(path + [nxt])
-                    continue
-                walk(nxt, path + [nxt])
-
-        walk(source, [source])
-        return paths
+        return {v for _, v in self.forwarding.get(node, ())}
 
     # ------------------------------------------------------------------
     # Stability
@@ -141,7 +97,7 @@ class Solution:
                         f"destination {node!r} labelled {label!r}, expected {srp.initial!r}"
                     )
                 continue
-            offers = [attr for _, attr in self._offers(node)]
+            offers = [attr for _, attr in srp.choices(node, self.labeling)]
             if not offers:
                 if label is not None:
                     problems.append(f"{node!r} has no offers but is labelled {label!r}")

@@ -168,8 +168,9 @@ def solve(
     produced -- because a node's best choice depends only on the labels of
     its out-neighbours: a node none of whose out-neighbours changed in the
     previous round would recompute the same label, so the worklist skips
-    it.  The first round evaluates every node (transfer functions may
-    produce attributes from a ``None`` input, e.g. static routes).
+    it.  The first round examines every node, but calls the transfer on a
+    ``None`` label only over the edges it names as able to offer a route
+    from no route (static routes), see :func:`_worklist_run`.
 
     Raises
     ------
@@ -338,8 +339,15 @@ def _worklist_run(
     # a pointer comparison instead of two ``prefer`` calls plus an
     # (equality-preserving, hence semantics-preserving) repr tie-break.
     interned: dict = {}
+    # The one contract beyond purity a transfer may declare: the edges over
+    # which ``transfer(edge, None)`` can be a route (static routes).  Every
+    # other edge offers nothing for a ``None`` label, uncalled and
+    # unmemoised.  A bare closure declares nothing: every edge may.
+    offers_unrouted = getattr(transfer, "offers_without_route", lambda edge: True)
 
     def evaluate(edge, label) -> Optional[Attribute]:
+        if label is None and not offers_unrouted(edge):
+            return None
         key = (edge, label)
         try:
             attr = transfer_cache[key]
@@ -384,11 +392,11 @@ def _worklist_run(
                     best_key = attr_key
         return best
 
-    # Every node's offer table is built up front from the seed labeling
-    # (transfer functions may produce attributes from a ``None`` input,
-    # e.g. static routes).  In a scratch solve this is round 1's work; in a
-    # seeded solve it is almost entirely memo hits against the baseline's
-    # transfer cache.
+    # Every node's offer table is built up front from the seed labeling.
+    # In a scratch solve this is round 1's work: all labels but the
+    # destination's are ``None``, so only its in-edges and the static-route
+    # edges reach the transfer.  In a seeded solve it is almost entirely
+    # memo hits against the baseline's transfer cache.
     get_label = labeling.get
     for node in graph.nodes:
         if node != destination:
@@ -431,12 +439,23 @@ def _worklist_run(
                             f"seeded labeling converged to an unstable fixed "
                             f"point at node {node!r} (bad seed?)"
                         )
-            # Hand the transfer memo to the solution: every edge has been
-            # evaluated under the final labeling, so forwarding-edge
-            # extraction downstream is pure cache hits.
-            return Solution(
+            solution = Solution(
                 srp=srp, labeling=labeling, transfer_cache=transfer_cache
             )
+            # fwd_L, read off the converged offer tables: the edges whose
+            # offer is the chosen (interned) attribute or ties with it.
+            forwarding = solution.forwarding = {}
+            for node, node_offers in offers.items():
+                chosen = labeling[node]
+                forwarding[node] = () if chosen is None else tuple(
+                    edge
+                    for edge, attr in node_offers.items()
+                    if attr is not None and (
+                        attr is chosen
+                        or not (prefer(chosen, attr) or prefer(attr, chosen))
+                    )
+                )
+            return solution
         next_dirty = {}
         for node, best in updates:
             labeling[node] = best

@@ -16,6 +16,5 @@ register_property(
         evaluate=lambda ctx, source: PropertyResult(
             holds=bool(ctx.table.forwards_to(source)) or ctx.table.delivers(source)
         ),
-        path_quantified=False,
     )
 )

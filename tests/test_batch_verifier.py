@@ -169,6 +169,26 @@ class TestExecutors:
 # ----------------------------------------------------------------------
 # Timeouts: raised and reported, never swallowed
 # ----------------------------------------------------------------------
+class TestVerdictLifting:
+    def test_each_node_is_mapped_through_the_abstraction_once(self, monkeypatch):
+        """``copies_of(f(node))`` per node (plus per waypoint), not per
+        (property, node): 7 properties used to cost 7 times the calls."""
+        from repro.abstraction.mapping import NetworkAbstraction
+
+        network = fattree_network(4)
+        calls = []
+        copies_of = NetworkAbstraction.copies_of
+        monkeypatch.setattr(
+            NetworkAbstraction,
+            "copies_of",
+            lambda self, node: calls.append(node) or copies_of(self, node),
+        )
+        report = BatchVerifier(network, executor="serial", limit=1).run()
+        (record,) = report.records
+        assert len(report.properties) == 7 and report.verdicts_agree()
+        assert len(calls) == record.concrete_nodes + len(record.origins)
+
+
 class TestTimeout:
     def test_zero_budget_raises_with_partial_report(self):
         verifier = BatchVerifier(
@@ -195,11 +215,12 @@ class TestTimeout:
 
 
 class TestTruncationFlagging:
-    def test_truncated_path_enumeration_is_recorded(self):
-        """When all_paths hits its cap the table records the source, so
-        the batch engine can flag path-quantified verdicts instead of
-        gating on a truncated (non-exhaustive) enumeration."""
+    def test_bounded_enumerator_raises_at_its_bound(self):
+        """``all_paths`` is the explicitly bounded enumerator: past its
+        bound it raises, naming source and bound, instead of returning a
+        shortened list (no verdict is derived from it any more)."""
         from repro.analysis import ForwardingTable
+        from repro.analysis.dataplane import PathLimitExceeded
         from repro.config import Prefix
 
         table = ForwardingTable(
@@ -207,11 +228,11 @@ class TestTruncationFlagging:
             origins={"d"},
             next_hops={"s": {"a", "b"}, "a": {"d"}, "b": {"d"}, "d": set()},
         )
-        assert len(table.all_paths("s")) == 2
-        assert not table.truncated_sources
-        table.clear_path_cache()
-        assert len(table.all_paths("s", max_paths=1)) == 1
-        assert "s" in table.truncated_sources
+        assert table.all_paths("s") == [["s", "a", "d"], ["s", "b", "d"]]
+        assert table.all_paths("s", max_paths=2) == table.all_paths("s")
+        with pytest.raises(PathLimitExceeded, match=r"more than 1 .* 's'"):
+            table.all_paths("s", max_paths=1)
+        assert not hasattr(table, "truncated_sources")
 
 
 # ----------------------------------------------------------------------

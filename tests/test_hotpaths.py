@@ -34,6 +34,9 @@ from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_siz
 from repro.netgen.fattree import fattree_network
 from repro.pipeline.report import EcRecord
 from repro.srp.instance import SRP
+from repro.analysis.dataplane import compute_forwarding_table, forwarding_table_from_solution
+from repro.routing import RipAttribute
+from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, solve, solve_sweep
 from repro.topology import ring_topology
 from repro.topology.graph import Graph
@@ -106,6 +109,71 @@ class TestWorklistSolverEquivalence:
                 assert sorted(map(str, fast.next_hops(node))) == sorted(
                     map(str, reference.next_hops(node))
                 )
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_hands_over_the_forwarding_its_labeling_implies(self, family):
+        """``solution.forwarding`` (read off the converged offer tables)
+        is what a hand-built solution derives from the same labeling
+        through the live transfer; wan has static routes off the origins."""
+        network = build_topology(family, default_size(family))
+        for srp in _srps_of(network):
+            solution = solve(srp)
+            assert "forwarding" in vars(solution)  # handed over, not derived
+            assert solution.forwarding == Solution(srp, solution.labeling).forwarding
+
+    def test_a_bare_closure_transfer_gets_the_full_first_round(self, figure1_srp):
+        calls = []
+        transfer = figure1_srp.transfer
+        figure1_srp.transfer = lambda edge, label: calls.append(label) or transfer(edge, label)
+        solution = solve(figure1_srp)
+        reference = solve_sweep(figure1_srp)
+        assert solution.labeling == reference.labeling
+        assert solution.forwarding == reference.forwarding
+        # Round one calls it on all 6 out-edges of a, b1 and b2: the two
+        # into d carry its route, the other four no route.
+        assert calls[:6].count(None) == 4 and calls[:6].count(RipAttribute(0)) == 2
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_only_declared_edges_offer_a_route_from_no_route(self, family):
+        """The contract the first round rests on, on the concrete and the
+        compressed network of every class: ``transfer(edge, None)`` is a
+        route only over edges ``offers_without_route`` names."""
+        network = build_topology(family, default_size(family))
+        bonsai = Bonsai(network)
+        declared = 0
+        for ec in bonsai.equivalence_classes():
+            abstract = bonsai.compress(ec, build_network=True).abstract_network
+            for srp in [bonsai.concrete_srp(ec), *_srps_of(abstract)]:
+                for edge in srp.graph.edges:
+                    if srp.transfer.offers_without_route(edge):
+                        declared += 1
+                    else:
+                        assert srp.transfer(edge, None) is None, (family, ec.prefix, edge)
+        assert (declared > 0) == (family == "wan")
+
+    def test_scratch_solve_calls_no_transfer_on_a_missing_route(self):
+        network = fattree_network(4)
+        ec = routable_equivalence_classes(network)[0]
+        srp = build_srp_from_network(network, ec.prefix, set(ec.origins))
+        labels, prefers = [], []
+        transfer, prefer = srp.transfer, srp.prefer
+
+        class Counted:
+            offers_without_route = transfer.offers_without_route
+
+            def __call__(self, edge, label):
+                labels.append(label)
+                return transfer(edge, label)
+
+        srp.transfer = Counted()
+        srp.prefer = lambda a, b: prefers.append(1) or prefer(a, b)
+        solution = solve(srp)
+        assert labels and None not in labels
+        assert all(label is not None for _, label in solution.transfer_cache)
+        del labels[:], prefers[:]
+        table = forwarding_table_from_solution(network, solution, ec)
+        assert not labels and not prefers
+        assert table == compute_forwarding_table(network, ec)
 
     def test_converges_in_the_same_round_as_the_sweep(self):
         # d - a - b line: labels settle in 2 rounds, round 3 confirms.

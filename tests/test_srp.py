@@ -72,8 +72,11 @@ class TestSolution:
 
     def test_forwarding_paths_reach_destination(self, figure1_srp):
         solution = solve(figure1_srp)
-        paths = solution.forwarding_paths("a")
-        assert sorted(paths) == [["a", "b1", "d"], ["a", "b2", "d"]]
+        assert {node: set(edges) for node, edges in solution.forwarding.items()} == {
+            "a": {("a", "b1"), ("a", "b2")},
+            "b1": {("b1", "d")},
+            "b2": {("b2", "d")},
+        }
 
     def test_violations_detected_for_bad_labeling(self, figure1_srp):
         bad = Solution(
