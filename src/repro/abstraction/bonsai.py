@@ -189,6 +189,8 @@ class Bonsai:
         #: back to back.  The base compilation is built once.
         self._compile_memo: Optional[Tuple[Prefix, Dict, FrozenSet]] = None
         self._base_compiled: Optional[Dict] = None
+        #: Likewise its class family (:meth:`derive` asks once per scenario).
+        self._family_memo: Optional[Tuple[Prefix, ClassFamily]] = None
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -221,6 +223,7 @@ class Bonsai:
             return cached[1]
         if self._base_compiled is None:
             self._base_compiled = compile_base_edges(self.network)
+            _metrics.counter("config.base_edge_compiles").inc()
         base = self._base_compiled
         # Classes no static route or ACL singles out share the base itself.
         compiled = specialize_compiled_edges(self.network, prefix, base)
@@ -248,6 +251,9 @@ class Bonsai:
         family's later classes never rebuild the map; syntactic keys have
         no cheaper signature than their own content.
         """
+        memo = self._family_memo
+        if memo is not None and memo[0] == prefix:
+            return memo[1]
         compiled = self.compile_for(prefix)
         keys = None
         if self.use_bdds:
@@ -267,7 +273,29 @@ class Bonsai:
             self._make_room()
             family = self._families[signature] = ClassFamily(keys)
             _metrics.counter("abstraction.class_families").inc()
+        self._family_memo = (prefix, family)
         return family
+
+    def derive(self, network: Network, removed: FrozenSet[Edge], prefix: Prefix) -> "Bonsai":
+        """A ``Bonsai`` for a failure view -- :attr:`network` less the
+        ``removed`` directed edges and any failed device, surviving configs
+        shared by identity -- handed what this one holds.  A surviving edge
+        keeps its ``CompiledEdge`` and, the encoder being shared, its policy
+        key for ``prefix``: both are filters.  The class invariants carry
+        over unless a device failed (that can change the unused communities,
+        and with them the syntactic keys).  Refinement is not seeded: the
+        baseline partition is not the coarsest one once edges are gone."""
+        child = Bonsai(network, self.use_bdds, self._encoder if self.use_bdds else None)
+        if self._base_compiled is not None:
+            child._base_compiled = {
+                edge: info for edge, info in self._base_compiled.items() if edge not in removed
+            }
+        same_devices = len(network.devices) == len(self.network.devices)
+        if same_devices:
+            child._class_invariants = self._class_invariants
+        if self.use_bdds or same_devices:
+            child._family_memo = (prefix, self.policy_keys(prefix).without(removed))
+        return child
 
     def _make_room(self) -> None:
         """Clear-on-overflow, both levels together (the ``BddManager``
@@ -305,10 +333,13 @@ class Bonsai:
         self,
         equivalence_class: EquivalenceClass,
         build_network: bool = True,
+        srp: Optional[SRP] = None,
     ) -> CompressionResult:
-        """Compress the network for one destination equivalence class."""
+        """Compress the network for one destination equivalence class
+        (``srp``: its :meth:`concrete_srp`, when the caller already built it)."""
         start = time.perf_counter()
-        srp = self.concrete_srp(equivalence_class)
+        if srp is None:
+            srp = self.concrete_srp(equivalence_class)
         family = self.policy_keys(equivalence_class.prefix)
         refinement = self._refine_cached(srp, family, equivalence_class)
         abstract_network = (

@@ -115,6 +115,16 @@ class ClassFamily(dict):
     refinements = 0
     #: The graph the inputs were built for (``None``: not built yet).
     graph: Optional[Graph] = None
+    #: ``(family with built inputs, removed edges)`` of :meth:`without`.
+    origin: Optional[Tuple["ClassFamily", FrozenSet[Edge]]] = None
+
+    def without(self, removed: FrozenSet[Edge]) -> "ClassFamily":
+        """This family's keys on the same graph less the ``removed`` edges;
+        inputs this family has built are patched by :meth:`over`, not rebuilt."""
+        derived = ClassFamily({edge: key for edge, key in self.items() if edge not in removed})
+        if self.graph is not None:
+            derived.origin = (self, removed)
+        return derived
 
     def over(self, srp: SRP) -> "ClassFamily":
         """This family, its inputs built for ``srp``'s graph and local
@@ -133,8 +143,23 @@ class ClassFamily(dict):
         self.neighbours_of: Dict[Node, Tuple] = {}
         #: Their union over a group decides its ∀∀ vs ∀∃ condition.
         self.pref_sets: Dict[Node, FrozenSet[int]] = {}
-        numbers: Dict[Tuple, int] = {}
-        for node in graph.nodes:
+        self.numbers: Dict[Tuple, int] = {}
+        nodes = graph.nodes
+        parent, removed = self.origin or (None, None)
+        if (
+            parent is not None
+            and parent.prefs == srp.node_prefs
+            and parent.graph.num_nodes() == graph.num_nodes()
+        ):
+            # Same nodes, same keys, same preferences: only the endpoints
+            # of the removed edges are summarised differently.
+            self.edge_summary.update(parent.edge_summary)
+            self.neighbours_of.update(parent.neighbours_of)
+            self.pref_sets.update(parent.pref_sets)
+            self.numbers = parent.numbers  # read only: no edge is new
+            nodes = {node for edge in removed for node in edge}
+        numbers = self.numbers
+        for node in nodes:
             out_edges, in_edges = graph.out_edges(node), graph.in_edges(node)
             # Incoming edges count too: the key of an edge (w, u) contains
             # u's *export* policy towards w, so without them two nodes whose

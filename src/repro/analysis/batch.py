@@ -59,7 +59,7 @@ from repro.config.network import Network
 from repro.obs import trace
 from repro.pipeline.core import EXECUTORS, ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
-from repro.reporting import ReportEnvelope, register_report
+from repro.reporting import ReportEnvelope, register_report, report_dict
 from repro.srp.solver import solve
 
 #: Format version for the JSON verification reports.
@@ -322,7 +322,7 @@ class VerificationReport(ReportEnvelope):
     # Wire format
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        data = asdict(self)
+        data = report_dict(self, [asdict(record) for record in self.records])
         data.update(self.envelope_dict())
         data["aggregate"] = {
             "concrete_seconds": self.concrete_seconds,
@@ -498,15 +498,16 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         # ``compute_forwarding_table`` on the SRP the compression below
         # refines: one compilation, and the per-``Bonsai`` class invariants
         # instead of a walk over every device's communities per class.
+        concrete_srp = bonsai.concrete_srp(equivalence_class)
         concrete_table = forwarding_table_from_solution(
-            network, solve(bonsai.concrete_srp(equivalence_class)), equivalence_class
+            network, solve(concrete_srp), equivalence_class
         )
         concrete_verdicts = evaluate_suite(specs, concrete_table, nodes, waypoints, path_bound)
         concrete_seconds = time.perf_counter() - concrete_start
 
         # -- abstract side (compression included in the timing) --------------
         abstract_start = time.perf_counter()
-        result = bonsai.compress(equivalence_class, build_network=True)
+        result = bonsai.compress(equivalence_class, build_network=True, srp=concrete_srp)
         abstraction = result.abstraction
         abstract_network = result.abstract_network
         abstract_ec = next(

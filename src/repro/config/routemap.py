@@ -23,6 +23,7 @@ is per destination, so the prefix is supplied separately).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.config.prefix import Prefix
@@ -158,6 +159,24 @@ class RouteMap:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.clauses, key=lambda clause: clause.sequence))
         object.__setattr__(self, "clauses", ordered)
+
+    def __getstate__(self):
+        return {"name": self.name, "clauses": self.clauses}
+
+    @cached_property
+    def constant(self) -> Optional[str]:
+        """``"deny"`` or ``"permit"`` when the map does the same to every
+        announcement without looking at it: its first clause has no match
+        condition (so always matches, and the map *is* that clause) and
+        denies, or permits and rewrites nothing.  Decided once per map,
+        never pickled."""
+        first = self.clauses[0] if self.clauses else None
+        if first is None or first.match_community_lists or first.match_prefix_lists:
+            return None
+        rewrites = first.set_communities or first.delete_communities or first.prepend_as
+        if first.action == "permit" and (rewrites or first.set_local_pref is not None):
+            return None
+        return first.action
 
     def evaluate(
         self,

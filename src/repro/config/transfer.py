@@ -29,6 +29,7 @@ from repro.routing.attributes import (
     BgpAttribute,
     RibAttribute,
     StaticAttribute,
+    trusted,
 )
 from repro.routing.bgp import BgpProtocol
 from repro.routing.multiprotocol import MultiProtocol
@@ -331,8 +332,15 @@ class NetworkTransfer:
         destination); the destination is fixed per transfer instance and
         the map/device pair is identified by the device name plus map
         identity, so the same announcement traversing the same policy on
-        several parallel edges is evaluated once.
+        several parallel edges is evaluated once.  An absent map, and one
+        that denies or passes every announcement unread
+        (:attr:`RouteMap.constant`), is not evaluated at all.
         """
+        if route_map is None:
+            return attribute
+        if route_map.constant is not None:
+            # Deny-all or pass-unchanged: nothing to evaluate or remember.
+            return attribute if route_map.constant == "permit" else None
         state = self.__dict__
         cache = state.get("_eval_cache")
         if cache is None:
@@ -344,13 +352,7 @@ class NetworkTransfer:
         try:
             result = cache[key]
         except KeyError:
-            result = route_map.evaluate(
-                attribute,
-                self.destination,
-                device.community_lists,
-                device.prefix_lists,
-                device.asn or device.name,
-            )
+            result = evaluate_route_map(route_map, device, attribute, self.destination)
             state["_eval_misses"] += 1
             if len(cache) >= self.EVAL_CACHE_LIMIT:
                 cache.clear()
@@ -382,9 +384,6 @@ class NetworkTransfer:
         info = self.compiled.get(edge)
         if info is None:
             return NO_ROUTE
-        receiver, sender = edge
-        receiver_cfg = self.network.devices[receiver]
-        sender_cfg = self.network.devices[sender]
 
         static_attr = StaticAttribute() if info.has_static else None
 
@@ -394,47 +393,38 @@ class NetworkTransfer:
             if info.has_ospf and attribute.ospf is not None:
                 ospf_attr = attribute.ospf.with_added_cost(info.ospf_cost)
             if info.has_bgp and attribute.bgp is not None:
-                if info.export_map is None:
-                    outgoing = attribute.bgp
-                else:
-                    outgoing = self._evaluate_cached(
-                        info.export_map, sender_cfg, attribute.bgp, "out"
-                    )
+                receiver, sender = edge
+                devices = self.network.devices
+                outgoing = self._evaluate_cached(
+                    info.export_map, devices[sender], attribute.bgp, "out"
+                )
                 if outgoing is not None:
-                    receiver_asn = receiver_cfg.asn or str(receiver)
-                    sender_asn = sender_cfg.asn or str(sender)
                     if info.ibgp:
                         # iBGP: no AS-path change and no AS-based loop
                         # check, but the receiver ranks the route below
                         # eBGP-learned ties (BgpAttribute.ibgp_learned).
                         incoming = outgoing.via_ibgp()
-                    elif outgoing.contains_as(receiver_asn):
+                    elif outgoing.contains_as(devices[receiver].asn or str(receiver)):
                         incoming = None
                     else:
-                        incoming = outgoing.prepended(sender_asn)
+                        incoming = outgoing.prepended(devices[sender].asn or str(sender))
                     if incoming is not None:
-                        if info.import_map is None:
-                            bgp_attr = incoming
-                        else:
-                            bgp_attr = self._evaluate_cached(
-                                info.import_map, receiver_cfg, incoming, "in"
-                            )
+                        bgp_attr = self._evaluate_cached(
+                            info.import_map, devices[receiver], incoming, "in"
+                        )
 
         if static_attr is None and bgp_attr is None and ospf_attr is None:
             return NO_ROUTE
         # best_protocol() by administrative distance, inlined (static 1 <
-        # ebgp 20 < ospf 110) to avoid building a throwaway RibAttribute.
+        # ebgp 20 < ospf 110); the attribute is valid by construction.
         if static_attr is not None:
             chosen = "static"
         elif bgp_attr is not None:
             chosen = "ebgp"
         else:
             chosen = "ospf"
-        return RibAttribute(
-            bgp=bgp_attr,
-            ospf=ospf_attr,
-            static=static_attr,
-            chosen=chosen,
+        return trusted(
+            RibAttribute, bgp=bgp_attr, ospf=ospf_attr, static=static_attr, chosen=chosen
         )
 
 

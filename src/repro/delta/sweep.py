@@ -433,7 +433,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
         if compression is not None:
             baseline_signature = stored.signature
         else:
-            compression = bonsai.compress(equivalence_class, build_network=True)
+            compression = bonsai.compress(equivalence_class, srp=baseline.solution.srp)
             compression_seconds = compression.compression_seconds
             keys = state.policy_keys(_BASELINE_STEP, prefix)
             baseline_signature = class_signature(

@@ -22,9 +22,10 @@ the ∀∃-refinement conditions of the surviving topology are untouched and
 the baseline abstraction is still an effective abstraction of the failed
 network -- that is the structural fact behind the per-scenario
 ``sound_under_failure`` flag.  When it is not, the checker falls back to
-*re-compressing the failed network from scratch* (reusing the baseline's
-policy-BDD encoder, so no re-encoding cost) and verifies against that
-fresh abstraction instead.
+*re-compressing the failed network* -- refinement from the trivial
+partition, on inputs derived from the class baseline rather than rebuilt
+(:meth:`~repro.abstraction.bonsai.Bonsai.derive`) -- and verifies
+against that fresh abstraction instead.
 
 Either way the checker finishes with a differential verdict comparison --
 abstract verdicts lifted through the mapping must equal the concrete
@@ -46,6 +47,7 @@ from repro.analysis.properties import PropertySpec, VerdictMap, evaluate_suite
 from repro.config.network import Network
 from repro.config.transfer import VIRTUAL_DESTINATION
 from repro.failures.scenario import FailureScenario, canonical_link
+from repro.srp.instance import SRP
 
 
 @dataclass
@@ -239,12 +241,15 @@ def check_scenario_soundness(
     specs: List[PropertySpec],
     waypoints: FrozenSet[str],
     path_bound: int,
+    failed_srp: Optional[SRP] = None,
 ) -> SoundnessOutcome:
     """Judge whether the baseline abstraction survives one scenario.
 
     ``concrete_verdicts`` are the per-node property verdicts already
     computed on the failed *concrete* network (by the sweep's incremental
     re-solve); the checker only produces the abstract side and compares.
+    ``failed_srp`` is the failed network's concrete SRP for the class,
+    when the caller has built it (a re-compression then does not).
     """
     abstraction = baseline.abstraction
     mapped, reason = abstract_scenario_for(abstraction, bonsai.network, scenario)
@@ -255,21 +260,12 @@ def check_scenario_soundness(
         abstract_network = mapped.apply_loose(baseline.abstract_network)
         abstract_nodes = abstract_network.graph.num_nodes()
     else:
-        # Fallback: compress the failed network from scratch.  The
-        # baseline's policy-BDD encoder is reused (device configurations
-        # are shared by the failure view, so every per-edge BDD is already
-        # encoded); only refinement and abstract-network emission run per
-        # scenario.
-        fallback = Bonsai(
-            failed_network,
-            use_bdds=bonsai.use_bdds,
-            encoder=bonsai.encoder if bonsai.use_bdds else None,
-        )
-        if not scenario.nodes:
-            # The class invariants read device configs alone, which a link
-            # failure shares with the baseline by identity.
-            fallback._class_invariants = bonsai._class_invariants
-        result = fallback.compress(failed_ec, build_network=True)
+        # Fallback: compress the failed network.  Refinement (from the
+        # trivial partition) and emission run per scenario; their inputs
+        # are the class baseline's, filtered (``Bonsai.derive``).
+        removed = scenario.directed_edges(bonsai.network.graph)
+        fallback = bonsai.derive(failed_network, removed, failed_ec.prefix)
+        result = fallback.compress(failed_ec, build_network=True, srp=failed_srp)
         abstraction = result.abstraction
         abstract_network = result.abstract_network
         abstract_nodes = result.abstract_nodes

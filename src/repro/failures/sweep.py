@@ -239,7 +239,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
     if options.get("soundness", True):
         compression = baseline.stored_compression
         if compression is None:
-            compression = bonsai.compress(equivalence_class, build_network=True)
+            compression = bonsai.compress(equivalence_class, srp=baseline.solution.srp)
             compression_seconds = compression.compression_seconds
 
     # One bounded transfer memo shared by every scenario's incremental
@@ -349,6 +349,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                     baseline.specs,
                     scenario_waypoints,
                     baseline.path_bound,
+                    failed_srp=build_failed_srp(),
                 )
                 outcome.sound_under_failure = sound.sound_under_failure
                 outcome.soundness = sound.to_dict()

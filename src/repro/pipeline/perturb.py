@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
@@ -53,7 +53,7 @@ from repro.config.network import Network
 from repro.obs import finish_run, snapshot_run
 from repro.pipeline.core import ClassFanOut
 from repro.pipeline.stream import RecordSpill
-from repro.reporting import ReportEnvelope, StreamingReport
+from repro.reporting import ReportEnvelope, StreamingReport, report_dict
 from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
 
@@ -307,8 +307,7 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
         }
 
     def to_dict(self, include_records: bool = True) -> Dict:
-        data = asdict(self)
-        data.pop("records", None)
+        data = report_dict(self)
         if include_records:
             data["records"] = self.records_payload()
         data.update(self.envelope_dict())

@@ -12,11 +12,11 @@ seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.config.transfer import VIRTUAL_DESTINATION
-from repro.reporting import ReportEnvelope, StreamingReport, register_report
+from repro.reporting import ReportEnvelope, StreamingReport, register_report, report_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.abstraction.bonsai import CompressionResult
@@ -181,8 +181,7 @@ class PipelineReport(StreamingReport, ReportEnvelope):
         return EcRecord(**payload)
 
     def to_dict(self, include_records: bool = True) -> Dict:
-        data = asdict(self)
-        data.pop("records", None)
+        data = report_dict(self)
         if include_records:
             data["records"] = self.records_payload()
         data.update(self.envelope_dict())

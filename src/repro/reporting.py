@@ -31,9 +31,10 @@ old files, old readers ignore the new keys.
 from __future__ import annotations
 
 import bisect
+import copy
 import dataclasses
 import json
-from typing import Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Optional, Type
 
 #: Cross-report envelope schema revision.
 REPORT_SCHEMA_VERSION = 2
@@ -53,6 +54,18 @@ _BUILTIN_REPORT_MODULES = (
     "repro.failures.sweep",
     "repro.delta.sweep",
 )
+
+
+def report_dict(report, records: Optional[List[Dict]] = None) -> Dict:
+    """``dataclasses.asdict(report)`` with the serialised ``records`` in the
+    field's place (left out when ``None``): records are never walked here."""
+    data: Dict[str, object] = {}
+    for spec in dataclasses.fields(report):
+        if spec.name != "records":
+            data[spec.name] = copy.deepcopy(getattr(report, spec.name))
+        elif records is not None:
+            data["records"] = records
+    return data
 
 
 class ReportEnvelope:

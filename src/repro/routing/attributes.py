@@ -12,10 +12,40 @@ structurally in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import FrozenSet, Optional, Tuple
 
 #: The paper's ``⊥`` -- absence of a route.  We use ``None`` throughout.
 NO_ROUTE = None
+
+
+def _hash_once(cls):
+    """Class decorator for the frozen attributes the solver keys its memos
+    by: the field hash is computed once per object and left out of its
+    pickle (string hashes are per process; artifacts are loaded by others)."""
+    names = tuple(cls.__dataclass_fields__)
+    fields = attrgetter(*names)
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(fields(self))
+            return value
+
+    def __getstate__(self) -> dict:
+        return dict(zip(names, fields(self)))
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+def trusted(cls, **fields):
+    """An attribute from all its field values, already known to be valid:
+    no ``__init__``, no validation.  For the transfer hot path only."""
+    attribute = object.__new__(cls)
+    attribute.__dict__.update(fields)
+    return attribute
 
 
 @dataclass(frozen=True, order=True)
@@ -71,6 +101,7 @@ class OspfAttribute:
 DEFAULT_LOCAL_PREF = 100
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BgpAttribute:
     """A BGP route announcement.
@@ -118,7 +149,8 @@ class BgpAttribute:
     def prepended(self, asn: str) -> "BgpAttribute":
         """A copy with ``asn`` prepended to the AS path (eBGP route export);
         the receiver learns it over eBGP, so the iBGP mark is cleared."""
-        return BgpAttribute(
+        return trusted(
+            BgpAttribute,
             local_pref=self.local_pref,
             communities=self.communities,
             as_path=(asn,) + self.as_path,
@@ -128,7 +160,8 @@ class BgpAttribute:
     def via_ibgp(self) -> "BgpAttribute":
         """A copy marked as learned over an iBGP session (AS path, local
         preference and communities travel unchanged)."""
-        return BgpAttribute(
+        return trusted(
+            BgpAttribute,
             local_pref=self.local_pref,
             communities=self.communities,
             as_path=self.as_path,
@@ -160,6 +193,7 @@ ADMIN_DISTANCE = {
 }
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RibAttribute:
     """A multi-protocol RIB entry (§6, Multiple Protocols).

@@ -53,6 +53,9 @@ class BgpProtocol(Protocol):
             return a.path_length < b.path_length
         return (not a.ibgp_learned) and b.ibgp_learned
 
+    def rank(self, a: BgpAttribute) -> Tuple[int, int, bool]:
+        return (-a.local_pref, len(a.as_path), a.ibgp_learned)
+
     def default_transfer(
         self, edge: Edge, attribute: Optional[BgpAttribute]
     ) -> Optional[BgpAttribute]:

@@ -15,7 +15,7 @@ distance wins, then the owning protocol's own preference applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.routing.attributes import (
     ADMIN_DISTANCE,
@@ -101,6 +101,18 @@ class MultiProtocol(Protocol):
         if pa == "ospf" and a.ospf is not None and b.ospf is not None:
             return self._ospf.prefer(a.ospf, b.ospf)
         return False
+
+    def rank(self, a: RibAttribute) -> Tuple:
+        """Administrative distance, then the owner's own rank (``chosen``'s
+        attribute is present); an empty entry ranks behind every route."""
+        protocol = a.chosen if a.chosen is not None else a.best_protocol()
+        if protocol is None:
+            return (1 << 30,)
+        if protocol == "ebgp":
+            return (ADMIN_DISTANCE[protocol], *self._bgp.rank(a.bgp))
+        if protocol == "ospf":
+            return (ADMIN_DISTANCE[protocol], *self._ospf.rank(a.ospf))
+        return (ADMIN_DISTANCE[protocol],)
 
     def default_transfer(self, edge: Edge, attribute: Optional[RibAttribute]):
         raise NotImplementedError("use build_multiprotocol_srp to obtain transfer functions")

@@ -8,7 +8,7 @@ breaking ties on cost.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.routing.attributes import NO_ROUTE, OspfAttribute
 from repro.routing.protocol import Protocol
@@ -32,6 +32,9 @@ class OspfProtocol(Protocol):
         if a.inter_area != b.inter_area:
             return not a.inter_area
         return a.cost < b.cost
+
+    def rank(self, a: OspfAttribute) -> Tuple[bool, int]:
+        return (a.inter_area, a.cost)
 
     def default_transfer(
         self, edge: Edge, attribute: Optional[OspfAttribute]

@@ -51,6 +51,12 @@ class Protocol(abc.ABC):
         (or ``None`` when the route is dropped).
         """
 
+    #: Optional sort key of ``≺``: ``prefer(a, b) ⟺ rank(a) < rank(b)``
+    #: (so ``a ≈ b ⟺ rank(a) == rank(b)``) for every attribute the
+    #: protocol's transfers can produce.  The solver then compares one
+    #: memoised rank per attribute; ``None`` keeps it calling ``prefer``.
+    rank: Optional[Callable[[Attribute], Any]] = None
+
     # ------------------------------------------------------------------
     # Derived comparisons
     # ------------------------------------------------------------------

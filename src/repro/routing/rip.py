@@ -27,6 +27,9 @@ class RipProtocol(Protocol):
     def prefer(self, a: RipAttribute, b: RipAttribute) -> bool:
         return a.hops < b.hops
 
+    def rank(self, a: RipAttribute) -> int:
+        return a.hops
+
     def default_transfer(
         self, edge: Edge, attribute: Optional[RipAttribute]
     ) -> Optional[RipAttribute]:

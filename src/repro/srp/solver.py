@@ -40,6 +40,7 @@ tests use to cross-validate the worklist solver.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Any, List, Optional, Sequence
 
@@ -369,27 +370,37 @@ def _worklist_run(
         transfer_cache.hits += 1
         return attr
 
+    # ``≺`` over what ``measure`` makes of an attribute: its memoised rank
+    # when the protocol ``prefer`` is bound to declares one (``prefer(a, b)
+    # ⟺ rank(a) < rank(b)``), the attribute itself under any other ``prefer``.
+    rank_of = getattr(getattr(prefer, "__self__", None), "rank", None)
+    ranks: dict = {}
+
+    def rank(attr):
+        # Keyed by identity: no hash, no unhashable case; the entry holds
+        # the attribute, so its id cannot be reused while the memo lives.
+        entry = ranks.get(id(attr))
+        if entry is None:
+            entry = ranks[id(attr)] = (rank_of(attr), attr)
+        return entry[0]
+
+    less, measure = (prefer, lambda attr: attr) if rank_of is None else (operator.lt, rank)
+
     def best_of(node_offers) -> Optional[Attribute]:
-        best = None
-        best_key = None
+        best = best_measure = best_key = None
         for attr in node_offers.values():
             if attr is None or attr is best:
                 continue
-            if best is None:
-                best = attr
-                best_key = None
-                continue
-            if prefer(attr, best):
-                best = attr
-                best_key = None
-            elif not prefer(best, attr):
+            measured = measure(attr)
+            if best is None or less(measured, best_measure):
+                best, best_measure, best_key = attr, measured, None
+            elif not less(best_measure, measured):
                 # Equally preferred: break the tie deterministically.
                 if best_key is None:
                     best_key = attribute_key(best)
                 attr_key = attribute_key(attr)
                 if attr_key < best_key:
-                    best = attr
-                    best_key = attr_key
+                    best, best_key = attr, attr_key
         return best
 
     # Every node's offer table is built up front from the seed labeling.
@@ -401,7 +412,10 @@ def _worklist_run(
     for node in graph.nodes:
         if node != destination:
             offers[node] = {
-                edge: evaluate(edge, get_label(edge[1])) for edge in out_edges[node]
+                edge: evaluate(edge, label)
+                if (label := get_label(edge[1])) is not None or offers_unrouted(edge)
+                else None
+                for edge in out_edges[node]
             }
 
     for _ in range(max_rounds):
@@ -411,8 +425,8 @@ def _worklist_run(
         # so convergence happens on the same round as the sweep oracle.
         updates = []
         for node in dirty:
-            best = best_of(offers[node])
-            if best != labeling[node]:
+            best, label = best_of(offers[node]), labeling[node]
+            if best is not label and best != label:
                 updates.append((node, best))
         if not updates:
             # When the initial worklist covered every node (a scratch
@@ -447,12 +461,13 @@ def _worklist_run(
             forwarding = solution.forwarding = {}
             for node, node_offers in offers.items():
                 chosen = labeling[node]
+                best = None if chosen is None else measure(chosen)
                 forwarding[node] = () if chosen is None else tuple(
                     edge
                     for edge, attr in node_offers.items()
                     if attr is not None and (
                         attr is chosen
-                        or not (prefer(chosen, attr) or prefer(attr, chosen))
+                        or not (less(other := measure(attr), best) or less(best, other))
                     )
                 )
             return solution

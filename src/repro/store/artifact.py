@@ -77,7 +77,7 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
     partition: List[List[str]] = []
     compress_seconds = 0.0
     if options.get("compress", True):
-        compression = bonsai.compress(equivalence_class, build_network=True)
+        compression = bonsai.compress(equivalence_class, build_network=True, srp=solution.srp)
         compress_seconds = compression.compression_seconds
         partition = EcRecord.from_result(compression).groups
 

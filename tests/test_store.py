@@ -152,6 +152,47 @@ class TestStoreRoundTrip:
         meta = json.loads((entry / "meta.json").read_text())
         assert meta["payload_bytes"] <= 450_000 < 483_576
 
+    def test_a_cached_hash_never_crosses_a_pickle(self, tmp_path):
+        """Attributes cache their hash, string hashes are seeded per process
+        and stored artifacts are loaded by other processes: a labeling
+        pickled under one hash seed must look up and compare under another."""
+        import os
+        import subprocess
+        import sys
+
+        solved = (
+            "from repro.netgen.families import build_topology\n"
+            "from repro.abstraction.bonsai import Bonsai\n"
+            "from repro.srp.solver import solve\n"
+            "bonsai = Bonsai(build_topology('wan', 2))\n"
+            "labeling = solve(bonsai.concrete_srp(bonsai.equivalence_classes()[0])).labeling\n"
+            "labels = [label for label in labeling.values() if label is not None]\n"
+        )
+        dump = solved + (
+            "import pickle, sys\n"
+            "assert len({hash(label) for label in labels}) > 1\n"
+            "assert all('_hash' in vars(label) and '_hash' in vars(label.bgp) for label in labels)\n"
+            "pickle.dump(labeling, open(sys.argv[1], 'wb'))\n"
+        )
+        load = solved + (
+            "import pickle, sys\n"
+            "loaded = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "stored = [label for label in loaded.values() if label is not None]\n"
+            "assert not any('_hash' in vars(label) or '_hash' in vars(label.bgp) for label in stored)\n"
+            "assert loaded == labeling\n"
+            "index = {label: node for node, label in labeling.items() if label is not None}\n"
+            "assert all(index[label] is not None for label in stored)\n"
+            "assert set(stored) == set(labels) and all(label in set(labels) for label in stored)\n"
+        )
+        path = str(tmp_path / "labeling.pickle")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        for seed, script in (("1", dump), ("2", load)):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script, path], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+
     def test_list_and_meta(self, tmp_path, ring_artifact):
         store = ArtifactStore(tmp_path)
         assert store.list() == []
