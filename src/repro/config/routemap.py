@@ -47,8 +47,9 @@ class PrefixListEntry:
     """One ``ip prefix-list`` line.
 
     Matches destination prefixes covered by ``prefix`` whose length is
-    within ``[ge, le]``; both bounds default to the entry's own length
-    (exact match), as on real routers.
+    within ``[ge, le]``, as on real routers: with neither bound the match
+    is exact, ``ge`` alone reaches up to /32 and ``le`` alone starts at
+    the entry's own length.
     """
 
     prefix: Prefix
@@ -62,11 +63,10 @@ class PrefixListEntry:
 
     def matches(self, destination: Prefix) -> bool:
         low = self.ge if self.ge is not None else self.prefix.length
-        high = self.le if self.le is not None else (
-            self.ge if self.ge is not None else self.prefix.length
-        )
         if self.le is not None:
             high = self.le
+        else:
+            high = 32 if self.ge is not None else self.prefix.length
         if not self.prefix.contains(destination):
             return False
         return low <= destination.length <= high

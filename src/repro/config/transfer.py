@@ -41,6 +41,9 @@ from repro.topology.graph import Edge, Graph, Node
 #: originate the same prefix (the SRP needs a single destination vertex).
 VIRTUAL_DESTINATION = "__dest__"
 
+#: The one static-route attribute every transfer hands out (all are equal).
+_STATIC = StaticAttribute()
+
 
 # ----------------------------------------------------------------------
 # Route-map specialization
@@ -104,9 +107,13 @@ def evaluate_route_map(
     attribute: BgpAttribute,
     destination: Prefix,
 ) -> Optional[BgpAttribute]:
-    """Run a (possibly absent) route map on an announcement."""
+    """Run a (possibly absent) route map on an announcement.  An absent
+    map, and one that denies or passes every announcement unread
+    (:attr:`RouteMap.constant`), is not evaluated at all."""
     if route_map is None:
         return attribute
+    if route_map.constant is not None:
+        return attribute if route_map.constant == "permit" else None
     return route_map.evaluate(
         attribute,
         destination,
@@ -299,70 +306,101 @@ class NetworkTransfer:
     compiled: Dict[Edge, CompiledEdge]
     virtual_edges: FrozenSet[Edge]
 
-    #: Sentinel for memoised "route map dropped the announcement".
-    _DROPPED = object()
-
-    #: Bound on the route-map evaluation memo.  One destination's solve
-    #: sees a bounded announcement universe, but failure sweeps drive one
+    #: Bound on the transfer's one memo (route-map evaluations, sender
+    #: halves, OSPF costs, RIB entries).  One destination's solve sees a
+    #: bounded announcement universe, but failure sweeps drive one
     #: transfer through thousands of scenario re-solves; on overflow the
     #: memo is cleared wholesale (the ``BddManager.ite`` precedent --
     #: correctness is unaffected, only hit rates).
     EVAL_CACHE_LIMIT = 100_000
 
+    _COUNTERS = (
+        "_eval_hits", "_eval_misses", "_eval_overflows", "_sender_hits", "_sender_misses",
+    )
+
     def __getstate__(self):
         state = self.__dict__.copy()
-        for transient in ("_eval_cache", "_eval_hits", "_eval_misses", "_eval_overflows"):
+        for transient in ("_eval_cache",) + self._COUNTERS:
             state.pop(transient, None)
         return state
 
-    def eval_cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the route-map evaluation memo."""
+    def eval_cache_info(self) -> Dict:
+        """Size and counters of the memo: ``hits``/``misses`` count import
+        route-map evaluations, ``sender`` the sender halves."""
+        state = self.__dict__
         return {
-            "size": len(self.__dict__.get("_eval_cache") or ()),
+            "size": len(state.get("_eval_cache") or ()),
             "limit": self.EVAL_CACHE_LIMIT,
-            "hits": self.__dict__.get("_eval_hits", 0),
-            "misses": self.__dict__.get("_eval_misses", 0),
-            "overflows": self.__dict__.get("_eval_overflows", 0),
+            "hits": state.get("_eval_hits", 0),
+            "misses": state.get("_eval_misses", 0),
+            "overflows": state.get("_eval_overflows", 0),
+            "sender": {
+                "hits": state.get("_sender_hits", 0),
+                "misses": state.get("_sender_misses", 0),
+            },
         }
 
-    def _evaluate_cached(self, route_map, device, attribute, tag: str):
-        """Memoised :func:`evaluate_route_map` (bounded, clear-on-overflow).
+    def _memo(self) -> dict:
+        state = self.__dict__
+        memo = state.get("_eval_cache")
+        if memo is None:
+            # Counters first: whoever sees the memo may count into them.
+            for counter in self._COUNTERS:
+                state.setdefault(counter, 0)
+            memo = state["_eval_cache"] = {}
+        return memo
+
+    def _remember(self, memo: dict, key, entry: tuple) -> tuple:
+        """Store ``entry`` (clear-on-overflow).  Entries are tuples that
+        hold every object whose ``id()`` is in their key, so no id is
+        reused while its entry lives, and a miss reads as ``None``."""
+        if len(memo) >= self.EVAL_CACHE_LIMIT:
+            memo.clear()
+            self.__dict__["_eval_overflows"] += 1
+        memo[key] = entry
+        return entry
+
+    def _evaluate_cached(self, route_map, device, attribute):
+        """Memoised :func:`evaluate_route_map` for an import map.
 
         Route maps are pure functions of (map, device lists, announcement,
         destination); the destination is fixed per transfer instance and
         the map/device pair is identified by the device name plus map
         identity, so the same announcement traversing the same policy on
-        several parallel edges is evaluated once.  An absent map, and one
-        that denies or passes every announcement unread
-        (:attr:`RouteMap.constant`), is not evaluated at all.
+        several parallel edges is evaluated once.
         """
-        if route_map is None:
-            return attribute
-        if route_map.constant is not None:
-            # Deny-all or pass-unchanged: nothing to evaluate or remember.
-            return attribute if route_map.constant == "permit" else None
-        state = self.__dict__
-        cache = state.get("_eval_cache")
-        if cache is None:
-            cache = state["_eval_cache"] = {}
-            state.setdefault("_eval_hits", 0)
-            state.setdefault("_eval_misses", 0)
-            state.setdefault("_eval_overflows", 0)
-        key = (tag, id(route_map), device.name, attribute)
+        if route_map is None or route_map.constant is not None:
+            # Absent, deny-all or pass-unchanged: nothing to remember.
+            return evaluate_route_map(route_map, device, attribute, self.destination)
+        memo = self._memo()
+        key = ("in", id(route_map), device.name, attribute)
         try:
-            result = cache[key]
-        except KeyError:
-            result = evaluate_route_map(route_map, device, attribute, self.destination)
-            state["_eval_misses"] += 1
-            if len(cache) >= self.EVAL_CACHE_LIMIT:
-                cache.clear()
-                state["_eval_overflows"] += 1
-            cache[key] = self._DROPPED if result is None else result
-            return result
+            entry = memo.get(key)
         except TypeError:
             return evaluate_route_map(route_map, device, attribute, self.destination)
-        state["_eval_hits"] += 1
-        return None if result is self._DROPPED else result
+        if entry is None:
+            self.__dict__["_eval_misses"] += 1
+            result = evaluate_route_map(route_map, device, attribute, self.destination)
+            entry = self._remember(memo, key, (route_map, result))
+        else:
+            self.__dict__["_eval_hits"] += 1
+        return entry[1]
+
+    def _send(self, sender: Node, info: CompiledEdge, bgp: BgpAttribute):
+        """The sender half of a BGP edge: what ``sender`` exports under the
+        session's export map, before (``outgoing``) and after
+        (``incoming``) the iBGP mark or its own AS-path prepend.  It reads
+        no receiver, so every receiver of one label shares it."""
+        device = self.network.devices[sender]
+        outgoing = evaluate_route_map(info.export_map, device, bgp, self.destination)
+        if outgoing is None:
+            return bgp, info.export_map, None, None
+        if info.ibgp:
+            # iBGP: no AS-path change and no AS-based loop check, but the
+            # receiver ranks the route below eBGP-learned ties
+            # (BgpAttribute.ibgp_learned).
+            return bgp, info.export_map, outgoing, outgoing.via_ibgp()
+        return bgp, info.export_map, outgoing, outgoing.prepended(device.asn or str(sender))
 
     def offers_without_route(self, edge: Edge) -> bool:
         """Whether ``self(edge, None)`` can be a route: only a static route
@@ -385,47 +423,67 @@ class NetworkTransfer:
         if info is None:
             return NO_ROUTE
 
-        static_attr = StaticAttribute() if info.has_static else None
-
-        bgp_attr = None
-        ospf_attr = None
+        memo = self.__dict__.get("_eval_cache")
+        if memo is None:
+            memo = self._memo()
+        static_attr = _STATIC if info.has_static else None
+        bgp_attr = ospf_attr = None
         if attribute is not None:
-            if info.has_ospf and attribute.ospf is not None:
-                ospf_attr = attribute.ospf.with_added_cost(info.ospf_cost)
-            if info.has_bgp and attribute.bgp is not None:
-                receiver, sender = edge
-                devices = self.network.devices
-                outgoing = self._evaluate_cached(
-                    info.export_map, devices[sender], attribute.bgp, "out"
+            ospf = attribute.ospf
+            if info.has_ospf and ospf is not None:
+                key = ("ospf", id(ospf), info.ospf_cost)
+                entry = memo.get(key) or self._remember(
+                    memo, key, (ospf, ospf.with_added_cost(info.ospf_cost))
                 )
-                if outgoing is not None:
-                    if info.ibgp:
-                        # iBGP: no AS-path change and no AS-based loop
-                        # check, but the receiver ranks the route below
-                        # eBGP-learned ties (BgpAttribute.ibgp_learned).
-                        incoming = outgoing.via_ibgp()
-                    elif outgoing.contains_as(devices[receiver].asn or str(receiver)):
+                ospf_attr = entry[1]
+            bgp = attribute.bgp
+            if info.has_bgp and bgp is not None:
+                receiver, sender = edge
+                key = ("out", sender, id(info.export_map), info.ibgp, id(bgp))
+                entry = memo.get(key)
+                if entry is None:
+                    self.__dict__["_sender_misses"] += 1
+                    entry = self._remember(memo, key, self._send(sender, info, bgp))
+                else:
+                    self.__dict__["_sender_hits"] += 1
+                _, _, outgoing, incoming = entry
+                if incoming is not None and not info.ibgp:
+                    # The receiver half: AS-based loop check, then import.
+                    receiver_cfg = self.network.devices[receiver]
+                    if outgoing.contains_as(receiver_cfg.asn or str(receiver)):
                         incoming = None
-                    else:
-                        incoming = outgoing.prepended(devices[sender].asn or str(sender))
-                    if incoming is not None:
-                        bgp_attr = self._evaluate_cached(
-                            info.import_map, devices[receiver], incoming, "in"
-                        )
+                import_map = info.import_map
+                if import_map is None or import_map.constant == "permit":
+                    bgp_attr = incoming
+                elif incoming is not None:
+                    bgp_attr = self._evaluate_cached(
+                        import_map, self.network.devices[receiver], incoming
+                    )
 
         if static_attr is None and bgp_attr is None and ospf_attr is None:
             return NO_ROUTE
-        # best_protocol() by administrative distance, inlined (static 1 <
-        # ebgp 20 < ospf 110); the attribute is valid by construction.
-        if static_attr is not None:
-            chosen = "static"
-        elif bgp_attr is not None:
-            chosen = "ebgp"
-        else:
-            chosen = "ospf"
-        return trusted(
-            RibAttribute, bgp=bgp_attr, ospf=ospf_attr, static=static_attr, chosen=chosen
-        )
+        # One RibAttribute per (bgp, ospf, static) triple of objects, and one
+        # per value among those, so equal routes reach the solver as one
+        # object (interning, rank memo and forwarding read-off then hit by
+        # identity).
+        key = ("rib", id(bgp_attr), id(ospf_attr), id(static_attr))
+        entry = memo.get(key)
+        if entry is None:
+            # best_protocol() by administrative distance, inlined (static 1
+            # < ebgp 20 < ospf 110); the attribute is valid by construction.
+            if static_attr is not None:
+                chosen = "static"
+            elif bgp_attr is not None:
+                chosen = "ebgp"
+            else:
+                chosen = "ospf"
+            rib = trusted(
+                RibAttribute, bgp=bgp_attr, ospf=ospf_attr, static=static_attr, chosen=chosen
+            )
+            by_value = ("rib", rib)
+            rib = (memo.get(by_value) or self._remember(memo, by_value, (rib,)))[0]
+            entry = self._remember(memo, key, (bgp_attr, ospf_attr, static_attr, rib))
+        return entry[3]
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,9 @@ class OspfAttribute:
         """The attribute after traversing a link of the given cost."""
         if link_cost < 0:
             raise ValueError("link cost cannot be negative")
-        return replace(self, cost=self.cost + link_cost)
+        return trusted(
+            OspfAttribute, cost=self.cost + link_cost, inter_area=self.inter_area, area=self.area
+        )
 
     def crossing_area(self, new_area: int) -> "OspfAttribute":
         """The attribute after crossing into a different OSPF area."""
@@ -134,39 +136,40 @@ class BgpAttribute:
     def has_community(self, community: str) -> bool:
         return community in self.communities
 
+    def _copy(self, local_pref, communities, as_path, ibgp_learned) -> "BgpAttribute":
+        return trusted(
+            BgpAttribute,
+            local_pref=local_pref,
+            communities=communities,
+            as_path=as_path,
+            ibgp_learned=ibgp_learned,
+        )
+
     def with_community(self, community: str) -> "BgpAttribute":
         """A copy with ``community`` added (BGP ``set community additive``)."""
-        return replace(self, communities=self.communities | {community})
+        communities = self.communities | {community}
+        return self._copy(self.local_pref, communities, self.as_path, self.ibgp_learned)
 
     def without_community(self, community: str) -> "BgpAttribute":
         """A copy with ``community`` removed (``set comm-list delete``)."""
-        return replace(self, communities=self.communities - {community})
+        communities = self.communities - {community}
+        return self._copy(self.local_pref, communities, self.as_path, self.ibgp_learned)
 
     def with_local_pref(self, local_pref: int) -> "BgpAttribute":
         """A copy with the local preference replaced."""
-        return replace(self, local_pref=local_pref)
+        if local_pref < 0:
+            raise ValueError("local preference cannot be negative")
+        return self._copy(local_pref, self.communities, self.as_path, self.ibgp_learned)
 
     def prepended(self, asn: str) -> "BgpAttribute":
         """A copy with ``asn`` prepended to the AS path (eBGP route export);
         the receiver learns it over eBGP, so the iBGP mark is cleared."""
-        return trusted(
-            BgpAttribute,
-            local_pref=self.local_pref,
-            communities=self.communities,
-            as_path=(asn,) + self.as_path,
-            ibgp_learned=False,
-        )
+        return self._copy(self.local_pref, self.communities, (asn,) + self.as_path, False)
 
     def via_ibgp(self) -> "BgpAttribute":
         """A copy marked as learned over an iBGP session (AS path, local
         preference and communities travel unchanged)."""
-        return trusted(
-            BgpAttribute,
-            local_pref=self.local_pref,
-            communities=self.communities,
-            as_path=self.as_path,
-            ibgp_learned=True,
-        )
+        return self._copy(self.local_pref, self.communities, self.as_path, True)
 
     def contains_as(self, asn: str) -> bool:
         """True if ``asn`` already appears in the AS path (loop detection)."""

@@ -133,6 +133,10 @@ class TransferCache(dict):
         }
 
 
+#: What a memo ``.get`` returns for an absent key (``None`` is an answer).
+_MISSING = object()
+
+
 def _attribute_sort_key(attr: Attribute) -> str:
     """A deterministic (but semantically meaningless) tie-breaking key."""
     return repr(attr)
@@ -288,7 +292,9 @@ def _worklist(
             },
         )
         if eval_info is not None:
-            _metrics.absorb_cache_info("config.eval_cache", eval0, eval_info())
+            eval1 = eval_info()
+            _metrics.absorb_cache_info("config.eval_cache", eval0, eval1)
+            _metrics.absorb_cache_info("config.sender_cache", eval0["sender"], eval1["sender"])
 
 
 def _worklist_run(
@@ -316,6 +322,7 @@ def _worklist_run(
     # frozen dataclasses, so the same offer never needs recomputing.
     # Unhashable labels (custom attribute types) fall back to direct calls.
     cache_limit = getattr(transfer_cache, "limit", None)
+    cache_get = transfer_cache.get
     sort_keys: dict = {}
     # Per-node offer table: offers[node][edge] is the attribute currently
     # offered over that edge (None = dropped), kept incrementally -- when a
@@ -351,23 +358,23 @@ def _worklist_run(
             return None
         key = (edge, label)
         try:
-            attr = transfer_cache[key]
-        except KeyError:
-            attr = transfer(edge, label)
-            if attr is not None:
-                try:
-                    attr = interned.setdefault(attr, attr)
-                except TypeError:
-                    pass
-            if cache_limit is not None and len(transfer_cache) >= cache_limit:
-                transfer_cache.clear()
-                transfer_cache.overflows += 1
-            transfer_cache[key] = attr
-            transfer_cache.misses += 1
-            return attr
+            attr = cache_get(key, _MISSING)
         except TypeError:
             return transfer(edge, label)
-        transfer_cache.hits += 1
+        if attr is not _MISSING:
+            transfer_cache.hits += 1
+            return attr
+        attr = transfer(edge, label)
+        if attr is not None:
+            try:
+                attr = interned.setdefault(attr, attr)
+            except TypeError:
+                pass
+        if cache_limit is not None and len(transfer_cache) >= cache_limit:
+            transfer_cache.clear()
+            transfer_cache.overflows += 1
+        transfer_cache[key] = attr
+        transfer_cache.misses += 1
         return attr
 
     # ``≺`` over what ``measure`` makes of an attribute: its memoised rank

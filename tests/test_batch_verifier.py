@@ -312,7 +312,7 @@ class TestVerifyCli:
         out = tmp_path / "report.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "mesh",
                 "--size",
@@ -332,7 +332,7 @@ class TestVerifyCli:
         out = tmp_path / "all.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "all",
                 "--executor",
@@ -353,14 +353,14 @@ class TestVerifyCli:
         capsys.readouterr()
 
     def test_verify_defaults_size_per_family(self, capsys):
-        assert pipeline_main(["--verify", "--family", "ring", "--executor", "serial"]) == 0
+        assert pipeline_main(["verify", "--family", "ring", "--executor", "serial"]) == 0
         assert "ring(8)" in capsys.readouterr().out
 
     def test_verify_with_property_selection(self, tmp_path):
         out = tmp_path / "report.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--topo",
                 "mesh",
                 "--size",
@@ -381,14 +381,14 @@ class TestVerifyCli:
 
     def test_verify_unknown_property_is_usage_error(self):
         code = pipeline_main(
-            ["--verify", "--family", "mesh", "--properties", "bogus"]
+            ["verify", "--family", "mesh", "--properties", "bogus"]
         )
         assert code == 2
 
     def test_verify_timeout_exit_code(self, capsys):
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "mesh",
                 "--size",
@@ -412,7 +412,7 @@ class TestVerifyCli:
         """With --family all and a zero budget, no family pays the network
         build / BDD encoding cost: every report is a timed-out stub."""
         code = pipeline_main(
-            ["--verify", "--family", "all", "--executor", "serial", "--timeout", "0"]
+            ["verify", "--family", "all", "--executor", "serial", "--timeout", "0"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -423,7 +423,7 @@ class TestVerifyCli:
         assert pipeline_main(["--topo", "mesh", "--family", "ring"]) == 2
 
     def test_family_required(self):
-        assert pipeline_main(["--verify"]) == 2
+        assert pipeline_main(["verify"]) == 2
 
     def test_family_all_requires_verify(self):
         assert pipeline_main(["--family", "all"]) == 2

@@ -701,14 +701,14 @@ class TestDeltaCli:
         out = tmp_path / "delta.json"
         status = pipeline_main(
             [
-                "--delta",
+                "delta",
                 "--family",
                 "ring",
                 "--size",
                 "5",
                 "--executor",
                 "serial",
-                "--report-out",
+                "--output",
                 str(out),
             ]
         )
@@ -728,7 +728,7 @@ class TestDeltaCli:
         out = tmp_path / "delta.json"
         status = pipeline_main(
             [
-                "--delta",
+                "delta",
                 "--family",
                 "ring",
                 "--size",
@@ -749,7 +749,7 @@ class TestDeltaCli:
         script_file = tmp_path / "changes.json"
         script_file.write_text('[{"kind": "nonsense"}]')
         status = pipeline_main(
-            ["--delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
+            ["delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
         )
         assert status == 2
         assert "change script" in capsys.readouterr().err
@@ -763,14 +763,14 @@ class TestDeltaCli:
     def test_cross_mode_flags_rejected(self, capsys):
         """A mode must reject the other modes' flags, not drop them."""
         assert (
-            pipeline_main(["--failures", "--topo", "ring", "--changes", "x.json"])
+            pipeline_main(["failures", "--topo", "ring", "--changes", "x.json"])
             == 2
         )
-        assert "--delta" in capsys.readouterr().err
-        assert pipeline_main(["--delta", "--topo", "ring", "--k", "2"]) == 2
-        assert "--failures" in capsys.readouterr().err
-        assert pipeline_main(["--verify", "--topo", "ring", "--sample", "3"]) == 2
-        assert "--failures" in capsys.readouterr().err
+        assert "--changes" in capsys.readouterr().err
+        assert pipeline_main(["delta", "--topo", "ring", "--k", "2"]) == 2
+        assert "--k" in capsys.readouterr().err
+        assert pipeline_main(["verify", "--topo", "ring", "--sample", "3"]) == 2
+        assert "--sample" in capsys.readouterr().err
 
     def test_steps_and_seed_rejected_with_script_file(self, tmp_path, capsys):
         network = build_topology("ring", 4)
@@ -782,7 +782,7 @@ class TestDeltaCli:
         assert (
             pipeline_main(
                 [
-                    "--delta",
+                    "delta",
                     "--topo",
                     "ring",
                     "--changes",
@@ -796,5 +796,5 @@ class TestDeltaCli:
         assert "--steps" in capsys.readouterr().err
 
     def test_modes_are_exclusive(self, capsys):
-        assert pipeline_main(["--delta", "--failures", "--topo", "ring"]) == 2
-        assert "at most one" in capsys.readouterr().err
+        assert pipeline_main(["delta", "--failures", "--topo", "ring"]) == 2
+        assert "unrecognized arguments: --failures" in capsys.readouterr().err

@@ -281,7 +281,7 @@ def test_constant_clause_shortcut_equals_evaluate(route_map, attribute):
         attribute, DESTINATION, DEVICE.community_lists, DEVICE.prefix_lists, DEVICE.asn
     )
     for _ in range(2):  # the second call answers from the memo, if one was kept
-        assert transfer._evaluate_cached(route_map, DEVICE, attribute, "in") == expected
+        assert transfer._evaluate_cached(route_map, DEVICE, attribute) == expected
     first = route_map.clauses[0] if route_map.clauses else None
     unconditional = first is not None and not (
         first.match_community_lists or first.match_prefix_lists
@@ -297,4 +297,4 @@ def test_constant_clause_shortcut_equals_evaluate(route_map, attribute):
     else:
         assert route_map.constant is None
         assert transfer.eval_cache_info()["size"] == 1
-    assert transfer._evaluate_cached(None, DEVICE, attribute, "out") is attribute
+    assert transfer._evaluate_cached(None, DEVICE, attribute) is attribute

@@ -561,7 +561,7 @@ class TestFailuresCli:
         out = tmp_path / "failures.json"
         status = pipeline_main(
             [
-                "--failures",
+                "failures",
                 "--family",
                 "ring",
                 "--size",
@@ -587,12 +587,12 @@ class TestFailuresCli:
         assert "--seed" in capsys.readouterr().err
 
     def test_verify_and_failures_are_exclusive(self, capsys):
-        assert pipeline_main(["--verify", "--failures", "--topo", "ring"]) == 2
+        assert pipeline_main(["verify", "--failures", "--topo", "ring"]) == 2
 
     def test_timeout_rejected_in_failures_mode(self, capsys):
         assert (
             pipeline_main(
-                ["--failures", "--topo", "ring", "--size", "4", "--timeout", "5"]
+                ["failures", "--topo", "ring", "--size", "4", "--timeout", "5"]
             )
             == 2
         )
@@ -600,7 +600,7 @@ class TestFailuresCli:
     def test_properties_flag_works_with_failures(self, tmp_path):
         status = pipeline_main(
             [
-                "--failures",
+                "failures",
                 "--family",
                 "ring",
                 "--size",

@@ -118,3 +118,71 @@ def test_format_roundtrip_preserves_semantics():
     assert d.static_routes[0].prefix == Prefix.parse("10.8.0.0/16")
     assert d.interface_acls["b2"] == "BLOCK"
     assert reparsed.community_universe() == network.community_universe()
+
+
+#: Every device exports through a ``ge``-only filter: 10/8 at /24 or longer.
+GE_ONLY = """
+device a
+  network 10.1.0.0/24
+  bgp-neighbor b export OUT
+  bgp-neighbor c export OUT
+  prefix-list SITE permit 10.0.0.0/8 ge 24
+  route-map OUT 10 permit
+    match prefix-list SITE
+
+device b
+  network 10.2.0.128/25
+  bgp-neighbor a export OUT
+  bgp-neighbor d export OUT
+  prefix-list SITE permit 10.0.0.0/8 ge 24
+  route-map OUT 10 permit
+    match prefix-list SITE
+
+device c
+  bgp-neighbor a export OUT
+  bgp-neighbor d export OUT
+  prefix-list SITE permit 10.0.0.0/8 ge 24
+  route-map OUT 10 permit
+    match prefix-list SITE
+
+device d
+  network 172.16.0.0/24
+  bgp-neighbor b export OUT
+  bgp-neighbor c export OUT
+  prefix-list SITE permit 10.0.0.0/8 ge 24
+  route-map OUT 10 permit
+    match prefix-list SITE
+
+link a b
+link a c
+link b d
+link c d
+"""
+
+
+def test_ge_only_prefix_list_roundtrip():
+    reparsed = parse_network(format_network(parse_network(GE_ONLY)))
+    (entry,) = reparsed.devices["a"].prefix_lists["SITE"].entries
+    assert (entry.ge, entry.le) == (24, None)
+    assert "prefix-list SITE permit 10.0.0.0/8 ge 24\n" in format_network(reparsed)
+
+
+def test_ge_only_export_filter_is_cp_equivalent():
+    from repro.abstraction import Bonsai
+    from repro.abstraction.equivalence import check_cp_equivalence
+    from repro.srp import solve
+
+    bonsai = Bonsai(parse_network(GE_ONLY))
+    routed = {}
+    for ec in bonsai.equivalence_classes():
+        result = bonsai.compress(ec, build_network=True)
+        report = check_cp_equivalence(
+            result.concrete_srp, result.abstraction, abstract_srp=result.abstract_srp()
+        )
+        assert report.cp_equivalent, report.violations
+        labeling = solve(result.concrete_srp).labeling
+        routed[str(ec.prefix)] = {node for node, label in labeling.items() if label is not None}
+    # ge 24 reaches up to /32: the /25 crosses every filter, 172.16/24 none.
+    assert routed["10.2.0.128/25"] == {"a", "b", "c", "d"}
+    assert routed["10.1.0.0/24"] == {"a", "b", "c", "d"}
+    assert routed["172.16.0.0/24"] == {"d"}

@@ -42,6 +42,21 @@ class TestPrefixList:
         assert not plist.permits(Prefix.parse("10.0.0.0/8"))
         assert not plist.permits(Prefix.parse("10.0.1.128/25"))
 
+    @pytest.mark.parametrize(
+        "ge, le, lengths",
+        [
+            (None, None, {16}),  # neither: exact
+            (24, None, set(range(24, 33))),  # ge alone: up to /32
+            (None, 24, set(range(16, 25))),  # le alone: from the entry's length
+            (20, 24, set(range(20, 25))),  # both
+        ],
+    )
+    def test_length_range(self, ge, le, lengths):
+        entry = PrefixListEntry(prefix=Prefix.parse("10.1.0.0/16"), ge=ge, le=le)
+        matched = {n for n in range(33) if entry.matches(Prefix.parse(f"10.1.0.0/{n}"))}
+        assert matched == lengths
+        assert not entry.matches(Prefix.parse("10.2.0.0/24"))
+
     def test_first_match_wins_and_implicit_deny(self):
         plist = PrefixList(
             name="mixed",
