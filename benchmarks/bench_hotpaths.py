@@ -12,12 +12,6 @@ Stages
   over every destination equivalence class of each family network;
 * ``bdd_ops``        -- a BDD micro-workload (conjunction chains, xor
   ladders, restrict/exists) on a dedicated manager;
-* ``bdd_backend``    -- the same micro-workload on the array-backed
-  manager (``repro.bdd.arrays``); the report additionally records
-  ``bdd_backend_speedup``, the dict/array wall-clock ratio, which
-  ``--min-bdd-speedup`` gates in CI.  Always run at the full workload
-  size: the comparison is size-sensitive (the dict manager's naive
-  folds are O(n^2)) and the array arm is cheap enough for quick mode;
 * ``refinement``     -- ``compute_abstraction`` over every class with
   policy keys prepared outside the timed region;
 * ``compress``       -- the serial :class:`CompressionPipeline` end to end;
@@ -71,7 +65,6 @@ from typing import Dict, List, Optional
 
 from repro.abstraction.refinement import compute_abstraction
 from repro.analysis.batch import BatchVerifier
-from repro.bdd import make_manager
 from repro.bdd.manager import FALSE, BddManager
 from repro.config.transfer import build_srp_from_network
 from repro.failures import FailureSweep
@@ -99,27 +92,6 @@ QUICK_WORKLOADS = [
 #: BDD micro-workload size per mode.
 FULL_BDD_VARS = 600
 QUICK_BDD_VARS = 200
-
-#: The backend comparison always runs one fixed, larger-than-full
-#: workload, in quick mode too: the dict manager's naive conjoin /
-#: disjoin folds are O(n^2) in the chain length, so the ratio is
-#: size-sensitive and only representative at policy-chain scale.  The
-#: array arm is ~0.2s at this size; the dict arm ~1.5s.
-BACKEND_BDD_VARS = 800
-
-#: (family, size) pairs the cross-backend parity check always runs on
-#: (every netgen family, bench-sized): both backends must induce the
-#: same specialized-key equivalence classes, per-edge sat counts and
-#: final abstraction partitions.  Node *ids* are backend-specific
-#: (complement edges share more structure), so only node-id-insensitive
-#: properties are compared.
-BACKEND_CHECK_WORKLOADS = [
-    ("fattree", 4),
-    ("ring", 8),
-    ("mesh", 4),
-    ("datacenter", 2),
-    ("wan", 2),
-]
 
 #: (family, size, class limit) triples for the failure-sweep stage.  The
 #: fat-tree entry carries the PR-4 acceptance criterion (incremental
@@ -180,8 +152,10 @@ def stage_srp_solve(workloads) -> float:
     return time.perf_counter() - start
 
 
-def _bdd_workload(manager, num_vars: int) -> None:
-    """The ``bdd_ops`` micro-workload, parameterized over the manager."""
+def stage_bdd_ops(num_vars: int) -> float:
+    """Conjunction chains, xor ladders and quantification on one manager."""
+    manager = BddManager(num_vars)
+    start = time.perf_counter()
     # Deep conjunction / disjunction chains (the ACL/route-map shape).
     conj = manager.conjoin(manager.var(i) for i in range(num_vars))
     disj = manager.disjoin(manager.nvar(i) for i in range(num_vars))
@@ -196,30 +170,7 @@ def _bdd_workload(manager, num_vars: int) -> None:
     manager.restrict(mixed, {v: bool(v % 2) for v in quarter})
     manager.exists(ladder, quarter[: min(12, len(quarter))])
     assert manager.evaluate(conj, {i: True for i in range(num_vars)})
-
-
-def stage_bdd_ops(num_vars: int) -> float:
-    """Conjunction chains, xor ladders and quantification on one manager."""
-    manager = BddManager(num_vars)
-    start = time.perf_counter()
-    _bdd_workload(manager, num_vars)
     return time.perf_counter() - start
-
-
-def stage_bdd_backend(num_vars: int):
-    """The same micro-workload on both backends, freshly constructed.
-
-    Returns ``(array_seconds, dict_seconds)``; the stage time recorded
-    in the report is the array arm, and the ratio becomes
-    ``bdd_backend_speedup``.
-    """
-    seconds = {}
-    for name in ("dict", "array"):
-        manager = make_manager(num_vars, backend=name)
-        start = time.perf_counter()
-        _bdd_workload(manager, num_vars)
-        seconds[name] = time.perf_counter() - start
-    return seconds["array"], seconds["dict"]
 
 
 def stage_refinement(workloads) -> float:
@@ -387,80 +338,6 @@ def stage_delta_sweep(delta_workloads):
 # ----------------------------------------------------------------------
 # Correctness cross-checks (reference oracles)
 # ----------------------------------------------------------------------
-def _backend_parity_failures(family: str, size: int) -> List[str]:
-    """Node-id-insensitive parity of the two BDD backends on one network.
-
-    For every destination equivalence class, both backends must produce
-    the same per-edge specialized sat counts, the same specialized-key
-    equivalence classes (edges grouped by key, compared as partitions --
-    the keys themselves embed backend-specific node ids), and the same
-    final abstraction partition out of :class:`Bonsai`.
-    """
-    from repro.abstraction.bonsai import Bonsai
-    from repro.bdd import PolicyBddEncoder
-    from repro.config.transfer import compile_edges
-
-    network = build_topology(family, size)
-    failures: List[str] = []
-    per_backend = {}
-    for backend in ("dict", "array"):
-        encoder = PolicyBddEncoder(network, backend=backend)
-        encoder.encode_all_edges()
-        bonsai = Bonsai(network, encoder=encoder)
-        observed = {}
-        for ec in bonsai.equivalence_classes():
-            compiled = compile_edges(network, ec.prefix)
-            sat = {}
-            for edge, info in compiled.items():
-                bdd = encoder.encode_edge(info)
-                specialized = encoder.specialize(bdd, ec.prefix)
-                sat[edge] = encoder.manager.sat_count(specialized)
-            key_classes: Dict[object, set] = {}
-            for edge, key in encoder.specialized_policy_keys(
-                ec.prefix, compiled
-            ).items():
-                key_classes.setdefault(key, set()).add(edge)
-            partition = frozenset(
-                frozenset(members) for members in key_classes.values()
-            )
-            result = bonsai.compress(ec, build_network=False)
-            groups = frozenset(result.abstraction.groups())
-            observed[ec.prefix] = (
-                encoder.manager.num_vars,
-                sat,
-                partition,
-                groups,
-            )
-        per_backend[backend] = observed
-    reference, candidate = per_backend["dict"], per_backend["array"]
-    if set(reference) != set(candidate):
-        return [f"{family}({size}): backends saw different equivalence classes"]
-    for prefix, (num_vars, sat, partition, groups) in reference.items():
-        a_num_vars, a_sat, a_partition, a_groups = candidate[prefix]
-        if num_vars != a_num_vars:
-            failures.append(
-                f"{family}({size}) {prefix}: variable universes differ "
-                f"(dict {num_vars} vs array {a_num_vars})"
-            )
-        if sat != a_sat:
-            diff = [e for e in sat if sat[e] != a_sat.get(e)]
-            failures.append(
-                f"{family}({size}) {prefix}: specialized sat counts differ "
-                f"on edges {diff[:3]}"
-            )
-        if partition != a_partition:
-            failures.append(
-                f"{family}({size}) {prefix}: specialized-key equivalence "
-                "classes differ between backends"
-            )
-        if groups != a_groups:
-            failures.append(
-                f"{family}({size}) {prefix}: final abstraction partitions "
-                "differ between backends"
-            )
-    return failures
-
-
 def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]:
     """Compare the optimized hot paths against their reference oracles.
 
@@ -546,11 +423,6 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
                 f"{family}({size}): abstract verdicts disagree under changes: "
                 f"{sweep.abstraction_disagreements()}"
             )
-    # Backend parity runs on every netgen family regardless of mode: the
-    # networks are bench-sized, and the array backend must never be the
-    # thing that changes a verdict or a partition.
-    for family, size in BACKEND_CHECK_WORKLOADS:
-        failures.extend(_backend_parity_failures(family, size))
     return failures
 
 
@@ -560,7 +432,6 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
 STAGES = (
     "srp_solve",
     "bdd_ops",
-    "bdd_backend",
     "refinement",
     "compress",
     "verify",
@@ -596,12 +467,6 @@ def run_benchmark(quick: bool, repeat: int):
     stages["pipeline_fattree"] = best(stage_compress, fattree_only) + best(
         stage_verify, fattree_only
     )
-    # Both backend arms keep their own minimum over the repeats, so noise
-    # in either arm cannot manufacture (or hide) the headline speedup.
-    backend_runs = [stage_bdd_backend(BACKEND_BDD_VARS) for _ in range(repeat)]
-    array_best = min(array_s for array_s, _ in backend_runs)
-    dict_best = min(dict_s for _, dict_s in backend_runs)
-    stages["bdd_backend"] = array_best
     failure_runs = [stage_failure_sweep(failure_workloads) for _ in range(repeat)]
     stages["failure_sweep"] = min(seconds for seconds, _ in failure_runs)
     speedups = [speedup for _, speedup in failure_runs if speedup]
@@ -617,8 +482,6 @@ def run_benchmark(quick: bool, repeat: int):
         # must not be able to manufacture the headline speedup.
         "failure_incremental_speedup": min(speedups) if speedups else None,
         "delta_incremental_speedup": min(delta_speedups) if delta_speedups else None,
-        "bdd_backend_dict_seconds": dict_best,
-        "bdd_backend_speedup": dict_best / array_best if array_best else None,
     }
     return stages, extras
 
@@ -673,15 +536,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="also cross-check optimized paths against the reference oracles "
-        "(including cross-backend BDD parity on every netgen family)",
-    )
-    parser.add_argument(
-        "--min-bdd-speedup",
-        type=float,
-        default=None,
-        help="fail unless the array BDD backend is at least this many times "
-        "faster than the dict backend on the bdd_ops workload",
+        help="also cross-check optimized paths against the reference oracles",
     )
     parser.add_argument(
         "--max-obs-overhead",
@@ -720,13 +575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"  delta-sweep incremental vs full-rebuild speedup: "
             f"{delta_speedup:.2f}x"
         )
-    bdd_speedup = extras.get("bdd_backend_speedup")
-    if bdd_speedup is not None:
-        print(
-            f"  array vs dict BDD backend speedup "
-            f"({BACKEND_BDD_VARS} vars): {bdd_speedup:.2f}x"
-        )
-
     obs_ratio = extras.get("obs_overhead_ratio")
     if obs_ratio is not None:
         print(
@@ -751,16 +599,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{args.max_obs_overhead:.0%} + {ABSOLUTE_SLACK_SECONDS:.2f}s slack)",
                 file=sys.stderr,
             )
-    if args.min_bdd_speedup is not None and (
-        bdd_speedup is None or bdd_speedup < args.min_bdd_speedup
-    ):
-        status = 1
-        print(
-            f"BDD BACKEND TOO SLOW: array backend speedup "
-            f"{bdd_speedup if bdd_speedup is not None else 0:.2f}x is below the "
-            f"--min-bdd-speedup {args.min_bdd_speedup:.1f}x gate",
-            file=sys.stderr,
-        )
     if args.check:
         workloads = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
         failure_workloads = (

@@ -52,7 +52,7 @@ def main() -> None:
         print(f"  {line}")
 
     # The CLI equivalent of steps 2-4:
-    #   python -m repro.pipeline --topo fattree --size 6 --workers 4 \
+    #   python -m repro.pipeline compress --topo fattree --size 6 --workers 4 \
     #       --output report.json
 
 

@@ -29,7 +29,7 @@ mapped to the sets of concrete nodes each abstract hop stands for, so a
 report can name real devices (see :func:`lift_counterexample`).
 
 The aggregated :class:`VerificationReport` is JSON-serialisable and is
-what ``python -m repro.pipeline --verify``, the differential test harness
+what ``python -m repro.pipeline verify``, the differential test harness
 and the CI benchmark artifact all consume.
 """
 
@@ -412,9 +412,10 @@ def lift_counterexample(
 # ----------------------------------------------------------------------
 # The per-class "verify" task (runs inside pipeline workers)
 # ----------------------------------------------------------------------
-def _waypoints_for(
+def waypoints_for(
     suite: PropertySuite, equivalence_class: EquivalenceClass
 ) -> FrozenSet[str]:
+    """The suite's waypoints, or else the class's originating devices."""
     if suite.waypoints is not None:
         return frozenset(suite.waypoints)
     return frozenset(str(origin) for origin in equivalence_class.origins)
@@ -487,7 +488,7 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
 
         network: Network = bonsai.network
         nodes = sorted(network.graph.nodes, key=str)
-        waypoints = _waypoints_for(suite, equivalence_class)
+        waypoints = waypoints_for(suite, equivalence_class)
         path_bound = (
             suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
         )

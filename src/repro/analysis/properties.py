@@ -13,7 +13,7 @@ property is registered as a first-class :class:`PropertySpec` in
 a :class:`PropertyContext`, and the quantifier used to lift verdicts
 through BGP case splitting.  The registry is the single catalogue the
 batch verification engine (:mod:`repro.analysis.batch`), the pipeline CLI
-(``python -m repro.pipeline --verify``) and the differential tests all
+(``python -m repro.pipeline verify``) and the differential tests all
 consume, so adding a property here automatically enrols it everywhere.
 
 Failures carry a structured :class:`Counterexample` (the offending node,

@@ -52,10 +52,6 @@ class BddManager:
         policy BDDs of a large network to thousands of destinations).
     """
 
-    #: Registry name under which :func:`repro.bdd.make_manager` exposes
-    #: this backend.
-    backend_name = "dict"
-
     def __init__(self, num_vars: int = 0, cache_limit: Optional[int] = None):
         if cache_limit is not None and cache_limit <= 0:
             raise ValueError("cache_limit must be positive (or None for unbounded)")

@@ -32,9 +32,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.bdd.backend import make_manager
 from repro.obs import metrics as _metrics
-from repro.bdd.manager import FALSE, TRUE
+from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.config.device import DeviceConfig
 from repro.config.network import Network
 from repro.config.prefix import Prefix
@@ -71,7 +70,6 @@ class PolicyBddEncoder:
         track_all_communities: bool = False,
         specialize_cache_limit: int = 4096,
         bdd_cache_limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         """``track_all_communities`` also allocates variables for communities
         that are attached but never matched on.  Bonsai's default is to
@@ -89,14 +87,10 @@ class PolicyBddEncoder:
         ``bdd_cache_limit`` bounds the underlying manager's ``ite`` memo
         cache (see :class:`~repro.bdd.manager.BddManager`): an encoder that
         specializes policies to many destinations on one manager is exactly
-        the workload where that cache can otherwise grow without bound.
-
-        ``backend`` selects the BDD manager implementation (``"dict"`` or
-        ``"array"``); the default defers to the ``REPRO_BDD_BACKEND``
-        environment variable via :func:`repro.bdd.make_manager`."""
+        the workload where that cache can otherwise grow without bound."""
         self.network = network
         self.track_all_communities = track_all_communities
-        self.manager = make_manager(cache_limit=bdd_cache_limit, backend=backend)
+        self.manager = BddManager(cache_limit=bdd_cache_limit)
         self.specialize_cache_limit = specialize_cache_limit
         self._specialize_cache: "OrderedDict[Tuple[int, Tuple[Tuple[int, bool], ...]], int]" = (
             OrderedDict()

@@ -937,7 +937,7 @@ def load_change_script(text: str) -> List[ChangeSet]:
     Accepts a list of change sets (or bare changes, each becoming a
     single-change step), a single change set, or an object with a
     ``"script"`` key holding the list -- the formats
-    ``python -m repro.pipeline --delta --changes <file>`` understands.
+    ``python -m repro.pipeline delta --changes <file>`` understands.
     """
     data = json.loads(text)
     if isinstance(data, dict) and "script" in data:

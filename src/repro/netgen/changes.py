@@ -1,6 +1,6 @@
 """Change-scenario samplers: deterministic change scripts per family.
 
-``python -m repro.pipeline --delta`` needs realistic what-if scripts for
+``python -m repro.pipeline delta`` needs realistic what-if scripts for
 every generated topology family without the operator writing JSON by
 hand.  This module derives them from the network itself, covering the
 change classes an operator actually ships:
@@ -305,6 +305,6 @@ DEFAULT_CHANGE_STEP_COUNTS: Dict[str, Optional[int]] = {
 
 
 def default_change_steps(family: str) -> int:
-    """The default script length for a ``--delta`` sweep of ``family``."""
+    """The default script length for a ``delta`` sweep of ``family``."""
     cap = DEFAULT_CHANGE_STEP_COUNTS.get(family)
     return DEFAULT_CHANGE_STEPS if cap is None else cap

@@ -68,7 +68,7 @@ DEFAULT_FAMILY_SIZES: Dict[str, int] = {
 
 
 #: Scenario-aware failure-sweep defaults: how many scenarios a
-#: ``--failures`` run samples per family when the user does not say.
+#: ``failures`` run samples per family when the user does not say.
 #: ``None`` means "enumerate exhaustively" -- right for sparse families
 #: whose ≤k spaces stay small (fat-trees, rings); dense or large families
 #: (the full mesh most of all: C(n*(n-1)/2, k) scenarios) get a

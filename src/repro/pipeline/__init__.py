@@ -13,7 +13,7 @@ provides the batching/fan-out/aggregation machinery:
 * :class:`PipelineReport` / :class:`EcRecord` -- aggregated, JSON-ready
   results;
 * ``python -m repro.pipeline`` -- a CLI over the generated topology
-  families (compression by default, batch verification with ``--verify``).
+  families (subcommands compress, verify, failures, delta, store, serve).
 """
 
 from repro._lazy import lazy_exports

@@ -41,14 +41,6 @@ baseline re-solve, stored compressions reused for revalidation::
     python -m repro.pipeline store save --topo fattree --store ./artifacts
     python -m repro.pipeline delta --family fattree \
         --changes changes.json --baseline ./artifacts
-
-Legacy spellings
-----------------
-The original flat-flag spellings (``--verify``, ``--failures``,
-``--delta``, ``--report-out``) still work and behave identically, but
-emit a :class:`DeprecationWarning` pointing at the subcommand::
-
-    python -m repro.pipeline --verify --family fattree   # use: verify
 """
 
 from __future__ import annotations
@@ -57,7 +49,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 # A pillar (verification, sweeps, store, service) is imported inside the
@@ -77,106 +68,7 @@ from repro.pipeline.core import (
     PipelineError,
 )
 
-#: The subcommand names; an argv starting with one routes to the
-#: subcommand parser, anything else through the legacy flat-flag shim.
-SUBCOMMANDS = (
-    "compress", "verify", "failures", "delta", "store", "serve", "trace",
-    "profile", "bench",
-)
 
-#: Legacy spelling -> replacement hint, for the one-per-invocation
-#: deprecation warnings the shim emits.
-_LEGACY_SPELLINGS = {
-    "--verify": "the 'verify' subcommand",
-    "--failures": "the 'failures' subcommand",
-    "--delta": "the 'delta' subcommand",
-    "--report-out": "--output",
-}
-
-
-# ----------------------------------------------------------------------
-# Legacy flat-flag parser (the shim target; exact messages are pinned)
-# ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy flat-flag parser (``--verify`` / ``--failures`` / ...).
-
-    Kept verbatim so existing scripts and CI invocations keep their exact
-    error messages and exit codes; new invocations should prefer the
-    subcommands from :func:`build_subcommand_parser`.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.pipeline",
-        description="Compress every destination equivalence class of a "
-        "generated network in parallel and report aggregate statistics; "
-        "with --verify, differentially check the property catalogue on the "
-        "concrete and compressed networks instead.  (Legacy spelling: "
-        "prefer the subcommands compress, verify, failures, delta, store "
-        "and serve.)",
-    )
-    _topology_arguments(parser)
-    _fanout_arguments(parser)
-    parser.add_argument(
-        "--build-networks",
-        action="store_true",
-        help="also emit the abstract configured network for every class",
-    )
-    parser.add_argument(
-        "--output",
-        "--report-out",
-        dest="output",
-        default=None,
-        help="write the JSON report to this file (a single report object; "
-        "with --family all, a {family: report} map).  Every mode "
-        "(compress, --verify, --failures, --delta) follows this one "
-        "convention.",
-    )
-    parser.add_argument(
-        "--per-class", action="store_true", help="also print one line per class"
-    )
-
-    verify = parser.add_argument_group("batch verification (--verify)")
-    verify.add_argument(
-        "--verify",
-        action="store_true",
-        help="differentially verify the property catalogue on the concrete "
-        "and compressed networks instead of just compressing",
-    )
-    _suite_arguments(verify)
-    verify.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="total wall-clock budget in seconds, shared across families; "
-        "classes beyond it are reported as timed out and the exit status is 1",
-    )
-
-    failures = parser.add_argument_group("failure sweeps (--failures)")
-    failures.add_argument(
-        "--failures",
-        action="store_true",
-        help="sweep failure scenarios over every equivalence class: "
-        "incremental re-solve (scratch-oracle checked), per-property "
-        "verdict deltas vs. the failure-free baseline, and per-scenario "
-        "abstraction-soundness flags",
-    )
-    _failure_arguments(failures)
-
-    delta = parser.add_argument_group("change-impact sweeps (--delta)")
-    delta.add_argument(
-        "--delta",
-        action="store_true",
-        help="validate a configuration change script: incremental "
-        "re-verify of every change step (scratch-oracle checked), "
-        "per-property verdict deltas vs the unchanged baseline, and "
-        "per-class abstraction revalidation (reuse vs re-compress)",
-    )
-    _delta_arguments(delta)
-    return parser
-
-
-# ----------------------------------------------------------------------
-# Subcommand parser
-# ----------------------------------------------------------------------
 def _topology_arguments(parser: argparse.ArgumentParser) -> None:
     families = ", ".join(
         f"{name} ({hint})" for name, (_, hint) in sorted(TOPOLOGY_FAMILIES.items())
@@ -199,8 +91,7 @@ def _topology_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _fanout_arguments(parser: argparse.ArgumentParser) -> None:
-    """The per-class fan-out flags both parsers have always had."""
+def _execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
@@ -225,10 +116,6 @@ def _fanout_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="use syntactic policy keys instead of BDDs (ablation mode)",
     )
-
-
-def _execution_arguments(parser: argparse.ArgumentParser) -> None:
-    _fanout_arguments(parser)
     parser.add_argument(
         "--scheduler",
         choices=SCHEDULERS,
@@ -287,8 +174,20 @@ def _trace_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _sweep_arguments(parser, seed_for: str) -> None:
+    """The flags both perturbation sweeps (failures, delta) take."""
+    parser.add_argument(
+        "--seed", type=int, default=None, help=f"seed for {seed_for} (default 0)"
+    )
+    parser.add_argument(
+        "--no-oracle",
+        action="store_true",
+        help="skip the scratch-solve oracle cross-check (faster, ungated)",
+    )
+
+
 def _failure_arguments(parser) -> None:
-    """The failure-sweep flags (legacy ``--failures`` group and subcommand)."""
+    _sweep_arguments(parser, "--sample")
     parser.add_argument(
         "--k",
         type=int,
@@ -304,17 +203,9 @@ def _failure_arguments(parser) -> None:
         "enumerating (default: per-family cap for k>=2, exhaustive for k=1)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="seed for --sample (default 0)"
-    )
-    parser.add_argument(
         "--fail-nodes",
         action="store_true",
         help="also enumerate node failures (default: links only)",
-    )
-    parser.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the scratch-solve oracle cross-check (faster, ungated)",
     )
     parser.add_argument(
         "--no-soundness",
@@ -324,7 +215,7 @@ def _failure_arguments(parser) -> None:
 
 
 def _delta_arguments(parser) -> None:
-    """The change-sweep flags (legacy ``--delta`` group and subcommand)."""
+    _sweep_arguments(parser, "the generated change script")
     parser.add_argument(
         "--changes",
         default=None,
@@ -402,6 +293,8 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         "differentially verify, sweep failures, validate change scripts, "
         "persist warm baseline artifacts and serve them over HTTP.",
     )
+    # Subcommands without _trace_argument run with every instrument off.
+    parser.set_defaults(trace=None, profile=None, events=None, progress=False)
     commands = parser.add_subparsers(dest="command", required=True)
 
     compress = commands.add_parser(
@@ -454,14 +347,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     _output_arguments(delta)
     _suite_arguments(delta)
     _delta_arguments(delta)
-    delta.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for the generated change script (default 0)",
-    )
-    delta.add_argument(
-        "--no-oracle", action="store_true",
-        help="skip the scratch-solve oracle cross-check",
-    )
 
     store = commands.add_parser(
         "store",
@@ -713,22 +598,17 @@ def _report_status(failed: bool, emitted: bool) -> int:
 
 
 def _sweep_scale_kwargs(args) -> dict:
-    """The shard-scheduler knobs shared by every sweep subcommand.
-
-    ``getattr`` defaults keep the pinned legacy flag parser (which never
-    grew these options) working unchanged.
-    """
-    memory_budget = getattr(args, "memory_budget", None)
+    """The shard-scheduler knobs shared by every sweep subcommand."""
     return dict(
-        scheduler=getattr(args, "scheduler", "stealing"),
-        cost_store=getattr(args, "cost_store", None),
-        spill=memory_budget is not None,
+        scheduler=args.scheduler,
+        cost_store=args.cost_store,
+        spill=args.memory_budget is not None,
     )
 
 
 def _check_memory_budget(args, report) -> bool:
     """Record peak RSS on the report; False when it exceeds the budget."""
-    memory_budget = getattr(args, "memory_budget", None)
+    memory_budget = args.memory_budget
     if memory_budget is None:
         return True
     from repro.perfutil import peak_rss_mb
@@ -792,8 +672,8 @@ def _run_verify(args, families: List[str]) -> int:
                 limit=args.limit,
                 timeout_seconds=remaining,
                 use_bdds=not args.syntactic,
-                scheduler=getattr(args, "scheduler", "stealing"),
-                cost_store=getattr(args, "cost_store", None),
+                scheduler=args.scheduler,
+                cost_store=args.cost_store,
             )
             try:
                 with trace.span("family", family=family, size=str(size)):
@@ -954,18 +834,16 @@ def _run_delta(args, families: List[str]) -> int:
             print(f"error: cannot load change script {args.changes}: {exc}", file=sys.stderr)
             return 2
 
-    baseline_path = getattr(args, "baseline", None)
-
     def make_sweep(family, size, network, common):
         baseline = None
-        if baseline_path:
+        if args.baseline:
             from repro.store import StoreError
 
             try:
-                baseline = _load_baseline_artifact(baseline_path, network)
+                baseline = _load_baseline_artifact(args.baseline, network)
             except StoreError as exc:
                 raise _SweepRefused(
-                    1, f"error: cannot use baseline artifact at {baseline_path}: {exc}"
+                    1, f"error: cannot use baseline artifact at {args.baseline}: {exc}"
                 ) from exc
         if file_script is not None:
             script = file_script
@@ -1004,7 +882,6 @@ def _run_delta(args, families: List[str]) -> int:
 def _run_compress(args, family: str) -> int:
     size = args.size if args.size is not None else default_size(family)
     network = build_topology(family, size)
-    memory_budget = getattr(args, "memory_budget", None)
     try:
         pipeline = CompressionPipeline(
             network,
@@ -1014,15 +891,15 @@ def _run_compress(args, family: str) -> int:
             limit=args.limit,
             build_networks=args.build_networks,
             use_bdds=not args.syntactic,
-            scheduler=getattr(args, "scheduler", "stealing"),
-            cost_store=getattr(args, "cost_store", None),
+            scheduler=args.scheduler,
+            cost_store=args.cost_store,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         with trace.span("family", family=family, size=str(size)):
-            if memory_budget is not None:
+            if args.memory_budget is not None:
                 # Streaming mode: per-class records spill to disk as they
                 # arrive, so peak RSS stays bounded on fat topologies.
                 report = pipeline.run_streaming(spill=True)
@@ -1173,7 +1050,7 @@ def _run_serve(args) -> int:
         network,
         store=args.store,
         use_bdds=not args.syntactic,
-        max_inflight=getattr(args, "max_inflight", None),
+        max_inflight=args.max_inflight,
     )
     if args.store and service.session.rebuilt:
         reason = service.session.rebuild_reason or "no stored entry"
@@ -1308,100 +1185,11 @@ def _dispatch_subcommand(args) -> int:
         return _run_failures(args, families)
     if args.command == "delta":
         return _run_delta(args, families)
-    # compress: run each selected family in turn (legacy restricted this
-    # to a single family; the subcommand just loops).
+    # compress: run each selected family in turn.
     status = 0
     for family in families:
         status = max(status, _run_compress(args, family))
     return status
-
-
-# ----------------------------------------------------------------------
-# Legacy shim
-# ----------------------------------------------------------------------
-def _warn_legacy_spellings(argv: List[str]) -> None:
-    """One :class:`DeprecationWarning` per legacy spelling per invocation."""
-    seen = set()
-    for token in argv:
-        flag = token.split("=", 1)[0]
-        if flag in _LEGACY_SPELLINGS and flag not in seen:
-            seen.add(flag)
-            warnings.warn(
-                f"{flag} is deprecated; use {_LEGACY_SPELLINGS[flag]} "
-                "(python -m repro.pipeline <subcommand> ...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-
-def _legacy_main(argv: List[str]) -> int:
-    _warn_legacy_spellings(argv)
-    args = build_parser().parse_args(argv)
-    families = _selected_families(args)
-    if families is None:
-        return 2
-    try:
-        modes = [
-            flag
-            for flag, on in (
-                ("--verify", args.verify),
-                ("--failures", args.failures),
-                ("--delta", args.delta),
-            )
-            if on
-        ]
-        if len(modes) > 1:
-            print(
-                f"error: pass at most one of {', '.join(modes)}", file=sys.stderr
-            )
-            return 2
-        mode = modes[0] if modes else None
-        # Every mode-specific flag names the modes it is valid in; a flag
-        # given outside them is an error in *any* mode (not just the
-        # compress default), so "--failures --changes x.json" cannot run
-        # a failure sweep while silently dropping the change script.
-        flag_modes = (
-            ("--properties", args.properties, ("--verify", "--failures", "--delta")),
-            ("--path-bound", args.path_bound, ("--verify", "--failures", "--delta")),
-            ("--waypoints", args.waypoints, ("--verify", "--failures", "--delta")),
-            ("--timeout", args.timeout, ("--verify",)),
-            ("--k", args.k, ("--failures",)),
-            ("--sample", args.sample, ("--failures",)),
-            ("--fail-nodes", args.fail_nodes or None, ("--failures",)),
-            ("--no-soundness", args.no_soundness or None, ("--failures",)),
-            ("--seed", args.seed, ("--failures", "--delta")),
-            ("--no-oracle", args.no_oracle or None, ("--failures", "--delta")),
-            ("--changes", args.changes, ("--delta",)),
-            ("--steps", args.steps, ("--delta",)),
-            ("--baseline", args.baseline, ("--delta",)),
-            ("--no-revalidate", args.no_revalidate or None, ("--delta",)),
-            ("--no-rebuild-oracle", args.no_rebuild_oracle or None, ("--delta",)),
-        )
-        for flag, value, allowed in flag_modes:
-            if value is not None and mode not in allowed:
-                print(
-                    f"error: {flag} requires "
-                    + " or ".join(allowed)
-                    + (f" (got {mode})" if mode else ""),
-                    file=sys.stderr,
-                )
-                return 2
-        if args.verify:
-            return _run_verify(args, families)
-        if args.failures:
-            return _run_failures(args, families)
-        if args.delta:
-            return _run_delta(args, families)
-        if len(families) > 1:
-            print(
-                "error: --family all requires --verify, --failures or --delta",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_compress(args, families[0])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _begin_obs(args) -> dict:
@@ -1420,8 +1208,8 @@ def _begin_obs(args) -> dict:
 
         _metrics.disable()
     state = {
-        "trace_path": getattr(args, "trace", None),
-        "profile_path": getattr(args, "profile", None),
+        "trace_path": args.trace,
+        "profile_path": args.profile,
         "profiler": None,
         "writer": None,
         "meter": None,
@@ -1433,12 +1221,11 @@ def _begin_obs(args) -> dict:
         from repro.obs.profile import SamplingProfiler
 
         state["profiler"] = SamplingProfiler().start()
-    events_path = getattr(args, "events", None)
-    if events_path:
+    if args.events:
         from repro.obs.events import EventWriter
 
-        state["writer"] = EventWriter(events_path, context={"command": args.command})
-    if getattr(args, "progress", False):
+        state["writer"] = EventWriter(args.events, context={"command": args.command})
+    if args.progress:
         from repro.obs.events import ProgressMeter
 
         state["meter"] = ProgressMeter()
@@ -1491,19 +1278,16 @@ def _finish_obs(state: dict) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] in SUBCOMMANDS:
-            args = build_subcommand_parser().parse_args(argv)
-            obs_state = _begin_obs(args)
-            try:
-                return _dispatch_subcommand(args)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            finally:
-                _finish_obs(obs_state)
-        return _legacy_main(argv)
+        args = build_subcommand_parser().parse_args(argv)
+        obs_state = _begin_obs(args)
+        try:
+            return _dispatch_subcommand(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            _finish_obs(obs_state)
     except SystemExit as exc:  # argparse --help / usage errors
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
-from repro.analysis.batch import PropertySuite, _waypoints_for
+from repro.analysis.batch import PropertySuite, waypoints_for
 from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
 from repro.analysis.properties import (
     PropertyContext,
@@ -403,7 +403,7 @@ class TaskBaseline:
         self.path_bound = (
             suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
         )
-        self.waypoints = _waypoints_for(suite, equivalence_class)
+        self.waypoints = waypoints_for(suite, equivalence_class)
         #: The class's destination-specialized compiled edges.
         self.compiled = bonsai.compile_for(equivalence_class.prefix)
         srp = bonsai.concrete_srp(equivalence_class)

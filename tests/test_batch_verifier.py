@@ -402,12 +402,6 @@ class TestVerifyCli:
         assert code == 1
         assert "TIMED OUT" in capsys.readouterr().out
 
-    def test_verify_flags_require_verify(self, capsys):
-        code = pipeline_main(["--family", "mesh", "--properties", "reachability"])
-        assert code == 2
-        assert "--verify" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "mesh", "--timeout", "5"]) == 2
-
     def test_exhausted_budget_skips_remaining_families(self, capsys):
         """With --family all and a zero budget, no family pays the network
         build / BDD encoding cost: every report is a timed-out stub."""
@@ -420,14 +414,16 @@ class TestVerifyCli:
         assert "equivalence classes: 0" in out
 
     def test_topo_and_family_conflict(self, capsys):
-        assert pipeline_main(["--topo", "mesh", "--family", "ring"]) == 2
+        assert pipeline_main(["verify", "--topo", "mesh", "--family", "ring"]) == 2
+        assert "not both" in capsys.readouterr().err
 
     def test_family_required(self):
         assert pipeline_main(["verify"]) == 2
 
-    def test_family_all_requires_verify(self):
-        assert pipeline_main(["--family", "all"]) == 2
+    def test_family_all_rejects_size(self, capsys):
+        assert pipeline_main(["verify", "--family", "all", "--size", "4"]) == 2
+        assert "--size cannot be combined with --family all" in capsys.readouterr().err
 
     def test_compress_mode_defaults_size(self, capsys):
-        assert pipeline_main(["--topo", "mesh", "--executor", "serial"]) == 0
+        assert pipeline_main(["compress", "--topo", "mesh", "--executor", "serial"]) == 0
         assert "mesh(6)" in capsys.readouterr().out

@@ -1,24 +1,13 @@
-"""Unit tests for the ROBDD engine, run against both backends.
-
-Every test here exercises only within-manager properties (canonicity,
-semantic operations), which both the dict-based and the array-backed
-manager must satisfy identically.  Raw node ids are NOT comparable
-across backends and no test asserts any.
-"""
+"""Unit tests for the ROBDD engine: canonicity and the semantic operations."""
 
 import pytest
 
-from repro.bdd import FALSE, TRUE, BddError, make_manager
-
-
-@pytest.fixture(params=["dict", "array"])
-def backend(request) -> str:
-    return request.param
+from repro.bdd import FALSE, TRUE, BddError, BddManager
 
 
 @pytest.fixture
-def manager(backend):
-    return make_manager(num_vars=4, backend=backend)
+def manager():
+    return BddManager(num_vars=4)
 
 
 class TestBasics:
@@ -39,8 +28,8 @@ class TestBasics:
         with pytest.raises(BddError):
             manager.nvar(-1)
 
-    def test_add_var_extends_order(self, backend):
-        manager = make_manager(backend=backend)
+    def test_add_var_extends_order(self):
+        manager = BddManager()
         index = manager.add_var("custom")
         assert manager.var_name(index) == "custom"
         assert manager.var_index("custom") == index
@@ -160,29 +149,29 @@ class TestOperations:
 class TestCacheLimit:
     """The ite memo cache stays bounded when a limit is set."""
 
-    def test_invalid_limit_rejected(self, backend):
+    def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
-            make_manager(num_vars=2, cache_limit=0, backend=backend)
+            BddManager(num_vars=2, cache_limit=0)
         with pytest.raises(ValueError):
-            make_manager(num_vars=2, cache_limit=-5, backend=backend)
+            BddManager(num_vars=2, cache_limit=-5)
 
-    def test_unbounded_by_default(self, backend):
-        manager = make_manager(num_vars=8, backend=backend)
+    def test_unbounded_by_default(self):
+        manager = BddManager(num_vars=8)
         assert manager.cache_limit is None
 
-    def test_cache_cleared_on_overflow(self, backend):
+    def test_cache_cleared_on_overflow(self):
         limit = 50
-        manager = make_manager(num_vars=12, cache_limit=limit, backend=backend)
+        manager = BddManager(num_vars=12, cache_limit=limit)
         f = manager.conjoin(manager.var(i) for i in range(12))
         for i in range(12):
             f = manager.apply_or(f, manager.apply_xor(manager.var(i), manager.var((i + 1) % 12)))
         assert manager.ite_cache_size() <= limit
 
-    def test_memory_bounded_across_many_restricts(self, backend):
+    def test_memory_bounded_across_many_restricts(self):
         """Many specializations (restrict + quantification) keep the memo
         cache bounded, not growing with the number of destinations."""
         limit = 200
-        manager = make_manager(num_vars=16, cache_limit=limit, backend=backend)
+        manager = BddManager(num_vars=16, cache_limit=limit)
         f = manager.disjoin(
             manager.apply_and(manager.var(i), manager.var(i + 1)) for i in range(15)
         )
@@ -191,9 +180,9 @@ class TestCacheLimit:
             manager.exists(restricted, [(round_ + 3) % 16, (round_ + 7) % 16])
             assert manager.ite_cache_size() <= limit
 
-    def test_bounded_manager_computes_same_results(self, backend):
-        bounded = make_manager(num_vars=10, cache_limit=10, backend=backend)
-        unbounded = make_manager(num_vars=10, backend=backend)
+    def test_bounded_manager_computes_same_results(self):
+        bounded = BddManager(num_vars=10, cache_limit=10)
+        unbounded = BddManager(num_vars=10)
         for manager in (bounded, unbounded):
             acc = TRUE
             for i in range(9):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.abstraction.bonsai import Bonsai
 from repro.bdd import PolicyBddEncoder
 from repro.config import Prefix, parse_network
 from repro.config.transfer import compile_edges
+from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
 
 #: Two leaves with semantically identical (but differently written)
 #: policies, one leaf with a genuinely different policy, and a hub.
@@ -190,3 +192,29 @@ class TestSpecializationCache:
             b = uncached.specialized_policy_keys(destination, compiled)
             # Same manager state evolution => identical BDD identities.
             assert a == b
+
+
+class TestManagerCacheLimit:
+    """``bdd_cache_limit`` bounds the manager's ite cache without changing
+    any partition the encoder's keys decide.  A limit of 4 is below what
+    every family's encoding fills, so each run clears the cache."""
+
+    def test_limit_reaches_the_manager(self, network):
+        assert PolicyBddEncoder(network).manager.cache_limit is None
+        assert PolicyBddEncoder(network, bdd_cache_limit=64).manager.cache_limit == 64
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_bounded_cache_gives_the_same_partitions(self, family):
+        network = build_topology(family, default_size(family))
+        groups = {}
+        for limit in (None, 4):
+            encoder = PolicyBddEncoder(network, bdd_cache_limit=limit)
+            encoder.encode_all_edges()
+            bonsai = Bonsai(network, encoder=encoder)
+            groups[limit] = [
+                frozenset(bonsai.compress(ec, build_network=False).abstraction.groups())
+                for ec in bonsai.equivalence_classes()[:4]
+            ]
+            if limit is not None:
+                assert encoder.manager.ite_cache_size() <= limit
+        assert groups[None] == groups[4]

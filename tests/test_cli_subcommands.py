@@ -1,60 +1,49 @@
-"""Tests for the subcommand CLI and the legacy flat-flag shim."""
+"""Tests for the subcommand CLI."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
-from repro.pipeline.cli import SUBCOMMANDS, main as pipeline_main
+from repro.pipeline.cli import main as pipeline_main
 from repro.srp.solver import COUNTERS
-
-
-def run_main(argv):
-    """``(exit_code, deprecation_messages)`` with warnings captured."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = pipeline_main(argv)
-    return code, [
-        str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
 
 
 class TestSubcommands:
     def test_compress(self, capsys):
-        code, warned = run_main(
+        code = pipeline_main(
             ["compress", "--topo", "ring", "--size", "5", "--executor", "serial"]
         )
-        assert code == 0 and not warned
+        assert code == 0
         assert "compression pipeline" in capsys.readouterr().out
 
     def test_verify(self, capsys):
-        code, warned = run_main(
+        code = pipeline_main(
             ["verify", "--topo", "ring", "--size", "5", "--executor", "serial"]
         )
-        assert code == 0 and not warned
+        assert code == 0
         assert "batch verification" in capsys.readouterr().out
 
     def test_failures(self, capsys):
-        code, warned = run_main(
+        code = pipeline_main(
             ["failures", "--topo", "ring", "--size", "5", "--executor", "serial",
              "--k", "1", "--sample", "3", "--no-oracle", "--no-soundness"]
         )
-        assert code == 0 and not warned
+        assert code == 0
         assert "failure sweep" in capsys.readouterr().out
 
     def test_delta(self, capsys):
-        code, warned = run_main(
+        code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
              "--no-oracle", "--no-rebuild-oracle"]
         )
-        assert code == 0 and not warned
+        assert code == 0
         assert "change-impact sweep" in capsys.readouterr().out
 
     def test_output_report_is_enveloped(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
-        code, _ = run_main(
+        code = pipeline_main(
             ["verify", "--topo", "ring", "--size", "5", "--executor", "serial",
              "--output", str(out)]
         )
@@ -67,35 +56,35 @@ class TestSubcommands:
         assert load_report(out.read_text()).kind == "verification"
 
     def test_family_required(self, capsys):
-        code, _ = run_main(["verify", "--executor", "serial"])
+        code = pipeline_main(["verify", "--executor", "serial"])
         assert code == 2
         assert "topology family is required" in capsys.readouterr().err
 
     def test_unknown_subcommand_arguments(self, capsys):
         # Subcommand parsers reject flags from other modes outright.
-        code, _ = run_main(["compress", "--topo", "ring", "--k", "2"])
+        code = pipeline_main(["compress", "--topo", "ring", "--k", "2"])
         assert code == 2
 
     def test_help_exits_zero(self, capsys):
-        assert run_main(["verify", "--help"])[0] == 0
+        assert pipeline_main(["verify", "--help"]) == 0
         capsys.readouterr()
 
 
 class TestStoreAndServeSubcommands:
     def test_store_save_list_info(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
-        code, _ = run_main(
+        code = pipeline_main(
             ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "saved ring(5)" in out and "5 classes" in out
 
-        code, _ = run_main(["store", "list", "--store", str(root)])
+        code = pipeline_main(["store", "list", "--store", str(root)])
         assert code == 0
         assert "ring-5" in capsys.readouterr().out
 
-        code, _ = run_main(
+        code = pipeline_main(
             ["store", "info", "--topo", "ring", "--size", "5", "--store", str(root)]
         )
         assert code == 0
@@ -103,7 +92,7 @@ class TestStoreAndServeSubcommands:
 
     def test_store_info_refuses_corrupt_entry(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
-        code, _ = run_main(
+        code = pipeline_main(
             ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)]
         )
         assert code == 0
@@ -111,38 +100,38 @@ class TestStoreAndServeSubcommands:
         entry = next(child for child in root.iterdir() if child.is_dir())
         payload = entry / "payload.pkl"
         payload.write_bytes(payload.read_bytes()[:-10])
-        code, _ = run_main(["store", "info", "--fingerprint", entry.name, "--store", str(root)])
+        code = pipeline_main(["store", "info", "--fingerprint", entry.name, "--store", str(root)])
         assert code == 1
         assert "REFUSED" in capsys.readouterr().err
 
     def test_store_list_empty(self, tmp_path, capsys):
-        code, _ = run_main(["store", "list", "--store", str(tmp_path / "none")])
+        code = pipeline_main(["store", "list", "--store", str(tmp_path / "none")])
         assert code == 0
         assert "no artifacts" in capsys.readouterr().out
 
     def test_delta_baseline_zero_resolves(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
-        code, _ = run_main(
+        code = pipeline_main(
             ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)]
         )
         assert code == 0
         COUNTERS.reset()
-        code, warned = run_main(
+        code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
              "--baseline", str(root), "--no-oracle", "--no-revalidate",
              "--no-rebuild-oracle"]
         )
-        assert code == 0 and not warned
+        assert code == 0
         assert COUNTERS.snapshot()["scratch_solves"] == 0
         out = capsys.readouterr().out
         assert "warm baseline" in out and "seeded from the store" in out
 
     def test_delta_baseline_entry_dir(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
-        run_main(["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)])
+        pipeline_main(["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)])
         capsys.readouterr()
         entry = next(child for child in root.iterdir() if child.is_dir())
-        code, _ = run_main(
+        code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
              "--baseline", str(entry), "--no-oracle", "--no-revalidate",
              "--no-rebuild-oracle"]
@@ -152,9 +141,9 @@ class TestStoreAndServeSubcommands:
 
     def test_delta_baseline_mismatch_refused(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
-        run_main(["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)])
+        pipeline_main(["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)])
         capsys.readouterr()
-        code, _ = run_main(
+        code = pipeline_main(
             ["delta", "--topo", "mesh", "--size", "4", "--executor", "serial",
              "--baseline", str(root), "--no-oracle"]
         )
@@ -162,89 +151,82 @@ class TestStoreAndServeSubcommands:
         assert "cannot use baseline artifact" in capsys.readouterr().err
 
     def test_serve_usage_errors(self, capsys):
-        code, _ = run_main(["serve", "--topo", "ring", "--family", "ring"])
+        code = pipeline_main(["serve", "--topo", "ring", "--family", "ring"])
         assert code == 2
         assert "not both" in capsys.readouterr().err
-        code, _ = run_main(["serve", "--family", "all"])
+        code = pipeline_main(["serve", "--family", "all"])
         assert code == 2
         assert "exactly one topology family" in capsys.readouterr().err
 
 
-class TestLegacyShim:
-    def test_legacy_compress_still_works_unwarned(self, capsys):
-        code, warned = run_main(
-            ["--topo", "ring", "--size", "5", "--executor", "serial"]
-        )
-        assert code == 0 and not warned
-        assert "compression pipeline" in capsys.readouterr().out
+SUBCOMMANDS = (
+    "compress", "verify", "failures", "delta", "store", "serve",
+    "trace", "profile", "bench",
+)
+
+
+class TestErrorContract:
+    """``main`` turns argparse's exit into a status; it never raises SystemExit."""
 
     @pytest.mark.parametrize(
-        "argv,flag",
+        "argv",
         [
-            (["--verify", "--topo", "ring", "--size", "5", "--executor", "serial"],
-             "--verify"),
-            (["--failures", "--topo", "ring", "--size", "5", "--executor", "serial",
-              "--k", "1", "--sample", "3", "--no-oracle", "--no-soundness"],
-             "--failures"),
-            (["--delta", "--topo", "ring", "--size", "5", "--executor", "serial",
-              "--no-oracle", "--no-rebuild-oracle"],
-             "--delta"),
+            [],
+            ["--verify", "--topo", "ring"],
+            ["--failures", "--topo", "ring", "--k", "1"],
+            ["--delta", "--topo", "ring"],
+            ["--topo", "ring"],
+            ["--bogus-flag"],
+            ["compress", "--topo", "ring", "--report-out", "report.json"],
+            ["store"],
+            ["trace"],
+            ["profile"],
+            ["bench"],
+        ],
+        ids=[
+            "empty", "flat-verify", "flat-failures", "flat-delta", "no-subcommand",
+            "bogus-flag", "report-out", "store-needs-action", "trace-needs-action",
+            "profile-needs-action", "bench-needs-action",
         ],
     )
-    def test_legacy_modes_warn_once_and_work(self, capsys, argv, flag):
-        code, warned = run_main(argv)
-        assert code == 0
-        assert len(warned) == 1
-        assert flag in warned[0] and "deprecated" in warned[0]
-        capsys.readouterr()
+    def test_usage_errors_return_2(self, argv, capsys):
+        assert pipeline_main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: python -m repro.pipeline")
 
-    def test_report_out_warns_once_and_writes(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code, warned = run_main(
-            ["--topo", "ring", "--size", "5", "--executor", "serial",
-             "--report-out", str(out)]
+    def test_help_returns_0(self, capsys):
+        assert pipeline_main(["--help"]) == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_returns_0(self, command, capsys):
+        assert pipeline_main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: python -m repro.pipeline {command}"
         )
-        assert code == 0
-        assert len(warned) == 1 and "--report-out" in warned[0]
-        assert json.loads(out.read_text())["kind"] == "compression"
-        capsys.readouterr()
 
-    def test_two_legacy_spellings_warn_twice(self, tmp_path, capsys):
-        out = tmp_path / "verify.json"
-        code, warned = run_main(
-            ["--verify", "--topo", "ring", "--size", "5", "--executor", "serial",
-             "--report-out", str(out)]
-        )
-        assert code == 0
-        assert sorted(w.split()[0] for w in warned) == ["--report-out", "--verify"]
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--topo", "ring", "--properties", "reachability"],
+            ["compress", "--topo", "ring", "--timeout", "5"],
+            ["verify", "--topo", "ring", "--k", "2"],
+            ["verify", "--topo", "ring", "--baseline", "artifacts"],
+            ["failures", "--topo", "ring", "--changes", "generated"],
+            ["delta", "--topo", "ring", "--k", "2"],
+        ],
+        ids=[
+            "compress-properties", "compress-timeout", "verify-k", "verify-baseline",
+            "failures-changes", "delta-k",
+        ],
+    )
+    def test_another_subcommands_flag_is_rejected(self, argv, capsys):
+        assert pipeline_main(argv) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
-    def test_legacy_error_messages_are_pinned(self, capsys):
-        code, _ = run_main(["--verify", "--failures", "--topo", "ring"])
-        assert code == 2
-        assert "at most one of --verify, --failures" in capsys.readouterr().err
-
-        code, _ = run_main(["--topo", "ring", "--k", "2"])
-        assert code == 2
-        assert "--k requires --failures" in capsys.readouterr().err
-
-        code, _ = run_main(["--verify", "--topo", "ring", "--baseline", "x"])
-        assert code == 2
-        assert "--baseline requires --delta" in capsys.readouterr().err
-
-        code, _ = run_main(["--family", "all", "--topo", "ring"])
-        assert code == 2
+    @pytest.mark.parametrize("command", [["compress"], ["failures"], ["delta"], ["store", "save"]])
+    def test_topo_and_family_conflict(self, command, tmp_path, capsys):
+        argv = command + ["--topo", "ring", "--family", "mesh"]
+        if command[0] == "store":
+            argv += ["--store", str(tmp_path / "artifacts")]
+        assert pipeline_main(argv) == 2
         assert "not both" in capsys.readouterr().err
-
-    def test_main_never_raises_system_exit(self):
-        # argparse would normally sys.exit(2); the shim converts to int.
-        code, _ = run_main(["--bogus-flag"])
-        assert code == 2
-        code, _ = run_main(["--help"])
-        assert code == 0
-
-    def test_subcommand_names_are_reserved(self):
-        assert set(SUBCOMMANDS) == {
-            "compress", "verify", "failures", "delta", "store", "serve",
-            "trace", "profile", "bench",
-        }

@@ -755,10 +755,10 @@ class TestDeltaCli:
         assert "change script" in capsys.readouterr().err
 
     def test_delta_flags_require_mode(self, capsys):
-        assert pipeline_main(["--topo", "ring", "--changes", "generated"]) == 2
-        assert "--delta" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "ring", "--no-revalidate"]) == 2
-        assert "--delta" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "ring", "--changes", "generated"]) == 2
+        assert "unrecognized arguments: --changes" in capsys.readouterr().err
+        assert pipeline_main(["failures", "--topo", "ring", "--no-revalidate"]) == 2
+        assert "unrecognized arguments: --no-revalidate" in capsys.readouterr().err
 
     def test_cross_mode_flags_rejected(self, capsys):
         """A mode must reject the other modes' flags, not drop them."""

@@ -578,13 +578,13 @@ class TestFailuresCli:
         assert "failure sweep: ring(5)" in capsys.readouterr().out
 
     def test_failures_flags_require_mode(self, capsys):
-        assert pipeline_main(["--topo", "ring", "--sample", "3"]) == 2
-        assert "--failures" in capsys.readouterr().err
-        # --k and --seed are guarded too, not silently ignored.
-        assert pipeline_main(["--topo", "ring", "--k", "2"]) == 2
-        assert "--k" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "ring", "--seed", "5"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "ring", "--sample", "3"]) == 2
+        assert "unrecognized arguments: --sample" in capsys.readouterr().err
+        # --k and --seed are rejected too, not silently ignored.
+        assert pipeline_main(["delta", "--topo", "ring", "--k", "2"]) == 2
+        assert "unrecognized arguments: --k" in capsys.readouterr().err
+        assert pipeline_main(["verify", "--topo", "ring", "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_verify_and_failures_are_exclusive(self, capsys):
         assert pipeline_main(["verify", "--failures", "--topo", "ring"]) == 2

@@ -281,24 +281,21 @@ class TestIterativeBddDeepChains:
         """Regression: ``to_expression`` and ``satisfying_assignments``
         were still recursive after the PR-3 iterative rewrite of
         ``ite``/``restrict``/``sat_count`` and overflowed on the same
-        1500+-var chains.  Both backends must enumerate and print a
+        1500+-var chains.  The manager must enumerate and print a
         DEPTH-deep chain under a tight recursion limit."""
-        from repro.bdd import make_manager
-
-        for backend in ("dict", "array"):
-            manager = make_manager(self.DEPTH, backend=backend)
-            chain = TRUE
-            for var in range(self.DEPTH - 1, -1, -1):
-                chain = manager.ite(manager.var(var), chain, FALSE)
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(300)
-            try:
-                expression = manager.to_expression(chain)
-                models = list(manager.satisfying_assignments(chain))
-            finally:
-                sys.setrecursionlimit(limit)
-            assert expression.count("(if ") == self.DEPTH
-            assert models == [{i: True for i in range(self.DEPTH)}]
+        manager = BddManager(self.DEPTH)
+        chain = TRUE
+        for var in range(self.DEPTH - 1, -1, -1):
+            chain = manager.ite(manager.var(var), chain, FALSE)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            expression = manager.to_expression(chain)
+            models = list(manager.satisfying_assignments(chain))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert expression.count("(if ") == self.DEPTH
+        assert models == [{i: True for i in range(self.DEPTH)}]
 
     def test_deep_route_map_chain_encodes_under_a_tight_recursion_limit(self):
         """A route map with hundreds of distinct prefix-list matches (the

@@ -335,7 +335,7 @@ class TestCli:
         out = tmp_path / "report.json"
         code = pipeline_main(
             [
-                "--topo", "ring", "--size", "5",
+                "compress", "--topo", "ring", "--size", "5",
                 "--executor", "serial", "--output", str(out), "--per-class",
             ]
         )
@@ -346,12 +346,12 @@ class TestCli:
 
     def test_cli_parallel_smoke(self, capsys):
         code = pipeline_main(
-            ["--topo", "fattree", "--size", "4", "--workers", "2"]
+            ["compress", "--topo", "fattree", "--size", "4", "--workers", "2"]
         )
         assert code == 0
         assert "speedup" not in capsys.readouterr().out
 
     def test_cli_rejects_bad_size(self, capsys):
-        code = pipeline_main(["--topo", "fattree", "--size", "3"])
+        code = pipeline_main(["compress", "--topo", "fattree", "--size", "3"])
         assert code == 2
         assert "error" in capsys.readouterr().err

@@ -19,12 +19,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: What ``compress`` must not pay for: the other pillars, the second BDD
-#: backend, the shard scheduler, the HTTP server and the process-pool
-#: machinery.
+#: What ``compress`` must not pay for: the other pillars, the shard
+#: scheduler, the HTTP server and the process-pool machinery.
 NOT_FOR_COMPRESS = (
     "repro.serve", "repro.store", "repro.delta", "repro.failures",
-    "repro.analysis.batch", "repro.api", "repro.bdd.arrays", "repro.pipeline.shard",
+    "repro.analysis.batch", "repro.api", "repro.pipeline.shard",
     "http.server", "multiprocessing",
 )
 
@@ -104,22 +103,21 @@ SUBCOMMAND_MODULE_SETS = {
     "verify": (
         ["verify", "--topo", "ring", "--size", "4", "--properties", "reachability"], 0,
         ("repro.serve", "repro.store", "repro.delta", "repro.failures", "repro.api",
-         "repro.bdd.arrays", "http.server", "multiprocessing"),
+         "http.server", "multiprocessing"),
     ),
     "failures": (
         ["failures", "--topo", "ring", "--size", "4", "--properties", "reachability"], 0,
-        ("repro.serve", "repro.store", "repro.delta", "repro.api", "repro.bdd.arrays",
-         "http.server", "multiprocessing"),
+        ("repro.serve", "repro.store", "repro.delta", "repro.api", "http.server",
+         "multiprocessing"),
     ),
     "delta": (
         ["delta", "--topo", "ring", "--size", "4", "--properties", "reachability"], 0,
-        ("repro.serve", "repro.store", "repro.api", "repro.bdd.arrays", "http.server",
-         "multiprocessing"),
+        ("repro.serve", "repro.store", "repro.api", "http.server", "multiprocessing"),
     ),
     "store": (
         ["store", "list", "--store", "{tmp}"], 0,
-        ("repro.serve", "repro.api", "repro.failures.sweep", "repro.bdd.arrays",
-         "http.server", "multiprocessing"),
+        ("repro.serve", "repro.api", "repro.failures.sweep", "http.server",
+         "multiprocessing"),
     ),
     "trace": (["trace", "summarize", "{tmp}/none.jsonl"], 1, NOT_FOR_COMPRESS),
     "profile": (["profile", "summarize", "{tmp}/none.jsonl"], 2, NOT_FOR_COMPRESS),
