@@ -65,7 +65,7 @@ def bench_workload(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--executor", default="serial",
-                        help="serial, thread or process (default: serial)")
+                        help="serial, process or auto (default: serial)")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--limit", type=int, default=None,
                         help="verify only the first N classes per family")

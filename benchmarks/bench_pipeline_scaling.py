@@ -42,7 +42,6 @@ def bench_workload(
     size: int,
     workers: int,
     executor: str,
-    batch_size: Optional[int],
     repeat: int,
 ) -> Dict:
     network = build_topology(family, size)
@@ -60,7 +59,6 @@ def bench_workload(
                 artifact=EncodedNetwork.from_bytes(payload),
                 executor=run_executor,
                 workers=run_workers,
-                batch_size=batch_size,
             )
             start = time.perf_counter()
             run = pipeline.run()
@@ -96,8 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated topology families to run",
     )
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--executor", choices=("process", "thread"), default="process")
-    parser.add_argument("--batch-size", type=int, default=None)
+    parser.add_argument("--executor", choices=("process", "auto"), default="process")
     parser.add_argument("--repeat", type=int, default=1, help="keep the best of N runs")
     parser.add_argument("--quick", action="store_true", help="shrink every workload")
     parser.add_argument("--out", default=None, help="write the JSON report here")
@@ -118,7 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             quick_size if args.quick else size,
             workers=args.workers,
             executor=args.executor,
-            batch_size=args.batch_size,
             repeat=args.repeat,
         )
         results.append(result)

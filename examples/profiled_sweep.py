@@ -9,8 +9,8 @@ On top of metrics and traces, `repro.obs` adds three runtime surfaces:
   *inside* which span" and exports collapsed-stack ``folded`` lines any
   flamegraph tool renders directly;
 * a structured event stream (`obs.events`) -- sweep start/end, per-class
-  completions, splits, steals, spills, fallbacks, store refusals -- with
-  a cost-weighted live progress meter riding on it;
+  completions, splits, spills, fallbacks, store refusals -- with a live
+  progress meter riding on it;
 * an append-only bench history (`obs.history`) with a rolling-median
   regression check.
 
@@ -78,8 +78,8 @@ print(f"\nevent stream: {len(records)} events "
       f"(schema v{header['schema_version']}), "
       f"{len(completed)} class completions")
 start = next(r for r in records if r["type"] == "sweep.start")
-print(f"  sweep.start carried cost estimates for {len(start['costs'])} classes "
-      f"(the progress meter's ETA source)")
+print(f"  sweep.start announced {start['classes']} classes "
+      f"(the progress meter's denominator)")
 
 # ----------------------------------------------------------------------
 # Bench history: append this run, then run the rolling-median check.

@@ -1,110 +1,46 @@
 #!/usr/bin/env python3
-"""Cost-aware work stealing and memory-bounded streaming sweeps.
+"""A chunked, spilled failure sweep that equals the serial one.
 
-Destination classes are wildly unequal in cost, so pre-cutting them into
-contiguous batches (static sharding) lets one heavy batch serialise the
-sweep while the other workers idle.  The shard scheduler
-(``repro.pipeline.shard``) fixes this with a shared work queue: units are
-dispatched largest-first by cost observed on *prior* runs (persisted in
-the artifact store's ``costs.json`` sidecars), and whichever worker goes
-idle steals the next costliest unit.
+The process executor queues contiguous bundles of classes and lets idle
+workers pull the next.  When a sweep has fewer classes than twice the
+workers, that would leave workers idle, so a task whose per-class work
+is a sequence of units -- a failure sweep's scenarios, a change sweep's
+steps -- has every class cut into contiguous chunks of that sequence;
+the coordinator merges a class's chunk records back in chunk order.
+With ``spill=True`` each merged class record goes to a JSONL file the
+moment it arrives, so the driver holds O(1) records.
 
-This example shows the three pieces on a deliberately skewed workload:
-
-1. static vs stealing wall-clock on a skewed fat-tree sweep;
-2. observed per-class costs recorded into an artifact store and warming
-   the next run's schedule;
-3. a streaming (memory-bounded) failure sweep whose per-class records
-   spill to disk as they arrive, so the driver holds O(1) records.
+This example runs the same single-link failure sweep twice -- serial,
+and chunked over a 4-worker pool with spilling -- and checks that the
+two reports hold identical records.
 
 Run with::
 
     PYTHONPATH=src python examples/sharded_sweep.py
 """
 
-import tempfile
-import time
-
-import repro.pipeline.shard  # registers the "bench-sleep" demo task
-from repro.abstraction.ec import routable_equivalence_classes
 from repro.failures import FailureSweep
 from repro.netgen.families import build_topology
-from repro.pipeline.core import ClassFanOut
-from repro.pipeline.encoded import EncodedNetwork
-from repro.store import ArtifactStore
-from repro.store.fingerprint import network_fingerprint
 
 
 def main() -> None:
-    # A k=6 fat-tree: 45 devices, 18 destination equivalence classes.
+    # A k=6 fat-tree: 45 devices, 18 destination classes.  Three classes
+    # under 4 workers: each class is cut into ceil(8 / 3) = 3 chunks.
     network = build_topology("fattree", 6)
-    artifact = EncodedNetwork.build(network)
-    prefixes = [str(ec.prefix) for ec in routable_equivalence_classes(network)]
+    kwargs = dict(k=1, limit=3, soundness=False)
 
-    # 1. A skewed workload: four classes are 40x heavier than the rest,
-    #    and they sit next to each other -- exactly where static
-    #    contiguous batching packs them into the same batches.
-    heavy = {prefix: 0.4 for prefix in prefixes[:4]}
-    true_costs = {p: heavy.get(p, 0.01) for p in prefixes}
-    options = {"sleep_seconds": heavy, "default_sleep": 0.01}
+    serial = FailureSweep(network, executor="serial", **kwargs).run()
+    chunked = FailureSweep(
+        network, executor="process", workers=4, spill=True, **kwargs
+    ).run()
 
-    def run(scheduler, unit_costs=None):
-        fanout = ClassFanOut(
-            artifact=artifact,
-            task="bench-sleep",
-            task_options=options,
-            executor="process",
-            workers=4,
-            scheduler=scheduler,
-            unit_costs=unit_costs,
-        )
-        start = time.perf_counter()
-        fanout.execute()
-        return time.perf_counter() - start
-
-    static_s = run("static")
-    stealing_s = run("stealing", unit_costs=true_costs)
-    print(f"Skewed sweep, 4 workers: static {static_s:.2f}s vs "
-          f"cost-aware stealing {stealing_s:.2f}s "
-          f"({static_s / stealing_s:.2f}x)")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ArtifactStore(tmp)
-
-        # 2. Costs are recorded transparently after every sweep that has
-        #    a cost store (or runs the stealing scheduler); the next run
-        #    against the same network fingerprint schedules from them.
-        fanout = ClassFanOut(
-            artifact=artifact,
-            task="compress",
-            executor="process",
-            workers=4,
-            cost_store=store,
-        )
-        fanout.execute()
-        costs = store.load_costs(network_fingerprint(network))
-        block = costs["tasks"][fanout.task]
-        slowest = max(block["unit_seconds"], key=block["unit_seconds"].get)
-        print(f"Recorded costs for {block['num_units']} classes "
-              f"({block['total_seconds']:.3f}s total); slowest class "
-              f"{slowest} -> scheduled first next run")
-
-        # 3. Streaming aggregation: per-class failure records spill to a
-        #    JSONL file the moment they arrive instead of accumulating in
-        #    memory (the CLI's --memory-budget flag rides this path).
-        report = FailureSweep(
-            network,
-            k=1,
-            executor="process",
-            workers=4,
-            limit=6,
-            soundness=False,
-            spill=True,
-            cost_store=store,
-        ).run()
-        print(f"Streaming failure sweep: {report.record_count()} class "
-              f"records spilled ({len(report.records)} held in memory), "
-              f"ok={report.ok()}")
+    scenarios = sum(len(record.scenarios) for record in chunked.iter_records())
+    print(f"Chunked failure sweep: {chunked.record_count()} class records "
+          f"({scenarios} scenarios) spilled, {len(chunked.records)} held in memory")
+    same = serial.canonical_records() == chunked.canonical_records()
+    print(f"Records equal the serial sweep's: {same}")
+    if not same:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

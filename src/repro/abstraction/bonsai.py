@@ -419,9 +419,9 @@ class Bonsai:
         :mod:`repro.pipeline` subsystem.  By default it starts inline on
         this instance's encoder and forks only when the measured per-class
         cost says a pool pays (the ``"auto"`` executor); passing ``workers``
-        (and optionally an ``executor`` of ``"process"`` or ``"thread"``)
-        asks for a pool outright, with the one-time BDD encoding shared via
-        a pickled artifact.  The aggregated
+        or ``executor="process"`` asks for a process pool outright, with
+        the one-time BDD encoding shared via a pickled artifact;
+        ``executor="serial"`` never forks.  The aggregated
         :class:`~repro.pipeline.report.PipelineReport` of the last run is
         kept on ``self.last_report``.
         """

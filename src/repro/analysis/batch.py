@@ -12,7 +12,7 @@ simulate the abstract control plane, evaluate every property on every
 node, lift abstract verdicts back through the abstraction mapping -- is
 registered as the ``"verify"`` task of the generic
 :class:`~repro.pipeline.core.ClassFanOut` engine, so it fans out over the
-same serial/thread/process executors as compression itself.
+same serial/process/auto executors as compression itself.
 
 Verdict lifting
 ---------------
@@ -627,7 +627,7 @@ class BatchVerifier:
 
     The per-class work is dispatched through the pipeline's
     :class:`~repro.pipeline.core.ClassFanOut` engine, so it scales over the
-    same ``auto`` / ``serial`` / ``thread`` / ``process`` executors as compression,
+    same ``auto`` / ``serial`` / ``process`` executors as compression,
     and the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
     artifact can be shared between arms.
 
@@ -652,12 +652,9 @@ class BatchVerifier:
         suite: Optional[PropertySuite] = None,
         executor: str = "auto",
         workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -669,11 +666,8 @@ class BatchVerifier:
             artifact=artifact,
             executor=executor,
             workers=workers,
-            batch_size=batch_size,
             limit=limit,
             use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
         )
         self.network = network
         self.executor = executor

@@ -22,7 +22,7 @@ edits as first-class values:
 
 Changes travel through the pipeline's pickled task options in their wire
 form (:meth:`ChangeSet.to_dict`), so change sweeps fan out over the same
-serial/thread/process executors as everything else.
+serial/process/auto executors as everything else.
 """
 
 from __future__ import annotations

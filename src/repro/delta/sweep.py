@@ -471,7 +471,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
         verdicts=baseline.verdicts, check=check,
     )
 
-    # Sub-class chunking (the shard coordinator's ``unit_range`` patches):
+    # Sub-class chunking (the pool planner's ``unit_range`` patches):
     # run only the steps of this chunk.  A chunk starting mid-script
     # fast-forwards the incremental chain by scratch-solving the step just
     # before it -- SRP labelings are unique fixed points, so the seeded

@@ -254,7 +254,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
         compression_seconds=compression_seconds,
         nodes=list(baseline.node_names),
     )
-    # Sub-class chunking: scenarios are independent, so a shard chunk is
+    # Sub-class chunking: scenarios are independent, so a chunk is
     # just the same task over its ``unit_range`` slice of the list.
     raw_scenarios = options.get("scenarios", [])
     for index in unit_range(options, len(raw_scenarios)):

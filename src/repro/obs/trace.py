@@ -22,8 +22,8 @@ the unit, and ships the serialized span subtree + counter delta back
 with the result.  The coordinator buffers the captures and attaches
 them *sorted by (class index, chunk index)* at the end of the run,
 merging a split class's chunk captures back into one class span --
-so the final tree is bit-identical across serial, thread, process and
-work-stealing executors regardless of completion order.
+so the final tree is bit-identical across the serial, process and auto
+executors regardless of completion order.
 
 **File format.**  ``write_jsonl`` emits one header line
 (``schema_version``/``kind``/``generated_by`` plus run context) followed

@@ -61,12 +61,7 @@ from repro.netgen.families import (
     default_size,
 )
 from repro.obs import trace
-from repro.pipeline.core import (
-    EXECUTORS,
-    SCHEDULERS,
-    CompressionPipeline,
-    PipelineError,
-)
+from repro.pipeline.core import EXECUTORS, CompressionPipeline, PipelineError
 
 
 def _topology_arguments(parser: argparse.ArgumentParser) -> None:
@@ -106,30 +101,12 @@ def _execution_arguments(parser: argparse.ArgumentParser) -> None:
         "fork a process pool once the measured per-class cost says it pays)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, help="classes per work unit"
-    )
-    parser.add_argument(
         "--limit", type=int, default=None, help="process only the first N classes"
     )
     parser.add_argument(
         "--syntactic",
         action="store_true",
         help="use syntactic policy keys instead of BDDs (ablation mode)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="stealing",
-        help="process-executor scheduling: cost-aware work stealing "
-        "(default) or the original static pre-batching",
-    )
-    parser.add_argument(
-        "--cost-store",
-        default=None,
-        metavar="DIR",
-        help="artifact store root whose costs.json sidecars persist "
-        "observed per-class wall-clock between runs (warms the stealing "
-        "scheduler's dispatch order)",
     )
     parser.add_argument(
         "--memory-budget",
@@ -163,14 +140,14 @@ def _trace_argument(parser: argparse.ArgumentParser) -> None:
         "--events",
         default=None,
         metavar="PATH",
-        help="write the structured event stream (sweep/class/steal/split/"
+        help="write the structured event stream (sweep/class/split/pool/"
         "spill/fallback/store events) as schema-versioned JSONL",
     )
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render a live progress meter on stderr (ETA from the cost "
-        "model's per-class estimates)",
+        help="render a live progress meter on stderr (ETA from the class "
+        "completion rate)",
     )
 
 
@@ -381,7 +358,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     )
     store_save.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for thread/process bakes (default: one per CPU)",
+        help="worker count for process bakes (default: one per CPU)",
     )
     _trace_argument(store_save)
 
@@ -597,15 +574,6 @@ def _report_status(failed: bool, emitted: bool) -> int:
     return 1 if (failed or not emitted) else 0
 
 
-def _sweep_scale_kwargs(args) -> dict:
-    """The shard-scheduler knobs shared by every sweep subcommand."""
-    return dict(
-        scheduler=args.scheduler,
-        cost_store=args.cost_store,
-        spill=args.memory_budget is not None,
-    )
-
-
 def _check_memory_budget(args, report) -> bool:
     """Record peak RSS on the report; False when it exceeds the budget."""
     memory_budget = args.memory_budget
@@ -668,12 +636,9 @@ def _run_verify(args, families: List[str]) -> int:
                 suite=suite,
                 executor=args.executor,
                 workers=args.workers,
-                batch_size=args.batch_size,
                 limit=args.limit,
                 timeout_seconds=remaining,
                 use_bdds=not args.syntactic,
-                scheduler=args.scheduler,
-                cost_store=args.cost_store,
             )
             try:
                 with trace.span("family", family=family, size=str(size)):
@@ -729,10 +694,9 @@ def _run_sweep(args, families: List[str], title, make_sweep, class_line) -> int:
         oracle=not args.no_oracle,
         executor=args.executor,
         workers=args.workers,
-        batch_size=args.batch_size,
         limit=args.limit,
         use_bdds=not args.syntactic,
-        **_sweep_scale_kwargs(args),
+        spill=args.memory_budget is not None,
     )
     reports = {}
     failed = False
@@ -887,12 +851,9 @@ def _run_compress(args, family: str) -> int:
             network,
             executor=args.executor,
             workers=args.workers,
-            batch_size=args.batch_size,
             limit=args.limit,
             build_networks=args.build_networks,
             use_bdds=not args.syntactic,
-            scheduler=args.scheduler,
-            cost_store=args.cost_store,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -963,7 +924,6 @@ def _run_store(args) -> int:
                 limit=args.limit,
                 executor=args.executor,
                 workers=args.workers,
-                cost_store=store,
             )
             entry = store.save(artifact)
             print(
@@ -1020,13 +980,6 @@ def _run_store(args) -> int:
         print(
             "refusals this process: "
             + ", ".join(f"{reason}={count}" for reason, count in refusals.items())
-        )
-    costs = store.load_costs(fingerprint)
-    for task_path, block in sorted(costs.get("tasks", {}).items()):
-        print(
-            f"observed costs [{task_path}]: {block.get('num_units', 0)} units, "
-            f"{block.get('total_seconds', 0.0):.3f}s total, "
-            f"recorded {block.get('recorded_at', '?')}"
         )
     return 0
 

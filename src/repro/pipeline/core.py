@@ -4,9 +4,8 @@ Destination equivalence classes never interact, so any per-class job --
 compression, property verification, ... -- can be fanned out over a pool
 of workers once the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
 artifact is in hand.  :class:`ClassFanOut` is that generic engine: it
-splits the classes into batches, dispatches a *registered task* to a pool,
-and streams the per-class results back in class order.  Four executors
-are supported:
+dispatches a *registered task* over the classes and streams the
+per-class results back in class order.  Three executors are supported:
 
 * ``"auto"`` (the default) -- probe, then fork: classes start running
   inline like ``"serial"``, every finished class updates the measured
@@ -18,12 +17,9 @@ are supported:
 * ``"process"`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`; the
   one-time artifact is pickled once and handed to each worker process via
   the pool initializer, so every process owns a private, fully hash-consed
-  :class:`~repro.bdd.manager.BddManager`;
-* ``"thread"`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`; each
-  worker *thread* still receives its own unpickled copy of the artifact
-  (the BDD manager is not thread-safe, and private copies keep the output
-  bit-identical to the serial run).  Useful when processes are unavailable
-  and the per-class work releases the GIL rarely;
+  :class:`~repro.bdd.manager.BddManager`.  :meth:`ClassFanOut.plan` cuts
+  the classes into work bundles, all of which are queued up front; an
+  idle worker pulls the next;
 * ``"serial"`` -- everything runs inline on the caller's objects, in class
   order, with no pickling.  This is the deterministic fallback and the
   baseline the scaling benchmark compares against.
@@ -44,9 +40,9 @@ from __future__ import annotations
 
 import importlib
 import os
-import threading
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,13 +56,13 @@ from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import EcRecord, PipelineReport
 
 #: The executors understood by :class:`ClassFanOut`.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 #: What a process pool costs before it saves anything, in seconds of
 #: wall clock: fork, one unpickle of the artifact and one warm-up class
-#: per worker, the cost-model lookup, shutdown.  Measured, not tuned: the
-#: e2e ledger's ``pipeline.run_default_s`` - ``pipeline.run_serial_s`` / 2
-#: on ``compress-fattree-pool`` (0.32 - 0.11 / 2 = 0.26 s; README,
+#: per worker, shutdown.  Measured, not tuned: the e2e ledger's
+#: ``pipeline.run_default_s`` - ``pipeline.run_serial_s`` / 2 on
+#: ``compress-fattree-pool`` (0.32 - 0.11 / 2 = 0.26 s; README,
 #: "Start-up and executor selection").  The ``"auto"`` executor forks
 #: only when the pool is estimated to save more than this.
 POOL_START_SECONDS = 0.25
@@ -79,10 +75,9 @@ POOL_START_SECONDS = 0.25
 #: (72 / 128 / 288 classes), i.e. 0.25 s + 2 ms a class.
 POOL_UNIT_SECONDS = 0.002
 
-#: The process-executor schedulers: ``"stealing"`` routes through the
-#: cost-aware :class:`~repro.pipeline.shard.ShardCoordinator`; ``"static"``
-#: keeps the original contiguous pre-batching.
-SCHEDULERS = ("stealing", "static")
+#: One unit of pool work: ``(class index, chunk, class, options patch)``;
+#: the patch is ``None`` for a whole class.
+Unit = Tuple[int, int, EquivalenceClass, Optional[dict]]
 
 
 class PipelineError(RuntimeError):
@@ -104,7 +99,6 @@ CLASS_TASKS: Dict[str, str] = {
     "failures": "repro.failures.sweep:failure_class_task",
     "delta": "repro.delta.sweep:delta_class_task",
     "baseline": "repro.store.artifact:baseline_class_task",
-    "bench-sleep": "repro.pipeline.shard:sleep_class_task",
 }
 
 
@@ -155,59 +149,50 @@ def compress_class_task(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Per-worker state: each process's main thread (process pools) or each
-#: worker thread (thread pools) gets its own Bonsai over its own copy of
-#: the encoded artifact.
-_worker_state = threading.local()
+#: The pool worker's own Bonsai over its private copy of the artifact.
+_worker_bonsai: Optional[Bonsai] = None
 
 
 def _init_worker(payload: bytes) -> None:
     """Pool initializer: unpickle a private copy of the one-time artifact."""
-    artifact = EncodedNetwork.from_bytes(payload)
-    _worker_state.bonsai = artifact.make_bonsai()
+    global _worker_bonsai
+    _worker_bonsai = EncodedNetwork.from_bytes(payload).make_bonsai()
 
 
-def _run_batch(
-    task_path: str,
-    batch: Sequence[Tuple[int, EquivalenceClass]],
-    options: dict,
-    capture_trace: bool = False,
-    ship_metrics: bool = False,
-) -> List[Tuple[int, object, float, Optional[dict]]]:
-    """Run one batch of ``(index, class)`` pairs through a task in a worker.
+def _run_units(
+    task_path: str, units: Sequence[Unit], options: dict, capture_trace: bool
+) -> List[Tuple[int, int, object, float, dict]]:
+    """Run one bundle of units in a pool worker.
 
-    Each entry comes back as ``(index, result, seconds, obs)`` -- the
-    observed per-class wall-clock feeds the cost model scheduling the
-    next sweep, and ``obs`` (present only when the coordinator asked for
-    it) carries the unit's captured span subtree and/or the worker-local
-    counter delta back across the pool boundary.  ``capture_trace`` is
-    the coordinator's ``trace.active()`` at submit time (worker processes
-    never saw ``trace.begin()`` themselves); ``ship_metrics`` is set only
-    for process pools -- thread workers already increment the shared
-    registry, and shipping the delta too would double count.  Failures
-    are returned as ``(index, _WorkerFailure, seconds, obs)`` markers
-    rather than raised, so one bad class produces a clean
-    coordinator-side error naming the class instead of a bare pickled
-    traceback from the pool.
+    Each unit comes back as ``(index, chunk, result, seconds, obs)``:
+    ``obs`` carries the unit's captured span subtree (when the
+    coordinator's ``trace.active()``, relayed as ``capture_trace``: worker
+    processes never saw ``trace.begin()``) and its worker-local counter
+    delta back across the pool boundary.  Failures are returned as
+    :class:`_WorkerFailure` markers rather than raised, so one bad class
+    produces a clean coordinator-side error naming the class instead of a
+    bare pickled traceback from the pool.
     """
-    bonsai: Bonsai = _worker_state.bonsai
     task = _import_task(task_path)
-    out: List[Tuple[int, object, float, Optional[dict]]] = []
-    for index, equivalence_class in batch:
+    out = []
+    for index, chunk, equivalence_class, patch in units:
         start = time.perf_counter()
         with trace.capture_unit(
-            capture_trace, ship_metrics, cls=str(equivalence_class.prefix)
+            capture_trace, True, cls=str(equivalence_class.prefix)
         ) as obs:
             try:
-                result = task(bonsai, equivalence_class, options)
+                result = task(
+                    _worker_bonsai,
+                    equivalence_class,
+                    options if patch is None else {**options, **patch},
+                )
             except Exception as exc:  # noqa: BLE001 - reported to the coordinator
                 result = _WorkerFailure(
                     prefix=str(equivalence_class.prefix),
                     error=repr(exc),
                     traceback=traceback.format_exc(),
                 )
-        blob = obs if (capture_trace or ship_metrics) else None
-        out.append((index, result, time.perf_counter() - start, blob))
+        out.append((index, chunk, result, time.perf_counter() - start, obs))
     return out
 
 
@@ -240,41 +225,17 @@ class ClassFanOut:
     task_options:
         A pickleable dictionary passed verbatim to every task invocation.
     executor:
-        ``"auto"`` (default), ``"serial"``, ``"thread"`` or ``"process"``.
-        ``"auto"`` with an explicit ``batch_size`` or the ``"static"``
-        scheduler is ``"process"``: both ask for a particular pool.
+        ``"auto"`` (default), ``"serial"`` or ``"process"``.
     workers:
-        Worker count for the parallel executors (default: one per CPU;
-        a pool never starts more workers than it has work units).
-    batch_size:
-        Classes per work unit.  Defaults to spreading the classes evenly
-        so each worker sees about four batches (cheap load balancing
-        without per-class submission overhead).  Setting it explicitly
-        forces the static scheduler (the stealing coordinator plans its
-        own cost-weighted bundles).
+        Worker count for the process pool (default: one per CPU; a pool
+        never starts more workers than it has work bundles).
     limit:
         Run only the first ``limit`` classes.
     use_bdds:
         Forwarded to :class:`~repro.abstraction.bonsai.Bonsai`.
-    scheduler:
-        How the *process* executor dispatches work: ``"stealing"``
-        (default) routes through the cost-aware
-        :class:`~repro.pipeline.shard.ShardCoordinator` -- a shared work
-        queue dispatched largest-first from observed per-class costs;
-        ``"static"`` keeps the original contiguous pre-batching.  The
-        serial/thread executors ignore this.
     pool_task_options:
         Overlaid on ``task_options`` for the classes a *process* worker
         runs (what must not cross the result pipe, say).
-    cost_store:
-        An :class:`~repro.store.ArtifactStore` (or its path) whose
-        ``costs.json`` sidecars persist observed per-class wall-clock
-        between processes.  Optional; without it costs still flow through
-        an in-process cache, and a cold schedule falls back to a size
-        heuristic.
-    unit_costs:
-        Explicit ``{class prefix: seconds}`` scheduling weights,
-        overriding the store lookup (benchmarks and tests).
     """
 
     def __init__(
@@ -286,21 +247,13 @@ class ClassFanOut:
         task_options: Optional[dict] = None,
         executor: str = "auto",
         workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
         pool_task_options: Optional[dict] = None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
             )
         if network is None and artifact is None:
             raise ValueError("either a network or an EncodedNetwork is required")
@@ -308,8 +261,6 @@ class ClassFanOut:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0")
         self.network = artifact.network if artifact is not None else network
@@ -319,29 +270,21 @@ class ClassFanOut:
         self.pool_task_options = dict(pool_task_options or {})
         self.executor = executor
         self.workers = workers
-        self.batch_size = batch_size
         self.limit = limit
         self.use_bdds = use_bdds
-        self.scheduler = scheduler
-        self.cost_store = cost_store
-        self.unit_costs = dict(unit_costs) if unit_costs else None
         #: What the most recent :meth:`execute` actually ran.
         self.last_classes: List[EquivalenceClass] = []
         self.last_batches: List[List[Tuple[int, EquivalenceClass]]] = []
-        self.last_scheduler: str = "static"
         #: What the ``"auto"`` executor chose on the last execute, as the
         #: reports' summaries print it ("" under an explicit executor).
         self.last_selection: str = ""
-        #: Observed per-class wall-clock / unit counts of the last execute
-        #: (what gets recorded into the cost model).
+        #: Observed wall-clock per class prefix of the last execute (a
+        #: split class's chunks summed).
         self.last_unit_seconds: Dict[str, float] = {}
-        self.last_unit_counts: Dict[str, int] = {}
-        #: ``network``'s content fingerprint: hashed on first use unless set.
-        self.fingerprint: Optional[str] = None
         self._unit_obs: List[Tuple[int, int, dict]] = []
 
     # ------------------------------------------------------------------
-    # Batching
+    # Planning
     # ------------------------------------------------------------------
     def _ensure_artifact(self) -> EncodedNetwork:
         if self.artifact is None:
@@ -351,19 +294,37 @@ class ClassFanOut:
                 )
         return self.artifact
 
-    def partition(
-        self, classes: Sequence[EquivalenceClass]
-    ) -> List[List[Tuple[int, EquivalenceClass]]]:
-        """Split the classes into contiguous indexed batches."""
-        indexed = list(enumerate(classes))
-        if not indexed:
-            return []
-        size = self.batch_size
-        if size is None:
-            # ~4 batches per worker: large enough to amortise dispatch,
-            # small enough that a straggler batch cannot idle the pool.
-            size = max(1, -(-len(indexed) // (self.workers * 4)))
-        return [indexed[i : i + size] for i in range(0, len(indexed), size)]
+    def plan(
+        self, indexed: Sequence[Tuple[int, EquivalenceClass]], split: bool = True
+    ) -> List[List[Unit]]:
+        """Cut ``(index, class)`` pairs into the bundles a pool runs.
+
+        Bundles are contiguous runs of ``ceil(n / (4 x workers))`` classes
+        in class order: about four per worker, large enough to amortise
+        dispatch, small enough that a straggler cannot idle the pool.
+        When ``split`` and fewer than ``2 x workers`` classes are left, a
+        task that registered a unit splitter
+        (:func:`~repro.pipeline.shard.register_unit_splitter`) has every
+        class cut into ``ceil(2 x workers / n)`` sub-class chunks instead,
+        each its own bundle; a chunk re-pays the class baseline, which
+        only pays when the classes alone cannot keep the pool busy.
+        """
+        units: List[Unit] = [(index, 0, ec, None) for index, ec in indexed]
+        if split and 0 < len(units) < 2 * self.workers:
+            from repro.pipeline import shard
+
+            sequence = shard.UNIT_SEQUENCES.get(self.task)
+            cut = sequence and shard.split_units(
+                self.task_options, sequence[0], -(-2 * self.workers // len(units))
+            )
+            if cut:
+                units = [
+                    (index, chunk, ec, patch)
+                    for index, ec in indexed
+                    for chunk, patch in enumerate(cut[0])
+                ]
+        size = max(1, -(-len(units) // (4 * self.workers)))
+        return [units[i : i + size] for i in range(0, len(units), size)]
 
     # ------------------------------------------------------------------
     # Execution
@@ -381,14 +342,6 @@ class ClassFanOut:
             classes = classes[: self.limit]
         self.last_classes = classes
         return artifact, classes
-
-    def network_fingerprint(self) -> str:
-        """The content fingerprint keying this network's observed costs."""
-        if self.fingerprint is None:
-            from repro.store.fingerprint import network_fingerprint
-
-            self.fingerprint = network_fingerprint(self.network)
-        return self.fingerprint
 
     def execute(
         self,
@@ -409,50 +362,45 @@ class ClassFanOut:
         ``last_classes`` / ``last_batches`` so aggregators report exactly
         what ran instead of re-deriving (and possibly diverging from) the
         batching; observed per-class wall-clock lands on
-        ``last_unit_seconds`` and feeds the cost model for the next run.
+        ``last_unit_seconds``.
         """
         if collect is None:
             collect = on_result is None
         artifact, classes = self.prepare()
         self.last_unit_seconds = {}
-        self.last_unit_counts = {}
         self.last_batches = []
-        self.last_scheduler = "static"
         self.last_selection = ""
         sweep_t0 = time.perf_counter()
-        if _events.enabled():
-            self._emit_sweep_start(classes)
+        _events.emit(
+            "sweep.start",
+            task=self.task,
+            network=self.network.name,
+            executor=self.executor,
+            workers=1 if self.executor == "serial" else self.workers,
+            classes=len(classes),
+        )
 
         #: Per-unit observability captures -- ``(index, chunk, blob)`` --
         #: buffered during the run and folded in *sorted by (index,
         #: chunk)* afterwards, so the attached trace subtrees (and merged
         #: counter deltas) are independent of completion order.
-        self._unit_obs: List[Tuple[int, int, dict]] = []
+        self._unit_obs = []
         out: Optional[List[Tuple[int, object]]] = [] if collect else None
-        if (
-            self.executor in ("auto", "process")
-            and self.scheduler == "stealing"
-            and self.batch_size is None
-            and classes
-        ):
-            probed = 0
-            if self.executor == "auto":
-                probed = self._probe(artifact, classes, on_result, out)
-            pooled = probed < len(classes)
-            if pooled:
-                self._run_stealing(artifact, classes, probed, on_result, out)
-        else:
-            batches = self.partition(classes)
-            self.last_batches = batches
-            pooled = self.executor != "serial" and bool(batches)
-            if pooled:
-                self._run_pool(artifact, batches, on_result, out)
-            else:
-                indexed = [pair for batch in batches for pair in batch]
-                self._run_serial(artifact, indexed, on_result, out)
+        indexed = list(enumerate(classes))
+        probed = 0
+        if self.executor == "serial":
+            self.last_batches = [
+                [(index, ec) for index, _, ec, _ in bundle]
+                for bundle in self.plan(indexed, split=False)
+            ]
+            probed = self._run_serial(artifact, indexed, on_result, out)
+        elif self.executor == "auto" and classes:
+            probed = self._probe(artifact, classes, on_result, out)
+        pooled = probed < len(classes)
+        if pooled:
+            self._run_pool(artifact, indexed[probed:], on_result, out)
         _metrics.counter(f"pipeline.executor.{'pool' if pooled else 'serial'}").inc()
         self._finalize_unit_obs()
-        self._record_costs()
         _events.emit(
             "sweep.end",
             task=self.task,
@@ -465,37 +413,6 @@ class ClassFanOut:
             return None
         return [result for _, result in sorted(out, key=lambda p: p[0])]
 
-    def _emit_sweep_start(self, classes: Sequence[EquivalenceClass]) -> None:
-        """The ``sweep.start`` event, carrying the cost model's per-class
-        estimates (warm ``costs.json`` numbers when available, the
-        structural heuristic otherwise) so the progress meter's ETA is
-        cost-weighted, not count-weighted.  Only built when someone is
-        listening -- the cost lookup is not free."""
-        from repro.pipeline import shard as _shard
-
-        try:
-            known = _shard.lookup_costs(
-                self.network_fingerprint(), self.task, self.cost_store
-            )
-        except Exception:
-            known = {}
-        costs = {
-            str(ec.prefix): round(
-                known.get(str(ec.prefix), _shard.heuristic_cost(ec)), 6
-            )
-            for ec in classes
-        }
-        _events.emit(
-            "sweep.start",
-            task=self.task,
-            network=self.network.name,
-            executor=self.executor,
-            scheduler=self.scheduler,
-            workers=1 if self.executor == "serial" else self.workers,
-            classes=len(classes),
-            costs=costs,
-        )
-
     def _note_unit(
         self,
         index: int,
@@ -505,11 +422,9 @@ class ClassFanOut:
         on_result,
         out,
     ) -> None:
+        """One class finished (a split class: its last chunk merged)."""
         prefix = str(equivalence_class.prefix)
-        self.last_unit_seconds[prefix] = (
-            self.last_unit_seconds.get(prefix, 0.0) + seconds
-        )
-        self.last_unit_counts[prefix] = self.last_unit_counts.get(prefix, 0) + 1
+        self.last_unit_seconds[prefix] = seconds
         _events.emit(
             "class.completed",
             task=self.task,
@@ -526,12 +441,12 @@ class ClassFanOut:
         """Fold the buffered per-unit captures into the coordinator.
 
         Counter deltas merge into the global registry: only units a
-        process worker ran carry one (inline and thread units, the probed
-        prefix of an ``"auto"`` run included, counted in this registry
-        as they ran).  Captured span subtrees attach under the current
-        span sorted by (class index, chunk index), a split class's chunks
-        merged back into one class span -- so the resulting trace tree is
-        bit-identical across serial, thread, process and stealing runs.
+        process worker ran carry one (inline units, the probed prefix of
+        an ``"auto"`` run included, counted in this registry as they ran).
+        Captured span subtrees attach under the current span sorted by
+        (class index, chunk index), a split class's chunks merged back
+        into one class span -- so the resulting trace tree is
+        bit-identical across serial, process and auto runs.
         """
         entries = self._unit_obs
         self._unit_obs = []
@@ -541,9 +456,7 @@ class ClassFanOut:
                 _metrics.merge_counters(delta)
         for prefix, seconds in sorted(self.last_unit_seconds.items()):
             _metrics.histogram("pipeline.class_seconds").observe(seconds)
-        _metrics.counter("pipeline.classes_completed").inc(
-            sum(self.last_unit_counts.values())
-        )
+        _metrics.counter("pipeline.classes_completed").inc(len(self.last_unit_seconds))
         if not trace.active():
             return
         by_index: Dict[int, List[Tuple[int, dict]]] = {}
@@ -554,26 +467,6 @@ class ClassFanOut:
         for index in sorted(by_index):
             chunks = [s for _, s in sorted(by_index[index], key=lambda pair: pair[0])]
             trace.attach(trace.merge_chunk_spans(chunks))
-
-    def _record_costs(self) -> None:
-        """Transparently persist observed per-class costs (advisory: a
-        broken cost store must never fail the sweep it advised)."""
-        if not self.last_unit_seconds:
-            return
-        if self.cost_store is None and self.last_scheduler != "stealing":
-            return
-        try:
-            from repro.pipeline import shard
-
-            shard.remember_costs(
-                self.network_fingerprint(),
-                self.task,
-                self.last_unit_seconds,
-                self.last_unit_counts,
-                cost_store=self.cost_store,
-            )
-        except Exception:  # noqa: BLE001 - cost data is advisory
-            pass
 
     def _probe(self, artifact: EncodedNetwork, classes, on_result, out) -> int:
         """The first half of ``"auto"``: run classes inline until handing
@@ -628,44 +521,6 @@ class ClassFanOut:
         self.last_selection += f"pool break-even {POOL_START_SECONDS} s)"
         return probed
 
-    def _run_stealing(
-        self,
-        artifact: EncodedNetwork,
-        classes: Sequence[EquivalenceClass],
-        start: int,
-        on_result,
-        out: Optional[List[Tuple[int, object]]],
-    ) -> None:
-        """Hand ``classes[start:]`` to the cost-aware shard coordinator."""
-        from repro.pipeline import shard
-
-        # Before planning and forking: a splittable task registers its unit
-        # sequence as it imports, and the workers inherit the module.
-        _import_task(self.task)
-        coordinator = shard.ShardCoordinator(
-            artifact=artifact,
-            task_path=self.task,
-            options={**self.task_options, **self.pool_task_options},
-            classes=classes,
-            start=start,
-            workers=self.workers,
-            unit_costs=self.unit_costs,
-            fingerprint=self.network_fingerprint(),
-            cost_store=self.cost_store,
-        )
-        coordinator.plan()
-        self.last_scheduler = "stealing"
-        self.last_batches += [
-            [(unit.index, unit.equivalence_class) for unit in bundle]
-            for bundle in coordinator.bundles
-        ]
-        results = coordinator.run(on_result=on_result, collect=out is not None)
-        self.last_unit_seconds.update(coordinator.observed_seconds)
-        self.last_unit_counts.update(coordinator.observed_units)
-        self._unit_obs.extend(coordinator.captured_obs)
-        if out is not None:
-            out.extend(results)
-
     def _run_serial(
         self,
         artifact: EncodedNetwork,
@@ -707,73 +562,111 @@ class ClassFanOut:
     def _run_pool(
         self,
         artifact: EncodedNetwork,
-        batches: List[List[Tuple[int, EquivalenceClass]]],
+        indexed: Sequence[Tuple[int, EquivalenceClass]],
         on_result,
         out: Optional[List[Tuple[int, object]]],
     ) -> None:
+        """Run ``indexed`` classes on a process pool, one :meth:`plan`
+        bundle per submission.  A split class is passed on once, when its
+        last chunk lands, with its chunks merged in chunk order."""
         # Imported where a pool is created: a run that never forks never
         # loads multiprocessing.
-        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
-        kind = "thread" if self.executor == "thread" else "process"
-        if kind == "thread":
-            from concurrent.futures import ThreadPoolExecutor as Pool
+        # Before planning and forking: a splittable task registers its unit
+        # sequence as it imports, and the workers inherit the module.
+        _import_task(self.task)
+        bundles = self.plan(indexed)
+        self.last_batches += [
+            [(index, ec) for index, _, ec, _ in bundle] for bundle in bundles
+        ]
+        chunks = Counter(index for bundle in bundles for index, *_ in bundle)
+        split = sorted(index for index, count in chunks.items() if count > 1)
+        _metrics.counter("shard.units").inc(sum(chunks.values()))
+        _metrics.counter("shard.bundles").inc(len(bundles))
+        _metrics.counter("shard.split_classes").inc(len(split))
+        class_by_index = dict(indexed)
+        for index in split:
+            _events.emit(
+                "class.split",
+                task=self.task,
+                index=index,
+                cls=str(class_by_index[index].prefix),
+                chunks=chunks[index],
+            )
+        if split:
+            from repro.pipeline.shard import UNIT_SEQUENCES, merge_chunks
 
-            options = self.task_options
-        else:
-            from concurrent.futures import ProcessPoolExecutor as Pool
-
-            _import_task(self.task)  # before the fork: the workers inherit the module
-            options = {**self.task_options, **self.pool_task_options}
+            merge_attr = UNIT_SEQUENCES[self.task][1]
+        options = {**self.task_options, **self.pool_task_options}
         payload = artifact.to_bytes()
-        class_by_index = {index: ec for batch in batches for index, ec in batch}
         capture = trace.active()
-        ship_metrics = kind == "process"
+        #: class index -> {chunk: result} / summed seconds, until complete.
+        parts: Dict[int, Dict[int, object]] = {}
+        spent: Dict[int, float] = {}
         try:
-            with Pool(
-                max_workers=min(self.workers, len(batches)),
+            with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(bundles)),
                 initializer=_init_worker,
                 initargs=(payload,),
             ) as pool:
                 pending = {
-                    pool.submit(
-                        _run_batch, self.task, batch, options, capture, ship_metrics
-                    )
-                    for batch in batches
+                    pool.submit(_run_units, self.task, bundle, options, capture)
+                    for bundle in bundles
                 }
                 try:
                     while pending:
                         done, pending = wait(pending, return_when=FIRST_COMPLETED)
                         for future in done:
-                            for index, item, seconds, obs in future.result():
+                            for index, chunk, item, seconds, obs in future.result():
                                 if isinstance(item, _WorkerFailure):
                                     raise PipelineError(
                                         f"task {self.task!r} on equivalence class "
-                                        f"{item.prefix} failed in a "
-                                        f"{kind} worker: {item.error}\n"
-                                        f"{item.traceback}"
+                                        f"{item.prefix} failed in a process "
+                                        f"worker: {item.error}\n{item.traceback}"
                                     )
-                                if obs is not None:
-                                    self._unit_obs.append((index, 0, obs))
+                                self._unit_obs.append((index, chunk, obs))
+                                spent[index] = spent.get(index, 0.0) + seconds
+                                got = parts.setdefault(index, {})
+                                got[chunk] = item
+                                if len(got) < chunks[index]:
+                                    continue
+                                del parts[index]
+                                result = (
+                                    item
+                                    if len(got) == 1
+                                    else merge_chunks(
+                                        [got[i] for i in range(len(got))], merge_attr
+                                    )
+                                )
                                 self._note_unit(
                                     index,
                                     class_by_index[index],
-                                    item,
-                                    seconds,
+                                    result,
+                                    spent.pop(index),
                                     on_result,
                                     out,
                                 )
                 except BaseException:
                     # Surface the error now rather than after every queued
-                    # batch has run to completion.
+                    # bundle has run to completion.
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise
         except PipelineError:
             raise
-        except Exception as exc:
-            # e.g. BrokenProcessPool when a worker dies outright.
+        except BrokenProcessPool as exc:
+            _metrics.counter("pipeline.pool_failures").inc()
+            _events.emit(
+                "pool.failed", task=self.task, network=self.network.name, error=repr(exc)
+            )
             raise PipelineError(
-                f"{kind} pool failed while running {self.task!r} on "
+                f"task {self.task!r} on {self.network.name}: a worker process "
+                f"died ({exc})"
+            ) from exc
+        except Exception as exc:
+            raise PipelineError(
+                f"process pool failed while running {self.task!r} on "
                 f"{self.network.name}: {exc!r}"
             ) from exc
 
@@ -809,13 +702,9 @@ class CompressionPipeline(ClassFanOut):
         artifact: Optional[EncodedNetwork] = None,
         executor: str = "auto",
         workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         build_networks: bool = False,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
     ):
         super().__init__(
             network,
@@ -825,12 +714,8 @@ class CompressionPipeline(ClassFanOut):
             pool_task_options={"detach_srp": True},
             executor=executor,
             workers=workers,
-            batch_size=batch_size,
             limit=limit,
             use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
-            unit_costs=unit_costs,
         )
         self.build_networks = build_networks
         self._srp_bonsai: Optional[Bonsai] = None

@@ -613,8 +613,8 @@ def task_baseline(bonsai, equivalence_class: EquivalenceClass, options: dict) ->
 
 def unit_range(options: dict, total: int) -> range:
     """The units of a class this task invocation runs: all ``total`` of
-    them, or the ``[start, end)`` chunk the shard coordinator's
-    :func:`~repro.pipeline.shard.split_units` patched in."""
+    them, or the ``[start, end)`` chunk the process pool's planner
+    patched in (:func:`~repro.pipeline.shard.split_units`)."""
     start, end = options.get("unit_range") or (0, total)
     return range(max(0, int(start)), min(int(end), total))
 
@@ -626,8 +626,7 @@ class PerturbationSweep:
     """Fan a perturbation kind's per-class task out over every class.
 
     network and the ``fanout`` keywords (``artifact``, ``workers``,
-    ``batch_size``, ``limit``, ``use_bdds``, ``scheduler``,
-    ``cost_store``, ``unit_costs``) are
+    ``limit``, ``use_bdds``) are
     :class:`~repro.pipeline.core.ClassFanOut`'s, which validates them on
     construction, ``executor`` (default ``"auto"``) included.  Plus:
 
@@ -678,8 +677,6 @@ class PerturbationSweep:
         #: What the class tasks get as ``options["baseline"]``; a
         #: :class:`~repro.api.Session` puts the one it keeps here.
         self.warm = None if baseline is None else WarmBaselines(baseline.baselines)
-        if baseline is not None:
-            self._fanout.fingerprint = baseline.fingerprint
         self.network = self._fanout.network
         self.suite = suite or PropertySuite.default()
         self.oracle = oracle
@@ -722,7 +719,7 @@ class PerturbationSweep:
             report.attach_spill(RecordSpill(self.spill_path))
 
         # Records merge into the report as they stream off the pool (in
-        # class order at merge time, whatever order the scheduler
+        # class order at merge time, whatever order the pool
         # completed them in) instead of collecting the whole sweep first.
         def on_result(index: int, record: ClassPerturbationRecord, seconds: float) -> None:
             report.merge_partial(index, record)

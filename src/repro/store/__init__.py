@@ -15,7 +15,5 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".artifact": ("ARTIFACT_SCHEMA_VERSION", "BaselineArtifact", "ClassBaseline"),
     ".fingerprint": ("canonical_form", "network_fingerprint"),
-    ".store": (
-        "COSTS_SCHEMA_VERSION", "STORE_SCHEMA_VERSION", "ArtifactStore", "StoreError",
-    ),
+    ".store": ("STORE_SCHEMA_VERSION", "ArtifactStore", "StoreError"),
 })

@@ -62,7 +62,7 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
 
     This is the per-class body of :meth:`BaselineArtifact.build`, hoisted
     into a registered task so artifact bakes ride the same fan-out (and
-    cost-aware shard scheduler) as every sweep pillar.
+    process pool) as every sweep pillar.
     """
     network = bonsai.network
     prefix = equivalence_class.prefix
@@ -124,8 +124,6 @@ class BaselineArtifact:
         limit: Optional[int] = None,
         executor: str = "serial",
         workers: Optional[int] = None,
-        scheduler: str = "stealing",
-        cost_store=None,
     ) -> "BaselineArtifact":
         """Pay the full baseline cost once: encode, solve and (optionally)
         compress every destination class.
@@ -135,8 +133,8 @@ class BaselineArtifact:
         revalidator then recompresses lazily, as without a baseline);
         ``limit`` bounds the classes covered (smoke runs).  The per-class
         work rides the ``"baseline"`` fan-out task, so ``executor`` /
-        ``workers`` parallelise big bakes through the same cost-aware
-        scheduler as the sweeps (default: serial, as before).
+        ``workers`` parallelise big bakes through the same process pool
+        as the sweeps (default: serial, as before).
         """
         start = time.perf_counter()
         if artifact is None:
@@ -153,8 +151,6 @@ class BaselineArtifact:
             workers=workers,
             limit=limit,
             use_bdds=artifact.use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
         )
         baselines: Dict[str, ClassBaseline] = {
             baseline.prefix: baseline for baseline in fanout.execute()

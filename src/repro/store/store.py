@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -38,15 +39,8 @@ from repro.store.fingerprint import network_fingerprint
 #: Bump when the on-disk layout (meta keys, file names) changes.
 STORE_SCHEMA_VERSION = 1
 
-#: Bump when the ``costs.json`` sidecar layout changes.  Cost data is
-#: *advisory* (it only orders the shard scheduler's dispatch), so readers
-#: tolerate missing/foreign/mismatched sidecars by returning nothing
-#: instead of raising.
-COSTS_SCHEMA_VERSION = 1
-
 _META_NAME = "meta.json"
 _PAYLOAD_NAME = "payload.pkl"
-_COSTS_NAME = "costs.json"
 
 
 class StoreError(Exception):
@@ -242,70 +236,6 @@ class ArtifactStore:
         return artifact, True, reason
 
     # ------------------------------------------------------------------
-    # Observed per-class costs (the shard scheduler's memory)
-    # ------------------------------------------------------------------
-    def record_costs(
-        self,
-        fingerprint: str,
-        task_path: str,
-        unit_seconds: Dict[str, float],
-        unit_counts: Optional[Dict[str, int]] = None,
-    ) -> Path:
-        """Merge one sweep's observed per-class wall-clock into the
-        entry's ``costs.json`` sidecar, keyed by task path.
-
-        The sidecar lives beside ``meta.json`` but is deliberately *not*
-        covered by the payload checksum: costs are advisory scheduling
-        data that every sweep rewrites, while the meta/payload pair is an
-        integrity-checked artifact.  An entry directory may carry costs
-        before (or without) ever holding a payload -- sweeps that never
-        persisted a baseline still remember their class costs.
-        """
-        entry = self.entry_dir(fingerprint)
-        entry.mkdir(parents=True, exist_ok=True)
-        data = self.load_costs(fingerprint)
-        if not data:
-            data = {
-                "costs_schema_version": COSTS_SCHEMA_VERSION,
-                "fingerprint": fingerprint,
-                "tasks": {},
-            }
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        data["recorded_at"] = stamp
-        data["tasks"][task_path] = {
-            "unit_seconds": {str(k): float(v) for k, v in unit_seconds.items()},
-            "unit_counts": {
-                str(k): int(v) for k, v in (unit_counts or {}).items()
-            },
-            "total_seconds": float(sum(unit_seconds.values())),
-            "num_units": len(unit_seconds),
-            "recorded_at": stamp,
-        }
-        path = entry / _COSTS_NAME
-        _atomic_write(path, json.dumps(data, indent=2, sort_keys=True).encode("utf-8"))
-        return path
-
-    def load_costs(self, fingerprint: str) -> Dict:
-        """The entry's costs sidecar, or ``{}`` when absent, unreadable,
-        schema-mismatched or foreign (advisory data never raises)."""
-        path = self.entry_dir(fingerprint) / _COSTS_NAME
-        if not path.is_file():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict):
-            return {}
-        if data.get("costs_schema_version") != COSTS_SCHEMA_VERSION:
-            return {}
-        if data.get("fingerprint") != fingerprint:
-            return {}
-        if not isinstance(data.get("tasks"), dict):
-            return {}
-        return data
-
-    # ------------------------------------------------------------------
     # Inventory
     # ------------------------------------------------------------------
     def list(self) -> List[Dict]:
@@ -325,17 +255,14 @@ class ArtifactStore:
         return entries
 
     def delete(self, fingerprint: str) -> bool:
-        """Remove one entry; True when something was deleted."""
+        """Remove one entry directory, whatever files it holds (sidecars
+        older versions wrote included); True when it existed."""
         entry = self.entry_dir(fingerprint)
-        removed = False
-        for name in (_META_NAME, _PAYLOAD_NAME, _COSTS_NAME):
-            path = entry / name
-            if path.is_file():
-                path.unlink()
-                removed = True
-        if entry.is_dir() and not any(entry.iterdir()):
-            entry.rmdir()
-        return removed
+        # Only ever a direct child of the root: never the root, never beyond.
+        if entry.resolve().parent != self.root.resolve() or not entry.is_dir():
+            return False
+        shutil.rmtree(entry)
+        return True
 
     def meta(self, fingerprint: str) -> Optional[Dict]:
         meta_path = self.entry_dir(fingerprint) / _META_NAME

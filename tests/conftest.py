@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.config.prefix import Prefix
@@ -149,3 +151,29 @@ def always_fork(monkeypatch):
     monkeypatch.setattr(core, "POOL_START_SECONDS", 0.0)
     monkeypatch.setattr(core, "POOL_UNIT_SECONDS", 0.0)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+# ----------------------------------------------------------------------
+# Misbehaving per-class tasks, addressed as "conftest:<name>" (forked
+# pool workers resolve them from the inherited module)
+# ----------------------------------------------------------------------
+#: The test process itself: the tasks below misbehave fatally only in a
+#: pool worker.
+_TEST_PID = os.getpid()
+
+
+def raising_class_task(bonsai, equivalence_class, options):
+    """Return the class prefix, or raise ``ValueError`` on the prefixes
+    listed in ``options["fail"]`` (on every class when it is absent)."""
+    prefix = str(equivalence_class.prefix)
+    if prefix in options.get("fail", (prefix,)):
+        raise ValueError(f"synthetic failure on {prefix}")
+    return prefix
+
+
+def dying_class_task(bonsai, equivalence_class, options):
+    """Kill the pool worker running it outright (``os._exit(3)``: no
+    exception, no result); inline it raises rather than end the tests."""
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    raise RuntimeError("dying_class_task ran outside a pool worker")

@@ -161,9 +161,9 @@ class TestExecutors:
     def test_shared_artifact_between_arms(self):
         artifact = EncodedNetwork.build(ring_network(6))
         serial = BatchVerifier(artifact=artifact, executor="serial").run()
-        threaded = BatchVerifier(artifact=artifact, executor="thread", workers=2).run()
-        assert serial.canonical_records() == threaded.canonical_records()
-        assert serial.encode_seconds == threaded.encode_seconds
+        pooled = BatchVerifier(artifact=artifact, executor="process", workers=2).run()
+        assert serial.canonical_records() == pooled.canonical_records()
+        assert serial.encode_seconds == pooled.encode_seconds
 
 
 # ----------------------------------------------------------------------
@@ -252,13 +252,15 @@ def custom_property_module():
 
 
 class TestUserRegisteredProperties:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process", "auto"])
     def test_custom_property_runs_on_every_executor(
-        self, custom_property_module, executor
+        self, custom_property_module, executor, request
     ):
         """register_modules ships the registration to pool workers, so a
         user-registered property works under every executor, not just
-        serial."""
+        serial -- ``auto`` included, whose pool forks mid-run."""
+        if executor == "auto":
+            request.getfixturevalue("always_fork")
         suite = PropertySuite.from_names(
             ["reachability", "has-any-next-hop"],
             register_modules=(custom_property_module,),

@@ -90,6 +90,19 @@ class TestStoreAndServeSubcommands:
         assert code == 0
         assert "entry verifies" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_store_save_writes_only_meta_and_payload(self, tmp_path, executor, capsys):
+        """A bake records no per-class costs: an entry is its two files."""
+        root = tmp_path / "artifacts"
+        code = pipeline_main(
+            ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root),
+             "--executor", executor, "--workers", "2"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        (entry,) = root.iterdir()
+        assert sorted(path.name for path in entry.iterdir()) == ["meta.json", "payload.pkl"]
+
     def test_store_info_refuses_corrupt_entry(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
         code = pipeline_main(
@@ -222,6 +235,30 @@ class TestErrorContract:
     def test_another_subcommands_flag_is_rejected(self, argv, capsys):
         assert pipeline_main(argv) == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--scheduler", "static"], ["--cost-store", "artifacts"], ["--batch-size", "3"]],
+        ids=["scheduler", "cost-store", "batch-size"],
+    )
+    @pytest.mark.parametrize("command", ["compress", "verify", "failures", "delta"])
+    def test_deleted_pool_options_are_rejected(self, command, option, capsys):
+        """One pool path: no scheduler to pick, no cost store to warm it,
+        no bundle size to force."""
+        assert pipeline_main([command, "--topo", "ring"] + option) == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["compress"], ["verify"], ["failures"], ["delta"], ["store", "save"]]
+    )
+    def test_thread_executor_is_not_a_choice(self, command, tmp_path, capsys):
+        argv = command + ["--topo", "ring", "--executor", "thread"]
+        if command[0] == "store":
+            argv += ["--store", str(tmp_path / "artifacts")]
+        assert pipeline_main(argv) == 2
+        assert (
+            "invalid choice: 'thread' (choose from 'auto', 'serial', 'process')"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", [["compress"], ["failures"], ["delta"], ["store", "save"]])
     def test_topo_and_family_conflict(self, command, tmp_path, capsys):

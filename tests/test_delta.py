@@ -622,15 +622,6 @@ class TestDeltaSweep:
         # The wire format has no key for any of it.
         assert DeltaReport.from_json(report.to_json()).pairs_by_diff() == pairs
 
-    def test_thread_executor_matches_serial(self):
-        network = build_topology("ring", 6)
-        script = generated_change_script(network, "ring")
-        serial = DeltaSweep(network, script=script, executor="serial").run()
-        threaded = DeltaSweep(
-            network, script=script, executor="thread", workers=2
-        ).run()
-        assert serial.canonical_records() == threaded.canonical_records()
-
     def test_process_executor_matches_serial(self):
         network = build_topology("ring", 4)
         script = generated_change_script(network, "ring", steps=2)

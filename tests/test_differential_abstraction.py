@@ -213,8 +213,10 @@ def shared_artifact():
 class TestExecutorDifferentialParity:
     """The differential verdicts are executor-independent."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial(self, shared_artifact, executor):
+    @pytest.mark.parametrize("executor", ["process", "auto"])
+    def test_parallel_matches_serial(self, shared_artifact, executor, request):
+        if executor == "auto":
+            request.getfixturevalue("always_fork")  # probe two classes, then fork
         serial = BatchVerifier(artifact=shared_artifact, executor="serial").run()
         parallel = BatchVerifier(
             artifact=shared_artifact, executor=executor, workers=2

@@ -410,16 +410,6 @@ class TestFailureSweep:
         # Origin set changed: the scratch path serves the solution.
         assert all(not o.incremental_used for o in outcomes)
 
-    def test_thread_executor_matches_serial(self):
-        network = build_topology("ring", 6)
-        serial = FailureSweep(
-            network, k=1, executor="serial", soundness=False
-        ).run()
-        threaded = FailureSweep(
-            network, k=1, executor="thread", workers=2, soundness=False
-        ).run()
-        assert serial.canonical_records() == threaded.canonical_records()
-
     def test_process_executor_matches_serial(self):
         network = build_topology("ring", 4)
         serial = FailureSweep(

@@ -3,8 +3,8 @@
 ``tests/golden/*.json`` hold timing-scrubbed ``to_dict()`` output of
 failure and change sweeps on all five netgen families at default size,
 written by the code *before* the sweeps were merged onto one perturbation
-engine.  Serial, process+stealing (classes limited to 7 under 4 workers,
-so the shard coordinator must split every class into sub-class chunks),
+engine.  Serial, process (classes limited to 7 under 4 workers, so the
+pool's planner must split every class into sub-class chunks),
 the default ``"auto"`` executor made to fork after its two-class probe
 (the other five classes split the same way) and spilled runs must all
 reproduce them key for key.

@@ -254,7 +254,7 @@ def _traced_structure(run):
 
 
 class TestExecutorParity:
-    def test_compress_serial_thread_process_stealing(self, small_fattree):
+    def test_compress_serial_process_auto(self, small_fattree, always_fork):
         artifact = EncodedNetwork.build(small_fattree)
 
         def run_with(**kwargs):
@@ -263,10 +263,9 @@ class TestExecutorParity:
             )
 
         serial = run_with(executor="serial")
-        thread = run_with(executor="thread", workers=3)
-        process = run_with(executor="process", workers=2, scheduler="static")
-        stealing = run_with(executor="process", workers=2, scheduler="stealing")
-        assert serial == thread == process == stealing
+        process = run_with(executor="process", workers=2)
+        auto = run_with(executor="auto", workers=2)
+        assert serial == process == auto
 
     def test_failure_split_units_reassemble(self, small_fattree):
         """Few classes + many workers forces scenario chunking; the
@@ -333,7 +332,7 @@ class TestExecutorParity:
 
     @given(st.integers(1, 6))
     @settings(max_examples=5, deadline=None)
-    def test_thread_parity_any_worker_count(self, workers):
+    def test_process_parity_any_worker_count(self, workers):
         # Built per example (hypothesis forbids fixture reuse across examples).
         from repro.netgen.families import build_topology
 
@@ -342,12 +341,12 @@ class TestExecutorParity:
         serial = _traced_structure(
             lambda: CompressionPipeline(artifact=artifact, executor="serial").run()
         )
-        threaded = _traced_structure(
+        pooled = _traced_structure(
             lambda: CompressionPipeline(
-                artifact=artifact, executor="thread", workers=workers
+                artifact=artifact, executor="process", workers=workers
             ).run()
         )
-        assert serial == threaded
+        assert serial == pooled
 
     def test_process_workers_ship_counter_deltas(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)

@@ -223,30 +223,20 @@ class TestEventLog:
 # Progress meter
 # ----------------------------------------------------------------------
 class TestProgressMeter:
-    def test_cost_weighted_progress_and_eta(self):
+    def test_progress_and_eta_count_classes(self):
         stream = io.StringIO()
         meter = events.ProgressMeter(stream=stream, min_interval=0.0)
-        events.emit(
-            "sweep.start", task="compress", classes=2,
-            costs={"a": 3.0, "b": 1.0},
-        )
+        events.emit("sweep.start", task="compress", classes=4)
+        assert "eta   ?" in stream.getvalue()
         events.emit("class.completed", cls="a", index=0, seconds=0.1)
-        events.emit("class.completed", cls="b", index=1, seconds=0.1)
+        assert " 25.0%" in stream.getvalue() and "eta " in stream.getvalue()
+        for index, cls in enumerate("bcd", 1):
+            events.emit("class.completed", cls=cls, index=index, seconds=0.1)
         events.emit("sweep.end", task="compress")
         meter.close()
         out = stream.getvalue()
-        # Completing the 3.0-cost class alone advances the bar to 75%.
-        assert " 75.0%" in out
-        assert "2/2 classes" in out and "100.0%" in out
+        assert "4/4 classes" in out and "100.0%" in out and "eta   0.0s" in out
         assert out.endswith("\n")
-
-    def test_unknown_costs_fall_back_to_counts(self):
-        stream = io.StringIO()
-        meter = events.ProgressMeter(stream=stream, min_interval=0.0)
-        events.emit("sweep.start", task="verify", classes=4, costs={})
-        events.emit("class.completed", cls="x", index=0, seconds=0.0)
-        meter.close()
-        assert " 25.0%" in stream.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +261,7 @@ class TestPipelineEvents:
         assert types[0] == "sweep.start" and types[-1] == "sweep.end"
         start = seen[0]
         assert start["classes"] == len(artifact.classes)
-        assert set(start["costs"]) == {str(ec.prefix) for ec in artifact.classes}
+        assert "costs" not in start and "scheduler" not in start
         completed = [e for e in seen if e["type"] == "class.completed"]
         assert len(completed) == len(artifact.classes)
         assert sorted(e["index"] for e in completed) == list(
@@ -281,7 +271,7 @@ class TestPipelineEvents:
         assert end["classes"] == len(artifact.classes)
         assert end["seconds"] >= 0
 
-    def test_completion_parity_across_executors(self, small_fattree):
+    def test_completion_parity_across_executors(self, small_fattree, always_fork):
         artifact = EncodedNetwork.build(small_fattree)
 
         def completions(**kwargs):
@@ -293,15 +283,14 @@ class TestPipelineEvents:
             )
 
         serial = completions(executor="serial")
-        thread = completions(executor="thread", workers=3)
-        static = completions(executor="process", workers=2, scheduler="static")
-        stealing = completions(executor="process", workers=2, scheduler="stealing")
-        assert serial == thread == static == stealing
+        process = completions(executor="process", workers=2)
+        auto = completions(executor="auto", workers=2)
+        assert serial == process == auto
         assert len(serial) == len(artifact.classes)
 
     @given(st.integers(1, 6))
     @settings(max_examples=5, deadline=None)
-    def test_thread_parity_any_worker_count(self, workers):
+    def test_process_parity_any_worker_count(self, workers):
         # Built per example (hypothesis forbids fixture reuse across examples).
         from repro.netgen.families import build_topology
 
@@ -318,17 +307,15 @@ class TestPipelineEvents:
             )
 
         assert completions(executor="serial") == completions(
-            executor="thread", workers=workers
+            executor="process", workers=workers
         )
 
-    def test_stealing_emits_only_known_event_types(self, small_fattree):
+    def test_pool_emits_only_known_event_types(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)
-        seen = _completion_stream(
-            artifact=artifact, executor="process", workers=4, scheduler="stealing"
-        )
+        seen = _completion_stream(artifact=artifact, executor="process", workers=4)
         known = {
             "sweep.start", "sweep.end", "class.completed",
-            "class.split", "units.stolen", "spill.open", "spill.close",
+            "class.split", "spill.open", "spill.close",
         }
         assert {e["type"] for e in seen} <= known
 

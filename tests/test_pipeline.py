@@ -28,8 +28,10 @@ class TestParity:
     """Parallel output must be bit-identical to the serial fallback."""
 
     @pytest.mark.parametrize("fixture", ["small_ring", "small_mesh", "small_fattree"])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process", "auto"])
     def test_parallel_matches_serial(self, request, fixture, executor):
+        if executor == "auto":
+            request.getfixturevalue("always_fork")  # probe two classes, then fork
         network = request.getfixturevalue(fixture)
         artifact = EncodedNetwork.build(network)
         serial = CompressionPipeline(artifact=artifact, executor="serial").run()
@@ -64,18 +66,17 @@ class TestParity:
             EcRecord.from_result(r).canonical() for r in parallel_results
         ]
 
-    @pytest.mark.parametrize("scheduler", ["stealing", "static"])
-    def test_process_results_get_their_concrete_srp_back(self, small_fattree, scheduler):
+    def test_process_results_get_their_concrete_srp_back(self, small_fattree):
         """Workers return results without the SRP (it would carry the
         network through the result pipe); the coordinator rebuilds it on
         its own network, and it solves like the serial run's."""
-        from repro.pipeline.core import _worker_state, _init_worker, compress_class_task
+        from repro.pipeline import core
         from repro.srp.solver import solve
 
         artifact = EncodedNetwork.build(small_fattree)
         serial = CompressionPipeline(artifact=artifact, executor="serial").run()
         pooled = CompressionPipeline(
-            artifact=artifact, executor="process", workers=2, scheduler=scheduler
+            artifact=artifact, executor="process", workers=2
         ).run()
         for ours, theirs in zip(pooled.results, serial.results):
             assert ours.concrete_srp.transfer.network is artifact.network
@@ -83,9 +84,9 @@ class TestParity:
             assert solve(ours.concrete_srp).labeling == solve(theirs.concrete_srp).labeling
             assert ours.node_compression_ratio() == theirs.node_compression_ratio()
         # What crosses the pipe: the worker-side task drops the SRP when asked.
-        _init_worker(artifact.to_bytes())
-        shipped = compress_class_task(
-            _worker_state.bonsai, artifact.classes[0], {"detach_srp": True}
+        core._init_worker(artifact.to_bytes())
+        shipped = core.compress_class_task(
+            core._worker_bonsai, artifact.classes[0], {"detach_srp": True}
         )
         assert shipped.concrete_srp is None
         assert len(pickle.dumps(shipped)) < len(artifact.to_bytes()) // 4
@@ -134,19 +135,12 @@ class TestAutoExecutor:
         assert auto.report.executor == "auto"  # the requested name
         assert delta.get("pipeline.executor.serial") == 1
         assert not delta.get("pipeline.executor.pool")
-        assert pipeline.last_scheduler == "static"
         assert pipeline.last_selection.startswith(f"serial ({len(artifact.classes)} classes")
         assert any(
             line.startswith("executor: auto -> serial (") and "pool break-even" in line
             for line in auto.report.summary_lines()
         )
         assert "executor_selected" not in auto.report.to_json()
-
-    def test_explicit_batching_asks_for_the_static_pool(self, small_ring):
-        pipeline = CompressionPipeline(small_ring, batch_size=3, workers=2)
-        run = pipeline.run()
-        assert pipeline.last_selection == ""
-        assert run.report.num_batches == 3 and run.report.batch_size == 3
 
     @pytest.mark.parametrize("fixture", ["small_fattree", "small_fattree_prefer_bottom"])
     def test_forced_escalation_matches_serial_and_process(
@@ -162,7 +156,6 @@ class TestAutoExecutor:
             == serial.report.canonical_records()
             == pooled.report.canonical_records()
         )
-        assert pipeline.last_scheduler == "stealing"
         assert pipeline.last_selection.startswith(
             f"pool after 2 of {len(artifact.classes)} classes"
         )
@@ -198,11 +191,8 @@ class TestAutoExecutor:
         classes = EncodedNetwork.build(small_fattree).classes
         fanout = ClassFanOut(
             small_fattree,
-            task="bench-sleep",
-            task_options={
-                "default_sleep": 0.001,
-                "sleep_seconds": {str(classes[4].prefix): "not-a-number"},
-            },
+            task="conftest:raising_class_task",
+            task_options={"fail": [str(classes[4].prefix)]},
             workers=2,
         )
         with pytest.raises(PipelineError, match="failed in a process worker") as excinfo:
@@ -217,23 +207,35 @@ class TestBatching:
     def test_default_batching_covers_all_classes(self, small_fattree):
         pipeline = CompressionPipeline(small_fattree, workers=2)
         classes = EncodedNetwork.build(small_fattree).classes
-        batches = pipeline.partition(classes)
-        flattened = [ec for batch in batches for _, ec in batch]
+        bundles = pipeline.plan(list(enumerate(classes)))
+        flattened = [ec for bundle in bundles for _, _, ec, _ in bundle]
         assert flattened == list(classes)
 
-    def test_explicit_batch_size(self, small_ring):
-        pipeline = CompressionPipeline(small_ring, batch_size=3)
-        batches = pipeline.partition(EncodedNetwork.build(small_ring).classes)
-        assert all(len(batch) <= 3 for batch in batches)
-        assert len(batches[0]) == 3
+    @pytest.mark.parametrize("method", ["run", "run_streaming"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_report_batching_comes_from_the_plan(self, small_fattree, executor, method):
+        """The report's ``batch_size`` / ``num_batches`` describe the one
+        planner's bundles, and the requested executor name round-trips."""
+        artifact = EncodedNetwork.build(small_fattree)
+        pipeline = CompressionPipeline(artifact=artifact, executor=executor, workers=1)
+        outcome = getattr(pipeline, method)()
+        report = outcome if method == "run_streaming" else outcome.report
+        bundles = pipeline.plan(list(enumerate(artifact.classes)))
+        assert report.executor == executor
+        assert report.num_batches == len(bundles) == 4
+        assert report.batch_size == len(bundles[0]) == -(-len(artifact.classes) // 4)
+        restored = PipelineReport.from_json(report.to_json())
+        assert (restored.executor, restored.batch_size, restored.num_batches) == (
+            executor, report.batch_size, report.num_batches,
+        )
 
     def test_invalid_parameters_rejected(self, small_ring):
         with pytest.raises(ValueError):
             CompressionPipeline(small_ring, executor="fleet")
         with pytest.raises(ValueError):
-            CompressionPipeline(small_ring, workers=0)
+            CompressionPipeline(small_ring, executor="thread")
         with pytest.raises(ValueError):
-            CompressionPipeline(small_ring, batch_size=0)
+            CompressionPipeline(small_ring, workers=0)
         with pytest.raises(ValueError):
             CompressionPipeline(small_ring, limit=-1)
         with pytest.raises(ValueError):
@@ -248,13 +250,53 @@ class TestCrashHandling:
         def boom(self, equivalence_class, build_network=True):
             raise RuntimeError("synthetic worker crash")
 
-        monkeypatch.setattr(Bonsai, "compress", boom)
-        pipeline = CompressionPipeline(small_ring, executor="thread", workers=2)
+        monkeypatch.setattr(Bonsai, "compress", boom)  # the forked workers inherit it
+        pipeline = CompressionPipeline(small_ring, executor="process", workers=2)
         with pytest.raises(PipelineError) as excinfo:
             pipeline.run()
         message = str(excinfo.value)
         assert "10.0." in message  # names the equivalence class
         assert "synthetic worker crash" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--topo", "ring", "--size", "5"],
+            ["failures", "--topo", "ring", "--size", "5", "--memory-budget", "4096"],
+            ["verify", "--topo", "ring", "--size", "5"],
+            ["delta", "--topo", "ring", "--size", "5"],
+        ],
+        ids=["compress", "spilled-failures", "verify", "delta"],
+    )
+    def test_killed_worker_is_a_refusal_with_a_reason(
+        self, argv, monkeypatch, tmp_path, capsys
+    ):
+        """A worker that dies outright breaks the pool: the run ends in
+        exit 1 with a reason naming the task and the network, a
+        ``pipeline.pool_failures`` count and a ``pool.failed`` event, and
+        writes no report."""
+        from repro.obs import events, metrics
+        from repro.pipeline import core
+
+        monkeypatch.setitem(core.CLASS_TASKS, argv[0], "conftest:dying_class_task")
+        out = tmp_path / "report.json"
+        seen = []
+        events.subscribe(seen.append)
+        before = metrics.snapshot_counters()
+        try:
+            code = pipeline_main(
+                argv + ["--executor", "process", "--workers", "2", "--output", str(out)]
+            )
+        finally:
+            events.unsubscribe(seen.append)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not out.exists()
+        assert "'conftest:dying_class_task' on ring" in err
+        assert "a worker process died" in err
+        assert metrics.counters_delta(before).get("pipeline.pool_failures") == 1
+        failed = [event for event in seen if event["type"] == "pool.failed"]
+        assert [event["task"] for event in failed] == ["conftest:dying_class_task"]
 
     def test_serial_crash_surfaces_clean_error(self, small_ring, monkeypatch):
         def boom(self, equivalence_class, build_network=True):

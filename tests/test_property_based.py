@@ -264,24 +264,14 @@ def perturbed_bgp_networks(draw):
 
 @settings(max_examples=5, deadline=None)
 @given(perturbed_bgp_networks())
-def test_batch_verifier_serial_and_thread_bit_identical(network):
-    """Serial and thread executors agree record-for-record (timings aside),
-    and the differential soundness oracle holds on every random network."""
-    artifact = EncodedNetwork.build(network)
-    serial = BatchVerifier(artifact=artifact, executor="serial").run()
-    threaded = BatchVerifier(artifact=artifact, executor="thread", workers=2).run()
-    assert serial.canonical_records() == threaded.canonical_records()
-    assert serial.verdicts_agree()
-
-
-@settings(max_examples=3, deadline=None)
-@given(perturbed_bgp_networks())
 def test_batch_verifier_process_pool_bit_identical(network):
     """The process pool (private BDD managers per worker) returns the same
-    canonical VerificationReport as the serial fallback."""
+    canonical VerificationReport as the serial fallback, and the
+    differential soundness oracle holds on every random network."""
     artifact = EncodedNetwork.build(network)
     serial = BatchVerifier(artifact=artifact, executor="serial").run()
     process = BatchVerifier(artifact=artifact, executor="process", workers=2).run()
+    assert serial.verdicts_agree()
     assert serial.canonical_records() == process.canonical_records()
     assert VerificationReport.from_json(process.to_json()).canonical_records() == (
         serial.canonical_records()

@@ -1,5 +1,5 @@
-"""Tests for the cost-aware shard scheduler (repro.pipeline.shard),
-the costs sidecar, and streaming/memory-bounded report aggregation."""
+"""Tests for the process pool's planner and sub-class chunks
+(repro.pipeline.shard) and streaming/memory-bounded report aggregation."""
 
 from __future__ import annotations
 
@@ -12,19 +12,8 @@ from repro.pipeline import shard
 from repro.pipeline.core import ClassFanOut, CompressionPipeline, PipelineError
 from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import PipelineReport
-from repro.pipeline.shard import (
-    ShardCoordinator,
-    WorkUnit,
-    _chunk_bounds,
-    heuristic_cost,
-    lookup_costs,
-    merge_chunks,
-    remember_costs,
-    resolve_cost_store,
-    split_units,
-)
+from repro.pipeline.shard import _chunk_bounds, merge_chunks, split_units
 from repro.pipeline.stream import RecordSpill
-from repro.store import ArtifactStore
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +91,9 @@ class TestSplitters:
         assert merged.steps == units
 
     def test_sweep_tasks_register_their_unit_sequences(self):
+        import repro.delta.sweep  # noqa: F401 - registers as it imports
+        import repro.failures.sweep  # noqa: F401
+
         assert shard.UNIT_SEQUENCES["repro.failures.sweep:failure_class_task"] == (
             "scenarios", "scenarios",
         )
@@ -110,152 +102,58 @@ class TestSplitters:
         )
 
 
-class TestCoordinatorPlan:
-    def _coordinator(self, artifact, **kwargs):
-        defaults = dict(
-            artifact=artifact,
-            task_path="repro.pipeline.core:compress_class_task",
-            options={},
-            classes=artifact.classes,
-            workers=2,
-        )
-        defaults.update(kwargs)
-        return ShardCoordinator(**defaults)
+class TestPlanner:
+    """The one pool plan: contiguous class-order bundles, or sub-class
+    chunks of a splittable task when the classes cannot fill the pool."""
 
-    def test_units_sorted_largest_first(self, small_fattree):
-        artifact = EncodedNetwork.build(small_fattree)
-        prefixes = [str(ec.prefix) for ec in artifact.classes]
-        costs = {p: float(i + 1) for i, p in enumerate(prefixes)}
-        coordinator = self._coordinator(artifact, unit_costs=costs)
-        coordinator.plan()
-        planned = [u.cost for u in coordinator.units]
-        assert planned == sorted(planned, reverse=True)
-        assert coordinator.warm
+    def test_enough_classes_give_contiguous_bundles(self, small_fattree):
+        classes = EncodedNetwork.build(small_fattree).classes
+        indexed = list(enumerate(classes))
+        for workers in (1, 2, len(classes) // 2):
+            fanout = ClassFanOut(small_fattree, executor="process", workers=workers)
+            assert len(indexed) >= 2 * workers
+            bundles = fanout.plan(indexed)
+            size = -(-len(indexed) // (4 * workers))
+            assert [len(bundle) for bundle in bundles[:-1]] == [size] * (len(bundles) - 1)
+            assert 0 < len(bundles[-1]) <= size
+            assert [(i, ec) for bundle in bundles for i, _, ec, _ in bundle] == indexed
+            assert all(chunk == 0 and patch is None
+                       for bundle in bundles for _, chunk, _, patch in bundle)
 
-    def test_bundles_cover_every_class_once(self, small_fattree):
-        artifact = EncodedNetwork.build(small_fattree)
-        coordinator = self._coordinator(artifact)
-        bundles = coordinator.plan()
-        seen = [u.index for bundle in bundles for u in bundle]
-        assert sorted(seen) == list(range(len(artifact.classes)))
+    def test_scarce_classes_of_a_splittable_task_are_chunked(self, small_fattree):
+        import repro.failures.sweep  # noqa: F401 - registers the splitter
 
-    def test_cold_plan_uses_heuristic(self, small_fattree):
-        artifact = EncodedNetwork.build(small_fattree)
-        coordinator = self._coordinator(artifact, fingerprint="deadbeef" * 8)
-        coordinator.plan()
-        assert not coordinator.warm
-        expected = {heuristic_cost(ec) for ec in artifact.classes}
-        assert {u.cost for u in coordinator.units} <= expected
-
-    def test_failure_task_splits_when_classes_scarce(self, small_fattree):
-        artifact = EncodedNetwork.build(small_fattree)
         scenarios = [("link", i) for i in range(8)]
-        coordinator = ShardCoordinator(
-            artifact=artifact,
-            task_path="repro.failures.sweep:failure_class_task",
-            options={"scenarios": scenarios},
-            classes=artifact.classes[:2],
-            workers=4,
+        classes = EncodedNetwork.build(small_fattree).classes[:3]
+        fanout = ClassFanOut(
+            small_fattree, task="failures", task_options={"scenarios": scenarios},
+            executor="process", workers=4,
         )
-        coordinator.plan()
-        by_index = {}
-        for unit in coordinator.units:
-            by_index.setdefault(unit.index, []).append(unit)
-        for index, units in by_index.items():
-            assert len(units) > 1
+        bundles = fanout.plan(list(enumerate(classes)))
+        # ceil(2 x 4 / 3) = 3 chunks a class, one chunk a bundle.
+        assert all(len(bundle) == 1 for bundle in bundles)
+        units = [unit for bundle in bundles for unit in bundle]
+        assert [(index, chunk) for index, chunk, _, _ in units] == [
+            (index, chunk) for index in range(3) for chunk in range(3)
+        ]
+        for index in range(3):
             merged = [
                 s
-                for u in sorted(units, key=lambda u: u.chunk)
-                for s in scenarios[slice(*u.patch["unit_range"])]
+                for i, _, _, patch in units if i == index
+                for s in scenarios[slice(*patch["unit_range"])]
             ]
             assert merged == scenarios
 
-    def test_uid_identifies_chunk(self):
-        unit = WorkUnit(index=3, equivalence_class=None, chunk=2, chunks=4)
-        assert unit.uid == (3, 2)
-
-
-# ----------------------------------------------------------------------
-# The cost model (sidecar + in-process cache)
-# ----------------------------------------------------------------------
-class TestCostStore:
-    FP = "ab" * 32
-    TASK = "repro.pipeline.core:compress_class_task"
-
-    def test_record_and_load_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.record_costs(self.FP, self.TASK, {"10.0.0.0/24": 1.5}, {"10.0.0.0/24": 3})
-        data = store.load_costs(self.FP)
-        block = data["tasks"][self.TASK]
-        assert block["unit_seconds"] == {"10.0.0.0/24": 1.5}
-        assert block["unit_counts"] == {"10.0.0.0/24": 3}
-        assert block["num_units"] == 1
-        assert block["total_seconds"] == pytest.approx(1.5)
-
-    def test_record_merges_tasks(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.record_costs(self.FP, "task:a", {"p": 1.0})
-        store.record_costs(self.FP, "task:b", {"p": 2.0})
-        data = store.load_costs(self.FP)
-        assert set(data["tasks"]) == {"task:a", "task:b"}
-
-    def test_load_tolerates_missing_and_corrupt(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.load_costs(self.FP) == {}
-        entry = store.entry_dir(self.FP)
-        entry.mkdir(parents=True)
-        (entry / "costs.json").write_text("{not json")
-        assert store.load_costs(self.FP) == {}
-
-    def test_load_refuses_schema_and_fingerprint_mismatch(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.record_costs(self.FP, self.TASK, {"p": 1.0})
-        path = store.entry_dir(self.FP) / "costs.json"
-
-        data = json.loads(path.read_text())
-        data["costs_schema_version"] = 999
-        path.write_text(json.dumps(data))
-        assert store.load_costs(self.FP) == {}
-
-        data["costs_schema_version"] = 1
-        data["fingerprint"] = "cd" * 32
-        path.write_text(json.dumps(data))
-        assert store.load_costs(self.FP) == {}
-
-    def test_delete_removes_costs_sidecar(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.record_costs(self.FP, self.TASK, {"p": 1.0})
-        assert store.delete(self.FP)
-        assert store.load_costs(self.FP) == {}
-
-    def test_lookup_overlays_cache_on_store(self, tmp_path):
-        fp = "ee" * 32
-        store = ArtifactStore(tmp_path)
-        store.record_costs(fp, self.TASK, {"a": 1.0, "b": 2.0})
-        remember_costs(fp, self.TASK, {"b": 9.0, "c": 3.0})
-        merged = lookup_costs(fp, self.TASK, cost_store=store)
-        assert merged == {"a": 1.0, "b": 9.0, "c": 3.0}
-
-    def test_resolve_cost_store(self, tmp_path):
-        assert resolve_cost_store(None) is None
-        store = ArtifactStore(tmp_path)
-        assert resolve_cost_store(store) is store
-        resolved = resolve_cost_store(str(tmp_path))
-        assert isinstance(resolved, ArtifactStore)
-        assert resolved.root == store.root
-
-    def test_fanout_records_costs_into_store(self, small_fattree, tmp_path):
-        store = ArtifactStore(tmp_path)
-        fanout = ClassFanOut(
-            small_fattree, task="compress", executor="serial", cost_store=store
+    def test_unsplittable_task_and_serial_plans_stay_whole(self, small_fattree):
+        classes = EncodedNetwork.build(small_fattree).classes[:3]
+        indexed = list(enumerate(classes))
+        fanout = ClassFanOut(small_fattree, executor="process", workers=4)
+        assert [len(bundle) for bundle in fanout.plan(indexed)] == [1, 1, 1]
+        failures = ClassFanOut(
+            small_fattree, task="failures",
+            task_options={"scenarios": [("link", i) for i in range(8)]}, workers=4,
         )
-        fanout.execute()
-        from repro.store.fingerprint import network_fingerprint
-
-        data = store.load_costs(network_fingerprint(small_fattree))
-        seconds = data["tasks"][fanout.task]["unit_seconds"]
-        assert set(seconds) == {str(ec.prefix) for ec in fanout.last_classes}
-        assert all(v >= 0.0 for v in seconds.values())
+        assert [len(bundle) for bundle in failures.plan(indexed, split=False)] == [1, 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -276,34 +174,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             ClassFanOut(small_fattree, task=None)
 
-    def test_rejects_unknown_scheduler(self, small_fattree):
-        with pytest.raises(ValueError, match="scheduler"):
-            ClassFanOut(small_fattree, scheduler="psychic")
-
 
 # ----------------------------------------------------------------------
-# Parity: stolen results must be bit-identical to serial ones
+# Parity: pooled results must be bit-identical to serial ones
 # ----------------------------------------------------------------------
-class TestStealingParity:
-    def test_compress_stealing_matches_serial(self, small_fattree):
+class TestPoolParity:
+    def test_compress_pool_matches_serial(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)
         serial = CompressionPipeline(artifact=artifact, executor="serial").run()
-        stolen = CompressionPipeline(
-            artifact=artifact, executor="process", workers=2, scheduler="stealing"
-        ).run()
-        assert serial.report.canonical_records() == stolen.report.canonical_records()
+        pooled = CompressionPipeline(artifact=artifact, executor="process", workers=2).run()
+        assert serial.report.canonical_records() == pooled.report.canonical_records()
 
-    def test_explicit_batch_size_forces_static(self, small_fattree):
-        fanout = ClassFanOut(
-            small_fattree, executor="process", workers=2, batch_size=2
-        )
-        fanout.execute()
-        assert fanout.last_scheduler == "static"
-
-    def test_stealing_reports_scheduler_and_costs(self, small_fattree):
+    def test_pool_reports_per_class_seconds(self, small_fattree):
         fanout = ClassFanOut(small_fattree, executor="process", workers=2)
         results = fanout.execute()
-        assert fanout.last_scheduler == "stealing"
         assert len(results) == len(fanout.last_classes)
         assert set(fanout.last_unit_seconds) == {
             str(ec.prefix) for ec in fanout.last_classes
@@ -316,10 +200,10 @@ class TestStealingParity:
 
         kwargs = dict(k=1, soundness=False, oracle=True, limit=2)
         serial = FailureSweep(small_fattree, executor="serial", **kwargs).run()
-        stolen = FailureSweep(
+        pooled = FailureSweep(
             small_fattree, executor="process", workers=4, **kwargs
         ).run()
-        assert serial.canonical_records() == stolen.canonical_records()
+        assert serial.canonical_records() == pooled.canonical_records()
 
     def test_delta_split_parity(self, small_fattree):
         """Step-range chunks fast-forward by re-solving the chain prefix;
@@ -330,17 +214,16 @@ class TestStealingParity:
         script = generated_change_script(small_fattree, "fattree")
         kwargs = dict(script=script, oracle=True, revalidate=True, limit=2)
         serial = DeltaSweep(small_fattree, executor="serial", **kwargs).run()
-        stolen = DeltaSweep(
+        pooled = DeltaSweep(
             small_fattree, executor="process", workers=4, **kwargs
         ).run()
-        assert serial.canonical_records() == stolen.canonical_records()
+        assert serial.canonical_records() == pooled.canonical_records()
 
     def test_worker_crash_surfaces_clean_error(self, small_fattree):
-        """A crash inside a stolen unit must carry the class and cause."""
+        """A task raising in a pool worker must carry the class and cause."""
         fanout = ClassFanOut(
             small_fattree,
-            task="bench-sleep",
-            task_options={"default_sleep": "not-a-number"},
+            task="conftest:raising_class_task",
             executor="process",
             workers=2,
         )
@@ -351,17 +234,14 @@ class TestStealingParity:
         assert "ValueError" in message
 
     @given(
-        executor_workers=st.sampled_from(
-            [("serial", 1), ("thread", 2), ("process", 2), ("process", 3)]
-        ),
-        scheduler=st.sampled_from(["stealing", "static"]),
+        executor=st.sampled_from(["serial", "process", "auto"]),
+        workers=st.sampled_from([1, 2, 3]),
         limit=st.sampled_from([None, 3]),
     )
     @settings(max_examples=6, deadline=None)
     def test_any_configuration_matches_serial(
-        self, shared_fattree_artifact, executor_workers, scheduler, limit
+        self, shared_fattree_artifact, executor, workers, limit
     ):
-        executor, workers = executor_workers
         serial = CompressionPipeline(
             artifact=shared_fattree_artifact, executor="serial", limit=limit
         ).run()
@@ -369,7 +249,6 @@ class TestStealingParity:
             artifact=shared_fattree_artifact,
             executor=executor,
             workers=workers,
-            scheduler=scheduler,
             limit=limit,
         ).run()
         assert serial.report.canonical_records() == other.report.canonical_records()
@@ -448,21 +327,3 @@ class TestStreamingReports:
         assert spilled.records == []
         assert plain.canonical_records() == spilled.canonical_records()
         assert plain.k_resilience() == spilled.k_resilience()
-
-
-# ----------------------------------------------------------------------
-# The synthetic skew task
-# ----------------------------------------------------------------------
-class TestSleepTask:
-    def test_sleep_task_registered_and_runs(self, small_fattree):
-        fanout = ClassFanOut(
-            small_fattree,
-            task="bench-sleep",
-            task_options={"default_sleep": 0.0},
-            executor="serial",
-        )
-        results = fanout.execute()
-        assert results == [str(ec.prefix) for ec in fanout.last_classes]
-
-    def test_sleep_task_module_import_registers(self):
-        assert "bench-sleep" in shard._core.CLASS_TASKS

@@ -187,7 +187,7 @@ def test_task_registries_resolve_on_demand():
         "                     limit=1, task_options={'scenarios': scenarios})\n"
         "record, = fanout.execute()\n"
         "print(json.dumps([len(verified), len(record.scenarios) == len(scenarios),\n"
-        "                  max(fanout.last_unit_counts.values())]))"
+        "                  len(fanout.last_batches)]))"
     )
     # One class for two workers: split into four scenario chunks.
     assert result == [4, True, 4]

@@ -213,6 +213,42 @@ class TestStoreRoundTrip:
         assert not store.has(ring_artifact.fingerprint)
         assert not store.delete(ring_artifact.fingerprint)
 
+    def test_a_stale_costs_sidecar_is_ignored_then_deleted(
+        self, tmp_path, ring_artifact, capsys
+    ):
+        """Older stores wrote a ``costs.json`` beside every entry: reads
+        ignore it, and ``delete`` removes the entry with it."""
+        from repro.pipeline.cli import main as pipeline_main
+
+        store = ArtifactStore(tmp_path)
+        fingerprint = ring_artifact.fingerprint
+        entry = store.save(ring_artifact)
+        (entry / "costs.json").write_text(json.dumps({
+            "costs_schema_version": 1,
+            "fingerprint": fingerprint,
+            "tasks": {"repro.pipeline.core:compress_class_task": {
+                "unit_seconds": {"10.0.0.0/24": 0.5}, "num_units": 1,
+            }},
+        }))
+        assert store.load(fingerprint).fingerprint == fingerprint
+        assert [meta["fingerprint"] for meta in store.list()] == [fingerprint]
+        code = pipeline_main(
+            ["store", "info", "--fingerprint", fingerprint, "--store", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "entry verifies" in out and "costs" not in out
+        assert store.delete(fingerprint)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_delete_stays_inside_the_root(self, tmp_path, ring_artifact):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        store.save(ring_artifact)
+        for name in ("", ".", "..", "../store"):
+            assert not store.delete(name)
+        assert store.has(ring_artifact.fingerprint)
+
 
 # ----------------------------------------------------------------------
 # Corruption: every failure refuses with a diagnostic, never serves junk
