@@ -6,17 +6,23 @@ that verifying the Bonsai-compressed network (including the time to
 partition, build BDDs and compress) is orders of magnitude faster and keeps
 scaling after the concrete verification times out.
 
-The verifier here is the explicit-state substitute described in DESIGN.md;
-absolute times differ from SMT but the comparison (abstract ≪ concrete, gap
-widening with size) is the figure's point.  Sizes are reduced by default;
-``REPRO_BENCH_FULL=1`` enables larger sweeps.
+Each row is one :class:`~repro.analysis.batch.BatchVerifier` run of the
+reachability suite (``analysis/batch.py``): every node is checked against
+every destination class on the concrete network and, lifted back through
+the abstraction, on the compressed one.  The printed speedup is
+``VerificationReport.speedup``: the concrete check over compression plus
+the abstract check, with the once-per-network policy encode printed on its
+own and counted on neither side.  Absolute times differ from SMT; the
+comparison (abstract < concrete, gap widening with size) is the figure's
+point.  Sizes are reduced by default; ``REPRO_BENCH_FULL=1`` enables larger
+sweeps.
 """
 
 import pytest
 
 from conftest import full_scale, record_row
 from repro import fattree_network, full_mesh_network, ring_network
-from repro.analysis import verify_all_pairs_reachability, verify_with_abstraction
+from repro.analysis import BatchVerifier, PropertySuite
 
 FIGURE = "Figure 12: all-pairs reachability verification time"
 
@@ -45,57 +51,50 @@ def _build(family, size):
 @pytest.mark.parametrize("family", ["fattree", "mesh", "ring"])
 def test_fig12_verification_speedup(benchmark, family):
     sizes = _sizes()[family]
-    rows = []
+    suite = PropertySuite.from_names(["reachability"])
 
     def run():
         measurements = []
         for size in sizes:
             network = _build(family, size)
-            concrete = verify_all_pairs_reachability(
-                network, timeout_seconds=TIMEOUT_SECONDS
-            )
-            abstract = verify_with_abstraction(
-                network, timeout_seconds=TIMEOUT_SECONDS
-            )
-            measurements.append((size, network.graph.num_nodes(), concrete, abstract))
+            report = BatchVerifier(
+                network, suite=suite, executor="serial", timeout_seconds=TIMEOUT_SECONDS
+            ).run(raise_on_timeout=False)
+            measurements.append((network.graph.num_nodes(), report))
         return measurements
 
     measurements = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    for size, nodes, concrete, abstract in measurements:
-        concrete_time = "timeout" if concrete.timed_out else f"{concrete.seconds:7.2f}s"
-        abstract_time = "timeout" if abstract.timed_out else f"{abstract.total_seconds:7.2f}s"
-        speedup = (
-            concrete.seconds / max(abstract.total_seconds, 1e-9)
-            if not concrete.timed_out and not abstract.timed_out
-            else float("inf")
-        )
-        rows.append(
-            f"{family:>8} n={nodes:<5} concrete {concrete_time:>9}  "
-            f"with-Bonsai {abstract_time:>9}  speedup {speedup:6.1f}x"
+    for nodes, report in measurements:
+        totals = report.property_totals()["reachability"]
+        speedup = "n/a" if report.speedup is None else f"{report.speedup:5.2f}x"
+        flag = "  TIMED OUT" if report.timed_out else ""
+        record_row(
+            FIGURE,
+            f"{family:>8} n={nodes:<5} checked {totals['checked']:>5}  "
+            f"concrete {report.concrete_seconds:7.2f}s  "
+            f"with-Bonsai {report.abstract_seconds:7.2f}s  "
+            f"encode {report.encode_seconds:6.2f}s  speedup {speedup}{flag}",
         )
         benchmark.extra_info[f"{family}_{nodes}"] = {
-            "concrete_s": round(concrete.seconds, 3),
-            "abstract_s": round(abstract.total_seconds, 3),
-            "concrete_timeout": concrete.timed_out,
-            "abstract_timeout": abstract.timed_out,
+            "checked": totals["checked"],
+            "concrete_s": round(report.concrete_seconds, 3),
+            "abstract_s": round(report.abstract_seconds, 3),
+            "encode_s": round(report.encode_seconds, 3),
+            "speedup": report.speedup,
+            "timed_out": report.timed_out,
         }
-        # Soundness: both sides agree that everything is reachable.
-        if not concrete.timed_out and not abstract.timed_out:
-            assert concrete.unreachable_pairs == 0
-            assert abstract.unreachable_pairs == 0
-
-    for row in rows:
-        record_row(FIGURE, row)
+        # Soundness: both sides agree node by node, and everything is reachable.
+        assert report.verdicts_agree()
+        assert totals["concrete_failed"] == totals["abstract_failed"] == 0
 
     # Shape: at the largest size the compressed verification is faster.
     # Rings are excluded from the assertion: they compress only ~2x, and
-    # with the explicit-state verifier substitute (whose per-class cost is
-    # near-linear in network size, unlike Minesweeper's SMT cost) the
-    # compression overhead roughly cancels the 2x saving, so the paper's
-    # ring crossover needs the super-linear backend to materialise.  The
-    # measured times are still reported above for comparison.
-    largest = measurements[-1]
-    _, _, concrete, abstract = largest
-    if not concrete.timed_out and family != "ring":
-        assert abstract.total_seconds < concrete.seconds
+    # with the simulation-based check (whose per-class cost is near-linear
+    # in network size, unlike Minesweeper's SMT cost) the compression
+    # overhead outweighs the 2x saving, so the paper's ring crossover needs
+    # a super-linear backend to materialise.  The measured times are still
+    # reported above for comparison.
+    _, largest = measurements[-1]
+    if not largest.timed_out and family != "ring":
+        assert largest.speedup > 1

@@ -5,7 +5,9 @@ This example mirrors the paper's real-network evaluation (§8) on the
 synthetic datacenter substitute: it reports how many distinct device roles
 the configurations contain, compresses a few destination equivalence
 classes, and compares the cost of an all-pairs reachability check on the
-concrete versus the compressed network.
+concrete versus the compressed network (a reachability-suite
+``BatchVerifier`` run).  It exits 1 unless the two networks give every
+node the same verdict.
 
 Run with::
 
@@ -17,11 +19,11 @@ import sys
 import time
 
 from repro import Bonsai, datacenter_network
-from repro.analysis import verify_all_pairs_reachability, verify_with_abstraction
+from repro.analysis import BatchVerifier, PropertySuite
 from repro.netgen import DATACENTER_PAPER_SCALE, DATACENTER_SMALL_SCALE
 
 
-def main(paper_scale: bool) -> None:
+def main(paper_scale: bool) -> int:
     params = DATACENTER_PAPER_SCALE if paper_scale else DATACENTER_SMALL_SCALE
     network = datacenter_network(params)
     stats = network.stats()
@@ -47,18 +49,28 @@ def main(paper_scale: bool) -> None:
 
     # All-pairs reachability, with and without compression.  On the paper
     # scale instance restrict to a few classes so the example stays quick.
-    classes = bonsai.equivalence_classes()[: (2 if paper_scale else None)]
-    concrete = verify_all_pairs_reachability(network, classes=classes)
-    abstract = verify_with_abstraction(network, classes=classes)
-    print(f"All-pairs reachability over {concrete.classes_checked} classes:")
-    print(f"  concrete  : {concrete.seconds:6.2f}s  "
-          f"({concrete.pairs_checked} pairs, {concrete.unreachable_pairs} unreachable)")
-    print(f"  compressed: {abstract.seconds:6.2f}s  "
-          f"({abstract.pairs_checked} pairs, {abstract.unreachable_pairs} unreachable)")
-    if abstract.seconds > 0:
-        print(f"  speedup   : {concrete.seconds / max(abstract.seconds, 1e-9):.1f}x "
-              f"(including compression time)")
+    report = BatchVerifier(
+        network,
+        suite=PropertySuite.from_names(["reachability"]),
+        executor="serial",
+        limit=2 if paper_scale else None,
+    ).run()
+    totals = report.property_totals()["reachability"]
+    abstract_nodes = sum(record.abstract_nodes for record in report.records)
+    print(f"All-pairs reachability over {report.num_classes} classes:")
+    print(f"  concrete  : {report.concrete_seconds:6.2f}s  "
+          f"({totals['checked']} nodes, {totals['concrete_failed']} unreachable)")
+    print(f"  compressed: {report.abstract_seconds:6.2f}s  "
+          f"({abstract_nodes} abstract nodes; {totals['checked']} lifted nodes, "
+          f"{totals['abstract_failed']} unreachable)")
+    if report.speedup is not None:
+        print(f"  speedup   : {report.speedup:.1f}x (including compression time; "
+              f"the {report.encode_seconds:.2f}s encode is counted on neither side)")
+    if report.verdicts_agree() and totals["concrete_failed"] == totals["abstract_failed"]:
+        return 0
+    print(f"VERDICTS DIVERGE: {report.mismatches()}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    main(paper_scale="--paper" in sys.argv)
+    sys.exit(main(paper_scale="--paper" in sys.argv))

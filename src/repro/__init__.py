@@ -27,9 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "check_effective", "compute_abstraction",
     ),
     ".analysis": (
-        "compute_data_plane", "compute_forwarding_table", "single_reachability_query",
-        "BatchVerifier", "PropertySuite", "VerificationReport", "verify_network",
-        "verify_all_pairs_reachability", "verify_with_abstraction",
+        "compute_forwarding_table", "BatchVerifier", "PropertySuite", "VerificationReport",
     ),
     ".config": ("Network", "Prefix", "parse_network"),
     ".delta": (

@@ -5,22 +5,16 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".batch": (
         "BatchVerifier", "ClassVerificationRecord", "PropertySuite", "PropertyVerdict",
-        "VerificationReport", "lift_counterexample", "verify_network",
+        "VerificationReport", "VerificationTimeout", "lift_counterexample",
     ),
     ".dataplane": (
-        "DataPlane", "ForwardingTable", "compute_data_plane", "compute_forwarding_table",
-        "forwarding_table_from_solution",
+        "ForwardingTable", "compute_forwarding_table", "forwarding_table_from_solution",
     ),
     ".properties": (
         "PROPERTY_REGISTRY", "Counterexample", "PropertyContext", "PropertyResult",
         "PropertySpec", "check_all_paths_reach", "check_black_hole",
         "check_bounded_path_length", "check_multipath_consistency", "check_path_length",
         "check_reachability", "check_routing_loop", "check_waypointing", "get_property",
-        "path_lengths", "reachable_sources", "register_property", "registered_properties",
-    ),
-    ".verifier": (
-        "ReachabilityMatrix", "VerificationResult", "VerificationTimeout",
-        "single_reachability_query", "verify_all_pairs_reachability",
-        "verify_with_abstraction",
+        "path_lengths", "register_property", "registered_properties",
     ),
 })

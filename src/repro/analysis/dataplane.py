@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.abstraction.ec import EquivalenceClass
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import VIRTUAL_DESTINATION, build_srp_from_network
@@ -209,27 +209,6 @@ class ForwardingFacts:
         return reached
 
 
-@dataclass
-class DataPlane:
-    """The forwarding tables of a network, one per destination class."""
-
-    network: Network
-    tables: Dict[Prefix, ForwardingTable] = field(default_factory=dict)
-
-    def table_for(self, destination: Prefix) -> Optional[ForwardingTable]:
-        """The forwarding table whose class covers ``destination``."""
-        best: Optional[ForwardingTable] = None
-        for prefix, table in self.tables.items():
-            if prefix.contains(destination) or destination.contains(prefix):
-                if best is None or prefix.length > best.destination.length:
-                    best = table
-        return best
-
-    def reachable(self, source: Node, destination: Prefix) -> bool:
-        table = self.table_for(destination)
-        return table is not None and table.reachable(source)
-
-
 def forwarding_table_from_solution(
     network: Network,
     solution: Solution,
@@ -289,16 +268,3 @@ def compute_forwarding_table(
     )
     solution = solve(srp)
     return forwarding_table_from_solution(network, solution, equivalence_class)
-
-
-def compute_data_plane(
-    network: Network, limit: Optional[int] = None
-) -> DataPlane:
-    """Simulate every destination class of the network (Batfish-style)."""
-    data_plane = DataPlane(network=network)
-    classes = routable_equivalence_classes(network)
-    if limit is not None:
-        classes = classes[:limit]
-    for ec in classes:
-        data_plane.tables[ec.prefix] = compute_forwarding_table(network, ec)
-    return data_plane

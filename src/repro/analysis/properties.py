@@ -306,12 +306,6 @@ def failure_witness(
     return None
 
 
-def reachable_sources(table: ForwardingTable) -> Set[Node]:
-    """All nodes whose traffic reaches the destination."""
-    facts = ForwardingFacts(table)
-    return {node for node in table.next_hops if facts.outcome.get(node) == "delivered"}
-
-
 # ----------------------------------------------------------------------
 # The property registry
 # ----------------------------------------------------------------------

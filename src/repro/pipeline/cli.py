@@ -593,7 +593,6 @@ def _check_memory_budget(args, report) -> bool:
 
 def _run_verify(args, families: List[str]) -> int:
     from repro.analysis.batch import BatchVerifier, VerificationReport
-    from repro.analysis.verifier import VerificationTimeout
 
     try:
         suite = _build_suite(args)
@@ -645,9 +644,6 @@ def _run_verify(args, families: List[str]) -> int:
                     report = verifier.run(raise_on_timeout=False)
             except PipelineError as exc:
                 print(f"verification failed: {exc}", file=sys.stderr)
-                return 1
-            except VerificationTimeout as exc:  # pragma: no cover - defensive
-                print(f"verification timed out: {exc}", file=sys.stderr)
                 return 1
         reports[family] = report
         diverged = diverged or not report.verdicts_agree()

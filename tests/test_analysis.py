@@ -1,9 +1,13 @@
-"""Tests for the data-plane, property checkers and the verification substitute."""
+"""Tests for the data-plane, property checkers and reachability verification."""
 
 import pytest
 
 from repro.abstraction import routable_equivalence_classes
 from repro.analysis import (
+    BatchVerifier,
+    PropertySuite,
+    VerificationReport,
+    VerificationTimeout,
     check_all_paths_reach,
     check_black_hole,
     check_multipath_consistency,
@@ -11,13 +15,8 @@ from repro.analysis import (
     check_reachability,
     check_routing_loop,
     check_waypointing,
-    compute_data_plane,
     compute_forwarding_table,
     path_lengths,
-    reachable_sources,
-    single_reachability_query,
-    verify_all_pairs_reachability,
-    verify_with_abstraction,
 )
 from repro.config import Prefix, parse_network
 
@@ -88,13 +87,12 @@ class TestForwardingTable:
         assert outcome == "loop"
         assert path.count("a") == 2
 
-    def test_data_plane_table_lookup(self, small_fattree):
-        data_plane = compute_data_plane(small_fattree, limit=2)
-        assert len(data_plane.tables) == 2
-        some_prefix = next(iter(data_plane.tables))
-        assert data_plane.table_for(some_prefix) is not None
-        assert data_plane.reachable("core0", some_prefix)
-        assert data_plane.table_for(Prefix.parse("192.0.2.0/24")) is None
+    def test_per_class_tables(self, small_fattree):
+        classes = routable_equivalence_classes(small_fattree)[:2]
+        tables = [compute_forwarding_table(small_fattree, ec) for ec in classes]
+        assert [table.destination for table in tables] == [ec.prefix for ec in classes]
+        assert len({table.destination for table in tables}) == 2
+        assert all(table.reachable("core0") for table in tables)
 
 
 class TestPropertyCheckers:
@@ -143,9 +141,10 @@ class TestPropertyCheckers:
         table = compute_forwarding_table(network, ec)
         assert check_routing_loop(table).holds
 
-    def test_reachable_sources(self, fattree_table):
+    def test_every_node_reaches(self, fattree_table):
         table, _ = fattree_table
-        assert len(reachable_sources(table)) == 20
+        assert len(table.next_hops) == 20
+        assert all(table.reachable(node) for node in table.next_hops)
 
 
 class TestStructuredCounterexamples:
@@ -212,65 +211,78 @@ class TestStructuredCounterexamples:
         assert unreachable.counterexample.path == ("src", "mid")
 
 
+def reachability(network, **kwargs):
+    """A serial reachability-suite verifier: the all-pairs check of Fig. 12."""
+    return BatchVerifier(
+        network,
+        suite=PropertySuite.from_names(["reachability"]),
+        executor="serial",
+        **kwargs,
+    )
+
+
 class TestVerifier:
     def test_concrete_and_abstract_agree_on_reachability(self, small_fattree):
-        concrete = verify_all_pairs_reachability(small_fattree)
-        abstract = verify_with_abstraction(small_fattree)
-        assert concrete.unreachable_pairs == 0
-        assert abstract.unreachable_pairs == 0
-        assert not concrete.timed_out and not abstract.timed_out
-        assert concrete.classes_checked == abstract.classes_checked == 8
+        report = reachability(small_fattree).run()
+        totals = report.property_totals()["reachability"]
+        assert report.verdicts_agree() and not report.timed_out
+        assert totals["concrete_failed"] == totals["abstract_failed"] == 0
+        assert report.num_classes == len(report.records) == 8
+        assert totals["checked"] == 8 * 20
 
     def test_verification_detects_blackhole_on_both(self):
-        network = parse_network(BLACKHOLE_NETWORK)
-        concrete = verify_all_pairs_reachability(network)
-        abstract = verify_with_abstraction(network)
-        assert concrete.unreachable_pairs > 0
-        assert abstract.unreachable_pairs > 0
+        report = reachability(parse_network(BLACKHOLE_NETWORK)).run()
+        totals = report.property_totals()["reachability"]
+        assert report.verdicts_agree()
+        assert totals["concrete_failed"] == totals["abstract_failed"] > 0
+        failing = {
+            node
+            for record in report.records
+            for verdict in record.verdicts
+            for node in verdict.concrete_failing
+        }
+        assert {"src", "mid"} <= failing
 
     def test_timeout_reported(self, small_fattree):
-        result = verify_all_pairs_reachability(small_fattree, timeout_seconds=0.0)
-        assert result.timed_out
-        assert result.classes_checked == 0
+        report = reachability(small_fattree, timeout_seconds=0.0).run(
+            raise_on_timeout=False
+        )
+        assert report.timed_out
+        assert all(record.timed_out and not record.verdicts for record in report.records)
 
     def test_timeout_raised_with_partial_result(self, small_fattree):
-        from repro.analysis import VerificationTimeout
-
         with pytest.raises(VerificationTimeout) as excinfo:
-            verify_all_pairs_reachability(
-                small_fattree, timeout_seconds=0.0, raise_on_timeout=True
-            )
+            reachability(small_fattree, timeout_seconds=0.0).run()
         partial = excinfo.value.partial
-        assert partial is not None and partial.timed_out
-        assert partial.classes_checked == 0
+        assert isinstance(partial, VerificationReport) and partial.timed_out
+        assert partial.property_totals()["reachability"]["checked"] == 0
 
-    def test_abstract_timeout_raised_and_reported(self, small_fattree):
-        """verify_with_abstraction's timeout path: flagged result by
-        default, VerificationTimeout with the partial result on demand."""
-        from repro.analysis import VerificationTimeout
-
-        reported = verify_with_abstraction(small_fattree, timeout_seconds=0.0)
-        assert reported.timed_out
-        assert reported.classes_checked == 0
-        with pytest.raises(VerificationTimeout) as excinfo:
-            verify_with_abstraction(
-                small_fattree, timeout_seconds=0.0, raise_on_timeout=True
-            )
-        assert excinfo.value.partial.timed_out
-        assert excinfo.value.partial.network_name.endswith("(abstract)")
+    def test_timed_out_report_has_no_speedup(self, small_fattree):
+        """Marker records carry no seconds: a fully timed-out run reports
+        no speedup and says so in its summary, rather than a ratio of 0."""
+        report = reachability(small_fattree, timeout_seconds=0.0).run(
+            raise_on_timeout=False
+        )
+        assert report.network_name == small_fattree.name
+        assert report.concrete_seconds == report.abstract_seconds == 0
+        assert report.speedup is None
+        lines = report.summary_lines()
+        assert not any("speedup" in line for line in lines)
+        assert lines[-1] == "run TIMED OUT before checking every class"
 
     def test_single_query_with_and_without_abstraction(self, small_fattree):
-        destination = Prefix.parse("10.0.1.0/24")
-        reachable_plain, _ = single_reachability_query(
-            small_fattree, "core0", destination, use_abstraction=False
-        )
-        reachable_abstract, _ = single_reachability_query(
-            small_fattree, "core0", destination, use_abstraction=True
-        )
-        assert reachable_plain and reachable_abstract
+        """§8's one-query form: ``limit=1`` checks the first class only."""
+        first = routable_equivalence_classes(small_fattree)[0]
+        report = reachability(small_fattree, limit=1).run()
+        (record,) = report.records
+        assert record.prefix == str(first.prefix)
+        (verdict,) = record.verdicts
+        assert "core0" not in verdict.concrete_failing
+        assert "core0" not in verdict.abstract_failing
 
-    def test_single_query_unknown_destination(self, small_fattree):
-        reachable, _ = single_reachability_query(
-            small_fattree, "core0", Prefix.parse("203.0.113.0/24")
-        )
-        assert not reachable
+    def test_single_query_unreachable_source(self):
+        report = reachability(parse_network(BLACKHOLE_NETWORK), limit=1).run()
+        ((verdict,),) = [record.verdicts for record in report.records]
+        assert "src" in verdict.concrete_failing
+        assert "src" in verdict.abstract_failing
+        assert not verdict.mismatched
