@@ -7,8 +7,9 @@ destination class), persist it to an artifact store, start the
 ``repro.serve`` HTTP service off the stored artifact on an ephemeral
 port, and fire a burst of concurrent queries at it --
 
-* per-class and whole-network ``/verify`` queries (answered off the
-  stored forwarding tables and compressions: no re-solve),
+* per-class and whole-network ``/verify`` queries (answered on the
+  stored labelings, validated once per class, and the stored
+  compressions: no scratch re-solve, no re-compression),
 * a ``/delta`` what-if change script (validated with zero baseline
   re-solves),
 * a ``/k-resilience`` probe,

@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".batch": (
         "BatchVerifier", "ClassVerificationRecord", "PropertySuite", "PropertyVerdict",
-        "VerificationReport", "VerificationTimeout", "lift_counterexample",
+        "VerificationReport", "VerificationTimeout", "abstract_arm", "lift_counterexample",
     ),
     ".dataplane": (
         "ForwardingTable", "compute_forwarding_table", "forwarding_table_from_solution",

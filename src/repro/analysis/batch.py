@@ -12,7 +12,9 @@ simulate the abstract control plane, evaluate every property on every
 node, lift abstract verdicts back through the abstraction mapping -- is
 registered as the ``"verify"`` task of the generic
 :class:`~repro.pipeline.core.ClassFanOut` engine, so it fans out over the
-same serial/process/auto executors as compression itself.
+same serial/process/auto executors as compression itself.  Its abstract
+half, :func:`abstract_arm`, is the only one: the failure soundness check
+and the delta revalidation call it too.
 
 Verdict lifting
 ---------------
@@ -41,9 +43,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.abstraction.ec import EquivalenceClass
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.analysis.dataplane import compute_forwarding_table, forwarding_table_from_solution
+from repro.analysis.dataplane import compute_forwarding_table
 from repro.analysis.properties import (
     Counterexample,
     PropertyContext,
@@ -59,7 +61,6 @@ from repro.obs import trace
 from repro.pipeline.core import EXECUTORS, ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import ReportEnvelope, register_report, report_dict
-from repro.srp.solver import solve
 
 #: Format version for the JSON verification reports.
 VERIFICATION_REPORT_VERSION = 1
@@ -443,18 +444,6 @@ def waypoints_for(
     return frozenset(str(origin) for origin in equivalence_class.origins)
 
 
-def _abstract_waypoints(
-    abstraction: NetworkAbstraction, waypoints: FrozenSet[str]
-) -> FrozenSet[str]:
-    lifted = set()
-    for waypoint in waypoints:
-        if waypoint not in abstraction.node_map:
-            continue
-        for copy in abstraction.copies_of(abstraction.f(waypoint)):
-            lifted.add(copy)
-    return frozenset(lifted)
-
-
 def lift_verdicts(
     abstraction: NetworkAbstraction,
     specs: Sequence[PropertySpec],
@@ -476,22 +465,94 @@ def lift_verdicts(
     return lifted
 
 
+def abstract_arm(
+    abstraction: NetworkAbstraction,
+    abstract_network: Network,
+    equivalence_class: EquivalenceClass,
+    specs: Sequence[PropertySpec],
+    concrete_nodes: Sequence,
+    waypoints: FrozenSet[str],
+    path_bound: int,
+) -> Tuple[PropertyContext, VerdictMap]:
+    """The abstract side of one class check: simulate ``abstract_network``,
+    evaluate ``specs`` on its nodes and lift the verdicts to
+    ``concrete_nodes`` (:func:`lift_verdicts`).
+
+    ``abstract_network`` is whichever network ``abstraction`` is checked
+    on: its own emission, a failure mapped onto it, or a re-compression.
+    The abstract class is read off the abstraction, not searched for: the
+    class's prefix, originated at the abstract nodes still in the network
+    whose members include one of its origins.  Origins and ``waypoints``
+    (concrete names) map through ``f`` and the case-split copies alike.
+
+    Returns the abstract table's :class:`PropertyContext` (what abstract
+    witnesses are drawn from) and the lifted verdicts.
+    """
+    def images(nodes) -> FrozenSet[str]:
+        return frozenset(
+            copy
+            for node in nodes
+            if node in abstraction.node_map
+            for copy in abstraction.copies_of(abstraction.f(node))
+        )
+
+    abstract_class = EquivalenceClass(
+        prefix=equivalence_class.prefix,
+        origins=frozenset(
+            node
+            for node in images(equivalence_class.origins)
+            if abstract_network.graph.has_node(node)
+        ),
+    )
+    context = PropertyContext(
+        table=compute_forwarding_table(abstract_network, abstract_class),
+        waypoints=images(waypoints),
+        path_bound=path_bound,
+    )
+    verdicts = evaluate_suite(
+        specs, context.table, sorted(abstract_network.graph.nodes, key=str),
+        context.waypoints, path_bound,
+    )
+    return context, lift_verdicts(abstraction, specs, verdicts, concrete_nodes)
+
+
+def compare_verdicts(
+    concrete: VerdictMap, lifted: VerdictMap
+) -> Dict[str, List[str]]:
+    """``{property: [nodes]}`` where lifted and concrete verdicts differ."""
+    mismatched: Dict[str, List[str]] = {}
+    for name, per_node in concrete.items():
+        lifted_holds = lifted.get(name, {})
+        bad = [
+            node
+            for node, holds in sorted(per_node.items())
+            if lifted_holds.get(node, holds) != holds
+        ]
+        if bad:
+            mismatched[name] = bad
+    return mismatched
+
+
 def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
     """Differentially verify one equivalence class (the ``"verify"`` task).
 
-    Steps: simulate the concrete forwarding table, evaluate every suite
-    property on every node; compress the class (``build_network=True``),
-    simulate the abstract forwarding table, evaluate the same properties
-    on the abstract nodes and lift the verdicts back to concrete nodes via
-    the abstraction mapping; record failures, mismatches and structured
-    counterexamples.
+    The concrete side is the class's
+    :class:`~repro.pipeline.perturb.TaskBaseline`, the one the failure and
+    change sweeps compare against: solved here, or validated from (and
+    kept by) the :class:`~repro.pipeline.perturb.WarmBaselines` in
+    ``options["baseline"]`` over a stored artifact.  The abstract side
+    compresses the class (``build_network=True``; a validated stored
+    compression stands in) and runs :func:`abstract_arm`.  The record
+    holds failures, mismatches and structured counterexamples.
 
     A ``deadline`` (epoch seconds) in ``options`` turns classes reached
     after the budget into ``timed_out`` marker records instead of silently
     dropping them.
     """
+    # perturb imports this module; by the time a task runs it is loaded.
+    from repro.pipeline.perturb import task_baseline
+
     with trace.span("verify", cls=str(equivalence_class.prefix)):
-        suite = PropertySuite.from_options(options)
         deadline = options.get("deadline")
         prefix = equivalence_class.prefix
         origins = sorted(str(origin) for origin in equivalence_class.origins)
@@ -508,46 +569,27 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
                 timed_out=True,
             )
 
-        network: Network = bonsai.network
-        nodes = sorted(network.graph.nodes, key=str)
-        waypoints = waypoints_for(suite, equivalence_class)
-        path_bound = (
-            suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
-        )
-        specs = suite.specs()
-
         # -- concrete side ---------------------------------------------------
         concrete_start = time.perf_counter()
-        # ``compute_forwarding_table`` on the SRP the compression below
-        # refines: one compilation, and the per-``Bonsai`` class invariants
-        # instead of a walk over every device's communities per class.
-        concrete_srp = bonsai.concrete_srp(equivalence_class)
-        concrete_table = forwarding_table_from_solution(
-            network, solve(concrete_srp), equivalence_class
-        )
-        concrete_verdicts = evaluate_suite(specs, concrete_table, nodes, waypoints, path_bound)
+        baseline = task_baseline(bonsai, equivalence_class, options)
         concrete_seconds = time.perf_counter() - concrete_start
+        nodes = baseline.node_names
+        waypoints = baseline.waypoints
+        specs = baseline.specs
 
         # -- abstract side (compression included in the timing) --------------
         abstract_start = time.perf_counter()
-        result = bonsai.compress(equivalence_class, build_network=True, srp=concrete_srp)
+        result = baseline.stored_compression
+        compression_seconds = 0.0
+        if result is None:
+            result = bonsai.compress(
+                equivalence_class, build_network=True, srp=baseline.solution.srp
+            )
+            compression_seconds = result.compression_seconds
         abstraction = result.abstraction
-        abstract_network = result.abstract_network
-        abstract_ec = next(
-            candidate
-            for candidate in routable_equivalence_classes(abstract_network)
-            if candidate.prefix.overlaps(prefix)
-        )
-        abstract_table = compute_forwarding_table(abstract_network, abstract_ec)
-        abstract_waypoints = _abstract_waypoints(abstraction, waypoints)
-        # Every property on every abstract node *inside* the timed window,
-        # so abstract_seconds measures compression + abstract verification
-        # only; the differential comparison below (which scales with the
-        # concrete node count) is untimed -- otherwise the reported speedup
-        # would measure harness overhead.
-        abstract_verdicts = evaluate_suite(
-            specs, abstract_table, sorted(abstract_network.graph.nodes, key=str),
-            abstract_waypoints, path_bound,
+        abstract_context, lifted = abstract_arm(
+            abstraction, result.abstract_network, equivalence_class, specs,
+            nodes, waypoints, baseline.path_bound,
         )
         abstract_seconds = time.perf_counter() - abstract_start
 
@@ -557,7 +599,7 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         # verdicts, but they are flagged as non-comparable rather than counted
         # as a soundness violation.
         waypoints_closed = True
-        if suite.waypoints is not None:
+        if baseline.suite.waypoints is not None:
             closure = {
                 str(member)
                 for waypoint in waypoints
@@ -568,12 +610,9 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
 
         # Counterexamples are evaluated for the failing nodes reported only.
         concrete_context = PropertyContext(
-            table=concrete_table, waypoints=waypoints, path_bound=path_bound
+            table=baseline.table, waypoints=waypoints, path_bound=baseline.path_bound
         )
-        abstract_context = PropertyContext(
-            table=abstract_table, waypoints=abstract_waypoints, path_bound=path_bound
-        )
-        lifted_verdicts = lift_verdicts(abstraction, specs, abstract_verdicts, nodes)
+        mismatches = compare_verdicts(baseline.verdicts, lifted)
 
         verdicts: List[PropertyVerdict] = []
         for spec in specs:
@@ -584,11 +623,10 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
                 else "waypoint set is not a union of abstraction groups; "
                 "abstract verdict is informational only"
             )
-            concrete_holds = concrete_verdicts[spec.name]
-            lifted_holds = lifted_verdicts[spec.name]
+            concrete_holds = baseline.verdicts[spec.name]
+            lifted_holds = lifted[spec.name]
             failing = [
-                node for node in nodes
-                if not (concrete_holds[str(node)] and lifted_holds[str(node)])
+                node for node in nodes if not (concrete_holds[node] and lifted_holds[node])
             ]
             counterexamples: List[Dict] = []
             for node in failing[:MAX_COUNTEREXAMPLES]:
@@ -598,7 +636,7 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
                 )
                 counterexamples.append(
                     {
-                        "node": str(node),
+                        "node": node,
                         "concrete": (
                             None if concrete_witness is None else concrete_witness.to_dict()
                         ),
@@ -609,19 +647,13 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
                         ),
                     }
                 )
-            names = [str(node) for node in failing]
-            concrete_failing = [name for name in names if not concrete_holds[name]]
-            abstract_failing = [name for name in names if not lifted_holds[name]]
-            mismatched = [
-                name for name in names if concrete_holds[name] != lifted_holds[name]
-            ] if comparable else []
             verdicts.append(
                 PropertyVerdict(
                     property=spec.name,
                     nodes_checked=len(nodes),
-                    concrete_failing=concrete_failing,
-                    abstract_failing=abstract_failing,
-                    mismatched=mismatched,
+                    concrete_failing=[n for n in failing if not concrete_holds[n]],
+                    abstract_failing=[n for n in failing if not lifted_holds[n]],
+                    mismatched=list(mismatches.get(spec.name, [])) if comparable else [],
                     counterexamples=counterexamples,
                     comparable=comparable,
                     note=note,
@@ -631,14 +663,13 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         return ClassVerificationRecord(
             prefix=str(prefix),
             origins=origins,
-            concrete_nodes=network.graph.num_nodes(),
+            concrete_nodes=len(nodes),
             abstract_nodes=result.abstract_nodes,
             concrete_seconds=concrete_seconds,
             abstract_seconds=abstract_seconds,
-            compression_seconds=result.compression_seconds,
+            compression_seconds=compression_seconds,
             verdicts=verdicts,
         )
-
 
 
 # ----------------------------------------------------------------------
@@ -694,6 +725,10 @@ class BatchVerifier:
         self.network = network
         self.executor = executor
         self.workers = workers
+        #: What the class tasks get as ``options["baseline"]``: a
+        #: :class:`~repro.api.Session` puts the
+        #: :class:`~repro.pipeline.perturb.WarmBaselines` it keeps here.
+        self.warm = None
 
     def run(self, raise_on_timeout: bool = True) -> VerificationReport:
         """Verify every class and aggregate the differential verdicts."""
@@ -704,6 +739,8 @@ class BatchVerifier:
         options = self.suite.to_options()
         if self.timeout_seconds is not None:
             options["deadline"] = time.time() + self.timeout_seconds
+        if self.warm is not None:
+            options["baseline"] = self.warm
         fanout = ClassFanOut(
             self.network,
             task="verify",

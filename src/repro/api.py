@@ -8,95 +8,29 @@ pillars as methods -- :meth:`verify`, :meth:`failures`, :meth:`delta`,
 :meth:`k_resilience` -- plus :meth:`save` / :meth:`Session.load` against
 an :class:`~repro.store.ArtifactStore`.
 
-The warm paths are the point: :meth:`verify` answers off the stored
-forwarding tables and compressions (no re-solve, no re-compression), and
-:meth:`delta` / :meth:`failures` compare every perturbation against
-per-class baselines validated from the store on a class's first query and
-kept for the session's life: zero baseline re-solves, and nothing that
-does not depend on the request is redone per request.
+The warm paths are the point: :meth:`verify`, :meth:`delta` and
+:meth:`failures` run the same class tasks as the cold CLI, against
+per-class baselines validated from the store (a zero-dirty seeded solve)
+on a class's first query of any kind and kept for the session's life, and
+against the stored compressions: zero baseline re-solves, no
+re-compression, and nothing that does not depend on the request is redone
+per request.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.abstraction.ec import EquivalenceClass
-from repro.analysis.batch import (
-    BatchVerifier,
-    ClassVerificationRecord,
-    PropertySuite,
-    PropertyVerdict,
-    VerificationReport,
-)
-from repro.analysis.properties import evaluate_suite
+from repro.analysis.batch import BatchVerifier, PropertySuite, VerificationReport
 from repro.config.network import Network
 from repro.delta.changeset import ChangeSet
 from repro.delta.sweep import DeltaReport, DeltaSweep
-from repro.failures.soundness import compare_verdicts, lifted_abstract_verdicts
 from repro.failures.sweep import FailureReport, FailureSweep
-from repro.pipeline.perturb import PerturbationSweep, WarmBaselines
+from repro.pipeline.perturb import WarmBaselines
 from repro.store import ArtifactStore, BaselineArtifact
-from repro.store.artifact import ClassBaseline
-
-
-def _warm_class_record(
-    network: Network,
-    equivalence_class: EquivalenceClass,
-    baseline: ClassBaseline,
-    suite: PropertySuite,
-) -> ClassVerificationRecord:
-    """A differential verification record computed entirely from stored
-    baseline artifacts: properties are evaluated off the stored concrete
-    forwarding table and lifted through the stored compression -- no
-    concrete re-solve, no re-compression."""
-    specs = suite.specs()
-    nodes = sorted(network.graph.nodes, key=str)
-    node_names = [str(node) for node in nodes]
-    waypoints = frozenset(str(o) for o in equivalence_class.origins)
-    path_bound = (
-        suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
-    )
-
-    concrete_start = time.perf_counter()
-    concrete = evaluate_suite(specs, baseline.table, nodes, waypoints, path_bound)
-    concrete_seconds = time.perf_counter() - concrete_start
-
-    abstract_start = time.perf_counter()
-    compression = baseline.compression
-    lifted = lifted_abstract_verdicts(
-        compression.abstraction,
-        compression.abstract_network,
-        equivalence_class,
-        specs,
-        node_names,
-        waypoints,
-        path_bound,
-    )
-    abstract_seconds = time.perf_counter() - abstract_start
-    mismatched = compare_verdicts(concrete, lifted)
-
-    verdicts = [
-        PropertyVerdict(
-            property=spec.name,
-            nodes_checked=len(node_names),
-            concrete_failing=[n for n in node_names if not concrete[spec.name][n]],
-            abstract_failing=[n for n in node_names if not lifted[spec.name][n]],
-            mismatched=list(mismatched.get(spec.name, [])),
-        )
-        for spec in specs
-    ]
-    return ClassVerificationRecord(
-        prefix=str(equivalence_class.prefix),
-        origins=sorted(str(o) for o in equivalence_class.origins),
-        concrete_nodes=network.graph.num_nodes(),
-        abstract_nodes=compression.abstract_nodes,
-        concrete_seconds=concrete_seconds,
-        abstract_seconds=abstract_seconds,
-        compression_seconds=0.0,
-        verdicts=verdicts,
-    )
 
 
 class Session:
@@ -148,7 +82,7 @@ class Session:
         self.baseline = baseline
         self.network = baseline.network
         self._store_root = store
-        #: What :meth:`delta` and :meth:`failures` queries share (never persisted).
+        #: What every query's class baselines come from (never persisted).
         self._warm = WarmBaselines(baseline.baselines)
 
     # ------------------------------------------------------------------
@@ -207,87 +141,39 @@ class Session:
             return PropertySuite.default(**params)
         return PropertySuite.from_names(list(properties), **params)
 
-    def _warm_ready(self, suite: PropertySuite) -> bool:
-        """Warm verification needs stored tables and compressions for every
-        class and the default (origin) waypointing -- explicit waypoint
-        sets go through the batch path, which handles the non-comparable
-        flagging."""
-        if suite.waypoints is not None:
-            return False
-        classes = self.baseline.encoded.classes
-        if not classes:
-            return False
-        for equivalence_class in classes:
-            stored = self.baseline.baseline_for(equivalence_class.prefix)
-            if (
-                stored is None
-                or stored.table is None
-                or stored.compression is None
-                or stored.compression.abstract_network is None
-            ):
-                return False
-        return True
-
     def verify(
         self,
         properties: Optional[Sequence[str]] = None,
         *,
         prefix: Optional[str] = None,
-        warm: bool = True,
         path_bound: Optional[int] = None,
         waypoints: Optional[Sequence[str]] = None,
         **kwargs,
     ) -> VerificationReport:
-        """Differential verification; warm (stored-baseline) by default.
+        """Differential verification over the session's baselines: the
+        :class:`BatchVerifier` (serial unless ``executor`` says otherwise)
+        on the stored artifact, each class's baseline validated once and
+        kept for :meth:`delta` and :meth:`failures` too.
 
-        ``prefix`` restricts to one destination class (warm path only).
-        Falls back to the :class:`BatchVerifier` when the artifact lacks
-        tables/compressions or the suite needs explicit waypoints.
+        ``prefix`` restricts the run to that one destination class.
         """
         params: Dict[str, object] = {"path_bound": path_bound}
         if waypoints is not None:
             params["waypoints"] = tuple(waypoints)
-        suite = self._suite(properties, **params)
-
-        if warm and self._warm_ready(suite):
-            start = time.perf_counter()
-            classes = self.baseline.encoded.classes
-            if prefix is not None:
-                classes = [ec for ec in classes if str(ec.prefix) == str(prefix)]
-                if not classes:
-                    raise ValueError(f"no destination class at prefix {prefix!r}")
-            records = [
-                _warm_class_record(
-                    self.network,
-                    equivalence_class,
-                    self.baseline.baseline_for(equivalence_class.prefix),
-                    suite,
-                )
-                for equivalence_class in classes
-            ]
-            return VerificationReport(
-                network_name=self.network.name,
-                executor="warm",
-                workers=1,
-                num_classes=len(records),
-                properties=list(suite.names),
-                path_bound=suite.path_bound,
-                encode_seconds=0.0,
-                total_seconds=time.perf_counter() - start,
-                records=records,
-            )
+        artifact = self.baseline.encoded
         if prefix is not None:
-            raise ValueError(
-                "per-prefix verification requires the warm path "
-                "(stored tables and compressions for every class)"
-            )
+            equivalence_class = self.class_for(prefix)
+            if equivalence_class is None:
+                raise ValueError(f"no destination class at prefix {prefix!r}")
+            artifact = replace(artifact, classes=[equivalence_class])
         kwargs.setdefault("executor", "serial")
-        return BatchVerifier(
-            artifact=self.baseline.encoded, suite=suite, **kwargs
-        ).run()
+        return self._run_warm(
+            BatchVerifier(artifact=artifact, suite=self._suite(properties, **params), **kwargs)
+        )
 
-    def _run_warm(self, sweep: PerturbationSweep):
-        """Run ``sweep`` against the baselines this session keeps, not a memo of its own."""
+    def _run_warm(self, sweep):
+        """Run ``sweep`` (a perturbation sweep or a :class:`BatchVerifier`)
+        against the baselines this session keeps, not a memo of its own."""
         sweep.warm = self._warm
         return sweep.run()
 

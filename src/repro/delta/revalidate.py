@@ -23,10 +23,9 @@ encoder is not blindly reused the way the failure checker can).
 
 Either way the outcome ends in a differential verdict comparison --
 abstract verdicts lifted through whichever mapping was used must equal
-the concrete ones (reusing
-:func:`repro.failures.soundness.lifted_abstract_verdicts`) -- so a wrong
-reuse decision would surface as ``agrees=False`` rather than pass
-silently.
+the concrete ones (:func:`repro.analysis.batch.abstract_arm`, the
+verifier's own abstract side) -- so a wrong reuse decision would surface
+as ``agrees=False`` rather than pass silently.
 """
 
 from __future__ import annotations
@@ -37,15 +36,11 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass
-from repro.analysis.properties import PropertySpec
+from repro.analysis.batch import abstract_arm, compare_verdicts
+from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import syntactic_policy_keys
-from repro.failures.soundness import (
-    VerdictMap,
-    compare_verdicts,
-    lifted_abstract_verdicts,
-)
 
 
 @dataclass
@@ -191,10 +186,12 @@ def revalidate_class(
         lifted = None
         abstract_nodes = result.abstract_nodes
     if lifted is None:
-        lifted = lifted_abstract_verdicts(
+        # The compression's own class: a reused abstraction stands for the
+        # baseline prefix even where the changed trie re-shaped it.
+        _, lifted = abstract_arm(
             result.abstraction,
             result.abstract_network,
-            changed_ec,
+            result.equivalence_class,
             specs,
             nodes,
             waypoints,

@@ -48,6 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.analysis.batch import abstract_arm
 from repro.analysis.properties import VerdictMap
 from repro.config.network import Network
 from repro.config.transfer import syntactic_policy_keys
@@ -55,7 +56,6 @@ from repro.delta.changeset import ChangeSet
 from repro.delta.incremental import delta_resolve, diff_network_edges
 from repro.delta.revalidate import RevalidationOutcome, class_signature, revalidate_class
 from repro.failures.incremental import BaselineIndex, IncrementalSolve
-from repro.failures.soundness import lifted_abstract_verdicts
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace
@@ -637,7 +637,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     # speedup denominator.
                     rebuild_start = time.perf_counter()
                     rebuilt = factory().compress(changed_ec, build_network=True)
-                    lifted_abstract_verdicts(
+                    abstract_arm(
                         rebuilt.abstraction,
                         rebuilt.abstract_network,
                         changed_ec,

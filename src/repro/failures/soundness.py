@@ -28,9 +28,10 @@ partition, on inputs derived from the class baseline rather than rebuilt
 against that fresh abstraction instead.
 
 Either way the checker finishes with a differential verdict comparison --
-abstract verdicts lifted through the mapping must equal the concrete
-ones -- so a structural misjudgement would surface as ``agrees=False``
-rather than pass silently.
+abstract verdicts lifted through the mapping
+(:func:`~repro.analysis.batch.abstract_arm`, the verifier's own abstract
+side) must equal the concrete ones -- so a structural misjudgement would
+surface as ``agrees=False`` rather than pass silently.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
-from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.abstraction.ec import EquivalenceClass
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.analysis.batch import _abstract_waypoints, lift_verdicts
-from repro.analysis.dataplane import compute_forwarding_table
-from repro.analysis.properties import PropertySpec, VerdictMap, evaluate_suite
+from repro.analysis.batch import abstract_arm, compare_verdicts
+from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
 from repro.config.transfer import VIRTUAL_DESTINATION
 from repro.failures.scenario import FailureScenario, canonical_link
@@ -172,63 +172,6 @@ def abstract_scenario_for(
 
 
 # ----------------------------------------------------------------------
-# Differential verdict comparison
-# ----------------------------------------------------------------------
-def lifted_abstract_verdicts(
-    abstraction: NetworkAbstraction,
-    abstract_network: Network,
-    equivalence_class: EquivalenceClass,
-    specs: List[PropertySpec],
-    concrete_nodes: List[str],
-    waypoints: FrozenSet[str],
-    path_bound: int,
-) -> VerdictMap:
-    """Evaluate the suite on an abstract network and lift the verdicts.
-
-    The abstract forwarding table is simulated from scratch (abstract
-    networks are small -- that is the whole point); each concrete node's
-    verdict is the ``any``/``all`` combination over its abstract copies,
-    exactly as in the batch verifier.
-    """
-    abstract_ec = next(
-        (
-            candidate
-            for candidate in routable_equivalence_classes(abstract_network)
-            if candidate.prefix.overlaps(equivalence_class.prefix)
-        ),
-        None,
-    )
-    if abstract_ec is None:
-        # The failure disconnected every abstract origin: nothing routes.
-        return {
-            spec.name: {name: False for name in concrete_nodes} for spec in specs
-        }
-    table = compute_forwarding_table(abstract_network, abstract_ec)
-    abstract_verdicts = evaluate_suite(
-        specs, table, sorted(abstract_network.graph.nodes, key=str),
-        _abstract_waypoints(abstraction, waypoints), path_bound,
-    )
-    return lift_verdicts(abstraction, specs, abstract_verdicts, concrete_nodes)
-
-
-def compare_verdicts(
-    concrete: VerdictMap, lifted: VerdictMap
-) -> Dict[str, List[str]]:
-    """``{property: [nodes]}`` where lifted and concrete verdicts differ."""
-    mismatched: Dict[str, List[str]] = {}
-    for name, per_node in concrete.items():
-        bad = [
-            node
-            for node, holds in sorted(per_node.items())
-            if lifted.get(name, {}).get(node) is not None
-            and lifted[name][node] != holds
-        ]
-        if bad:
-            mismatched[name] = bad
-    return mismatched
-
-
-# ----------------------------------------------------------------------
 # The checker
 # ----------------------------------------------------------------------
 def check_scenario_soundness(
@@ -269,7 +212,7 @@ def check_scenario_soundness(
         abstraction = result.abstraction
         abstract_network = result.abstract_network
         abstract_nodes = result.abstract_nodes
-    lifted = lifted_abstract_verdicts(
+    _, lifted = abstract_arm(
         abstraction, abstract_network, failed_ec, specs, surviving, waypoints, path_bound
     )
     mismatched = compare_verdicts(concrete_verdicts, lifted)

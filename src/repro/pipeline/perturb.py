@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
@@ -368,8 +369,9 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
 # The per-class task's shared halves (run inside pipeline workers)
 # ----------------------------------------------------------------------
 class TaskBaseline:
-    """One class solved and evaluated on the unperturbed network: what
-    every unit of a per-class task is compared against.
+    """One class solved and evaluated on the unperturbed network: the
+    verify task's concrete side, and what every unit of a failure or
+    change task is compared against.
 
     ``stored`` (the class's :class:`~repro.store.artifact.ClassBaseline`)
     supplies the labeling without a scratch solve: a zero-dirty seeded
@@ -381,9 +383,9 @@ class TaskBaseline:
     Read-only once built, because a :class:`WarmBaselines` hands one
     instance to every request thread of a service: the methods write only
     into the ``outcome`` they are handed, and the seeded re-solves copy
-    the solution's transfer memo before use.  (:attr:`index` memoises
-    taint queries and :attr:`check` one result: bounded, and safe under
-    racing writers.)
+    the solution's transfer memo before use.  (:attr:`index`, built on
+    first use, memoises taint queries and :attr:`check` one result:
+    bounded, and safe under racing writers.)
 
     Building the baseline is deliberately unspanned: split shard chunks
     re-pay it per chunk, and the chunk-merged trace must reproduce the
@@ -391,9 +393,6 @@ class TaskBaseline:
     """
 
     def __init__(self, bonsai, equivalence_class: EquivalenceClass, options: dict, stored=None):
-        # failures imports this module; by the time a task runs it is loaded.
-        from repro.failures.incremental import BaselineIndex
-
         self.equivalence_class = equivalence_class
         self.network = network = bonsai.network
         self.suite = suite = PropertySuite.from_options(options)
@@ -426,16 +425,24 @@ class TaskBaseline:
         #: whose SRP is the baseline's has run it.
         self.check = None
         self.solution: Solution = solution if solution is not None else solve(srp)
-        table = forwarding_table_from_solution(network, self.solution, equivalence_class)
+        #: The unperturbed forwarding table (the verify task's witnesses).
+        self.table = forwarding_table_from_solution(network, self.solution, equivalence_class)
         self.verdicts = evaluate_suite(
-            self.specs, table, nodes, self.waypoints, self.path_bound
+            self.specs, self.table, nodes, self.waypoints, self.path_bound
         )
-        #: Forwarding views of :attr:`solution` for the units' taint queries.
-        self.index = BaselineIndex.from_solution(self.solution)
         if stored is not None:
             # Every reader copies the memo before solving and validation hit
             # only entries the artifact holds: keep its dict, not our copy.
             self.solution.transfer_cache = stored.transfer_memo
+
+    @cached_property
+    def index(self):
+        """Forwarding views of :attr:`solution` for the units' taint
+        queries, built on the first one (the verify task never asks)."""
+        # failures imports this module; by the time a unit asks it is loaded.
+        from repro.failures.incremental import BaselineIndex
+
+        return BaselineIndex.from_solution(self.solution)
 
     def record_fields(self) -> Dict[str, object]:
         """The :class:`ClassPerturbationRecord` fields the baseline fixes."""

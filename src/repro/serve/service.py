@@ -8,7 +8,8 @@ answers verify / delta / failure / k-resilience queries concurrently:
   -- one thread computes, the rest wait on the same in-flight result --
   so a thundering herd of identical verify calls costs one evaluation.
 * **Shared warm state**: every query runs off the session's stored
-  baseline (tables, labelings, transfer memos, compressions), and
+  baseline (labelings, transfer memos, compressions) and the per-class
+  baselines the session keeps, and
   verify answers are additionally memoised in a bounded cache (the
   network inside a session is immutable, so they never go stale).
 * **Latency accounting**: :class:`QueryStats` records per-query wall

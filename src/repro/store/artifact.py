@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.abstraction.bonsai import CompressionResult
-from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
 from repro.config.network import Network
 from repro.delta.revalidate import class_signature
 from repro.pipeline.core import ClassFanOut
@@ -28,8 +27,9 @@ from repro.pipeline.report import EcRecord
 from repro.srp.solver import TransferCache, solve
 from repro.store.fingerprint import network_fingerprint
 
-#: Bump when the pickled artifact layout changes incompatibly.
-ARTIFACT_SCHEMA_VERSION = 1
+#: Bump when the pickled artifact layout changes incompatibly (2: class
+#: baselines no longer carry a forwarding table).
+ARTIFACT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -50,9 +50,6 @@ class ClassBaseline:
     partition: List[List[str]] = field(default_factory=list)
     #: The full compression, when the artifact was built with one.
     compression: Optional[CompressionResult] = None
-    #: The baseline concrete forwarding table (warm queries evaluate
-    #: properties straight off it, no re-solve).
-    table: Optional[ForwardingTable] = None
     solve_seconds: float = 0.0
     compress_seconds: float = 0.0
 
@@ -70,7 +67,6 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
     solve_start = time.perf_counter()
     cache = TransferCache()
     solution = solve(bonsai.concrete_srp(equivalence_class), transfer_cache=cache)
-    table = forwarding_table_from_solution(network, solution, equivalence_class)
     solve_seconds = time.perf_counter() - solve_start
 
     compression = None
@@ -89,7 +85,6 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
         signature=class_signature(network, prefix, equivalence_class.origins),
         partition=partition,
         compression=compression,
-        table=table,
         solve_seconds=solve_seconds,
         compress_seconds=compress_seconds,
     )

@@ -15,17 +15,20 @@ in -- before handing the payload to anyone.  Any mismatch raises
 served stale or half-read.  :meth:`load_or_build` turns that refusal into
 a rebuild: corrupted entries are replaced, not crashed on.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed save leaves
-either the old entry or none, never a torn one.
+Writes are atomic (a per-writer temp file + ``os.replace``) so a crashed
+save leaves either the old entry or none, never a torn one, and two
+processes saving one fingerprint at once both succeed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import shutil
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -87,9 +90,18 @@ def _sha256(payload: bytes) -> str:
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    """Write ``payload`` to a temp file of this writer's own next to
+    ``path``, then rename it into place: concurrent saves of one entry
+    each replace the file whole, and a failed write leaves no temp file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class ArtifactStore:

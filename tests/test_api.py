@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import asdict
 
+import pytest
+from test_golden_reports import scrub
+
+from repro import fattree_network
+from repro.analysis.batch import BatchVerifier, PropertySuite
 from repro.api import Session
-from repro.netgen.families import build_topology
+from repro.netgen.changes import generated_change_script
+from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
 from repro.srp.solver import COUNTERS
 from repro.store import ArtifactStore, StoreError
 
@@ -15,20 +21,16 @@ def ring_session():
     return Session(build_topology("ring", 5))
 
 
-def _failing_sets(report):
-    """``{prefix: {property: (concrete, abstract, mismatched)}}`` for
-    timing-free comparison between warm and batch verification runs."""
-    out = {}
-    for record in report.records:
-        out[record.prefix] = {
-            verdict.property: (
-                tuple(sorted(verdict.concrete_failing)),
-                tuple(sorted(verdict.abstract_failing)),
-                tuple(sorted(verdict.mismatched)),
-            )
-            for verdict in record.verdicts
-        }
-    return out
+def _records(report):
+    """Every record field but the timings: verdicts, counterexamples,
+    ``comparable`` and ``note`` included."""
+    return [scrub(asdict(record)) for record in report.records]
+
+
+def _cold(network, names=None, **params):
+    """The batch verifier's serial records, with no stored baseline."""
+    suite = PropertySuite.from_names(names, **params) if names else PropertySuite.default(**params)
+    return _records(BatchVerifier(network, suite=suite, executor="serial").run())
 
 
 class TestSessionConstruction:
@@ -53,49 +55,70 @@ class TestSessionConstruction:
 
 
 class TestWarmVerify:
-    def test_warm_matches_batch_exactly(self, ring_session):
-        warm = ring_session.verify()
-        assert warm.executor == "warm"
-        assert warm.verdicts_agree()
-        cold = ring_session.verify(warm=False)
-        assert cold.executor != "warm"
-        assert _failing_sets(warm) == _failing_sets(cold)
-        assert warm.kind == cold.kind == "verification"
+    """``Session.verify`` is the batch verifier run on the session's kept
+    baselines: warm and cold records are equal."""
 
-    def test_warm_never_resolves_the_concrete_baseline(self, ring_session):
-        """The warm path evaluates properties off the stored concrete
-        forwarding tables; the only solves are the per-class *abstract*
-        networks inside the lifted verdicts (compressed instances -- the
-        cheap side of the paper's asymmetry)."""
-        COUNTERS.reset()
-        ring_session.verify()
-        counters = COUNTERS.snapshot()
-        assert counters["seeded_solves"] == 0
-        assert counters["scratch_solves"] == len(ring_session.classes)
+    @pytest.mark.parametrize(
+        "family, size, policy",
+        [(family, None, None) for family in sorted(TOPOLOGY_FAMILIES)]
+        + [("fattree", 6, "prefer_bottom")],
+    )
+    def test_warm_equals_cold(self, family, size, policy):
+        if policy is None:
+            network = build_topology(family, size)
+        else:
+            network = fattree_network(size, policy=policy)
+        warm = Session(network).verify()
+        assert warm.executor == "serial"
+        assert warm.verdicts_agree()
+        assert _records(warm) == _cold(network)
+
+    def test_explicit_waypoints(self, ring_session):
+        network = ring_session.network
+        waypoints = tuple(sorted(map(str, network.graph.nodes))[:2])
+        warm = ring_session.verify(["waypointing"], waypoints=waypoints)
+        assert any(not verdict.comparable for record in warm.records for verdict in record.verdicts)
+        assert _records(warm) == _cold(network, ["waypointing"], waypoints=waypoints)
+
+    def test_uncompressed_session(self):
+        network = build_topology("ring", 5)
+        warm = Session(network, compress=False).verify()
+        assert warm.verdicts_agree()
+        assert _records(warm) == _cold(network)
 
     def test_per_prefix(self, ring_session):
         prefix = str(ring_session.classes[0].prefix)
         report = ring_session.verify(prefix=prefix)
         assert report.num_classes == 1
-        assert report.records[0].prefix == prefix
+        assert _records(report) == _cold(ring_session.network)[:1]
         with pytest.raises(ValueError, match="no destination class"):
             ring_session.verify(prefix="203.0.113.0/24")
+
+    def test_warm_never_resolves_the_concrete_baseline(self):
+        """Each class's stored labeling is validated once per session (a
+        zero-dirty seeded solve) and kept: the only scratch solves are the
+        per-class *abstract* networks (compressed instances -- the cheap
+        side of the paper's asymmetry), and a later verify or delta
+        validates nothing again."""
+        network = build_topology("ring", 5)
+        session = Session(network)
+        classes = len(session.classes)
+        COUNTERS.reset()
+        session.verify()
+        assert COUNTERS.snapshot() == {"seeded_solves": classes, "scratch_solves": classes}
+        assert len(session._warm._kept) == classes
+
+        COUNTERS.reset()
+        session.verify()
+        assert COUNTERS.snapshot() == {"seeded_solves": 0, "scratch_solves": classes}
+        # The generated one-step script changes no class: carried, unsolved.
+        session.delta(generated_change_script(network, "ring", steps=1, seed=0), revalidate=False)
+        assert COUNTERS.snapshot() == {"seeded_solves": 0, "scratch_solves": classes}
+        assert len(session._warm._kept) == classes
 
     def test_selected_properties(self, ring_session):
         report = ring_session.verify(["reachability"])
         assert report.properties == ["reachability"]
-
-    def test_explicit_waypoints_fall_back_to_batch(self, ring_session):
-        node = str(sorted(ring_session.network.graph.nodes, key=str)[0])
-        report = ring_session.verify(["waypointing"], waypoints=[node])
-        assert report.executor != "warm"
-
-    def test_uncompressed_baseline_falls_back(self):
-        network = build_topology("ring", 5)
-        session = Session(network, compress=False)
-        report = session.verify()
-        assert report.executor != "warm"
-        assert report.verdicts_agree()
 
 
 class TestSessionAnalyses:
@@ -141,7 +164,7 @@ class TestSessionPersistence:
         assert entry.is_dir()
         loaded = Session.load(tmp_path, network=build_topology("ring", 5))
         assert loaded.fingerprint == ring_session.fingerprint
-        assert _failing_sets(loaded.verify()) == _failing_sets(ring_session.verify())
+        assert _records(loaded.verify()) == _records(ring_session.verify())
 
     def test_load_by_fingerprint(self, tmp_path, ring_session):
         ring_session.save(tmp_path)

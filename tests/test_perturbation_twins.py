@@ -219,7 +219,7 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-_PER_UNIT_WORK = ("forwarding_table_from_solution", "evaluate_suite", "lifted_abstract_verdicts")
+_PER_UNIT_WORK = ("forwarding_table_from_solution", "evaluate_suite", "abstract_arm")
 
 
 def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeypatch):

@@ -388,12 +388,12 @@ class TestSessionKeptBaselines:
         session = Session(network)
         stored = session.baseline.baselines.values()
 
-        def solved():  # what a class's solve left: labeling, memo, table
-            return pickle.dumps([(b.labeling, b.transfer_memo, b.table) for b in stored])
+        def solved():  # what a class's solve left: labeling and memo
+            return pickle.dumps([(b.labeling, b.transfer_memo) for b in stored])
 
-        # Tables are plain values (no walk caches) and readers copy the
-        # memo: from the very first /verify (which evaluates the stored
-        # tables) and /delta these pickle as they were built.
+        # Readers copy the memo: from the very first /verify (which
+        # validates the stored labelings) and /delta these pickle as they
+        # were built.
         cold = solved()
         service = VerificationService(session)
         first, *later = self._scripts(network, 10)

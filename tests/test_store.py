@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
@@ -81,7 +84,6 @@ class TestBaselineArtifact:
             assert baseline.signature
             assert baseline.partition
             assert baseline.compression is not None
-            assert baseline.table is not None
 
     def test_matches(self, ring_network, ring_artifact):
         assert ring_artifact.matches(ring_network)
@@ -104,6 +106,20 @@ class TestBaselineArtifact:
 # ----------------------------------------------------------------------
 # Store round trips
 # ----------------------------------------------------------------------
+def _save_overlapping(root, artifact, start, rounds=5):
+    """A writer process: ``rounds`` saves, each rename delayed 20 ms."""
+    replace = os.replace
+
+    def delayed(source, target):
+        time.sleep(0.02)
+        replace(source, target)
+
+    os.replace = delayed
+    start.wait()
+    for _ in range(rounds):
+        ArtifactStore(root).save(artifact)
+
+
 class TestStoreRoundTrip:
     def test_save_load_identity(self, tmp_path, ring_artifact):
         store = ArtifactStore(tmp_path)
@@ -121,6 +137,27 @@ class TestStoreRoundTrip:
             assert copy.signature == original.signature
             assert copy.partition == original.partition
             assert copy.origins == original.origins
+
+    def test_two_processes_save_one_fingerprint_at_once(self, tmp_path, ring_artifact):
+        """Each writer renames a temp file of its own into place: with every
+        rename held back so the writers overlap, both still return, and the
+        entry left behind loads, verifies and holds no temp file."""
+        context = multiprocessing.get_context("spawn")
+        start = context.Event()
+        writers = [
+            context.Process(target=_save_overlapping, args=(tmp_path, ring_artifact, start))
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        start.set()
+        for writer in writers:
+            writer.join(60)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        store = ArtifactStore(tmp_path)
+        assert store.load(ring_artifact.fingerprint).fingerprint == ring_artifact.fingerprint
+        entry = store.entry_dir(ring_artifact.fingerprint)
+        assert sorted(path.name for path in entry.iterdir()) == ["meta.json", "payload.pkl"]
 
     @pytest.mark.parametrize("family,size", FAMILY_SIZES)
     def test_every_family_round_trips(self, tmp_path, family, size):
@@ -294,13 +331,17 @@ class TestStoreCorruption:
         with pytest.raises(StoreError, match="store schema mismatch"):
             store.load(fingerprint)
 
-    def test_artifact_schema_mismatch(self, saved):
+    def test_artifact_schema_mismatch(self, saved, ring_network):
+        """An entry of the previous layout (version 1 stored a forwarding
+        table per class) is refused with its reason, then rebuilt."""
         store, entry, fingerprint = saved
         meta = json.loads((entry / "meta.json").read_text())
-        meta["artifact_schema_version"] = ARTIFACT_SCHEMA_VERSION + 1
+        meta["artifact_schema_version"] = ARTIFACT_SCHEMA_VERSION - 1
         (entry / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="artifact schema mismatch"):
             store.load(fingerprint)
+        _, rebuilt, reason = store.load_or_build(ring_network, limit=2)
+        assert rebuilt and "entry has 1, this build reads 2" in reason
 
     def test_foreign_fingerprint_in_meta(self, saved):
         store, entry, fingerprint = saved
@@ -399,8 +440,7 @@ class TestZeroBaselineResolves:
 
     def test_an_artifact_saved_before_the_lean_memo_still_validates(self, tmp_path):
         """What the previous format stored is a superset: the memo also
-        held every ``(edge, None)`` evaluation, and the pickled tables
-        carried their walk caches as instance attributes."""
+        held every ``(edge, None)`` evaluation."""
         from repro.abstraction.bonsai import Bonsai
         from repro.delta import DeltaSweep
         from repro.netgen.changes import generated_change_script
@@ -418,9 +458,6 @@ class TestZeroBaselineResolves:
             )
             for edge in srp.graph.edges:
                 stored.transfer_memo[(edge, None)] = srp.transfer(edge, None)
-            vars(stored.table).update(
-                _outcome_cache={}, _paths_cache={}, _sorted_hops_cache={}, truncated_sources=set()
-            )
         store = ArtifactStore(tmp_path)
         store.save(artifact)
         loaded = store.load_for(network)
