@@ -29,8 +29,8 @@ Stages
 * ``delta_sweep``    -- single-change :class:`DeltaSweep` runs (a
   compression-invariant change plus a route-map tightening on a
   fat-tree); the report additionally records
-  ``delta_incremental_speedup``, the full-rebuild/incremental
-  wall-clock ratio of the invariant-change sweep, and the run fails if
+  ``delta_incremental_speedup``, the scratch/incremental wall-clock
+  ratio of the invariant-change sweep, and the run fails if
   that sweep re-compresses any class (abstraction reuse is the point).
 
 Every stage is run ``--repeat`` times and the *minimum* is reported, so
@@ -108,9 +108,8 @@ QUICK_FAILURE_WORKLOADS = [
 
 #: (family, size, class limit) pairs for the delta-sweep stage.  Each
 #: network runs two single-change sweeps: the compression-invariant
-#: change (zero re-compressed classes expected; carries the PR-5
-#: acceptance criterion of >=2x incremental vs full rebuild) and the
-#: per-class route-map tightening.
+#: change (zero re-compressed classes expected; its scratch/incremental
+#: ratio is the recorded speedup) and the per-class route-map tightening.
 FULL_DELTA_WORKLOADS = [
     ("fattree", 6, 6),
 ]
@@ -288,10 +287,10 @@ def _delta_scripts(network):
 
 
 def stage_delta_sweep(delta_workloads):
-    """Single-change what-if sweeps with both oracles enabled.
+    """Single-change what-if sweeps with the scratch oracle enabled.
 
     Returns ``(seconds, invariant_speedup)``: the timed stage plus the
-    incremental-vs-full-rebuild wall-clock ratio of the fat-tree
+    scratch/incremental wall-clock ratio of the fat-tree
     invariant-change sweep (the acceptance metric recorded as
     ``delta_incremental_speedup``).  Raises if the invariant sweep
     re-compresses any class or any oracle disagrees.
@@ -314,7 +313,6 @@ def stage_delta_sweep(delta_workloads):
                 executor="serial",
                 oracle=True,
                 revalidate=True,
-                rebuild_oracle=True,
                 limit=limit,
             ).run()
             if not report.ok():
@@ -408,9 +406,6 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
             executor="serial",
             oracle=True,
             revalidate=True,
-            # The check only reads the divergence/disagreement verdicts;
-            # the rebuild arm exists for the timing stage's speedup.
-            rebuild_oracle=False,
             limit=limit,
         ).run()
         if not sweep.incremental_all_match():
@@ -546,17 +541,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "than this fraction slower than the metrics-disabled arm "
         "(e.g. 0.03 = 3%%)",
     )
-    parser.add_argument(
-        "--history",
-        default=None,
-        help="append this run to the given bench-history file "
-        "(default: $REPRO_OBS_HISTORY or ./BENCH_HISTORY.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the bench-history append",
-    )
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -572,7 +556,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     delta_speedup = extras.get("delta_incremental_speedup")
     if delta_speedup is not None:
         print(
-            f"  delta-sweep incremental vs full-rebuild speedup: "
+            f"  delta-sweep incremental re-solve speedup: "
             f"{delta_speedup:.2f}x"
         )
     obs_ratio = extras.get("obs_overhead_ratio")
@@ -641,24 +625,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"  report written to {args.out}")
-
-    if not args.no_history:
-        from repro.obs import history as bench_history
-        from repro.perfutil import peak_rss_mb
-
-        path = bench_history.default_history_path(args.history)
-        bench_history.append(
-            path,
-            "hotpaths",
-            stages,
-            peak_rss_mb=peak_rss_mb(),
-            meta={
-                "mode": mode,
-                "repeat": args.repeat,
-                **{k: v for k, v in extras.items() if v is not None},
-            },
-        )
-        print(f"  history appended to {path}")
     return status
 
 

@@ -281,17 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "baseline (default 0.25)",
     )
     parser.add_argument(
-        "--history",
-        default=None,
-        help="append this run to the given bench-history file "
-        "(default: $REPRO_OBS_HISTORY or ./BENCH_HISTORY.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the bench-history append",
-    )
-    parser.add_argument(
         "--run-point",
         default=None,
         metavar="JSON",
@@ -354,22 +343,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"  report written to {args.out}")
 
-    if not args.no_history:
-        from repro.obs import history as bench_history
-
-        path = bench_history.default_history_path(args.history)
-        bench_history.append(
-            path,
-            "scale",
-            stages,
-            peak_rss_mb=max(rss.values()) if rss else None,
-            meta={
-                "mode": mode,
-                "repeat": args.repeat,
-                "rss_mb": rss,
-            },
-        )
-        print(f"  history appended to {path}")
     return status
 
 

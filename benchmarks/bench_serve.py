@@ -262,17 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="required warm-p95 vs cold-rebuild speedup on every family "
         "(default 5; 0 disables the gate)",
     )
-    parser.add_argument(
-        "--history",
-        default=None,
-        help="append this run to the given bench-history file "
-        "(default: $REPRO_OBS_HISTORY or ./BENCH_HISTORY.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the bench-history append",
-    )
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -331,23 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"  report written to {args.out}")
 
-    if not args.no_history:
-        from repro.obs import history as bench_history
-        from repro.perfutil import peak_rss_mb
-
-        path = bench_history.default_history_path(args.history)
-        bench_history.append(
-            path,
-            "serve",
-            stages,
-            peak_rss_mb=peak_rss_mb(),
-            meta={
-                "mode": mode,
-                "repeat": args.repeat,
-                "warm_vs_cold_speedup": speedup,
-            },
-        )
-        print(f"  history appended to {path}")
     return status
 
 

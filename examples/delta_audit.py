@@ -92,6 +92,6 @@ print(
 )
 speedup = report.incremental_speedup
 if speedup is not None:
-    print(f"incremental re-verify vs full rebuild: {speedup:.2f}x")
+    print(f"incremental re-verify vs scratch solve: {speedup:.2f}x")
 
 assert report.ok(), "incremental divergence or abstract disagreement!"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """A profiled, event-streamed compression sweep: the full observatory.
 
-On top of metrics and traces, `repro.obs` adds three runtime surfaces:
+On top of metrics and traces, `repro.obs` adds two runtime surfaces:
 
 * a span-scoped sampling profiler (`obs.profile`) -- a background thread
   samples every live frame stack and attributes each sample to the trace
@@ -10,11 +10,9 @@ On top of metrics and traces, `repro.obs` adds three runtime surfaces:
   flamegraph tool renders directly;
 * a structured event stream (`obs.events`) -- sweep start/end, per-class
   completions, splits, spills, fallbacks, store refusals -- with a live
-  progress meter riding on it;
-* an append-only bench history (`obs.history`) with a rolling-median
-  regression check.
+  progress meter riding on it.
 
-This example runs one compression sweep with all three attached -- the
+This example runs one compression sweep with both attached -- the
 same wiring ``python -m repro.pipeline compress --profile P --events E
 --progress`` does -- then reads every artifact back through its paranoid
 reader.
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from repro import fattree_network
 from repro.obs import events, profile, trace
-from repro.obs import history
 from repro.pipeline.core import CompressionPipeline
 
 network = fattree_network(k=4)
@@ -80,15 +77,5 @@ print(f"\nevent stream: {len(records)} events "
 start = next(r for r in records if r["type"] == "sweep.start")
 print(f"  sweep.start announced {start['classes']} classes "
       f"(the progress meter's denominator)")
-
-# ----------------------------------------------------------------------
-# Bench history: append this run, then run the rolling-median check.
-# ----------------------------------------------------------------------
-history.append("profiled_sweep.history.jsonl", "example",
-               {"compress": sum(r.get("seconds", 0) for r in completed)})
-ok, findings = history.regression_check(
-    history.read_history("profiled_sweep.history.jsonl"))
-print(f"\nbench history: {'ok' if ok else 'REGRESSED'} "
-      f"({len(findings)} stages checked; needs >=2 runs per stage)")
 
 assert result.report.ok()

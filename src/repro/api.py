@@ -218,7 +218,6 @@ class Session:
         suite = None if properties is None else PropertySuite.from_names(list(properties))
         kwargs.setdefault("executor", "serial")
         kwargs.setdefault("oracle", False)
-        kwargs.setdefault("rebuild_oracle", False)
         return self._run_warm(
             DeltaSweep(baseline=self.baseline, script=list(script), suite=suite, **kwargs)
         )

@@ -25,16 +25,14 @@ Per (class, step) the task records:
 * the **verdict delta vs. the unchanged baseline** for every suite
   property, with one structured witness per newly broken property;
 * the **revalidation** outcome -- abstraction reused or re-compressed,
-  and the differential lifted-abstract-vs-concrete comparison either way;
-* the **rebuild arm** timings (scratch solve + fresh re-compression)
-  behind the report's headline incremental-vs-rebuild speedup.
+  and the differential lifted-abstract-vs-concrete comparison either way.
 
 Changes are one *kind* on the shared perturbation engine
 (:mod:`repro.pipeline.perturb`, which holds everything kind-neutral).
 This module adds the change kind's own: the per-worker script state (a
 changed network really is recompiled, unlike a failure view), the chained
-step loop with its chunk fast-forward, stored-baseline seeding, signature
-revalidation and the rebuild arm.
+step loop with its chunk fast-forward, stored-baseline seeding and
+signature revalidation.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
-from repro.analysis.batch import abstract_arm
 from repro.analysis.properties import VerdictMap
 from repro.config.network import Network
 from repro.config.transfer import syntactic_policy_keys
@@ -74,7 +71,7 @@ from repro.srp.solution import Solution
 from repro.srp.solver import solve
 
 #: Format version of the JSON delta reports.
-DELTA_REPORT_VERSION = 1
+DELTA_REPORT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -105,14 +102,9 @@ class ChangeOutcome(PerturbationOutcome):
     reused: Optional[bool] = None
     recompressed: bool = False
     revalidate_seconds: float = 0.0
-    #: Re-compression cost charged to the *incremental* arm (only when the
-    #: signature mismatched and the class really was re-compressed).
+    #: Re-compression cost (only when the signature mismatched and the
+    #: class really was re-compressed).
     recompress_seconds: float = 0.0
-    #: Fresh-compression cost of the *rebuild* arm (equals
-    #: ``recompress_seconds`` when a re-compression ran; a separately
-    #: timed throwaway compression when the abstraction was reused and the
-    #: rebuild oracle is on; 0 when unmeasured).
-    rebuild_compress_seconds: float = 0.0
     #: Full :class:`~repro.delta.revalidate.RevalidationOutcome` wire form.
     revalidation: Optional[Dict] = None
 
@@ -147,36 +139,11 @@ class DeltaReport(PerturbationReport):
 
     num_steps: int
     revalidate: bool
-    rebuild_oracle: bool
     step_names: List[str] = field(default_factory=list)
     #: Content fingerprint of the stored baseline artifact this run
     #: validated against, when one was supplied.
     baseline_fingerprint: Optional[str] = None
     version: int = DELTA_REPORT_VERSION
-
-    @property
-    def incremental_speedup(self) -> Optional[float]:
-        """Rebuild-vs-incremental wall-clock ratio over measured steps.
-
-        The incremental arm is what change validation actually pays:
-        seeded re-solve plus revalidation (including any per-class
-        re-compression the signature check forced).  The rebuild arm is
-        what a from-scratch pipeline pays for the same answer: a fresh
-        solve plus a fresh compression.  Only (class, step) pairs where
-        both arms were measured contribute.
-        """
-        inc = 0.0
-        rebuild = 0.0
-        for _, o in self._outcomes():
-            if not o.incremental_used or o.scratch_seconds <= 0:
-                continue
-            if o.rebuild_compress_seconds <= 0:
-                continue
-            inc += o.incremental_seconds + o.revalidate_seconds + o.recompress_seconds
-            rebuild += o.scratch_seconds + o.rebuild_compress_seconds
-        if inc <= 0 or rebuild <= 0:
-            return None
-        return rebuild / inc
 
     def first_property_broken(self) -> Optional[Tuple[str, str]]:
         """The earliest ``(property, step)`` break of the whole sweep."""
@@ -218,12 +185,10 @@ class DeltaReport(PerturbationReport):
                 f"warm baseline {self.baseline_fingerprint[:12]}...: "
                 f"{warm}/{self.record_count()} classes seeded from the store"
             )
-        speedup = self.incremental_speedup
         lines += self._summary_head(
             f"change script: {self.num_steps} steps x {self.num_classes} classes",
             f"incremental re-verify: {self.incremental_seconds:.3f}s vs "
-            f"scratch solve {self.scratch_seconds:.3f}s"
-            + (f" (vs full rebuild: {speedup:.2f}x)" if speedup is not None else ""),
+            f"scratch solve {self.scratch_seconds:.3f}s",
         )
         if self.revalidate:
             counts = self.abstraction_counts()
@@ -409,7 +374,6 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     """Run every change step against one equivalence class."""
     script = [ChangeSet.from_dict(raw) for raw in options.get("script", [])]
     revalidate_on = bool(options.get("revalidate", True))
-    rebuild_oracle = bool(options.get("rebuild_oracle", True))
     oracle = bool(options.get("oracle", True))
 
     network: Network = bonsai.network
@@ -624,31 +588,6 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 outcome.revalidate_seconds = reval.seconds
                 outcome.recompress_seconds = reval.recompress_seconds
                 outcome.revalidation = reval.to_dict()
-                if reval.recompress_seconds:
-                    outcome.rebuild_compress_seconds = reval.recompress_seconds
-                elif rebuild_oracle:
-                    # The incremental arm paid no compression (the
-                    # abstraction was reused, or a re-compression's verdict
-                    # carried forward).  Time what a full rebuild would have
-                    # paid for the same answer -- a fresh per-class
-                    # compression of the changed network plus the abstract
-                    # re-verification on it (mirroring what the dirty path's
-                    # ``recompress_seconds`` measures) -- for the report's
-                    # speedup denominator.
-                    rebuild_start = time.perf_counter()
-                    rebuilt = factory().compress(changed_ec, build_network=True)
-                    abstract_arm(
-                        rebuilt.abstraction,
-                        rebuilt.abstract_network,
-                        changed_ec,
-                        baseline.specs,
-                        surviving,
-                        step_waypoints,
-                        baseline.path_bound,
-                    )
-                    outcome.rebuild_compress_seconds = (
-                        time.perf_counter() - rebuild_start
-                    )
             prev = _ChainLink(
                 step_index, changed_network, changed_ec, solution, new_keys,
                 verdicts=verdicts, outcome=outcome, check=reval,
@@ -677,11 +616,6 @@ class DeltaSweep(PerturbationSweep):
         the previous steps produce before any work is dispatched.
     revalidate:
         Run the per-step abstraction revalidator (default True).
-    rebuild_oracle:
-        When the abstraction is reused, additionally time a fresh
-        per-class compression so the incremental-vs-rebuild speedup has a
-        measured denominator (default True; disable for the fastest
-        possible smoke runs).
     """
 
     TASK = "delta"
@@ -693,7 +627,6 @@ class DeltaSweep(PerturbationSweep):
         *,
         script: Sequence[ChangeSet] = (),
         revalidate: bool = True,
-        rebuild_oracle: bool = True,
         **common,
     ):
         super().__init__(network, **common)
@@ -704,19 +637,16 @@ class DeltaSweep(PerturbationSweep):
         for changeset in self.script:
             current = changeset.apply(current)  # raises ChangeError when invalid
         self.revalidate = revalidate
-        self.rebuild_oracle = rebuild_oracle
 
     def run(self) -> DeltaReport:
         report = self._sweep(
             {
                 "script": [changeset.to_dict() for changeset in self.script],
                 "revalidate": self.revalidate,
-                "rebuild_oracle": self.rebuild_oracle,
             },
             dict(
                 num_steps=len(self.script),
                 revalidate=self.revalidate,
-                rebuild_oracle=self.rebuild_oracle,
                 step_names=[changeset.name for changeset in self.script],
                 baseline_fingerprint=(
                     self.baseline.fingerprint if self.baseline is not None else None

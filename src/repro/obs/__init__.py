@@ -15,9 +15,7 @@ The second observability stage builds on those:
   collapsed-stack flamegraph export (``--profile``);
 * :mod:`repro.obs.events` -- a schema-versioned structured event stream
   (``--events``), driving the ``--progress`` live meter and serve's
-  ``/events`` long poll;
-* :mod:`repro.obs.history` -- the append-only bench history behind
-  ``bench history`` and its rolling-median regression check.
+  ``/events`` long poll.
 
 :func:`snapshot_run` / :func:`finish_run` bracket a sweep: the sweep
 engines snapshot counters before running and call ``finish_run`` on

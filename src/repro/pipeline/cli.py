@@ -221,12 +221,6 @@ def _delta_arguments(parser) -> None:
         action="store_true",
         help="skip the per-step abstraction revalidator",
     )
-    parser.add_argument(
-        "--no-rebuild-oracle",
-        action="store_true",
-        help="skip timing the full-rebuild arm when the abstraction is "
-        "reused (faster; the reported speedup loses its denominator)",
-    )
 
 
 def _output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -448,42 +442,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     profile_summarize.add_argument("path", help="profile JSONL file (from --profile)")
     profile_summarize.add_argument(
         "--top", type=int, default=10, help="frames to show (default 10)"
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="inspect the append-only benchmark history",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    bench_history = bench_commands.add_parser(
-        "history",
-        help="print per-stage trend lines from BENCH_HISTORY.jsonl and "
-        "check the latest run against a rolling median",
-    )
-    bench_history.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="history file (default: $REPRO_OBS_HISTORY or ./BENCH_HISTORY.jsonl)",
-    )
-    bench_history.add_argument(
-        "--bench", default=None,
-        help="only this benchmark (default: all recorded benchmarks)",
-    )
-    bench_history.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any stage's latest run regresses past the "
-        "rolling median bound",
-    )
-    bench_history.add_argument(
-        "--window", type=int, default=5,
-        help="rolling-median window: preceding runs per stage (default 5)",
-    )
-    bench_history.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed fraction over the rolling median (default 0.25)",
-    )
-    bench_history.add_argument(
-        "--absolute-slack", type=float, default=None, metavar="SECONDS",
-        help="absolute slack added to every bound (default 0.02s)",
     )
 
     return parser
@@ -820,7 +778,6 @@ def _run_delta(args, families: List[str]) -> int:
                 script=script,
                 baseline=baseline,
                 revalidate=not args.no_revalidate,
-                rebuild_oracle=not args.no_rebuild_oracle,
                 **common,
             )
         except ChangeError as exc:
@@ -1063,64 +1020,11 @@ def _run_profile(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    # bench history: trend lines + rolling-median regression check.
-    from repro.obs import history as _history
-    from repro.obs.jsonl import ObsFileError
-
-    path = _history.default_history_path(args.history)
-    try:
-        records = _history.read_history(path)
-    except OSError as exc:
-        print(f"error: cannot read bench history {path}: {exc}", file=sys.stderr)
-        return 2
-    except ObsFileError as exc:
-        print(f"error: bench history refused: {exc}", file=sys.stderr)
-        return 2
-    if args.bench:
-        records = [r for r in records if r["bench"] == args.bench]
-        if not records:
-            print(f"error: no runs of {args.bench!r} in {path}", file=sys.stderr)
-            return 2
-    print(f"bench history: {path} ({len(records)} runs)")
-    for line in _history.trend_lines(records, bench=args.bench):
-        print(f"  {line}")
-    slack = (
-        args.absolute_slack
-        if args.absolute_slack is not None
-        else _history.ABSOLUTE_SLACK_SECONDS
-    )
-    ok, findings = _history.regression_check(
-        records,
-        window=args.window,
-        max_regression=args.max_regression,
-        absolute_slack=slack,
-    )
-    regressed = [f for f in findings if f["regressed"]]
-    print(
-        f"rolling-median check (window {args.window}, "
-        f"+{args.max_regression * 100:.0f}% +{slack}s): "
-        f"{len(findings)} stages checked, {len(regressed)} regressed"
-    )
-    for finding in regressed:
-        print(
-            f"  REGRESSED {finding['bench']}/{finding['stage']}: "
-            f"latest {finding['latest']:.4f}s vs median {finding['median']:.4f}s "
-            f"(bound {finding['bound']:.4f}s over {finding['window']} runs)",
-            file=sys.stderr,
-        )
-    if args.check and not ok:
-        return 1
-    return 0
-
-
 def _dispatch_subcommand(args) -> int:
     if args.command == "trace":
         return _run_trace(args)
     if args.command == "profile":
         return _run_profile(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "store":
         return _run_store(args)
     if args.command == "serve":

@@ -322,6 +322,14 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
     def from_dict(cls, data: Dict):
         payload = cls.strip_envelope(data)
         payload.pop("aggregate", None)
+        # ``version`` is each kind's own field; its default is the version
+        # this build writes, and the only one it reads.
+        version = payload.get("version", cls.version)
+        if version != cls.version:
+            raise ValueError(
+                f"{cls.kind} report version {version!r}: this build reads "
+                f"version {cls.version}"
+            )
         records = [
             cls.record_from_payload(raw) for raw in payload.pop("records", [])
         ]

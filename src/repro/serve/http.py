@@ -19,7 +19,9 @@ endpoint              method  body / answer
 Every report answer carries the shared envelope (``schema_version`` /
 ``kind`` / ``ok`` / ``generated_by``), so clients gate on ``ok`` without
 knowing the report kind.  Malformed requests get 400 with a diagnostic;
-unexpected errors get 500; both as JSON.  Query endpoints count toward
+unexpected errors get 500; both as JSON.  A body that stops arriving for
+:data:`REQUEST_TIMEOUT_SECONDS` gets 408 and the connection closed, so a
+stalled client cannot hold its handler thread.  Query endpoints count toward
 the service's in-flight bound (``--max-inflight``); past it they get
 ``503`` with a ``Retry-After`` header instead of another queued thread.
 """
@@ -38,6 +40,14 @@ from repro.serve.service import ServiceSaturated, VerificationService
 #: thousands of steps is a client bug, not a workload).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Socket timeout of every connection: a read that waits longer than this
+#: (a stalled body, or a kept-alive connection left idle) ends it.
+REQUEST_TIMEOUT_SECONDS = 30.0
+
+
+class RequestTimeout(Exception):
+    """The request body stopped arriving (answered ``408``)."""
+
 
 class ServeHandler(BaseHTTPRequestHandler):
     """Dispatches HTTP requests to the owning server's service."""
@@ -52,6 +62,10 @@ class ServeHandler(BaseHTTPRequestHandler):
     @property
     def service(self) -> VerificationService:
         return self.server.service  # type: ignore[attr-defined]
+
+    @property
+    def timeout(self) -> float:  # read by ``setup`` once per connection
+        return REQUEST_TIMEOUT_SECONDS
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -99,7 +113,16 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise
         if length == 0:
             return {}
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            # What did arrive is lost: the connection cannot be resumed.
+            self.close_connection = True
+            raise RequestTimeout(self.service.refused(
+                "timeout",
+                f"request body incomplete after {REQUEST_TIMEOUT_SECONDS}s "
+                f"({length} bytes announced)",
+            )) from None
         data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
@@ -199,6 +222,9 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self._body = self._read_body()
             except (ValueError, json.JSONDecodeError) as exc:
                 self._respond(400, {"ok": False, "error": f"bad request body: {exc}"})
+                return False
+            except RequestTimeout as exc:
+                self._respond(408, {"ok": False, "error": str(exc)})
                 return False
         return ok
 

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import perfutil
 from repro.api import Session
 from repro.delta.changeset import ChangeSet, change_from_dict
+from repro.failures.scenario import _combinations_count, undirected_links
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.events import EventLog
@@ -35,6 +36,11 @@ from repro.obs.metrics import MetricsRegistry
 #: Bound on the memoised verify answers (distinct (prefix, properties)
 #: keys); overflow evicts wholesale, like the solver's TransferCache.
 DEFAULT_ANSWER_CACHE_LIMIT = 256
+
+#: Largest ``<=k`` link-failure space a ``/failures`` or ``/k-resilience``
+#: request without ``sample`` may enumerate; past it the request is
+#: refused before any work starts.
+MAX_ENUMERATED_SCENARIOS = 10_000
 
 _LATENCY_PREFIX = "serve.latency."
 
@@ -324,12 +330,33 @@ class VerificationService:
         self.stats.record("delta", time.perf_counter() - start, coalesced)
         return answer
 
+    def refused(self, reason: str, message: str) -> str:
+        """Count and announce one refused request; ``message`` back, for
+        the caller to raise."""
+        self.registry.counter(f"serve.refused.{reason}").inc()
+        _events.emit("serve.refused", reason=reason, error=message)
+        return message
+
+    def _check_enumerable(self, k: int, sample: Optional[int]) -> None:
+        """Refuse an unsampled sweep whose ``<=k`` failure space is larger
+        than :data:`MAX_ENUMERATED_SCENARIOS` (counted, not enumerated)."""
+        if sample is not None:
+            return
+        total = failure_space(self.session.network, k)
+        if total > MAX_ENUMERATED_SCENARIOS:
+            raise ValueError(self.refused(
+                "scenarios",
+                f"k={k} enumerates {total} failure scenarios (limit "
+                f"{MAX_ENUMERATED_SCENARIOS}); pass 'sample' to sample them",
+            ))
+
     def failures(
         self,
         k: int = 1,
         sample: Optional[int] = None,
         properties: Optional[Sequence[str]] = None,
     ) -> Dict:
+        self._check_enumerable(k, sample)
         props = None if properties is None else tuple(properties)
         key = ("failures", k, sample, props)
         start = time.perf_counter()
@@ -352,6 +379,7 @@ class VerificationService:
         prop: str = "reachability",
         sample: Optional[int] = None,
     ) -> Dict:
+        self._check_enumerable(max_k, sample)
         key = ("k-resilience", max_k, prop, sample)
         start = time.perf_counter()
 
@@ -364,6 +392,13 @@ class VerificationService:
         answer, coalesced = self._coalescer.run(key, compute)
         self.stats.record("k_resilience", time.perf_counter() - start, coalesced)
         return answer
+
+
+def failure_space(network, k: int) -> int:
+    """How many link-failure scenarios of at most ``k`` links ``network``
+    has, without enumerating them."""
+    links = len(undirected_links(network))
+    return sum(_combinations_count(links, size) for size in range(1, min(k, links) + 1))
 
 
 def parse_script(raw) -> List[ChangeSet]:

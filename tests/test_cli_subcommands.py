@@ -36,7 +36,7 @@ class TestSubcommands:
     def test_delta(self, capsys):
         code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
-             "--no-oracle", "--no-rebuild-oracle"]
+             "--no-oracle"]
         )
         assert code == 0
         assert "change-impact sweep" in capsys.readouterr().out
@@ -131,8 +131,7 @@ class TestStoreAndServeSubcommands:
         COUNTERS.reset()
         code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
-             "--baseline", str(root), "--no-oracle", "--no-revalidate",
-             "--no-rebuild-oracle"]
+             "--baseline", str(root), "--no-oracle", "--no-revalidate"]
         )
         assert code == 0
         assert COUNTERS.snapshot()["scratch_solves"] == 0
@@ -146,8 +145,7 @@ class TestStoreAndServeSubcommands:
         entry = next(child for child in root.iterdir() if child.is_dir())
         code = pipeline_main(
             ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
-             "--baseline", str(entry), "--no-oracle", "--no-revalidate",
-             "--no-rebuild-oracle"]
+             "--baseline", str(entry), "--no-oracle", "--no-revalidate"]
         )
         assert code == 0
         assert "warm baseline" in capsys.readouterr().out
@@ -174,7 +172,7 @@ class TestStoreAndServeSubcommands:
 
 SUBCOMMANDS = (
     "compress", "verify", "failures", "delta", "store", "serve",
-    "trace", "profile", "bench",
+    "trace", "profile",
 )
 
 
@@ -194,12 +192,13 @@ class TestErrorContract:
             ["store"],
             ["trace"],
             ["profile"],
-            ["bench"],
+            ["bench", "history"],
+            ["delta", "--topo", "ring", "--no-rebuild-oracle"],
         ],
         ids=[
             "empty", "flat-verify", "flat-failures", "flat-delta", "no-subcommand",
             "bogus-flag", "report-out", "store-needs-action", "trace-needs-action",
-            "profile-needs-action", "bench-needs-action",
+            "profile-needs-action", "bench-history-gone", "delta-no-rebuild-oracle-gone",
         ],
     )
     def test_usage_errors_return_2(self, argv, capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import routable_equivalence_classes
 from repro.config.acl import AclLine
 from repro.config.prefix import Prefix
@@ -50,6 +51,7 @@ from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_siz
 from repro.obs import events
 from repro.pipeline.cli import main as pipeline_main
 from repro.pipeline.encoded import EncodedNetwork
+from repro.reporting import load_report
 from repro.srp.solver import solve
 from repro.topology.builders import chain_topology
 
@@ -460,6 +462,25 @@ class TestRevalidation:
         assert counts["disagreed"] == 0
         assert report.ok()
 
+    def test_reused_abstraction_compresses_nothing(self, monkeypatch):
+        """A step that reuses the baseline abstraction never calls
+        ``Bonsai.compress``: the only compressions are the per-class
+        baselines."""
+        network = build_topology("fattree", 4)
+        changeset = invariant_acl_change(network, random.Random(0))
+        calls = []
+        compress = Bonsai.compress
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return compress(self, *args, **kwargs)
+
+        monkeypatch.setattr(Bonsai, "compress", counted)
+        report = DeltaSweep(network, script=[changeset], executor="serial").run()
+        outcomes = [o for r in report.records for o in r.steps]
+        assert outcomes and all(o.reused and not o.recompressed for o in outcomes)
+        assert len(calls) == report.num_classes == len(report.records)
+
     def test_tightening_dirties_only_the_target_class(self):
         network = build_topology("fattree", 4)
         changeset = tighten_export_change(network, random.Random(0))
@@ -511,6 +532,17 @@ class TestDeltaSweep:
         data = report.to_dict()
         assert "aggregate" in data
         assert data["aggregate"]["incremental_all_match"] is True
+
+    def test_version_1_report_refused(self):
+        """A version 1 report (which carries a header field this build no
+        longer has) is refused by its version, not by a ``TypeError`` on
+        the field."""
+        network = build_topology("ring", 4)
+        script = generated_change_script(network, "ring")
+        data = DeltaSweep(network, script=script, executor="serial").run().to_dict()
+        data.update(version=1, retired_header_field=True)
+        with pytest.raises(ValueError, match="version 1: this build reads version 2"):
+            load_report(data)
 
     def test_first_breaking_change_and_witnesses(self):
         network = chain_network(5)
@@ -665,17 +697,21 @@ class TestDeltaSweep:
         assert report.ok()
 
     def test_speedup_needs_both_arms(self):
+        """Delta's speedup is the failure kind's: scratch over incremental
+        re-solve seconds of the units that ran both."""
         network = build_topology("fattree", 4)
         changeset = invariant_acl_change(network, random.Random(0))
         with_arms = DeltaSweep(
             network, script=[changeset], executor="serial"
         ).run()
-        assert with_arms.incremental_speedup is not None
+        compared = [o for r in with_arms.records for o in r.steps if o.incremental_used]
+        assert compared and all(o.scratch_seconds > 0 for o in compared)
+        assert with_arms.incremental_speedup == pytest.approx(
+            sum(o.scratch_seconds for o in compared)
+            / sum(o.incremental_seconds for o in compared)
+        )
         without = DeltaSweep(
-            network,
-            script=[changeset],
-            executor="serial",
-            rebuild_oracle=False,
+            network, script=[changeset], executor="serial", oracle=False
         ).run()
         assert without.incremental_speedup is None
 

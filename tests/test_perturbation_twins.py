@@ -134,7 +134,7 @@ def test_delta_warm_equals_cold_equals_scratch(family):
         for seed in (0, 1, 2)
     )
     scratch = DeltaSweep(
-        network, script=target, oracle=False, rebuild_oracle=False, executor="serial"
+        network, script=target, oracle=False, executor="serial"
     ).run()
     assert not any(record.baseline_from_store for record in scratch.records)
     cold = Session(baseline=artifact).delta(target)
@@ -182,7 +182,7 @@ def test_delta_carried_equals_the_long_path(family, seed, monkeypatch):
         network, family, steps=default_change_steps(family), seed=seed
     )
     variants = [
-        dict(oracle=oracle, rebuild_oracle=oracle, revalidate=revalidate, **source)
+        dict(oracle=oracle, revalidate=revalidate, **source)
         for oracle in (True, False)
         for revalidate in (True, False)
         for source in (dict(network=network), dict(baseline=BaselineArtifact.build(network)))
@@ -246,8 +246,7 @@ def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeyp
     # (after one per class for the baseline), each agreeing with the answer.
     COUNTERS.reset()
     audited = DeltaSweep(
-        network, script=script, oracle=True, revalidate=False, rebuild_oracle=False,
-        executor="serial",
+        network, script=script, oracle=True, revalidate=False, executor="serial",
     ).run()
     assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 2 * 18)
     assert [o.incremental_matches_scratch for r in audited.records for o in r.steps] == [True] * 18

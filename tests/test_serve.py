@@ -22,8 +22,14 @@ from repro.api import Session
 from repro.netgen.changes import generated_change_script
 from repro.netgen.families import build_topology
 from repro.serve import VerificationService, create_server, parse_script, warm_service
+from repro.serve import http as serve_http
 from repro.serve.http import MAX_BODY_BYTES, ServeHandler
-from repro.serve.service import QueryStats, _percentile
+from repro.serve.service import (
+    MAX_ENUMERATED_SCENARIOS,
+    QueryStats,
+    _percentile,
+    failure_space,
+)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +290,58 @@ class TestHttp:
         assert all(status == 200 for status, _ in results)
         first = results[0][1]
         assert all(answer == first for _, answer in results)
+
+
+class TestHostileRequests:
+    """Requests that would hold a handler thread (or the process) for good
+    are refused with a reason, counted, and leave the server answering."""
+
+    def test_failure_space_is_counted_not_enumerated(self):
+        network = build_topology("fattree", 6)  # 108 links
+        assert failure_space(network, 4) == 5_569_137
+        assert failure_space(network, 2) == 5_886 <= MAX_ENUMERATED_SCENARIOS
+        assert failure_space(network, 10**9) == 2**108 - 1
+
+    def test_unsampled_failure_space_refused_at_once(self):
+        svc = VerificationService(Session(build_topology("fattree", 4)))  # 32 links
+        httpd = create_server(svc, port=0)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        base = "http://%s:%d" % httpd.server_address[:2]
+        try:
+            for path, body in [
+                ("/failures", {"k": 4}),
+                ("/failures", {"k": 10**9, "properties": ["reachability"]}),
+                ("/k-resilience", {"max_k": 4}),
+            ]:
+                start = time.perf_counter()
+                status, answer = _post(base, path, body)
+                assert time.perf_counter() - start < 1.0
+                assert status == 400 and not answer["ok"]
+                assert "sample" in answer["error"]
+            assert "enumerates 41448 failure scenarios" in answer["error"]
+            assert svc.registry.counter("serve.refused.scenarios").value == 3
+            assert _get(base, "/health")[0] == 200
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+    def test_stalled_body_gets_408_and_hang_up(self, server, service, monkeypatch):
+        monkeypatch.setattr(serve_http, "REQUEST_TIMEOUT_SECONDS", 0.5)
+        before = service.registry.counter("serve.refused.timeout").value
+        parsed = urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /verify HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                b'{"prefix":'
+            )
+            response = b""
+            while chunk := sock.recv(4096):  # until the server hangs up
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 408")
+        assert b"100 bytes announced" in response
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert service.registry.counter("serve.refused.timeout").value == before + 1
 
 
 class TestPersistentConnection:

@@ -121,7 +121,6 @@ SUBCOMMAND_MODULE_SETS = {
     ),
     "trace": (["trace", "summarize", "{tmp}/none.jsonl"], 1, NOT_FOR_COMPRESS),
     "profile": (["profile", "summarize", "{tmp}/none.jsonl"], 2, NOT_FOR_COMPRESS),
-    "bench": (["bench", "history", "--history", "{tmp}/none.jsonl"], 2, NOT_FOR_COMPRESS),
 }
 
 

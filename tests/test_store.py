@@ -417,7 +417,6 @@ class TestZeroBaselineResolves:
             script=script,
             oracle=False,
             revalidate=False,
-            rebuild_oracle=False,
             executor="serial",
         )
 
