@@ -32,7 +32,9 @@ from repro.netgen.families import (
     default_failure_sample,
     default_size,
 )
+from repro.failures.sweep import FAILURE_REPORT_VERSION
 from repro.pipeline.cli import main as pipeline_main
+from repro.reporting import load_report
 from repro.srp.solver import solve
 from repro.topology.builders import chain_topology
 
@@ -366,6 +368,19 @@ class TestFailureSweep:
         data = report.to_dict()
         assert "aggregate" in data
         assert data["aggregate"]["incremental_all_match"] is True
+
+    def test_other_version_report_refused(self):
+        """The failure kind shares delta's version gate: a report of a
+        version this build does not write is refused by name."""
+        data = FailureSweep(chain_network(4), k=1, executor="serial").run().to_dict()
+        assert load_report(dict(data)).canonical_records()
+        data["version"] = FAILURE_REPORT_VERSION + 1
+        with pytest.raises(
+            ValueError,
+            match=f"failures report version {FAILURE_REPORT_VERSION + 1}: "
+            f"this build reads version {FAILURE_REPORT_VERSION}",
+        ):
+            load_report(data)
 
     def test_verdict_deltas_and_first_failing_scenario(self):
         report = FailureSweep(chain_network(5), k=1, executor="serial").run()

@@ -19,10 +19,12 @@ import pytest
 from test_golden_reports import scrub
 
 from repro.api import Session
+from repro.failures import enumerate_link_failures
 from repro.netgen.changes import generated_change_script
-from repro.netgen.families import build_topology
+from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
 from repro.serve import VerificationService, create_server, parse_script, warm_service
 from repro.serve import http as serve_http
+from repro.serve import service as serve_service
 from repro.serve.http import MAX_BODY_BYTES, ServeHandler
 from repro.serve.service import (
     MAX_ENUMERATED_SCENARIOS,
@@ -301,6 +303,30 @@ class TestHostileRequests:
         assert failure_space(network, 4) == 5_569_137
         assert failure_space(network, 2) == 5_886 <= MAX_ENUMERATED_SCENARIOS
         assert failure_space(network, 10**9) == 2**108 - 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_failure_space_matches_the_enumeration(self, family, k):
+        network = build_topology(family, default_size(family))
+        assert failure_space(network, k) == len(enumerate_link_failures(network, k))
+
+    def test_sample_lifts_the_cap(self, service, monkeypatch):
+        """Only an unsampled sweep is capped: the same ``k`` with
+        ``sample`` is answered."""
+        monkeypatch.setattr(serve_service, "MAX_ENUMERATED_SCENARIOS", 4)
+        with pytest.raises(ValueError, match="enumerates 5 failure scenarios"):
+            service.failures(k=1)
+        with pytest.raises(ValueError, match=r"\(limit 4\); pass 'sample'"):
+            service.k_resilience(max_k=1)
+        assert service.failures(k=1, sample=3)["kind"] == "failures"
+        assert service.k_resilience(max_k=1, sample=3)["ok"] is True
+
+    def test_cap_admits_a_space_of_exactly_its_size(self, service, monkeypatch):
+        monkeypatch.setattr(serve_service, "MAX_ENUMERATED_SCENARIOS", 5)  # ring 5: 5 links
+        before = service.registry.counter("serve.refused.scenarios").value
+        answer = service.failures(k=1, properties=["reachability"])
+        assert answer["kind"] == "failures" and answer["num_classes"] == 5
+        assert service.registry.counter("serve.refused.scenarios").value == before
 
     def test_unsampled_failure_space_refused_at_once(self):
         svc = VerificationService(Session(build_topology("fattree", 4)))  # 32 links
