@@ -34,7 +34,6 @@ from repro.config.transfer import (
     build_srp_from_network,
     compile_base_edges,
     specialize_compiled_edges,
-    syntactic_policy_keys,
 )
 from repro.srp.instance import SRP
 from repro.topology.graph import Edge, Graph
@@ -148,11 +147,6 @@ class Bonsai:
     ----------
     network:
         The concrete configured network.
-    use_bdds:
-        When True (default), per-edge policies are encoded as BDDs and the
-        specialized BDD identities are used as policy keys.  When False,
-        specialized syntactic keys are used instead (the ablation in
-        DESIGN.md compares the two).
     encoder:
         An optional pre-built :class:`PolicyBddEncoder` for ``network``.
         The parallel pipeline encodes the network once, ships the encoder
@@ -166,11 +160,9 @@ class Bonsai:
     def __init__(
         self,
         network: Network,
-        use_bdds: bool = True,
         encoder: Optional[PolicyBddEncoder] = None,
     ):
         self.network = network
-        self.use_bdds = use_bdds
         self._encoder: Optional[PolicyBddEncoder] = encoder
         self.bdd_seconds = 0.0
         #: The aggregated report of the most recent :meth:`compress_all`.
@@ -248,28 +240,19 @@ class Bonsai:
         signature get the *same* (read-only) object, their class family.
         BDD keys are a function of the destination's restriction
         assignment and of the edges compilation singled out for it, so a
-        family's later classes never rebuild the map; syntactic keys have
-        no cheaper signature than their own content.
+        family's later classes never rebuild the map.
         """
         memo = self._family_memo
         if memo is not None and memo[0] == prefix:
             return memo[1]
         compiled = self.compile_for(prefix)
-        keys = None
-        if self.use_bdds:
-            signature: Hashable = (self._compile_memo[2], self.encoder.assignment_key(prefix))
-        else:
-            keys = syntactic_policy_keys(
-                self.network, prefix, compiled, self._class_invariants[0]
-            )
-            signature = frozenset(keys.items())
+        signature: Hashable = (self._compile_memo[2], self.encoder.assignment_key(prefix))
         family = self._families.get(signature)
         if family is None:
-            if keys is None:
-                keys = self.encoder.specialized_policy_keys(prefix, compiled)
-                # Encoding may just have allocated variables: the signature
-                # is the assignment over all of them, taken after the build.
-                signature = (signature[0], self.encoder.assignment_key(prefix))
+            keys = self.encoder.specialized_policy_keys(prefix, compiled)
+            # Encoding may just have allocated variables: the signature
+            # is the assignment over all of them, taken after the build.
+            signature = (signature[0], self.encoder.assignment_key(prefix))
             self._make_room()
             family = self._families[signature] = ClassFamily(keys)
             _metrics.counter("abstraction.class_families").inc()
@@ -282,19 +265,17 @@ class Bonsai:
         shared by identity -- handed what this one holds.  A surviving edge
         keeps its ``CompiledEdge`` and, the encoder being shared, its policy
         key for ``prefix``: both are filters.  The class invariants carry
-        over unless a device failed (that can change the unused communities,
-        and with them the syntactic keys).  Refinement is not seeded: the
-        baseline partition is not the coarsest one once edges are gone."""
-        child = Bonsai(network, self.use_bdds, self._encoder if self.use_bdds else None)
+        over unless a device failed (that can change the unused communities).
+        Refinement is not seeded: the baseline partition is not the coarsest
+        one once edges are gone."""
+        child = Bonsai(network, self._encoder)
         if self._base_compiled is not None:
             child._base_compiled = {
                 edge: info for edge, info in self._base_compiled.items() if edge not in removed
             }
-        same_devices = len(network.devices) == len(self.network.devices)
-        if same_devices:
+        if len(network.devices) == len(self.network.devices):
             child._class_invariants = self._class_invariants
-        if self.use_bdds or same_devices:
-            child._family_memo = (prefix, self.policy_keys(prefix).without(removed))
+        child._family_memo = (prefix, self.policy_keys(prefix).without(removed))
         return child
 
     def _make_room(self) -> None:
@@ -322,9 +303,9 @@ class Bonsai:
             set(equivalence_class.origins),
             ignore_communities=unused_communities,
             compiled=compiled,
-            # Refinement runs on the explicit (BDD or syntactic) keys; the
-            # SRP's own syntactic keys would only be recomputed to be
-            # ignored.  Virtual-destination edges keep their key.
+            # Refinement runs on the explicit BDD keys; the SRP's own
+            # syntactic keys would only be recomputed to be ignored.
+            # Virtual-destination edges keep their key.
             include_syntactic_keys=False,
             local_prefs=local_prefs,
         )
@@ -592,12 +573,4 @@ class Bonsai:
             encoder = PolicyBddEncoder(self.network, track_all_communities=True)
             encoder.encode_all_edges()
             return encoder.unique_role_count(prefix, ignore_static_routes)
-        if self.use_bdds:
-            return self.encoder.unique_role_count(prefix, ignore_static_routes)
-        destination = prefix or Prefix.parse("0.0.0.0/0")
-        keys = syntactic_policy_keys(self.network, destination)
-        roles = set()
-        for node in self.network.graph.nodes:
-            signature = frozenset(keys[edge] for edge in self.network.graph.out_edges(node))
-            roles.add(signature)
-        return len(roles)
+        return self.encoder.unique_role_count(prefix, ignore_static_routes)

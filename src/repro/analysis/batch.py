@@ -707,7 +707,6 @@ class BatchVerifier:
         workers: Optional[int] = None,
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
-        use_bdds: bool = True,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -720,7 +719,6 @@ class BatchVerifier:
             executor=executor,
             workers=workers,
             limit=limit,
-            use_bdds=use_bdds,
         )
         self.network = network
         self.executor = executor

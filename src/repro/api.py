@@ -47,8 +47,6 @@ class Session:
     store:
         Artifact-store root directory: :class:`Session` loads a matching
         entry when one verifies, and saves fresh builds back.
-    use_bdds / compress:
-        Forwarded to :meth:`BaselineArtifact.build` when building.
     """
 
     def __init__(
@@ -57,8 +55,6 @@ class Session:
         *,
         baseline: Optional[BaselineArtifact] = None,
         store=None,
-        use_bdds: bool = True,
-        compress: bool = True,
     ) -> None:
         if baseline is None and network is None:
             raise ValueError("a Session needs a network or a BaselineArtifact")
@@ -68,11 +64,9 @@ class Session:
             if store is not None:
                 baseline, self.rebuilt, self.rebuild_reason = ArtifactStore(
                     store
-                ).load_or_build(network, use_bdds=use_bdds, compress=compress)
+                ).load_or_build(network)
             else:
-                baseline = BaselineArtifact.build(
-                    network, use_bdds=use_bdds, compress=compress
-                )
+                baseline = BaselineArtifact.build(network)
         elif network is not None and network is not baseline.network:
             if not baseline.matches(network):
                 raise ValueError(

@@ -44,6 +44,12 @@ from repro.topology.graph import Edge
 #: Marker used in the local-preference one-hot block for "not modified".
 UNCHANGED = "unchanged"
 
+#: Default bound on an encoder manager's ``ite`` memo cache, serial or pooled.
+#: It never binds on the shipped workloads (serial compression of every
+#: class peaks at 49 entries on ``prefer_bottom`` k=10); it exists so
+#: growth over thousands of destination classes cannot exhaust memory.
+DEFAULT_BDD_CACHE_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class _SymbolicState:
@@ -69,7 +75,7 @@ class PolicyBddEncoder:
         network: Network,
         track_all_communities: bool = False,
         specialize_cache_limit: int = 4096,
-        bdd_cache_limit: Optional[int] = None,
+        bdd_cache_limit: Optional[int] = DEFAULT_BDD_CACHE_LIMIT,
     ):
         """``track_all_communities`` also allocates variables for communities
         that are attached but never matched on.  Bonsai's default is to

@@ -248,9 +248,7 @@ class _ScriptState:
         it), the unused communities and per-device local preferences."""
         bonsai = self.bonsais.get(step)
         if bonsai is None:
-            bonsai = self.bonsais[step] = Bonsai(
-                self.steps[step][1], use_bdds=self.bonsais[_BASELINE_STEP].use_bdds
-            )
+            bonsai = self.bonsais[step] = Bonsai(self.steps[step][1])
         return bonsai
 
     def class_on(self, step: int, prefix) -> Tuple[Optional[EquivalenceClass], bool]:

@@ -104,11 +104,6 @@ def _execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--limit", type=int, default=None, help="process only the first N classes"
     )
     parser.add_argument(
-        "--syntactic",
-        action="store_true",
-        help="use syntactic policy keys instead of BDDs (ablation mode)",
-    )
-    parser.add_argument(
         "--memory-budget",
         type=float,
         default=None,
@@ -339,14 +334,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
         help="only bake the first N classes (smoke runs)",
     )
     store_save.add_argument(
-        "--no-compress", action="store_true",
-        help="skip per-class compressions (delta then recompresses lazily)",
-    )
-    store_save.add_argument(
-        "--syntactic", action="store_true",
-        help="use syntactic policy keys instead of BDDs",
-    )
-    store_save.add_argument(
         "--executor", choices=EXECUTORS, default="serial",
         help="how to parallelise the per-class bake (default: serial)",
     )
@@ -391,10 +378,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8642, help="bind port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--syntactic", action="store_true",
-        help="use syntactic policy keys instead of BDDs",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
@@ -595,7 +578,6 @@ def _run_verify(args, families: List[str]) -> int:
                 workers=args.workers,
                 limit=args.limit,
                 timeout_seconds=remaining,
-                use_bdds=not args.syntactic,
             )
             try:
                 with trace.span("family", family=family, size=str(size)):
@@ -649,7 +631,6 @@ def _run_sweep(args, families: List[str], title, make_sweep, class_line) -> int:
         executor=args.executor,
         workers=args.workers,
         limit=args.limit,
-        use_bdds=not args.syntactic,
         spill=args.memory_budget is not None,
     )
     reports = {}
@@ -806,7 +787,6 @@ def _run_compress(args, family: str) -> int:
             workers=args.workers,
             limit=args.limit,
             build_networks=args.build_networks,
-            use_bdds=not args.syntactic,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -872,8 +852,6 @@ def _run_store(args) -> int:
             network = build_topology(family, size)
             artifact = BaselineArtifact.build(
                 network,
-                use_bdds=not args.syntactic,
-                compress=not args.no_compress,
                 limit=args.limit,
                 executor=args.executor,
                 workers=args.workers,
@@ -955,7 +933,6 @@ def _run_serve(args) -> int:
     service = warm_service(
         network,
         store=args.store,
-        use_bdds=not args.syntactic,
         max_inflight=args.max_inflight,
     )
     if args.store and service.session.rebuilt:

@@ -231,8 +231,6 @@ class ClassFanOut:
         never starts more workers than it has work bundles).
     limit:
         Run only the first ``limit`` classes.
-    use_bdds:
-        Forwarded to :class:`~repro.abstraction.bonsai.Bonsai`.
     pool_task_options:
         Overlaid on ``task_options`` for the classes a *process* worker
         runs (what must not cross the result pipe, say).
@@ -248,7 +246,6 @@ class ClassFanOut:
         executor: str = "auto",
         workers: Optional[int] = None,
         limit: Optional[int] = None,
-        use_bdds: bool = True,
         pool_task_options: Optional[dict] = None,
     ):
         if executor not in EXECUTORS:
@@ -271,7 +268,6 @@ class ClassFanOut:
         self.executor = executor
         self.workers = workers
         self.limit = limit
-        self.use_bdds = use_bdds
         #: What the most recent :meth:`execute` actually ran.
         self.last_classes: List[EquivalenceClass] = []
         self.last_batches: List[List[Tuple[int, EquivalenceClass]]] = []
@@ -289,9 +285,7 @@ class ClassFanOut:
     def _ensure_artifact(self) -> EncodedNetwork:
         if self.artifact is None:
             with trace.span("encode", network=self.network.name):
-                self.artifact = EncodedNetwork.build(
-                    self.network, use_bdds=self.use_bdds
-                )
+                self.artifact = EncodedNetwork.build(self.network)
         return self.artifact
 
     def plan(
@@ -704,7 +698,6 @@ class CompressionPipeline(ClassFanOut):
         workers: Optional[int] = None,
         limit: Optional[int] = None,
         build_networks: bool = False,
-        use_bdds: bool = True,
     ):
         super().__init__(
             network,
@@ -715,7 +708,6 @@ class CompressionPipeline(ClassFanOut):
             executor=executor,
             workers=workers,
             limit=limit,
-            use_bdds=use_bdds,
         )
         self.build_networks = build_networks
         self._srp_bonsai: Optional[Bonsai] = None
@@ -736,12 +728,7 @@ class CompressionPipeline(ClassFanOut):
     @classmethod
     def from_bonsai(cls, bonsai: Bonsai, **kwargs) -> "CompressionPipeline":
         """A pipeline reusing a ``Bonsai``'s network and (built) encoder."""
-        artifact = EncodedNetwork.build(
-            bonsai.network,
-            use_bdds=bonsai.use_bdds,
-            encoder=bonsai.encoder if bonsai.use_bdds else None,
-        )
-        kwargs.setdefault("use_bdds", bonsai.use_bdds)
+        artifact = EncodedNetwork.build(bonsai.network, encoder=bonsai.encoder)
         return cls(artifact=artifact, **kwargs)
 
     def run(self) -> PipelineRun:

@@ -26,12 +26,6 @@ from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.bdd.policy import PolicyBddEncoder
 from repro.config.network import Network
 
-#: Default bound on each pipeline manager's ``ite`` memo cache.  Generous
-#: enough that realistic workloads never overflow it (the k=8 fat-tree run
-#: peaks around a few thousand entries); it exists so unbounded growth over
-#: thousands of destination classes cannot exhaust worker memory.
-DEFAULT_BDD_CACHE_LIMIT = 1_000_000
-
 
 @dataclass
 class EncodedNetwork:
@@ -39,44 +33,35 @@ class EncodedNetwork:
 
     network: Network
     classes: List[EquivalenceClass]
-    use_bdds: bool
-    encoder: Optional[PolicyBddEncoder]
+    encoder: PolicyBddEncoder
     encode_seconds: float
 
     @classmethod
     def build(
         cls,
         network: Network,
-        use_bdds: bool = True,
         encoder: Optional[PolicyBddEncoder] = None,
-        bdd_cache_limit: Optional[int] = DEFAULT_BDD_CACHE_LIMIT,
     ) -> "EncodedNetwork":
         """Run the one-time phase: enumerate classes and encode the BDDs.
 
         A pre-built ``encoder`` (for example from an existing
         :class:`~repro.abstraction.bonsai.Bonsai`) is reused as-is.
-        ``bdd_cache_limit`` bounds each worker manager's ``ite`` memo cache
-        so long many-destination runs cannot grow it without bound; pass
-        ``None`` for an unbounded cache.
         """
         start = time.perf_counter()
         classes = routable_equivalence_classes(network)
-        if use_bdds and encoder is None:
-            encoder = PolicyBddEncoder(network, bdd_cache_limit=bdd_cache_limit)
+        if encoder is None:
+            encoder = PolicyBddEncoder(network)
             encoder.encode_all_edges()
-        if not use_bdds:
-            encoder = None
         return cls(
             network=network,
             classes=classes,
-            use_bdds=use_bdds,
             encoder=encoder,
             encode_seconds=time.perf_counter() - start,
         )
 
     def make_bonsai(self) -> Bonsai:
         """A :class:`Bonsai` wired to this artifact's pre-built encoder."""
-        bonsai = Bonsai(self.network, use_bdds=self.use_bdds, encoder=self.encoder)
+        bonsai = Bonsai(self.network, encoder=self.encoder)
         bonsai.bdd_seconds = self.encode_seconds
         return bonsai
 

@@ -641,9 +641,9 @@ class PerturbationSweep:
     """Fan a perturbation kind's per-class task out over every class.
 
     network and the ``fanout`` keywords (``artifact``, ``workers``,
-    ``limit``, ``use_bdds``) are
-    :class:`~repro.pipeline.core.ClassFanOut`'s, which validates them on
-    construction, ``executor`` (default ``"auto"``) included.  Plus:
+    ``limit``) are :class:`~repro.pipeline.core.ClassFanOut`'s, which
+    validates them on construction, ``executor`` (default ``"auto"``)
+    included.  Plus:
 
     suite:
         The :class:`~repro.analysis.batch.PropertySuite` to evaluate

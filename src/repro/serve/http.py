@@ -19,11 +19,12 @@ endpoint              method  body / answer
 Every report answer carries the shared envelope (``schema_version`` /
 ``kind`` / ``ok`` / ``generated_by``), so clients gate on ``ok`` without
 knowing the report kind.  Malformed requests get 400 with a diagnostic;
-unexpected errors get 500; both as JSON.  A body that stops arriving for
-:data:`REQUEST_TIMEOUT_SECONDS` gets 408 and the connection closed, so a
-stalled client cannot hold its handler thread.  Query endpoints count toward
-the service's in-flight bound (``--max-inflight``); past it they get
-``503`` with a ``Retry-After`` header instead of another queued thread.
+unexpected errors get 500; both as JSON.  Headers or a body that stop
+arriving for :data:`REQUEST_TIMEOUT_SECONDS` get 408 and the connection
+closed, so a stalled client cannot hold its handler thread.  Query
+endpoints count toward the service's in-flight bound (``--max-inflight``);
+past it they get ``503`` with a ``Retry-After`` header instead of another
+queued thread.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from repro.serve.service import ServiceSaturated, VerificationService
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Socket timeout of every connection: a read that waits longer than this
-#: (a stalled body, or a kept-alive connection left idle) ends it.
+#: (stalled headers or body, or a kept-alive connection left idle) ends it.
 REQUEST_TIMEOUT_SECONDS = 30.0
-
-
-class RequestTimeout(Exception):
-    """The request body stopped arriving (answered ``408``)."""
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -113,17 +110,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise
         if length == 0:
             return {}
-        try:
-            raw = self.rfile.read(length)
-        except TimeoutError:
-            # What did arrive is lost: the connection cannot be resumed.
-            self.close_connection = True
-            raise RequestTimeout(self.service.refused(
-                "timeout",
-                f"request body incomplete after {REQUEST_TIMEOUT_SECONDS}s "
-                f"({length} bytes announced)",
-            )) from None
-        data = json.loads(raw.decode("utf-8"))
+        data = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
@@ -215,17 +202,27 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._respond(404, {"ok": False, "error": f"unknown path {self.path!r}"})
 
     def parse_request(self) -> bool:  # read the body once per request
-        ok = super().parse_request()
         self._body = {}
-        if ok and self.command == "POST":
-            try:
+        stalled = "headers"
+        try:
+            ok = super().parse_request()
+            if ok and self.command == "POST":
+                stalled = f"body ({self.headers.get('Content-Length')} bytes announced)"
                 self._body = self._read_body()
-            except (ValueError, json.JSONDecodeError) as exc:
-                self._respond(400, {"ok": False, "error": f"bad request body: {exc}"})
-                return False
-            except RequestTimeout as exc:
-                self._respond(408, {"ok": False, "error": str(exc)})
-                return False
+        except ValueError as exc:
+            self._respond(400, {"ok": False, "error": f"bad request body: {exc}"})
+            return False
+        except TimeoutError:
+            # The request line arrived, the rest stopped: what did arrive is
+            # lost, so the connection cannot be resumed.  (A kept-alive
+            # connection idle before any request line ends silently in the
+            # stdlib's ``handle_one_request``.)
+            self.close_connection = True
+            self._respond(408, {"ok": False, "error": self.service.refused(
+                "timeout",
+                f"request {stalled} incomplete after {REQUEST_TIMEOUT_SECONDS}s",
+            )})
+            return False
         return ok
 
     @staticmethod
@@ -280,15 +277,10 @@ def warm_service(
     *,
     store=None,
     baseline=None,
-    use_bdds: bool = True,
-    answer_cache_limit: Optional[int] = None,
     max_inflight: Optional[int] = None,
 ) -> VerificationService:
     """Build (or load) a warm session and wrap it in a service."""
     from repro.api import Session
 
-    session = Session(network, baseline=baseline, store=store, use_bdds=use_bdds)
-    kwargs = {} if answer_cache_limit is None else {"answer_cache_limit": answer_cache_limit}
-    if max_inflight is not None:
-        kwargs["max_inflight"] = max_inflight
-    return VerificationService(session, **kwargs)
+    session = Session(network, baseline=baseline, store=store)
+    return VerificationService(session, max_inflight=max_inflight)

@@ -35,7 +35,7 @@ from repro.obs.metrics import MetricsRegistry
 
 #: Bound on the memoised verify answers (distinct (prefix, properties)
 #: keys); overflow evicts wholesale, like the solver's TransferCache.
-DEFAULT_ANSWER_CACHE_LIMIT = 256
+ANSWER_CACHE_LIMIT = 256
 
 #: Largest ``<=k`` link-failure space a ``/failures`` or ``/k-resilience``
 #: request without ``sample`` may enumerate; past it the request is
@@ -160,7 +160,6 @@ class VerificationService:
     def __init__(
         self,
         session: Session,
-        answer_cache_limit: int = DEFAULT_ANSWER_CACHE_LIMIT,
         max_inflight: Optional[int] = None,
         event_log_capacity: Optional[int] = None,
     ) -> None:
@@ -172,7 +171,6 @@ class VerificationService:
         self.registry = self.stats.registry
         self._coalescer = _Coalescer()
         self._cache_lock = threading.Lock()
-        self._cache_limit = answer_cache_limit
         self._answers: Dict[object, Dict] = {}
         #: Total concurrent queries this service accepts; ``None``/0
         #: means unbounded (the historical behaviour).
@@ -225,7 +223,7 @@ class VerificationService:
         collected = self.registry.collect()["counters"]
         return {
             "size": size,
-            "limit": self._cache_limit,
+            "limit": ANSWER_CACHE_LIMIT,
             "hits": collected.get("serve.answer_cache.hits", 0),
             "misses": collected.get("serve.answer_cache.misses", 0),
             "overflows": collected.get("serve.answer_cache.overflows", 0),
@@ -280,13 +278,13 @@ class VerificationService:
         self.registry.counter("serve.answer_cache.misses").inc()
         answer = compute()
         with self._cache_lock:
-            if len(self._answers) >= self._cache_limit:
+            if len(self._answers) >= ANSWER_CACHE_LIMIT:
                 self._answers.clear()
                 self.registry.counter("serve.answer_cache.overflows").inc()
                 _events.emit(
                     "cache.overflow",
                     cache="serve.answer_cache",
-                    limit=self._cache_limit,
+                    limit=ANSWER_CACHE_LIMIT,
                 )
             self._answers[key] = answer
         return answer

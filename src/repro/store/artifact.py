@@ -15,7 +15,7 @@ zero baseline re-solves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.abstraction.bonsai import CompressionResult
@@ -28,8 +28,9 @@ from repro.srp.solver import TransferCache, solve
 from repro.store.fingerprint import network_fingerprint
 
 #: Bump when the pickled artifact layout changes incompatibly (2: class
-#: baselines no longer carry a forwarding table).
-ARTIFACT_SCHEMA_VERSION = 2
+#: baselines no longer carry a forwarding table; 3: artifacts no longer
+#: record a policy-key mode, and every class carries its compression).
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -47,15 +48,15 @@ class ClassBaseline:
     #: reuse-vs-recompress for changed networks.
     signature: Tuple
     #: Canonical abstraction partition (sorted groups of concrete names).
-    partition: List[List[str]] = field(default_factory=list)
-    #: The full compression, when the artifact was built with one.
-    compression: Optional[CompressionResult] = None
+    partition: List[List[str]]
+    #: The full compression, abstract network included.
+    compression: CompressionResult
     solve_seconds: float = 0.0
     compress_seconds: float = 0.0
 
 
 def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseline:
-    """The ``"baseline"`` task: solve (and optionally compress) one class.
+    """The ``"baseline"`` task: solve and compress one class.
 
     This is the per-class body of :meth:`BaselineArtifact.build`, hoisted
     into a registered task so artifact bakes ride the same fan-out (and
@@ -69,24 +70,17 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
     solution = solve(bonsai.concrete_srp(equivalence_class), transfer_cache=cache)
     solve_seconds = time.perf_counter() - solve_start
 
-    compression = None
-    partition: List[List[str]] = []
-    compress_seconds = 0.0
-    if options.get("compress", True):
-        compression = bonsai.compress(equivalence_class, build_network=True, srp=solution.srp)
-        compress_seconds = compression.compression_seconds
-        partition = EcRecord.from_result(compression).groups
-
+    compression = bonsai.compress(equivalence_class, build_network=True, srp=solution.srp)
     return ClassBaseline(
         prefix=str(prefix),
         origins=sorted(str(origin) for origin in origins),
         labeling=dict(solution.labeling),
         transfer_memo=dict(cache),
         signature=class_signature(network, prefix, equivalence_class.origins),
-        partition=partition,
+        partition=EcRecord.from_result(compression).groups,
         compression=compression,
         solve_seconds=solve_seconds,
-        compress_seconds=compress_seconds,
+        compress_seconds=compression.compression_seconds,
     )
 
 
@@ -97,7 +91,6 @@ class BaselineArtifact:
 
     fingerprint: str
     network_name: str
-    use_bdds: bool
     encoded: EncodedNetwork
     #: ``str(prefix) -> ClassBaseline`` for every routable class.
     baselines: Dict[str, ClassBaseline]
@@ -114,18 +107,14 @@ class BaselineArtifact:
         network: Optional[Network] = None,
         *,
         artifact: Optional[EncodedNetwork] = None,
-        use_bdds: bool = True,
-        compress: bool = True,
         limit: Optional[int] = None,
         executor: str = "serial",
         workers: Optional[int] = None,
     ) -> "BaselineArtifact":
-        """Pay the full baseline cost once: encode, solve and (optionally)
-        compress every destination class.
+        """Pay the full baseline cost once: encode, solve and compress
+        every destination class.
 
         ``artifact`` reuses an existing :class:`EncodedNetwork`;
-        ``compress=False`` skips the per-class compressions (the delta
-        revalidator then recompresses lazily, as without a baseline);
         ``limit`` bounds the classes covered (smoke runs).  The per-class
         work rides the ``"baseline"`` fan-out task, so ``executor`` /
         ``workers`` parallelise big bakes through the same process pool
@@ -135,17 +124,15 @@ class BaselineArtifact:
         if artifact is None:
             if network is None:
                 raise ValueError("either a network or an EncodedNetwork is required")
-            artifact = EncodedNetwork.build(network, use_bdds=use_bdds)
+            artifact = EncodedNetwork.build(network)
         network = artifact.network
 
         fanout = ClassFanOut(
             artifact=artifact,
             task="baseline",
-            task_options={"compress": compress},
             executor=executor,
             workers=workers,
             limit=limit,
-            use_bdds=artifact.use_bdds,
         )
         baselines: Dict[str, ClassBaseline] = {
             baseline.prefix: baseline for baseline in fanout.execute()
@@ -154,7 +141,6 @@ class BaselineArtifact:
         return cls(
             fingerprint=network_fingerprint(network),
             network_name=network.name,
-            use_bdds=artifact.use_bdds,
             encoded=artifact,
             baselines=baselines,
             build_seconds=time.perf_counter() - start,
@@ -171,7 +157,6 @@ class BaselineArtifact:
         return {
             "fingerprint": self.fingerprint,
             "network_name": self.network_name,
-            "use_bdds": self.use_bdds,
             "num_classes": len(self.baselines),
             "compressed_classes": sum(
                 1 for b in self.baselines.values() if b.compression is not None

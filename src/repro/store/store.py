@@ -133,7 +133,6 @@ class ArtifactStore:
             "artifact_schema_version": artifact.schema_version,
             "fingerprint": artifact.fingerprint,
             "network_name": artifact.network_name,
-            "use_bdds": artifact.use_bdds,
             "num_classes": len(artifact.baselines),
             "payload_sha256": _sha256(payload),
             "payload_bytes": len(payload),

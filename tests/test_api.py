@@ -80,12 +80,6 @@ class TestWarmVerify:
         assert any(not verdict.comparable for record in warm.records for verdict in record.verdicts)
         assert _records(warm) == _cold(network, ["waypointing"], waypoints=waypoints)
 
-    def test_uncompressed_session(self):
-        network = build_topology("ring", 5)
-        warm = Session(network, compress=False).verify()
-        assert warm.verdicts_agree()
-        assert _records(warm) == _cold(network)
-
     def test_per_prefix(self, ring_session):
         prefix = str(ring_session.classes[0].prefix)
         report = ring_session.verify(prefix=prefix)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.abstraction.bonsai import Bonsai
 from repro.bdd import PolicyBddEncoder
+from repro.bdd.policy import DEFAULT_BDD_CACHE_LIMIT
 from repro.config import Prefix, parse_network
 from repro.config.transfer import compile_edges
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
@@ -200,7 +201,7 @@ class TestManagerCacheLimit:
     every family's encoding fills, so each run clears the cache."""
 
     def test_limit_reaches_the_manager(self, network):
-        assert PolicyBddEncoder(network).manager.cache_limit is None
+        assert PolicyBddEncoder(network).manager.cache_limit == DEFAULT_BDD_CACHE_LIMIT
         assert PolicyBddEncoder(network, bdd_cache_limit=64).manager.cache_limit == 64
 
     @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))

@@ -247,6 +247,33 @@ class TestErrorContract:
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["compress"], "--syntactic"),
+            (["verify"], "--syntactic"),
+            (["failures"], "--syntactic"),
+            (["delta"], "--syntactic"),
+            (["store", "save"], "--syntactic"),
+            (["serve"], "--syntactic"),
+            (["store", "save"], "--no-compress"),
+        ],
+        ids=[
+            "compress-syntactic", "verify-syntactic", "failures-syntactic", "delta-syntactic",
+            "store-save-syntactic", "serve-syntactic", "store-save-no-compress",
+        ],
+    )
+    def test_deleted_key_and_compression_modes_are_rejected(
+        self, command, flag, tmp_path, capsys
+    ):
+        """One configuration: BDD policy keys and every class compressed,
+        so a store entry is a function of the network alone."""
+        argv = command + ["--topo", "ring", flag]
+        if command[0] in ("store", "serve"):
+            argv += ["--store", str(tmp_path / "artifacts")]
+        assert pipeline_main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command", [["compress"], ["verify"], ["failures"], ["delta"], ["store", "save"]]
     )
     def test_thread_executor_is_not_a_choice(self, command, tmp_path, capsys):

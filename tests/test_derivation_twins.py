@@ -65,7 +65,7 @@ def _scenarios(network):
     )
 
 
-def _sweep(network, use_bdds, monkeypatch, scratch):
+def _sweep(network, monkeypatch, scratch):
     """One failure sweep; returns ``(soundness dicts, fallback partitions)``.
 
     With ``scratch`` the fallback is the parent commit's: a fresh
@@ -90,12 +90,10 @@ def _sweep(network, use_bdds, monkeypatch, scratch):
         monkeypatch.setattr(
             Bonsai,
             "derive",
-            lambda self, network, removed, prefix: Bonsai(
-                network, self.use_bdds, self.encoder if self.use_bdds else None
-            ),
+            lambda self, network, removed, prefix: Bonsai(network, self.encoder),
         )
     report = FailureSweep(
-        network, scenarios=_scenarios(network), use_bdds=use_bdds, executor="serial", limit=6
+        network, scenarios=_scenarios(network), executor="serial", limit=6
     ).run()
     assert report.ok()
     soundness = [
@@ -106,14 +104,13 @@ def _sweep(network, use_bdds, monkeypatch, scratch):
     return soundness, partitions
 
 
-@pytest.mark.parametrize("use_bdds", [True, False], ids=["bdd", "syntactic"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_derived_fallback_equals_the_from_scratch_fallback(family, use_bdds, monkeypatch):
+def test_derived_fallback_equals_the_from_scratch_fallback(family, monkeypatch):
     network = build_topology(family)
     with monkeypatch.context() as patch:
-        derived = _sweep(network, use_bdds, patch, scratch=False)
+        derived = _sweep(network, patch, scratch=False)
     with monkeypatch.context() as patch:
-        scratch = _sweep(network, use_bdds, patch, scratch=True)
+        scratch = _sweep(network, patch, scratch=True)
     assert derived[0] == scratch[0]
     assert derived[1] == scratch[1]
     assert any(s and s["recompressed"] for _, _, s in derived[0]), "no fallback exercised"

@@ -1,5 +1,8 @@
 """Tests for destination equivalence classes and the Bonsai pipeline (§5, §7)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.abstraction import (
@@ -10,8 +13,21 @@ from repro.abstraction import (
     routable_equivalence_classes,
 )
 from repro.abstraction.equivalence import check_cp_equivalence
-from repro.config import Prefix, build_srp_from_network
+from repro.config import Prefix, build_srp_from_network, parse_network
 from repro.srp import solve
+
+
+def _load_ablation():
+    """The ablation benchmark, loaded by path: its syntactic arm (syntactic
+    keys are no product mode) and its hand-written network."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_ablation_bdd_vs_syntactic.py"
+    spec = importlib.util.spec_from_file_location("bench_ablation_bdd_vs_syntactic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ABLATION = _load_ablation()
 
 
 class TestEquivalenceClasses:
@@ -57,10 +73,17 @@ class TestBonsaiPipeline:
         assert report.cp_equivalent, report.violations
 
     def test_bdd_and_syntactic_keys_agree_on_fattree(self, small_fattree):
-        with_bdds = Bonsai(small_fattree, use_bdds=True)
-        without = Bonsai(small_fattree, use_bdds=False)
-        ec = with_bdds.equivalence_classes()[0]
-        assert with_bdds.compress(ec).abstract_nodes == without.compress(ec).abstract_nodes
+        bonsai = Bonsai(small_fattree)
+        ec = bonsai.equivalence_classes()[0]
+        syntactic = ABLATION.syntactic_compress(Bonsai(small_fattree), ec)
+        assert bonsai.compress(ec).abstract_nodes == syntactic.abstract_nodes
+
+    def test_syntactic_keys_miss_semantically_equal_policies(self):
+        """The ablation's claim: only BDD keys merge the leaves whose
+        policies are equal but written differently."""
+        network = parse_network(ABLATION.DIVERSE, name="diverse")
+        with_bdds, syntactic = ABLATION.compress_first(network)
+        assert with_bdds.abstract_nodes < syntactic.abstract_nodes
 
     def test_compress_all_and_summary(self, small_mesh):
         bonsai = Bonsai(small_mesh)

@@ -137,10 +137,6 @@ class TestRoleCounting:
         assert raw > ignored
         assert bonsai.unique_roles(None, ignore_static_routes=True) <= ignored
 
-    def test_syntactic_role_counting_path(self, small_fattree):
-        bonsai = Bonsai(small_fattree, use_bdds=False)
-        assert bonsai.unique_roles(Prefix.parse("10.0.0.0/24")) >= 1
-
 
 class TestPolicyRichFattreeEndToEnd:
     def test_prefer_bottom_compression_is_cp_equivalent(self, small_fattree_prefer_bottom):

@@ -332,11 +332,10 @@ class TestEncodedNetwork:
         clone = EncodedNetwork.from_bytes(artifact.to_bytes())
         assert clone.encoder.manager.cache_limit == artifact.encoder.manager.cache_limit
 
-    def test_syntactic_mode_has_no_encoder(self, small_ring):
-        artifact = EncodedNetwork.build(small_ring, use_bdds=False)
-        assert artifact.encoder is None
-        run = CompressionPipeline(artifact=artifact, executor="serial").run()
-        assert run.report.num_classes == len(artifact.classes)
+    def test_serial_and_pipeline_managers_share_one_bound(self, small_ring):
+        assert Bonsai(small_ring).encoder.manager.cache_limit == (
+            EncodedNetwork.build(small_ring).encoder.manager.cache_limit
+        )
 
 
 # ----------------------------------------------------------------------

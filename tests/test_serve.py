@@ -369,6 +369,34 @@ class TestHostileRequests:
         assert response.count(b"HTTP/1.1 ") == 1
         assert service.registry.counter("serve.refused.timeout").value == before + 1
 
+    def test_stalled_headers_get_408_and_hang_up(self, server, service, monkeypatch):
+        monkeypatch.setattr(serve_http, "REQUEST_TIMEOUT_SECONDS", 0.5)
+        before = service.registry.counter("serve.refused.timeout").value
+        cursor = service.event_log.latest_cursor()
+        parsed = urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port), timeout=10) as sock:
+            sock.sendall(b"POST /verify HTTP/1.1\r\nHost: test\r\nContent-Ty")
+            response = b""
+            while chunk := sock.recv(4096):  # until the server hangs up
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 408")
+        assert b"request headers incomplete after 0.5s" in response
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert service.registry.counter("serve.refused.timeout").value == before + 1
+        refused = [
+            event for event in service.event_log.since(cursor)["events"]
+            if event["type"] == "serve.refused"
+        ]
+        assert [event["reason"] for event in refused] == ["timeout"]
+
+    def test_idle_connection_closes_silently(self, server, service, monkeypatch):
+        monkeypatch.setattr(serve_http, "REQUEST_TIMEOUT_SECONDS", 0.5)
+        before = service.registry.counter("serve.refused.timeout").value
+        parsed = urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port), timeout=10) as sock:
+            assert sock.recv(4096) == b""  # the server hangs up, saying nothing
+        assert service.registry.counter("serve.refused.timeout").value == before
+
 
 class TestPersistentConnection:
     """What only a kept-alive client sees (every other test here opens a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -88,13 +89,6 @@ class TestBaselineArtifact:
     def test_matches(self, ring_network, ring_artifact):
         assert ring_artifact.matches(ring_network)
         assert not ring_artifact.matches(build_topology("mesh", 4))
-
-    def test_no_compress_build(self, ring_network):
-        artifact = BaselineArtifact.build(ring_network, compress=False, limit=2)
-        assert len(artifact.baselines) == 2
-        for baseline in artifact.baselines.values():
-            assert baseline.compression is None
-            assert baseline.labeling
 
     def test_stats(self, ring_artifact):
         stats = ring_artifact.stats()
@@ -332,16 +326,30 @@ class TestStoreCorruption:
             store.load(fingerprint)
 
     def test_artifact_schema_mismatch(self, saved, ring_network):
-        """An entry of the previous layout (version 1 stored a forwarding
-        table per class) is refused with its reason, then rebuilt."""
+        """An entry of the previous layout (version 2 recorded a policy-key
+        mode, ``use_bdds``, in the artifact and its meta) is refused with a
+        reason naming both versions, then rebuilt."""
         store, entry, fingerprint = saved
+        artifact = pickle.loads((entry / "payload.pkl").read_bytes())
+        artifact.use_bdds = True
+        artifact.schema_version = 2
+        payload = pickle.dumps(artifact)
+        (entry / "payload.pkl").write_bytes(payload)
         meta = json.loads((entry / "meta.json").read_text())
-        meta["artifact_schema_version"] = ARTIFACT_SCHEMA_VERSION - 1
+        meta.update(
+            artifact_schema_version=2,
+            use_bdds=True,
+            payload_sha256=hashlib.sha256(payload).hexdigest(),
+            payload_bytes=len(payload),
+        )
         (entry / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="artifact schema mismatch"):
             store.load(fingerprint)
-        _, rebuilt, reason = store.load_or_build(ring_network, limit=2)
-        assert rebuilt and "entry has 1, this build reads 2" in reason
+        assert ARTIFACT_SCHEMA_VERSION == 3
+        rebuilt_artifact, rebuilt, reason = store.load_or_build(ring_network, limit=2)
+        assert rebuilt and "entry has 2, this build reads 3" in reason
+        assert not hasattr(rebuilt_artifact, "use_bdds")
+        assert store.load(fingerprint).schema_version == 3
 
     def test_foreign_fingerprint_in_meta(self, saved):
         store, entry, fingerprint = saved
