@@ -36,7 +36,7 @@ from repro.config.transfer import (
     specialize_compiled_edges,
 )
 from repro.srp.instance import SRP
-from repro.topology.graph import Edge, Graph
+from repro.topology.graph import Edge, Graph, Node
 
 
 @dataclass
@@ -54,18 +54,34 @@ class CompressionResult:
     def abstraction(self) -> NetworkAbstraction:
         return self.refinement.abstraction
 
+    # The sizes of a compression: on both sides the virtual destination
+    # a multi-origin class adds, and its edges, are left out.
+    @property
+    def concrete_nodes(self) -> int:
+        graph = self.concrete_srp.graph
+        return graph.num_nodes() - graph.has_node(VIRTUAL_DESTINATION)
+
+    @property
+    def concrete_edges(self) -> int:
+        graph = self.concrete_srp.graph
+        virtual = [VIRTUAL_DESTINATION] if graph.has_node(VIRTUAL_DESTINATION) else []
+        return _edges_without(graph, virtual)
+
     @property
     def abstract_nodes(self) -> int:
-        """Abstract node count, excluding the virtual destination if added."""
-        abstraction = self.abstraction
-        return sum(
-            abstraction.concrete_nodes(node) != frozenset({VIRTUAL_DESTINATION})
-            for node in abstraction.abstract_graph.nodes
-        )
+        return self.abstraction.abstract_graph.num_nodes() - len(self._virtual_abstract())
 
     @property
     def abstract_edges(self) -> int:
-        return self.abstraction.num_abstract_edges()
+        return _edges_without(self.abstraction.abstract_graph, self._virtual_abstract())
+
+    def _virtual_abstract(self) -> List[Node]:
+        abstraction = self.abstraction
+        return [
+            node
+            for node in abstraction.abstract_graph.nodes
+            if abstraction.concrete_nodes(node) == frozenset({VIRTUAL_DESTINATION})
+        ]
 
     def abstract_srp(self) -> SRP:
         """The SRP compiled from the emitted abstract configurations.
@@ -81,13 +97,20 @@ class CompressionResult:
         )
 
     def node_compression_ratio(self) -> float:
-        concrete = self.concrete_srp.graph.num_nodes()
-        if VIRTUAL_DESTINATION in self.concrete_srp.graph.nodes:
-            concrete -= 1
-        return concrete / max(1, self.abstract_nodes)
+        return self.concrete_nodes / max(1, self.abstract_nodes)
 
     def edge_compression_ratio(self) -> float:
-        return self.concrete_srp.graph.num_undirected_edges() / max(1, self.abstract_edges)
+        return self.concrete_edges / max(1, self.abstract_edges)
+
+
+def _edges_without(graph: Graph, virtual: Sequence[Node]) -> int:
+    """Undirected edge count of ``graph`` minus the edges at ``virtual``."""
+    touching = {
+        frozenset((node, other))
+        for node in virtual
+        for other in graph.successors(node) | graph.predecessors(node)
+    }
+    return graph.num_undirected_edges() - len(touching)
 
 
 @dataclass
@@ -390,7 +413,6 @@ class Bonsai:
     def compress_all(
         self,
         limit: Optional[int] = None,
-        build_networks: bool = False,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
     ) -> List[CompressionResult]:
@@ -415,7 +437,6 @@ class Bonsai:
             executor=executor,
             workers=workers,
             limit=limit,
-            build_networks=build_networks,
         )
         run = pipeline.run()
         self.last_report = run.report

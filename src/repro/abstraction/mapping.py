@@ -147,13 +147,6 @@ class NetworkAbstraction:
     def num_abstract_edges(self) -> int:
         return self.abstract_graph.num_undirected_edges()
 
-    def compression_ratio(self, concrete_graph: Graph) -> Tuple[float, float]:
-        """(node ratio, edge ratio) between concrete and abstract networks."""
-        nodes = concrete_graph.num_nodes() / max(1, self.num_abstract_nodes())
-        concrete_edges = concrete_graph.num_undirected_edges()
-        abstract_edges = max(1, self.num_abstract_edges())
-        return (nodes, concrete_edges / abstract_edges)
-
     def groups(self) -> List[FrozenSet[Node]]:
         """The partition of concrete nodes induced by ``f`` (base groups)."""
         return list(self._inverse()[0].values())

@@ -38,9 +38,9 @@ and the CI benchmark artifact all consume.
 from __future__ import annotations
 
 import importlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
@@ -58,9 +58,9 @@ from repro.analysis.properties import (
 )
 from repro.config.network import Network
 from repro.obs import trace
-from repro.pipeline.core import EXECUTORS, ClassFanOut
+from repro.pipeline.core import ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
-from repro.reporting import ReportEnvelope, register_report, report_dict
+from repro.reporting import ReportEnvelope, StreamingReport, register_report
 
 #: Format version for the JSON verification reports.
 VERIFICATION_REPORT_VERSION = 1
@@ -242,7 +242,7 @@ class ClassVerificationRecord:
 # ----------------------------------------------------------------------
 @register_report
 @dataclass
-class VerificationReport(ReportEnvelope):
+class VerificationReport(StreamingReport, ReportEnvelope):
     """Run-level aggregation of every per-class verification record.
 
     ``speedup`` is the paper-style headline number and the repo's one
@@ -271,11 +271,11 @@ class VerificationReport(ReportEnvelope):
     # ------------------------------------------------------------------
     @property
     def concrete_seconds(self) -> float:
-        return sum(r.concrete_seconds for r in self.records)
+        return sum(r.concrete_seconds for r in self.iter_records())
 
     @property
     def abstract_seconds(self) -> float:
-        return sum(r.abstract_seconds for r in self.records)
+        return sum(r.abstract_seconds for r in self.iter_records())
 
     @property
     def speedup(self) -> Optional[float]:
@@ -285,12 +285,12 @@ class VerificationReport(ReportEnvelope):
 
     def verdicts_agree(self) -> bool:
         """The executable soundness theorem: no node disagrees anywhere."""
-        return all(record.agrees() for record in self.records)
+        return all(record.agrees() for record in self.iter_records())
 
     def mismatches(self) -> List[Tuple[str, str, List[str]]]:
         """Every divergence as ``(prefix, property, nodes)`` triples."""
         out = []
-        for record in self.records:
+        for record in self.iter_records():
             for verdict in record.verdicts:
                 if verdict.mismatched:
                     out.append((record.prefix, verdict.property, list(verdict.mismatched)))
@@ -310,7 +310,7 @@ class VerificationReport(ReportEnvelope):
         totals: Dict[str, Dict[str, int]] = {
             name: dict.fromkeys(self._TOTAL_KEYS, 0) for name in self.properties
         }
-        for record in self.records:
+        for record in self.iter_records():
             for verdict in record.verdicts:
                 bucket = totals.setdefault(
                     verdict.property, dict.fromkeys(self._TOTAL_KEYS, 0)
@@ -327,7 +327,7 @@ class VerificationReport(ReportEnvelope):
         """Timing-free per-class outcomes, in prefix order, for parity checks."""
         return tuple(
             record.canonical()
-            for record in sorted(self.records, key=lambda r: r.prefix)
+            for record in sorted(self.iter_records(), key=lambda r: r.prefix)
         )
 
     def ok(self) -> bool:
@@ -337,35 +337,25 @@ class VerificationReport(ReportEnvelope):
     # ------------------------------------------------------------------
     # Wire format
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        data = report_dict(self, [asdict(record) for record in self.records])
-        data.update(self.envelope_dict())
-        data["aggregate"] = {
+    @classmethod
+    def record_from_payload(cls, payload: Dict) -> ClassVerificationRecord:
+        raw = dict(payload)
+        verdicts = [PropertyVerdict(**verdict) for verdict in raw.pop("verdicts", [])]
+        return ClassVerificationRecord(verdicts=verdicts, **raw)
+
+    def aggregate(self) -> Dict[str, object]:
+        return {
             "concrete_seconds": self.concrete_seconds,
             "abstract_seconds": self.abstract_seconds,
             "speedup": self.speedup,
             "verdicts_agree": self.verdicts_agree(),
             "property_totals": self.property_totals(),
         }
-        return data
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "VerificationReport":
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
-        records = []
-        for raw in payload.pop("records", []):
-            raw = dict(raw)
-            verdicts = [PropertyVerdict(**verdict) for verdict in raw.pop("verdicts", [])]
-            records.append(ClassVerificationRecord(verdicts=verdicts, **raw))
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
+        # Defined here, not just inherited: the e2e benchmark's layer
+        # ledger wraps it through this class's own ``__dict__``.
+        return super().to_json(indent)
 
     # ------------------------------------------------------------------
     # Display
@@ -684,7 +674,9 @@ class BatchVerifier:
     and the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
     artifact can be shared between arms.
 
-    Parameters mirror :class:`~repro.pipeline.core.ClassFanOut`, plus:
+    ``network``, ``artifact``, ``executor``, ``workers`` and ``limit`` are
+    :class:`~repro.pipeline.core.ClassFanOut`'s, which validates them on
+    construction.  Plus:
 
     suite:
         The :class:`PropertySuite` to run (default: the full catalogue).
@@ -708,21 +700,17 @@ class BatchVerifier:
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        self.suite = suite or PropertySuite.default()
-        self.timeout_seconds = timeout_seconds
-        self._fanout_kwargs = dict(
+        self._fanout = ClassFanOut(
+            network,
             artifact=artifact,
+            task="verify",
             executor=executor,
             workers=workers,
             limit=limit,
         )
-        self.network = network
-        self.executor = executor
-        self.workers = workers
+        self.network = self._fanout.network
+        self.suite = suite or PropertySuite.default()
+        self.timeout_seconds = timeout_seconds
         #: What the class tasks get as ``options["baseline"]``: a
         #: :class:`~repro.api.Session` puts the
         #: :class:`~repro.pipeline.perturb.WarmBaselines` it keeps here.
@@ -730,42 +718,25 @@ class BatchVerifier:
 
     def run(self, raise_on_timeout: bool = True) -> VerificationReport:
         """Verify every class and aggregate the differential verdicts."""
-        from repro import obs
-
-        counters_before = obs.snapshot_run()
-        start = time.perf_counter()
-        options = self.suite.to_options()
+        fanout = self._fanout
+        fanout.task_options = self.suite.to_options()
         if self.timeout_seconds is not None:
-            options["deadline"] = time.time() + self.timeout_seconds
+            fanout.task_options["deadline"] = time.time() + self.timeout_seconds
         if self.warm is not None:
-            options["baseline"] = self.warm
-        fanout = ClassFanOut(
-            self.network,
-            task="verify",
-            task_options=options,
-            **self._fanout_kwargs,
+            fanout.task_options["baseline"] = self.warm
+        report = fanout.run_report(
+            partial(
+                VerificationReport,
+                properties=list(self.suite.names),
+                path_bound=self.suite.path_bound,
+            )
         )
-        records: List[ClassVerificationRecord] = fanout.execute()
-        artifact = fanout.artifact
-        num_classes = len(fanout.last_classes)
-        report = VerificationReport(
-            network_name=fanout.network.name,
-            executor=self.executor,
-            workers=1 if self.executor == "serial" else fanout.workers,
-            num_classes=num_classes,
-            properties=list(self.suite.names),
-            path_bound=self.suite.path_bound,
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=time.perf_counter() - start,
-            records=records,
-            timed_out=any(record.timed_out for record in records),
-        )
-        obs.finish_run(report, counters_before, fanout.last_selection)
+        skipped = sum(1 for record in report.iter_records() if record.timed_out)
+        report.timed_out = skipped > 0
         if report.timed_out and raise_on_timeout:
-            skipped = sum(1 for record in records if record.timed_out)
             raise VerificationTimeout(
                 f"batch verification of {report.network_name} exceeded "
-                f"{self.timeout_seconds}s ({skipped}/{len(records)} classes "
+                f"{self.timeout_seconds}s ({skipped}/{report.record_count()} classes "
                 f"not checked)",
                 partial=report,
             )

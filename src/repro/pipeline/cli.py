@@ -108,8 +108,8 @@ def _execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="MIB",
-        help="bound aggregation memory: stream per-class records to a "
-        "disk spill and fail (exit 1) if peak RSS exceeds this many MiB",
+        help="fail (exit 1) if peak RSS exceeds this many MiB; compress, "
+        "failures and delta also spill per-class records to disk",
     )
     _trace_argument(parser)
 
@@ -270,11 +270,6 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     _topology_arguments(compress)
     _execution_arguments(compress)
     _output_arguments(compress)
-    compress.add_argument(
-        "--build-networks",
-        action="store_true",
-        help="also emit the abstract configured network for every class",
-    )
 
     verify = commands.add_parser(
         "verify",
@@ -463,6 +458,8 @@ def _build_suite(args):
 
 
 def _write_output(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; False, with the reason printed, when
+    that fails."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -475,55 +472,41 @@ def _write_output(path: str, text: str) -> bool:
 
 
 def _emit_reports(args, reports) -> bool:
-    """The one ``--output`` convention shared by every mode.
-
-    A single report is written as itself, several as a ``{family:
-    report}`` map; any report object with ``to_json``/``to_dict`` fits.
-    Returns False when the file cannot be written (the caller turns that
-    into exit status 1).
+    """Write ``--output``: one report as itself, several as a ``{family:
+    report}`` map, each streamed in so a spilled one never holds every
+    record in memory.  False (exit status 1) when the file cannot be
+    written.
     """
     if not args.output:
         return True
-    if len(reports) == 1:
-        report = next(iter(reports.values()))
-        if getattr(report, "spill", None) is not None:
-            # Spilled reports stream to disk record by record -- the
-            # whole point of the memory budget is never materialising
-            # every record at once, serialisation included.
-            try:
-                report.write_json(args.output)
-            except OSError as exc:
-                print(
-                    f"error: cannot write report to {args.output}: {exc}",
-                    file=sys.stderr,
-                )
-                return False
-            print(f"  report written to {args.output}")
-            return True
-        text = report.to_json()
-    else:
-        text = json.dumps(
-            {family: report.to_dict() for family, report in reports.items()},
-            indent=2,
-            sort_keys=True,
-        )
-    return _write_output(args.output, text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            if len(reports) == 1:
+                (report,) = reports.values()
+                report.write_to(handle)
+            else:
+                separator = "{\n"
+                for family in sorted(reports):
+                    handle.write(f"{separator}{json.dumps(family)}: ")
+                    reports[family].write_to(handle)
+                    separator = ",\n"
+                handle.write("\n}")
+            handle.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
+        return False
+    print(f"  report written to {args.output}")
+    return True
 
 
-def _report_status(failed: bool, emitted: bool) -> int:
-    """The one exit-code convention: 1 on any gate failure or write error."""
-    return 1 if (failed or not emitted) else 0
-
-
-def _check_memory_budget(args, report) -> bool:
-    """Record peak RSS on the report; False when it exceeds the budget."""
+def _check_memory_budget(args) -> bool:
+    """False when peak RSS exceeds ``--memory-budget`` (printed either way)."""
     memory_budget = args.memory_budget
     if memory_budget is None:
         return True
     from repro.perfutil import peak_rss_mb
 
     observed = peak_rss_mb()
-    report.peak_rss_mb = observed
     within = observed <= memory_budget
     print(
         f"  peak RSS: {observed:.1f} MiB "
@@ -532,24 +515,85 @@ def _check_memory_budget(args, report) -> bool:
     return within
 
 
+class _Refused(Exception):
+    """A subcommand declined to run a family: ``(exit status, message)``."""
+
+
+def _run_families(args, families: List[str], title, failed_as, make_run, class_line) -> int:
+    """The one shape of a batch subcommand: per family, run it under a
+    ``family`` span, print its summary, apply the ``--memory-budget``
+    gate and print the ``--per-class`` lines; then write ``--output``
+    once (exit status 1 on any failed gate).
+
+    ``make_run(family, size)`` builds the family's run, a zero-argument
+    callable returning its report, or raises :class:`_Refused`;
+    ``class_line(record)`` renders one ``--per-class`` line.  A
+    :class:`PipelineError` ends the command: "``failed_as`` failed".
+    """
+    reports = {}
+    failed = False
+    for family in families:
+        size = args.size if args.size is not None else default_size(family)
+        try:
+            run = make_run(family, size)
+            with trace.span("family", family=family, size=str(size)):
+                report = run()
+        except _Refused as exc:
+            status, message = exc.args
+            print(message, file=sys.stderr)
+            return status
+        except PipelineError as exc:
+            print(f"{failed_as} failed: {exc}", file=sys.stderr)
+            return 1
+        reports[family] = report
+        failed = failed or not report.ok()
+        print(f"== {title}: {family}({size}) ==")
+        for line in report.summary_lines():
+            print(f"  {line}")
+        if not _check_memory_budget(args):
+            failed = True
+        if args.per_class:
+            for record in report.iter_records():
+                print(f"  {record.prefix}: {class_line(record)}")
+    emitted = _emit_reports(args, reports)
+    return 1 if (failed or not emitted) else 0
+
+
+def _run_compress(args, families: List[str]) -> int:
+    def make_run(family, size):
+        pipeline = CompressionPipeline(
+            build_topology(family, size),
+            executor=args.executor,
+            workers=args.workers,
+            limit=args.limit,
+        )
+        if args.memory_budget is not None:
+            # Per-class records spill to disk as they arrive, so peak RSS
+            # stays bounded on fat topologies.
+            return pipeline.run_streaming
+        return lambda: pipeline.run().report
+
+    def class_line(record) -> str:
+        return (
+            f"{record.concrete_nodes} -> {record.abstract_nodes} nodes "
+            f"({record.node_ratio:.2f}x) in {record.compression_seconds:.4f}s"
+        )
+
+    return _run_families(
+        args, families, "compression pipeline", "pipeline", make_run, class_line
+    )
+
+
 def _run_verify(args, families: List[str]) -> int:
     from repro.analysis.batch import BatchVerifier, VerificationReport
 
-    try:
-        suite = _build_suite(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    reports = {}
-    diverged = False
-    timed_out = False
+    suite = _build_suite(args)
     # One shared wall-clock budget across every family: each verifier gets
     # whatever remains, so "--family all --timeout 60" means 60 seconds
     # total, not 60 per family.
     deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    for family in families:
-        size = args.size if args.size is not None else default_size(family)
+
+    def make_run(family, size):
         remaining = (
             None if deadline is None else max(0.0, deadline - time.monotonic())
         )
@@ -558,7 +602,7 @@ def _run_verify(args, families: List[str]) -> int:
             # policy-BDD encoding entirely and report the family as timed
             # out rather than paying per-family setup costs the flag was
             # meant to bound.
-            report = VerificationReport(
+            return lambda: VerificationReport(
                 network_name=f"{family}-{size}",
                 executor=args.executor,
                 workers=args.workers or 1,
@@ -569,108 +613,52 @@ def _run_verify(args, families: List[str]) -> int:
                 total_seconds=0.0,
                 timed_out=True,
             )
-        else:
-            network = build_topology(family, size)
-            verifier = BatchVerifier(
-                network,
-                suite=suite,
-                executor=args.executor,
-                workers=args.workers,
-                limit=args.limit,
-                timeout_seconds=remaining,
-            )
-            try:
-                with trace.span("family", family=family, size=str(size)):
-                    report = verifier.run(raise_on_timeout=False)
-            except PipelineError as exc:
-                print(f"verification failed: {exc}", file=sys.stderr)
-                return 1
-        reports[family] = report
-        diverged = diverged or not report.verdicts_agree()
-        timed_out = timed_out or report.timed_out
-        print(f"== batch verification: {family}({size}) ==")
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if args.per_class:
-            for record in report.records:
-                status = "TIMED OUT" if record.timed_out else (
-                    "ok" if record.agrees() else "DIVERGED"
-                )
-                print(
-                    f"  {record.prefix}: {status} "
-                    f"(concrete {record.concrete_seconds:.4f}s, "
-                    f"abstract {record.abstract_seconds:.4f}s)"
-                )
+        verifier = BatchVerifier(
+            build_topology(family, size),
+            suite=suite,
+            executor=args.executor,
+            workers=args.workers,
+            limit=args.limit,
+            timeout_seconds=remaining,
+        )
+        return lambda: verifier.run(raise_on_timeout=False)
 
-    return _report_status(diverged or timed_out, _emit_reports(args, reports))
+    def class_line(record) -> str:
+        status = "TIMED OUT" if record.timed_out else (
+            "ok" if record.agrees() else "DIVERGED"
+        )
+        return (
+            f"{status} (concrete {record.concrete_seconds:.4f}s, "
+            f"abstract {record.abstract_seconds:.4f}s)"
+        )
+
+    return _run_families(
+        args, families, "batch verification", "verification", make_run, class_line
+    )
 
 
-class _SweepRefused(Exception):
-    """A sweep kind declined to run a family: ``(exit status, message)``."""
-
-
-def _run_sweep(args, families: List[str], title, make_sweep, class_line) -> int:
-    """The skeleton the perturbation-sweep subcommands share: suite, then
-    per family build -> sweep under a ``family`` span -> summary -> memory
-    budget -> per-class lines, then the one ``--output`` convention.
-
-    ``make_sweep(family, size, network, common)`` returns the kind's
-    configured sweep (``common`` holds the flags every kind takes) or
-    raises :class:`_SweepRefused`; ``class_line(record)`` renders one
-    ``--per-class`` line.
-    """
-    try:
-        suite = _build_suite(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    common = dict(
-        suite=suite,
+def _sweep_options(args) -> dict:
+    """The keywords both perturbation sweeps (failures, delta) take from
+    the command line."""
+    return dict(
+        suite=_build_suite(args),
         oracle=not args.no_oracle,
         executor=args.executor,
         workers=args.workers,
         limit=args.limit,
         spill=args.memory_budget is not None,
     )
-    reports = {}
-    failed = False
-    for family in families:
-        size = args.size if args.size is not None else default_size(family)
-        network = build_topology(family, size)
-        try:
-            sweep = make_sweep(family, size, network, common)
-            with trace.span("family", family=family, size=str(size)):
-                report = sweep.run()
-        except _SweepRefused as exc:
-            status, message = exc.args
-            print(message, file=sys.stderr)
-            return status
-        except PipelineError as exc:
-            print(f"{title} failed: {exc}", file=sys.stderr)
-            return 1
-        reports[family] = report
-        failed = failed or not report.ok()
-        print(f"== {title}: {family}({size}) ==")
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if not _check_memory_budget(args, report):
-            failed = True
-        if args.per_class:
-            for record in report.iter_records():
-                print(f"  {record.prefix}: {class_line(record)}")
-
-    return _report_status(failed, _emit_reports(args, reports))
 
 
 def _run_failures(args, families: List[str]) -> int:
     from repro.failures import FailureSweep
 
     k = args.k if args.k is not None else 1
+    common = _sweep_options(args)
 
-    def make_sweep(family, size, network, common):
+    def make_run(family, size):
         return FailureSweep(
-            network,
+            build_topology(family, size),
             k=k,
             sample=(
                 args.sample
@@ -681,13 +669,15 @@ def _run_failures(args, families: List[str]) -> int:
             include_nodes=args.fail_nodes,
             soundness=not args.no_soundness,
             **common,
-        )
+        ).run
 
     def class_line(record) -> str:
         broken = sum(1 for outcome in record.scenarios if outcome.newly_failing)
         return f"{broken}/{len(record.scenarios)} scenarios change a verdict"
 
-    return _run_sweep(args, families, "failure sweep", make_sweep, class_line)
+    return _run_families(
+        args, families, "failure sweep", "failure sweep", make_run, class_line
+    )
 
 
 def _load_baseline_artifact(path: str, network):
@@ -732,8 +722,10 @@ def _run_delta(args, families: List[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load change script {args.changes}: {exc}", file=sys.stderr)
             return 2
+    common = _sweep_options(args)
 
-    def make_sweep(family, size, network, common):
+    def make_run(family, size):
+        network = build_topology(family, size)
         baseline = None
         if args.baseline:
             from repro.store import StoreError
@@ -741,7 +733,7 @@ def _run_delta(args, families: List[str]) -> int:
             try:
                 baseline = _load_baseline_artifact(args.baseline, network)
             except StoreError as exc:
-                raise _SweepRefused(
+                raise _Refused(
                     1, f"error: cannot use baseline artifact at {args.baseline}: {exc}"
                 ) from exc
         if file_script is not None:
@@ -760,9 +752,9 @@ def _run_delta(args, families: List[str]) -> int:
                 baseline=baseline,
                 revalidate=not args.no_revalidate,
                 **common,
-            )
+            ).run
         except ChangeError as exc:
-            raise _SweepRefused(
+            raise _Refused(
                 2, f"invalid change script for {family}({size}): {exc}"
             ) from exc
 
@@ -774,49 +766,9 @@ def _run_delta(args, families: List[str]) -> int:
             f"{reused} reused the abstraction"
         )
 
-    return _run_sweep(args, families, "change-impact sweep", make_sweep, class_line)
-
-
-def _run_compress(args, family: str) -> int:
-    size = args.size if args.size is not None else default_size(family)
-    network = build_topology(family, size)
-    try:
-        pipeline = CompressionPipeline(
-            network,
-            executor=args.executor,
-            workers=args.workers,
-            limit=args.limit,
-            build_networks=args.build_networks,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with trace.span("family", family=family, size=str(size)):
-            if args.memory_budget is not None:
-                # Streaming mode: per-class records spill to disk as they
-                # arrive, so peak RSS stays bounded on fat topologies.
-                report = pipeline.run_streaming(spill=True)
-            else:
-                report = pipeline.run().report
-    except PipelineError as exc:
-        print(f"pipeline failed: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"== compression pipeline: {family}({size}) ==")
-    for line in report.summary_lines():
-        print(f"  {line}")
-    within = _check_memory_budget(args, report)
-    if args.per_class:
-        for record in report.iter_records():
-            print(
-                f"  {record.prefix}: {record.concrete_nodes} -> "
-                f"{record.abstract_nodes} nodes "
-                f"({record.node_ratio:.2f}x) in {record.compression_seconds:.4f}s"
-            )
-    if not _emit_reports(args, {family: report}):
-        return 1
-    return 0 if within else 1
+    return _run_families(
+        args, families, "change-impact sweep", "change-impact sweep", make_run, class_line
+    )
 
 
 def _run_store(args) -> int:
@@ -1015,11 +967,7 @@ def _dispatch_subcommand(args) -> int:
         return _run_failures(args, families)
     if args.command == "delta":
         return _run_delta(args, families)
-    # compress: run each selected family in turn.
-    status = 0
-    for family in families:
-        status = max(status, _run_compress(args, family))
-    return status
+    return _run_compress(args, families)
 
 
 def _begin_obs(args) -> dict:

@@ -30,10 +30,12 @@ processes can resolve them by import regardless of which modules the
 coordinator happened to load.  :data:`CLASS_TASKS` maps short names
 (``"compress"``, ``"verify"``) to those paths.
 
-:class:`CompressionPipeline` -- the PR 1 subsystem -- is the ``"compress"``
-task plus report aggregation on top of the generic engine; the batch
-property-verification engine (:class:`repro.analysis.batch.BatchVerifier`)
-rides the same executors with the ``"verify"`` task.
+Every batch driver is one :meth:`ClassFanOut.run_report` call: the task's
+results fold into one report as they arrive.  :class:`CompressionPipeline`
+is the ``"compress"`` task plus that report; the batch verifier
+(:class:`repro.analysis.batch.BatchVerifier`, the ``"verify"`` task) and
+the perturbation sweeps (:class:`repro.pipeline.perturb.PerturbationSweep`)
+hold a fan-out of their own.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass
 from repro.config.network import Network
 from repro.obs import events as _events
+from repro.obs import finish_run, snapshot_run
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.pipeline.encoded import EncodedNetwork
@@ -138,9 +141,7 @@ def compress_class_task(
 ) -> CompressionResult:
     """The ``"compress"`` task: Bonsai compression of one class."""
     with trace.span("compress", cls=str(equivalence_class.prefix)):
-        result = bonsai.compress(
-            equivalence_class, build_network=bool(options.get("build_networks", False))
-        )
+        result = bonsai.compress(equivalence_class, build_network=False)
     if options.get("detach_srp"):  # CompressionPipeline._with_concrete_srp puts it back
         result.concrete_srp = None
     return result
@@ -337,20 +338,57 @@ class ClassFanOut:
         self.last_classes = classes
         return artifact, classes
 
-    def execute(
+    def run_report(
         self,
-        on_result: Optional[Callable[[int, object, float], None]] = None,
-        collect: Optional[bool] = None,
+        make_report: Callable[..., object],
+        to_record: Optional[Callable[[int, object], object]] = None,
+        spill: bool = False,
+        spill_path: Optional[str] = None,
+    ):
+        """The run every batch driver shares: :meth:`prepare`, build the
+        report with ``make_report(**header)`` (the fields every kind
+        shares), merge ``to_record(index, result)`` (default: the result)
+        into it as each class completes, then stamp ``total_seconds`` and
+        :func:`repro.obs.finish_run`.  With ``spill`` the records go to a
+        :class:`~repro.pipeline.stream.RecordSpill` at ``spill_path`` (or
+        a temp file) instead of memory.
+        """
+        counters_before = snapshot_run()
+        start = time.perf_counter()
+        artifact, classes = self.prepare()
+        report = make_report(
+            network_name=self.network.name,
+            executor=self.executor,
+            workers=1 if self.executor == "serial" else self.workers,
+            num_classes=len(classes),
+            encode_seconds=artifact.encode_seconds,
+            total_seconds=0.0,
+        )
+        if spill:
+            from repro.pipeline.stream import RecordSpill
+
+            report.attach_spill(RecordSpill(spill_path))
+
+        # Records merge in class order whatever order the pool completes
+        # them in (StreamingReport.merge_partial).
+        def on_result(index: int, result, seconds: float) -> None:
+            report.merge_partial(index, result if to_record is None else to_record(index, result))
+
+        self.execute(on_result)
+        report.total_seconds = time.perf_counter() - start
+        finish_run(report, counters_before, self.last_selection)
+        return report
+
+    def execute(
+        self, on_result: Optional[Callable[[int, object, float], None]] = None
     ) -> Optional[List[object]]:
         """Run the task on every class.
 
         With ``on_result`` the per-class results *stream*: the callback
         receives ``(class index, result, observed seconds)`` as each
-        class completes (completion order, not class order), and by
-        default nothing is collected -- the driver holds O(1) results in
-        memory.  Without it, the full result list comes back in class
-        order, exactly as before.  ``collect`` overrides the default
-        (``on_result is None``) when a caller wants both.
+        class completes (completion order, not class order), and nothing
+        is collected -- the driver holds O(1) results in memory.  Without
+        it, the full result list comes back in class order.
 
         The classes and batches actually used are kept on
         ``last_classes`` / ``last_batches`` so aggregators report exactly
@@ -358,8 +396,6 @@ class ClassFanOut:
         batching; observed per-class wall-clock lands on
         ``last_unit_seconds``.
         """
-        if collect is None:
-            collect = on_result is None
         artifact, classes = self.prepare()
         self.last_unit_seconds = {}
         self.last_batches = []
@@ -379,7 +415,7 @@ class ClassFanOut:
         #: chunk)* afterwards, so the attached trace subtrees (and merged
         #: counter deltas) are independent of completion order.
         self._unit_obs = []
-        out: Optional[List[Tuple[int, object]]] = [] if collect else None
+        out: Optional[List[Tuple[int, object]]] = [] if on_result is None else None
         indexed = list(enumerate(classes))
         probed = 0
         if self.executor == "serial":
@@ -680,13 +716,8 @@ class CompressionPipeline(ClassFanOut):
 
     This is :class:`ClassFanOut` specialised to the ``"compress"`` task,
     plus aggregation of the per-class outcomes into a
-    :class:`~repro.pipeline.report.PipelineReport`.
-
-    Parameters are those of :class:`ClassFanOut` (minus ``task`` /
-    ``task_options``) plus:
-
-    build_networks:
-        Whether workers also emit the abstract configured network per class.
+    :class:`~repro.pipeline.report.PipelineReport`.  The parameters are
+    :class:`ClassFanOut`'s minus ``task`` and its options.
     """
 
     def __init__(
@@ -697,19 +728,16 @@ class CompressionPipeline(ClassFanOut):
         executor: str = "auto",
         workers: Optional[int] = None,
         limit: Optional[int] = None,
-        build_networks: bool = False,
     ):
         super().__init__(
             network,
             artifact=artifact,
             task="compress",
-            task_options={"build_networks": build_networks},
             pool_task_options={"detach_srp": True},
             executor=executor,
             workers=workers,
             limit=limit,
         )
-        self.build_networks = build_networks
         self._srp_bonsai: Optional[Bonsai] = None
 
     def _with_concrete_srp(self, result: CompressionResult) -> CompressionResult:
@@ -733,69 +761,38 @@ class CompressionPipeline(ClassFanOut):
 
     def run(self) -> PipelineRun:
         """Compress every class and aggregate the results."""
-        from repro import obs
+        results: Dict[int, CompressionResult] = {}
 
-        counters_before = obs.snapshot_run()
-        start = time.perf_counter()
-        results = [self._with_concrete_srp(result) for result in self.execute()]
-        total_seconds = time.perf_counter() - start
-        artifact = self.artifact
-        classes = self.last_classes
-        batches = self.last_batches
-        report = PipelineReport(
-            network_name=self.network.name,
-            executor=self.executor,
-            workers=1 if self.executor == "serial" else self.workers,
-            batch_size=len(batches[0]) if batches else 0,
-            num_batches=len(batches),
-            num_classes=len(classes),
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=total_seconds,
-            records=[EcRecord.from_result(result) for result in results],
-        )
-        obs.finish_run(report, counters_before, self.last_selection)
-        return PipelineRun(results=results, report=report)
+        def to_record(index: int, result: CompressionResult) -> EcRecord:
+            results[index] = result = self._with_concrete_srp(result)
+            return EcRecord.from_result(result)
+
+        report = self._compress(to_record)
+        return PipelineRun(results=[results[i] for i in sorted(results)], report=report)
 
     def run_streaming(
         self, spill: bool = True, spill_path: Optional[str] = None
     ) -> PipelineReport:
-        """Compress every class, aggregating *incrementally*.
-
-        Per-class records merge into the report as they stream off the
-        pool (``merge_partial``); with ``spill`` (default) each record is
-        written to a JSONL spill file the moment it arrives, so the
-        driver holds O(1) records in memory regardless of network size.
-        Returns the report only -- callers needing the full
-        ``CompressionResult`` objects want :meth:`run`.
+        """Compress every class, keeping only the records: with ``spill``
+        (default) each record goes to a JSONL spill file the moment it
+        arrives, so the driver holds O(1) records in memory regardless of
+        network size.  Callers needing the full ``CompressionResult``
+        objects want :meth:`run`.
         """
-        from repro import obs
-
-        counters_before = obs.snapshot_run()
-        start = time.perf_counter()
-        artifact, classes = self.prepare()
-        report = PipelineReport(
-            network_name=self.network.name,
-            executor=self.executor,
-            workers=1 if self.executor == "serial" else self.workers,
-            batch_size=0,
-            num_batches=0,
-            num_classes=len(classes),
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=0.0,
-            records=[],
+        return self._compress(
+            lambda index, result: EcRecord.from_result(self._with_concrete_srp(result)),
+            spill,
+            spill_path,
         )
-        if spill:
-            from repro.pipeline.stream import RecordSpill
 
-            report.attach_spill(RecordSpill(spill_path))
-
-        def on_result(index: int, result, seconds: float) -> None:
-            report.merge_partial(index, EcRecord.from_result(self._with_concrete_srp(result)))
-
-        self.execute(on_result=on_result, collect=False)
+    def _compress(self, to_record, spill: bool = False, spill_path=None) -> PipelineReport:
+        report = self.run_report(
+            lambda **header: PipelineReport(batch_size=0, num_batches=0, **header),
+            to_record,
+            spill,
+            spill_path,
+        )
         batches = self.last_batches
         report.batch_size = len(batches[0]) if batches else 0
         report.num_batches = len(batches)
-        report.total_seconds = time.perf_counter() - start
-        obs.finish_run(report, counters_before, self.last_selection)
         return report

@@ -34,10 +34,9 @@ both import it.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
@@ -51,10 +50,8 @@ from repro.analysis.properties import (
     verdict_delta,
 )
 from repro.config.network import Network
-from repro.obs import finish_run, snapshot_run
 from repro.pipeline.core import ClassFanOut
-from repro.pipeline.stream import RecordSpill
-from repro.reporting import ReportEnvelope, StreamingReport, report_dict
+from repro.reporting import ReportEnvelope, StreamingReport
 from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
 
@@ -307,37 +304,17 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
             self.BREAK_COUNTS_KEY: self.break_counts(),
         }
 
-    def to_dict(self, include_records: bool = True) -> Dict:
-        data = report_dict(self)
-        if include_records:
-            data["records"] = self.records_payload()
-        data.update(self.envelope_dict())
-        data["aggregate"] = self.aggregate()
-        return data
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict):
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
         # ``version`` is each kind's own field; its default is the version
         # this build writes, and the only one it reads.
-        version = payload.get("version", cls.version)
+        version = data.get("version", cls.version)
         if version != cls.version:
             raise ValueError(
                 f"{cls.kind} report version {version!r}: this build reads "
                 f"version {cls.version}"
             )
-        records = [
-            cls.record_from_payload(raw) for raw in payload.pop("records", [])
-        ]
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
+        return super().from_dict(data)
 
     # ------------------------------------------------------------------
     # Display
@@ -709,37 +686,20 @@ class PerturbationSweep:
         return cls(network, suite=suite, **kwargs).run()
 
     def _sweep(self, task_options: Dict, header: Dict) -> PerturbationReport:
-        counters_before = snapshot_run()
-        start = time.perf_counter()
         fanout = self._fanout
         fanout.task_options = {
             **self.suite.to_options(), "oracle": self.oracle, **task_options
         }
         if self.warm is not None:
             fanout.task_options["baseline"] = self.warm
-        artifact, classes = fanout.prepare()
-        report = self.REPORT_CLASS(
-            network_name=self.network.name,
-            executor=fanout.executor,
-            workers=1 if fanout.executor == "serial" else fanout.workers,
-            num_classes=len(classes),
-            properties=list(self.suite.names),
-            path_bound=self.suite.path_bound,
-            oracle=self.oracle,
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=0.0,
-            **header,
+        return fanout.run_report(
+            partial(
+                self.REPORT_CLASS,
+                properties=list(self.suite.names),
+                path_bound=self.suite.path_bound,
+                oracle=self.oracle,
+                **header,
+            ),
+            spill=self.spill,
+            spill_path=self.spill_path,
         )
-        if self.spill:
-            report.attach_spill(RecordSpill(self.spill_path))
-
-        # Records merge into the report as they stream off the pool (in
-        # class order at merge time, whatever order the pool
-        # completed them in) instead of collecting the whole sweep first.
-        def on_result(index: int, record: ClassPerturbationRecord, seconds: float) -> None:
-            report.merge_partial(index, record)
-
-        fanout.execute(on_result=on_result, collect=False)
-        report.total_seconds = time.perf_counter() - start
-        finish_run(report, counters_before, fanout.last_selection)
-        return report

@@ -34,7 +34,7 @@ import bisect
 import copy
 import dataclasses
 import json
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Type
 
 #: Cross-report envelope schema revision.
 REPORT_SCHEMA_VERSION = 2
@@ -54,18 +54,6 @@ _BUILTIN_REPORT_MODULES = (
     "repro.failures.sweep",
     "repro.delta.sweep",
 )
-
-
-def report_dict(report, records: Optional[List[Dict]] = None) -> Dict:
-    """``dataclasses.asdict(report)`` with the serialised ``records`` in the
-    field's place (left out when ``None``): records are never walked here."""
-    data: Dict[str, object] = {}
-    for spec in dataclasses.fields(report):
-        if spec.name != "records":
-            data[spec.name] = copy.deepcopy(getattr(report, spec.name))
-        elif records is not None:
-            data["records"] = records
-    return data
 
 
 class ReportEnvelope:
@@ -160,9 +148,13 @@ class StreamingReport:
 
     Aggregates in the report classes iterate :meth:`iter_records` (and
     count via :meth:`record_count`) instead of touching ``self.records``
-    directly, so both paths share one implementation.  Subclasses
-    override :meth:`record_from_payload` to rebuild one record from its
-    JSON payload (the exact shape their ``to_dict`` emits per record).
+    directly, so both paths share one implementation.
+
+    The wire format is shared too: a report kind (a dataclass that is
+    also a :class:`ReportEnvelope`) supplies :meth:`aggregate`, its
+    ``to_dict`` block of run-level numbers, and
+    :meth:`record_from_payload`, which rebuilds one record from its JSON
+    payload; :meth:`to_dict` / :meth:`from_dict` do the rest.
     """
 
     def attach_spill(self, spill) -> None:
@@ -210,24 +202,64 @@ class StreamingReport:
     def records_payload(self) -> List[Dict]:
         return [self.record_payload(record) for record in self.iter_records()]
 
+    def aggregate(self) -> Dict[str, object]:
+        """The run-level ``aggregate`` block of :meth:`to_dict`."""
+        raise NotImplementedError
+
+    def to_dict(self, include_records: bool = True) -> Dict:
+        # ``dataclasses.asdict`` but the records, which are never walked here.
+        data: Dict[str, object] = {
+            spec.name: copy.deepcopy(getattr(self, spec.name))
+            for spec in dataclasses.fields(self)
+            if spec.name != "records"
+        }
+        if include_records:
+            data["records"] = self.records_payload()
+        data.update(self.envelope_dict())
+        data["aggregate"] = self.aggregate()
+        return data
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: Dict):
+        payload = cls.strip_envelope(data)
+        payload.pop("aggregate", None)
+        records = [cls.record_from_payload(raw) for raw in payload.pop("records", [])]
+        return cls(records=records, **payload)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
     def write_json(self, path: str, indent: int = 2) -> None:
-        """Stream the report to ``path`` as ordinary JSON, one record in
-        memory at a time.  ``from_json`` / :func:`load_report` read it
-        back like any other report file."""
-        head = self.to_dict(include_records=False)
-        head.pop("records", None)
+        """Write the report to ``path`` (see :meth:`write_to`)."""
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{\n"records": [\n')
-            first = True
-            for record in self.iter_records():
-                if not first:
-                    handle.write(",\n")
-                handle.write(json.dumps(self.record_payload(record), sort_keys=True))
-                first = False
-            handle.write("\n],\n" if not first else "],\n")
-            body = json.dumps(head, indent=indent, sort_keys=True)
-            handle.write(body[1:-1].strip())
-            handle.write("\n}\n")
+            self.write_to(handle, indent)
+            handle.write("\n")
+
+    def write_to(self, handle, indent: int = 2) -> None:
+        """Write the report to the open text ``handle`` as one JSON object.
+
+        A spilled report streams record by record, one in memory at a
+        time; the output is ordinary JSON either way, which ``from_json``
+        / :func:`load_report` read back like any other report file.
+        """
+        if self.spill is None:
+            handle.write(self.to_json(indent))
+            return
+        handle.write('{\n"records": [\n')
+        first = True
+        for record in self.iter_records():
+            if not first:
+                handle.write(",\n")
+            handle.write(json.dumps(self.record_payload(record), sort_keys=True))
+            first = False
+        handle.write("\n],\n" if not first else "],\n")
+        body = json.dumps(self.to_dict(include_records=False), indent=indent, sort_keys=True)
+        handle.write(body[1:-1].strip())
+        handle.write("\n}")
 
 
 def register_report(cls: type) -> type:

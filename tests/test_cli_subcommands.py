@@ -70,6 +70,46 @@ class TestSubcommands:
         capsys.readouterr()
 
 
+#: Each batch subcommand over every family, kept small.
+FAMILY_LOOP_RUNS = {
+    "compress": ["compress", "--limit", "1"],
+    "verify": ["verify", "--limit", "1"],
+    "failures": ["failures", "--limit", "1", "--sample", "2"],
+    "delta": ["delta", "--limit", "1", "--steps", "1"],
+}
+
+
+class TestFamilyLoop:
+    """compress, verify, failures and delta run one family loop: one
+    ``--output`` convention, one memory gate."""
+
+    @pytest.mark.parametrize("command", sorted(FAMILY_LOOP_RUNS))
+    def test_output_maps_every_family(self, command, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = FAMILY_LOOP_RUNS[command] + [
+            "--family", "all", "--executor", "serial", "--output", str(out)
+        ]
+        assert pipeline_main(argv) == 0
+        capsys.readouterr()
+        reports = json.loads(out.read_text())
+        assert sorted(reports) == ["datacenter", "fattree", "mesh", "ring", "wan"]
+        assert all(report["ok"] for report in reports.values())
+
+    @pytest.mark.parametrize("command", sorted(FAMILY_LOOP_RUNS))
+    def test_memory_budget_gates_every_family(self, command, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = FAMILY_LOOP_RUNS[command] + [
+            "--family", "all", "--executor", "serial", "--memory-budget", "1",
+            "--output", str(out),
+        ]
+        assert pipeline_main(argv) == 1
+        assert capsys.readouterr().out.count("EXCEEDS budget 1.0 MiB") == 5
+        # Spilled reports stream into the map one by one; it still loads.
+        reports = json.loads(out.read_text())
+        assert sorted(reports) == ["datacenter", "fattree", "mesh", "ring", "wan"]
+        assert all(report["records"] for report in reports.values())
+
+
 class TestStoreAndServeSubcommands:
     def test_store_save_list_info(self, tmp_path, capsys):
         root = tmp_path / "artifacts"
@@ -194,11 +234,13 @@ class TestErrorContract:
             ["profile"],
             ["bench", "history"],
             ["delta", "--topo", "ring", "--no-rebuild-oracle"],
+            ["compress", "--topo", "ring", "--build-networks"],
         ],
         ids=[
             "empty", "flat-verify", "flat-failures", "flat-delta", "no-subcommand",
             "bogus-flag", "report-out", "store-needs-action", "trace-needs-action",
             "profile-needs-action", "bench-history-gone", "delta-no-rebuild-oracle-gone",
+            "compress-build-networks-gone",
         ],
     )
     def test_usage_errors_return_2(self, argv, capsys):

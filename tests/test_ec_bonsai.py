@@ -14,6 +14,7 @@ from repro.abstraction import (
 )
 from repro.abstraction.equivalence import check_cp_equivalence
 from repro.config import Prefix, build_srp_from_network, parse_network
+from repro.pipeline.report import EcRecord
 from repro.srp import solve
 
 
@@ -62,6 +63,26 @@ class TestBonsaiPipeline:
         assert result.abstract_nodes == 6
         assert result.abstract_edges == 5
         assert result.node_compression_ratio() == pytest.approx(20 / 6)
+
+    def test_one_size_with_two_origins(self, small_fattree):
+        """A class with two origins gets a virtual destination; both sides
+        of every size leave it and its edges out, and the counts agree
+        with the emitted abstract network and the report record."""
+        prefix = small_fattree.devices["edge0_0"].originated_prefixes[0]
+        small_fattree.devices["edge0_1"].originated_prefixes.append(prefix)
+        bonsai = Bonsai(small_fattree)
+        (ec,) = [c for c in bonsai.equivalence_classes() if c.prefix == prefix]
+        assert len(ec.origins) == 2
+        result = bonsai.compress(ec, build_network=True)
+        emitted = result.abstract_network.graph
+        assert (result.concrete_nodes, result.concrete_edges) == (20, 32)
+        assert (result.abstract_nodes, result.abstract_edges) == (
+            emitted.num_nodes(), emitted.num_undirected_edges()
+        ) == (5, 4)
+        assert result.node_compression_ratio() == pytest.approx(4.0)
+        assert result.edge_compression_ratio() == pytest.approx(8.0)
+        record = EcRecord.from_result(result)
+        assert (record.node_ratio, record.edge_ratio) == (4.0, 8.0)
 
     def test_compression_is_cp_equivalent(self, small_fattree):
         bonsai = Bonsai(small_fattree)

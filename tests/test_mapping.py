@@ -63,12 +63,6 @@ def test_h_identity_without_protocol(line_graph):
     assert plain.h(attr) is attr
 
 
-def test_compression_ratio(abstraction, line_graph):
-    node_ratio, edge_ratio = abstraction.compression_ratio(line_graph)
-    assert node_ratio == pytest.approx(4 / 3)
-    assert edge_ratio == pytest.approx(4 / 2)
-
-
 def test_groups(abstraction):
     groups = {frozenset(group) for group in abstraction.groups()}
     assert frozenset({"b1", "b2"}) in groups

@@ -91,14 +91,11 @@ class TestParity:
         assert shipped.concrete_srp is None
         assert len(pickle.dumps(shipped)) < len(artifact.to_bytes()) // 4
 
-    def test_limit_and_build_networks(self, small_fattree):
-        run = run_pipeline(
-            small_fattree, executor="process", workers=2, limit=3, build_networks=True
-        )
-        assert len(run.results) == 3
-        for result in run.results:
-            assert result.abstract_network is not None
-            assert result.abstract_network.graph.num_nodes() == result.abstract_nodes
+    def test_limit(self, small_fattree):
+        run = run_pipeline(small_fattree, executor="process", workers=2, limit=3)
+        classes = EncodedNetwork.build(small_fattree).classes
+        assert [r.equivalence_class for r in run.results] == classes[:3]
+        assert run.report.num_classes == run.report.record_count() == 3
 
 
 # ----------------------------------------------------------------------
