@@ -69,9 +69,6 @@ class Prefix:
             return False
         return (other.address & self.mask()) == self.address
 
-    def contains_address(self, address: int) -> bool:
-        return (address & self.mask()) == self.address
-
     def overlaps(self, other: "Prefix") -> bool:
         return self.contains(other) or other.contains(self)
 

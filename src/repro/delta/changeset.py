@@ -27,9 +27,12 @@ serial/process/auto executors as everything else.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import get_args, get_origin, get_type_hints
 
 from repro.config.acl import Acl, AclLine
 from repro.config.device import BgpNeighborConfig, DeviceConfig, OspfLinkConfig
@@ -137,53 +140,6 @@ def _clone_session(
 
 
 # ----------------------------------------------------------------------
-# Wire helpers
-# ----------------------------------------------------------------------
-def _clause_to_dict(clause: RouteMapClause) -> Dict[str, object]:
-    return {
-        "sequence": clause.sequence,
-        "action": clause.action,
-        "match_community_lists": list(clause.match_community_lists),
-        "match_prefix_lists": list(clause.match_prefix_lists),
-        "set_local_pref": clause.set_local_pref,
-        "set_communities": list(clause.set_communities),
-        "delete_communities": list(clause.delete_communities),
-        "prepend_as": clause.prepend_as,
-    }
-
-
-def _clause_from_dict(data: Dict[str, object]) -> RouteMapClause:
-    return RouteMapClause(
-        sequence=int(data["sequence"]),
-        action=str(data.get("action", "permit")),
-        match_community_lists=tuple(data.get("match_community_lists", ())),
-        match_prefix_lists=tuple(data.get("match_prefix_lists", ())),
-        set_local_pref=data.get("set_local_pref"),
-        set_communities=tuple(data.get("set_communities", ())),
-        delete_communities=tuple(data.get("delete_communities", ())),
-        prepend_as=int(data.get("prepend_as", 0)),
-    )
-
-
-def _entry_to_dict(entry: PrefixListEntry) -> Dict[str, object]:
-    return {
-        "prefix": str(entry.prefix),
-        "action": entry.action,
-        "ge": entry.ge,
-        "le": entry.le,
-    }
-
-
-def _entry_from_dict(data: Dict[str, object]) -> PrefixListEntry:
-    return PrefixListEntry(
-        prefix=Prefix.parse(str(data["prefix"])),
-        action=str(data.get("action", "permit")),
-        ge=data.get("ge"),
-        le=data.get("le"),
-    )
-
-
-# ----------------------------------------------------------------------
 # Change types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -202,11 +158,8 @@ class Change:
     def apply_to(self, editor: NetworkEditor) -> None:
         raise NotImplementedError
 
-    def payload(self) -> Dict[str, object]:
-        raise NotImplementedError
-
     def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, **self.payload()}
+        return {"kind": self.kind, **_to_wire(self)}
 
 
 @dataclass(frozen=True)
@@ -243,15 +196,6 @@ class LinkAdd(Change):
             for a, b in ((self.u, self.v), (self.v, self.u)):
                 device = editor.edit(a)
                 device.bgp_neighbors[b] = _clone_session(device, b)
-
-    def payload(self) -> Dict[str, object]:
-        return {"u": self.u, "v": self.v, "with_bgp": self.with_bgp}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LinkAdd":
-        return cls(
-            u=str(data["u"]), v=str(data["v"]), with_bgp=bool(data.get("with_bgp", True))
-        )
 
 
 @dataclass(frozen=True)
@@ -292,13 +236,6 @@ class LinkRemove(Change):
                 device.bgp_neighbors.pop(b, None)
                 device.ospf_links.pop(b, None)
 
-    def payload(self) -> Dict[str, object]:
-        return {"u": self.u, "v": self.v}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LinkRemove":
-        return cls(u=str(data["u"]), v=str(data["v"]))
-
 
 @dataclass(frozen=True)
 class LinkCostSet(Change):
@@ -331,18 +268,6 @@ class LinkCostSet(Change):
             old = device.ospf_links[b]
             device.ospf_links[b] = OspfLinkConfig(peer=b, cost=self.cost, area=old.area)
 
-    def payload(self) -> Dict[str, object]:
-        return {"u": self.u, "v": self.v, "cost": self.cost, "symmetric": self.symmetric}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LinkCostSet":
-        return cls(
-            u=str(data["u"]),
-            v=str(data["v"]),
-            cost=int(data["cost"]),
-            symmetric=bool(data.get("symmetric", True)),
-        )
-
 
 @dataclass(frozen=True)
 class PrefixOriginate(Change):
@@ -365,13 +290,6 @@ class PrefixOriginate(Change):
 
     def apply_to(self, editor: NetworkEditor) -> None:
         editor.edit(self.device).originated_prefixes.append(self.prefix)
-
-    def payload(self) -> Dict[str, object]:
-        return {"device": self.device, "prefix": str(self.prefix)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PrefixOriginate":
-        return cls(device=str(data["device"]), prefix=Prefix.parse(str(data["prefix"])))
 
 
 @dataclass(frozen=True)
@@ -396,13 +314,6 @@ class PrefixWithdraw(Change):
     def apply_to(self, editor: NetworkEditor) -> None:
         editor.edit(self.device).originated_prefixes.remove(self.prefix)
 
-    def payload(self) -> Dict[str, object]:
-        return {"device": self.device, "prefix": str(self.prefix)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PrefixWithdraw":
-        return cls(device=str(data["device"]), prefix=Prefix.parse(str(data["prefix"])))
-
 
 @dataclass(frozen=True)
 class PrefixListSet(Change):
@@ -410,7 +321,7 @@ class PrefixListSet(Change):
 
     device: str
     name: str
-    entries: Tuple[PrefixListEntry, ...]
+    entries: Tuple[PrefixListEntry, ...] = ()
 
     kind = "prefix-list-set"
 
@@ -425,21 +336,6 @@ class PrefixListSet(Change):
     def apply_to(self, editor: NetworkEditor) -> None:
         editor.edit(self.device).prefix_lists[self.name] = PrefixList(
             name=self.name, entries=tuple(self.entries)
-        )
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "name": self.name,
-            "entries": [_entry_to_dict(entry) for entry in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PrefixListSet":
-        return cls(
-            device=str(data["device"]),
-            name=str(data["name"]),
-            entries=tuple(_entry_from_dict(raw) for raw in data.get("entries", ())),
         )
 
 
@@ -483,21 +379,6 @@ class RouteMapClauseInsert(Change):
             editor, self.device, self.route_map, existing + (self.clause,)
         )
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "route_map": self.route_map,
-            "clause": _clause_to_dict(self.clause),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RouteMapClauseInsert":
-        return cls(
-            device=str(data["device"]),
-            route_map=str(data["route_map"]),
-            clause=_clause_from_dict(data["clause"]),
-        )
-
 
 @dataclass(frozen=True)
 class RouteMapClauseEdit(Change):
@@ -534,21 +415,6 @@ class RouteMapClauseEdit(Change):
         )
         _replace_route_map(editor, self.device, self.route_map, clauses)
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "route_map": self.route_map,
-            "clause": _clause_to_dict(self.clause),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RouteMapClauseEdit":
-        return cls(
-            device=str(data["device"]),
-            route_map=str(data["route_map"]),
-            clause=_clause_from_dict(data["clause"]),
-        )
-
 
 @dataclass(frozen=True)
 class RouteMapClauseDelete(Change):
@@ -577,21 +443,6 @@ class RouteMapClauseDelete(Change):
         existing = editor.device(self.device).route_maps[self.route_map].clauses
         clauses = tuple(c for c in existing if c.sequence != self.sequence)
         _replace_route_map(editor, self.device, self.route_map, clauses)
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "route_map": self.route_map,
-            "sequence": self.sequence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RouteMapClauseDelete":
-        return cls(
-            device=str(data["device"]),
-            route_map=str(data["route_map"]),
-            sequence=int(data["sequence"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -640,17 +491,6 @@ class LocalPrefOverride(Change):
             ibgp=old.ibgp,
         )
 
-    def payload(self) -> Dict[str, object]:
-        return {"device": self.device, "peer": self.peer, "local_pref": self.local_pref}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LocalPrefOverride":
-        return cls(
-            device=str(data["device"]),
-            peer=str(data["peer"]),
-            local_pref=int(data["local_pref"]),
-        )
-
 
 @dataclass(frozen=True)
 class InterfaceAclSet(Change):
@@ -681,37 +521,13 @@ class InterfaceAclSet(Change):
         )
         device.interface_acls[self.peer] = self.name
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "device": self.device,
-            "peer": self.peer,
-            "name": self.name,
-            "lines": [
-                {"action": line.action, "prefix": str(line.prefix)} for line in self.lines
-            ],
-            "default_action": self.default_action,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "InterfaceAclSet":
-        return cls(
-            device=str(data["device"]),
-            peer=str(data["peer"]),
-            name=str(data["name"]),
-            lines=tuple(
-                AclLine(action=str(raw["action"]), prefix=Prefix.parse(str(raw["prefix"])))
-                for raw in data.get("lines", ())
-            ),
-            default_action=str(data.get("default_action", "permit")),
-        )
-
 
 @dataclass(frozen=True)
 class DeviceAdd(Change):
     """Commission a new device with links (and cloned sessions) to neighbours."""
 
     name: str
-    neighbours: Tuple[str, ...]
+    neighbours: Tuple[str, ...] = ()
     originated: Optional[Prefix] = None
 
     kind = "device-add"
@@ -740,22 +556,6 @@ class DeviceAdd(Change):
             config.bgp_neighbors[peer] = BgpNeighborConfig(peer=peer)
             neighbour = editor.edit(peer)
             neighbour.bgp_neighbors[self.name] = _clone_session(neighbour, self.name)
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "neighbours": list(self.neighbours),
-            "originated": None if self.originated is None else str(self.originated),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DeviceAdd":
-        originated = data.get("originated")
-        return cls(
-            name=str(data["name"]),
-            neighbours=tuple(str(n) for n in data.get("neighbours", ())),
-            originated=None if originated is None else Prefix.parse(str(originated)),
-        )
 
 
 @dataclass(frozen=True)
@@ -787,13 +587,6 @@ class DeviceRemove(Change):
             device.interface_acls.pop(self.name, None)
         editor.remove_device(self.name)
 
-    def payload(self) -> Dict[str, object]:
-        return {"name": self.name}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DeviceRemove":
-        return cls(name=str(data["name"]))
-
 
 #: ``kind`` discriminator -> change class, for the wire form.
 CHANGE_KINDS: Dict[str, Type[Change]] = {
@@ -818,12 +611,107 @@ CHANGE_KINDS: Dict[str, Type[Change]] = {
 
 def change_from_dict(data: Dict[str, object]) -> Change:
     """Deserialise one change from its wire form (``kind`` discriminated)."""
-    kind = str(data.get("kind", ""))
-    cls = CHANGE_KINDS.get(kind)
+    if not isinstance(data, dict):
+        raise ChangeError(f"a change must be a JSON object, got {reprlib.repr(data)}")
+    kind = data.get("kind", "")
+    cls = CHANGE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         known = ", ".join(sorted(CHANGE_KINDS))
-        raise ChangeError(f"unknown change kind {kind!r}; expected one of: {known}")
-    return cls.from_dict(data)
+        raise ChangeError(
+            f"unknown change kind {reprlib.repr(kind)}; expected one of: {known}"
+        )
+    try:
+        return _from_wire(cls, data)
+    except ChangeError as exc:
+        raise ChangeError(f"{kind}: {exc}") from None
+
+
+# ----------------------------------------------------------------------
+# Wire codec
+# ----------------------------------------------------------------------
+# One rule set for every change type and the route-map clauses, prefix-
+# list entries and ACL lines they carry: a field's JSON key is its name, a
+# Prefix travels as its string, a tuple as a list, a nested dataclass as a
+# dict and a change as its ``kind``-tagged dict.  Scalars are coerced with
+# ``str()`` / ``int()`` / ``bool()``; an absent field takes its dataclass
+# default, and an absent required or ill-typed field is a ChangeError
+# naming it.
+
+
+def _encode(value: object) -> object:
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, Prefix):
+        return str(value)
+    if isinstance(value, Change):
+        return value.to_dict()
+    return _to_wire(value)
+
+
+def _to_wire(obj: object) -> Dict[str, object]:
+    return {name: _encode(getattr(obj, name)) for name, _, _ in _wire_fields(type(obj))}
+
+
+def _scalar(convert: Callable[[object], object], expected: str) -> Callable:
+    def decode(raw: object) -> object:
+        try:
+            return convert(raw)
+        except (TypeError, ValueError):
+            raise ChangeError(f"expected {expected}, got {reprlib.repr(raw)}") from None
+
+    return decode
+
+
+def _decoder(hint: object) -> Callable[[object], object]:
+    """The function that reads one wire value of type ``hint``."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:  # Optional[X]: null stays None
+        inner = _decoder(args[0])
+        return lambda raw: None if raw is None else inner(raw)
+    if get_origin(hint) is tuple:  # Tuple[X, ...]
+        item = _decoder(args[0])
+
+        def decode_list(raw: object) -> tuple:
+            if not isinstance(raw, (list, tuple)):
+                raise ChangeError(f"expected a list, got {reprlib.repr(raw)}")
+            return tuple(item(entry) for entry in raw)
+
+        return decode_list
+    if hint is Change:
+        return change_from_dict
+    if hint is Prefix:
+        return _scalar(lambda raw: Prefix.parse(str(raw)), "a prefix")
+    if hint in (str, int, bool):
+        return _scalar(hint, hint.__name__)
+    return lambda raw: _from_wire(hint, raw)
+
+
+@functools.lru_cache(maxsize=None)
+def _wire_fields(cls: type) -> Tuple[Tuple[str, Callable[[object], object], object], ...]:
+    """``(name, decoder, default)`` per field of ``cls``, its type hints
+    resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _decoder(hints[f.name]), f.default) for f in fields(cls))
+
+
+def _from_wire(cls: type, data: object) -> object:
+    if not isinstance(data, dict):
+        raise ChangeError(f"expected a JSON object, got {reprlib.repr(data)}")
+    values = {}
+    for name, decode, default in _wire_fields(cls):
+        if name in data:
+            try:
+                values[name] = decode(data[name])
+            except ChangeError as exc:
+                raise ChangeError(f"field {name!r}: {exc}") from None
+        elif default is MISSING:
+            raise ChangeError(f"field {name!r} is missing")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # the value's own check, e.g. a route-map action
+        raise ChangeError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -833,7 +721,7 @@ def change_from_dict(data: Dict[str, object]) -> Change:
 class ChangeSet:
     """An ordered bundle of changes applied atomically to a network."""
 
-    changes: Tuple[Change, ...]
+    changes: Tuple[Change, ...] = ()
     #: Optional human-readable name (defaults to the joined descriptions).
     name: str = field(default="", compare=False)
 
@@ -897,17 +785,11 @@ class ChangeSet:
     # Wire form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "changes": [change.to_dict() for change in self.changes],
-        }
+        return _to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChangeSet":
-        return cls(
-            changes=tuple(change_from_dict(raw) for raw in data.get("changes", ())),
-            name=str(data.get("name", "")),
-        )
+        return _from_wire(cls, data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -919,7 +801,9 @@ class ChangeSet:
 
 def _changeset_entry(raw: object) -> ChangeSet:
     if not isinstance(raw, dict):
-        raise ChangeError(f"each script entry must be a JSON object, got {raw!r}")
+        raise ChangeError(
+            f"each script entry must be a JSON object, got {reprlib.repr(raw)}"
+        )
     if "changes" in raw:
         return ChangeSet.from_dict(raw)
     if "kind" in raw:
@@ -931,19 +815,24 @@ def _changeset_entry(raw: object) -> ChangeSet:
     )
 
 
-def load_change_script(text: str) -> List[ChangeSet]:
-    """Parse a change script from JSON text.
+def load_change_script(source: object) -> List[ChangeSet]:
+    """A change script from its JSON text, or from the value it decodes to.
 
-    Accepts a list of change sets (or bare changes, each becoming a
-    single-change step), a single change set, or an object with a
-    ``"script"`` key holding the list -- the formats
-    ``python -m repro.pipeline delta --changes <file>`` understands.
+    The one script grammar of ``python -m repro.pipeline delta --changes
+    FILE`` and of a ``/delta`` request's ``script``: a list whose entries
+    are change sets (``{"changes": [...], "name"?: ...}``) or bare changes
+    (``{"kind": ..., <fields>}``, each a single-change step), a single
+    change set, or an object whose ``"script"`` key holds the list.  A
+    change's keys are its dataclass's field names.  Anything else raises
+    :class:`ChangeError`, naming the change kind and field at fault.
     """
-    data = json.loads(text)
+    data = json.loads(source) if isinstance(source, (str, bytes)) else source
     if isinstance(data, dict) and "script" in data:
         data = data["script"]
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
-        raise ChangeError("a change script must be a JSON list of change sets")
+        raise ChangeError(
+            f"a change script must be a JSON list of change sets, got {type(data).__name__}"
+        )
     return [_changeset_entry(raw) for raw in data]

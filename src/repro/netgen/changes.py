@@ -54,10 +54,6 @@ OFFSITE_PREFIX = "192.168.0.0/16"
 DEFAULT_CHANGE_STEPS = 4
 
 
-def _sorted_devices(network: Network) -> List[str]:
-    return sorted(str(name) for name in network.devices)
-
-
 def _origin_devices(network: Network) -> List[str]:
     return sorted(
         str(name)

@@ -15,7 +15,7 @@ abstraction algorithm.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.topology.graph import Edge, Node
 
@@ -89,18 +89,6 @@ class Protocol(abc.ABC):
         if attribute is None:
             return None
         return attribute
-
-    # ------------------------------------------------------------------
-    # Hooks used by the compression algorithm
-    # ------------------------------------------------------------------
-    def local_preferences(self, transfer_summary: Any) -> Tuple[int, ...]:
-        """The set of local-preference values a node's policy may assign.
-
-        Only meaningful for BGP (used to bound the number of behaviours per
-        abstract node, Theorem 4.4); other protocols report a single value,
-        meaning no BGP-style case splitting is needed.
-        """
-        return (0,)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"

@@ -12,5 +12,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".http": ("ServeHandler", "create_server", "serve", "warm_service"),
-    ".service": ("QueryStats", "VerificationService", "parse_script"),
+    ".service": ("QueryStats", "VerificationService"),
 })

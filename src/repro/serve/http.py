@@ -18,10 +18,11 @@ endpoint              method  body / answer
 
 Every report answer carries the shared envelope (``schema_version`` /
 ``kind`` / ``ok`` / ``generated_by``), so clients gate on ``ok`` without
-knowing the report kind.  Malformed requests get 400 with a diagnostic;
-unexpected errors get 500; both as JSON.  Headers or a body that stop
-arriving for :data:`REQUEST_TIMEOUT_SECONDS` get 408 and the connection
-closed, so a stalled client cannot hold its handler thread.  Query
+knowing the report kind.  Malformed requests get 400 with a diagnostic,
+each counted under ``serve.refused.<reason>``; unexpected errors get 500;
+both as JSON.  Headers or a body that stop arriving for
+:data:`REQUEST_TIMEOUT_SECONDS` get 408 and the connection closed, so a
+stalled client cannot hold its handler thread.  Query
 endpoints count toward the service's in-flight bound (``--max-inflight``);
 past it they get ``503`` with a ``Retry-After`` header instead of another
 queued thread.
@@ -34,8 +35,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence, Tuple
 
-from repro.delta.changeset import ChangeError
-from repro.serve.service import ServiceSaturated, VerificationService
+from repro.serve.service import Refused, ServiceSaturated, VerificationService
 
 #: Request bodies above this size are rejected (a change script of
 #: thousands of steps is a client bug, not a workload).
@@ -95,25 +95,36 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.flush_headers()
 
     def _read_body(self) -> dict:
+        """The request's JSON object; anything else raises a counted
+        :class:`~repro.serve.service.Refused`."""
+        announced = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0:
-                # A negative length would make rfile.read(-1) block on the
-                # open keep-alive socket until the client hangs up.
-                raise ValueError(f"invalid Content-Length {length}")
-            if length > MAX_BODY_BYTES:
-                raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+            length = int(announced)
         except ValueError:
-            # Refused with the body unread: left open, the connection would
-            # parse those bytes as the next request.  Hang up after answering.
-            self.close_connection = True
-            raise
+            raise self._refuse_unread(
+                "malformed", f"invalid Content-Length {announced!r}"
+            ) from None
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # A negative length would make rfile.read(-1) block on the open
+            # keep-alive socket until the client hangs up.
+            raise self._refuse_unread(
+                "oversize", f"Content-Length {length} is not within 0..{MAX_BODY_BYTES}"
+            )
         if length == 0:
             return {}
-        data = json.loads(self.rfile.read(length).decode("utf-8"))
+        try:
+            data = json.loads(self.rfile.read(length).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise self.service.refused("malformed", str(exc)) from None
         if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
+            raise self.service.refused("malformed", "request body must be a JSON object")
         return data
+
+    def _refuse_unread(self, reason: str, message: str) -> Refused:
+        """Refuse a request with its body unread.  Left open, the connection
+        would parse those bytes as the next request: hang up after answering."""
+        self.close_connection = True
+        return self.service.refused(reason, message)
 
     def _dispatch(self, handler, kind: Optional[str] = None) -> None:
         try:
@@ -129,8 +140,11 @@ class ServeHandler(BaseHTTPRequestHandler):
                 {"ok": False, "error": str(exc), "retry_after": exc.retry_after_seconds},
                 headers=[("Retry-After", str(exc.retry_after_seconds))],
             )
-        except (ValueError, KeyError, TypeError, ChangeError) as exc:
+        except Refused as exc:
             self._respond(400, {"ok": False, "error": str(exc)})
+        except (ValueError, KeyError, TypeError) as exc:
+            refusal = self.service.refused("malformed", str(exc))
+            self._respond(400, {"ok": False, "error": str(refusal)})
         except Exception as exc:  # pragma: no cover - defensive
             self._respond(500, {"ok": False, "error": f"internal error: {exc}"})
 
@@ -209,7 +223,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             if ok and self.command == "POST":
                 stalled = f"body ({self.headers.get('Content-Length')} bytes announced)"
                 self._body = self._read_body()
-        except ValueError as exc:
+        except Refused as exc:
             self._respond(400, {"ok": False, "error": f"bad request body: {exc}"})
             return False
         except TimeoutError:
@@ -218,10 +232,10 @@ class ServeHandler(BaseHTTPRequestHandler):
             # connection idle before any request line ends silently in the
             # stdlib's ``handle_one_request``.)
             self.close_connection = True
-            self._respond(408, {"ok": False, "error": self.service.refused(
+            self._respond(408, {"ok": False, "error": str(self.service.refused(
                 "timeout",
                 f"request {stalled} incomplete after {REQUEST_TIMEOUT_SECONDS}s",
-            )})
+            ))})
             return False
         return ok
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import perfutil
 from repro.api import Session
-from repro.delta.changeset import ChangeSet, change_from_dict
+from repro.delta.changeset import load_change_script
 from repro.failures.scenario import _combinations_count, undirected_links
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -43,6 +43,11 @@ ANSWER_CACHE_LIMIT = 256
 MAX_ENUMERATED_SCENARIOS = 10_000
 
 _LATENCY_PREFIX = "serve.latency."
+
+
+class Refused(ValueError):
+    """A request turned down with a reason, already counted under
+    ``serve.refused.<reason>``: the HTTP layer answers it 400 as is."""
 
 
 class ServiceSaturated(RuntimeError):
@@ -314,9 +319,12 @@ class VerificationService:
         return answer
 
     def delta(self, script: Sequence[Dict], revalidate: bool = True) -> Dict:
-        """Validate a change script (see :func:`parse_script`) against the
+        """Validate a change script (the grammar of
+        :func:`~repro.delta.changeset.load_change_script`) against the
         stored baseline: zero baseline re-solves."""
-        changesets = parse_script(script)
+        # Wrapped as the request body carries it, so a string is refused
+        # rather than read as JSON text.
+        changesets = load_change_script({"script": script})
         key = ("delta", json.dumps([cs.to_dict() for cs in changesets], sort_keys=True), revalidate)
         start = time.perf_counter()
 
@@ -328,12 +336,12 @@ class VerificationService:
         self.stats.record("delta", time.perf_counter() - start, coalesced)
         return answer
 
-    def refused(self, reason: str, message: str) -> str:
-        """Count and announce one refused request; ``message`` back, for
-        the caller to raise."""
+    def refused(self, reason: str, message: str) -> Refused:
+        """Count and announce one refused request; the :class:`Refused`
+        carrying ``message`` back, for the caller to raise or answer."""
         self.registry.counter(f"serve.refused.{reason}").inc()
         _events.emit("serve.refused", reason=reason, error=message)
-        return message
+        return Refused(message)
 
     def _check_enumerable(self, k: int, sample: Optional[int]) -> None:
         """Refuse an unsampled sweep whose ``<=k`` failure space is larger
@@ -342,11 +350,11 @@ class VerificationService:
             return
         total = failure_space(self.session.network, k)
         if total > MAX_ENUMERATED_SCENARIOS:
-            raise ValueError(self.refused(
+            raise self.refused(
                 "scenarios",
                 f"k={k} enumerates {total} failure scenarios (limit "
                 f"{MAX_ENUMERATED_SCENARIOS}); pass 'sample' to sample them",
-            ))
+            )
 
     def failures(
         self,
@@ -398,19 +406,3 @@ def failure_space(network, k: int) -> int:
     links = len(undirected_links(network))
     return sum(_combinations_count(links, size) for size in range(1, min(k, links) + 1))
 
-
-def parse_script(raw) -> List[ChangeSet]:
-    """Parse a request payload into a validated change script."""
-    if not isinstance(raw, list):
-        raise ValueError("a change script must be a list of ChangeSet objects")
-    script = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValueError("each script step must be a ChangeSet dict")
-        if "changes" in entry:
-            script.append(ChangeSet.from_dict(entry))
-        else:
-            # A bare change dict becomes a single-change step.
-            change = change_from_dict(entry)
-            script.append(ChangeSet(name=change.describe(), changes=[change]))
-    return script

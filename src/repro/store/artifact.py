@@ -146,9 +146,6 @@ class BaselineArtifact:
             build_seconds=time.perf_counter() - start,
         )
 
-    def baseline_for(self, prefix) -> Optional[ClassBaseline]:
-        return self.baselines.get(str(prefix))
-
     def matches(self, network: Network) -> bool:
         """Whether ``network``'s content fingerprint equals this artifact's."""
         return network_fingerprint(network) == self.fingerprint

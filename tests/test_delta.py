@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_change_wire import CHANGES
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import routable_equivalence_classes
@@ -14,6 +16,7 @@ from repro.config.prefix import Prefix
 from repro.config.routemap import RouteMapClause
 from repro.config.transfer import build_srp_from_network, syntactic_policy_keys
 from repro.delta import (
+    CHANGE_KINDS,
     ChangeError,
     ChangeSet,
     DeltaReport,
@@ -54,6 +57,11 @@ from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import load_report
 from repro.srp.solver import solve
 from repro.topology.builders import chain_topology
+
+
+#: One change of every kind, its optional fields set where it has any
+#: (the wire fixture's cases list each kind's fullest variant last).
+WIRE_EXAMPLES = {change.kind: change for change in CHANGES.values()}
 
 
 def chain_network(length: int = 5):
@@ -173,28 +181,14 @@ class TestChangeSet:
         ).apply(network)
         assert prefix not in gone.devices["r3"].originated_prefixes
 
-    def test_json_roundtrip_every_kind(self):
-        network = build_topology("ring", 5)
-        script = generated_change_script(network, "ring")
-        extra = ChangeSet(
-            changes=(
-                LinkAdd(u="r0", v="r2"),
-                DeviceAdd(
-                    name="newdev",
-                    neighbours=("r1",),
-                    originated=Prefix.parse("10.9.9.0/24"),
-                ),
-                DeviceRemove(name="r4"),
-                RouteMapClauseDelete(device="r0", route_map="EXPORT-FILTER", sequence=10),
-            ),
-            name="churn",
-        )
-        for changeset in script + [extra]:
-            restored = ChangeSet.from_json(changeset.to_json())
-            assert restored == changeset
-            assert restored.name == changeset.name
-            for change in changeset.changes:
-                assert change_from_dict(change.to_dict()) == change
+    @pytest.mark.parametrize("kind", sorted(CHANGE_KINDS))
+    def test_json_roundtrip_every_kind(self, kind):
+        change = WIRE_EXAMPLES[kind]
+        changeset = ChangeSet(changes=(change,), name="churn")
+        restored = ChangeSet.from_json(changeset.to_json())
+        assert restored == changeset
+        assert restored.name == changeset.name
+        assert change_from_dict(change.to_dict()) == change
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChangeError):
@@ -208,6 +202,7 @@ class TestChangeSet:
         assert len(load_change_script(as_list)) == 1
         wrapped = f'{{"script": [{single}]}}'
         assert len(load_change_script(wrapped)) == 1
+        assert load_change_script(json.loads(wrapped)) == load_change_script(wrapped)
         with pytest.raises(ChangeError):
             load_change_script('"not-a-script"')
 
@@ -780,6 +775,31 @@ class TestDeltaCli:
         )
         assert status == 2
         assert "change script" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "script, expected",
+        [
+            ('[{"kind": "link-remove", "u": "r0"}]', "link-remove: field 'v' is missing"),
+            (
+                '[{"kind": "link-cost", "u": "r0", "v": "r1", "cost": "x"}]',
+                "link-cost: field 'cost': expected int, got 'x'",
+            ),
+            ('[{"kind": "teleport-router"}]', "unknown change kind 'teleport-router'"),
+            ("42", "a change script must be a JSON list of change sets, got int"),
+        ],
+        ids=["missing-field", "ill-typed-field", "unknown-kind", "not-a-list"],
+    )
+    def test_delta_refuses_a_bad_entry_by_name(self, tmp_path, capsys, script, expected):
+        """A bad script is a usage error naming the change kind and field,
+        not a traceback."""
+        script_file = tmp_path / "changes.json"
+        script_file.write_text(script)
+        status = pipeline_main(
+            ["delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot load change script {script_file}: {expected}" in err
 
     def test_delta_flags_require_mode(self, capsys):
         assert pipeline_main(["compress", "--topo", "ring", "--changes", "generated"]) == 2

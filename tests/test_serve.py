@@ -19,10 +19,11 @@ import pytest
 from test_golden_reports import scrub
 
 from repro.api import Session
+from repro.delta import ChangeError, load_change_script
 from repro.failures import enumerate_link_failures
 from repro.netgen.changes import generated_change_script
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology, default_size
-from repro.serve import VerificationService, create_server, parse_script, warm_service
+from repro.serve import VerificationService, create_server, warm_service
 from repro.serve import http as serve_http
 from repro.serve import service as serve_service
 from repro.serve.http import MAX_BODY_BYTES, ServeHandler
@@ -86,6 +87,25 @@ def _change_script(network):
             ],
         }
     ]
+
+
+def _raw_post(base, path: str, body: bytes, content_length=None) -> bytes:
+    """Everything the server sends for one POST, up to its hanging up
+    (``Connection: close``); the body goes as given, ``content_length``
+    overrides the announced length."""
+    if content_length is None:
+        content_length = str(len(body)).encode()
+    parsed = urlparse(base)
+    with socket.create_connection((parsed.hostname, parsed.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST " + path.encode() + b" HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\nContent-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body
+        )
+        response = b""
+        while chunk := sock.recv(4096):  # until EOF
+            response += chunk
+    return response
 
 
 # ----------------------------------------------------------------------
@@ -160,26 +180,30 @@ class TestService:
 
 
 class TestParseScript:
+    """``/delta`` reads its ``script`` with the CLI's grammar,
+    :func:`repro.delta.load_change_script`, on already-decoded JSON."""
+
     def test_changeset_dicts(self, service):
-        script = parse_script(_change_script(service.session.network))
+        script = load_change_script(_change_script(service.session.network))
         assert len(script) == 1
         assert script[0].changes[0].kind == "local-pref-override"
 
     def test_bare_change_dicts(self, service):
         raw = _change_script(service.session.network)[0]["changes"]
-        script = parse_script(raw)
+        script = load_change_script(raw)
         assert len(script) == 1
         assert script[0].changes[0].kind == "local-pref-override"
 
     def test_rejects_non_lists(self):
-        with pytest.raises(ValueError, match="must be a list"):
-            parse_script({"kind": "link-remove"})
-        with pytest.raises(ValueError, match="ChangeSet dict"):
-            parse_script(["not-a-dict"])
+        with pytest.raises(ChangeError, match="link-remove: field 'u' is missing"):
+            load_change_script({"kind": "link-remove"})
+        with pytest.raises(ChangeError, match="must be a JSON object, got 'not-a-dict'"):
+            load_change_script(["not-a-dict"])
 
     def test_service_delta_parses_with_it(self, service):
-        with pytest.raises(ValueError, match="must be a list of ChangeSet objects"):
-            service.delta(script="nope")
+        # A string is refused as a string, never read as JSON text.
+        with pytest.raises(ChangeError, match="must be a JSON list of change sets, got str"):
+            service.delta(script="[]")
         bare = _change_script(service.session.network)[0]["changes"]
         assert service.delta(script=bare)["num_steps"] == 1
 
@@ -346,10 +370,38 @@ class TestHostileRequests:
                 assert "sample" in answer["error"]
             assert "enumerates 41448 failure scenarios" in answer["error"]
             assert svc.registry.counter("serve.refused.scenarios").value == 3
+            assert svc.registry.counter("serve.refused.malformed").value == 0
             assert _get(base, "/health")[0] == 200
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+    @pytest.mark.parametrize(
+        "path, body, length, reason, error",
+        [
+            ("/verify", b"", str(MAX_BODY_BYTES + 1).encode(), "oversize",
+             b"bad request body: Content-Length"),
+            ("/verify", b"{broken", None, "malformed", b"bad request body: Expecting"),
+            ("/verify", b"[1, 2]", None, "malformed", b"must be a JSON object"),
+            ("/delta", b'{"script": [{"kind": "link-remove", "u": "r0"}]}', None,
+             "malformed", b"link-remove: field 'v' is missing"),
+            ("/failures", b'{"k": "x"}', None, "malformed", b"invalid literal for int()"),
+        ],
+        ids=["oversize", "not-json", "json-array", "delta-missing-field", "failures-bad-k"],
+    )
+    def test_every_400_is_counted(self, server, service, path, body, length, reason, error):
+        counter = service.registry.counter(f"serve.refused.{reason}")
+        before = counter.value
+        cursor = service.event_log.latest_cursor()
+        response = _raw_post(server, path, body, length)
+        assert response.startswith(b"HTTP/1.1 400")
+        assert error in response
+        assert counter.value == before + 1
+        refused = [
+            event for event in service.event_log.since(cursor)["events"]
+            if event["type"] == "serve.refused"
+        ]
+        assert [event["reason"] for event in refused] == [reason]
 
     def test_stalled_body_gets_408_and_hang_up(self, server, service, monkeypatch):
         monkeypatch.setattr(serve_http, "REQUEST_TIMEOUT_SECONDS", 0.5)
