@@ -767,15 +767,6 @@ class TestDeltaCli:
         report = DeltaReport.from_json(out.read_text())
         assert report.step_names == ["scripted"]
 
-    def test_delta_rejects_broken_script_file(self, tmp_path, capsys):
-        script_file = tmp_path / "changes.json"
-        script_file.write_text('[{"kind": "nonsense"}]')
-        status = pipeline_main(
-            ["delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
-        )
-        assert status == 2
-        assert "change script" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "script, expected",
         [
@@ -789,7 +780,7 @@ class TestDeltaCli:
         ],
         ids=["missing-field", "ill-typed-field", "unknown-kind", "not-a-list"],
     )
-    def test_delta_refuses_a_bad_entry_by_name(self, tmp_path, capsys, script, expected):
+    def test_delta_rejects_broken_script_file(self, tmp_path, capsys, script, expected):
         """A bad script is a usage error naming the change kind and field,
         not a traceback."""
         script_file = tmp_path / "changes.json"
