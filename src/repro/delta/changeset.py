@@ -683,8 +683,10 @@ def _decoder(hint: object) -> Callable[[object], object]:
         return change_from_dict
     if hint is Prefix:
         return _scalar(lambda raw: Prefix.parse(str(raw)), "a prefix")
-    if hint in (str, int, bool):
-        return _scalar(hint, hint.__name__)
+    if hint in (str, bool):  # both accept any value
+        return hint
+    if hint is int:
+        return _scalar(int, "int")
     return lambda raw: _from_wire(hint, raw)
 
 
