@@ -4,7 +4,7 @@
 This benchmark times the four single-core hot paths of the system --
 SRP solving, BDD operations, abstraction refinement, and the end-to-end
 per-class pipeline (compress + differential verify) -- and writes a JSON
-report that CI regresses against (``BENCH_pr3.json``).
+report that CI regresses against (``BENCH_pr7.json``).
 
 Stages
 ------
@@ -46,7 +46,7 @@ CI quick mode with the regression gate (exit 1 when any stage is more
 than 25% slower than the committed baseline's ``after`` numbers)::
 
     python benchmarks/bench_hotpaths.py --quick \
-        --baseline BENCH_pr3.json --max-regression 0.25
+        --baseline BENCH_pr7.json --max-regression 0.25
 
 Correctness cross-check (also run in CI): the optimized solver and
 refinement are compared against their reference oracles on every family

@@ -6,7 +6,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import Bonsai, fattree_network
+from repro import Bonsai, build_abstract_srp, fattree_network
 from repro.analysis import (
     abstract_arm,
     check_reachability,
@@ -28,7 +28,7 @@ def main() -> None:
     classes = bonsai.equivalence_classes()
     print(f"Destination equivalence classes: {len(classes)}")
 
-    result = bonsai.compress(classes[0], build_network=True)
+    result = bonsai.compress(classes[0], build_network=False)
     print(f"Compressed network for {classes[0].prefix}: "
           f"{result.abstract_nodes} nodes, {result.abstract_edges} edges "
           f"({result.node_compression_ratio():.1f}x node reduction, "
@@ -39,11 +39,12 @@ def main() -> None:
         suffix = " ..." if len(group) > 6 else ""
         print(f"  [{len(group):>2} routers] {members}{suffix}")
 
-    # 3. Analyse the small network instead of the big one: simulate the
-    #    compressed network for the class, check reachability on its nodes
-    #    and lift the verdicts back to the concrete routers through f.
+    # 3. Analyse the small network instead of the big one: solve the
+    #    abstract SRP the partition induces, check reachability on its
+    #    nodes and lift the verdicts back to the concrete routers through f.
+    abstract_srp = build_abstract_srp(result.concrete_srp, result.abstraction)
     context, lifted = abstract_arm(
-        result.abstraction, result.abstract_network, classes[0],
+        result.abstraction, abstract_srp,
         [get_property("reachability")], list(network.graph.nodes),
         waypoints=frozenset(), path_bound=network.graph.num_nodes(),
     )

@@ -5,9 +5,11 @@ network:
 
 1. partition the destination space into equivalence classes,
 2. encode every interface's policy as a BDD (once, shared by all classes),
-3. for each class, specialize the BDDs, run abstraction refinement, and
-4. emit a *smaller configured network* (abstract topology plus abstract
-   device configurations) plus the node mapping,
+3. for each class, specialize the BDDs and run abstraction refinement,
+   giving the node mapping; the checkers solve the abstract SRP derived
+   from it (:func:`~repro.abstraction.equivalence.build_abstract_srp`), and
+4. on request, emit a *smaller configured network* (abstract topology
+   plus abstract device configurations) as output,
 
 exactly mirroring the original tool, which consumes Batfish's
 vendor-independent configurations and produces a smaller collection of
@@ -22,11 +24,12 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
+from repro.abstraction.equivalence import representative_view
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.abstraction.refinement import ClassFamily, RefinementResult, compute_abstraction
 from repro.bdd.policy import PolicyBddEncoder
 from repro.obs import metrics as _metrics
-from repro.config.device import BgpNeighborConfig, DeviceConfig, OspfLinkConfig, StaticRouteConfig
+from repro.config.device import BgpNeighborConfig, OspfLinkConfig, StaticRouteConfig
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import (
@@ -82,19 +85,6 @@ class CompressionResult:
             for node in abstraction.abstract_graph.nodes
             if abstraction.concrete_nodes(node) == frozenset({VIRTUAL_DESTINATION})
         ]
-
-    def abstract_srp(self) -> SRP:
-        """The SRP compiled from the emitted abstract configurations.
-
-        This is the faithful abstract SRP for config-driven networks (BGP
-        loop prevention operates on abstract device names); it requires the
-        compression to have been run with ``build_network=True``.
-        """
-        if self.abstract_network is None:
-            raise ValueError("compression was run without build_network=True")
-        return build_srp_from_network(
-            self.abstract_network, self.equivalence_class.prefix
-        )
 
     def node_compression_ratio(self) -> float:
         return self.concrete_nodes / max(1, self.abstract_nodes)
@@ -340,7 +330,9 @@ class Bonsai:
         srp: Optional[SRP] = None,
     ) -> CompressionResult:
         """Compress the network for one destination equivalence class
-        (``srp``: its :meth:`concrete_srp`, when the caller already built it)."""
+        (``srp``: its :meth:`concrete_srp`, when the caller already built it).
+        ``build_network`` also emits the configured abstract network, as
+        output (:meth:`build_abstract_network`); no checker reads it."""
         start = time.perf_counter()
         if srp is None:
             srp = self.concrete_srp(equivalence_class)
@@ -448,54 +440,21 @@ class Bonsai:
     def build_abstract_network(
         self, abstraction: NetworkAbstraction, equivalence_class: EquivalenceClass
     ) -> Network:
-        """Emit the compressed configured network for one class.
+        """Emit the compressed configured network for one class: Bonsai's
+        output for downstream tools (the checkers never read it).
 
         Every abstract node receives the configuration of a representative
         concrete member, with neighbour references rewritten to abstract
-        names.  Transfer-equivalence guarantees any representative yields
-        the same behaviour.
+        names (:func:`~repro.abstraction.equivalence.representative_view`).
+        Transfer-equivalence guarantees any representative yields the same
+        behaviour.
         """
         prefix = equivalence_class.prefix
         origins = set(equivalence_class.origins)
-        abstract_graph = abstraction.abstract_graph
-        devices: Dict[str, DeviceConfig] = {}
-        graph = Graph()
-
-        def representative(abstract_node: str) -> Optional[str]:
-            members = abstraction.concrete_nodes(abstract_node) - {VIRTUAL_DESTINATION}
-            if not members:
-                return None
-            return min(members, key=str)
-
-        skip = {
-            node
-            for node in abstract_graph.nodes
-            if abstraction.concrete_nodes(node) == frozenset({VIRTUAL_DESTINATION})
-        }
-
-        for abstract_node in abstract_graph.nodes:
-            if abstract_node in skip:
-                continue
-            graph.add_node(abstract_node)
-        for u, v in abstract_graph.edges:
-            if u in skip or v in skip:
-                continue
-            graph.add_edge(u, v)
-
-        for abstract_node in graph.nodes:
-            source = representative(abstract_node)
-            if source is None:
-                devices[abstract_node] = DeviceConfig(name=abstract_node)
-                continue
+        network, sessions = representative_view(abstraction, self.network, prefix)
+        for abstract_node, (source, witnesses) in sessions.items():
             concrete = self.network.devices[source]
-            device = DeviceConfig(
-                name=abstract_node,
-                asn=abstract_node,
-                route_maps=dict(concrete.route_maps),
-                community_lists=dict(concrete.community_lists),
-                prefix_lists=dict(concrete.prefix_lists),
-                acls=dict(concrete.acls),
-            )
+            device = network.devices[abstract_node]
             # Originate the class prefix exactly where the *class* says it
             # originates.  A containment check against the representative's
             # own network statements would be wrong for trie-refined
@@ -506,20 +465,8 @@ class Bonsai:
             if origins & set(abstraction.concrete_nodes(abstract_node)):
                 device.originated_prefixes.append(prefix)
 
-            for abstract_neighbour in abstract_graph.successors(abstract_node):
-                if abstract_neighbour in skip:
-                    continue
-                neighbour_members = abstraction.concrete_nodes(abstract_neighbour)
-                witness = next(
-                    (
-                        peer
-                        for peer in sorted(self.network.graph.successors(source), key=str)
-                        if peer in neighbour_members
-                    ),
-                    None,
-                )
-                if witness is None:
-                    continue
+            static = concrete.static_route_for(prefix)
+            for abstract_neighbour, witness in witnesses.items():
                 session = concrete.bgp_neighbors.get(witness)
                 if session is not None:
                     device.bgp_neighbors[abstract_neighbour] = BgpNeighborConfig(
@@ -533,7 +480,6 @@ class Bonsai:
                     device.ospf_links[abstract_neighbour] = OspfLinkConfig(
                         peer=abstract_neighbour, cost=ospf.cost, area=ospf.area
                     )
-                static = concrete.static_route_for(prefix)
                 if static is not None and static.next_hop == witness:
                     device.static_routes.append(
                         StaticRouteConfig(prefix=prefix, next_hop=abstract_neighbour)
@@ -541,13 +487,7 @@ class Bonsai:
                 acl_name = concrete.interface_acls.get(witness)
                 if acl_name is not None:
                     device.interface_acls[abstract_neighbour] = acl_name
-            devices[abstract_node] = device
-
-        return Network(
-            graph=graph,
-            devices=devices,
-            name=f"{self.network.name}-abstract-{prefix}",
-        )
+        return network
 
     # ------------------------------------------------------------------
     # Reporting

@@ -7,7 +7,8 @@ related labels (label-equivalence) and related forwarding
 conditions; this module lets the test-suite *observe* it by
 
 1. constructing the abstract SRP induced by an abstraction (reusing the
-   representative concrete policies on each abstract edge), and
+   representative concrete policies on each abstract edge; for a
+   configured network, the representative devices' sessions), and
 2. solving both SRPs and checking label- and fwd-equivalence of the
    solutions.
 
@@ -18,17 +19,27 @@ mapping is solution dependent (Theorem 4.5), so the checker verifies that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.abstraction.mapping import NetworkAbstraction
+from repro.config.device import DeviceConfig
+from repro.config.network import Network
+from repro.config.prefix import Prefix
+from repro.config.transfer import (
+    VIRTUAL_DESTINATION,
+    NetworkTransfer,
+    build_srp_from_network,
+    compile_session,
+    srp_origins,
+)
 from repro.routing.attributes import BgpAttribute, RibAttribute
 from repro.routing.bgp import build_bgp_srp
 from repro.routing.multiprotocol import MultiProtocolConfig, build_multiprotocol_srp
 from repro.srp.instance import SRP
 from repro.srp.solution import Solution
 from repro.srp.solver import solve
-from repro.topology.graph import Edge, Node
+from repro.topology.graph import Edge, Graph, Node
 
 
 class AbstractionBuildError(Exception):
@@ -49,16 +60,98 @@ def _representative_edges(
     return representatives
 
 
+def representative_view(
+    abstraction: NetworkAbstraction, network: Network, prefix: Prefix
+) -> Tuple[Network, Dict[str, Tuple[Node, Dict[str, Node]]]]:
+    """The abstract network's devices, sessions not yet configured, and
+    ``{abstract node: (representative, {abstract neighbour: witness})}``.
+
+    The representative is the member least by ``str``, its witness the
+    first ``str``-sorted concrete neighbour among the abstract
+    neighbour's members (none: no session); transfer-equivalence makes
+    any choice behave alike, this one is deterministic.  Each device has
+    its representative's maps, lists and ACLs under the abstract name,
+    which is its AS too.  The virtual destination's own node stands for
+    no device and is left out."""
+    abstract_graph = abstraction.abstract_graph
+    chosen: Dict[str, Node] = {}
+    for node in abstract_graph.nodes:
+        members = abstraction.concrete_nodes(node) - {VIRTUAL_DESTINATION}
+        if members:
+            chosen[node] = min(members, key=str)
+    graph = Graph(
+        chosen, [(u, v) for u, v in abstract_graph.edges if u in chosen and v in chosen]
+    )
+    devices: Dict[str, DeviceConfig] = {}
+    sessions: Dict[str, Tuple[Node, Dict[str, Node]]] = {}
+    for node, source in chosen.items():
+        concrete = network.devices[source]
+        devices[node] = DeviceConfig(
+            name=node,
+            asn=node,
+            route_maps=dict(concrete.route_maps),
+            community_lists=dict(concrete.community_lists),
+            prefix_lists=dict(concrete.prefix_lists),
+            acls=dict(concrete.acls),
+        )
+        # Each neighbouring group's first member among the sorted peers.
+        first: Dict[str, Node] = {}
+        for peer in sorted(network.graph.successors(source), key=str):
+            first.setdefault(abstraction.f(peer), peer)
+        witnesses = {
+            neighbour: first.get(abstraction.base_of(neighbour))
+            for neighbour in graph.successors(node)
+        }
+        sessions[node] = (source, {n: w for n, w in witnesses.items() if w is not None})
+    view = Network(graph=graph, devices=devices, name=f"{network.name}-abstract-{prefix}")
+    return view, sessions
+
+
+def _configured_abstract_srp(srp: SRP, abstraction: NetworkAbstraction) -> SRP:
+    """A configured network's abstract SRP, straight from the partition:
+    each abstract edge compiles the representatives' sessions toward
+    their witnesses (:func:`representative_view`) with the receiver's
+    static route and ACL verdict.  This is the SRP the emitted
+    configurations compile to."""
+    transfer = srp.transfer
+    devices = transfer.network.devices
+    view, sessions = representative_view(abstraction, transfer.network, transfer.destination)
+    compiled = {}
+    for edge in view.graph.edges:
+        receiver, sender = edge
+        source, toward = sessions[receiver]
+        peer, back = sessions[sender]
+        witness = toward.get(sender)
+        info = compile_session(edge, devices[source], witness, devices[peer], back.get(receiver))
+        concrete = transfer.compiled.get((source, witness))
+        if concrete is not None and (concrete.has_static or not concrete.acl_permits):
+            info = replace(info, has_static=concrete.has_static, acl_permits=concrete.acl_permits)
+        compiled[edge] = info
+    # Originated where the class originates, as the emitted configs say.
+    class_origins = srp_origins(srp)
+    return build_srp_from_network(
+        view,
+        transfer.destination,
+        {node for node in sessions if abstraction.concrete_nodes(node) & class_origins},
+        compiled=compiled,
+        include_syntactic_keys=False,
+        local_prefs={node: srp.prefs(source) for node, (source, _) in sessions.items()},
+    )
+
+
 def build_abstract_srp(srp: SRP, abstraction: NetworkAbstraction) -> SRP:
     """Construct the abstract SRP induced by ``abstraction`` on ``srp``.
 
     The abstract network reuses, on each abstract edge, the policy of a
     representative concrete edge (any one -- transfer-equivalence makes
-    them interchangeable).  Protocols whose attributes embed node names
-    (BGP, multi-protocol) are rebuilt so that loop prevention operates on
-    abstract names; other protocols simply delegate to the representative
-    concrete transfer function.
+    them interchangeable).  A configured network's SRP is rebuilt from
+    its representative devices (:func:`representative_view`); other
+    protocols whose attributes embed node names (BGP, multi-protocol) are
+    rebuilt so that loop prevention operates on abstract names; the rest
+    simply delegate to the representative concrete transfer function.
     """
+    if isinstance(srp.transfer, NetworkTransfer):
+        return _configured_abstract_srp(srp, abstraction)
     representatives = _representative_edges(srp, abstraction)
     abstract_graph = abstraction.abstract_graph
     destination = abstraction.f(srp.destination)
@@ -91,17 +184,7 @@ def build_abstract_srp(srp: SRP, abstraction: NetworkAbstraction) -> SRP:
         )
         return abstract
 
-    def _has_reconstructible_policies(tag: str) -> bool:
-        return all(
-            isinstance(policy, tuple) and policy and policy[0] == tag
-            for policy in (
-                srp.edge_policies.get(representatives.get(base_edge(edge)))
-                for edge in abstract_graph.edges
-            )
-            if policy is not None
-        ) and any(srp.edge_policies.get(e) for e in srp.graph.edges)
-
-    if protocol_name == "multi" and _has_reconstructible_policies("multi"):
+    if protocol_name == "multi":
         config = MultiProtocolConfig()
         for edge in abstract_graph.edges:
             witness = representatives.get(base_edge(edge))
@@ -238,6 +321,12 @@ def _labels_related(
     return mapped == abstract_label
 
 
+def _hops(solution: Solution, node: Node) -> List[Node]:
+    """``node``'s next hops, the virtual destination left out: it encodes
+    "delivered at an origin", under its own name on either side."""
+    return [v for _, v in solution.forwarding.get(node, ()) if v != VIRTUAL_DESTINATION]
+
+
 # ----------------------------------------------------------------------
 # Equivalence reports
 # ----------------------------------------------------------------------
@@ -269,8 +358,9 @@ def check_solution_equivalence(
     """
     violations: List[str] = []
     srp = concrete.srp
+    nodes = [node for node in srp.graph.nodes if node != VIRTUAL_DESTINATION]
     label_ok = True
-    for node in srp.graph.nodes:
+    for node in nodes:
         abstract_node = abstraction.f(node)
         if not _labels_related(
             srp,
@@ -289,12 +379,10 @@ def check_solution_equivalence(
 
     fwd_ok = True
     # Direction 1: concrete forwarding edges map to abstract forwarding edges.
-    for node in srp.graph.nodes:
+    for node in nodes:
         abstract_node = abstraction.f(node)
-        abstract_next = {
-            abstraction.base_of(v) for _, v in abstract.forwarding.get(abstract_node, ())
-        }
-        for _, neighbour in concrete.forwarding.get(node, ()):
+        abstract_next = {abstraction.base_of(v) for v in _hops(abstract, abstract_node)}
+        for neighbour in _hops(concrete, node):
             if abstraction.base_of(abstraction.f(neighbour)) not in abstract_next:
                 fwd_ok = False
                 violations.append(
@@ -305,7 +393,7 @@ def check_solution_equivalence(
     # Direction 2: abstract forwarding edges are realised by every member.
     for abstract_node in abstraction.abstract_graph.nodes:
         members = abstraction.concrete_nodes(abstract_node)
-        for _, abstract_neighbour in abstract.forwarding.get(abstract_node, ()):
+        for abstract_neighbour in _hops(abstract, abstract_node):
             target_members = abstraction.concrete_nodes(abstract_neighbour)
             for member in members:
                 concrete_next = {v for _, v in concrete.forwarding.get(member, ())}
@@ -350,17 +438,14 @@ def check_bgp_solution_equivalence(
             strict=False,
         ):
             return False
-        abstract_next = {
-            abstraction.base_of(v) for _, v in abstract.forwarding.get(copy, ())
-        }
-        concrete_next = {
-            abstraction.base_of(abstraction.f(v))
-            for _, v in concrete.forwarding.get(node, ())
-        }
+        abstract_next = {abstraction.base_of(v) for v in _hops(abstract, copy)}
+        concrete_next = {abstraction.base_of(abstraction.f(v)) for v in _hops(concrete, node)}
         return concrete_next == abstract_next
 
     used_copies: Dict[str, Set[str]] = {}
     for node in srp.graph.nodes:
+        if node == VIRTUAL_DESTINATION:
+            continue
         base = abstraction.f(node)
         copies = abstraction.copies_of(base)
         matching = [copy for copy in copies if copy_matches(node, copy)]

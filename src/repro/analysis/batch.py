@@ -44,8 +44,9 @@ from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
+from repro.abstraction.equivalence import build_abstract_srp
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.analysis.dataplane import compute_forwarding_table
+from repro.analysis.dataplane import forwarding_table_from_solution
 from repro.analysis.properties import (
     Counterexample,
     PropertyContext,
@@ -57,10 +58,13 @@ from repro.analysis.properties import (
     registered_properties,
 )
 from repro.config.network import Network
+from repro.config.transfer import VIRTUAL_DESTINATION, srp_origins
 from repro.obs import trace
 from repro.pipeline.core import ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import ReportEnvelope, StreamingReport, register_report
+from repro.srp.instance import SRP
+from repro.srp.solver import solve
 
 #: Format version for the JSON verification reports.
 VERIFICATION_REPORT_VERSION = 1
@@ -457,52 +461,45 @@ def lift_verdicts(
 
 def abstract_arm(
     abstraction: NetworkAbstraction,
-    abstract_network: Network,
-    equivalence_class: EquivalenceClass,
+    abstract_srp: SRP,
     specs: Sequence[PropertySpec],
     concrete_nodes: Sequence,
     waypoints: FrozenSet[str],
     path_bound: int,
 ) -> Tuple[PropertyContext, VerdictMap]:
-    """The abstract side of one class check: simulate ``abstract_network``,
+    """The abstract side of one class check: solve ``abstract_srp``,
     evaluate ``specs`` on its nodes and lift the verdicts to
     ``concrete_nodes`` (:func:`lift_verdicts`).
 
-    ``abstract_network`` is whichever network ``abstraction`` is checked
-    on: its own emission, a failure mapped onto it, or a re-compression.
-    The abstract class is read off the abstraction, not searched for: the
-    class's prefix, originated at the abstract nodes still in the network
-    whose members include one of its origins.  Origins and ``waypoints``
-    (concrete names) map through ``f`` and the case-split copies alike.
+    ``abstract_srp`` is whichever SRP ``abstraction`` is checked on, as
+    :func:`~repro.abstraction.equivalence.build_abstract_srp` derives it
+    from the partition: the class's own, a failure mapped onto it, or a
+    re-compression's.  It carries the abstract class: the prefix,
+    originated at the abstract nodes whose members include an origin.
+    ``waypoints`` (concrete names) map through ``f`` and the case-split
+    copies.
 
     Returns the abstract table's :class:`PropertyContext` (what abstract
     witnesses are drawn from) and the lifted verdicts.
     """
-    def images(nodes) -> FrozenSet[str]:
-        return frozenset(
-            copy
-            for node in nodes
-            if node in abstraction.node_map
-            for copy in abstraction.copies_of(abstraction.f(node))
-        )
-
     abstract_class = EquivalenceClass(
-        prefix=equivalence_class.prefix,
-        origins=frozenset(
-            node
-            for node in images(equivalence_class.origins)
-            if abstract_network.graph.has_node(node)
-        ),
+        prefix=abstract_srp.transfer.destination,
+        origins=frozenset(srp_origins(abstract_srp)),
     )
     context = PropertyContext(
-        table=compute_forwarding_table(abstract_network, abstract_class),
-        waypoints=images(waypoints),
+        table=forwarding_table_from_solution(solve(abstract_srp), abstract_class),
+        waypoints=frozenset(
+            copy
+            for node in waypoints
+            if node in abstraction.node_map
+            for copy in abstraction.copies_of(abstraction.f(node))
+        ),
         path_bound=path_bound,
     )
-    verdicts = evaluate_suite(
-        specs, context.table, sorted(abstract_network.graph.nodes, key=str),
-        context.waypoints, path_bound,
+    nodes = sorted(
+        (node for node in abstract_srp.graph.nodes if node != VIRTUAL_DESTINATION), key=str
     )
+    verdicts = evaluate_suite(specs, context.table, nodes, context.waypoints, path_bound)
     return context, lift_verdicts(abstraction, specs, verdicts, concrete_nodes)
 
 
@@ -531,8 +528,8 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
     change sweeps compare against: solved here, or validated from (and
     kept by) the :class:`~repro.pipeline.perturb.WarmBaselines` in
     ``options["baseline"]`` over a stored artifact.  The abstract side
-    compresses the class (``build_network=True``; a validated stored
-    compression stands in) and runs :func:`abstract_arm`.  The record
+    compresses the class (a validated stored compression stands in) and
+    runs :func:`abstract_arm` on the abstract SRP of its partition.  The record
     holds failures, mismatches and structured counterexamples.
 
     A ``deadline`` (epoch seconds) in ``options`` turns classes reached
@@ -569,17 +566,11 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
 
         # -- abstract side (compression included in the timing) --------------
         abstract_start = time.perf_counter()
-        result = baseline.stored_compression
-        compression_seconds = 0.0
-        if result is None:
-            result = bonsai.compress(
-                equivalence_class, build_network=True, srp=baseline.solution.srp
-            )
-            compression_seconds = result.compression_seconds
+        result, compression_seconds = baseline.compression(bonsai)
         abstraction = result.abstraction
         abstract_context, lifted = abstract_arm(
-            abstraction, result.abstract_network, equivalence_class, specs,
-            nodes, waypoints, baseline.path_bound,
+            abstraction, build_abstract_srp(baseline.solution.srp, abstraction),
+            specs, nodes, waypoints, baseline.path_bound,
         )
         abstract_seconds = time.perf_counter() - abstract_start
 

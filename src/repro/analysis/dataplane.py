@@ -210,35 +210,31 @@ class ForwardingFacts:
 
 
 def forwarding_table_from_solution(
-    network: Network,
     solution: Solution,
     equivalence_class: EquivalenceClass,
 ) -> ForwardingTable:
-    """Extract a forwarding table from a solved SRP, applying ACLs."""
-    prefix = equivalence_class.prefix
+    """Extract a forwarding table from a solved SRP (one
+    :func:`build_srp_from_network` built, concrete or abstract), applying
+    the ACL verdicts its compiled edges carry."""
+    compiled = solution.srp.transfer.compiled
     next_hops: Dict[Node, Set[Node]] = {}
     blocked: Set[Edge] = set()
     forwarding = solution.forwarding
     for node in solution.srp.graph.nodes:
         if node == VIRTUAL_DESTINATION:
             continue
-        device = network.devices.get(node)
         hops: Set[Node] = set()
-        for _, neighbour in forwarding.get(node, ()):
+        for edge in forwarding.get(node, ()):
+            neighbour = edge[1]
             if neighbour == VIRTUAL_DESTINATION:
                 continue
-            allowed = True
-            if device is not None:
-                acl_name = device.interface_acls.get(neighbour)
-                if acl_name and acl_name in device.acls:
-                    allowed = device.acls[acl_name].permits(prefix)
-            if allowed:
+            if compiled[edge].acl_permits:
                 hops.add(neighbour)
             else:
-                blocked.add((node, neighbour))
+                blocked.add(edge)
         next_hops[node] = hops
     return ForwardingTable(
-        destination=prefix,
+        destination=equivalence_class.prefix,
         origins=set(equivalence_class.origins),
         next_hops=next_hops,
         acl_blocked=blocked,
@@ -248,23 +244,15 @@ def forwarding_table_from_solution(
 def compute_forwarding_table(
     network: Network,
     equivalence_class: EquivalenceClass,
-    compiled: Optional[Dict] = None,
 ) -> ForwardingTable:
-    """Simulate the control plane for one class and extract forwarding.
-
-    ``compiled`` optionally reuses an existing :func:`compile_edges` result
-    for this class's prefix (the batch verifier shares one compilation
-    between the concrete simulation and the subsequent compression).
-    """
+    """Simulate the control plane for one class and extract forwarding."""
     srp = build_srp_from_network(
         network,
         equivalence_class.prefix,
         set(equivalence_class.origins),
-        compiled=compiled,
         # The SRP is solved and discarded; nothing reads the specialized
         # syntactic policy keys, and skipping them saves a full pass of
         # route-map specialization per class.
         include_syntactic_keys=False,
     )
-    solution = solve(srp)
-    return forwarding_table_from_solution(network, solution, equivalence_class)
+    return forwarding_table_from_solution(solve(srp), equivalence_class)

@@ -154,6 +154,42 @@ class CompiledEdge:
         return self.edge[1]
 
 
+def compile_session(
+    edge: Edge,
+    receiver_cfg: DeviceConfig,
+    toward_sender: Optional[Node],
+    sender_cfg: DeviceConfig,
+    toward_receiver: Optional[Node],
+) -> CompiledEdge:
+    """The destination-independent part of ``edge``: ``receiver_cfg``'s
+    BGP session and OSPF link toward ``toward_sender`` and
+    ``sender_cfg``'s toward ``toward_receiver`` (the peer names the two
+    configurations use; ``None``: no such neighbour)."""
+    session_in = receiver_cfg.bgp_neighbors.get(toward_sender)
+    session_out = sender_cfg.bgp_neighbors.get(toward_receiver) if session_in else None
+    has_bgp = session_in is not None and session_out is not None
+    ibgp = False
+    export_map = import_map = None
+    if has_bgp:
+        ibgp = session_out.ibgp and session_in.ibgp
+        if session_out.export_policy:
+            export_map = sender_cfg.route_maps.get(session_out.export_policy)
+        if session_in.import_policy:
+            import_map = receiver_cfg.route_maps.get(session_in.import_policy)
+
+    ospf = receiver_cfg.ospf_links.get(toward_sender)
+    has_ospf = ospf is not None and toward_receiver in sender_cfg.ospf_links
+    return CompiledEdge(
+        edge=edge,
+        has_bgp=has_bgp,
+        ibgp=ibgp,
+        export_map=export_map,
+        import_map=import_map,
+        has_ospf=has_ospf,
+        ospf_cost=ospf.cost if has_ospf else 1,
+    )
+
+
 def compile_base_edges(network: Network) -> Dict[Edge, CompiledEdge]:
     """Compile the destination-*independent* part of every directed edge.
 
@@ -163,40 +199,11 @@ def compile_base_edges(network: Network) -> Dict[Edge, CompiledEdge]:
     verifier) build this base once and run the cheap
     :func:`specialize_compiled_edges` per destination.
     """
-    compiled: Dict[Edge, CompiledEdge] = {}
     devices = network.devices
-    for edge in network.graph.edges:
-        receiver, sender = edge
-        receiver_cfg = devices[receiver]
-        sender_cfg = devices[sender]
-
-        session_in = receiver_cfg.bgp_neighbors.get(sender)
-        session_out = sender_cfg.bgp_neighbors.get(receiver) if session_in else None
-        has_bgp = session_in is not None and session_out is not None
-        ibgp = False
-        export_map = import_map = None
-        if has_bgp:
-            ibgp = session_out.ibgp and session_in.ibgp
-            if session_out.export_policy:
-                export_map = sender_cfg.route_maps.get(session_out.export_policy)
-            if session_in.import_policy:
-                import_map = receiver_cfg.route_maps.get(session_in.import_policy)
-
-        has_ospf = sender in receiver_cfg.ospf_links and receiver in sender_cfg.ospf_links
-        ospf_cost = receiver_cfg.ospf_links[sender].cost if has_ospf else 1
-
-        compiled[edge] = CompiledEdge(
-            edge=edge,
-            has_bgp=has_bgp,
-            ibgp=ibgp,
-            export_map=export_map,
-            import_map=import_map,
-            has_ospf=has_ospf,
-            ospf_cost=ospf_cost,
-            has_static=False,
-            acl_permits=True,
-        )
-    return compiled
+    return {
+        edge: compile_session(edge, devices[edge[0]], edge[1], devices[edge[1]], edge[0])
+        for edge in network.graph.edges
+    }
 
 
 def specialize_compiled_edges(
@@ -510,6 +517,13 @@ def _destination_node(
     return g, VIRTUAL_DESTINATION, virtual_edges
 
 
+def srp_origins(srp: SRP) -> Set[Node]:
+    """The originating devices of an SRP :func:`build_srp_from_network`
+    built: those below the virtual destination, or the destination."""
+    virtual = srp.transfer.virtual_edges
+    return {origin for origin, _ in virtual} if virtual else {srp.destination}
+
+
 def build_srp_from_network(
     network: Network,
     destination: Prefix,
@@ -533,22 +547,20 @@ def build_srp_from_network(
     destination edges keep a key); callers that just *solve* the SRP --
     the data-plane simulation behind the verifiers -- never read them, and
     computing the keys costs as much as a full solver round.
-    ``ignore_communities`` and ``local_prefs`` default to the network's
-    ``unused_communities()`` and ``local_pref_values_by_device()``; a
-    caller building many classes of an unchanging network derives both once.
+    ``ignore_communities`` (read by the syntactic keys alone) and
+    ``local_prefs`` default to the network's ``unused_communities()`` and
+    ``local_pref_values_by_device()``; a caller building many classes of
+    an unchanging network derives both once.
     """
     if origins is None:
         origins = network.originators_of(destination)
     if not origins:
         raise ValueError(f"no device originates {destination}")
-    if ignore_communities is None:
-        ignore_communities = network.unused_communities()
-
     graph, dest_node, virtual_edges = _destination_node(network.graph, set(origins))
     if compiled is None:
         compiled = compile_edges(network, destination)
     protocol = MultiProtocol()
-    bgp = BgpProtocol(unused_communities=ignore_communities)
+    bgp = BgpProtocol()
     ospf = OspfProtocol()
 
     transfer = NetworkTransfer(
@@ -586,4 +598,21 @@ def build_srp_from_network(
         protocol=protocol,
         edge_policies=edge_policies,
         node_prefs=node_prefs,
+    )
+
+
+def restrict_srp(srp: SRP, network: Network) -> SRP:
+    """``srp`` (one :func:`build_srp_from_network` built) on ``network``, a
+    failure view of its network sharing the device configurations: the
+    compiled edges, origins and local preferences are filtered to what
+    survives, nothing is recompiled."""
+    graph = network.graph
+    transfer = srp.transfer
+    return build_srp_from_network(
+        network,
+        transfer.destination,
+        {origin for origin in srp_origins(srp) if graph.has_node(origin)},
+        compiled={edge: info for edge, info in transfer.compiled.items() if graph.has_edge(*edge)},
+        include_syntactic_keys=False,
+        local_prefs={node: prefs for node, prefs in srp.node_prefs.items() if node in graph},
     )

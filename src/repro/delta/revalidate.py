@@ -36,6 +36,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass
+from repro.abstraction.equivalence import build_abstract_srp
 from repro.analysis.batch import abstract_arm, compare_verdicts
 from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
@@ -67,7 +68,7 @@ class RevalidationOutcome:
     recompress_seconds: float = 0.0
     #: The lifted verdict map compared against (not serialised; sweeps
     #: cache it across the steps of one class when the abstraction is
-    #: reused, since a matching signature fixes the abstract network).
+    #: reused, since a matching signature fixes the abstract SRP).
     lifted: Optional[VerdictMap] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -165,33 +166,28 @@ def revalidate_class(
     ``changed_keys`` shares the sweep's already-specialized policy keys;
     ``baseline_lifted`` shares a previous step's reuse-side lifted
     verdict map (valid because a matching signature fixes the abstract
-    network, the node set and the waypoint set).
+    SRP, the node set and the waypoint set).
     """
     start = time.perf_counter()
     changed_signature = class_signature(
         changed_network, changed_ec.prefix, changed_ec.origins, keys=changed_keys
     )
     reason = signature_matches(baseline_signature, changed_signature)
-    if not reason and baseline.abstract_network is None:
-        reason = "baseline compression was run without build_network=True"
     reused = not reason
     nodes = sorted(str(n) for n in changed_network.graph.nodes)
 
     checked = time.perf_counter()
     if reused:
         result, lifted = baseline, baseline_lifted
-        abstract_nodes = baseline.abstract_network.graph.num_nodes()
     else:
-        result = recompress_bonsai().compress(changed_ec, build_network=True)
+        result = recompress_bonsai().compress(changed_ec, build_network=False)
         lifted = None
-        abstract_nodes = result.abstract_nodes
     if lifted is None:
         # The compression's own class: a reused abstraction stands for the
         # baseline prefix even where the changed trie re-shaped it.
         _, lifted = abstract_arm(
             result.abstraction,
-            result.abstract_network,
-            result.equivalence_class,
+            build_abstract_srp(result.concrete_srp, result.abstraction),
             specs,
             nodes,
             waypoints,
@@ -205,7 +201,7 @@ def revalidate_class(
         recompressed=not reused,
         agrees=not mismatched,
         mismatched=mismatched,
-        abstract_nodes=abstract_nodes,
+        abstract_nodes=result.abstract_nodes,
         # Reuse charges the signature check plus the lifting to the
         # revalidation; a re-compression is timed on its own.
         seconds=(done if reused else checked) - start,

@@ -391,12 +391,10 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     baseline_signature = None
     compression_seconds = 0.0
     if revalidate_on:
-        compression = baseline.stored_compression
-        if compression is not None:
+        compression, compression_seconds = baseline.compression(bonsai)
+        if stored is not None:
             baseline_signature = stored.signature
         else:
-            compression = bonsai.compress(equivalence_class, srp=baseline.solution.srp)
-            compression_seconds = compression.compression_seconds
             keys = state.policy_keys(_BASELINE_STEP, prefix)
             baseline_signature = class_signature(
                 network,

@@ -145,15 +145,6 @@ class FailureScenario:
                 removed.add(edge)
         return frozenset(removed)
 
-    def apply_loose(self, network: Network) -> Network:
-        """Like :meth:`apply` but ignoring elements absent from the topology.
-
-        Used when a scenario mapped through an abstraction is replayed on
-        the abstract network: the mapping may name copy-pair edges the
-        emitted network does not materialise.
-        """
-        return self._apply(network, strict=False)
-
     def apply(self, network: Network) -> Network:
         """The failed network: a subgraph view sharing device configs.
 
@@ -169,11 +160,7 @@ class FailureScenario:
         pointing at now-unreachable neighbours; that is the expected state
         of a network with down links, not a configuration error.
         """
-        return self._apply(network, strict=True)
-
-    def _apply(self, network: Network, strict: bool) -> Network:
-        if strict:
-            self.assert_valid(network)
+        self.assert_valid(network)
         removed = self.directed_edges(network.graph)
         graph = Graph()
         for node in network.graph.nodes:

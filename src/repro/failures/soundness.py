@@ -17,7 +17,7 @@ failing a whole abstract element.
   group fails.
 
 When every failed element is representable, deleting exactly the image
-elements from the abstract network removes whole preimage classes, so
+elements from the class's abstract SRP removes whole preimage classes, so
 the ∀∃-refinement conditions of the surviving topology are untouched and
 the baseline abstraction is still an effective abstraction of the failed
 network -- that is the structural fact behind the per-scenario
@@ -39,13 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.abstraction.bonsai import Bonsai, CompressionResult
+from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass
+from repro.abstraction.equivalence import build_abstract_srp
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.analysis.batch import abstract_arm, compare_verdicts
 from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
-from repro.config.transfer import VIRTUAL_DESTINATION
+from repro.config.transfer import VIRTUAL_DESTINATION, restrict_srp
 from repro.failures.scenario import FailureScenario, canonical_link
 from repro.srp.instance import SRP
 
@@ -176,7 +177,8 @@ def abstract_scenario_for(
 # ----------------------------------------------------------------------
 def check_scenario_soundness(
     bonsai: Bonsai,
-    baseline: CompressionResult,
+    abstraction: NetworkAbstraction,
+    abstract_srp: SRP,
     scenario: FailureScenario,
     failed_network: Network,
     failed_ec: EquivalenceClass,
@@ -186,40 +188,45 @@ def check_scenario_soundness(
     path_bound: int,
     failed_srp: Optional[SRP] = None,
 ) -> SoundnessOutcome:
-    """Judge whether the baseline abstraction survives one scenario.
+    """Judge whether the class's baseline ``abstraction`` survives one
+    scenario.
 
+    ``abstract_srp`` is the class's abstract SRP
+    (:func:`~repro.abstraction.equivalence.build_abstract_srp`), built
+    once; a representable scenario's abstract image is filtered out of it
+    (:func:`~repro.config.transfer.restrict_srp`).
     ``concrete_verdicts`` are the per-node property verdicts already
     computed on the failed *concrete* network (by the sweep's incremental
     re-solve); the checker only produces the abstract side and compares.
     ``failed_srp`` is the failed network's concrete SRP for the class,
     when the caller has built it (a re-compression then does not).
     """
-    abstraction = baseline.abstraction
     mapped, reason = abstract_scenario_for(abstraction, bonsai.network, scenario)
     surviving = sorted(str(n) for n in failed_network.graph.nodes)
 
-    sound = mapped is not None and baseline.abstract_network is not None
+    sound = mapped is not None
     if sound:
-        abstract_network = mapped.apply_loose(baseline.abstract_network)
-        abstract_nodes = abstract_network.graph.num_nodes()
+        failed_view = mapped.apply(abstract_srp.transfer.network)
+        abstract_srp = restrict_srp(abstract_srp, failed_view)
+        abstract_nodes = failed_view.graph.num_nodes()
     else:
         # Fallback: compress the failed network.  Refinement (from the
-        # trivial partition) and emission run per scenario; their inputs
-        # are the class baseline's, filtered (``Bonsai.derive``).
+        # trivial partition) runs per scenario; its inputs are the class
+        # baseline's, filtered (``Bonsai.derive``).
         removed = scenario.directed_edges(bonsai.network.graph)
         fallback = bonsai.derive(failed_network, removed, failed_ec.prefix)
-        result = fallback.compress(failed_ec, build_network=True, srp=failed_srp)
+        result = fallback.compress(failed_ec, build_network=False, srp=failed_srp)
         abstraction = result.abstraction
-        abstract_network = result.abstract_network
+        abstract_srp = build_abstract_srp(result.concrete_srp, abstraction)
         abstract_nodes = result.abstract_nodes
     _, lifted = abstract_arm(
-        abstraction, abstract_network, failed_ec, specs, surviving, waypoints, path_bound
+        abstraction, abstract_srp, specs, surviving, waypoints, path_bound
     )
     mismatched = compare_verdicts(concrete_verdicts, lifted)
     return SoundnessOutcome(
         sound_under_failure=sound,
         reason=reason,
-        abstract_scenario=mapped if sound else None,
+        abstract_scenario=mapped,
         recompressed=not sound,
         agrees=not mismatched,
         mismatched=mismatched,

@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.abstraction.ec import EquivalenceClass
+from repro.abstraction.equivalence import build_abstract_srp
 from repro.config.network import Network
-from repro.config.transfer import build_srp_from_network
+from repro.config.transfer import restrict_srp
 from repro.failures.incremental import incremental_resolve
 from repro.failures.scenario import FailureScenario, scenarios_for
 from repro.failures.soundness import check_scenario_soundness
@@ -234,13 +235,11 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
     baseline_seconds = time.perf_counter() - start
     network = baseline.network
     prefix = equivalence_class.prefix
-    compression = None
+    compression = abstract_srp = None
     compression_seconds = 0.0
     if options.get("soundness", True):
-        compression = baseline.stored_compression
-        if compression is None:
-            compression = bonsai.compress(equivalence_class, srp=baseline.solution.srp)
-            compression_seconds = compression.compression_seconds
+        compression, compression_seconds = baseline.compression(bonsai)
+        abstract_srp = build_abstract_srp(baseline.solution.srp, compression.abstraction)
 
     # One bounded transfer memo shared by every scenario's incremental
     # re-solve, seeded once from the baseline and never evicted: scenarios
@@ -284,37 +283,17 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                 )
                 continue
 
-            # Device configs are shared with the baseline by identity, so
-            # the failed compilation is a filter, not a recompile.
             removed = scenario.directed_edges(network.graph)
-            compiled_failed = {
-                edge: info
-                for edge, info in baseline.compiled.items()
-                if edge not in removed
-            }
             failed_ec = EquivalenceClass(
                 prefix=prefix, origins=frozenset(surviving_origins)
-            )
-
-            # Unused communities and local preferences read device configs
-            # alone: a link failure keeps the baseline's, a failed device
-            # drops out of them (``None``: derived from the failed view).
-            unused_communities, local_prefs = (
-                (None, None) if scenario.nodes else bonsai._class_invariants
             )
 
             @functools.cache
             def build_failed_srp():
                 # Once per unit: the scratch arm solves it first, cold.
-                return build_srp_from_network(
-                    failed_network,
-                    prefix,
-                    set(surviving_origins),
-                    ignore_communities=unused_communities,
-                    compiled=compiled_failed,
-                    include_syntactic_keys=False,
-                    local_prefs=local_prefs,
-                )
+                # Device configs are shared with the baseline by identity,
+                # so the failed SRP is a filter, not a recompile.
+                return restrict_srp(baseline.solution.srp, failed_network)
 
             def seeded():
                 return incremental_resolve(
@@ -341,7 +320,8 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
             if compression is not None:
                 sound = check_scenario_soundness(
                     bonsai,
-                    compression,
+                    compression.abstraction,
+                    abstract_srp,
                     scenario,
                     failed_network,
                     failed_ec,

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -495,6 +496,10 @@ def _emit_reports(args, reports) -> bool:
     except OSError as exc:
         print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
         return False
+    except PipelineError:
+        # A spill that cannot be read back: no partial report is left.
+        os.remove(args.output)
+        raise
     print(f"  report written to {args.output}")
     return True
 
@@ -528,34 +533,36 @@ def _run_families(args, families: List[str], title, failed_as, make_run, class_l
     ``make_run(family, size)`` builds the family's run, a zero-argument
     callable returning its report, or raises :class:`_Refused`;
     ``class_line(record)`` renders one ``--per-class`` line.  A
-    :class:`PipelineError` ends the command: "``failed_as`` failed".
+    :class:`PipelineError` (a worker's, or a refused record spill's)
+    ends the command: "``failed_as`` failed", and no ``--output``.
     """
     reports = {}
     failed = False
-    for family in families:
-        size = args.size if args.size is not None else default_size(family)
-        try:
-            run = make_run(family, size)
-            with trace.span("family", family=family, size=str(size)):
-                report = run()
-        except _Refused as exc:
-            status, message = exc.args
-            print(message, file=sys.stderr)
-            return status
-        except PipelineError as exc:
-            print(f"{failed_as} failed: {exc}", file=sys.stderr)
-            return 1
-        reports[family] = report
-        failed = failed or not report.ok()
-        print(f"== {title}: {family}({size}) ==")
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if not _check_memory_budget(args):
-            failed = True
-        if args.per_class:
-            for record in report.iter_records():
-                print(f"  {record.prefix}: {class_line(record)}")
-    emitted = _emit_reports(args, reports)
+    try:
+        for family in families:
+            size = args.size if args.size is not None else default_size(family)
+            try:
+                run = make_run(family, size)
+                with trace.span("family", family=family, size=str(size)):
+                    report = run()
+            except _Refused as exc:
+                status, message = exc.args
+                print(message, file=sys.stderr)
+                return status
+            reports[family] = report
+            failed = failed or not report.ok()
+            print(f"== {title}: {family}({size}) ==")
+            for line in report.summary_lines():
+                print(f"  {line}")
+            if not _check_memory_budget(args):
+                failed = True
+            if args.per_class:
+                for record in report.iter_records():
+                    print(f"  {record.prefix}: {class_line(record)}")
+        emitted = _emit_reports(args, reports)
+    except PipelineError as exc:
+        print(f"{failed_as} failed: {exc}", file=sys.stderr)
+        return 1
     return 1 if (failed or not emitted) else 0
 
 

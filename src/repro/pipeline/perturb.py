@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.abstraction.bonsai import CompressionResult
 from repro.abstraction.ec import EquivalenceClass
 from repro.analysis.batch import PropertySuite, waypoints_for
 from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
@@ -388,8 +389,6 @@ class TaskBaseline:
             suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
         )
         self.waypoints = waypoints_for(suite, equivalence_class)
-        #: The class's destination-specialized compiled edges.
-        self.compiled = bonsai.compile_for(equivalence_class.prefix)
         srp = bonsai.concrete_srp(equivalence_class)
         solution = None
         if stored is not None:
@@ -400,18 +399,15 @@ class TaskBaseline:
                 stored = None
         #: The stored baseline the labeling was validated from, if any.
         self.stored = stored
-        compression = None if stored is None else stored.compression
-        if compression is not None and compression.abstract_network is None:
-            compression = None
-        #: The stored compression, when it can stand in for compressing anew.
-        self.stored_compression = compression
+        #: The stored compression, standing in for compressing anew.
+        self.stored_compression = None if stored is None else stored.compression
         #: The kind's abstraction check of the unperturbed network against
         #: :attr:`stored_compression`, lifted verdicts included, once a unit
         #: whose SRP is the baseline's has run it.
         self.check = None
         self.solution: Solution = solution if solution is not None else solve(srp)
         #: The unperturbed forwarding table (the verify task's witnesses).
-        self.table = forwarding_table_from_solution(network, self.solution, equivalence_class)
+        self.table = forwarding_table_from_solution(self.solution, equivalence_class)
         self.verdicts = evaluate_suite(
             self.specs, self.table, nodes, self.waypoints, self.path_bound
         )
@@ -419,6 +415,15 @@ class TaskBaseline:
             # Every reader copies the memo before solving and validation hit
             # only entries the artifact holds: keep its dict, not our copy.
             self.solution.transfer_cache = stored.transfer_memo
+
+    def compression(self, bonsai) -> Tuple[CompressionResult, float]:
+        """The class's compression and the seconds it cost here: the
+        stored one, or compressed anew (the partition; no configured
+        abstract network is emitted)."""
+        if self.stored_compression is not None:
+            return self.stored_compression, 0.0
+        result = bonsai.compress(self.equivalence_class, build_network=False, srp=self.solution.srp)
+        return result, result.compression_seconds
 
     @cached_property
     def index(self):
@@ -537,7 +542,7 @@ class TaskBaseline:
         delta vs. the baseline over ``surviving`` and one witness per newly
         broken property.  Returns the perturbed network's verdicts (the
         abstraction check compares lifted abstract verdicts against them)."""
-        table = forwarding_table_from_solution(network, solution, equivalence_class)
+        table = forwarding_table_from_solution(solution, equivalence_class)
         verdicts = self._compare(outcome, table, network, waypoints, surviving)
         if outcome.newly_failing:
             context = PropertyContext(

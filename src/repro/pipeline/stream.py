@@ -8,6 +8,11 @@ plus a :class:`RecordSpill`, the driver holds O(1) records: each record
 is serialised to one JSON line on disk the moment it arrives and re-read
 one line at a time when the report aggregates or writes itself out.
 
+An ``OSError`` writing, flushing or reading the spill (``ENOSPC``...)
+is a refusal: :class:`~repro.pipeline.core.PipelineError` naming the
+path and reason, a ``pipeline.spill.refused.<reason>`` count and one
+``spill.refused`` event -- never a report missing records.
+
 The spill keeps an in-memory ``(class index, byte offset, length)`` table
 so iteration yields records in *class order* regardless of the order the
 scheduler completed them in -- the same canonicalisation the in-memory
@@ -17,6 +22,7 @@ ones (timings aside).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -24,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
+from repro.pipeline.core import PipelineError
 
 
 class RecordSpill:
@@ -61,10 +68,13 @@ class RecordSpill:
         if self._closed:
             raise ValueError("record spill is closed")
         line = json.dumps(payload, sort_keys=True)
-        self._handle.seek(0, os.SEEK_END)
-        offset = self._handle.tell()
-        self._handle.write(line)
-        self._handle.write("\n")
+        try:
+            self._handle.seek(0, os.SEEK_END)
+            offset = self._handle.tell()
+            self._handle.write(line)
+            self._handle.write("\n")
+        except OSError as exc:
+            raise self._refuse("write", exc) from exc
         size = len(line.encode("utf-8"))
         if not self._entries:
             # One event per spill activation (per-record would be noise).
@@ -84,11 +94,25 @@ class RecordSpill:
         memory at a time."""
         if self._closed:
             raise ValueError("record spill is closed")
-        self._handle.flush()
-        with open(self.path, "rb") as reader:
-            for index, offset, length in sorted(self._entries):
-                reader.seek(offset)
-                yield index, json.loads(reader.read(length).decode("utf-8"))
+        try:
+            self._handle.flush()
+        except OSError as exc:
+            raise self._refuse("flush", exc) from exc
+        try:
+            with open(self.path, "rb") as reader:
+                for index, offset, length in sorted(self._entries):
+                    reader.seek(offset)
+                    yield index, json.loads(reader.read(length).decode("utf-8"))
+        except OSError as exc:
+            raise self._refuse("read", exc) from exc
+
+    def _refuse(self, action: str, exc: OSError) -> PipelineError:
+        """Count, announce and build (not raise) one refusal."""
+        reason = errno.errorcode.get(exc.errno, "oserror").lower()
+        detail = f"cannot {action} record spill {self.path}: {reason} ({exc.strerror or exc})"
+        _metrics.counter(f"pipeline.spill.refused.{reason}").inc()
+        _events.emit("spill.refused", path=self.path, reason=reason, detail=detail)
+        return PipelineError(detail)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -185,9 +185,9 @@ class TestExecutors:
 # ----------------------------------------------------------------------
 class TestVerdictLifting:
     def test_each_node_is_mapped_through_the_abstraction_once(self, monkeypatch):
-        """``copies_of(f(node))`` per node (plus per waypoint and per origin,
-        which place the abstract class), not per (property, node): 7
-        properties used to cost 7 times the calls."""
+        """``copies_of(f(node))`` per node (plus per waypoint; the abstract
+        SRP already places the abstract class), not per (property, node):
+        7 properties used to cost 7 times the calls."""
         from repro.abstraction.mapping import NetworkAbstraction
 
         network = fattree_network(4)
@@ -201,7 +201,7 @@ class TestVerdictLifting:
         report = BatchVerifier(network, executor="serial", limit=1).run()
         (record,) = report.records
         assert len(report.properties) == 7 and report.verdicts_agree()
-        assert len(calls) == record.concrete_nodes + 2 * len(record.origins)
+        assert len(calls) == record.concrete_nodes + len(record.origins)
 
 
 class TestTimeout:

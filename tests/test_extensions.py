@@ -8,7 +8,7 @@ config pipeline.
 
 
 from repro.abstraction import Bonsai, check_transfer_equivalence, compute_abstraction
-from repro.abstraction.equivalence import check_cp_equivalence
+from repro.abstraction.equivalence import build_abstract_srp, check_cp_equivalence
 from repro.config import Prefix, parse_network
 from repro.config.transfer import build_srp_from_network
 from repro.netgen import fattree_network
@@ -142,17 +142,19 @@ class TestPolicyRichFattreeEndToEnd:
     def test_prefer_bottom_compression_is_cp_equivalent(self, small_fattree_prefer_bottom):
         bonsai = Bonsai(small_fattree_prefer_bottom)
         ec = bonsai.equivalence_classes()[0]
-        result = bonsai.compress(ec, build_network=True)
+        result = bonsai.compress(ec, build_network=False)
         report = check_cp_equivalence(
-            result.concrete_srp, result.abstraction, abstract_srp=result.abstract_srp()
+            result.concrete_srp,
+            result.abstraction,
+            abstract_srp=build_abstract_srp(result.concrete_srp, result.abstraction),
         )
         assert report.cp_equivalent, report.violations
 
     def test_prefer_bottom_abstract_network_converges(self, small_fattree_prefer_bottom):
         bonsai = Bonsai(small_fattree_prefer_bottom)
         ec = bonsai.equivalence_classes()[0]
-        result = bonsai.compress(ec, build_network=True)
-        solution = solve(result.abstract_srp())
+        result = bonsai.compress(ec, build_network=False)
+        solution = solve(build_abstract_srp(result.concrete_srp, result.abstraction))
         assert solution.is_stable()
 
 

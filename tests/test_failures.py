@@ -463,11 +463,12 @@ class TestFailureSweep:
         assert report.scratch_seconds == 0
         assert report.ok()  # no divergence recorded means the gate passes
 
-    def test_link_failures_pay_the_class_invariants_and_the_srp_once(self, monkeypatch):
-        """A link failure shares every device config with the baseline:
-        its unused communities and local preferences are the baseline's,
-        never re-derived on the failed view, and the scratch and seeded
-        arms solve one SRP, built once per (class, scenario)."""
+    def test_failures_pay_the_class_invariants_and_the_srp_once(self, monkeypatch):
+        """A failure shares every surviving device config with the
+        baseline: its unused communities and local preferences are the
+        baseline's, filtered, never re-derived on the failed view, and the
+        scratch and seeded arms solve one SRP, built once per (class,
+        scenario)."""
         from repro.config.network import Network
         from repro.failures import sweep as failure_sweep
 
@@ -482,11 +483,11 @@ class TestFailureSweep:
 
             monkeypatch.setattr(Network, name, counted)
         built = []
-        original_build = failure_sweep.build_srp_from_network
+        original_restrict = failure_sweep.restrict_srp
         monkeypatch.setattr(
             failure_sweep,
-            "build_srp_from_network",
-            lambda *args, **kwargs: built.append(args[0].name) or original_build(*args, **kwargs),
+            "restrict_srp",
+            lambda srp, network: built.append(network.name) or original_restrict(srp, network),
         )
         network = build_topology("fattree", 4)
         report = FailureSweep(network, k=1, executor="serial").run()
@@ -495,15 +496,12 @@ class TestFailureSweep:
         units = sum(not o.unroutable for r in report.records for o in r.scenarios)
         assert len(built) == units == report.num_classes * report.num_scenarios
 
-        # A failed device drops out of both: derived from the failed view.
-        derived.clear()
-        FailureSweep(
+        # A failed device drops out of both by the same filter.
+        failed = FailureSweep(
             network, scenarios=[FailureScenario(nodes=frozenset({"core0"}))], limit=1,
             executor="serial",
         ).run()
-        assert {name for name, _ in derived} == {
-            "unused_communities", "local_pref_values_by_device"
-        }
+        assert failed.ok() and derived == []
 
 
 # ----------------------------------------------------------------------

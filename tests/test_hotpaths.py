@@ -160,6 +160,7 @@ class TestWorklistSolverEquivalence:
 
         class Counted:
             offers_without_route = transfer.offers_without_route
+            compiled = transfer.compiled
 
             def __call__(self, edge, label):
                 labels.append(label)
@@ -171,7 +172,7 @@ class TestWorklistSolverEquivalence:
         assert labels and None not in labels
         assert all(label is not None for _, label in solution.transfer_cache)
         del labels[:], prefers[:]
-        table = forwarding_table_from_solution(network, solution, ec)
+        table = forwarding_table_from_solution(solution, ec)
         assert not labels and not prefers
         assert table == compute_forwarding_table(network, ec)
 

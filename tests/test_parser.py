@@ -169,15 +169,17 @@ def test_ge_only_prefix_list_roundtrip():
 
 def test_ge_only_export_filter_is_cp_equivalent():
     from repro.abstraction import Bonsai
-    from repro.abstraction.equivalence import check_cp_equivalence
+    from repro.abstraction.equivalence import build_abstract_srp, check_cp_equivalence
     from repro.srp import solve
 
     bonsai = Bonsai(parse_network(GE_ONLY))
     routed = {}
     for ec in bonsai.equivalence_classes():
-        result = bonsai.compress(ec, build_network=True)
+        result = bonsai.compress(ec, build_network=False)
         report = check_cp_equivalence(
-            result.concrete_srp, result.abstraction, abstract_srp=result.abstract_srp()
+            result.concrete_srp,
+            result.abstraction,
+            abstract_srp=build_abstract_srp(result.concrete_srp, result.abstraction),
         )
         assert report.cp_equivalent, report.violations
         labeling = solve(result.concrete_srp).labeling

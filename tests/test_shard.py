@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,8 +277,6 @@ class TestRecordSpill:
         spill.close()
 
     def test_anonymous_spill_cleans_up(self):
-        import os
-
         spill = RecordSpill()
         spill.append(0, {"x": 1})
         path = spill.path
@@ -285,6 +285,85 @@ class TestRecordSpill:
         assert not os.path.exists(path)
         with pytest.raises(ValueError):
             spill.append(1, {"y": 2})
+
+
+class _FullDisk:
+    """A spill handle on a full disk: every write raises ``ENOSPC``."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestSpillRefusal:
+    def test_a_full_disk_is_a_refusal_and_no_report(self, monkeypatch, tmp_path, capsys):
+        """``ENOSPC`` while spilling ends the run: a ``PipelineError``
+        naming the path and the reason, one counter, one event, exit 1
+        and no ``--output`` file."""
+        from repro.obs import events, metrics
+        from repro.pipeline.cli import main as pipeline_main
+
+        init = RecordSpill.__init__
+
+        def on_full_disk(self, path=None):
+            init(self, path)
+            self._handle = _FullDisk(self._handle)
+
+        monkeypatch.setattr(RecordSpill, "__init__", on_full_disk)
+        spill = RecordSpill(tmp_path / "direct.jsonl")
+        with pytest.raises(PipelineError) as excinfo:
+            spill.append(0, {"x": 1})
+        assert str(tmp_path / "direct.jsonl") in str(excinfo.value)
+        assert "enospc" in str(excinfo.value)
+        assert len(spill) == 0
+        spill.close()
+
+        out = tmp_path / "report.json"
+        seen = []
+        events.subscribe(seen.append)
+        before = metrics.snapshot_counters()
+        try:
+            code = pipeline_main([
+                "failures", "--topo", "ring", "--size", "5", "--executor", "serial",
+                "--memory-budget", "4096", "--output", str(out),
+            ])
+        finally:
+            events.unsubscribe(seen.append)
+        assert code == 1
+        assert not out.exists()
+        assert "cannot write record spill" in capsys.readouterr().err
+        assert metrics.counters_delta(before).get("pipeline.spill.refused.enospc") == 1
+        (refused,) = [event for event in seen if event["type"] == "spill.refused"]
+        assert refused["reason"] == "enospc"
+
+    def test_a_spill_unreadable_while_the_report_is_written_leaves_none(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The summary read the spill; writing ``--output`` reads it again
+        and fails half way: the partial file is removed."""
+        from repro.pipeline.cli import main as pipeline_main
+
+        out = tmp_path / "report.json"
+        iterate = RecordSpill.__iter__
+
+        def unreadable_once_writing(self):
+            if out.exists():
+                raise self._refuse("read", OSError(errno.EIO, os.strerror(errno.EIO)))
+            yield from iterate(self)
+
+        monkeypatch.setattr(RecordSpill, "__iter__", unreadable_once_writing)
+        code = pipeline_main([
+            "failures", "--topo", "ring", "--size", "5", "--executor", "serial",
+            "--memory-budget", "4096", "--output", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert "cannot read record spill" in capsys.readouterr().err
 
 
 class TestStreamingReports:

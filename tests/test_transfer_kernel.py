@@ -258,4 +258,4 @@ def test_a_pickled_transfer_carries_no_memo():
 
 def test_the_stored_fattree_artifact_does_not_grow():
     artifact = BaselineArtifact.build(build_topology("fattree", 6))
-    assert len(pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)) == 433_050
+    assert len(pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)) == 410_992
