@@ -20,7 +20,7 @@ mapping is solution dependent (Theorem 4.5), so the checker verifies that
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.config.device import DeviceConfig
@@ -74,21 +74,16 @@ def representative_view(
     which is its AS too.  The virtual destination's own node stands for
     no device and is left out."""
     abstract_graph = abstraction.abstract_graph
-    chosen: Dict[str, Node] = {}
-    for node in abstract_graph.nodes:
-        members = abstraction.concrete_nodes(node) - {VIRTUAL_DESTINATION}
-        if members:
-            chosen[node] = min(members, key=str)
-    graph = Graph(
-        chosen, [(u, v) for u, v in abstract_graph.edges if u in chosen and v in chosen]
-    )
     devices: Dict[str, DeviceConfig] = {}
     sessions: Dict[str, Tuple[Node, Dict[str, Node]]] = {}
-    for node, source in chosen.items():
+    for node in abstract_graph.nodes:
+        members = abstraction.concrete_nodes(node) - {VIRTUAL_DESTINATION}
+        if not members:
+            continue
+        source = min(members, key=str)
         concrete = network.devices[source]
         devices[node] = DeviceConfig(
             name=node,
-            asn=node,
             route_maps=dict(concrete.route_maps),
             community_lists=dict(concrete.community_lists),
             prefix_lists=dict(concrete.prefix_lists),
@@ -98,11 +93,14 @@ def representative_view(
         first: Dict[str, Node] = {}
         for peer in sorted(network.graph.successors(source), key=str):
             first.setdefault(abstraction.f(peer), peer)
-        witnesses = {
-            neighbour: first.get(abstraction.base_of(neighbour))
-            for neighbour in graph.successors(node)
-        }
-        sessions[node] = (source, {n: w for n, w in witnesses.items() if w is not None})
+        sessions[node] = (source, {
+            neighbour: first[abstraction.base_of(neighbour)]
+            for neighbour in abstract_graph.successors(node)
+            if abstraction.base_of(neighbour) in first
+        })
+    graph = Graph(
+        devices, [(u, v) for u, v in abstract_graph.edges if u in devices and v in devices]
+    )
     view = Network(graph=graph, devices=devices, name=f"{network.name}-abstract-{prefix}")
     return view, sessions
 
@@ -321,10 +319,10 @@ def _labels_related(
     return mapped == abstract_label
 
 
-def _hops(solution: Solution, node: Node) -> List[Node]:
-    """``node``'s next hops, the virtual destination left out: it encodes
-    "delivered at an origin", under its own name on either side."""
-    return [v for _, v in solution.forwarding.get(node, ()) if v != VIRTUAL_DESTINATION]
+#: Delivery at an origin, as a next hop: being the SRP's destination, or
+#: a hop into what stands for the virtual destination (``__dest__``, or
+#: the abstraction's group of it), a name the two sides need not share.
+DELIVERED = "(delivered)"
 
 
 # ----------------------------------------------------------------------
@@ -352,59 +350,54 @@ def check_solution_equivalence(
 ) -> EquivalenceReport:
     """Check label- and fwd-equivalence between two specific solutions.
 
-    Only meaningful for abstractions without BGP case splitting (the node
-    map is then a function); use :func:`check_bgp_solution_equivalence`
-    otherwise.
+    Every concrete node must relate, by label and by forwarding (next
+    hops through ``f``, delivery as :data:`DELIVERED`), to its abstract
+    node -- under BGP case splitting to *some* split copy of it: the
+    refinement ``f_r`` of Theorem 4.5 exists iff such a copy can be found
+    for every node.  The virtual destination relates to the abstract
+    SRP's destination.
     """
     violations: List[str] = []
     srp = concrete.srp
-    nodes = [node for node in srp.graph.nodes if node != VIRTUAL_DESTINATION]
-    label_ok = True
-    for node in nodes:
-        abstract_node = abstraction.f(node)
-        if not _labels_related(
-            srp,
-            abstraction,
-            concrete.labeling.get(node),
-            abstract.labeling.get(abstract_node),
-            strict_labels,
-        ):
-            label_ok = False
-            violations.append(
-                f"label mismatch at {node!r}: h({concrete.labeling.get(node)!r}) vs "
-                f"{abstract.labeling.get(abstract_node)!r} at {abstract_node!r}"
-            )
-            if len(violations) >= max_violations:
-                break
+    stand_ins = {VIRTUAL_DESTINATION, abstraction.node_map.get(VIRTUAL_DESTINATION)}
 
-    fwd_ok = True
-    # Direction 1: concrete forwarding edges map to abstract forwarding edges.
-    for node in nodes:
-        abstract_node = abstraction.f(node)
-        abstract_next = {abstraction.base_of(v) for v in _hops(abstract, abstract_node)}
-        for neighbour in _hops(concrete, node):
-            if abstraction.base_of(abstraction.f(neighbour)) not in abstract_next:
-                fwd_ok = False
-                violations.append(
-                    f"forwarding mismatch: {node!r}->{neighbour!r} has no abstract "
-                    f"counterpart at {abstract_node!r}"
-                )
-                break
-    # Direction 2: abstract forwarding edges are realised by every member.
-    for abstract_node in abstraction.abstract_graph.nodes:
-        members = abstraction.concrete_nodes(abstract_node)
-        for abstract_neighbour in _hops(abstract, abstract_node):
-            target_members = abstraction.concrete_nodes(abstract_neighbour)
-            for member in members:
-                concrete_next = {v for _, v in concrete.forwarding.get(member, ())}
-                if not concrete_next & target_members:
-                    fwd_ok = False
-                    violations.append(
-                        f"abstract forwarding {abstract_node!r}->{abstract_neighbour!r} "
-                        f"not realised at concrete {member!r}"
-                    )
-                    break
+    def next_hops(solution: Solution, node: Node, rename: Callable[[Node], Node]) -> Set[Node]:
+        if node == solution.srp.destination:
+            return {DELIVERED}
+        return {
+            DELIVERED if v in stand_ins else rename(v) for _, v in solution.forwarding.get(node, ())
+        }
 
+    label_ok = fwd_ok = True
+    for node in srp.graph.nodes:
+        if node == VIRTUAL_DESTINATION:
+            base = abstract.srp.destination
+            copies: Tuple[Node, ...] = (base,)
+        else:
+            base = abstraction.f(node)
+            copies = abstraction.copies_of(base)
+        label = concrete.labeling.get(node)
+        related = {
+            copy
+            for copy in copies
+            if _labels_related(srp, abstraction, label, abstract.labeling.get(copy), strict_labels)
+        }
+        hops = next_hops(concrete, node, lambda v: abstraction.base_of(abstraction.f(v)))
+        forwarding = {
+            copy for copy in copies if next_hops(abstract, copy, abstraction.base_of) == hops
+        }
+        if related & forwarding:
+            continue
+        # Unsplit, labels and forwarding are judged apart; a split node
+        # fails both when no one copy relates by both.
+        label_ok = label_ok and len(copies) == 1 and bool(related)
+        fwd_ok = fwd_ok and len(copies) == 1 and bool(forwarding)
+        violations.append(
+            f"{node!r} (label {label!r}, next hops {sorted(map(str, hops))}) relates to no "
+            f"copy of {base!r}: labels of {sorted(related)}, forwarding of {sorted(forwarding)}"
+        )
+        if len(violations) >= max_violations:
+            break
     return EquivalenceReport(
         label_equivalent=label_ok, fwd_equivalent=fwd_ok, violations=violations
     )
@@ -416,53 +409,10 @@ def check_bgp_solution_equivalence(
     abstraction: NetworkAbstraction,
     max_violations: int = 10,
 ) -> EquivalenceReport:
-    """Equivalence check for abstractions with BGP case splitting.
-
-    For every concrete node the checker looks for *some* split copy of its
-    base abstract node whose label and forwarding relate to the concrete
-    node's (the refinement ``f_r`` of Theorem 4.5 exists iff such a copy can
-    be found for every node), and conversely that every copy is realised by
-    some concrete node.
-    """
-    violations: List[str] = []
-    srp = concrete.srp
-    label_ok = True
-    fwd_ok = True
-
-    def copy_matches(node: Node, copy: str) -> bool:
-        if not _labels_related(
-            srp,
-            abstraction,
-            concrete.labeling.get(node),
-            abstract.labeling.get(copy),
-            strict=False,
-        ):
-            return False
-        abstract_next = {abstraction.base_of(v) for v in _hops(abstract, copy)}
-        concrete_next = {abstraction.base_of(abstraction.f(v)) for v in _hops(concrete, node)}
-        return concrete_next == abstract_next
-
-    used_copies: Dict[str, Set[str]] = {}
-    for node in srp.graph.nodes:
-        if node == VIRTUAL_DESTINATION:
-            continue
-        base = abstraction.f(node)
-        copies = abstraction.copies_of(base)
-        matching = [copy for copy in copies if copy_matches(node, copy)]
-        if not matching:
-            label_ok = False
-            fwd_ok = False
-            violations.append(
-                f"no split copy of {base!r} matches concrete node {node!r} "
-                f"(label {concrete.labeling.get(node)!r})"
-            )
-            if len(violations) >= max_violations:
-                break
-        else:
-            used_copies.setdefault(base, set()).update(matching)
-
-    return EquivalenceReport(
-        label_equivalent=label_ok, fwd_equivalent=fwd_ok, violations=violations
+    """:func:`check_solution_equivalence` with equally preferred (not
+    equal) labels, as a solution-dependent case split needs."""
+    return check_solution_equivalence(
+        concrete, abstract, abstraction, max_violations=max_violations
     )
 
 
@@ -484,12 +434,12 @@ def check_cp_equivalence(
     concrete_solution = solve(srp)
     abstract_solution = solve(abstract_srp)
     try:
-        if abstraction.split_groups:
-            return check_bgp_solution_equivalence(
-                concrete_solution, abstract_solution, abstraction
-            )
         return check_solution_equivalence(
-            concrete_solution, abstract_solution, abstraction, strict_labels=strict_labels
+            concrete_solution,
+            abstract_solution,
+            abstraction,
+            # A case split relates equally preferred labels only.
+            strict_labels=strict_labels and not abstraction.split_groups,
         )
     except UnmappedAsError as exc:
         destination = getattr(srp.transfer, "destination", srp.destination)

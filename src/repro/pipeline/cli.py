@@ -481,7 +481,12 @@ def _emit_reports(args, reports) -> bool:
     if not args.output:
         return True
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        handle = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
+        return False
+    try:
+        with handle:
             if len(reports) == 1:
                 (report,) = reports.values()
                 report.write_to(handle)
@@ -493,13 +498,14 @@ def _emit_reports(args, reports) -> bool:
                     separator = ",\n"
                 handle.write("\n}")
             handle.write("\n")
-    except OSError as exc:
+    except (OSError, PipelineError) as exc:
+        # A full disk, or a spill that cannot be read back: no partial
+        # report is left behind.
+        os.remove(args.output)
+        if isinstance(exc, PipelineError):
+            raise
         print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
         return False
-    except PipelineError:
-        # A spill that cannot be read back: no partial report is left.
-        os.remove(args.output)
-        raise
     print(f"  report written to {args.output}")
     return True
 

@@ -96,15 +96,12 @@ class RecordSpill:
             raise ValueError("record spill is closed")
         try:
             self._handle.flush()
-        except OSError as exc:
-            raise self._refuse("flush", exc) from exc
-        try:
             with open(self.path, "rb") as reader:
                 for index, offset, length in sorted(self._entries):
                     reader.seek(offset)
                     yield index, json.loads(reader.read(length).decode("utf-8"))
         except OSError as exc:
-            raise self._refuse("read", exc) from exc
+            raise self._refuse("flush or read", exc) from exc
 
     def _refuse(self, action: str, exc: OSError) -> PipelineError:
         """Count, announce and build (not raise) one refusal."""

@@ -13,10 +13,15 @@ import random
 import pytest
 
 from repro.abstraction.bonsai import Bonsai
-from repro.abstraction.equivalence import build_abstract_srp, check_cp_equivalence
+from repro.abstraction.equivalence import (
+    build_abstract_srp,
+    check_bgp_solution_equivalence,
+    check_cp_equivalence,
+    check_solution_equivalence,
+)
 from repro.analysis.batch import BatchVerifier, PropertySuite, abstract_arm
 from repro.config.acl import Acl
-from repro.config.transfer import build_srp_from_network, restrict_srp
+from repro.config.transfer import VIRTUAL_DESTINATION, build_srp_from_network, restrict_srp
 from repro.delta.sweep import DeltaSweep
 from repro.failures import FailureScenario, FailureSweep
 from repro.failures.scenario import undirected_links
@@ -182,3 +187,74 @@ def test_the_checkers_never_emit_an_abstract_network(monkeypatch):
     assert DeltaSweep(network, script=script, executor="serial").run().ok()
     assert calls == []
 
+
+
+def _tampered_report(family, tamper):
+    """Solve an anycast class of ``family`` on both sides, rewrite the
+    forwarding with ``tamper(concrete, abstract, abstraction, origin)``
+    and check the two solutions again."""
+    bonsai = Bonsai(_anycast_network(family))
+    equivalence_class = next(ec for ec in bonsai.equivalence_classes() if len(ec.origins) > 1)
+    result = bonsai.compress(equivalence_class, build_network=False)
+    abstraction = result.abstraction
+    concrete = solve(result.concrete_srp)
+    abstract = solve(build_abstract_srp(result.concrete_srp, abstraction))
+    check = (
+        check_bgp_solution_equivalence if abstraction.split_groups else check_solution_equivalence
+    )
+    assert check(concrete, abstract, abstraction).cp_equivalent
+    tamper(concrete, abstract, abstraction, sorted(equivalence_class.origins, key=str)[0])
+    return check(concrete, abstract, abstraction)
+
+
+def _forward(solution, node, hops):
+    solution.forwarding = {**solution.forwarding, node: tuple((node, hop) for hop in hops)}
+
+
+def _neighbour(solution, node):
+    return min(
+        (v for v in solution.srp.graph.successors(node) if v != VIRTUAL_DESTINATION), key=str
+    )
+
+
+def _stop_delivering(concrete, abstract, abstraction, origin):
+    """The concrete origin keeps its other next hops but delivers no more."""
+    hops = [v for _, v in concrete.forwarding.get(origin, ()) if v != VIRTUAL_DESTINATION]
+    _forward(concrete, origin, hops)
+
+
+def _transit_delivers(concrete, abstract, abstraction, origin):
+    """A neighbour forwarding to the origin also delivers itself."""
+    transit = _neighbour(concrete, origin)
+    _forward(concrete, transit, [VIRTUAL_DESTINATION, origin])
+
+
+def _abstract_delivers_and_forwards(concrete, abstract, abstraction, origin):
+    """The origin's abstract group delivers and forwards to a neighbouring
+    group; its concrete members only forward there."""
+    group = abstraction.f(origin)
+    neighbour_group = abstraction.f(_neighbour(concrete, origin))
+    _forward(abstract, group, [VIRTUAL_DESTINATION, neighbour_group])
+    for member in abstraction.concrete_nodes(group):
+        targets = abstraction.concrete_nodes(neighbour_group)
+        _forward(concrete, member, [min(set(concrete.srp.graph.successors(member)) & targets)])
+
+
+@pytest.mark.parametrize(
+    "family, tamper",
+    [
+        ("fattree", _stop_delivering),
+        ("fattree", _transit_delivers),
+        ("wan", _stop_delivering),
+        ("wan", _transit_delivers),
+        # wan: the origins form two groups under an abstract virtual
+        # destination, so the abstract group's own delivery can differ.
+        ("wan", _abstract_delivers_and_forwards),
+    ],
+)
+def test_delivering_on_one_side_only_is_not_fwd_equivalent(family, tamper):
+    """Delivery stays in the forwarding relation: a hop into the virtual
+    destination relates to the abstract SRP's delivery (a hop into its
+    own virtual destination, or being its destination), never to nothing."""
+    report = _tampered_report(family, tamper)
+    assert not report.fwd_equivalent, report.violations

@@ -299,6 +299,12 @@ class _FullDisk:
     def __getattr__(self, name):
         return getattr(self._handle, name)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
 
 class TestSpillRefusal:
     def test_a_full_disk_is_a_refusal_and_no_report(self, monkeypatch, tmp_path, capsys):
@@ -364,6 +370,23 @@ class TestSpillRefusal:
         assert code == 1
         assert not out.exists()
         assert "cannot read record spill" in capsys.readouterr().err
+
+    def test_a_full_disk_under_the_report_leaves_none(self, monkeypatch, tmp_path, capsys):
+        """``ENOSPC`` writing ``--output`` itself: exit 1 and the partial
+        file removed."""
+        from repro.pipeline import cli
+
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(
+            cli, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False
+        )
+        code = cli.main([
+            "failures", "--topo", "ring", "--size", "5", "--executor", "serial",
+            "--output", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert "cannot write report" in capsys.readouterr().err
 
 
 class TestStreamingReports:
