@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
-from repro.abstraction.equivalence import representative_view
 from repro.abstraction.mapping import NetworkAbstraction
 from repro.abstraction.refinement import ClassFamily, RefinementResult, compute_abstraction
 from repro.bdd.policy import PolicyBddEncoder
@@ -449,6 +448,9 @@ class Bonsai:
         Transfer-equivalence guarantees any representative yields the same
         behaviour.
         """
+        # Output only: the runs that never emit never load the builder.
+        from repro.abstraction.equivalence import representative_view
+
         prefix = equivalence_class.prefix
         origins = set(equivalence_class.origins)
         network, sessions = representative_view(abstraction, self.network, prefix)
