@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".incremental": (
         "EdgeDiff", "delta_resolve", "diff_network_edges", "seed_transfer_cache",
     ),
-    ".revalidate": ("RevalidationOutcome", "class_signature", "revalidate_class"),
+    ".revalidate": ("class_signature", "revalidate_class"),
     ".sweep": (
         "ChangeOutcome", "ClassDeltaRecord", "DeltaReport", "DeltaSweep",
         "delta_class_task", "sweep_changes",

@@ -16,72 +16,30 @@ are conservative -- syntactically different but semantically equal
 policies re-compress unnecessarily -- but never unsound, because
 syntactic equality implies transfer equality.
 
-On a mismatch the class is re-compressed from scratch on the changed
-network (a fresh :class:`~repro.abstraction.bonsai.Bonsai`; changed
-configurations may enlarge the policy universe, so the baseline's BDD
-encoder is not blindly reused the way the failure checker can).
+On a mismatch the class is checked against a re-compression of the
+changed network instead (a fresh :class:`~repro.abstraction.bonsai.Bonsai`;
+changed configurations may enlarge the policy universe, so the baseline's
+BDD encoder is not blindly reused the way the failure checker can).
 
-Either way the outcome ends in a differential verdict comparison --
-abstract verdicts lifted through whichever mapping was used must equal
-the concrete ones (:func:`repro.analysis.batch.abstract_arm`, the
-verifier's own abstract side) -- so a wrong reuse decision would surface
-as ``agrees=False`` rather than pass silently.
+That decision is all this module owns; the check itself, ending either
+way in a differential lifted-vs-concrete verdict comparison, is the one
+both perturbation kinds share
+(:func:`~repro.pipeline.perturb.check_abstraction`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
 from repro.abstraction.ec import EquivalenceClass
-from repro.abstraction.equivalence import build_abstract_srp
-from repro.analysis.batch import abstract_arm, compare_verdicts
 from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import syntactic_policy_keys
-
-
-@dataclass
-class RevalidationOutcome:
-    """What the revalidator concluded for one (class, change) pair."""
-
-    #: The baseline abstraction survives the change: it was reused without
-    #: re-compressing this class.
-    reused: bool
-    #: Why not, when it was not ("" when it was).
-    reason: str = ""
-    #: Whether a per-class re-compression of the changed network ran.
-    recompressed: bool = False
-    #: Differential result: lifted abstract verdicts equal concrete ones.
-    agrees: Optional[bool] = None
-    #: ``{property: [nodes]}`` where they do not.
-    mismatched: Dict[str, List[str]] = field(default_factory=dict)
-    #: Abstract node count of whichever abstraction was compared against.
-    abstract_nodes: int = 0
-    #: Wall-clock of the signature check plus the reuse-side verdict
-    #: lifting (the incremental arm's revalidation cost).
-    seconds: float = 0.0
-    #: Wall-clock of the re-compression, when one ran.
-    recompress_seconds: float = 0.0
-    #: The lifted verdict map compared against (not serialised; sweeps
-    #: cache it across the steps of one class when the abstraction is
-    #: reused, since a matching signature fixes the abstract SRP).
-    lifted: Optional[VerdictMap] = field(default=None, repr=False)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "reused": self.reused,
-            "reason": self.reason,
-            "recompressed": self.recompressed,
-            "agrees": self.agrees,
-            "mismatched": dict(self.mismatched),
-            "abstract_nodes": self.abstract_nodes,
-            "seconds": self.seconds,
-            "recompress_seconds": self.recompress_seconds,
-        }
+from repro.pipeline.perturb import AbstractionCheck, AbstractSide, check_abstraction
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +113,9 @@ def revalidate_class(
     recompress_bonsai: Callable[[], Bonsai],
     changed_keys: Optional[Dict] = None,
     baseline_lifted: Optional[VerdictMap] = None,
-) -> RevalidationOutcome:
-    """Decide reuse-vs-recompress for one class and differentially verify.
+) -> Tuple[AbstractionCheck, Dict[str, float]]:
+    """Decide reuse-vs-recompress for one class and differentially verify;
+    returns the check and the change kind's own wire keys (its timings).
 
     ``concrete_verdicts`` are the per-node verdicts already computed on
     the changed concrete network by the sweep's incremental re-solve;
@@ -173,38 +132,21 @@ def revalidate_class(
         changed_network, changed_ec.prefix, changed_ec.origins, keys=changed_keys
     )
     reason = signature_matches(baseline_signature, changed_signature)
-    reused = not reason
     nodes = sorted(str(n) for n in changed_network.graph.nodes)
-
     checked = time.perf_counter()
-    if reused:
-        result, lifted = baseline, baseline_lifted
-    else:
-        result = recompress_bonsai().compress(changed_ec, build_network=False)
-        lifted = None
-    if lifted is None:
-        # The compression's own class: a reused abstraction stands for the
-        # baseline prefix even where the changed trie re-shaped it.
-        _, lifted = abstract_arm(
-            result.abstraction,
-            build_abstract_srp(result.concrete_srp, result.abstraction),
-            specs,
-            nodes,
-            waypoints,
-            path_bound,
-        )
-    mismatched = compare_verdicts(concrete_verdicts, lifted)
-    done = time.perf_counter()
-    return RevalidationOutcome(
-        reused=reused,
-        reason=reason,
-        recompressed=not reused,
-        agrees=not mismatched,
-        mismatched=mismatched,
-        abstract_nodes=result.abstract_nodes,
-        # Reuse charges the signature check plus the lifting to the
-        # revalidation; a re-compression is timed on its own.
-        seconds=(done if reused else checked) - start,
-        recompress_seconds=0.0 if reused else done - checked,
-        lifted=lifted if reused else None,
+    check = check_abstraction(
+        reason,
+        # A reused abstraction stands for the baseline prefix even where
+        # the changed trie re-shaped it.
+        partial(AbstractSide.of, baseline),
+        lambda: recompress_bonsai().compress(changed_ec, build_network=False),
+        concrete_verdicts, specs, nodes, waypoints, path_bound,
+        lifted=baseline_lifted,
     )
+    done = time.perf_counter()
+    # Reuse charges the signature check plus the lifting to the
+    # revalidation; a re-compression is timed on its own.
+    return check, {
+        "seconds": (done if check.held else checked) - start,
+        "recompress_seconds": 0.0 if check.held else done - checked,
+    }

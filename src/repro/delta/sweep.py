@@ -41,7 +41,7 @@ import functools
 import json
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
@@ -51,13 +51,14 @@ from repro.config.network import Network
 from repro.config.transfer import syntactic_policy_keys
 from repro.delta.changeset import ChangeSet
 from repro.delta.incremental import delta_resolve, diff_network_edges
-from repro.delta.revalidate import RevalidationOutcome, class_signature, revalidate_class
+from repro.delta.revalidate import class_signature, revalidate_class
 from repro.failures.incremental import BaselineIndex, IncrementalSolve
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace
 from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
+    AbstractionCheck,
     ClassPerturbationRecord,
     PerturbationOutcome,
     PerturbationReport,
@@ -105,7 +106,8 @@ class ChangeOutcome(PerturbationOutcome):
     #: Re-compression cost (only when the signature mismatched and the
     #: class really was re-compressed).
     recompress_seconds: float = 0.0
-    #: Full :class:`~repro.delta.revalidate.RevalidationOutcome` wire form.
+    #: The abstraction check's wire form
+    #: (:func:`~repro.delta.revalidate.revalidate_class`).
     revalidation: Optional[Dict] = None
 
 
@@ -365,7 +367,7 @@ class _ChainLink(NamedTuple):
     #: what a later step the edge diff leaves unchanged carries forward.
     verdicts: Optional[VerdictMap] = None
     outcome: Optional[ChangeOutcome] = None
-    check: Optional[RevalidationOutcome] = None
+    check: Optional[AbstractionCheck] = None
 
 
 def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
@@ -407,8 +409,8 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     #: across a session's requests.  Its reuse-side lifted verdicts are
     #: fixed across steps by a matching signature.
     keep_check = compression is not None and compression is baseline.stored_compression
-    check = baseline.check if keep_check else None
-    baseline_lifted = None if check is None else check.lifted
+    kept = baseline.check if keep_check else None
+    baseline_lifted = None if kept is None else kept.lifted
 
     record = ClassDeltaRecord(
         **baseline.record_fields(),
@@ -428,7 +430,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     # solution, so a ten-step script never re-solves from scratch.
     prev = _ChainLink(
         _BASELINE_STEP, network, equivalence_class, baseline.solution, keys,
-        verdicts=baseline.verdicts, check=check,
+        verdicts=baseline.verdicts, check=kept,
     )
 
     # Sub-class chunking (the pool planner's ``unit_range`` patches):
@@ -550,7 +552,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                 f"delta.class_steps.{'carried' if carried else 'resolved'}"
             ).inc()
 
-            reval = None
+            check = None
             if compression is not None:
                 factory = functools.partial(state.bonsai_for, step_index)
                 # Carried, with the previous step's local preferences: every
@@ -560,9 +562,9 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                     == state.bonsai_for(prev.step)._class_invariants[1]
                 )
                 if same_inputs and prev.check is not None:
-                    reval = replace(prev.check, seconds=0.0, recompress_seconds=0.0)
+                    check, timing = prev.check, {"seconds": 0.0, "recompress_seconds": 0.0}
                 else:
-                    reval = revalidate_class(
+                    check, timing = revalidate_class(
                         compression,
                         baseline_signature,
                         changed_network,
@@ -576,17 +578,16 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
                         baseline_lifted=baseline_lifted,
                     )
                     if same_inputs and keep_check and prev.step == _BASELINE_STEP:
-                        baseline.check = reval
-                if reval.reused and baseline_lifted is None:
-                    baseline_lifted = reval.lifted
-                outcome.reused = reval.reused
-                outcome.recompressed = reval.recompressed
-                outcome.revalidate_seconds = reval.seconds
-                outcome.recompress_seconds = reval.recompress_seconds
-                outcome.revalidation = reval.to_dict()
+                        baseline.check = check
+                if check.held and baseline_lifted is None:
+                    baseline_lifted = check.lifted
+                outcome.record_check(check, timing)
+                outcome.recompressed = check.recompressed
+                outcome.revalidate_seconds = timing["seconds"]
+                outcome.recompress_seconds = timing["recompress_seconds"]
             prev = _ChainLink(
                 step_index, changed_network, changed_ec, solution, new_keys,
-                verdicts=verdicts, outcome=outcome, check=reval,
+                verdicts=verdicts, outcome=outcome, check=check,
             )
 
     return record

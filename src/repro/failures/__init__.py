@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "link_scenario", "node_scenario", "points_of_interest", "sample_link_failures",
         "scenarios_for", "undirected_links",
     ),
-    ".soundness": ("SoundnessOutcome", "abstract_scenario_for", "check_scenario_soundness"),
+    ".soundness": ("abstract_scenario_for", "check_scenario_soundness"),
     ".sweep": (
         "ClassFailureRecord", "FailureReport", "FailureSweep", "ScenarioOutcome",
         "failure_class_task", "sweep_network",

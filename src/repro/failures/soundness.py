@@ -21,73 +21,31 @@ elements from the class's abstract SRP removes whole preimage classes, so
 the ∀∃-refinement conditions of the surviving topology are untouched and
 the baseline abstraction is still an effective abstraction of the failed
 network -- that is the structural fact behind the per-scenario
-``sound_under_failure`` flag.  When it is not, the checker falls back to
-*re-compressing the failed network* -- refinement from the trivial
-partition, on inputs derived from the class baseline rather than rebuilt
-(:meth:`~repro.abstraction.bonsai.Bonsai.derive`) -- and verifies
-against that fresh abstraction instead.
+``sound_under_failure`` flag.  When it is not, the failure is checked
+against a *re-compression of the failed network* instead -- refinement
+from the trivial partition, on inputs derived from the class baseline
+rather than rebuilt (:meth:`~repro.abstraction.bonsai.Bonsai.derive`).
 
-Either way the checker finishes with a differential verdict comparison --
-abstract verdicts lifted through the mapping
-(:func:`~repro.analysis.batch.abstract_arm`, the verifier's own abstract
-side) must equal the concrete ones -- so a structural misjudgement would
-surface as ``agrees=False`` rather than pass silently.
+That decision is all this module owns; the check itself, ending either
+way in a differential lifted-vs-concrete verdict comparison, is the one
+both perturbation kinds share
+(:func:`~repro.pipeline.perturb.check_abstraction`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass
-from repro.abstraction.equivalence import build_abstract_srp
 from repro.abstraction.mapping import NetworkAbstraction
-from repro.analysis.batch import abstract_arm, compare_verdicts
 from repro.analysis.properties import PropertySpec, VerdictMap
 from repro.config.network import Network
 from repro.config.transfer import VIRTUAL_DESTINATION, restrict_srp
 from repro.failures.scenario import FailureScenario, canonical_link
+from repro.pipeline.perturb import AbstractionCheck, AbstractSide, check_abstraction
 from repro.srp.instance import SRP
-
-
-@dataclass
-class SoundnessOutcome:
-    """What the soundness checker concluded for one (class, scenario)."""
-
-    #: Structural verdict: the baseline abstraction can express the
-    #: scenario (whole preimages fail together).
-    sound_under_failure: bool
-    #: Why not, when it cannot ("" when it can).
-    reason: str = ""
-    #: The scenario mapped onto abstract names (``None`` when not
-    #: representable).
-    abstract_scenario: Optional[FailureScenario] = None
-    #: Whether the comparison ran against a fresh per-scenario
-    #: re-compression of the failed network instead of the baseline
-    #: abstraction.
-    recompressed: bool = False
-    #: Differential result: lifted abstract verdicts equal concrete ones.
-    agrees: Optional[bool] = None
-    #: ``{property: [nodes]}`` where they do not.
-    mismatched: Dict[str, List[str]] = field(default_factory=dict)
-    #: Abstract node count of whichever abstraction was compared against.
-    abstract_nodes: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "sound_under_failure": self.sound_under_failure,
-            "reason": self.reason,
-            "abstract_scenario": (
-                None
-                if self.abstract_scenario is None
-                else self.abstract_scenario.to_dict()
-            ),
-            "recompressed": self.recompressed,
-            "agrees": self.agrees,
-            "mismatched": dict(self.mismatched),
-            "abstract_nodes": self.abstract_nodes,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -187,9 +145,9 @@ def check_scenario_soundness(
     waypoints: FrozenSet[str],
     path_bound: int,
     failed_srp: Optional[SRP] = None,
-) -> SoundnessOutcome:
+) -> Tuple[AbstractionCheck, Dict[str, object]]:
     """Judge whether the class's baseline ``abstraction`` survives one
-    scenario.
+    scenario; returns the check and the failure kind's own wire keys.
 
     ``abstract_srp`` is the class's abstract SRP
     (:func:`~repro.abstraction.equivalence.build_abstract_srp`), built
@@ -197,38 +155,24 @@ def check_scenario_soundness(
     (:func:`~repro.config.transfer.restrict_srp`).
     ``concrete_verdicts`` are the per-node property verdicts already
     computed on the failed *concrete* network (by the sweep's incremental
-    re-solve); the checker only produces the abstract side and compares.
-    ``failed_srp`` is the failed network's concrete SRP for the class,
-    when the caller has built it (a re-compression then does not).
+    re-solve).  ``failed_srp`` is the failed network's concrete SRP for
+    the class, when the caller has built it (a re-compression then does
+    not).
     """
     mapped, reason = abstract_scenario_for(abstraction, bonsai.network, scenario)
-    surviving = sorted(str(n) for n in failed_network.graph.nodes)
 
-    sound = mapped is not None
-    if sound:
-        failed_view = mapped.apply(abstract_srp.transfer.network)
-        abstract_srp = restrict_srp(abstract_srp, failed_view)
-        abstract_nodes = failed_view.graph.num_nodes()
-    else:
-        # Fallback: compress the failed network.  Refinement (from the
-        # trivial partition) runs per scenario; its inputs are the class
-        # baseline's, filtered (``Bonsai.derive``).
+    def reuse() -> AbstractSide:
+        view = mapped.apply(abstract_srp.transfer.network)
+        srp = partial(restrict_srp, abstract_srp, view)
+        return AbstractSide(abstraction, view.graph.num_nodes(), srp)
+
+    def recompress():
         removed = scenario.directed_edges(bonsai.network.graph)
         fallback = bonsai.derive(failed_network, removed, failed_ec.prefix)
-        result = fallback.compress(failed_ec, build_network=False, srp=failed_srp)
-        abstraction = result.abstraction
-        abstract_srp = build_abstract_srp(result.concrete_srp, abstraction)
-        abstract_nodes = result.abstract_nodes
-    _, lifted = abstract_arm(
-        abstraction, abstract_srp, specs, surviving, waypoints, path_bound
+        return fallback.compress(failed_ec, build_network=False, srp=failed_srp)
+
+    nodes = sorted(str(n) for n in failed_network.graph.nodes)
+    check = check_abstraction(
+        reason, reuse, recompress, concrete_verdicts, specs, nodes, waypoints, path_bound
     )
-    mismatched = compare_verdicts(concrete_verdicts, lifted)
-    return SoundnessOutcome(
-        sound_under_failure=sound,
-        reason=reason,
-        abstract_scenario=mapped,
-        recompressed=not sound,
-        agrees=not mismatched,
-        mismatched=mismatched,
-        abstract_nodes=abstract_nodes,
-    )
+    return check, {"abstract_scenario": None if mapped is None else mapped.to_dict()}

@@ -86,7 +86,8 @@ class ScenarioOutcome(PerturbationOutcome):
     #: Structural soundness flag (``None`` when soundness checking was
     #: off or the scenario was unroutable).
     sound_under_failure: Optional[bool] = None
-    #: Full :class:`~repro.failures.soundness.SoundnessOutcome` wire form.
+    #: The abstraction check's wire form
+    #: (:func:`~repro.failures.soundness.check_scenario_soundness`).
     soundness: Optional[Dict] = None
 
 
@@ -318,7 +319,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                 outcome, failed_network, solution, failed_ec, scenario_waypoints, surviving
             )
             if compression is not None:
-                sound = check_scenario_soundness(
+                outcome.record_check(*check_scenario_soundness(
                     bonsai,
                     compression.abstraction,
                     abstract_srp,
@@ -330,9 +331,7 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                     scenario_waypoints,
                     baseline.path_bound,
                     failed_srp=build_failed_srp(),
-                )
-                outcome.sound_under_failure = sound.sound_under_failure
-                outcome.soundness = sound.to_dict()
+                ))
     return record
 
 

@@ -21,7 +21,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".core": (
         "CLASS_TASKS", "EXECUTORS", "ClassFanOut", "CompressionPipeline", "PipelineError",
-        "PipelineRun", "register_class_task",
+        "PipelineRun",
     ),
     ".encoded": ("EncodedNetwork",),
     ".report": ("EcRecord", "PipelineReport"),

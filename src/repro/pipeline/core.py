@@ -105,13 +105,6 @@ CLASS_TASKS: Dict[str, str] = {
 }
 
 
-def register_class_task(name: str, path: str) -> None:
-    """Register (or replace) a named per-class task by dotted path."""
-    if ":" not in path:
-        raise ValueError(f"task path must look like 'module:function', got {path!r}")
-    CLASS_TASKS[name] = path
-
-
 def resolve_class_task(name_or_path: str) -> str:
     """Normalise a task reference to its ``"module:function"`` path."""
     if not isinstance(name_or_path, str) or not name_or_path.strip():

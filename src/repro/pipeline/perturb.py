@@ -15,12 +15,15 @@ A kind supplies three things, inside its own per-class task loop:
 * **diff** -- what the unit removed/added/changed, handed to the seeded
   re-solve (:func:`repro.failures.incremental.incremental_resolve` /
   :func:`repro.delta.incremental.delta_resolve`, one body);
-* **abstraction check** -- whether the baseline Bonsai abstraction still
-  stands for the perturbed network (structural soundness; signature
-  revalidation), serialised as a wire dict with an ``agrees`` verdict.
+* **abstraction decision** -- whether the baseline Bonsai abstraction
+  still stands for the perturbed network (a failure's structural
+  representability; a change's refinement-signature match), the reuse
+  side it is checked on, and the ``Bonsai`` a re-compression runs on.
 
 Everything else is here, once: the outcome/record/report base classes
-(every aggregate, the wire format, the summary head), the per-class
+(every aggregate, the wire format, the summary head), the abstraction
+check both kinds' decisions feed (:func:`check_abstraction`: reuse or
+re-compress, lift, compare, one :class:`AbstractionCheck`), the per-class
 baseline prologue with its scratch-oracle bookkeeping and verdict-delta
 and witness tail (:class:`TaskBaseline`), and the sweep driver
 (:class:`PerturbationSweep`).  The shared code reads each
@@ -37,14 +40,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.abstraction.bonsai import CompressionResult
 from repro.abstraction.ec import EquivalenceClass
-from repro.analysis.batch import PropertySuite, waypoints_for
+from repro.abstraction.equivalence import build_abstract_srp
+from repro.abstraction.mapping import NetworkAbstraction
+from repro.analysis.batch import PropertySuite, abstract_arm, compare_verdicts, waypoints_for
 from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
 from repro.analysis.properties import (
     PropertyContext,
+    PropertySpec,
     VerdictMap,
     evaluate_suite,
     failure_witness,
@@ -53,6 +61,7 @@ from repro.analysis.properties import (
 from repro.config.network import Network
 from repro.pipeline.core import ClassFanOut
 from repro.reporting import ReportEnvelope, StreamingReport
+from repro.srp.instance import SRP
 from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
 
@@ -110,6 +119,12 @@ class PerturbationOutcome:
     def abstract_agrees(self) -> Optional[bool]:
         check = self.abstraction_check
         return None if check is None else check.get("agrees")
+
+    def record_check(self, check: "AbstractionCheck", wire: Dict[str, object]) -> None:
+        """Write ``check`` under the kind's ``HELD_FIELD`` and, as a wire
+        dict with the kind's own ``wire`` keys added, its ``CHECK_FIELD``."""
+        setattr(self, self.HELD_FIELD, check.held)
+        setattr(self, self.CHECK_FIELD, {**check.to_dict(self.HELD_FIELD), **wire})
 
     def canonical(self) -> Tuple:
         """Timing-free outcome, for executor-parity comparisons."""
@@ -349,6 +364,105 @@ class PerturbationReport(StreamingReport, ReportEnvelope):
             )
             for prop in self.properties
         ]
+
+
+# ----------------------------------------------------------------------
+# The abstraction check
+# ----------------------------------------------------------------------
+@dataclass
+class AbstractionCheck:
+    """Whether the baseline abstraction stood for one perturbed unit, and
+    the differential comparison against whichever abstraction was used."""
+
+    #: The kind's decision: the baseline abstraction stands for the
+    #: perturbed network, so the check ran against it.
+    held: bool
+    #: Why not, when it did not ("" when it did).
+    reason: str = ""
+    #: The check ran against a re-compression of the perturbed network.
+    recompressed: bool = False
+    #: Differential result: lifted abstract verdicts equal concrete ones.
+    agrees: Optional[bool] = None
+    #: ``{property: [nodes]}`` where they do not.
+    mismatched: Dict[str, List[str]] = field(default_factory=dict)
+    #: Abstract node count of whichever abstraction was checked against.
+    abstract_nodes: int = 0
+    #: The reuse side's lifted verdicts, when it held (not serialised: a
+    #: kind hands them to later units whose reuse side is this unit's).
+    lifted: Optional[VerdictMap] = field(default=None, repr=False)
+
+    def to_dict(self, held_key: str) -> Dict[str, object]:
+        return {
+            held_key: self.held,
+            "reason": self.reason,
+            "recompressed": self.recompressed,
+            "agrees": self.agrees,
+            "mismatched": dict(self.mismatched),
+            "abstract_nodes": self.abstract_nodes,
+        }
+
+
+class AbstractSide(NamedTuple):
+    """An abstraction a check compares against: the partition, its abstract
+    node count, and its abstract SRP's builder (called only when the
+    lifted verdicts are not already known)."""
+
+    abstraction: NetworkAbstraction
+    abstract_nodes: int
+    abstract_srp: Callable[[], SRP]
+
+    @classmethod
+    def of(cls, result: CompressionResult) -> "AbstractSide":
+        return cls(
+            result.abstraction,
+            result.abstract_nodes,
+            partial(build_abstract_srp, result.concrete_srp, result.abstraction),
+        )
+
+
+def check_abstraction(
+    reason: str,
+    reuse: Callable[[], AbstractSide],
+    recompress: Callable[[], CompressionResult],
+    concrete_verdicts: VerdictMap,
+    specs: Sequence[PropertySpec],
+    nodes: Sequence[str],
+    waypoints: FrozenSet[str],
+    path_bound: int,
+    lifted: Optional[VerdictMap] = None,
+) -> AbstractionCheck:
+    """Check one perturbed unit against the baseline abstraction or, when
+    the kind's decision gives a ``reason`` it does not stand, against a
+    re-compression of the perturbed network.
+
+    ``reuse()`` is the kind's baseline side; ``recompress()`` compresses
+    the perturbed class.  Either way the abstract verdicts are lifted to
+    ``nodes`` (:func:`~repro.analysis.batch.abstract_arm`, the verifier's
+    own abstract side) and compared with ``concrete_verdicts``, the
+    perturbed network's, so a wrong decision surfaces as ``agrees=False``
+    rather than passing silently.  ``lifted`` hands in the reuse side's
+    lifted verdicts when an earlier unit has them: its abstract SRP is
+    then neither built nor solved.
+    """
+    held = not reason
+    if held:
+        side = reuse()
+    else:
+        side, lifted = AbstractSide.of(recompress()), None
+    if lifted is None:
+        _, lifted = abstract_arm(
+            side.abstraction, side.abstract_srp(), specs, nodes, waypoints, path_bound
+        )
+    mismatched = compare_verdicts(concrete_verdicts, lifted)
+    return AbstractionCheck(
+        held=held,
+        reason=reason,
+        recompressed=not held,
+        agrees=not mismatched,
+        mismatched=mismatched,
+        abstract_nodes=side.abstract_nodes,
+        lifted=lifted if held else None,
+    )
 
 
 # ----------------------------------------------------------------------

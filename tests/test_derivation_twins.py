@@ -4,7 +4,7 @@
   class baseline (``Bonsai.derive``: filtered compilation, filtered policy
   keys, patched refinement inputs, the failed SRP handed in) -- against a
   from-scratch ``Bonsai(failed_network)``, the partition and the whole
-  ``SoundnessOutcome`` must not move;
+  ``soundness`` wire dict must not move;
 * a protocol's ``rank`` orders attributes exactly as its ``prefer`` does,
   and the solver's ranked scan gives the labeling *and* forwarding of the
   pairwise scan and of the full-sweep oracle;

@@ -50,12 +50,14 @@ def _as_change(scenario: FailureScenario) -> ChangeSet:
     )
 
 
-def _sweep_both(artifact, scenario: FailureScenario):
+def _sweep_both(artifact, scenario: FailureScenario, checked: bool = False):
+    """Both kinds on one perturbation; ``checked`` runs their abstraction
+    checks (soundness, revalidation)."""
     failed = FailureSweep(
-        artifact=artifact, scenarios=[scenario], oracle=False, soundness=False
+        artifact=artifact, scenarios=[scenario], oracle=False, soundness=checked
     ).run()
     changed = DeltaSweep(
-        artifact=artifact, script=[_as_change(scenario)], oracle=False, revalidate=False
+        artifact=artifact, script=[_as_change(scenario)], oracle=False, revalidate=checked
     ).run()
     assert [r.prefix for r in failed.records] == [r.prefix for r in changed.records]
     return [
@@ -84,6 +86,43 @@ def test_failure_equals_one_step_removal_where_origins_survive(data, family):
         assert outcome.newly_failing == step.newly_failing, (family, scenario.name, prefix)
         assert outcome.newly_passing == step.newly_passing, (family, scenario.name, prefix)
     assert compared  # two failed elements never kill every class's origins
+
+
+#: The exact keys of each kind's abstraction-check wire dict.
+_CHECK_KEYS = {
+    "soundness": {
+        "sound_under_failure", "reason", "abstract_scenario", "recompressed",
+        "agrees", "mismatched", "abstract_nodes",
+    },
+    "revalidation": {
+        "reused", "reason", "recompressed", "agrees", "mismatched", "abstract_nodes",
+        "seconds", "recompress_seconds",
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+def test_both_kinds_check_one_link_failure_and_agree(family):
+    """One checker answers both kinds: on a failed link and the change
+    removing it, each kind's check agrees with the concrete verdicts and
+    writes its wire dict with exactly its own keys (the goldens scrub the
+    timings and the benchmark defaults a missing ``agrees`` to true, so
+    nothing else notices a lost key)."""
+    artifact, elements = _family(family)
+    link = next(value for kind, value in elements if kind == "link")
+    scenario = FailureScenario(links=frozenset({link}))
+    compared = 0
+    for prefix, origins, outcome, step in _sweep_both(artifact, scenario, checked=True):
+        if not set(origins) - scenario.nodes:
+            continue
+        compared += 1
+        assert outcome.abstract_agrees() is True, (family, prefix, outcome.soundness)
+        assert step.abstract_agrees() is True, (family, prefix, step.revalidation)
+        assert set(outcome.soundness) == _CHECK_KEYS["soundness"]
+        assert set(step.revalidation) == _CHECK_KEYS["revalidation"]
+        assert outcome.soundness["recompressed"] is not outcome.sound_under_failure
+        assert step.revalidation["recompressed"] is not step.reused
+    assert compared
 
 
 def test_origin_killing_node_failure_is_where_the_kinds_differ():
@@ -250,3 +289,39 @@ def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeyp
     ).run()
     assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 2 * 18)
     assert [o.incremental_matches_scratch for r in audited.records for o in r.steps] == [True] * 18
+
+
+# ----------------------------------------------------------------------
+# The work the abstraction check must not repeat
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", ["fattree", "wan"])
+def test_failure_checks_build_the_class_abstract_srp_once(family, monkeypatch):
+    """A representable scenario filters the class's abstract SRP, built
+    once per class; only a re-compression builds one of its own."""
+    network = build_topology(family)
+    calls = _count_calls(monkeypatch, "build_abstract_srp")
+    report = FailureSweep(network, k=1, oracle=False, executor="serial").run()
+    counts = report.abstraction_counts()
+    assert counts["checked"] == report.num_classes * report.num_scenarios
+    assert calls["build_abstract_srp"] == report.num_classes + counts["recompressed"]
+
+
+@pytest.mark.parametrize("long_path", [False, True])
+def test_delta_lifts_a_reused_abstraction_once_per_class(long_path, monkeypatch):
+    """Three steps that each keep every class's abstraction lift each
+    class's abstract verdicts once: a carried step takes the previous
+    step's check, and (edge diff forced non-empty, so nothing is carried)
+    a re-checked step the reuse side's lifted verdicts."""
+    network = build_topology("fattree", 4)
+    script = [
+        generated_change_script(network, "fattree", steps=1, seed=seed)[0]
+        for seed in (0, 1, 2)
+    ]
+    if long_path:
+        monkeypatch.setattr(EdgeDiff, "is_empty", lambda self: False)
+    calls = _count_calls(monkeypatch, "abstract_arm")
+    report = DeltaSweep(network, script=script, oracle=False, executor="serial").run()
+    outcomes = [outcome for record in report.records for outcome in record.steps]
+    assert len(outcomes) == 3 * report.num_classes
+    assert all(outcome.reused and outcome.abstract_agrees() for outcome in outcomes)
+    assert calls["abstract_arm"] == report.num_classes
