@@ -19,6 +19,7 @@ them for downstream analyses to use.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
@@ -141,11 +142,13 @@ class Bonsai:
     specialise to the same map form a *class family*
     (:class:`~repro.abstraction.refinement.ClassFamily`) and share that
     map, the refinement inputs built from it and the destination-free
-    base partition their refinements start from.
-    ``REFINEMENT_CACHE_LIMIT`` bounds what is retained (families, and
-    ``RefinementResult``s holding full node maps; cleared wholesale on
-    overflow, like the BDD manager's ``ite`` memo): pipeline workers keep
-    one ``Bonsai`` alive for thousands of classes.
+    base partition their refinements start from.  A class's own
+    ``RefinementResult`` (a full node map) is kept only when another class
+    of the network has the same origin set, the one case in which a later
+    class can reuse it.  ``REFINEMENT_CACHE_LIMIT`` bounds what is
+    retained (cleared wholesale on overflow, like the BDD manager's
+    ``ite`` memo): pipeline workers keep one ``Bonsai`` alive for
+    thousands of classes.
 
     A ``Bonsai`` assumes the network configuration does not change while
     it is alive: the policy-BDD encoder collects its variable universe at
@@ -182,7 +185,8 @@ class Bonsai:
         #: Family level of the cross-class memo: specialisation signature
         #: (see :meth:`policy_keys`) -> the family's interned key map.
         self._families: Dict[Hashable, ClassFamily] = {}
-        #: Exact level: ``(id(family), origins)`` -> ``(family, result)``;
+        #: Exact level: ``(id(family), origins)`` -> ``(family, result)``,
+        #: for origin sets several classes share (:attr:`_shared_origin_sets`);
         #: the entry pins its family, so the id cannot be reused under it.
         self._refinement_cache: Dict[Hashable, Tuple[ClassFamily, RefinementResult]] = {}
         self._refinement_hits = 0
@@ -287,6 +291,8 @@ class Bonsai:
             }
         if len(network.devices) == len(self.network.devices):
             child._class_invariants = self._class_invariants
+        # A view compresses one class once: no result of it is read again.
+        child._shared_origin_sets = frozenset()
         child._family_memo = (prefix, self.policy_keys(prefix).without(removed))
         return child
 
@@ -382,12 +388,22 @@ class Bonsai:
             # is shared, so they go into a copy (a family of one).
             keys = {**family, **{edge: srp.policy_key(edge) for edge in virtual_edges}}
         refinement = compute_abstraction(srp, policy_keys=keys)
-        self._make_room()
-        self._refinement_cache[key] = (family, refinement)
+        if equivalence_class.origins in self._shared_origin_sets:
+            self._make_room()
+            self._refinement_cache[key] = (family, refinement)
         return refinement
 
+    @cached_property
+    def _shared_origin_sets(self) -> FrozenSet[frozenset]:
+        """The origin sets more than one class of the network has: the
+        only keys under which the exact level of the memo can hit."""
+        counts = Counter(ec.origins for ec in self.equivalence_classes())
+        return frozenset(origins for origins, count in counts.items() if count > 1)
+
     def abstraction_cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters of the cross-class memo; results and families retained."""
+        """Hit/miss counters of the cross-class memo; ``size`` counts the
+        results retained (only those a later class with the same origin
+        set can read), ``families`` the class families."""
         return {
             "hits": self._refinement_hits,
             "misses": self._refinement_misses,

@@ -356,10 +356,10 @@ class VerificationReport(StreamingReport, ReportEnvelope):
             "property_totals": self.property_totals(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: int = 2, handle=None) -> Optional[str]:
         # Defined here, not just inherited: the e2e benchmark's layer
         # ledger wraps it through this class's own ``__dict__``.
-        return super().to_json(indent)
+        return super().to_json(indent, handle)
 
     # ------------------------------------------------------------------
     # Display

@@ -174,10 +174,10 @@ class DeltaReport(PerturbationReport):
         block["first_property_broken"] = self.first_property_broken()
         return block
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: int = 2, handle=None) -> Optional[str]:
         # Defined here, not just inherited: the e2e benchmark's layer
         # ledger wraps it through this class's own ``__dict__``.
-        return super().to_json(indent)
+        return super().to_json(indent, handle)
 
     def summary_lines(self) -> List[str]:
         lines = []
@@ -220,8 +220,9 @@ class _ScriptState:
     """The cumulative changed networks (and per-network caches) of one
     script, cached on the worker's Bonsai so every class the worker
     handles shares the applied networks, each step's Bonsai -- policy
-    encoder, compilations, class invariants -- and class list, and the
-    route-map specialization memos."""
+    encoder, compilations, class invariants -- and class list.  Nothing
+    per class lives here: a class task's route-map specialization memos
+    are its own."""
 
     def __init__(self, key, bonsai: Bonsai, steps):
         self.key = key
@@ -235,12 +236,6 @@ class _ScriptState:
         self.classes: Dict[int, List[EquivalenceClass]] = {}
         #: ``step index -> edges`` :meth:`touched_edges` found.
         self.touched: Dict[int, Optional[set]] = {}
-        #: ``(ignore set, prefix) -> specialize_route_map memo``.  Scoped
-        #: per destination-and-ignore pair as the memo contract requires;
-        #: steps whose ignore set is unchanged share one memo, so route
-        #: maps shared across the copy-on-write step networks are
-        #: specialized once for the whole script.
-        self.spec_caches: Dict[Tuple[frozenset, object], Dict] = {}
 
     def bonsai_for(self, step: int) -> Bonsai:
         """The Bonsai over one step's network (built lazily).  Everything
@@ -300,11 +295,15 @@ class _ScriptState:
             self.touched[step] = edges
         return self.touched[step]
 
-    def policy_keys(self, step: int, prefix, before: Optional[Dict] = None) -> Dict:
+    def policy_keys(
+        self, step: int, prefix, before: Optional[Dict] = None, spec_caches: Optional[Dict] = None
+    ) -> Dict:
         """The specialized syntactic policy keys of one step's network.
 
-        The route-map specialization memo is per (ignore set,
-        destination) and shared across steps, since the copy-on-write
+        ``spec_caches`` is the calling class task's ``(ignore set, prefix)
+        -> specialize_route_map memo`` map (default: one for this call):
+        one memo per destination and ignore set, as the memo contract
+        requires, shared across the task's steps, since the copy-on-write
         views share the unchanged route-map and device objects.
 
         ``before`` is the same prefix's key map on the step just before,
@@ -315,6 +314,7 @@ class _ScriptState:
         bonsai = self.bonsai_for(step)
         ignore = bonsai._class_invariants[0]
         compiled = bonsai.compile_for(prefix)
+        memo = {} if spec_caches is None else spec_caches.setdefault((ignore, prefix), {})
         touched = None if before is None else self.touched_edges(step)
         _metrics.counter(f"delta.keys.{'full' if touched is None else 'localised'}").inc()
         if touched is not None:
@@ -324,7 +324,7 @@ class _ScriptState:
             prefix,
             compiled,
             ignore,
-            specialize_cache=self.spec_caches.setdefault((ignore, prefix), {}),
+            specialize_cache=memo,
         )
         if touched is None:
             return keys
@@ -387,6 +387,10 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     stored = baseline.stored
 
     state = _script_state(bonsai, script)
+    # This class's route-map specialization memos (``policy_keys``):
+    # shared by its steps, dropped with the task -- no other class
+    # specializes for its destination.
+    spec_caches: Dict[Tuple[frozenset, object], Dict] = {}
 
     keys = None if stored is None else stored.signature[1]
     compression = None
@@ -397,7 +401,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
         if stored is not None:
             baseline_signature = stored.signature
         else:
-            keys = state.policy_keys(_BASELINE_STEP, prefix)
+            keys = state.policy_keys(_BASELINE_STEP, prefix, spec_caches=spec_caches)
             baseline_signature = class_signature(
                 network,
                 prefix,
@@ -498,8 +502,12 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
             # one: what this step's keys are derived from and diffed against.
             old_keys = None
             if prev.simulated is not None and prev.simulated.prefix == changed_ec.prefix:
-                old_keys = prev.keys or state.policy_keys(prev.step, changed_ec.prefix)
-            new_keys = state.policy_keys(step_index, changed_ec.prefix, old_keys)
+                old_keys = prev.keys or state.policy_keys(
+                    prev.step, changed_ec.prefix, spec_caches=spec_caches
+                )
+            new_keys = state.policy_keys(
+                step_index, changed_ec.prefix, old_keys, spec_caches=spec_caches
+            )
 
             def seeded():
                 started = time.perf_counter()

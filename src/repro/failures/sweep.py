@@ -184,10 +184,10 @@ class FailureReport(PerturbationReport):
             block["k_resilience"] = self.k_resilience()
         return block
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: int = 2, handle=None) -> Optional[str]:
         # Defined here, not just inherited: the e2e benchmark's layer
         # ledger wraps it through this class's own ``__dict__``.
-        return super().to_json(indent)
+        return super().to_json(indent, handle)
 
     def summary_lines(self) -> List[str]:
         speedup = self.incremental_speedup

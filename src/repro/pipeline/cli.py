@@ -580,11 +580,11 @@ def _run_compress(args, families: List[str]) -> int:
             workers=args.workers,
             limit=args.limit,
         )
-        if args.memory_budget is not None:
-            # Per-class records spill to disk as they arrive, so peak RSS
-            # stays bounded on fat topologies.
-            return pipeline.run_streaming
-        return lambda: pipeline.run().report
+        # The report needs records only: each class's compression (its
+        # concrete SRP and node map) is dropped once its record is taken.
+        # Under a memory budget the records spill to disk as they arrive
+        # too, so peak RSS stays bounded on fat topologies.
+        return lambda: pipeline.run_streaming(spill=args.memory_budget is not None)
 
     def class_line(record) -> str:
         return (

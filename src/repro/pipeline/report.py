@@ -182,10 +182,10 @@ class PipelineReport(StreamingReport, ReportEnvelope):
             "speedup": self.speedup,
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: int = 2, handle=None) -> Optional[str]:
         # Defined here, not just inherited: the e2e benchmark's layer
         # ledger wraps it through this class's own ``__dict__``.
-        return super().to_json(indent)
+        return super().to_json(indent, handle)
 
     # ------------------------------------------------------------------
     # Display

@@ -33,8 +33,9 @@ from __future__ import annotations
 import bisect
 import copy
 import dataclasses
+import io
 import json
-from typing import Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Optional, Type
 
 #: Cross-report envelope schema revision.
 REPORT_SCHEMA_VERSION = 2
@@ -143,8 +144,9 @@ class StreamingReport:
       driver holds O(1) records; :meth:`iter_records` re-reads them one
       at a time, in class order, whenever an aggregate or serialisation
       needs them;
-    * :meth:`write_json` streams the report to disk record by record --
-      the output is plain JSON, loadable by the ordinary ``from_json``.
+    * :meth:`to_json` (:meth:`write_to` / :meth:`write_json` into a
+      file) writes the report record by record, in one layout whether it
+      spilled or not -- plain JSON, loadable by the ordinary ``from_json``.
 
     Aggregates in the report classes iterate :meth:`iter_records` (and
     count via :meth:`record_count`) instead of touching ``self.records``
@@ -219,8 +221,33 @@ class StreamingReport:
         data["aggregate"] = self.aggregate()
         return data
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self, indent: int = 2, handle=None) -> Optional[str]:
+        """The report as one JSON object: returned as a string, or written
+        to the open text ``handle`` (then ``None``).
+
+        The one writer, and a streaming one: the header keys in sorted
+        order, the records one at a time in class order (a spilled report
+        re-reads them from disk one by one), so neither the whole dict nor
+        the whole string of a report is built to write it.  The bytes are
+        ``json.dumps(self.to_dict(), indent=indent, sort_keys=True)``'s.
+        """
+        target = io.StringIO() if handle is None else handle
+        header = self.to_dict(include_records=False)
+        header["records"] = None  # written below, in its sorted place
+        pad = " " * indent
+        for position, key in enumerate(sorted(header)):
+            target.write(f"{',' if position else '{'}\n{pad}{json.dumps(key)}: ")
+            if key != "records":
+                target.write(_indented(header[key], indent, pad))
+                continue
+            opening = "["
+            for record in self.iter_records():
+                payload = _indented(self.record_payload(record), indent, pad * 2)
+                target.write(f"{opening}\n{pad * 2}{payload}")
+                opening = ","
+            target.write("[]" if opening == "[" else f"\n{pad}]")
+        target.write("\n}")
+        return target.getvalue() if handle is None else None
 
     @classmethod
     def from_dict(cls, data: Dict):
@@ -234,32 +261,21 @@ class StreamingReport:
         return cls.from_dict(json.loads(text))
 
     def write_json(self, path: str, indent: int = 2) -> None:
-        """Write the report to ``path`` (see :meth:`write_to`)."""
+        """Write the report to ``path`` (see :meth:`to_json`)."""
         with open(path, "w", encoding="utf-8") as handle:
             self.write_to(handle, indent)
             handle.write("\n")
 
     def write_to(self, handle, indent: int = 2) -> None:
-        """Write the report to the open text ``handle`` as one JSON object.
+        """Stream the report into the open text ``handle`` (:meth:`to_json`);
+        ``from_json`` / :func:`load_report` read it back."""
+        self.to_json(indent, handle)
 
-        A spilled report streams record by record, one in memory at a
-        time; the output is ordinary JSON either way, which ``from_json``
-        / :func:`load_report` read back like any other report file.
-        """
-        if self.spill is None:
-            handle.write(self.to_json(indent))
-            return
-        handle.write('{\n"records": [\n')
-        first = True
-        for record in self.iter_records():
-            if not first:
-                handle.write(",\n")
-            handle.write(json.dumps(self.record_payload(record), sort_keys=True))
-            first = False
-        handle.write("\n],\n" if not first else "],\n")
-        body = json.dumps(self.to_dict(include_records=False), indent=indent, sort_keys=True)
-        handle.write(body[1:-1].strip())
-        handle.write("\n}")
+
+def _indented(value, indent: int, pad: str) -> str:
+    """``value`` as indented JSON, its lines after the first shifted by
+    ``pad``: how ``json.dumps`` lays it out nested at that depth."""
+    return json.dumps(value, indent=indent, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def register_report(cls: type) -> type:

@@ -1,17 +1,27 @@
 """Memo-bound satellites: bounded caches with counters, fingerprint
-invalidation of the ``Network``-level memos under topology mutation."""
+invalidation of the ``Network``-level memos under topology mutation, and
+per-class memos that die with their class."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.abstraction import bonsai as bonsai_module
 from repro.abstraction.ec import routable_equivalence_classes
 from repro.api import Session
 from repro.config.transfer import build_srp_from_network
+from repro.delta import sweep as delta_sweep
+from repro.delta.sweep import DeltaSweep
+from repro.failures import FailureSweep
 from repro.failures.incremental import BaselineIndex, tainted_nodes
 from repro.failures.scenario import link_scenario, undirected_links
 from repro.netgen.changes import generated_change_script
 from repro.netgen.families import build_topology
+from repro.pipeline.core import CompressionPipeline
+from repro.pipeline.encoded import EncodedNetwork
 from repro.srp.solver import TransferCache, solve
 from repro.topology.graph import Graph
 
@@ -284,3 +294,93 @@ class TestNetworkMemoInvalidation:
         cached = network._dec_cache
         network.destination_equivalence_classes()
         assert network._dec_cache is cached
+
+
+# ----------------------------------------------------------------------
+# Per-class state dies with its class
+# ----------------------------------------------------------------------
+@pytest.fixture
+def kept_bonsais(monkeypatch):
+    """Every ``Bonsai`` a run's executor makes, kept alive after the run:
+    what a class left in one would still be there to see."""
+    kept = []
+    make = EncodedNetwork.make_bonsai
+
+    def keeping(artifact):
+        kept.append(make(artifact))
+        return kept[-1]
+
+    monkeypatch.setattr(EncodedNetwork, "make_bonsai", keeping)
+    return kept
+
+
+def _reachable_ids(root) -> set:
+    """The ids of the objects reachable from ``root`` through containers
+    and ``repro`` objects (not through types, functions or modules)."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        todo.extend(
+            ref
+            for ref in gc.get_referents(obj)
+            if isinstance(ref, (dict, list, tuple, set, frozenset))
+            or type(ref).__module__.startswith("repro")
+        )
+    return seen
+
+
+class TestClassStateDiesWithItsClass:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda network: CompressionPipeline(network, executor="serial").run_streaming(
+                spill=False
+            ),
+            # Soundness re-compresses on failure views made by ``derive``.
+            lambda network: FailureSweep(network, k=1, limit=4, executor="serial").run(),
+        ],
+        ids=["compress", "failures"],
+    )
+    def test_no_refinement_outlives_its_class(self, run, kept_bonsais, monkeypatch):
+        """Fat-tree classes each have an origin set of their own, so no
+        later class can read a class's ``RefinementResult``: none is kept."""
+        refinements = []
+        refine = bonsai_module.compute_abstraction
+
+        def tracking(*args, **kwargs):
+            result = refine(*args, **kwargs)
+            refinements.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(bonsai_module, "compute_abstraction", tracking)
+        assert run(build_topology("fattree", 4)).ok()
+        gc.collect()
+        assert len(refinements) > 1 and kept_bonsais
+        assert [b.abstraction_cache_info()["size"] for b in kept_bonsais] == [0] * len(kept_bonsais)
+        assert [ref for ref in refinements if ref() is not None] == []
+
+    def test_no_specialisation_memo_outlives_its_class(self, kept_bonsais, monkeypatch):
+        """A class task's route-map specialisation memos are shared by its
+        steps and gone with it: the script state, which every class of the
+        worker shares, holds none of them."""
+        memos = []
+        keys = delta_sweep.syntactic_policy_keys
+
+        def tracking(*args, specialize_cache=None, **kwargs):
+            memos.append(specialize_cache)
+            return keys(*args, specialize_cache=specialize_cache, **kwargs)
+
+        monkeypatch.setattr(delta_sweep, "syntactic_policy_keys", tracking)
+        network = build_topology("wan", 4)
+        script = generated_change_script(network, "wan", steps=3, seed=0)
+        assert DeltaSweep(network, script=script, executor="serial").run().ok()
+        states = [b._delta_script_state for b in kept_bonsais if hasattr(b, "_delta_script_state")]
+        assert states and memos
+        # One memo per class (the classes of wan-4 have distinct prefixes),
+        # shared across its steps.
+        assert len({id(memo) for memo in memos}) < len(memos)
+        reachable = set().union(*map(_reachable_ids, states))
+        assert [memo for memo in memos if id(memo) in reachable] == []

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 
@@ -389,6 +390,37 @@ class TestSpillRefusal:
         assert "cannot write report" in capsys.readouterr().err
 
 
+def _delta_run(network):
+    from repro.delta import DeltaSweep
+    from repro.netgen.changes import generated_change_script
+
+    script = generated_change_script(network, "fattree", steps=2, seed=0)
+    return DeltaSweep(network, script=script, executor="serial", limit=3).run()
+
+
+def _failures_run(network):
+    from repro.failures import FailureSweep
+
+    return FailureSweep(network, k=1, executor="serial", limit=3).run()
+
+
+def _verify_run(network):
+    from repro.analysis.batch import BatchVerifier
+
+    return BatchVerifier(network, executor="serial", limit=3).run()
+
+
+#: One small serial run per report kind.
+_TWIN_RUNS = {
+    "compression": lambda network: CompressionPipeline(
+        network, executor="serial", limit=3
+    ).run_streaming(spill=False),
+    "delta": _delta_run,
+    "failures": _failures_run,
+    "verification": _verify_run,
+}
+
+
 class TestStreamingReports:
     def test_run_streaming_matches_run(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)
@@ -413,6 +445,30 @@ class TestStreamingReports:
         plain = CompressionPipeline(artifact=artifact, executor="serial").run().report
         assert loaded.canonical_records() == plain.canonical_records()
         assert loaded.num_classes == plain.num_classes
+
+    @pytest.mark.parametrize("kind", sorted(_TWIN_RUNS))
+    def test_spilled_and_in_memory_reports_write_the_same_bytes(
+        self, kind, small_fattree, tmp_path
+    ):
+        """One writer: the same records merged (out of class order) into an
+        in-memory report and a spilled one write byte-identical JSON, the
+        bytes ``json.dumps`` gives the in-memory report's dict."""
+        report = _TWIN_RUNS[kind](small_fattree)
+        records = list(report.iter_records())
+        header = {**report.to_dict(include_records=False), "records": []}
+        in_memory, spilled = (type(report).from_dict(header) for _ in range(2))
+        spilled.attach_spill(RecordSpill(tmp_path / "records.jsonl"))
+        for index in reversed(range(len(records))):
+            in_memory.merge_partial(index, records[index])
+            spilled.merge_partial(index, records[index])
+        assert len(records) > 1 and spilled.records == []
+        written = []
+        for twin in (in_memory, spilled):
+            handle = io.StringIO()
+            twin.write_to(handle)
+            written.append(handle.getvalue())
+        assert written[0] == written[1] == in_memory.to_json() == spilled.to_json()
+        assert written[0] == json.dumps(in_memory.to_dict(), indent=2, sort_keys=True)
 
     def test_streaming_failure_sweep_matches_plain(self, small_fattree, tmp_path):
         from repro.failures import FailureSweep
