@@ -1,4 +1,4 @@
-"""Golden failure/delta reports: every executor reproduces the recorded run.
+"""Golden verify/failure/delta reports: every executor reproduces the recorded run.
 
 ``tests/golden/*.json`` hold timing-scrubbed ``to_dict()`` output of
 failure and change sweeps on all five netgen families at default size,
@@ -8,6 +8,12 @@ pool's planner must split every class into sub-class chunks),
 the default ``"auto"`` executor made to fork after its two-class probe
 (the other five classes split the same way) and spilled runs must all
 reproduce them key for key.
+
+``tests/golden/verify-*.json`` hold the verification report's
+``canonical_records()`` and ``aggregate.property_totals`` on the five
+families at default size and on the ``prefer_bottom`` fat-trees of k=4
+and k=6, written by the code *before* verify took solutions from class
+orbits; serial, process and auto runs must reproduce them.
 
 Regenerate (only when a report's content is *meant* to change):
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -20,10 +26,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.batch import BatchVerifier
 from repro.delta import DeltaSweep
 from repro.failures import FailureSweep
 from repro.netgen.changes import default_change_steps, generated_change_script
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
+from repro.netgen.fattree import fattree_network
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,6 +93,34 @@ def run_case(name: str, **mode):
     return DeltaSweep(network, script=script, **mode).run()
 
 
+#: ``case name -> network builder`` of the verify goldens.
+VERIFY_CASES = {
+    **{f"verify-{family}": (lambda family=family: build_topology(family)) for family in FAMILIES},
+    **{
+        f"verify-fattree-prefer_bottom-k{k}": (
+            lambda k=k: fattree_network(k, policy="prefer_bottom")
+        )
+        for k in (4, 6)
+    },
+}
+
+VERIFY_MODES = {
+    "serial": dict(executor="serial"),
+    "process": dict(executor="process", workers=2),
+    "auto": dict(executor="auto", workers=2),
+}
+
+
+def verify_case(name: str, **mode) -> dict:
+    """The pinned part of a verification report: timing-free records and
+    the per-property totals, as JSON values."""
+    report = BatchVerifier(VERIFY_CASES[name](), **mode).run()
+    return json.loads(json.dumps({
+        "canonical_records": report.canonical_records(),
+        "property_totals": report.aggregate()["property_totals"],
+    }))
+
+
 def load_golden(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
 
@@ -110,8 +146,20 @@ def test_report_matches_golden(name, mode, tmp_path, request):
     assert scrub(json.loads(report.to_json()), drop) == scrub(expected, drop)
 
 
+@pytest.mark.parametrize("mode", sorted(VERIFY_MODES))
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_report_matches_golden(name, mode, request):
+    if mode == "auto":
+        request.getfixturevalue("always_fork")
+    assert verify_case(name, **VERIFY_MODES[mode]) == load_golden(name)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(VERIFY_CASES):
+        text = json.dumps(verify_case(case), indent=1, sort_keys=True)
+        (GOLDEN / f"{case}.json").write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {case}.json ({len(text)} bytes)")
     for case in sorted(CASES):
         text = json.dumps(
             scrub(json.loads(run_case(case).to_json())), indent=1, sort_keys=True
