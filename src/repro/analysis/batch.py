@@ -41,7 +41,7 @@ import importlib
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.abstraction.ec import EquivalenceClass
 from repro.abstraction.equivalence import build_abstract_srp
@@ -64,10 +64,11 @@ from repro.pipeline.core import ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import ReportEnvelope, StreamingReport, register_report
 from repro.srp.instance import SRP
+from repro.srp.solution import Solution
 from repro.srp.solver import solve
 
 #: Format version for the JSON verification reports.
-VERIFICATION_REPORT_VERSION = 1
+VERIFICATION_REPORT_VERSION = 2
 
 #: Structured counterexamples kept per property per class (the failing
 #: node *lists* are always complete; only the path-level witnesses are
@@ -228,6 +229,10 @@ class ClassVerificationRecord:
     compression_seconds: float
     verdicts: List[PropertyVerdict] = field(default_factory=list)
     timed_out: bool = False
+    #: The solves taken from the family's representative instead of
+    #: solved (``"concrete"``, ``"abstract"``): telemetry of how this
+    #: executor's worker got there, like the timings, so not canonical.
+    orbit_mapped: List[str] = field(default_factory=list)
 
     def agrees(self) -> bool:
         return all(verdict.agrees() for verdict in self.verdicts)
@@ -252,8 +257,11 @@ class VerificationReport(StreamingReport, ReportEnvelope):
     ``speedup`` is the paper-style headline number and the repo's one
     definition of it (Figure 12 and the §8 query print it): total concrete
     verification seconds over total abstract seconds, where the abstract
-    side *includes* the compression time (as in Figure 12).  The
-    once-per-network policy encode is ``encode_seconds``, on neither side.
+    side *includes* the compression time (as in Figure 12), summed over
+    the classes that solved both sides themselves (a class whose solutions
+    were mapped from its orbit's representative measures the mapping,
+    not abstract against concrete solving).  The once-per-network policy
+    encode is ``encode_seconds``, on neither side.
     """
 
     kind = "verification"
@@ -283,9 +291,17 @@ class VerificationReport(StreamingReport, ReportEnvelope):
 
     @property
     def speedup(self) -> Optional[float]:
-        if self.abstract_seconds <= 0:
+        solved = [r for r in self.iter_records() if not r.orbit_mapped]
+        abstract = sum(r.abstract_seconds for r in solved)
+        if abstract <= 0:
             return None
-        return self.concrete_seconds / self.abstract_seconds
+        return sum(r.concrete_seconds for r in solved) / abstract
+
+    def orbit_counts(self) -> Tuple[int, int]:
+        """How many classes took their concrete and their abstract
+        solution from a representative."""
+        mapped = [side for r in self.iter_records() for side in r.orbit_mapped]
+        return mapped.count("concrete"), mapped.count("abstract")
 
     def verdicts_agree(self) -> bool:
         """The executable soundness theorem: no node disagrees anywhere."""
@@ -383,6 +399,12 @@ class VerificationReport(StreamingReport, ReportEnvelope):
                 "near-linear time, so compression costs about what it "
                 "saves and below 1x is expected)"
             )
+        concrete, abstract = self.orbit_counts()
+        lines.append(
+            f"class orbits: {concrete} concrete and {abstract} abstract solves of "
+            f"{self.record_count()} classes mapped from a symmetric class (the "
+            "speedup counts the classes that solved both themselves)"
+        )
         totals = self.property_totals()
         for name in self.properties:
             bucket = totals[name]
@@ -466,8 +488,10 @@ def abstract_arm(
     concrete_nodes: Sequence,
     waypoints: FrozenSet[str],
     path_bound: int,
+    solver: Callable[[SRP], Solution] = solve,
 ) -> Tuple[PropertyContext, VerdictMap]:
-    """The abstract side of one class check: solve ``abstract_srp``,
+    """The abstract side of one class check: solve ``abstract_srp`` (with
+    ``solver``: the verify task's class orbit may map it instead),
     evaluate ``specs`` on its nodes and lift the verdicts to
     ``concrete_nodes`` (:func:`lift_verdicts`).
 
@@ -487,7 +511,7 @@ def abstract_arm(
         origins=frozenset(srp_origins(abstract_srp)),
     )
     context = PropertyContext(
-        table=forwarding_table_from_solution(solve(abstract_srp), abstract_class),
+        table=forwarding_table_from_solution(solver(abstract_srp), abstract_class),
         waypoints=frozenset(
             copy
             for node in waypoints
@@ -532,125 +556,141 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
     runs :func:`abstract_arm` on the abstract SRP of its partition.  The record
     holds failures, mismatches and structured counterexamples.
 
+    Without a stored baseline both solves go through the class's orbit
+    (:mod:`repro.abstraction.orbit`): a class that is a checked image of
+    its family's representative takes both solutions from it, and the
+    record's ``orbit_mapped`` names the sides that did.
+
     A ``deadline`` (epoch seconds) in ``options`` turns classes reached
     after the budget into ``timed_out`` marker records instead of silently
     dropping them.
     """
     # perturb imports this module; by the time a task runs it is loaded.
-    from repro.pipeline.perturb import task_baseline
+    from repro.pipeline.perturb import TaskBaseline, task_baseline
 
     with trace.span("verify", cls=str(equivalence_class.prefix)):
         deadline = options.get("deadline")
-        prefix = equivalence_class.prefix
-        origins = sorted(str(origin) for origin in equivalence_class.origins)
-
+        record = ClassVerificationRecord(
+            prefix=str(equivalence_class.prefix),
+            origins=sorted(str(origin) for origin in equivalence_class.origins),
+            concrete_nodes=0,
+            abstract_nodes=0,
+            concrete_seconds=0.0,
+            abstract_seconds=0.0,
+            compression_seconds=0.0,
+        )
         if deadline is not None and time.time() >= deadline:
-            return ClassVerificationRecord(
-                prefix=str(prefix),
-                origins=origins,
-                concrete_nodes=0,
-                abstract_nodes=0,
-                concrete_seconds=0.0,
-                abstract_seconds=0.0,
-                compression_seconds=0.0,
-                timed_out=True,
-            )
+            record.timed_out = True
+            return record
+
+        orbit = None
+        if options.get("baseline") is None:
+            from repro.abstraction.orbit import ClassOrbit, orbit_memo
+
+            orbit = ClassOrbit(orbit_memo(bonsai), equivalence_class)
 
         # -- concrete side ---------------------------------------------------
         concrete_start = time.perf_counter()
-        baseline = task_baseline(bonsai, equivalence_class, options)
-        concrete_seconds = time.perf_counter() - concrete_start
-        nodes = baseline.node_names
-        waypoints = baseline.waypoints
-        specs = baseline.specs
+        if orbit is None:
+            baseline = task_baseline(bonsai, equivalence_class, options)
+        else:
+            baseline = TaskBaseline(bonsai, equivalence_class, options, solver=orbit.solve_concrete)
+        record.concrete_seconds = time.perf_counter() - concrete_start
 
         # -- abstract side (compression included in the timing) --------------
         abstract_start = time.perf_counter()
-        result, compression_seconds = baseline.compression(bonsai)
+        result, record.compression_seconds = baseline.compression(bonsai)
         abstraction = result.abstraction
         abstract_context, lifted = abstract_arm(
             abstraction, build_abstract_srp(baseline.solution.srp, abstraction),
-            specs, nodes, waypoints, baseline.path_bound,
+            baseline.specs, baseline.node_names, baseline.waypoints, baseline.path_bound,
+            solver=solve if orbit is None else orbit.abstract_solver(abstraction),
         )
-        abstract_seconds = time.perf_counter() - abstract_start
+        record.abstract_seconds = time.perf_counter() - abstract_start
 
-        # Explicit waypoint sets are only expressible on the abstract network
-        # when they are a union of abstraction groups (f⁻¹(f(W)) == W); the
-        # class's own origins always are.  A non-closed set still gets both
-        # verdicts, but they are flagged as non-comparable rather than counted
-        # as a soundness violation.
-        waypoints_closed = True
-        if baseline.suite.waypoints is not None:
-            closure = {
-                str(member)
-                for waypoint in waypoints
-                if waypoint in abstraction.node_map
-                for member in abstraction.concrete_nodes(abstraction.f(waypoint))
-            }
-            waypoints_closed = closure <= set(waypoints)
+        record.concrete_nodes = len(baseline.node_names)
+        record.abstract_nodes = result.abstract_nodes
+        record.verdicts = class_verdicts(baseline, abstraction, abstract_context, lifted)
+        if orbit is not None:
+            orbit.count()
+            record.orbit_mapped = list(orbit.mapped)
+        return record
 
-        # Counterexamples are evaluated for the failing nodes reported only.
-        concrete_context = PropertyContext(
-            table=baseline.table, waypoints=waypoints, path_bound=baseline.path_bound
+
+def class_verdicts(
+    baseline, abstraction: NetworkAbstraction, abstract_context: PropertyContext, lifted: VerdictMap
+) -> List[PropertyVerdict]:
+    """One :class:`PropertyVerdict` per property of ``baseline``'s suite:
+    the concrete and lifted abstract failures, their mismatches and up to
+    :data:`MAX_COUNTEREXAMPLES` witnesses from each side."""
+    nodes, waypoints = baseline.node_names, baseline.waypoints
+    # Explicit waypoint sets are only expressible on the abstract network
+    # when they are a union of abstraction groups (f⁻¹(f(W)) == W); the
+    # class's own origins always are.  A non-closed set still gets both
+    # verdicts, but they are flagged as non-comparable rather than counted
+    # as a soundness violation.
+    waypoints_closed = True
+    if baseline.suite.waypoints is not None:
+        closure = {
+            str(member)
+            for waypoint in waypoints
+            if waypoint in abstraction.node_map
+            for member in abstraction.concrete_nodes(abstraction.f(waypoint))
+        }
+        waypoints_closed = closure <= set(waypoints)
+
+    # Counterexamples are evaluated for the failing nodes reported only.
+    concrete_context = PropertyContext(
+        table=baseline.table, waypoints=waypoints, path_bound=baseline.path_bound
+    )
+    mismatches = compare_verdicts(baseline.verdicts, lifted)
+
+    verdicts: List[PropertyVerdict] = []
+    for spec in baseline.specs:
+        comparable = (not spec.uses_waypoints) or waypoints_closed
+        note = (
+            ""
+            if comparable
+            else "waypoint set is not a union of abstraction groups; "
+            "abstract verdict is informational only"
         )
-        mismatches = compare_verdicts(baseline.verdicts, lifted)
-
-        verdicts: List[PropertyVerdict] = []
-        for spec in specs:
-            comparable = (not spec.uses_waypoints) or waypoints_closed
-            note = (
-                ""
-                if comparable
-                else "waypoint set is not a union of abstraction groups; "
-                "abstract verdict is informational only"
+        concrete_holds = baseline.verdicts[spec.name]
+        lifted_holds = lifted[spec.name]
+        failing = [
+            node for node in nodes if not (concrete_holds[node] and lifted_holds[node])
+        ]
+        counterexamples: List[Dict] = []
+        for node in failing[:MAX_COUNTEREXAMPLES]:
+            concrete_witness = failure_witness(spec, concrete_context, (node,))
+            abstract_witness = failure_witness(
+                spec, abstract_context, abstraction.copies_of(abstraction.f(node))
             )
-            concrete_holds = baseline.verdicts[spec.name]
-            lifted_holds = lifted[spec.name]
-            failing = [
-                node for node in nodes if not (concrete_holds[node] and lifted_holds[node])
-            ]
-            counterexamples: List[Dict] = []
-            for node in failing[:MAX_COUNTEREXAMPLES]:
-                concrete_witness = failure_witness(spec, concrete_context, (node,))
-                abstract_witness = failure_witness(
-                    spec, abstract_context, abstraction.copies_of(abstraction.f(node))
-                )
-                counterexamples.append(
-                    {
-                        "node": node,
-                        "concrete": (
-                            None if concrete_witness is None else concrete_witness.to_dict()
-                        ),
-                        "abstract": (
-                            None
-                            if abstract_witness is None
-                            else lift_counterexample(abstraction, abstract_witness)
-                        ),
-                    }
-                )
-            verdicts.append(
-                PropertyVerdict(
-                    property=spec.name,
-                    nodes_checked=len(nodes),
-                    concrete_failing=[n for n in failing if not concrete_holds[n]],
-                    abstract_failing=[n for n in failing if not lifted_holds[n]],
-                    mismatched=list(mismatches.get(spec.name, [])) if comparable else [],
-                    counterexamples=counterexamples,
-                    comparable=comparable,
-                    note=note,
-                )
+            counterexamples.append(
+                {
+                    "node": node,
+                    "concrete": (
+                        None if concrete_witness is None else concrete_witness.to_dict()
+                    ),
+                    "abstract": (
+                        None
+                        if abstract_witness is None
+                        else lift_counterexample(abstraction, abstract_witness)
+                    ),
+                }
             )
-
-        return ClassVerificationRecord(
-            prefix=str(prefix),
-            origins=origins,
-            concrete_nodes=len(nodes),
-            abstract_nodes=result.abstract_nodes,
-            concrete_seconds=concrete_seconds,
-            abstract_seconds=abstract_seconds,
-            compression_seconds=compression_seconds,
-            verdicts=verdicts,
+        verdicts.append(
+            PropertyVerdict(
+                property=spec.name,
+                nodes_checked=len(nodes),
+                concrete_failing=[n for n in failing if not concrete_holds[n]],
+                abstract_failing=[n for n in failing if not lifted_holds[n]],
+                mismatched=list(mismatches.get(spec.name, [])) if comparable else [],
+                counterexamples=counterexamples,
+                comparable=comparable,
+                note=note,
+            )
         )
+    return verdicts
 
 
 # ----------------------------------------------------------------------

@@ -478,7 +478,10 @@ class TaskBaseline:
     solve validates it against the live SRP (the no-update round plus the
     O(E) stability scan, every offer a hit in the stored transfer memo).
     A labeling that does not validate (``ConvergenceError``) falls back to
-    the scratch solve and leaves :attr:`stored` ``None``.
+    the scratch solve and leaves :attr:`stored` ``None``.  The scratch
+    solve is ``solver``: the cold verify task hands in its class orbit's
+    (:mod:`repro.abstraction.orbit`), which may map the solution from a
+    symmetric class instead.
 
     Read-only once built, because a :class:`WarmBaselines` hands one
     instance to every request thread of a service: the methods write only
@@ -492,7 +495,14 @@ class TaskBaseline:
     serial tree span for span.
     """
 
-    def __init__(self, bonsai, equivalence_class: EquivalenceClass, options: dict, stored=None):
+    def __init__(
+        self,
+        bonsai,
+        equivalence_class: EquivalenceClass,
+        options: dict,
+        stored=None,
+        solver: Callable[[SRP], Solution] = solve,
+    ):
         self.equivalence_class = equivalence_class
         self.network = network = bonsai.network
         self.suite = suite = PropertySuite.from_options(options)
@@ -519,7 +529,7 @@ class TaskBaseline:
         #: :attr:`stored_compression`, lifted verdicts included, once a unit
         #: whose SRP is the baseline's has run it.
         self.check = None
-        self.solution: Solution = solution if solution is not None else solve(srp)
+        self.solution: Solution = solution if solution is not None else solver(srp)
         #: The unperturbed forwarding table (the verify task's witnesses).
         self.table = forwarding_table_from_solution(self.solution, equivalence_class)
         self.verdicts = evaluate_suite(

@@ -165,6 +165,7 @@ def solve(
     srp: SRP,
     max_rounds: int = 1000,
     transfer_cache: Optional["TransferCache"] = None,
+    tie_log: Optional[list] = None,
 ) -> Solution:
     """Compute a stable solution by dependency-tracked worklist iteration.
 
@@ -176,6 +177,13 @@ def solve(
     it.  The first round examines every node, but calls the transfer on a
     ``None`` label only over the edges it names as able to offer a route
     from no route (static routes), see :func:`_worklist_run`.
+
+    ``tie_log``, when a list, receives one ``(node, chosen, tied)`` entry
+    per best-choice decision, in every round, whose minimum-rank offers
+    were *distinct* attributes: ``tied`` holds them (``chosen`` among
+    them), and the ``repr`` tie-break picked ``chosen``.  These are the
+    only decisions a renaming of the nodes can change
+    (:mod:`repro.abstraction.orbit`).
 
     Raises
     ------
@@ -198,6 +206,7 @@ def solve(
         # Round 1 marks every node dirty, so the no-update round *is* the
         # stability proof (see the in-loop comment); no final re-check.
         verify_stability=False,
+        tie_log=tie_log,
     )
 
 
@@ -262,6 +271,7 @@ def _worklist(
     transfer_cache,
     max_rounds: int,
     verify_stability: bool,
+    tie_log: Optional[list] = None,
 ) -> Solution:
     """The dependency-tracked worklist core shared by :func:`solve` and
     :func:`solve_seeded`.
@@ -279,7 +289,7 @@ def _worklist(
     eval0 = eval_info() if eval_info is not None else None
     try:
         return _worklist_run(
-            srp, labeling, dirty, transfer_cache, max_rounds, verify_stability
+            srp, labeling, dirty, transfer_cache, max_rounds, verify_stability, tie_log
         )
     finally:
         _metrics.absorb_cache_info(
@@ -304,6 +314,7 @@ def _worklist_run(
     transfer_cache,
     max_rounds: int,
     verify_stability: bool,
+    tie_log: Optional[list] = None,
 ) -> Solution:
     graph = srp.graph
     transfer = srp.transfer
@@ -410,6 +421,17 @@ def _worklist_run(
                     best, best_key = attr, attr_key
         return best
 
+    def log_ties(node, node_offers, best) -> None:
+        # Off the hot path: only a solve handed a ``tie_log`` scans again.
+        top = measure(best)
+        tied = tuple(
+            attr
+            for attr in dict.fromkeys(a for a in node_offers.values() if a is not None)
+            if not less(top, measure(attr))
+        )
+        if len(tied) > 1:
+            tie_log.append((node, best, tied))
+
     # Every node's offer table is built up front from the seed labeling.
     # In a scratch solve this is round 1's work: all labels but the
     # destination's are ``None``, so only its in-edges and the static-route
@@ -433,6 +455,8 @@ def _worklist_run(
         updates = []
         for node in dirty:
             best, label = best_of(offers[node]), labeling[node]
+            if tie_log is not None and best is not None:
+                log_ties(node, offers[node], best)
             if best is not label and best != label:
                 updates.append((node, best))
         if not updates:
