@@ -59,7 +59,6 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.config.transfer import (
     VIRTUAL_DESTINATION,
-    NetworkTransfer,
     specialize_route_map,
     srp_origins,
 )
@@ -69,10 +68,6 @@ from repro.srp.instance import SRP
 from repro.srp.solution import Solution
 from repro.srp.solver import _attribute_sort_key, solve
 from repro.topology.graph import Edge, Node
-
-#: Why a class solved an SRP itself, as the ``verify.orbit.solved.*``
-#: counters name it.
-REASONS = ("representative", "no-candidate", "not-isomorphic", "tie-order", "partition")
 
 Sigma = Dict[Node, Node]
 
@@ -98,8 +93,7 @@ class Solved:
     shape: Shape
     labeling: Dict
     forwarding: Dict
-    #: Its tie log as :func:`tie_pairs`.
-    ties: Tuple
+    ties: "Ties"
 
 
 @dataclass
@@ -219,12 +213,13 @@ def abstract_shape(srp: SRP, numbers: Dict) -> Shape:
     graph = srp.graph
     keys: Dict = {}
 
-    def specialised(route_map, device) -> Hashable:
+    def specialised(route_map, device) -> int:
         key = (id(route_map), id(device))
-        entry = keys.get(key)
-        if entry is None:
-            entry = keys[key] = specialize_route_map(route_map, device, destination)
-        return entry
+        number = keys.get(key)
+        if number is None:
+            behaviour = ("route map", specialize_route_map(route_map, device, destination))
+            number = keys[key] = numbers.setdefault(behaviour, len(numbers))
+        return number
 
     def colour_of(edge: Edge) -> Hashable:
         if edge in virtual:
@@ -301,67 +296,89 @@ class Renamer:
     def __init__(self, alpha: Dict[str, str]):
         self.alpha = alpha
         self._memo: Dict[int, tuple] = {}
-        self._keys: Dict[int, str] = {}
 
     def __call__(self, attr):
         if attr is None:
             return None
         entry = self._memo.get(id(attr))
         if entry is None:
-            bgp = attr.bgp
-            if bgp is not None and bgp.as_path:
-                bgp = trusted(
-                    BgpAttribute,
-                    local_pref=bgp.local_pref,
-                    communities=bgp.communities,
-                    as_path=tuple(self.alpha[asn] for asn in bgp.as_path),
-                    ibgp_learned=bgp.ibgp_learned,
+            renamed, bgp = attr, attr.bgp
+            path = () if bgp is None else tuple(self.alpha[asn] for asn in bgp.as_path)
+            if path != (() if bgp is None else bgp.as_path):
+                renamed = trusted(
+                    RibAttribute,
+                    bgp=trusted(
+                        BgpAttribute,
+                        local_pref=bgp.local_pref,
+                        communities=bgp.communities,
+                        as_path=path,
+                        ibgp_learned=bgp.ibgp_learned,
+                    ),
+                    ospf=attr.ospf,
+                    static=attr.static,
+                    chosen=attr.chosen,
                 )
-            renamed = attr if bgp is attr.bgp else trusted(
-                RibAttribute, bgp=bgp, ospf=attr.ospf, static=attr.static, chosen=attr.chosen
-            )
             # The entry holds the source: its id is not reused meanwhile.
             entry = self._memo[id(attr)] = (attr, renamed)
         return entry[1]
 
-    def sort_key(self, attr) -> str:
-        key = self._keys.get(id(attr))
-        if key is None:
-            key = self._keys[id(attr)] = _attribute_sort_key(self(attr))
-        return key
+    def ties_hold(self, ties: "Ties") -> bool:
+        """Whether, renamed, every logged decision still goes to its
+        chosen attribute: the solver picks the ``repr``-least of a tied
+        set (strictly least: an equal key would leave it to offer order).
+        An attribute the renaming leaves alone keeps its key."""
+        keys = [
+            key if renamed is attr else _attribute_sort_key(renamed)
+            for attr, key in zip(ties.attributes, ties.keys)
+            for renamed in (self(attr),)
+        ]
+        key = keys.__getitem__
+        return all(keys[chosen] < min(map(key, others)) for chosen, others in ties.decisions)
 
-    def ties_hold(self, pairs) -> bool:
-        """Whether, renamed, every ``(chosen, other)`` tie still goes to
-        ``chosen``: the solver picks the ``repr``-least of a tied set."""
-        key = self.sort_key
-        return all(key(chosen) < key(other) for chosen, other in pairs)
 
+@dataclass(frozen=True)
+class Ties:
+    """A :func:`~repro.srp.solver.solve` tie log as the check reads it:
+    the attributes it names, and each distinct decision as ``(chosen,
+    others)`` indices into them."""
 
-def tie_pairs(tie_log: List) -> Tuple[Tuple[object, object], ...]:
-    """A :func:`~repro.srp.solver.solve` tie log as the distinct
-    ``(chosen, other tied attribute)`` pairs: what the check reads."""
-    pairs = {}
-    for _, chosen, tied in tie_log:
-        for attr in tied:
-            if attr is not chosen:
-                pairs.setdefault((id(chosen), id(attr)), (chosen, attr))
-    return tuple(pairs.values())
+    attributes: Tuple
+    decisions: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    #: Each attribute's sort key, as the solver compared them.
+    keys: Tuple[str, ...]
+
+    @classmethod
+    def from_log(cls, tie_log: List) -> "Ties":
+        index: Dict[int, int] = {}
+        attributes: List = []
+
+        def position(attr) -> int:
+            at = index.get(id(attr))
+            if at is None:
+                at = index[id(attr)] = len(attributes)
+                attributes.append(attr)
+            return at
+
+        decisions = {
+            (position(chosen), tuple(sorted(position(a) for a in tied if a != chosen))): None
+            for _, chosen, tied in tie_log
+        }
+        return cls(
+            tuple(attributes), tuple(decisions), tuple(map(_attribute_sort_key, attributes))
+        )
 
 
 def mapped_solution(srp: SRP, solved: Solved, sigma: Sigma, rename: Renamer) -> Solution:
     """``solved``'s labeling and forwarding carried onto ``srp`` by
-    ``sigma``; forwarding in ``srp``'s out-edge order, like the solver's."""
-    graph = srp.graph
+    ``sigma``.  A node's forwarding edges keep the representative's
+    order: like the solver's out-edge order, it carries no meaning."""
     source = {image: node for node, image in sigma.items()}
-    labeling = {node: rename(solved.labeling[source[node]]) for node in graph.nodes}
+    labeling = {node: rename(solved.labeling[source[node]]) for node in srp.graph.nodes}
     labeling[srp.destination] = srp.initial
-    forwarding = {}
-    for node, edges in solved.forwarding.items():
-        image = sigma[node]
-        targets = {sigma[v] for _, v in edges}
-        forwarding[image] = tuple(
-            edge for edge in graph.out_edges(image) if edge[1] in targets
-        ) if targets else ()
+    forwarding = {
+        sigma[node]: tuple((sigma[u], sigma[v]) for u, v in edges)
+        for node, edges in solved.forwarding.items()
+    }
     solution = Solution(srp=srp, labeling=labeling)
     solution.forwarding = forwarding
     return solution
@@ -371,33 +388,44 @@ def solve_logged(srp: SRP, shape: Shape) -> Tuple[Solution, Solved]:
     """Solve ``srp`` as a representative: with its ties logged."""
     ties: List = []
     solution = solve(srp, tie_log=ties)
-    return solution, Solved(shape, solution.labeling, solution.forwarding, tie_pairs(ties))
+    return solution, Solved(shape, solution.labeling, solution.forwarding, Ties.from_log(ties))
 
 
 # ----------------------------------------------------------------------
 # The run's memo and one class's attempt
 # ----------------------------------------------------------------------
+@dataclass
+class FamilyOrbit:
+    """What the memo keeps for one class family."""
+
+    #: Held so that the family's id is not reused while the entry lives.
+    family: object
+    shape: FamilyShape
+    #: Colour numbering of the family's abstract SRPs.
+    abstract_numbers: Dict[Hashable, int] = field(default_factory=dict)
+    representative: Optional[Representative] = None
+
+
 class OrbitMemo:
-    """One :class:`Representative` and one :class:`FamilyShape` per class
-    family, for one run."""
+    """One :class:`FamilyOrbit` per class family, for one run."""
 
     #: Families kept before the memo clears (the refinement memo's rule).
     LIMIT = 64
 
     def __init__(self, bonsai):
         self.bonsai = bonsai
-        #: ``id(family) -> (family, FamilyShape, abstract colour numbers,
-        #: representative or None)``: the entry pins the family, so its id
-        #: cannot be reused under it.
-        self._families: Dict[int, list] = {}
+        self._families: Dict[int, FamilyOrbit] = {}
 
-    def family(self, family, srp: SRP) -> list:
+    def family(self, family, srp: SRP) -> FamilyOrbit:
+        """``family``'s entry; ``srp`` (one of its classes') builds it."""
         entry = self._families.get(id(family))
         if entry is None:
             if len(self._families) >= self.LIMIT:
                 self._families.clear()
             unused = self.bonsai._class_invariants[0]
-            entry = self._families[id(family)] = [family, FamilyShape(srp, family, unused), {}, None]
+            entry = self._families[id(family)] = FamilyOrbit(
+                family, FamilyShape(srp, family, unused)
+            )
         return entry
 
 
@@ -421,7 +449,8 @@ class ClassOrbit:
         self.equivalence_class = equivalence_class
         self.mapped: List[str] = []
         self.reason: Optional[str] = None
-        self._entry: Optional[list] = None
+        self._family: Optional[FamilyOrbit] = None
+        #: This class's solutions, when it is its family's first class.
         self._new: Optional[Representative] = None
         self._sigma: Optional[Sigma] = None
 
@@ -432,18 +461,15 @@ class ClassOrbit:
 
     def solve_concrete(self, srp: SRP) -> Solution:
         """The class's concrete solution (its ``TaskBaseline`` solver)."""
-        if not isinstance(srp.transfer, NetworkTransfer):
-            return solve(srp)
         family = self.memo.bonsai.policy_keys(self.equivalence_class.prefix)
-        entry = self._entry = self.memo.family(family, srp)
-        shape = entry[1].shape(srp)
-        representative = entry[3]
-        if representative is None:
+        entry = self._family = self.memo.family(family, srp)
+        shape = entry.shape.shape(srp)
+        if entry.representative is None:
             self.reason = "representative"
             solution, solved = solve_logged(srp, shape)
             self._new = Representative(solved)
             return solution
-        solved = representative.concrete
+        solved = entry.representative.concrete
         sigma = candidate(solved.shape, shape)
         if sigma is None:
             return self._solve("no-candidate", srp)
@@ -462,24 +488,25 @@ class ClassOrbit:
         return lambda srp: self._solve_abstract(abstraction, srp)
 
     def _solve_abstract(self, abstraction, srp: SRP) -> Solution:
-        new = self._new
+        entry, new = self._family, self._new
         if new is not None:
             new.groups = {
                 base: tuple(abstraction.concrete_nodes(base))
                 for base in set(abstraction.node_map.values())
             }
             new.split = dict(abstraction.split_groups)
-            solution, new.abstract = solve_logged(srp, abstract_shape(srp, self._entry[2]))
-            self._entry[3] = new
+            shape = abstract_shape(srp, entry.abstract_numbers)
+            solution, new.abstract = solve_logged(srp, shape)
+            entry.representative = new
             return solution
         if self._sigma is None:
             return solve(srp)
-        representative = self._entry[3]
+        representative = entry.representative
         sigma = induced_sigma(self._sigma, representative, abstraction)
         if sigma is None:
             return self._solve("partition", srp)
         solved = representative.abstract
-        alpha = isomorphism(sigma, solved.shape, abstract_shape(srp, self._entry[2]))
+        alpha = isomorphism(sigma, solved.shape, abstract_shape(srp, entry.abstract_numbers))
         if alpha is None:
             return self._solve("not-isomorphic", srp)
         rename = Renamer(alpha)

@@ -316,7 +316,9 @@ class TestFallback:
         alpha = orbit.isomorphism(sigma, shape_a, shape_b)
         assert alpha == sigma
         _, solved = orbit.solve_logged(srp_a, shape_a)
+        assert solved.ties.decisions
         assert not orbit.Renamer(alpha).ties_hold(solved.ties)
+        assert orbit.Renamer({name: name for name in alpha}).ties_hold(solved.ties)
 
         report, counts = _verify(network)
         assert counts == {
