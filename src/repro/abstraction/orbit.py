@@ -303,7 +303,7 @@ class Renamer:
         entry = self._memo.get(id(attr))
         if entry is None:
             renamed, bgp = attr, attr.bgp
-            path = () if bgp is None else tuple(self.alpha[asn] for asn in bgp.as_path)
+            path = () if bgp is None else self.path(bgp.as_path)
             if path != (() if bgp is None else bgp.as_path):
                 renamed = trusted(
                     RibAttribute,
@@ -322,16 +322,31 @@ class Renamer:
             entry = self._memo[id(attr)] = (attr, renamed)
         return entry[1]
 
+    def path(self, as_path: Tuple[str, ...]) -> Tuple[str, ...]:
+        return tuple(map(self.alpha.__getitem__, as_path))
+
+    def sort_keys(self, ties: "Ties") -> List[str]:
+        """The solver's sort keys of ``ties``' attributes, renamed.  A
+        renamed attribute differs from its source in the AS path alone,
+        so its key is the source's with the path's ``repr`` replaced:
+        the last ``as_path=`` of a key is the BGP field's (the
+        communities' come before it, the OSPF and static fields have
+        none)."""
+        keys = []
+        for attr, key in zip(ties.attributes, ties.keys):
+            bgp = attr.bgp
+            path = () if bgp is None else self.path(bgp.as_path)
+            if path != (() if bgp is None else bgp.as_path):
+                head, found, tail = key.rpartition(f"as_path={bgp.as_path!r}")
+                key = f"{head}as_path={path!r}{tail}" if found else _attribute_sort_key(self(attr))
+            keys.append(key)
+        return keys
+
     def ties_hold(self, ties: "Ties") -> bool:
         """Whether, renamed, every logged decision still goes to its
         chosen attribute: the solver picks the ``repr``-least of a tied
-        set (strictly least: an equal key would leave it to offer order).
-        An attribute the renaming leaves alone keeps its key."""
-        keys = [
-            key if renamed is attr else _attribute_sort_key(renamed)
-            for attr, key in zip(ties.attributes, ties.keys)
-            for renamed in (self(attr),)
-        ]
+        set (strictly least: an equal key would leave it to offer order)."""
+        keys = self.sort_keys(ties)
         key = keys.__getitem__
         return all(keys[chosen] < min(map(key, others)) for chosen, others in ties.decisions)
 

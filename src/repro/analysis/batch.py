@@ -402,8 +402,7 @@ class VerificationReport(StreamingReport, ReportEnvelope):
         concrete, abstract = self.orbit_counts()
         lines.append(
             f"class orbits: {concrete} concrete and {abstract} abstract solves of "
-            f"{self.record_count()} classes mapped from a symmetric class (the "
-            "speedup counts the classes that solved both themselves)"
+            f"{self.record_count()} classes mapped from a symmetric class"
         )
         totals = self.property_totals()
         for name in self.properties:
@@ -566,7 +565,7 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
     dropping them.
     """
     # perturb imports this module; by the time a task runs it is loaded.
-    from repro.pipeline.perturb import TaskBaseline, task_baseline
+    from repro.pipeline.perturb import TaskBaseline
 
     with trace.span("verify", cls=str(equivalence_class.prefix)):
         deadline = options.get("deadline")
@@ -583,18 +582,19 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
             record.timed_out = True
             return record
 
-        orbit = None
-        if options.get("baseline") is None:
+        # -- concrete side ---------------------------------------------------
+        concrete_start = time.perf_counter()
+        warm = options.get("baseline")
+        if warm is None:
+            # Loaded here: the sweeps and serve, which import this module,
+            # never run the cold task.
             from repro.abstraction.orbit import ClassOrbit, orbit_memo
 
             orbit = ClassOrbit(orbit_memo(bonsai), equivalence_class)
-
-        # -- concrete side ---------------------------------------------------
-        concrete_start = time.perf_counter()
-        if orbit is None:
-            baseline = task_baseline(bonsai, equivalence_class, options)
-        else:
             baseline = TaskBaseline(bonsai, equivalence_class, options, solver=orbit.solve_concrete)
+        else:
+            orbit = None
+            baseline = warm.task_baseline(bonsai, equivalence_class, options)
         record.concrete_seconds = time.perf_counter() - concrete_start
 
         # -- abstract side (compression included in the timing) --------------

@@ -267,6 +267,28 @@ class TestOrbitEqualsPerClass:
         assert any(line.startswith(summary) for line in report.summary_lines())
 
 
+class TestRenaming:
+    def test_renamed_sort_keys_are_the_renamed_reprs(self):
+        """The tie check derives a renamed attribute's key from its
+        source's; it must be exactly the ``repr`` the solver sorts by."""
+        network = fattree_network(4, policy="prefer_bottom")
+        bonsai = Bonsai(network)
+        classes = bonsai.equivalence_classes()
+        srps = [bonsai.concrete_srp(ec) for ec in classes]
+        shapes = orbit.FamilyShape(srps[0], bonsai.policy_keys(classes[0].prefix), frozenset())
+        shape_a = shapes.shape(srps[0])
+        _, solved = orbit.solve_logged(srps[0], shape_a)
+        ties = solved.ties
+        for srp in srps[1:]:
+            shape_b = shapes.shape(srp)
+            rename = orbit.Renamer(
+                orbit.isomorphism(orbit.candidate(shape_a, shape_b), shape_a, shape_b)
+            )
+            renamed = [rename(attr) for attr in ties.attributes]
+            assert any(new is not old for new, old in zip(renamed, ties.attributes))
+            assert rename.sort_keys(ties) == [_attribute_sort_key(attr) for attr in renamed]
+
+
 class TestFallback:
     def test_ring_reflections_solve_themselves(self):
         """On a 6-ring the classes one rotation away map; name order pairs
