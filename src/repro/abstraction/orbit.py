@@ -101,9 +101,7 @@ class Representative:
     """The first class of a family: both solutions and its partition."""
 
     concrete: Solved
-    #: Base abstract node -> its concrete members, and the split copies.
-    groups: Dict[str, Tuple[Node, ...]] = field(default_factory=dict)
-    split: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    abstraction: object = None
     abstract: Optional[Solved] = None
 
 
@@ -474,6 +472,18 @@ class ClassOrbit:
             self.reason = reason
         return solve(srp)
 
+    def _take(self, side: str, solved: Solved, sigma: Sigma, shape: Shape, srp: SRP) -> Solution:
+        """``solved`` mapped onto ``srp`` if ``sigma`` checks out against
+        ``shape`` (``srp``'s), else ``srp`` solved."""
+        alpha = isomorphism(sigma, solved.shape, shape)
+        if alpha is None:
+            return self._solve("not-isomorphic", srp)
+        rename = Renamer(alpha)
+        if not rename.ties_hold(solved.ties):
+            return self._solve("tie-order", srp)
+        self.mapped.append(side)
+        return mapped_solution(srp, solved, sigma, rename)
+
     def solve_concrete(self, srp: SRP) -> Solution:
         """The class's concrete solution (its ``TaskBaseline`` solver)."""
         family = self.memo.bonsai.policy_keys(self.equivalence_class.prefix)
@@ -488,15 +498,10 @@ class ClassOrbit:
         sigma = candidate(solved.shape, shape)
         if sigma is None:
             return self._solve("no-candidate", srp)
-        alpha = isomorphism(sigma, solved.shape, shape)
-        if alpha is None:
-            return self._solve("not-isomorphic", srp)
-        rename = Renamer(alpha)
-        if not rename.ties_hold(solved.ties):
-            return self._solve("tie-order", srp)
-        self._sigma = sigma
-        self.mapped.append("concrete")
-        return mapped_solution(srp, solved, sigma, rename)
+        solution = self._take("concrete", solved, sigma, shape, srp)
+        if self.mapped:
+            self._sigma = sigma
+        return solution
 
     def abstract_solver(self, abstraction) -> Callable[[SRP], Solution]:
         """The abstract arm's solver for the class's ``abstraction``."""
@@ -504,31 +509,19 @@ class ClassOrbit:
 
     def _solve_abstract(self, abstraction, srp: SRP) -> Solution:
         entry, new = self._family, self._new
+        if new is None and self._sigma is None:
+            return solve(srp)
+        shape = abstract_shape(srp, entry.abstract_numbers)
         if new is not None:
-            new.groups = {
-                base: tuple(abstraction.concrete_nodes(base))
-                for base in set(abstraction.node_map.values())
-            }
-            new.split = dict(abstraction.split_groups)
-            shape = abstract_shape(srp, entry.abstract_numbers)
+            new.abstraction = abstraction
             solution, new.abstract = solve_logged(srp, shape)
             entry.representative = new
             return solution
-        if self._sigma is None:
-            return solve(srp)
         representative = entry.representative
-        sigma = induced_sigma(self._sigma, representative, abstraction)
+        sigma = induced_sigma(self._sigma, representative.abstraction, abstraction)
         if sigma is None:
             return self._solve("partition", srp)
-        solved = representative.abstract
-        alpha = isomorphism(sigma, solved.shape, abstract_shape(srp, entry.abstract_numbers))
-        if alpha is None:
-            return self._solve("not-isomorphic", srp)
-        rename = Renamer(alpha)
-        if not rename.ties_hold(solved.ties):
-            return self._solve("tie-order", srp)
-        self.mapped.append("abstract")
-        return mapped_solution(srp, solved, sigma, rename)
+        return self._take("abstract", representative.abstract, sigma, shape, srp)
 
     def count(self) -> None:
         """Add this class to the ``verify.orbit.*`` counters."""
@@ -538,28 +531,28 @@ class ClassOrbit:
             _metrics.counter(f"verify.orbit.solved.{self.reason}").inc()
 
 
-def induced_sigma(sigma: Sigma, representative: Representative, abstraction) -> Optional[Sigma]:
-    """σ_abs: ``sigma`` through the two partitions -- each representative
-    group onto one class group of its size, split copies by index -- or
-    ``None`` when the partitions do not correspond."""
-    node_map = abstraction.node_map
-    induced: Sigma = {VIRTUAL_DESTINATION: VIRTUAL_DESTINATION}
-    targets = set()
-    for base, members in representative.groups.items():
-        images = {node_map.get(sigma[member]) for member in members}
-        if len(images) != 1:
-            return None
-        target = images.pop()
-        if target is None or target in targets:
-            return None
-        if len(abstraction.concrete_nodes(target)) != len(members):
-            return None
-        copies = representative.split.get(base, (base,))
-        images = abstraction.copies_of(target)
-        if len(copies) != len(images):
-            return None
-        targets.add(target)
-        induced.update(zip(copies, images))
-    if len(targets) != len(set(node_map.values())):
+def induced_sigma(sigma: Sigma, source, target) -> Optional[Sigma]:
+    """σ_abs: ``sigma`` through the partitions of the ``source`` and
+    ``target`` abstractions -- each source group onto one target group of
+    its size, split copies by index -- or ``None`` when they do not
+    correspond."""
+    node_map = target.node_map
+    bases = set(source.node_map.values())
+    if len(bases) != len(set(node_map.values())):
         return None
+    induced: Sigma = {VIRTUAL_DESTINATION: VIRTUAL_DESTINATION}
+    images = set()
+    for base in bases:
+        members = source.concrete_nodes(base)
+        image = {node_map.get(sigma[member]) for member in members}
+        if len(image) != 1:
+            return None
+        image = image.pop()
+        copies, image_copies = source.copies_of(base), target.copies_of(image)
+        if image is None or image in images or len(copies) != len(image_copies):
+            return None
+        if len(target.concrete_nodes(image)) != len(members):
+            return None
+        images.add(image)
+        induced.update(zip(copies, image_copies))
     return induced
