@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
+from repro.abstraction.mapping import NetworkAbstraction
 from repro.config.transfer import (
     VIRTUAL_DESTINATION,
     specialize_route_map,
@@ -101,7 +102,7 @@ class Representative:
     """The first class of a family: both solutions and its partition."""
 
     concrete: Solved
-    abstraction: object = None
+    abstraction: Optional[NetworkAbstraction] = None
     abstract: Optional[Solved] = None
 
 
@@ -548,10 +549,10 @@ def induced_sigma(sigma: Sigma, source, target) -> Optional[Sigma]:
         if len(image) != 1:
             return None
         image = image.pop()
-        copies, image_copies = source.copies_of(base), target.copies_of(image)
-        if image is None or image in images or len(copies) != len(image_copies):
+        if image is None or image in images:
             return None
-        if len(target.concrete_nodes(image)) != len(members):
+        copies, image_copies = source.copies_of(base), target.copies_of(image)
+        if len(copies) != len(image_copies) or len(target.concrete_nodes(image)) != len(members):
             return None
         images.add(image)
         induced.update(zip(copies, image_copies))
