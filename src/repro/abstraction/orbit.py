@@ -8,10 +8,11 @@ a renaming σ of the nodes -- every ToR of a fat-tree is.  When σ maps
 one class's concrete SRP onto the other's exactly, the worklist solver's
 answer for the second is the first's renamed, except where a tie was
 broken by the ``repr`` of the attributes, which renaming can reorder.
-So the verify task solves the first class of a family (the
-*representative*) with a tie log (:func:`~repro.srp.solver.solve`'s
-``tie_log``), and a later class of the family takes its labeling and
-forwarding from the representative's when all of this holds:
+So the verify task solves the first class of a family with a given
+number of origins (the *representative*) with a tie log
+(:func:`~repro.srp.solver.solve`'s ``tie_log``), and a later class of
+the family with as many origins takes its labeling and forwarding from
+the representative's when all of this holds:
 
 * **a candidate σ exists.**  Both SRPs are cut into cells -- a node's
   BFS distance from the destination, its local-preference set and the
@@ -44,9 +45,10 @@ community nobody matches colours its edge by the edge itself: the
 family keys cannot see such tags, the attributes carry them.
 
 The memo (:func:`orbit_memo`) holds one representative per family and
-lives on the worker's :class:`~repro.abstraction.bonsai.Bonsai`, so it
-ends with the run; it is cleared wholesale at
-:attr:`OrbitMemo.LIMIT` families, like the refinement memo.  Only the
+origin count and lives on the worker's
+:class:`~repro.abstraction.bonsai.Bonsai`, so it ends with the run; it
+is cleared wholesale at :attr:`OrbitMemo.LIMIT` families, like the
+refinement memo.  Only the
 cold verify task uses it: a stored or kept baseline validates its own
 labeling, and failure and change units re-solve from their baseline's
 transfer memo, which a mapped solution does not carry.
@@ -417,7 +419,9 @@ class FamilyOrbit:
     shape: FamilyShape
     #: Colour numbering of the family's abstract SRPs.
     abstract_numbers: Dict[Hashable, int] = field(default_factory=dict)
-    representative: Optional[Representative] = None
+    #: One representative per origin count: a class maps only onto a
+    #: class with as many origins.
+    representatives: Dict[int, Representative] = field(default_factory=dict)
 
 
 class OrbitMemo:
@@ -464,6 +468,8 @@ class ClassOrbit:
         self.mapped: List[str] = []
         self.reason: Optional[str] = None
         self._family: Optional[FamilyOrbit] = None
+        #: This class's origin count: its representative's key.
+        self._origins = 0
         #: This class's solutions, when it is its family's first class.
         self._new: Optional[Representative] = None
         self._sigma: Optional[Sigma] = None
@@ -490,12 +496,14 @@ class ClassOrbit:
         family = self.memo.bonsai.policy_keys(self.equivalence_class.prefix)
         entry = self._family = self.memo.family(family, srp)
         shape = entry.shape.shape(srp)
-        if entry.representative is None:
+        self._origins = len(shape.origins)
+        representative = entry.representatives.get(self._origins)
+        if representative is None:
             self.reason = "representative"
             solution, solved = solve_logged(srp, shape)
             self._new = Representative(solved)
             return solution
-        solved = entry.representative.concrete
+        solved = representative.concrete
         sigma = candidate(solved.shape, shape)
         if sigma is None:
             return self._solve("no-candidate", srp)
@@ -516,9 +524,9 @@ class ClassOrbit:
         if new is not None:
             new.abstraction = abstraction
             solution, new.abstract = solve_logged(srp, shape)
-            entry.representative = new
+            entry.representatives[self._origins] = new
             return solution
-        representative = entry.representative
+        representative = entry.representatives[self._origins]
         sigma = induced_sigma(self._sigma, representative.abstraction, abstraction)
         if sigma is None:
             return self._solve("partition", srp)

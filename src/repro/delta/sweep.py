@@ -31,8 +31,7 @@ Changes are one *kind* on the shared perturbation engine
 (:mod:`repro.pipeline.perturb`, which holds everything kind-neutral).
 This module adds the change kind's own: the per-worker script state (a
 changed network really is recompiled, unlike a failure view), the chained
-step loop with its chunk fast-forward, stored-baseline seeding and
-signature revalidation.
+step loop, stored-baseline seeding and signature revalidation.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.failures.incremental import BaselineIndex, IncrementalSolve
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace
-from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
     AbstractionCheck,
     ClassPerturbationRecord,
@@ -64,12 +62,9 @@ from repro.pipeline.perturb import (
     PerturbationReport,
     PerturbationSweep,
     task_baseline,
-    unit_range,
 )
-from repro.pipeline.shard import register_unit_splitter
 from repro.reporting import register_report
 from repro.srp.solution import Solution
-from repro.srp.solver import solve
 
 #: Format version of the JSON delta reports.
 DELTA_REPORT_VERSION = 2
@@ -362,9 +357,9 @@ class _ChainLink(NamedTuple):
     solution: Optional[Solution]
     #: The step's specialized policy keys, when already computed.
     keys: Optional[Dict] = None
-    #: The step's verdicts (``None``: solved, never evaluated -- a chunk's
-    #: fast-forward step), outcome (``None``: the baseline) and revalidation:
-    #: what a later step the edge diff leaves unchanged carries forward.
+    #: The step's verdicts, outcome (``None``: the baseline) and
+    #: revalidation: what a later step the edge diff leaves unchanged
+    #: carries forward.
     verdicts: Optional[VerdictMap] = None
     outcome: Optional[ChangeOutcome] = None
     check: Optional[AbstractionCheck] = None
@@ -424,10 +419,9 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
     )
 
     def srp_on(step: int, ec: EquivalenceClass):
-        # Every SRP build of one (step, class) -- both oracle arms, the
-        # chunk fast-forward -- shares the step Bonsai's specialized
-        # compilation; compiling is destination-work a real rebuild pays
-        # once, not per arm.
+        # Every SRP build of one (step, class) -- both oracle arms --
+        # shares the step Bonsai's specialized compilation; compiling is
+        # destination-work a real rebuild pays once, not per arm.
         return state.bonsai_for(step).concrete_srp(ec)
 
     # The incremental chain: each step seeds from the previous step's
@@ -437,30 +431,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
         verdicts=baseline.verdicts, check=kept,
     )
 
-    # Sub-class chunking (the pool planner's ``unit_range`` patches):
-    # run only the steps of this chunk.  A chunk starting mid-script
-    # fast-forwards the incremental chain by scratch-solving the step just
-    # before it -- SRP labelings are unique fixed points, so the seeded
-    # state (and hence every chunk outcome) is identical to the chained
-    # serial run's; only timings differ.
-    steps = unit_range(options, len(state.steps))
-    if steps.start > 0:
-        step = steps.start - 1
-        prev_ec, _ = state.class_on(step, prefix)
-        prev = _ChainLink(
-            step,
-            state.steps[step][1],
-            prev_ec,
-            # ``None``: serial left the chain unseedable after this step.
-            None if prev_ec is None else solve(srp_on(step, prev_ec)),
-        )
-
-    for step_index in steps:
-        changeset, changed_network = state.steps[step_index]
-        # One span per *in-range* step -- the chunk fast-forward replay
-        # above is deliberately unspanned, so a step-range chunk's trace
-        # holds exactly its own steps and the chunk-merged tree matches
-        # the chained serial run span for span.
+    for step_index, (changeset, changed_network) in enumerate(state.steps):
         with trace.span("step", name=changeset.name):
             outcome = ChangeOutcome(
                 step=changeset.name,
@@ -548,7 +519,7 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
             )
             # The seed's own solution back: same SRP, and so (waypoints follow
             # the origins, or the surviving nodes) the seed's answer.
-            carried = solution is prev.solution and prev.verdicts is not None
+            carried = solution is prev.solution
             if carried:
                 verdicts = prev.verdicts
                 baseline.carry_forward(outcome, prev.outcome)
@@ -599,9 +570,6 @@ def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict)
             )
 
     return record
-
-
-register_unit_splitter(CLASS_TASKS["delta"], "script", "steps")
 
 
 # ----------------------------------------------------------------------
@@ -660,15 +628,11 @@ class DeltaSweep(PerturbationSweep):
         )
         if _events.enabled():
             pairs = report.pairs_by_diff()
-            unchanged = pairs.pop("unchanged")
+            del pairs["unchanged"]
             carried = report.envelope_dict()["obs_metrics"]["counters"].get(
                 "delta.class_steps.carried", 0
             )
-            # An empty diff that was still re-solved: the first step of a
-            # mid-script chunk, seeded from an unevaluated fast-forward.
-            _events.emit(
-                "delta.carried", carried=carried, chunk_start=max(0, unchanged - carried), **pairs
-            )
+            _events.emit("delta.carried", carried=carried, **pairs)
         return report
 
 

@@ -51,16 +51,13 @@ from repro.failures.incremental import incremental_resolve
 from repro.failures.scenario import FailureScenario, scenarios_for
 from repro.failures.soundness import check_scenario_soundness
 from repro.obs import trace
-from repro.pipeline.core import CLASS_TASKS
 from repro.pipeline.perturb import (
     ClassPerturbationRecord,
     PerturbationOutcome,
     PerturbationReport,
     PerturbationSweep,
     task_baseline,
-    unit_range,
 )
-from repro.pipeline.shard import register_unit_splitter
 from repro.reporting import register_report
 from repro.srp.solver import TransferCache
 
@@ -254,13 +251,8 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
         compression_seconds=compression_seconds,
         nodes=list(baseline.node_names),
     )
-    # Sub-class chunking: scenarios are independent, so a chunk is
-    # just the same task over its ``unit_range`` slice of the list.
-    raw_scenarios = options.get("scenarios", [])
-    for index in unit_range(options, len(raw_scenarios)):
-        scenario = FailureScenario.from_dict(raw_scenarios[index])
-        # One span per scenario; chunks hold disjoint scenario slices, so
-        # their spans concatenate back in scenario order.
+    for raw_scenario in options.get("scenarios", []):
+        scenario = FailureScenario.from_dict(raw_scenario)
         with trace.span("scenario", name=scenario.name):
             outcome = ScenarioOutcome(
                 scenario=scenario.name,
@@ -333,9 +325,6 @@ def failure_class_task(bonsai, equivalence_class: EquivalenceClass, options: dic
                     failed_srp=build_failed_srp(),
                 ))
     return record
-
-
-register_unit_splitter(CLASS_TASKS["failures"], "scenarios", "scenarios")
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Metrics say how much, traces say how long; events say *what happened,
 when* -- a schema-versioned stream of typed records (sweep start/end,
-per-class completion, intra-class splits, pool failures, spills,
+executor selection, per-class completion, pool failures, spills,
 incremental-to-scratch fallbacks, cache overflows, store loads and
 refusals) that drives three consumers:
 

@@ -20,10 +20,9 @@ work units run under :func:`capture_unit`: the worker opens a detached
 root span (and, in process pools, snapshots its local registry), runs
 the unit, and ships the serialized span subtree + counter delta back
 with the result.  The coordinator buffers the captures and attaches
-them *sorted by (class index, chunk index)* at the end of the run,
-merging a split class's chunk captures back into one class span --
-so the final tree is bit-identical across the serial, process and auto
-executors regardless of completion order.
+them *sorted by class index* at the end of the run, so the final tree
+is bit-identical across the serial, process and auto executors
+regardless of completion order.
 
 **File format.**  ``write_jsonl`` emits one header line
 (``schema_version``/``kind``/``generated_by`` plus run context) followed
@@ -282,27 +281,6 @@ def capture_unit(capture: bool, ship_metrics: bool, name: str = "class", /, **ta
             blob["span"] = root.to_dict()
         if ship_metrics:
             blob["metrics"] = metrics.counters_delta(counters_before)
-
-
-def merge_chunk_spans(chunks: List[Dict[str, object]]) -> Dict[str, object]:
-    """Fold a split class's per-chunk captures into one class span:
-    children concatenate in chunk order, durations and metrics sum --
-    reproducing the span the class would have emitted unsplit."""
-    if len(chunks) == 1:
-        only = dict(chunks[0])
-        only["tags"] = {k: v for k, v in (chunks[0].get("tags") or {}).items() if k != "chunk"}
-        return only
-    merged = dict(chunks[0])
-    merged["tags"] = {k: v for k, v in (chunks[0].get("tags") or {}).items() if k != "chunk"}
-    merged["children"] = [child for chunk in chunks for child in chunk.get("children") or []]
-    merged["dur_ms"] = sum(float(chunk.get("dur_ms") or 0.0) for chunk in chunks)
-    merged["cpu_ms"] = sum(float(chunk.get("cpu_ms") or 0.0) for chunk in chunks)
-    totals: Dict[str, float] = {}
-    for chunk in chunks:
-        for key, amount in (chunk.get("metrics") or {}).items():
-            totals[key] = totals.get(key, 0) + amount
-    merged["metrics"] = totals
-    return merged
 
 
 # -- JSONL files -----------------------------------------------------------

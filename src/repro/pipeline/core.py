@@ -44,7 +44,6 @@ import importlib
 import os
 import time
 import traceback
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,9 +77,8 @@ POOL_START_SECONDS = 0.25
 #: (72 / 128 / 288 classes), i.e. 0.25 s + 2 ms a class.
 POOL_UNIT_SECONDS = 0.002
 
-#: One unit of pool work: ``(class index, chunk, class, options patch)``;
-#: the patch is ``None`` for a whole class.
-Unit = Tuple[int, int, EquivalenceClass, Optional[dict]]
+#: One unit of pool work: ``(class index, class)``.
+Unit = Tuple[int, EquivalenceClass]
 
 
 class PipelineError(RuntimeError):
@@ -155,10 +153,10 @@ def _init_worker(payload: bytes) -> None:
 
 def _run_units(
     task_path: str, units: Sequence[Unit], options: dict, capture_trace: bool
-) -> List[Tuple[int, int, object, float, dict]]:
-    """Run one bundle of units in a pool worker.
+) -> List[Tuple[int, object, float, dict]]:
+    """Run one bundle of classes in a pool worker.
 
-    Each unit comes back as ``(index, chunk, result, seconds, obs)``:
+    Each class comes back as ``(index, result, seconds, obs)``:
     ``obs`` carries the unit's captured span subtree (when the
     coordinator's ``trace.active()``, relayed as ``capture_trace``: worker
     processes never saw ``trace.begin()``) and its worker-local counter
@@ -169,24 +167,20 @@ def _run_units(
     """
     task = _import_task(task_path)
     out = []
-    for index, chunk, equivalence_class, patch in units:
+    for index, equivalence_class in units:
         start = time.perf_counter()
         with trace.capture_unit(
             capture_trace, True, cls=str(equivalence_class.prefix)
         ) as obs:
             try:
-                result = task(
-                    _worker_bonsai,
-                    equivalence_class,
-                    options if patch is None else {**options, **patch},
-                )
+                result = task(_worker_bonsai, equivalence_class, options)
             except Exception as exc:  # noqa: BLE001 - reported to the coordinator
                 result = _WorkerFailure(
                     prefix=str(equivalence_class.prefix),
                     error=repr(exc),
                     traceback=traceback.format_exc(),
                 )
-        out.append((index, chunk, result, time.perf_counter() - start, obs))
+        out.append((index, result, time.perf_counter() - start, obs))
     return out
 
 
@@ -268,10 +262,9 @@ class ClassFanOut:
         #: What the ``"auto"`` executor chose on the last execute, as the
         #: reports' summaries print it ("" under an explicit executor).
         self.last_selection: str = ""
-        #: Observed wall-clock per class prefix of the last execute (a
-        #: split class's chunks summed).
+        #: Observed wall-clock per class prefix of the last execute.
         self.last_unit_seconds: Dict[str, float] = {}
-        self._unit_obs: List[Tuple[int, int, dict]] = []
+        self._unit_obs: List[Tuple[int, dict]] = []
 
     # ------------------------------------------------------------------
     # Planning
@@ -282,37 +275,13 @@ class ClassFanOut:
                 self.artifact = EncodedNetwork.build(self.network)
         return self.artifact
 
-    def plan(
-        self, indexed: Sequence[Tuple[int, EquivalenceClass]], split: bool = True
-    ) -> List[List[Unit]]:
-        """Cut ``(index, class)`` pairs into the bundles a pool runs.
-
-        Bundles are contiguous runs of ``ceil(n / (4 x workers))`` classes
-        in class order: about four per worker, large enough to amortise
-        dispatch, small enough that a straggler cannot idle the pool.
-        When ``split`` and fewer than ``2 x workers`` classes are left, a
-        task that registered a unit splitter
-        (:func:`~repro.pipeline.shard.register_unit_splitter`) has every
-        class cut into ``ceil(2 x workers / n)`` sub-class chunks instead,
-        each its own bundle; a chunk re-pays the class baseline, which
-        only pays when the classes alone cannot keep the pool busy.
-        """
-        units: List[Unit] = [(index, 0, ec, None) for index, ec in indexed]
-        if split and 0 < len(units) < 2 * self.workers:
-            from repro.pipeline import shard
-
-            sequence = shard.UNIT_SEQUENCES.get(self.task)
-            cut = sequence and shard.split_units(
-                self.task_options, sequence[0], -(-2 * self.workers // len(units))
-            )
-            if cut:
-                units = [
-                    (index, chunk, ec, patch)
-                    for index, ec in indexed
-                    for chunk, patch in enumerate(cut[0])
-                ]
-        size = max(1, -(-len(units) // (4 * self.workers)))
-        return [units[i : i + size] for i in range(0, len(units), size)]
+    def plan(self, indexed: Sequence[Unit]) -> List[List[Unit]]:
+        """Cut ``(index, class)`` pairs into the bundles a pool runs:
+        contiguous runs of ``ceil(n / (4 x workers))`` classes in class
+        order -- about four per worker, large enough to amortise
+        dispatch, small enough that a straggler cannot idle the pool."""
+        size = max(1, -(-len(indexed) // (4 * self.workers)))
+        return [list(indexed[i : i + size]) for i in range(0, len(indexed), size)]
 
     # ------------------------------------------------------------------
     # Execution
@@ -403,19 +372,16 @@ class ClassFanOut:
             classes=len(classes),
         )
 
-        #: Per-unit observability captures -- ``(index, chunk, blob)`` --
-        #: buffered during the run and folded in *sorted by (index,
-        #: chunk)* afterwards, so the attached trace subtrees (and merged
-        #: counter deltas) are independent of completion order.
+        #: Per-class observability captures -- ``(index, blob)`` --
+        #: buffered during the run and folded in *sorted by index*
+        #: afterwards, so the attached trace subtrees (and merged counter
+        #: deltas) are independent of completion order.
         self._unit_obs = []
         out: Optional[List[Tuple[int, object]]] = [] if on_result is None else None
         indexed = list(enumerate(classes))
         probed = 0
         if self.executor == "serial":
-            self.last_batches = [
-                [(index, ec) for index, _, ec, _ in bundle]
-                for bundle in self.plan(indexed, split=False)
-            ]
+            self.last_batches = self.plan(indexed)
             probed = self._run_serial(artifact, indexed, on_result, out)
         elif self.executor == "auto" and classes:
             probed = self._probe(artifact, classes, on_result, out)
@@ -445,7 +411,7 @@ class ClassFanOut:
         on_result,
         out,
     ) -> None:
-        """One class finished (a split class: its last chunk merged)."""
+        """One class finished."""
         prefix = str(equivalence_class.prefix)
         self.last_unit_seconds[prefix] = seconds
         _events.emit(
@@ -467,13 +433,12 @@ class ClassFanOut:
         process worker ran carry one (inline units, the probed prefix of
         an ``"auto"`` run included, counted in this registry as they ran).
         Captured span subtrees attach under the current span sorted by
-        (class index, chunk index), a split class's chunks merged back
-        into one class span -- so the resulting trace tree is
-        bit-identical across serial, process and auto runs.
+        class index, so the resulting trace tree is bit-identical across
+        serial, process and auto runs.
         """
-        entries = self._unit_obs
+        entries = sorted(self._unit_obs, key=lambda entry: entry[0])
         self._unit_obs = []
-        for _, _, blob in entries:
+        for _, blob in entries:
             delta = blob.get("metrics")
             if delta:
                 _metrics.merge_counters(delta)
@@ -482,14 +447,9 @@ class ClassFanOut:
         _metrics.counter("pipeline.classes_completed").inc(len(self.last_unit_seconds))
         if not trace.active():
             return
-        by_index: Dict[int, List[Tuple[int, dict]]] = {}
-        for index, chunk, blob in entries:
-            span_dict = blob.get("span")
-            if span_dict is not None:
-                by_index.setdefault(index, []).append((chunk, span_dict))
-        for index in sorted(by_index):
-            chunks = [s for _, s in sorted(by_index[index], key=lambda pair: pair[0])]
-            trace.attach(trace.merge_chunk_spans(chunks))
+        for _, blob in entries:
+            if blob.get("span") is not None:
+                trace.attach(blob["span"])
 
     def _probe(self, artifact: EncodedNetwork, classes, on_result, out) -> int:
         """The first half of ``"auto"``: run classes inline until handing
@@ -575,7 +535,7 @@ class ClassFanOut:
                         f"{equivalence_class.prefix} failed: {exc!r}"
                     ) from exc
             if capture:
-                self._unit_obs.append((index, 0, obs))
+                self._unit_obs.append((index, obs))
             seconds = time.perf_counter() - start
             self._note_unit(index, equivalence_class, result, seconds, on_result, out)
             if stop is not None and stop(done, seconds):
@@ -585,49 +545,25 @@ class ClassFanOut:
     def _run_pool(
         self,
         artifact: EncodedNetwork,
-        indexed: Sequence[Tuple[int, EquivalenceClass]],
+        indexed: Sequence[Unit],
         on_result,
         out: Optional[List[Tuple[int, object]]],
     ) -> None:
         """Run ``indexed`` classes on a process pool, one :meth:`plan`
-        bundle per submission.  A split class is passed on once, when its
-        last chunk lands, with its chunks merged in chunk order."""
+        bundle per submission, passing each class on as it lands."""
         # Imported where a pool is created: a run that never forks never
         # loads multiprocessing.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        # Before planning and forking: a splittable task registers its unit
-        # sequence as it imports, and the workers inherit the module.
+        # Before forking, so the workers inherit the task's module.
         _import_task(self.task)
         bundles = self.plan(indexed)
-        self.last_batches += [
-            [(index, ec) for index, _, ec, _ in bundle] for bundle in bundles
-        ]
-        chunks = Counter(index for bundle in bundles for index, *_ in bundle)
-        split = sorted(index for index, count in chunks.items() if count > 1)
-        _metrics.counter("shard.units").inc(sum(chunks.values()))
-        _metrics.counter("shard.bundles").inc(len(bundles))
-        _metrics.counter("shard.split_classes").inc(len(split))
+        self.last_batches += bundles
         class_by_index = dict(indexed)
-        for index in split:
-            _events.emit(
-                "class.split",
-                task=self.task,
-                index=index,
-                cls=str(class_by_index[index].prefix),
-                chunks=chunks[index],
-            )
-        if split:
-            from repro.pipeline.shard import UNIT_SEQUENCES, merge_chunks
-
-            merge_attr = UNIT_SEQUENCES[self.task][1]
         options = {**self.task_options, **self.pool_task_options}
         payload = artifact.to_bytes()
         capture = trace.active()
-        #: class index -> {chunk: result} / summed seconds, until complete.
-        parts: Dict[int, Dict[int, object]] = {}
-        spent: Dict[int, float] = {}
         try:
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(bundles)),
@@ -642,34 +578,17 @@ class ClassFanOut:
                     while pending:
                         done, pending = wait(pending, return_when=FIRST_COMPLETED)
                         for future in done:
-                            for index, chunk, item, seconds, obs in future.result():
-                                if isinstance(item, _WorkerFailure):
+                            for index, result, seconds, obs in future.result():
+                                if isinstance(result, _WorkerFailure):
                                     raise PipelineError(
                                         f"task {self.task!r} on equivalence class "
-                                        f"{item.prefix} failed in a process "
-                                        f"worker: {item.error}\n{item.traceback}"
+                                        f"{result.prefix} failed in a process "
+                                        f"worker: {result.error}\n{result.traceback}"
                                     )
-                                self._unit_obs.append((index, chunk, obs))
-                                spent[index] = spent.get(index, 0.0) + seconds
-                                got = parts.setdefault(index, {})
-                                got[chunk] = item
-                                if len(got) < chunks[index]:
-                                    continue
-                                del parts[index]
-                                result = (
-                                    item
-                                    if len(got) == 1
-                                    else merge_chunks(
-                                        [got[i] for i in range(len(got))], merge_attr
-                                    )
-                                )
+                                self._unit_obs.append((index, obs))
                                 self._note_unit(
-                                    index,
-                                    class_by_index[index],
-                                    result,
-                                    spent.pop(index),
-                                    on_result,
-                                    out,
+                                    index, class_by_index[index], result, seconds,
+                                    on_result, out,
                                 )
                 except BaseException:
                     # Surface the error now rather than after every queued

@@ -490,9 +490,8 @@ class TaskBaseline:
     first use, memoises taint queries and :attr:`check` one result:
     bounded, and safe under racing writers.)
 
-    Building the baseline is deliberately unspanned: split shard chunks
-    re-pay it per chunk, and the chunk-merged trace must reproduce the
-    serial tree span for span.
+    Building the baseline opens no span of its own, so a trace shows its
+    time as the class span's self time.
     """
 
     def __init__(
@@ -730,14 +729,6 @@ def task_baseline(bonsai, equivalence_class: EquivalenceClass, options: dict) ->
     if warm is None:
         return TaskBaseline(bonsai, equivalence_class, options)
     return warm.task_baseline(bonsai, equivalence_class, options)
-
-
-def unit_range(options: dict, total: int) -> range:
-    """The units of a class this task invocation runs: all ``total`` of
-    them, or the ``[start, end)`` chunk the process pool's planner
-    patched in (:func:`~repro.pipeline.shard.split_units`)."""
-    start, end = options.get("unit_range") or (0, total)
-    return range(max(0, int(start)), min(int(end), total))
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,10 @@
 ``tests/golden/*.json`` hold timing-scrubbed ``to_dict()`` output of
 failure and change sweeps on all five netgen families at default size,
 written by the code *before* the sweeps were merged onto one perturbation
-engine.  Serial, process (classes limited to 7 under 4 workers, so the
-pool's planner must split every class into sub-class chunks),
-the default ``"auto"`` executor made to fork after its two-class probe
-(the other five classes split the same way) and spilled runs must all
-reproduce them key for key.
+engine.  Serial, process (classes limited to 7 under 4 workers, each
+class one unit of pool work), the default ``"auto"`` executor made to
+fork after its two-class probe (the other five classes pooled the same
+way) and spilled runs must all reproduce them key for key.
 
 ``tests/golden/verify-*.json`` hold the verification report's
 ``canonical_records()`` and ``aggregate.property_totals`` on the five
@@ -40,10 +39,9 @@ GOLDEN = Path(__file__).parent / "golden"
 _SCRUBBED = ("incremental_speedup", "peak_rss_mb", "obs_metrics", "trace_summary",
              "generated_by", "orbit_mapped")
 
-#: Classes the process mode is limited to: fewer than ``2 * workers``, so
-#: every class is split into sub-class chunks and re-merged.
-SPLIT_LIMIT = 7
-SPLIT_WORKERS = 4
+#: Classes the process and auto modes are limited to, and their workers.
+POOL_LIMIT = 7
+POOL_WORKERS = 4
 
 FAMILIES = sorted(TOPOLOGY_FAMILIES)
 
@@ -64,8 +62,8 @@ CASES = {
 
 MODES = {
     "serial": dict(executor="serial"),
-    "split": dict(executor="process", workers=SPLIT_WORKERS, limit=SPLIT_LIMIT),
-    "auto": dict(executor="auto", workers=SPLIT_WORKERS, limit=SPLIT_LIMIT),
+    "process": dict(executor="process", workers=POOL_WORKERS, limit=POOL_LIMIT),
+    "auto": dict(executor="auto", workers=POOL_WORKERS, limit=POOL_LIMIT),
     "spill": dict(executor="serial", spill=True),
 }
 
@@ -137,11 +135,11 @@ def test_report_matches_golden(name, mode, tmp_path, request):
     report = run_case(name, **options)
     expected = load_golden(name)
     drop = ["executor", "workers"]
-    if mode in ("split", "auto"):
+    if mode in ("process", "auto"):
         # The golden run swept every class, this one the first few: the
         # records must match one for one; the aggregates are functions of
         # the records and are pinned by the two full-sweep modes.
-        assert report.num_classes < 2 * SPLIT_WORKERS
+        assert report.num_classes <= POOL_LIMIT
         expected["records"] = expected["records"][: report.num_classes]
         drop += ["aggregate", "num_classes"]
     assert scrub(json.loads(report.to_json()), drop) == scrub(expected, drop)

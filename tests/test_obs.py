@@ -158,50 +158,6 @@ class TestTrace:
             pass
         assert blob == {"span": None, "metrics": None}
 
-    def test_merge_chunk_spans(self):
-        chunks = [
-            {"name": "class", "tags": {"cls": "p", "chunk": 0}, "dur_ms": 2.0,
-             "metrics": {"a": 1}, "children": [{"name": "s1", "tags": {}, "dur_ms": 1.0,
-                                               "metrics": {}, "children": []}]},
-            {"name": "class", "tags": {"cls": "p", "chunk": 1}, "dur_ms": 3.0,
-             "metrics": {"a": 2, "b": 1}, "children": [{"name": "s2", "tags": {}, "dur_ms": 1.0,
-                                                        "metrics": {}, "children": []}]},
-        ]
-        merged = trace.merge_chunk_spans(chunks)
-        assert merged["tags"] == {"cls": "p"}
-        assert merged["dur_ms"] == 5.0
-        assert merged["metrics"] == {"a": 3, "b": 1}
-        assert [c["name"] for c in merged["children"]] == ["s1", "s2"]
-
-    @given(
-        st.lists(
-            st.lists(st.text("ab", min_size=1, max_size=3), max_size=4),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_chunk_spans_concatenates_in_chunk_order(self, chunk_children):
-        chunks = [
-            {
-                "name": "class",
-                "tags": {"cls": "p", "chunk": index},
-                "dur_ms": float(index),
-                "metrics": {"n": len(children)},
-                "children": [
-                    {"name": name, "tags": {}, "dur_ms": 0.0, "metrics": {}, "children": []}
-                    for name in children
-                ],
-            }
-            for index, children in enumerate(chunk_children)
-        ]
-        merged = trace.merge_chunk_spans(chunks)
-        assert [c["name"] for c in merged["children"]] == [
-            name for children in chunk_children for name in children
-        ]
-        assert merged["metrics"].get("n", 0) == sum(len(c) for c in chunk_children)
-        assert "chunk" not in merged["tags"]
-
     def test_jsonl_round_trip(self, tmp_path):
         trace.begin("run", command="test")
         with trace.span("family", family="ring"):
@@ -267,9 +223,9 @@ class TestExecutorParity:
         auto = run_with(executor="auto", workers=2)
         assert serial == process == auto
 
-    def test_failure_split_units_reassemble(self, small_fattree):
-        """Few classes + many workers forces scenario chunking; the
-        merged chunk spans must reproduce the serial sweep's tree."""
+    def test_failure_pool_traces_like_serial(self, small_fattree):
+        """Fewer classes than workers, each run whole in a worker: the
+        attached class spans reproduce the serial sweep's tree."""
         from repro.failures import FailureSweep
 
         kwargs = dict(k=1, soundness=False, oracle=False, limit=2)
@@ -283,7 +239,7 @@ class TestExecutorParity:
         )
         assert serial == stolen
 
-    def test_delta_split_units_reassemble(self, small_fattree):
+    def test_delta_pool_traces_like_serial(self, small_fattree):
         from repro.delta import DeltaSweep
         from repro.netgen.changes import generated_change_script
 
@@ -303,8 +259,8 @@ class TestExecutorParity:
         self, small_fattree, always_fork
     ):
         """The probed prefix runs in this process, the suffix in a pool
-        (split into scenario chunks: 2 classes left for 4 workers): one
-        trace tree, and every class's counters counted exactly once."""
+        (one whole class per unit): one trace tree, and every class's
+        counters counted exactly once."""
         from repro.failures import FailureSweep
 
         kwargs = dict(k=1, soundness=False, oracle=False, limit=4)
@@ -324,11 +280,10 @@ class TestExecutorParity:
         auto, auto_solves, delta = traced_and_counted(workers=4)
         assert auto == serial
         assert delta.get("pipeline.executor.pool") == 1
-        assert delta.get("shard.split_classes") == 2
-        # Seeded re-solves are one per (class, scenario) wherever they ran;
-        # a split class re-pays its scratch baseline once per chunk.
+        # Seeded re-solves are one per (class, scenario) and scratch
+        # solves one per class baseline, wherever they ran.
         assert auto_solves["srp.seeded_solves"] == serial_solves["srp.seeded_solves"] > 0
-        assert auto_solves["srp.scratch_solves"] > serial_solves["srp.scratch_solves"]
+        assert auto_solves["srp.scratch_solves"] == serial_solves["srp.scratch_solves"]
 
     @given(st.integers(1, 6))
     @settings(max_examples=5, deadline=None)

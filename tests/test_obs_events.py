@@ -315,7 +315,7 @@ class TestPipelineEvents:
         seen = _completion_stream(artifact=artifact, executor="process", workers=4)
         known = {
             "sweep.start", "sweep.end", "class.completed",
-            "class.split", "spill.open", "spill.close",
+            "spill.open", "spill.close",
         }
         assert {e["type"] for e in seen} <= known
 

@@ -244,6 +244,22 @@ class TestOrbitEqualsPerClass:
         assert [r.orbit_mapped for r in report.records] == [[]] + [["concrete", "abstract"]] * 2
         assert counts["verify.orbit.solved.representative"] == 1
 
+    def test_anycast_classes_beside_unicast_ones_map_from_each_other(self):
+        """Representatives are kept per (family, origin count): the first
+        anycast class of a family whose first class is unicast represents
+        the second, which maps both solves."""
+        network = fattree_network(4)
+        for index, origins in enumerate((("edge0_0", "edge1_0"), ("edge2_0", "edge3_0"))):
+            prefix = Prefix.parse(f"10.99.{index}.0/24")
+            for origin in origins:
+                network.devices[origin].originated_prefixes.append(prefix)
+        report, counts = _verify(network)
+        anycast = [r for r in report.records if len(r.origins) == 2]
+        assert len(anycast) == 2 and len(report.records) > 2
+        assert [r.orbit_mapped for r in anycast] == [[], ["concrete", "abstract"]]
+        assert counts["verify.orbit.solved.representative"] == 2
+        assert "verify.orbit.solved.no-candidate" not in counts
+
     @pytest.mark.parametrize(
         "k, abstract_mapped, tie_order",
         # k=6: the induced abstract names reorder 9 classes' abstract ties.

@@ -205,7 +205,7 @@ class TestBatching:
         pipeline = CompressionPipeline(small_fattree, workers=2)
         classes = EncodedNetwork.build(small_fattree).classes
         bundles = pipeline.plan(list(enumerate(classes)))
-        flattened = [ec for bundle in bundles for _, _, ec, _ in bundle]
+        flattened = [ec for bundle in bundles for _, ec in bundle]
         assert flattened == list(classes)
 
     @pytest.mark.parametrize("method", ["run", "run_streaming"])

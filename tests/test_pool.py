@@ -1,5 +1,5 @@
-"""Tests for the process pool's planner and sub-class chunks
-(repro.pipeline.shard) and streaming/memory-bounded report aggregation."""
+"""Tests for the process pool's planner and parity, and for
+streaming/memory-bounded report aggregation."""
 
 from __future__ import annotations
 
@@ -11,103 +11,17 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pipeline import shard
 from repro.pipeline.core import ClassFanOut, CompressionPipeline, PipelineError
 from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import PipelineReport
-from repro.pipeline.shard import _chunk_bounds, merge_chunks, split_units
 from repro.pipeline.stream import RecordSpill
 
 
 # ----------------------------------------------------------------------
-# Planning primitives
+# Planning
 # ----------------------------------------------------------------------
-class TestChunkBounds:
-    def test_even_split(self):
-        assert _chunk_bounds(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_remainder_front_loaded(self):
-        bounds = _chunk_bounds(10, 3)
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
-
-    def test_fewer_items_than_pieces(self):
-        assert _chunk_bounds(2, 5) == [(0, 1), (1, 2)]
-
-    @given(st.integers(1, 50), st.integers(1, 10))
-    @settings(max_examples=30, deadline=None)
-    def test_bounds_partition_the_range(self, total, pieces):
-        bounds = _chunk_bounds(total, pieces)
-        assert bounds[0][0] == 0 and bounds[-1][1] == total
-        for (_, end), (start, _) in zip(bounds, bounds[1:]):
-            assert end == start
-        assert all(end > start for start, end in bounds)
-
-
-class TestSplitters:
-    """The one range splitter / chunk merger every sub-class-splitting
-    task registers with (failures: ``scenarios``; delta: ``script`` /
-    ``steps``)."""
-
-    @staticmethod
-    def _ranges(plan):
-        patches, _ = plan
-        return [tuple(patch["unit_range"]) for patch in patches]
-
-    def test_too_short_sequence_declines(self):
-        assert split_units({"scenarios": [("link", 0)]}, "scenarios", 4) is None
-        assert split_units({"scenarios": []}, "scenarios", 4) is None
-        assert split_units({}, "scenarios", 4) is None
-
-    def test_near_equal_contiguous_bounds(self):
-        plan = split_units({"script": ["a", "b", "c", "d", "e"]}, "script", 2)
-        assert self._ranges(plan) == [(0, 3), (3, 5)]
-        plan = split_units({"scenarios": list(range(6))}, "scenarios", 3)
-        assert self._ranges(plan) == [(0, 2), (2, 4), (4, 6)]
-
-    def test_fractions_sum_to_one(self):
-        _, fractions = split_units({"script": list("abcdefg")}, "script", 3)
-        assert sum(fractions) == pytest.approx(1.0)
-        assert fractions == pytest.approx([3 / 7, 2 / 7, 2 / 7])
-
-    def test_more_pieces_than_items_gives_one_unit_per_chunk(self):
-        plan = split_units({"scenarios": ["x", "y", "z"]}, "scenarios", 8)
-        assert self._ranges(plan) == [(0, 1), (1, 2), (2, 3)]
-        assert plan[1] == pytest.approx([1 / 3] * 3)
-
-    def test_splitter_reads_only_the_named_key(self):
-        options = {"scenarios": list(range(4)), "script": ["only"]}
-        assert split_units(options, "script", 2) is None
-        assert len(split_units(options, "scenarios", 2)[0]) == 2
-
-    def test_merge_order_is_original_order(self):
-        class Record:
-            def __init__(self, baseline, steps):
-                self.baseline = baseline
-                self.steps = steps
-
-        units = list(range(7))
-        ranges = self._ranges(split_units({"script": units}, "script", 3))
-        chunks = [Record(f"chunk{i}", units[a:b]) for i, (a, b) in enumerate(ranges)]
-        merged = merge_chunks(chunks, "steps")
-        assert merged is chunks[0]
-        assert merged.baseline == "chunk0"
-        assert merged.steps == units
-
-    def test_sweep_tasks_register_their_unit_sequences(self):
-        import repro.delta.sweep  # noqa: F401 - registers as it imports
-        import repro.failures.sweep  # noqa: F401
-
-        assert shard.UNIT_SEQUENCES["repro.failures.sweep:failure_class_task"] == (
-            "scenarios", "scenarios",
-        )
-        assert shard.UNIT_SEQUENCES["repro.delta.sweep:delta_class_task"] == (
-            "script", "steps",
-        )
-
-
 class TestPlanner:
-    """The one pool plan: contiguous class-order bundles, or sub-class
-    chunks of a splittable task when the classes cannot fill the pool."""
+    """The one pool plan: contiguous class-order bundles of whole classes."""
 
     def test_enough_classes_give_contiguous_bundles(self, small_fattree):
         classes = EncodedNetwork.build(small_fattree).classes
@@ -119,44 +33,28 @@ class TestPlanner:
             size = -(-len(indexed) // (4 * workers))
             assert [len(bundle) for bundle in bundles[:-1]] == [size] * (len(bundles) - 1)
             assert 0 < len(bundles[-1]) <= size
-            assert [(i, ec) for bundle in bundles for i, _, ec, _ in bundle] == indexed
-            assert all(chunk == 0 and patch is None
-                       for bundle in bundles for _, chunk, _, patch in bundle)
+            assert [unit for bundle in bundles for unit in bundle] == indexed
 
-    def test_scarce_classes_of_a_splittable_task_are_chunked(self, small_fattree):
-        import repro.failures.sweep  # noqa: F401 - registers the splitter
+    def test_scarce_classes_stay_whole_and_match_serial(self, small_fattree):
+        """3 classes under 4 workers: 3 whole-class units, one a bundle,
+        whose records equal the serial sweep's."""
+        from repro.failures import FailureSweep
 
-        scenarios = [("link", i) for i in range(8)]
-        classes = EncodedNetwork.build(small_fattree).classes[:3]
-        fanout = ClassFanOut(
-            small_fattree, task="failures", task_options={"scenarios": scenarios},
-            executor="process", workers=4,
-        )
-        bundles = fanout.plan(list(enumerate(classes)))
-        # ceil(2 x 4 / 3) = 3 chunks a class, one chunk a bundle.
-        assert all(len(bundle) == 1 for bundle in bundles)
-        units = [unit for bundle in bundles for unit in bundle]
-        assert [(index, chunk) for index, chunk, _, _ in units] == [
-            (index, chunk) for index in range(3) for chunk in range(3)
-        ]
-        for index in range(3):
-            merged = [
-                s
-                for i, _, _, patch in units if i == index
-                for s in scenarios[slice(*patch["unit_range"])]
-            ]
-            assert merged == scenarios
-
-    def test_unsplittable_task_and_serial_plans_stay_whole(self, small_fattree):
         classes = EncodedNetwork.build(small_fattree).classes[:3]
         indexed = list(enumerate(classes))
-        fanout = ClassFanOut(small_fattree, executor="process", workers=4)
-        assert [len(bundle) for bundle in fanout.plan(indexed)] == [1, 1, 1]
-        failures = ClassFanOut(
+        fanout = ClassFanOut(
             small_fattree, task="failures",
-            task_options={"scenarios": [("link", i) for i in range(8)]}, workers=4,
+            task_options={"scenarios": [("link", i) for i in range(8)]},
+            executor="process", workers=4,
         )
-        assert [len(bundle) for bundle in failures.plan(indexed, split=False)] == [1, 1, 1]
+        assert fanout.plan(indexed) == [[unit] for unit in indexed]
+
+        kwargs = dict(k=1, soundness=False, oracle=True, limit=3)
+        serial = FailureSweep(small_fattree, executor="serial", **kwargs).run()
+        pooled = FailureSweep(small_fattree, executor="process", workers=4, **kwargs)
+        report = pooled.run()
+        assert pooled._fanout.last_batches == [[unit] for unit in indexed]
+        assert report.canonical_records() == serial.canonical_records()
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +94,9 @@ class TestPoolParity:
             str(ec.prefix) for ec in fanout.last_classes
         }
 
-    def test_failure_split_parity(self, small_fattree):
-        """Few classes + many workers forces scenario chunking; merged
-        records must equal the serial (unsplit) sweep's."""
+    def test_failure_pool_parity(self, small_fattree):
+        """Fewer classes than workers: each class runs whole in a worker,
+        and the records equal the serial sweep's."""
         from repro.failures import FailureSweep
 
         kwargs = dict(k=1, soundness=False, oracle=True, limit=2)
@@ -208,9 +106,9 @@ class TestPoolParity:
         ).run()
         assert serial.canonical_records() == pooled.canonical_records()
 
-    def test_delta_split_parity(self, small_fattree):
-        """Step-range chunks fast-forward by re-solving the chain prefix;
-        outcomes must equal the serial chained sweep's."""
+    def test_delta_pool_parity(self, small_fattree):
+        """A pooled class runs its whole step chain in one worker; the
+        outcomes equal the serial chained sweep's."""
         from repro.delta import DeltaSweep
         from repro.netgen.changes import generated_change_script
 

@@ -19,12 +19,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: What ``compress`` must not pay for: the other pillars, the shard
-#: scheduler, the HTTP server and the process-pool machinery.
+#: What ``compress`` must not pay for: the other pillars, the HTTP
+#: server and the process-pool machinery.
 NOT_FOR_COMPRESS = (
     "repro.serve", "repro.store", "repro.delta", "repro.failures",
-    "repro.analysis.batch", "repro.api", "repro.pipeline.shard",
-    "http.server", "multiprocessing",
+    "repro.analysis.batch", "repro.api", "http.server", "multiprocessing",
 )
 
 PACKAGES = (
@@ -170,8 +169,8 @@ def test_load_report_needs_only_repro_reporting(kind, tmp_path):
 
 
 def test_task_registries_resolve_on_demand():
-    """A task name, and a splittable task's unit sequence, resolve in a
-    process that imported the fan-out and none of the pillars."""
+    """A task name resolves in a process that imported the fan-out and
+    none of the pillars, serially and in a pool."""
     result = run_child(
         "import json, sys\n"
         "from repro.netgen.families import build_topology\n"
@@ -188,8 +187,8 @@ def test_task_registries_resolve_on_demand():
         "print(json.dumps([len(verified), len(record.scenarios) == len(scenarios),\n"
         "                  len(fanout.last_batches)]))"
     )
-    # One class for two workers: split into four scenario chunks.
-    assert result == [4, True, 4]
+    # One class is one unit of pool work: one batch.
+    assert result == [4, True, 1]
 
 
 def test_serve_imports_everything_before_it_binds():
