@@ -382,6 +382,28 @@ class TestFailureSweep:
         ):
             load_report(data)
 
+    def test_class_task_runs_every_scenario_in_order(self):
+        """One class through the task: one outcome per scenario, in the
+        order given, equal to the sweep's record for that class."""
+        from repro.pipeline.core import ClassFanOut
+
+        network = chain_network(5)
+        scenarios = [s.to_dict() for s in scenarios_for(network, k=1)]
+        (record,) = ClassFanOut(
+            network, task="failures", executor="serial", limit=1,
+            task_options={"scenarios": scenarios, "soundness": False},
+        ).execute()
+        assert len(scenarios) > 1
+        assert [o.scenario for o in record.scenarios] == [
+            FailureScenario.from_dict(s).name for s in scenarios
+        ]
+        swept = FailureSweep(
+            network, k=1, soundness=False, executor="serial", limit=1
+        ).run()
+        assert [o.scenario for o in swept.records[0].scenarios] == [
+            o.scenario for o in record.scenarios
+        ]
+
     def test_verdict_deltas_and_first_failing_scenario(self):
         report = FailureSweep(chain_network(5), k=1, executor="serial").run()
         first = report.first_break()

@@ -319,6 +319,48 @@ class TestPipelineEvents:
         }
         assert {e["type"] for e in seen} <= known
 
+    def test_scarce_pool_completes_each_class_once(self, small_fattree):
+        """2 failure classes under 4 workers: one ``class.completed`` per
+        class, the same pairs as the serial run's."""
+        from repro.failures import FailureSweep
+
+        def completions(**executor):
+            seen = _collect()
+            try:
+                FailureSweep(
+                    small_fattree, k=1, soundness=False, oracle=False, limit=2, **executor
+                ).run()
+            finally:
+                events.unsubscribe(seen.append)
+            return sorted(
+                (e["index"], e["cls"]) for e in seen if e["type"] == "class.completed"
+            )
+
+        serial = completions(executor="serial")
+        assert [index for index, _ in serial] == [0, 1]
+        assert completions(executor="process", workers=4) == serial
+
+    def test_pool_delta_carried_event_equals_serial(self, small_fattree):
+        """The one ``delta.carried`` event counts every carried (class,
+        step) pair whichever executor ran the classes."""
+        from repro.delta import DeltaSweep
+        from repro.netgen.changes import generated_change_script
+
+        script = generated_change_script(small_fattree, "fattree")
+
+        def carried(**executor):
+            seen = _collect()
+            try:
+                DeltaSweep(small_fattree, script=script, limit=3, **executor).run()
+            finally:
+                events.unsubscribe(seen.append)
+            (event,) = [e for e in seen if e["type"] == "delta.carried"]
+            return {k: v for k, v in event.items() if k not in ("seq", "ts")}
+
+        serial = carried(executor="serial")
+        assert serial["carried"] > 0
+        assert carried(executor="process", workers=4) == serial
+
 
 # ----------------------------------------------------------------------
 # Store refusal observability (counter + event + surfaced counts)

@@ -260,6 +260,46 @@ class TestOrbitEqualsPerClass:
         assert counts["verify.orbit.solved.representative"] == 2
         assert "verify.orbit.solved.no-candidate" not in counts
 
+    def test_each_origin_count_keeps_its_own_representative(self):
+        """Unicast, two-origin and three-origin classes of one family:
+        three representatives, and the second class of each anycast
+        count maps both solves from the first of that count."""
+        network = fattree_network(4)
+        anycast = (
+            ("edge0_0", "edge1_0"), ("edge2_0", "edge3_0"),
+            ("edge0_0", "edge1_0", "edge2_0"), ("edge1_0", "edge2_0", "edge3_0"),
+        )
+        for index, origins in enumerate(anycast):
+            prefix = Prefix.parse(f"10.99.{index}.0/24")
+            for origin in origins:
+                network.devices[origin].originated_prefixes.append(prefix)
+        report, counts = _verify(network)
+        for size in (2, 3):
+            records = [r for r in report.records if len(r.origins) == size]
+            assert [r.orbit_mapped for r in records] == [[], ["concrete", "abstract"]]
+        assert counts["verify.orbit.solved.representative"] == 3
+        assert "verify.orbit.solved.no-candidate" not in counts
+
+    def test_anycast_records_equal_per_class_records(self, monkeypatch):
+        """The twin on a family with unicast and anycast classes: mapping
+        the second anycast class changes nothing it reports."""
+
+        def network():
+            built = fattree_network(4)
+            for index, origins in enumerate((("edge0_0", "edge1_0"), ("edge2_0", "edge3_0"))):
+                prefix = Prefix.parse(f"10.99.{index}.0/24")
+                for origin in origins:
+                    built.devices[origin].originated_prefixes.append(prefix)
+            return built
+
+        orbits, counts = _verify(network())
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            per_class, _ = _verify(network())
+        assert counts["verify.orbit.mapped.concrete"] > 0
+        assert orbits.canonical_records() == per_class.canonical_records()
+        assert _full_records(orbits) == _full_records(per_class)
+
     @pytest.mark.parametrize(
         "k, abstract_mapped, tie_order",
         # k=6: the induced abstract names reorder 9 classes' abstract ties.

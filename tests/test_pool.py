@@ -56,6 +56,38 @@ class TestPlanner:
         assert pooled._fanout.last_batches == [[unit] for unit in indexed]
         assert report.canonical_records() == serial.canonical_records()
 
+    @given(st.integers(0, 16), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_covers_every_class_once_in_order(self, classes, workers):
+        """Any class count under any worker count: equal contiguous
+        bundles of ``ceil(n / (4 x workers))`` whole classes (the last
+        may be short), at most four per worker, none empty."""
+        from repro.netgen.families import build_topology
+
+        indexed = [(index, f"class{index}") for index in range(classes)]
+        fanout = ClassFanOut(build_topology("ring", 4), executor="process", workers=workers)
+        bundles = fanout.plan(indexed)
+        assert [unit for bundle in bundles for unit in bundle] == indexed
+        assert all(bundles) and len(bundles) <= 4 * workers
+        size = -(-classes // (4 * workers))
+        assert all(len(bundle) == size for bundle in bundles[:-1])
+        if classes and classes <= 4 * workers:
+            assert bundles == [[unit] for unit in indexed]
+
+    @pytest.mark.parametrize("task", ["compress", "verify", "failures", "delta", "baseline"])
+    def test_every_task_plans_whole_classes(self, small_fattree, task):
+        """The plan reads neither the task nor its options: scarce
+        classes of any task are one unit each."""
+        classes = EncodedNetwork.build(small_fattree).classes[:3]
+        indexed = list(enumerate(classes))
+        fanout = ClassFanOut(
+            small_fattree, task=task,
+            task_options={"scenarios": [("link", i) for i in range(8)],
+                          "script": ["a", "b", "c", "d"]},
+            executor="process", workers=4,
+        )
+        assert fanout.plan(indexed) == [[unit] for unit in indexed]
+
 
 # ----------------------------------------------------------------------
 # Validation regressions
@@ -119,6 +151,55 @@ class TestPoolParity:
             small_fattree, executor="process", workers=4, **kwargs
         ).run()
         assert serial.canonical_records() == pooled.canonical_records()
+
+    def test_delta_scarce_classes_stay_whole(self, small_fattree):
+        """3 classes under 4 workers: each class is one batch of one unit,
+        and its whole chain of steps comes back in script order."""
+        from repro.delta import DeltaSweep
+        from repro.netgen.changes import generated_change_script
+
+        script = generated_change_script(small_fattree, "fattree")
+        sweep = DeltaSweep(
+            small_fattree, script=script, executor="process", workers=4, limit=3
+        )
+        report = sweep.run()
+        classes = EncodedNetwork.build(small_fattree).classes[:3]
+        assert sweep._fanout.last_batches == [[unit] for unit in enumerate(classes)]
+        assert [len(record.steps) for record in report.records] == [len(script)] * 3
+
+    @pytest.mark.parametrize("pillar", ["failures", "delta"])
+    def test_pool_counts_solves_like_serial(self, small_fattree, pillar):
+        """A class run whole in a worker solves its baseline once, as the
+        serial run does: the merged solve and step counters are equal."""
+        from repro.delta import DeltaSweep
+        from repro.failures import FailureSweep
+        from repro.netgen.changes import generated_change_script
+        from repro.obs import metrics
+
+        if pillar == "failures":
+            def sweep(**executor):
+                return FailureSweep(
+                    small_fattree, k=1, soundness=False, oracle=False, limit=2, **executor
+                )
+        else:
+            script = generated_change_script(small_fattree, "fattree")
+
+            def sweep(**executor):
+                return DeltaSweep(small_fattree, script=script, limit=2, **executor)
+
+        def counted(**executor):
+            before = metrics.snapshot_counters()
+            sweep(**executor).run()
+            delta = metrics.counters_delta(before)
+            return {
+                name: value for name, value in delta.items()
+                if name.startswith(("srp.", "delta.class_steps."))
+                and not name.endswith(("_seconds", "_ms"))
+            }
+
+        serial = counted(executor="serial")
+        assert serial.get("srp.scratch_solves", 0) > 0
+        assert counted(executor="process", workers=4) == serial
 
     def test_worker_crash_surfaces_clean_error(self, small_fattree):
         """A task raising in a pool worker must carry the class and cause."""
