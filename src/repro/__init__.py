@@ -50,7 +50,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".srp": ("SRP", "Solution", "solve"),
     ".topology": ("Graph",),
-    ".reporting": ("ReportEnvelope", "load_report", "register_report"),
+    ".reporting": ("ReportEnvelope", "load_report"),
     ".store": (
         "ArtifactStore", "BaselineArtifact", "ClassBaseline", "StoreError",
         "network_fingerprint",

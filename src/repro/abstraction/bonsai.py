@@ -189,8 +189,6 @@ class Bonsai:
         #: for origin sets several classes share (:attr:`_shared_origin_sets`);
         #: the entry pins its family, so the id cannot be reused under it.
         self._refinement_cache: Dict[Hashable, Tuple[ClassFamily, RefinementResult]] = {}
-        self._refinement_hits = 0
-        self._refinement_misses = 0
         #: Single-entry memo of the last compiled edge map (and which edges
         #: differ from the base): several stages of a per-class task
         #: (concrete simulation, compression) compile the same destination
@@ -374,10 +372,8 @@ class Bonsai:
         key = (id(family), equivalence_class.origins)
         cached = self._refinement_cache.get(key)
         if cached is not None or family.refinements:
-            self._refinement_hits += 1
             _metrics.counter("abstraction.refinement_cache.hits").inc()
         else:
-            self._refinement_misses += 1
             _metrics.counter("abstraction.refinement_cache.misses").inc()
         if cached is not None:
             return cached[1]
@@ -401,12 +397,11 @@ class Bonsai:
         return frozenset(origins for origins, count in counts.items() if count > 1)
 
     def abstraction_cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters of the cross-class memo; ``size`` counts the
-        results retained (only those a later class with the same origin
-        set can read), ``families`` the class families."""
+        """What the cross-class memo holds: ``size`` counts the results
+        retained (only those a later class with the same origin set can
+        read), ``families`` the class families.  Its hits and misses are
+        the registry's ``abstraction.refinement_cache.*`` counters."""
         return {
-            "hits": self._refinement_hits,
-            "misses": self._refinement_misses,
             "size": len(self._refinement_cache),
             "families": len(self._families),
         }

@@ -62,7 +62,7 @@ from repro.config.transfer import VIRTUAL_DESTINATION, srp_origins
 from repro.obs import trace
 from repro.pipeline.core import ClassFanOut
 from repro.pipeline.encoded import EncodedNetwork
-from repro.reporting import ReportEnvelope, StreamingReport, register_report
+from repro.reporting import ReportEnvelope, StreamingReport
 from repro.srp.instance import SRP
 from repro.srp.solution import Solution
 from repro.srp.solver import solve
@@ -249,7 +249,6 @@ class ClassVerificationRecord:
 # ----------------------------------------------------------------------
 # Aggregated report
 # ----------------------------------------------------------------------
-@register_report
 @dataclass
 class VerificationReport(StreamingReport, ReportEnvelope):
     """Run-level aggregation of every per-class verification record.

@@ -321,13 +321,13 @@ class NetworkTransfer:
     #: correctness is unaffected, only hit rates).
     EVAL_CACHE_LIMIT = 100_000
 
-    _COUNTERS = (
+    _COUNTER_FIELDS = (
         "_eval_hits", "_eval_misses", "_eval_overflows", "_sender_hits", "_sender_misses",
     )
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for transient in ("_eval_cache",) + self._COUNTERS:
+        for transient in ("_eval_cache",) + self._COUNTER_FIELDS:
             state.pop(transient, None)
         return state
 
@@ -352,7 +352,7 @@ class NetworkTransfer:
         memo = state.get("_eval_cache")
         if memo is None:
             # Counters first: whoever sees the memo may count into them.
-            for counter in self._COUNTERS:
+            for counter in self._COUNTER_FIELDS:
                 state.setdefault(counter, 0)
             memo = state["_eval_cache"] = {}
         return memo

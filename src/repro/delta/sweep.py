@@ -63,7 +63,6 @@ from repro.pipeline.perturb import (
     PerturbationSweep,
     task_baseline,
 )
-from repro.reporting import register_report
 from repro.srp.solution import Solution
 
 #: Format version of the JSON delta reports.
@@ -120,7 +119,6 @@ class ClassDeltaRecord(ClassPerturbationRecord):
     baseline_from_store: bool = False
 
 
-@register_report
 @dataclass(kw_only=True)
 class DeltaReport(PerturbationReport):
     """Run-level aggregation of a what-if change sweep."""

@@ -69,14 +69,15 @@ class BaselineIndex:
     re-solving hundreds of scenarios against one baseline builds this
     index once and answers each taint query with set lookups only.
 
-    The index also memoises whole taint-query *results*: failure sweeps
-    and change sweeps ask about the same ``(removed, changed)`` element
-    sets repeatedly (every class of a sweep replays the same scenario
-    list).  The memo is bounded like the solver's
-    :class:`~repro.srp.solver.TransferCache` -- cleared wholesale on
-    overflow, hit/miss/overflow counters exposed via :meth:`cache_info` --
-    so one long-lived index can serve thousands of queries without
-    unbounded growth.
+    ``taint_cache`` memoises whole taint-query *results* for sweeps that
+    ask one index about the same ``(removed, changed)`` element sets
+    again: a session's kept baselines serve every later failure sweep
+    of the class (one CLI sweep asks each scenario once per class, so
+    it only misses).  It is a plain dict bounded like the solver's
+    :class:`~repro.srp.solver.TransferCache` -- cleared wholesale past
+    :attr:`TAINT_CACHE_LIMIT` entries -- and :func:`tainted_nodes` counts
+    its hits, misses and overflows in the registry
+    (``failures.taint_cache.*``).
     """
 
     #: Maximum retained taint-query results (clear-on-overflow).
@@ -87,12 +88,9 @@ class BaselineIndex:
     #: ``node -> upstream nodes whose forwarding points at it``.
     forwarding_preds: dict
     #: ``(removed edges, removed nodes) -> frozen taint set`` (bounded).
-    _taint_cache: Dict[Tuple[FrozenSet[Edge], FrozenSet[Node]], FrozenSet[Node]] = field(
+    taint_cache: Dict[Tuple[FrozenSet[Edge], FrozenSet[Node]], FrozenSet[Node]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _taint_hits: int = field(default=0, repr=False, compare=False)
-    _taint_misses: int = field(default=0, repr=False, compare=False)
-    _taint_overflows: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def from_solution(cls, baseline: Solution) -> "BaselineIndex":
@@ -101,48 +99,6 @@ class BaselineIndex:
             for _, neighbour in edges:
                 preds.setdefault(neighbour, []).append(node)
         return cls(forwarding=baseline.forwarding, forwarding_preds=preds)
-
-    def cached_taint(
-        self, removed_edges: FrozenSet[Edge], removed_nodes: FrozenSet[Node]
-    ) -> Optional[FrozenSet[Node]]:
-        """The memoised taint set for a query, or ``None`` on a miss."""
-        try:
-            result = self._taint_cache.get((removed_edges, removed_nodes))
-        except TypeError:  # unhashable custom node types: skip the memo
-            return None
-        if result is None:
-            self._taint_misses += 1
-            _metrics.counter("failures.taint_cache.misses").inc()
-            return None
-        self._taint_hits += 1
-        _metrics.counter("failures.taint_cache.hits").inc()
-        return result
-
-    def store_taint(
-        self,
-        removed_edges: FrozenSet[Edge],
-        removed_nodes: FrozenSet[Node],
-        tainted: FrozenSet[Node],
-    ) -> None:
-        """Record a taint-query result (clear-on-overflow, best effort)."""
-        if len(self._taint_cache) >= self.TAINT_CACHE_LIMIT:
-            self._taint_cache.clear()
-            self._taint_overflows += 1
-            _metrics.counter("failures.taint_cache.overflows").inc()
-        try:
-            self._taint_cache[(removed_edges, removed_nodes)] = tainted
-        except TypeError:
-            pass
-
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the taint-query memo."""
-        return {
-            "size": len(self._taint_cache),
-            "limit": self.TAINT_CACHE_LIMIT,
-            "hits": self._taint_hits,
-            "misses": self._taint_misses,
-            "overflows": self._taint_overflows,
-        }
 
 
 def tainted_nodes(
@@ -158,13 +114,17 @@ def tainted_nodes(
     removed node, or points at a tainted node.  Conservative (a multipath
     node keeps only *some* of its equally-good paths through the failure)
     but safe: every label that could depend on a failed element is reset.
+    A given ``index`` answers a repeated query from its ``taint_cache``.
     """
+    key = (removed_edges, frozenset(removed_nodes))
     if index is None:
         index = BaselineIndex.from_solution(baseline)
     else:
-        cached = index.cached_taint(removed_edges, frozenset(removed_nodes))
+        cached = index.taint_cache.get(key)
         if cached is not None:
+            _metrics.counter("failures.taint_cache.hits").inc()
             return set(cached)
+        _metrics.counter("failures.taint_cache.misses").inc()
     seeds: Set[Node] = set()
     for node, edges in index.forwarding.items():
         if node in removed_nodes:
@@ -183,7 +143,11 @@ def tainted_nodes(
                 tainted.add(upstream)
                 frontier.append(upstream)
     tainted.discard(baseline.srp.destination)
-    index.store_taint(removed_edges, frozenset(removed_nodes), frozenset(tainted))
+    memo = index.taint_cache
+    if len(memo) >= index.TAINT_CACHE_LIMIT:
+        memo.clear()
+        _metrics.counter("failures.taint_cache.overflows").inc()
+    memo[key] = frozenset(tainted)
     return tainted
 
 

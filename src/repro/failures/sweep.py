@@ -58,7 +58,6 @@ from repro.pipeline.perturb import (
     PerturbationSweep,
     task_baseline,
 )
-from repro.reporting import register_report
 from repro.srp.solver import TransferCache
 
 #: Format version of the JSON failure reports.
@@ -100,7 +99,6 @@ class ClassFailureRecord(ClassPerturbationRecord):
     scenarios: List[ScenarioOutcome] = field(default_factory=list)
 
 
-@register_report
 @dataclass(kw_only=True)
 class FailureReport(PerturbationReport):
     """Run-level aggregation of a failure sweep."""

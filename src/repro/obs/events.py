@@ -30,7 +30,6 @@ tests check across serial, process and auto runs.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 import time
@@ -145,13 +144,8 @@ def read_jsonl(path: str) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
 # -- bounded in-memory log (serve's /events) -------------------------------
 
 
-def _default_buffer() -> int:
-    raw = os.environ.get("REPRO_OBS_EVENT_BUFFER")
-    try:
-        value = int(raw) if raw else 0
-    except ValueError:
-        value = 0
-    return value if value > 0 else 1024
+#: Events an :class:`EventLog` keeps unless its ``capacity`` says otherwise.
+DEFAULT_EVENT_BUFFER = 1024
 
 
 class EventLog:
@@ -165,7 +159,7 @@ class EventLog:
     """
 
     def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity if capacity and capacity > 0 else _default_buffer()
+        self.capacity = capacity if capacity and capacity > 0 else DEFAULT_EVENT_BUFFER
         self._events: List[Dict[str, object]] = []
         self._dropped = 0
         self._cond = threading.Condition()
@@ -227,14 +221,9 @@ class ProgressMeter:
     of ``done / elapsed``, the ETA is ``(total - done) / rate``.
     """
 
-    def __init__(self, stream=None, min_interval: Optional[float] = None):
+    def __init__(self, stream=None, min_interval: float = 0.1):
         self.stream = stream if stream is not None else sys.stderr
-        if min_interval is None:
-            raw = os.environ.get("REPRO_OBS_PROGRESS_INTERVAL")
-            try:
-                min_interval = float(raw) if raw else 0.1
-            except ValueError:
-                min_interval = 0.1
+        #: Minimum seconds between redraws.
         self.min_interval = min_interval
         self._lock = threading.Lock()
         self._reset("")

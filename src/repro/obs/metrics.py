@@ -1,9 +1,11 @@
 """Process-global metrics registry: counters, gauges, bounded histograms.
 
-Before this module, instrumentation was scattered across five ad-hoc
-``cache_info()`` dicts, the solver's ``COUNTERS`` and ``serve``'s private
-``QueryStats`` -- none of which survived process-pool workers or showed
-up in reports.  The registry unifies them behind one namespace::
+The registry is the one place a count is kept: solver entry points,
+the cross-class refinement and taint memos and pool work bump its
+counters directly, and nothing keeps a second tally beside them (a
+serve instance keeps its query series in a registry of its own).  Its
+counts survive process-pool workers and land in every report's
+``obs_metrics``::
 
     from repro.obs import metrics
     metrics.counter("srp.scratch_solves").inc()
@@ -14,10 +16,12 @@ Design constraints, in order:
 * **Near-zero overhead when disabled.**  ``disable()`` makes every
   lookup return a shared null instrument whose ``inc``/``set``/
   ``observe`` are empty methods; the enabled path is one dict lookup
-  plus an attribute add.  Callers keep their fast local counters in hot
-  loops and *absorb* deltas into the registry at coarse boundaries (per
-  solve, per compress, per query) -- the registry is an aggregation
-  point, not an inner-loop primitive.
+  plus an attribute add.  The one exception to "one store" is the
+  inner loops: the solver's transfer memo, the transfer's eval and
+  sender caches and the BDD specialise cache keep fast local counters,
+  and :func:`absorb_cache_info` folds their deltas in at coarse
+  boundaries (per solve, per specialise) -- the registry is an
+  aggregation point, not an inner-loop primitive.
 * **Pool-safe by snapshot/delta/merge.**  Process workers increment
   their own (fresh) registry; :func:`snapshot_counters` before a work
   unit and :func:`counters_delta` after yield a plain dict that ships

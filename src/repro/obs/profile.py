@@ -1,8 +1,8 @@
 """Span-scoped sampling profiler with collapsed-stack flamegraph export.
 
 A background daemon thread samples every live Python frame stack via
-``sys._current_frames()`` at a fixed interval (default 5 ms, overridable
-with ``REPRO_OBS_PROFILE_INTERVAL_MS``).  Each sample is attributed to
+``sys._current_frames()`` at a fixed interval (default 5 ms, the
+constructor's ``interval_ms``).  Each sample is attributed to
 the deepest *trace span* open on the sampled thread (read from
 :func:`repro.obs.trace.thread_stacks`), so the profile answers "which
 code is hot *inside* which span" rather than just "which code is hot":
@@ -17,9 +17,8 @@ code is hot *inside* which span" rather than just "which code is hot":
 
 Scope and overhead: only threads of the *coordinator* process are
 sampled -- process-pool workers live in other interpreters and ship
-span subtrees, not frames.  When profiling is off the pipelines hold a
-:class:`NullProfiler` (no thread, every method a no-op), so the
-``obs_overhead`` gate is untouched.
+span subtrees, not frames.  When profiling is off no profiler is built
+(the CLI holds ``None``), so the ``obs_overhead`` gate is untouched.
 
 Stack reads are GIL-atomic snapshots; a sample may occasionally land on
 a span in the instant it closes, which at worst credits one interval to
@@ -45,18 +44,6 @@ DEFAULT_INTERVAL_MS = 5.0
 NO_SPAN = "<no-span>"
 
 
-def default_interval_ms() -> float:
-    """The sampling interval, honouring ``REPRO_OBS_PROFILE_INTERVAL_MS``."""
-    raw = os.environ.get("REPRO_OBS_PROFILE_INTERVAL_MS")
-    if not raw:
-        return DEFAULT_INTERVAL_MS
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL_MS
-    return value if value > 0 else DEFAULT_INTERVAL_MS
-
-
 def _frame_label(frame) -> str:
     """``file.qualname`` -- short, stable, flamegraph-friendly."""
     code = frame.f_code
@@ -70,8 +57,8 @@ def _frame_label(frame) -> str:
 class SamplingProfiler:
     """The live profiler; ``start()`` spawns the sampler thread."""
 
-    def __init__(self, interval_ms: Optional[float] = None):
-        self.interval_ms = float(interval_ms if interval_ms is not None else default_interval_ms())
+    def __init__(self, interval_ms: float = DEFAULT_INTERVAL_MS):
+        self.interval_ms = float(interval_ms)
         #: (span path, frame labels root->leaf) -> sample count.
         self.samples: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self.sample_count = 0
@@ -155,34 +142,6 @@ class SamplingProfiler:
         return folded_lines(self.records())
 
 
-class NullProfiler:
-    """No-op stand-in when profiling is disabled: no thread, no state."""
-
-    interval_ms = 0.0
-    sample_count = 0
-
-    def active(self) -> bool:
-        return False
-
-    def start(self) -> "NullProfiler":
-        return self
-
-    def stop(self) -> "NullProfiler":
-        return self
-
-    def __enter__(self) -> "NullProfiler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def records(self) -> List[Dict[str, object]]:
-        return []
-
-    def folded(self) -> List[str]:
-        return []
-
-
 def folded_lines(records: List[Dict[str, object]]) -> List[str]:
     """Render profile records in the collapsed-stack ``folded`` format
     flamegraph tools consume: semicolon-joined frames, space, count."""
@@ -199,7 +158,7 @@ def folded_lines(records: List[Dict[str, object]]) -> List[str]:
 
 def write_jsonl(
     path: str,
-    profiler: "SamplingProfiler | NullProfiler",
+    profiler: SamplingProfiler,
     context: Optional[Dict[str, object]] = None,
 ) -> None:
     """Header line plus one line per unique sampled stack."""

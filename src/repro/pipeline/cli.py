@@ -992,12 +992,6 @@ def _begin_obs(args) -> dict:
     the flags set nothing is constructed -- the disabled path stays the
     null-instrument fast path the ``obs_overhead`` gate measures.
     """
-    import os
-
-    if os.environ.get("REPRO_OBS_DISABLE_METRICS"):
-        from repro.obs import metrics as _metrics
-
-        _metrics.disable()
     state = {
         "trace_path": args.trace,
         "profile_path": args.profile,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.config.transfer import VIRTUAL_DESTINATION
-from repro.reporting import ReportEnvelope, StreamingReport, register_report
+from repro.reporting import ReportEnvelope, StreamingReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.abstraction.bonsai import CompressionResult
@@ -89,7 +89,6 @@ class EcRecord:
         return self.concrete_edges / max(1, self.abstract_edges)
 
 
-@register_report
 @dataclass
 class PipelineReport(StreamingReport, ReportEnvelope):
     """Run-level aggregation of every per-class record.

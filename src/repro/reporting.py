@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import copy
 import dataclasses
+import importlib
 import io
 import json
 from typing import Dict, Iterator, List, Optional, Type
@@ -43,18 +44,15 @@ REPORT_SCHEMA_VERSION = 2
 #: Stamped into every report so a file names its producer.
 GENERATED_BY = "repro-bonsai 1.0.0"
 
-#: ``kind`` -> report class, filled in by :func:`register_report` as the
-#: report modules import.
-_REPORT_KINDS: Dict[str, type] = {}
-
-#: Modules whose import registers the built-in report kinds; imported
-#: lazily by :func:`load_report` so this module stays dependency-free.
-_BUILTIN_REPORT_MODULES = (
-    "repro.pipeline.report",
-    "repro.analysis.batch",
-    "repro.failures.sweep",
-    "repro.delta.sweep",
-)
+#: ``kind`` -> ``"module:Class"`` path of its report class, imported on
+#: first use (like :data:`repro.pipeline.core.CLASS_TASKS`) so this module
+#: stays dependency-free.
+REPORT_KINDS: Dict[str, str] = {
+    "compression": "repro.pipeline.report:PipelineReport",
+    "verification": "repro.analysis.batch:VerificationReport",
+    "failures": "repro.failures.sweep:FailureReport",
+    "delta": "repro.delta.sweep:DeltaReport",
+}
 
 
 class ReportEnvelope:
@@ -278,36 +276,20 @@ def _indented(value, indent: int, pad: str) -> str:
     return json.dumps(value, indent=indent, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def register_report(cls: type) -> type:
-    """Class decorator: register a :class:`ReportEnvelope` subclass by its
-    ``kind`` for :func:`load_report` dispatch."""
-    if not getattr(cls, "kind", ""):
-        raise ValueError(f"{cls.__name__} must set a non-empty 'kind'")
-    _REPORT_KINDS[cls.kind] = cls
-    return cls
-
-
 def registered_report_kinds() -> List[str]:
-    """The registered kinds (built-ins registered on first use)."""
-    _import_builtins()
-    return sorted(_REPORT_KINDS)
+    """The report kinds :func:`load_report` reads."""
+    return sorted(REPORT_KINDS)
 
 
 def report_class_for(kind: str) -> Type:
-    """The report class registered for ``kind``."""
-    _import_builtins()
+    """The report class of ``kind``."""
     try:
-        return _REPORT_KINDS[kind]
+        path = REPORT_KINDS[kind]
     except KeyError:
-        known = ", ".join(sorted(_REPORT_KINDS))
+        known = ", ".join(sorted(REPORT_KINDS))
         raise ValueError(f"unknown report kind {kind!r}; registered: {known}") from None
-
-
-def _import_builtins() -> None:
-    import importlib
-
-    for module in _BUILTIN_REPORT_MODULES:
-        importlib.import_module(module)
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 def load_report(source):

@@ -190,15 +190,15 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._dispatch(
                 lambda: self.service.delta(
                     script=self._require(self._body, "script"),
-                    revalidate=bool(self._body.get("revalidate", True)),
+                    revalidate=self._typed("revalidate", bool, True),
                 ),
                 kind="delta",
             )
         elif self.path == "/failures":
             self._dispatch(
                 lambda: self.service.failures(
-                    k=int(self._body.get("k", 1)),
-                    sample=self._body.get("sample"),
+                    k=self._typed("k", int, 1),
+                    sample=self._typed("sample", int, None),
                     properties=self._body.get("properties"),
                 ),
                 kind="failures",
@@ -206,9 +206,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         elif self.path == "/k-resilience":
             self._dispatch(
                 lambda: self.service.k_resilience(
-                    max_k=int(self._body.get("max_k", 2)),
+                    max_k=self._typed("max_k", int, 2),
                     prop=str(self._body.get("property", "reachability")),
-                    sample=self._body.get("sample"),
+                    sample=self._typed("sample", int, None),
                 ),
                 kind="k_resilience",
             )
@@ -244,6 +244,16 @@ class ServeHandler(BaseHTTPRequestHandler):
         if key not in body:
             raise ValueError(f"missing required field {key!r}")
         return body[key]
+
+    def _typed(self, key: str, kind: type, default):
+        """The body's ``key`` (``default`` when absent, or null where the
+        default is), refused unless it is a JSON value of ``kind``: no
+        coercion, and a boolean is not an integer."""
+        value = self._body.get(key, default)
+        if type(value) is kind or (value is None and default is None):
+            return value
+        expected = "boolean" if kind is bool else "integer"
+        raise ValueError(f"field {key!r} must be a JSON {expected}, got {json.dumps(value)}")
 
 
 def create_server(

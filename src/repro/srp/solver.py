@@ -56,39 +56,6 @@ class ConvergenceError(Exception):
     """Raised when the simulation does not reach a fixed point."""
 
 
-class SolveCounters:
-    """Per-process counters of solver entry points (test/bench observability).
-
-    The zero-baseline-re-solve guarantee of stored-baseline delta runs is
-    asserted against these: ``scratch_solves`` counts full fixed-point
-    computations (:func:`solve`, :func:`solve_sweep`,
-    :func:`solve_with_activation_order`), ``seeded_solves`` counts
-    incremental :func:`solve_seeded` calls.  Counters are process-local and
-    not thread-synchronised -- they are a measurement aid, not a contended
-    data structure.
-    """
-
-    __slots__ = ("scratch_solves", "seeded_solves")
-
-    def __init__(self) -> None:
-        self.scratch_solves = 0
-        self.seeded_solves = 0
-
-    def reset(self) -> None:
-        self.scratch_solves = 0
-        self.seeded_solves = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "scratch_solves": self.scratch_solves,
-            "seeded_solves": self.seeded_solves,
-        }
-
-
-#: Module-level counters incremented by every solver entry point.
-COUNTERS = SolveCounters()
-
-
 #: Default bound on the per-(edge, label) transfer memo of one solve.  A
 #: single solve can never grow it past O(edges x labels seen), but failure
 #: sweeps carry one cache across thousands of scenario re-solves, so the
@@ -192,7 +159,6 @@ def solve(
         BGP dispute gadget that oscillates under synchronous updates).  An
         unconverged labeling is never returned silently.
     """
-    COUNTERS.scratch_solves += 1
     _metrics.counter("srp.scratch_solves").inc()
     labeling: Labeling = {node: None for node in srp.graph.nodes}
     labeling[srp.destination] = srp.initial
@@ -238,7 +204,6 @@ def solve_seeded(
     labeling is never returned silently -- callers treat that as "fall
     back to a scratch solve").
     """
-    COUNTERS.seeded_solves += 1
     _metrics.counter("srp.seeded_solves").inc()
     seeded: Labeling = {node: labeling.get(node) for node in srp.graph.nodes}
     seeded[srp.destination] = srp.initial
@@ -530,7 +495,6 @@ def solve_sweep(srp: SRP, max_rounds: int = 1000) -> Solution:
         BGP dispute gadget that oscillates under synchronous updates).  An
         unconverged labeling is never returned silently.
     """
-    COUNTERS.scratch_solves += 1
     _metrics.counter("srp.scratch_solves").inc()
     labeling: Labeling = {node: None for node in srp.graph.nodes}
     labeling[srp.destination] = srp.initial
@@ -580,7 +544,6 @@ def solve_with_activation_order(
     seed:
         Seed for the pseudo-random order when ``order`` is not given.
     """
-    COUNTERS.scratch_solves += 1
     _metrics.counter("srp.scratch_solves").inc()
     nodes = [n for n in srp.graph.nodes if n != srp.destination]
     if order is None:

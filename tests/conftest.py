@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import os
 
 import pytest
@@ -16,6 +18,7 @@ from repro.netgen import (
     ring_network,
     wan_network,
 )
+from repro.obs import metrics
 from repro.routing import SetLocalPref, build_bgp_srp, build_rip_srp
 from repro.topology import Graph
 
@@ -151,6 +154,27 @@ def always_fork(monkeypatch):
     monkeypatch.setattr(core, "POOL_START_SECONDS", 0.0)
     monkeypatch.setattr(core, "POOL_UNIT_SECONDS", 0.0)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+@contextlib.contextmanager
+def _counter_delta(*prefixes):
+    before = metrics.snapshot_counters()
+    counts = collections.Counter()
+    yield counts
+    counts.update({
+        name: value for name, value in metrics.counters_delta(before).items()
+        if name.startswith(prefixes) and not name.endswith(("_seconds", "_ms"))
+    })
+
+
+@pytest.fixture
+def counter_delta():
+    """``with counter_delta("srp.") as counts: ...``: what the block adds
+    to the registry counters named under the given prefixes (timings left
+    out), a ``collections.Counter`` filled in as the block exits -- 0 for
+    a counter the block never bumped.  Pool workers' counts merge into
+    the registry, so it counts the same under every executor."""
+    return _counter_delta
 
 
 # ----------------------------------------------------------------------

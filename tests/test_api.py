@@ -12,7 +12,6 @@ from repro.analysis.batch import BatchVerifier, PropertySuite
 from repro.api import Session
 from repro.netgen.changes import generated_change_script
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
-from repro.srp.solver import COUNTERS
 from repro.store import ArtifactStore, StoreError
 
 
@@ -88,7 +87,7 @@ class TestWarmVerify:
         with pytest.raises(ValueError, match="no destination class"):
             ring_session.verify(prefix="203.0.113.0/24")
 
-    def test_warm_never_resolves_the_concrete_baseline(self):
+    def test_warm_never_resolves_the_concrete_baseline(self, counter_delta):
         """Each class's stored labeling is validated once per session (a
         zero-dirty seeded solve) and kept: the only scratch solves are the
         per-class *abstract* networks (compressed instances -- the cheap
@@ -97,17 +96,18 @@ class TestWarmVerify:
         network = build_topology("ring", 5)
         session = Session(network)
         classes = len(session.classes)
-        COUNTERS.reset()
-        session.verify()
-        assert COUNTERS.snapshot() == {"seeded_solves": classes, "scratch_solves": classes}
+        with counter_delta("srp.") as solves:
+            session.verify()
+        assert (solves["srp.seeded_solves"], solves["srp.scratch_solves"]) == (classes, classes)
         assert len(session._warm._kept) == classes
 
-        COUNTERS.reset()
-        session.verify()
-        assert COUNTERS.snapshot() == {"seeded_solves": 0, "scratch_solves": classes}
-        # The generated one-step script changes no class: carried, unsolved.
-        session.delta(generated_change_script(network, "ring", steps=1, seed=0), revalidate=False)
-        assert COUNTERS.snapshot() == {"seeded_solves": 0, "scratch_solves": classes}
+        with counter_delta("srp.") as solves:
+            session.verify()
+            # The generated one-step script changes no class: carried, unsolved.
+            session.delta(
+                generated_change_script(network, "ring", steps=1, seed=0), revalidate=False
+            )
+        assert (solves["srp.seeded_solves"], solves["srp.scratch_solves"]) == (0, classes)
         assert len(session._warm._kept) == classes
 
     def test_selected_properties(self, ring_session):
@@ -129,7 +129,7 @@ class TestSessionAnalyses:
         assert "k=1" in result
         assert "breaking_k" in result
 
-    def test_delta_uses_stored_baseline(self, ring_session):
+    def test_delta_uses_stored_baseline(self, ring_session, counter_delta):
         from repro.delta import ChangeSet, LocalPrefOverride
 
         device = sorted(ring_session.network.devices)[0]
@@ -144,11 +144,11 @@ class TestSessionAnalyses:
                 ],
             )
         ]
-        COUNTERS.reset()
-        report = ring_session.delta(script, revalidate=False)
+        with counter_delta("srp.") as solves:
+            report = ring_session.delta(script, revalidate=False)
         assert report.kind == "delta"
         assert report.baseline_fingerprint == ring_session.fingerprint
-        assert COUNTERS.snapshot()["scratch_solves"] == 0
+        assert solves["srp.scratch_solves"] == 0
         assert all(record.baseline_from_store for record in report.records)
 
 
@@ -212,6 +212,12 @@ class TestReportEnvelope:
             load_report({"kind": "bogus"})
         with pytest.raises(ValueError, match="no 'kind'"):
             load_report({"records": []})
+
+    def test_every_kind_names_its_report_class(self):
+        from repro.reporting import REPORT_KINDS, report_class_for
+
+        for kind in REPORT_KINDS:
+            assert report_class_for(kind).kind == kind
 
     def test_compression_report_envelope(self):
         from repro.pipeline.core import CompressionPipeline

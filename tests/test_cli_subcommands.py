@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.pipeline.cli import main as pipeline_main
-from repro.srp.solver import COUNTERS
 
 
 class TestSubcommands:
@@ -162,19 +161,26 @@ class TestStoreAndServeSubcommands:
         assert code == 0
         assert "no artifacts" in capsys.readouterr().out
 
-    def test_delta_baseline_zero_resolves(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "executor",
+        [["--executor", "serial"], ["--executor", "process", "--workers", "2"]],
+        ids=["serial", "process"],
+    )
+    def test_delta_baseline_zero_resolves(self, tmp_path, capsys, counter_delta, executor):
+        """A pool worker's solves reach the registry too, so the warm
+        baseline's zero holds under every executor."""
         root = tmp_path / "artifacts"
         code = pipeline_main(
             ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)]
         )
         assert code == 0
-        COUNTERS.reset()
-        code = pipeline_main(
-            ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
-             "--baseline", str(root), "--no-oracle", "--no-revalidate"]
-        )
+        with counter_delta("srp.") as solves:
+            code = pipeline_main(
+                ["delta", "--topo", "ring", "--size", "5", *executor,
+                 "--baseline", str(root), "--no-oracle", "--no-revalidate"]
+            )
         assert code == 0
-        assert COUNTERS.snapshot()["scratch_solves"] == 0
+        assert solves["srp.scratch_solves"] == 0 and solves["srp.seeded_solves"] > 0
         out = capsys.readouterr().out
         assert "warm baseline" in out and "seeded from the store" in out
 

@@ -437,6 +437,14 @@ class TestNetworkMemoisation:
 # ----------------------------------------------------------------------
 # Cross-class abstraction reuse
 # ----------------------------------------------------------------------
+#: Registry prefix of the cross-class refinement memo's counters.
+REFINEMENT_MEMO = "abstraction.refinement_cache."
+
+
+def _hits_and_misses(memo):
+    return memo[REFINEMENT_MEMO + "hits"], memo[REFINEMENT_MEMO + "misses"]
+
+
 class TestCrossClassAbstractionReuse:
     def _two_prefix_network(self):
         graph = Graph()
@@ -451,15 +459,16 @@ class TestCrossClassAbstractionReuse:
         )
         return Network(graph=graph, devices=devices, name="two-prefix")
 
-    def test_identical_signatures_share_one_refinement(self):
+    def test_identical_signatures_share_one_refinement(self, counter_delta):
         bonsai = Bonsai(self._two_prefix_network())
-        results = [
-            bonsai.compress(ec, build_network=False)
-            for ec in bonsai.equivalence_classes()
-        ]
+        with counter_delta(REFINEMENT_MEMO) as memo:
+            results = [
+                bonsai.compress(ec, build_network=False)
+                for ec in bonsai.equivalence_classes()
+            ]
         assert len(results) == 2
+        assert _hits_and_misses(memo) == (1, 1)
         info = bonsai.abstraction_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
         # Both levels of the memo: one family (one interned key map), and
         # under it one result for the one origin set.
         assert info["families"] == 1 and info["size"] == 1
@@ -472,7 +481,7 @@ class TestCrossClassAbstractionReuse:
             == results[1].refinement.partition.partitions()
         )
 
-    def test_different_policies_do_not_share(self):
+    def test_different_policies_do_not_share(self, counter_delta):
         network = self._two_prefix_network()
         # Deny announcements of 10.2/24 on one session: the two classes now
         # specialize to different keys and must not share an abstraction.
@@ -495,11 +504,12 @@ class TestCrossClassAbstractionReuse:
         device.route_maps["DENY-10-2"] = deny_map
         device.bgp_neighbors["b"].import_policy = "DENY-10-2"
         bonsai = Bonsai(network)
-        results = [
-            bonsai.compress(ec, build_network=False) for ec in bonsai.equivalence_classes()
-        ]
+        with counter_delta(REFINEMENT_MEMO) as memo:
+            results = [
+                bonsai.compress(ec, build_network=False) for ec in bonsai.equivalence_classes()
+            ]
+        assert _hits_and_misses(memo) == (0, 2)
         info = bonsai.abstraction_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 2
         assert info["families"] == 2 and info["size"] == 2
         assert results[0].refinement is not results[1].refinement
         first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
@@ -555,20 +565,21 @@ FAMILY_NETWORKS = {
 
 class TestClassFamilyRefinement:
     @pytest.mark.parametrize("name", sorted(FAMILY_NETWORKS))
-    def test_sweep_matches_reference_and_is_order_independent(self, name):
+    def test_sweep_matches_reference_and_is_order_independent(self, name, counter_delta):
         """One ``Bonsai`` over all classes (later classes of a family start
         from its base partition) equals the oracle class by class, and
         the records do not depend on which class a family met first."""
         network = FAMILY_NETWORKS[name]()
         bonsai = Bonsai(network)
         classes = bonsai.equivalence_classes()
-        results = [bonsai.compress(ec, build_network=False) for ec in classes]
+        with counter_delta(REFINEMENT_MEMO) as memo:
+            results = [bonsai.compress(ec, build_network=False) for ec in classes]
         for result in results:
             groups = set(result.refinement.partition.partitions())
             assert groups == _reference_groups(bonsai, result), result.equivalence_class
-        info = bonsai.abstraction_cache_info()
-        assert info["hits"] + info["misses"] == len(classes)
-        assert info["misses"] >= info["families"] >= 1
+        hits, misses = _hits_and_misses(memo)
+        assert hits + misses == len(classes)
+        assert misses >= bonsai.abstraction_cache_info()["families"] >= 1
 
         serial = _canonical(results)
         shuffled = list(classes)
@@ -579,14 +590,14 @@ class TestClassFamilyRefinement:
         alone = [Bonsai(network).compress(ec, build_network=False) for ec in classes]
         assert _canonical(alone) == serial
 
-    def test_fattree_is_one_family_refined_from_its_base(self):
+    def test_fattree_is_one_family_refined_from_its_base(self, counter_delta):
         bonsai = Bonsai(build_topology("fattree"))
         classes = bonsai.equivalence_classes()
-        for ec in classes:
-            bonsai.compress(ec, build_network=False)
-        info = bonsai.abstraction_cache_info()
-        assert info["families"] == 1
-        assert (info["hits"], info["misses"]) == (len(classes) - 1, 1)
+        with counter_delta(REFINEMENT_MEMO) as memo:
+            for ec in classes:
+                bonsai.compress(ec, build_network=False)
+        assert bonsai.abstraction_cache_info()["families"] == 1
+        assert _hits_and_misses(memo) == (len(classes) - 1, 1)
         family = bonsai.policy_keys(classes[0].prefix)
         assert family.refinements == len(classes)
         assert family.base is not None

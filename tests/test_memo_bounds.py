@@ -151,34 +151,30 @@ class TestBaselineIndexTaintCache:
         baseline = solve(build_srp_from_network(network, ec.prefix, set(ec.origins)))
         return network, baseline, BaselineIndex.from_solution(baseline)
 
-    def test_cache_info_counts_hits_and_misses(self):
+    def test_registry_counts_hits_and_misses(self, counter_delta):
         network, baseline, index = self._index()
-        assert index.cache_info() == {
-            "size": 0,
-            "limit": BaselineIndex.TAINT_CACHE_LIMIT,
-            "hits": 0,
-            "misses": 0,
-            "overflows": 0,
-        }
+        assert index.taint_cache == {}
         removed = link_scenario(*undirected_links(network)[0]).directed_edges(
             network.graph
         )
-        first = tainted_nodes(baseline, removed, index=index)
-        info = index.cache_info()
-        assert info["misses"] == 1 and info["size"] == 1
-        second = tainted_nodes(baseline, removed, index=index)
+        with counter_delta("failures.taint_cache.") as memo:
+            first = tainted_nodes(baseline, removed, index=index)
+        assert memo == {"failures.taint_cache.misses": 1}
+        assert len(index.taint_cache) == 1
+        with counter_delta("failures.taint_cache.") as memo:
+            second = tainted_nodes(baseline, removed, index=index)
         assert second == first
-        assert index.cache_info()["hits"] == 1
+        assert memo == {"failures.taint_cache.hits": 1}
 
-    def test_clear_on_overflow(self):
+    def test_clear_on_overflow(self, counter_delta):
         network, baseline, index = self._index()
         index.TAINT_CACHE_LIMIT = 2  # instance-level override
-        for link in undirected_links(network)[:4]:
-            removed = link_scenario(*link).directed_edges(network.graph)
-            tainted_nodes(baseline, removed, index=index)
-        info = index.cache_info()
-        assert info["overflows"] > 0
-        assert info["size"] <= 2
+        with counter_delta("failures.taint_cache.") as memo:
+            for link in undirected_links(network)[:4]:
+                removed = link_scenario(*link).directed_edges(network.graph)
+                tainted_nodes(baseline, removed, index=index)
+        assert memo["failures.taint_cache.overflows"] > 0
+        assert len(index.taint_cache) <= 2
 
     def test_cached_results_match_fresh_computation(self):
         network, baseline, index = self._index("fattree", 4)

@@ -208,16 +208,6 @@ class TestEventLog:
         assert page["events"] == [] and page["cursor"] == 0
         log.close()
 
-    def test_capacity_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_EVENT_BUFFER", "7")
-        log = events.EventLog()
-        assert log.capacity == 7
-        log.close()
-        monkeypatch.setenv("REPRO_OBS_EVENT_BUFFER", "junk")
-        log = events.EventLog()
-        assert log.capacity == 1024
-        log.close()
-
 
 # ----------------------------------------------------------------------
 # Progress meter

@@ -86,24 +86,6 @@ class TestSamplingProfiler:
         profiler.stop()
         assert not profiler.active()
 
-    def test_interval_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_PROFILE_INTERVAL_MS", "2.5")
-        assert profile.default_interval_ms() == 2.5
-        monkeypatch.setenv("REPRO_OBS_PROFILE_INTERVAL_MS", "-1")
-        assert profile.default_interval_ms() == profile.DEFAULT_INTERVAL_MS
-        monkeypatch.setenv("REPRO_OBS_PROFILE_INTERVAL_MS", "junk")
-        assert profile.default_interval_ms() == profile.DEFAULT_INTERVAL_MS
-
-
-class TestNullProfiler:
-    def test_everything_is_a_noop(self):
-        null = profile.NullProfiler()
-        with null.start() as active:
-            assert active is null
-        assert not null.active()
-        assert null.records() == [] and null.folded() == []
-        assert null.sample_count == 0 and null.interval_ms == 0.0
-
 
 # ----------------------------------------------------------------------
 # Folded rendering + summary (pure functions on records)

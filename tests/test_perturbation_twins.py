@@ -27,7 +27,6 @@ from repro.failures.scenario import undirected_links
 from repro.netgen.changes import default_change_steps, generated_change_script
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
 from repro.pipeline.encoded import EncodedNetwork
-from repro.srp.solver import COUNTERS
 from repro.store import BaselineArtifact
 
 
@@ -188,7 +187,7 @@ def test_delta_warm_equals_cold_equals_scratch(family):
 
 
 @pytest.mark.parametrize("family", ["ring", "fattree", "wan"])
-def test_failures_over_a_stored_baseline_equal_failures_without(family):
+def test_failures_over_a_stored_baseline_equal_failures_without(family, counter_delta):
     network = build_topology(family)
     session = Session(network)
     sample = dict(k=2, sample=6, seed=1)
@@ -200,9 +199,9 @@ def test_failures_over_a_stored_baseline_equal_failures_without(family):
     # Link failures never reshape a class: with the oracle and the
     # (abstract-network-solving) soundness check off, nothing is solved
     # from scratch -- not the baseline either.
-    COUNTERS.reset()
-    session.failures(oracle=False, soundness=False, **sample)
-    assert COUNTERS.scratch_solves == 0 and COUNTERS.seeded_solves > 0
+    with counter_delta("srp.") as solves:
+        session.failures(oracle=False, soundness=False, **sample)
+    assert solves["srp.scratch_solves"] == 0 and solves["srp.seeded_solves"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +260,9 @@ def _count_calls(monkeypatch, *names):
 _PER_UNIT_WORK = ("forwarding_table_from_solution", "evaluate_suite", "abstract_arm")
 
 
-def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeypatch):
+def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(
+    monkeypatch, counter_delta
+):
     """From a session's second request on, a script no class's edge diff
     notices costs no solve, no table, no property evaluation, no lifting:
     all 18 classes carry the kept baseline's answer."""
@@ -270,9 +271,9 @@ def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeyp
     script = generated_change_script(network, "fattree", steps=1, seed=3)
     first = session.delta(script)
     calls = _count_calls(monkeypatch, *_PER_UNIT_WORK)
-    COUNTERS.reset()
-    again = session.delta(script)
-    assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 0)
+    with counter_delta("srp.") as solves:
+        again = session.delta(script)
+    assert (solves["srp.seeded_solves"], solves["srp.scratch_solves"]) == (0, 0)
     assert calls == dict.fromkeys(_PER_UNIT_WORK, 0)
     assert again.num_classes == 18
     counters = again.envelope_dict()["obs_metrics"]["counters"]
@@ -283,11 +284,11 @@ def test_session_delta_of_an_invariant_step_solves_and_evaluates_nothing(monkeyp
 
     # The audit arm is not carried: one cold scratch solve per class-step
     # (after one per class for the baseline), each agreeing with the answer.
-    COUNTERS.reset()
-    audited = DeltaSweep(
-        network, script=script, oracle=True, revalidate=False, executor="serial",
-    ).run()
-    assert (COUNTERS.seeded_solves, COUNTERS.scratch_solves) == (0, 2 * 18)
+    with counter_delta("srp.") as solves:
+        audited = DeltaSweep(
+            network, script=script, oracle=True, revalidate=False, executor="serial",
+        ).run()
+    assert (solves["srp.seeded_solves"], solves["srp.scratch_solves"]) == (0, 2 * 18)
     assert [o.incremental_matches_scratch for r in audited.records for o in r.steps] == [True] * 18
 
 

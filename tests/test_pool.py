@@ -168,13 +168,13 @@ class TestPoolParity:
         assert [len(record.steps) for record in report.records] == [len(script)] * 3
 
     @pytest.mark.parametrize("pillar", ["failures", "delta"])
-    def test_pool_counts_solves_like_serial(self, small_fattree, pillar):
+    def test_pool_counts_solves_like_serial(self, small_fattree, pillar, counter_delta):
         """A class run whole in a worker solves its baseline once, as the
-        serial run does: the merged solve and step counters are equal."""
+        serial run does: the merged solve and step counters are equal, and
+        so are the taint memo's (one memo per class baseline)."""
         from repro.delta import DeltaSweep
         from repro.failures import FailureSweep
         from repro.netgen.changes import generated_change_script
-        from repro.obs import metrics
 
         if pillar == "failures":
             def sweep(**executor):
@@ -188,17 +188,13 @@ class TestPoolParity:
                 return DeltaSweep(small_fattree, script=script, limit=2, **executor)
 
         def counted(**executor):
-            before = metrics.snapshot_counters()
-            sweep(**executor).run()
-            delta = metrics.counters_delta(before)
-            return {
-                name: value for name, value in delta.items()
-                if name.startswith(("srp.", "delta.class_steps."))
-                and not name.endswith(("_seconds", "_ms"))
-            }
+            with counter_delta("srp.", "delta.class_steps.", "failures.taint_cache.") as counts:
+                sweep(**executor).run()
+            return counts
 
         serial = counted(executor="serial")
-        assert serial.get("srp.scratch_solves", 0) > 0
+        assert serial["srp.scratch_solves"] > 0
+        assert serial["failures.taint_cache.misses"] > 0
         assert counted(executor="process", workers=4) == serial
 
     def test_worker_crash_surfaces_clean_error(self, small_fattree):

@@ -385,9 +385,22 @@ class TestHostileRequests:
             ("/verify", b"[1, 2]", None, "malformed", b"must be a JSON object"),
             ("/delta", b'{"script": [{"kind": "link-remove", "u": "r0"}]}', None,
              "malformed", b"link-remove: field 'v' is missing"),
-            ("/failures", b'{"k": "x"}', None, "malformed", b"invalid literal for int()"),
+            ("/failures", b'{"k": "x"}', None, "malformed",
+             b"field 'k' must be a JSON integer"),
+            ("/failures", b'{"k": 1.9}', None, "malformed",
+             b"field 'k' must be a JSON integer, got 1.9"),
+            ("/failures", b'{"k": true}', None, "malformed",
+             b"field 'k' must be a JSON integer, got true"),
+            ("/failures", b'{"k": 1, "sample": "3"}', None, "malformed",
+             b"field 'sample' must be a JSON integer"),
+            ("/k-resilience", b'{"max_k": 2.0}', None, "malformed",
+             b"field 'max_k' must be a JSON integer, got 2.0"),
+            ("/delta", b'{"script": [], "revalidate": "false"}', None, "malformed",
+             b"field 'revalidate' must be a JSON boolean"),
         ],
-        ids=["oversize", "not-json", "json-array", "delta-missing-field", "failures-bad-k"],
+        ids=["oversize", "not-json", "json-array", "delta-missing-field", "failures-bad-k",
+             "failures-float-k", "failures-bool-k", "failures-string-sample",
+             "k-resilience-float-max-k", "delta-string-revalidate"],
     )
     def test_every_400_is_counted(self, server, service, path, body, length, reason, error):
         counter = service.registry.counter(f"serve.refused.{reason}")

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.netgen.families import build_topology
-from repro.srp.solver import COUNTERS
 from repro.store import (
     ARTIFACT_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
@@ -406,7 +405,9 @@ class TestStoreCorruption:
 # The headline guarantee: delta against a stored baseline never re-solves
 # ----------------------------------------------------------------------
 class TestZeroBaselineResolves:
-    def test_delta_from_store_has_zero_scratch_solves(self, ring_network, ring_artifact):
+    def test_delta_from_store_has_zero_scratch_solves(
+        self, ring_network, ring_artifact, counter_delta
+    ):
         from repro.delta import ChangeSet, DeltaSweep, LocalPrefOverride
 
         device = sorted(ring_network.devices)[0]
@@ -428,18 +429,17 @@ class TestZeroBaselineResolves:
             executor="serial",
         )
 
-        COUNTERS.reset()
-        warm = DeltaSweep(ring_network, baseline=ring_artifact, **kwargs).run()
-        counters = COUNTERS.snapshot()
-        assert counters["scratch_solves"] == 0
-        assert counters["seeded_solves"] > 0
+        with counter_delta("srp.") as solves:
+            warm = DeltaSweep(ring_network, baseline=ring_artifact, **kwargs).run()
+        assert solves["srp.scratch_solves"] == 0
+        assert solves["srp.seeded_solves"] > 0
         assert warm.baseline_fingerprint == ring_artifact.fingerprint
         assert all(record.baseline_from_store for record in warm.records)
 
         # Verdict parity with a from-scratch sweep of the same script.
-        COUNTERS.reset()
-        cold = DeltaSweep(ring_network, **kwargs).run()
-        assert COUNTERS.snapshot()["scratch_solves"] > 0
+        with counter_delta("srp.") as solves:
+            cold = DeltaSweep(ring_network, **kwargs).run()
+        assert solves["srp.scratch_solves"] > 0
         assert cold.baseline_fingerprint is None
         warm_canon = {r.prefix: r.canonical() for r in warm.records}
         cold_canon = {r.prefix: r.canonical() for r in cold.records}
@@ -469,7 +469,6 @@ class TestZeroBaselineResolves:
         store.save(artifact)
         loaded = store.load_for(network)
 
-        COUNTERS.reset()
         script = generated_change_script(network, "wan", steps=2, seed=1)
         warm = DeltaSweep(network, baseline=loaded, script=script, executor="serial").run()
         assert all(record.baseline_from_store for record in warm.records)
