@@ -51,7 +51,7 @@ for row in trace.hotspots(root, top=6):
 block = report.to_dict()["obs_metrics"]
 print("\nsweep counters (from the report envelope):")
 for name in ("srp.scratch_solves", "srp.seeded_solves",
-             "failures.taint_cache.hits", "failures.taint_cache.misses",
+             "srp.transfer_cache.hits", "srp.transfer_cache.misses",
              "pipeline.classes_completed"):
     print(f"  {name}: {block['counters'].get(name, 0):.0f}")
 print(f"  process.peak_rss_mb: {block['gauges'].get('process.peak_rss_mb', 0):.1f}")

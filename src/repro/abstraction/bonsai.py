@@ -19,7 +19,6 @@ them for downstream analyses to use.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
@@ -143,18 +142,18 @@ class Bonsai:
     (:class:`~repro.abstraction.refinement.ClassFamily`) and share that
     map, the refinement inputs built from it and the destination-free
     base partition their refinements start from.  A class's own
-    ``RefinementResult`` (a full node map) is kept only when another class
-    of the network has the same origin set, the one case in which a later
-    class can reuse it.  ``REFINEMENT_CACHE_LIMIT`` bounds what is
-    retained (cleared wholesale on overflow, like the BDD manager's
-    ``ite`` memo): pipeline workers keep one ``Bonsai`` alive for
-    thousands of classes.
+    ``RefinementResult`` (a full node map) is not kept: only a class
+    with the same origin set could read it, and no two classes of a
+    generated network share one.  ``REFINEMENT_CACHE_LIMIT`` bounds the
+    families retained (cleared wholesale on overflow, like the BDD
+    manager's ``ite`` memo): pipeline workers keep one ``Bonsai`` alive
+    for thousands of classes.
 
     A ``Bonsai`` assumes the network configuration does not change while
     it is alive: the policy-BDD encoder collects its variable universe at
-    construction, and the compiled-edge / refinement caches added for the
-    hot-path overhaul are keyed accordingly.  After mutating device
-    configurations, build a fresh ``Bonsai`` (the ``Network``-level memos
+    construction, and the compiled-edge and family memos are keyed
+    accordingly.  After mutating device configurations, build a fresh
+    ``Bonsai`` (the ``Network``-level memos
     -- equivalence classes, local-pref sets -- are fingerprint-guarded
     and safe under mutation).
 
@@ -169,7 +168,7 @@ class Bonsai:
         one-time encoding cost is not paid per worker.
     """
 
-    #: Maximum retained cross-class RefinementResults (clear-on-overflow).
+    #: Maximum retained class families (clear-on-overflow).
     REFINEMENT_CACHE_LIMIT = 1024
 
     def __init__(
@@ -182,13 +181,9 @@ class Bonsai:
         self.bdd_seconds = 0.0
         #: The aggregated report of the most recent :meth:`compress_all`.
         self.last_report = None
-        #: Family level of the cross-class memo: specialisation signature
-        #: (see :meth:`policy_keys`) -> the family's interned key map.
+        #: The cross-class memo: specialisation signature (see
+        #: :meth:`policy_keys`) -> the family's interned key map.
         self._families: Dict[Hashable, ClassFamily] = {}
-        #: Exact level: ``(id(family), origins)`` -> ``(family, result)``,
-        #: for origin sets several classes share (:attr:`_shared_origin_sets`);
-        #: the entry pins its family, so the id cannot be reused under it.
-        self._refinement_cache: Dict[Hashable, Tuple[ClassFamily, RefinementResult]] = {}
         #: Single-entry memo of the last compiled edge map (and which edges
         #: differ from the base): several stages of a per-class task
         #: (concrete simulation, compression) compile the same destination
@@ -267,7 +262,10 @@ class Bonsai:
             # Encoding may just have allocated variables: the signature
             # is the assignment over all of them, taken after the build.
             signature = (signature[0], self.encoder.assignment_key(prefix))
-            self._make_room()
+            if len(self._families) >= self.REFINEMENT_CACHE_LIMIT:
+                # Clear-on-overflow: the memo is an optimisation only.
+                self._families.clear()
+                _metrics.counter("abstraction.refinement_cache.overflows").inc()
             family = self._families[signature] = ClassFamily(keys)
             _metrics.counter("abstraction.class_families").inc()
         self._family_memo = (prefix, family)
@@ -289,19 +287,8 @@ class Bonsai:
             }
         if len(network.devices) == len(self.network.devices):
             child._class_invariants = self._class_invariants
-        # A view compresses one class once: no result of it is read again.
-        child._shared_origin_sets = frozenset()
         child._family_memo = (prefix, self.policy_keys(prefix).without(removed))
         return child
-
-    def _make_room(self) -> None:
-        """Clear-on-overflow, both levels together (the ``BddManager``
-        ``cache_limit`` precedent): the memo is an optimisation only, and
-        a worker ``Bonsai`` can live for thousands of classes."""
-        if max(len(self._families), len(self._refinement_cache)) >= self.REFINEMENT_CACHE_LIMIT:
-            self._families.clear()
-            self._refinement_cache.clear()
-            _metrics.counter("abstraction.refinement_cache.overflows").inc()
 
     # ------------------------------------------------------------------
     # Compression
@@ -340,7 +327,7 @@ class Bonsai:
         if srp is None:
             srp = self.concrete_srp(equivalence_class)
         family = self.policy_keys(equivalence_class.prefix)
-        refinement = self._refine_cached(srp, family, equivalence_class)
+        refinement = self._refine(srp, family)
         abstract_network = (
             self.build_abstract_network(refinement.abstraction, equivalence_class)
             if build_network
@@ -355,56 +342,29 @@ class Bonsai:
             compression_seconds=elapsed,
         )
 
-    def _refine_cached(
-        self,
-        srp: SRP,
-        family: ClassFamily,
-        equivalence_class: EquivalenceClass,
-    ) -> RefinementResult:
-        """Run abstraction refinement, reusing what the class's family has.
+    def _refine(self, srp: SRP, family: ClassFamily) -> RefinementResult:
+        """Run abstraction refinement from what the class's family has.
 
-        The outcome is a pure function of (graph, per-edge policy keys,
-        per-node local-preference sets); the origin set determines the
-        graph, the local preferences are one map per ``Bonsai``.  So
-        classes of one family with equal origins share one result, the
-        others the family's inputs and base partition: both are hits.
+        A family's later classes reuse its inputs and base partition: a
+        hit of the cross-class memo; its first class is the miss.
         """
-        key = (id(family), equivalence_class.origins)
-        cached = self._refinement_cache.get(key)
-        if cached is not None or family.refinements:
+        if family.refinements:
             _metrics.counter("abstraction.refinement_cache.hits").inc()
         else:
             _metrics.counter("abstraction.refinement_cache.misses").inc()
-        if cached is not None:
-            return cached[1]
         keys: Dict[Edge, Hashable] = family
         virtual_edges = srp.transfer.virtual_edges
         if virtual_edges:
             # Edges to the virtual destination need a key too; the family
             # is shared, so they go into a copy (a family of one).
             keys = {**family, **{edge: srp.policy_key(edge) for edge in virtual_edges}}
-        refinement = compute_abstraction(srp, policy_keys=keys)
-        if equivalence_class.origins in self._shared_origin_sets:
-            self._make_room()
-            self._refinement_cache[key] = (family, refinement)
-        return refinement
-
-    @cached_property
-    def _shared_origin_sets(self) -> FrozenSet[frozenset]:
-        """The origin sets more than one class of the network has: the
-        only keys under which the exact level of the memo can hit."""
-        counts = Counter(ec.origins for ec in self.equivalence_classes())
-        return frozenset(origins for origins, count in counts.items() if count > 1)
+        return compute_abstraction(srp, policy_keys=keys)
 
     def abstraction_cache_info(self) -> Dict[str, int]:
-        """What the cross-class memo holds: ``size`` counts the results
-        retained (only those a later class with the same origin set can
-        read), ``families`` the class families.  Its hits and misses are
-        the registry's ``abstraction.refinement_cache.*`` counters."""
-        return {
-            "size": len(self._refinement_cache),
-            "families": len(self._families),
-        }
+        """What the cross-class memo holds: ``families`` counts the class
+        families.  Its hits and misses are the registry's
+        ``abstraction.refinement_cache.*`` counters."""
+        return {"families": len(self._families)}
 
     def compress_prefix(self, prefix: Prefix, build_network: bool = True) -> CompressionResult:
         """Compress for an explicit destination prefix."""

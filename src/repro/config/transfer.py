@@ -313,17 +313,15 @@ class NetworkTransfer:
     compiled: Dict[Edge, CompiledEdge]
     virtual_edges: FrozenSet[Edge]
 
-    #: Bound on the transfer's one memo (route-map evaluations, sender
-    #: halves, OSPF costs, RIB entries).  One destination's solve sees a
-    #: bounded announcement universe, but failure sweeps drive one
-    #: transfer through thousands of scenario re-solves; on overflow the
-    #: memo is cleared wholesale (the ``BddManager.ite`` precedent --
-    #: correctness is unaffected, only hit rates).
+    #: Bound on the transfer's one memo (sender halves, OSPF costs, RIB
+    #: entries).  One destination's solve sees a bounded announcement
+    #: universe, but failure sweeps drive one transfer through thousands
+    #: of scenario re-solves; on overflow the memo is cleared wholesale
+    #: (the ``BddManager.ite`` precedent -- correctness is unaffected,
+    #: only hit rates) and ``config.eval_cache.overflows`` counts it.
     EVAL_CACHE_LIMIT = 100_000
 
-    _COUNTER_FIELDS = (
-        "_eval_hits", "_eval_misses", "_eval_overflows", "_sender_hits", "_sender_misses",
-    )
+    _COUNTER_FIELDS = ("_eval_overflows", "_sender_hits", "_sender_misses")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -332,14 +330,12 @@ class NetworkTransfer:
         return state
 
     def eval_cache_info(self) -> Dict:
-        """Size and counters of the memo: ``hits``/``misses`` count import
-        route-map evaluations, ``sender`` the sender halves."""
+        """Size and counters of the memo: ``overflows`` counts its clears,
+        ``sender`` the sender halves' hits and misses."""
         state = self.__dict__
         return {
             "size": len(state.get("_eval_cache") or ()),
             "limit": self.EVAL_CACHE_LIMIT,
-            "hits": state.get("_eval_hits", 0),
-            "misses": state.get("_eval_misses", 0),
             "overflows": state.get("_eval_overflows", 0),
             "sender": {
                 "hits": state.get("_sender_hits", 0),
@@ -366,32 +362,6 @@ class NetworkTransfer:
             self.__dict__["_eval_overflows"] += 1
         memo[key] = entry
         return entry
-
-    def _evaluate_cached(self, route_map, device, attribute):
-        """Memoised :func:`evaluate_route_map` for an import map.
-
-        Route maps are pure functions of (map, device lists, announcement,
-        destination); the destination is fixed per transfer instance and
-        the map/device pair is identified by the device name plus map
-        identity, so the same announcement traversing the same policy on
-        several parallel edges is evaluated once.
-        """
-        if route_map is None or route_map.constant is not None:
-            # Absent, deny-all or pass-unchanged: nothing to remember.
-            return evaluate_route_map(route_map, device, attribute, self.destination)
-        memo = self._memo()
-        key = ("in", id(route_map), device.name, attribute)
-        try:
-            entry = memo.get(key)
-        except TypeError:
-            return evaluate_route_map(route_map, device, attribute, self.destination)
-        if entry is None:
-            self.__dict__["_eval_misses"] += 1
-            result = evaluate_route_map(route_map, device, attribute, self.destination)
-            entry = self._remember(memo, key, (route_map, result))
-        else:
-            self.__dict__["_eval_hits"] += 1
-        return entry[1]
 
     def _send(self, sender: Node, info: CompiledEdge, bgp: BgpAttribute):
         """The sender half of a BGP edge: what ``sender`` exports under the
@@ -459,12 +429,10 @@ class NetworkTransfer:
                     receiver_cfg = self.network.devices[receiver]
                     if outgoing.contains_as(receiver_cfg.asn or str(receiver)):
                         incoming = None
-                import_map = info.import_map
-                if import_map is None or import_map.constant == "permit":
-                    bgp_attr = incoming
-                elif incoming is not None:
-                    bgp_attr = self._evaluate_cached(
-                        import_map, self.network.devices[receiver], incoming
+                if incoming is not None:
+                    bgp_attr = evaluate_route_map(
+                        info.import_map, self.network.devices[receiver], incoming,
+                        self.destination,
                     )
 
         if static_attr is None and bgp_attr is None and ospf_attr is None:

@@ -35,8 +35,8 @@ every scenario.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Set
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -67,30 +67,14 @@ class BaselineIndex:
 
     The solution's forwarding relation plus its reverse; a sweep
     re-solving hundreds of scenarios against one baseline builds this
-    index once and answers each taint query with set lookups only.
-
-    ``taint_cache`` memoises whole taint-query *results* for sweeps that
-    ask one index about the same ``(removed, changed)`` element sets
-    again: a session's kept baselines serve every later failure sweep
-    of the class (one CLI sweep asks each scenario once per class, so
-    it only misses).  It is a plain dict bounded like the solver's
-    :class:`~repro.srp.solver.TransferCache` -- cleared wholesale past
-    :attr:`TAINT_CACHE_LIMIT` entries -- and :func:`tainted_nodes` counts
-    its hits, misses and overflows in the registry
-    (``failures.taint_cache.*``).
+    index once and answers each taint query with set lookups only.  It
+    is read-only once built, so concurrent queries may share it.
     """
-
-    #: Maximum retained taint-query results (clear-on-overflow).
-    TAINT_CACHE_LIMIT = 4096
 
     #: ``node -> its baseline forwarding edges`` (the solution's own dict).
     forwarding: dict
     #: ``node -> upstream nodes whose forwarding points at it``.
     forwarding_preds: dict
-    #: ``(removed edges, removed nodes) -> frozen taint set`` (bounded).
-    taint_cache: Dict[Tuple[FrozenSet[Edge], FrozenSet[Node]], FrozenSet[Node]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def from_solution(cls, baseline: Solution) -> "BaselineIndex":
@@ -114,17 +98,9 @@ def tainted_nodes(
     removed node, or points at a tainted node.  Conservative (a multipath
     node keeps only *some* of its equally-good paths through the failure)
     but safe: every label that could depend on a failed element is reset.
-    A given ``index`` answers a repeated query from its ``taint_cache``.
     """
-    key = (removed_edges, frozenset(removed_nodes))
     if index is None:
         index = BaselineIndex.from_solution(baseline)
-    else:
-        cached = index.taint_cache.get(key)
-        if cached is not None:
-            _metrics.counter("failures.taint_cache.hits").inc()
-            return set(cached)
-        _metrics.counter("failures.taint_cache.misses").inc()
     seeds: Set[Node] = set()
     for node, edges in index.forwarding.items():
         if node in removed_nodes:
@@ -143,11 +119,6 @@ def tainted_nodes(
                 tainted.add(upstream)
                 frontier.append(upstream)
     tainted.discard(baseline.srp.destination)
-    memo = index.taint_cache
-    if len(memo) >= index.TAINT_CACHE_LIMIT:
-        memo.clear()
-        _metrics.counter("failures.taint_cache.overflows").inc()
-    memo[key] = frozenset(tainted)
     return tainted
 
 

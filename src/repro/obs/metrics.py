@@ -1,9 +1,9 @@
 """Process-global metrics registry: counters, gauges, bounded histograms.
 
 The registry is the one place a count is kept: solver entry points,
-the cross-class refinement and taint memos and pool work bump its
-counters directly, and nothing keeps a second tally beside them (a
-serve instance keeps its query series in a registry of its own).  Its
+the cross-class refinement memo and pool work bump its counters
+directly, and nothing keeps a second tally beside them (a serve
+instance keeps its query series in a registry of its own).  Its
 counts survive process-pool workers and land in every report's
 ``obs_metrics``::
 
@@ -17,10 +17,10 @@ Design constraints, in order:
   lookup return a shared null instrument whose ``inc``/``set``/
   ``observe`` are empty methods; the enabled path is one dict lookup
   plus an attribute add.  The one exception to "one store" is the
-  inner loops: the solver's transfer memo, the transfer's eval and
-  sender caches and the BDD specialise cache keep fast local counters,
-  and :func:`absorb_cache_info` folds their deltas in at coarse
-  boundaries (per solve, per specialise) -- the registry is an
+  inner loops: the solver's transfer memo, the transfer's sender
+  halves and memo overflows and the BDD specialise cache keep fast
+  local counters, and :func:`absorb_cache_info` folds their deltas in
+  at coarse boundaries (per solve, per specialise) -- the registry is an
   aggregation point, not an inner-loop primitive.
 * **Pool-safe by snapshot/delta/merge.**  Process workers increment
   their own (fresh) registry; :func:`snapshot_counters` before a work

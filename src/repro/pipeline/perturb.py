@@ -487,8 +487,9 @@ class TaskBaseline:
     instance to every request thread of a service: the methods write only
     into the ``outcome`` they are handed, and the seeded re-solves copy
     the solution's transfer memo before use.  (:attr:`index`, built on
-    first use, memoises taint queries and :attr:`check` one result:
-    bounded, and safe under racing writers.)
+    first use, and :attr:`check`, set by the first unit that runs it,
+    hold one result each: racing threads may both build it, equal
+    results, last wins.)
 
     Building the baseline opens no span of its own, so a trace shows its
     time as the class span's self time.

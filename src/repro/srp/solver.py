@@ -56,28 +56,24 @@ class ConvergenceError(Exception):
     """Raised when the simulation does not reach a fixed point."""
 
 
-#: Default bound on the per-(edge, label) transfer memo of one solve.  A
-#: single solve can never grow it past O(edges x labels seen), but failure
-#: sweeps carry one cache across thousands of scenario re-solves, so the
-#: memo is cleared wholesale on overflow (the ``BddManager.ite`` precedent:
-#: correctness is unaffected, only hit rates).
-DEFAULT_TRANSFER_CACHE_LIMIT = 1_000_000
-
-
 class TransferCache(dict):
     """A bounded ``(edge, neighbour_label) -> attribute`` memo with counters.
 
     Plain ``dict`` reads/writes keep the solver hot path unchanged; the
-    solver consults :attr:`limit` before inserting and clears the cache
-    wholesale on overflow.  ``hits``/``misses``/``overflows`` let sweeps
-    report memo effectiveness (:meth:`info`).
+    solver consults :attr:`LIMIT` before inserting and clears the cache
+    wholesale on overflow.  ``hits``/``misses``/``overflows`` are absorbed
+    into the registry's ``srp.transfer_cache.*`` counters per solve.
     """
 
-    def __init__(self, limit: Optional[int] = DEFAULT_TRANSFER_CACHE_LIMIT):
+    #: Bound on the memo.  A single solve can never grow it past
+    #: O(edges x labels seen), but failure sweeps carry one cache across
+    #: thousands of scenario re-solves, so it is cleared wholesale on
+    #: overflow (the ``BddManager.ite`` precedent: correctness is
+    #: unaffected, only hit rates).
+    LIMIT = 1_000_000
+
+    def __init__(self):
         super().__init__()
-        if limit is not None and limit <= 0:
-            raise ValueError("limit must be positive (or None for unbounded)")
-        self.limit = limit
         self.hits = 0
         self.misses = 0
         self.overflows = 0
@@ -86,18 +82,9 @@ class TransferCache(dict):
         """Copy another solve's memo entries in (counters start fresh)."""
         if other:
             self.update(other)
-            if self.limit is not None and len(self) >= self.limit:
+            if len(self) >= self.LIMIT:
                 self.clear()
         return self
-
-    def info(self) -> dict:
-        return {
-            "size": len(self),
-            "limit": self.limit,
-            "hits": self.hits,
-            "misses": self.misses,
-            "overflows": self.overflows,
-        }
 
 
 #: What a memo ``.get`` returns for an absent key (``None`` is an answer).
@@ -242,10 +229,11 @@ def _worklist(
     :func:`solve_seeded`.
 
     The inner loop touches only the cache's fast local attribute
-    counters; their per-solve deltas (plus the transfer's eval-cache
-    info, when present) are absorbed into the :mod:`repro.obs` registry
-    once on the way out -- the solve boundary is the coarsest point that
-    still attributes cache traffic to the right span.
+    counters; their per-solve deltas (plus the transfer's sender-half
+    hits and misses and its memo's overflows, when it keeps them) are
+    absorbed into the :mod:`repro.obs` registry once on the way out --
+    the solve boundary is the coarsest point that still attributes cache
+    traffic to the right span.
     """
     hits0, misses0, over0 = (
         transfer_cache.hits, transfer_cache.misses, transfer_cache.overflows,
@@ -268,7 +256,7 @@ def _worklist(
         )
         if eval_info is not None:
             eval1 = eval_info()
-            _metrics.absorb_cache_info("config.eval_cache", eval0, eval1)
+            _metrics.absorb_cache_info("config.eval_cache", eval0, eval1, keys=("overflows",))
             _metrics.absorb_cache_info("config.sender_cache", eval0["sender"], eval1["sender"])
 
 
@@ -297,7 +285,7 @@ def _worklist_run(
     # pure function in the SRP model and attributes are value-semantic
     # frozen dataclasses, so the same offer never needs recomputing.
     # Unhashable labels (custom attribute types) fall back to direct calls.
-    cache_limit = getattr(transfer_cache, "limit", None)
+    cache_limit = transfer_cache.LIMIT
     cache_get = transfer_cache.get
     sort_keys: dict = {}
     # Per-node offer table: offers[node][edge] is the attribute currently
@@ -346,7 +334,7 @@ def _worklist_run(
                 attr = interned.setdefault(attr, attr)
             except TypeError:
                 pass
-        if cache_limit is not None and len(transfer_cache) >= cache_limit:
+        if len(transfer_cache) >= cache_limit:
             transfer_cache.clear()
             transfer_cache.overflows += 1
         transfer_cache[key] = attr

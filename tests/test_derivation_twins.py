@@ -8,7 +8,7 @@
 * a protocol's ``rank`` orders attributes exactly as its ``prefer`` does,
   and the solver's ranked scan gives the labeling *and* forwarding of the
   pairwise scan and of the full-sweep oracle;
-* ``NetworkTransfer`` skips a route map whose first clause fixes the
+* ``evaluate_route_map`` skips a route map whose first clause fixes the
   outcome -- against ``RouteMap.evaluate``, clause by clause.
 """
 
@@ -29,7 +29,7 @@ from repro.config.routemap import (
     RouteMap,
     RouteMapClause,
 )
-from repro.config.transfer import NetworkTransfer, build_srp_from_network
+from repro.config.transfer import build_srp_from_network, evaluate_route_map
 from repro.failures import FailureScenario, FailureSweep
 from repro.failures.scenario import undirected_links
 from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
@@ -271,14 +271,10 @@ _route_map = st.builds(RouteMap, name=st.just("M"), clauses=st.lists(_clause, ma
 @given(route_map=_route_map, attribute=_bgp)
 @settings(max_examples=400, deadline=None)
 def test_constant_clause_shortcut_equals_evaluate(route_map, attribute):
-    transfer = NetworkTransfer(
-        network=None, destination=DESTINATION, compiled={}, virtual_edges=frozenset()
-    )
     expected = route_map.evaluate(
         attribute, DESTINATION, DEVICE.community_lists, DEVICE.prefix_lists, DEVICE.asn
     )
-    for _ in range(2):  # the second call answers from the memo, if one was kept
-        assert transfer._evaluate_cached(route_map, DEVICE, attribute) == expected
+    assert evaluate_route_map(route_map, DEVICE, attribute, DESTINATION) == expected
     first = route_map.clauses[0] if route_map.clauses else None
     unconditional = first is not None and not (
         first.match_community_lists or first.match_prefix_lists
@@ -287,11 +283,9 @@ def test_constant_clause_shortcut_equals_evaluate(route_map, attribute):
         BgpAttribute(local_pref=7, communities=frozenset({"65001:1"})), "x"
     ) != BgpAttribute(local_pref=7, communities=frozenset({"65001:1"}))
     if unconditional and not rewrites:
-        # Deny-all / pass-unchanged: no evaluation, no memo entry.
+        # Deny-all / pass-unchanged: answered without evaluation.
         assert route_map.constant == first.action
         assert expected is (None if first.action == "deny" else attribute)
-        assert transfer.eval_cache_info()["size"] == 0
     else:
         assert route_map.constant is None
-        assert transfer.eval_cache_info()["size"] == 1
-    assert transfer._evaluate_cached(None, DEVICE, attribute) is attribute
+    assert evaluate_route_map(None, DEVICE, attribute, DESTINATION) is attribute

@@ -468,17 +468,13 @@ class TestCrossClassAbstractionReuse:
             ]
         assert len(results) == 2
         assert _hits_and_misses(memo) == (1, 1)
-        info = bonsai.abstraction_cache_info()
-        # Both levels of the memo: one family (one interned key map), and
-        # under it one result for the one origin set.
-        assert info["families"] == 1 and info["size"] == 1
+        # One family (one interned key map): the second class refines
+        # from its inputs and base partition to the identical partition.
+        assert bonsai.abstraction_cache_info()["families"] == 1
         first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
         assert first is second and isinstance(first, ClassFamily)
-        # The shared RefinementResult yields the identical partition.
-        assert results[0].refinement is results[1].refinement
-        assert (
-            results[0].refinement.partition.partitions()
-            == results[1].refinement.partition.partitions()
+        assert set(results[0].refinement.partition.partitions()) == set(
+            results[1].refinement.partition.partitions()
         )
 
     def test_different_policies_do_not_share(self, counter_delta):
@@ -509,8 +505,7 @@ class TestCrossClassAbstractionReuse:
                 bonsai.compress(ec, build_network=False) for ec in bonsai.equivalence_classes()
             ]
         assert _hits_and_misses(memo) == (0, 2)
-        info = bonsai.abstraction_cache_info()
-        assert info["families"] == 2 and info["size"] == 2
+        assert bonsai.abstraction_cache_info()["families"] == 2
         assert results[0].refinement is not results[1].refinement
         first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
         assert first is not second and first != second
@@ -523,11 +518,13 @@ class TestCrossClassAbstractionReuse:
             Bonsai(network).compress(ec, build_network=False)
             for ec in bonsai.equivalence_classes()
         ]
+        # The same groups; a class refined from its family's base
+        # partition may number them differently, which no record shows.
         for shared, independent in zip(results, fresh):
-            assert (
-                shared.refinement.partition.partitions()
-                == independent.refinement.partition.partitions()
+            assert set(shared.refinement.partition.partitions()) == set(
+                independent.refinement.partition.partitions()
             )
+        assert _canonical(results) == _canonical(fresh)
 
 
 # ----------------------------------------------------------------------

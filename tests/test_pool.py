@@ -170,8 +170,7 @@ class TestPoolParity:
     @pytest.mark.parametrize("pillar", ["failures", "delta"])
     def test_pool_counts_solves_like_serial(self, small_fattree, pillar, counter_delta):
         """A class run whole in a worker solves its baseline once, as the
-        serial run does: the merged solve and step counters are equal, and
-        so are the taint memo's (one memo per class baseline)."""
+        serial run does: the merged solve and step counters are equal."""
         from repro.delta import DeltaSweep
         from repro.failures import FailureSweep
         from repro.netgen.changes import generated_change_script
@@ -188,13 +187,12 @@ class TestPoolParity:
                 return DeltaSweep(small_fattree, script=script, limit=2, **executor)
 
         def counted(**executor):
-            with counter_delta("srp.", "delta.class_steps.", "failures.taint_cache.") as counts:
+            with counter_delta("srp.", "delta.class_steps.") as counts:
                 sweep(**executor).run()
             return counts
 
         serial = counted(executor="serial")
         assert serial["srp.scratch_solves"] > 0
-        assert serial["failures.taint_cache.misses"] > 0
         assert counted(executor="process", workers=4) == serial
 
     def test_worker_crash_surfaces_clean_error(self, small_fattree):
