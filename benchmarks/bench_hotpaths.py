@@ -48,9 +48,10 @@ than 25% slower than the committed baseline's ``after`` numbers)::
     python benchmarks/bench_hotpaths.py --quick \
         --baseline BENCH_pr7.json --max-regression 0.25
 
-Correctness cross-check (also run in CI): the optimized solver and
-refinement are compared against their reference oracles on every family
-and the verify report's soundness oracle must hold::
+Correctness cross-check (also run in CI): the worklist solver is compared
+against the sweep oracle on every family, and the verify report's
+soundness oracle must hold (the refinement's full-rescan oracle is checked
+by ``tests/test_hotpaths.py`` on every netgen family)::
 
     python benchmarks/bench_hotpaths.py --quick --check
 """
@@ -71,6 +72,7 @@ from repro.failures import FailureSweep
 from repro.netgen.families import build_topology
 from repro.pipeline.core import CompressionPipeline
 from repro.srp import solver as srp_solver
+from repro.srp.solver import solve_sweep
 
 #: (family, size) pairs per mode.  The fat-tree family carries the
 #: acceptance criterion (>=3x on compress+verify); the ring is the
@@ -341,33 +343,16 @@ def run_checks(workloads, failure_workloads=(), delta_workloads=()) -> List[str]
 
     Returns a list of human-readable failures (empty = all good).
     """
-    from repro.abstraction import refinement as refinement_mod
-
     failures: List[str] = []
-    solve_sweep = getattr(srp_solver, "solve_sweep", None)
-    partition_reference = getattr(
-        refinement_mod, "find_abstraction_partition_reference", None
-    )
     for family, size in workloads:
         network = build_topology(family, size)
         classes, srps = _classes_and_srps(network)
         for ec, srp in zip(classes, srps):
-            fast = srp_solver.solve(srp)
-            if solve_sweep is not None:
-                reference = solve_sweep(srp)
-                if fast.labeling != reference.labeling:
-                    failures.append(
-                        f"{family}({size}) {ec.prefix}: worklist labeling "
-                        "diverges from sweep oracle"
-                    )
-            if partition_reference is not None:
-                new_partition, _ = refinement_mod.find_abstraction_partition(srp)
-                ref_partition, _ = partition_reference(srp)
-                if set(new_partition.partitions()) != set(ref_partition.partitions()):
-                    failures.append(
-                        f"{family}({size}) {ec.prefix}: dirty-group partition "
-                        "diverges from full-rescan oracle"
-                    )
+            if srp_solver.solve(srp).labeling != solve_sweep(srp).labeling:
+                failures.append(
+                    f"{family}({size}) {ec.prefix}: worklist labeling "
+                    "diverges from sweep oracle"
+                )
         report = BatchVerifier(network, executor="serial").run()
         if not report.verdicts_agree():
             failures.append(

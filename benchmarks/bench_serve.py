@@ -52,7 +52,6 @@ from typing import Dict, List, Optional
 from repro.api import Session
 from repro.netgen.families import build_topology
 from repro.serve import VerificationService, create_server
-from repro.serve.service import _percentile
 from repro.store import ArtifactStore, BaselineArtifact
 
 FULL_WORKLOADS = [("fattree", 4), ("ring", 8), ("mesh", 6)]
@@ -68,6 +67,14 @@ HTTP_CLIENTS = 8
 #: Noise floor added to the relative regression limit (quick-mode stages
 #: are milliseconds; baselines come from a different machine than CI).
 ABSOLUTE_SLACK_SECONDS = 0.25
+
+
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))))
+    return sorted_values[rank]
 
 
 def _post(url: str, payload: Dict) -> Dict:
@@ -166,20 +173,20 @@ def bench_family(family: str, size: int, repeat: int) -> Dict[str, object]:
     ordered = sorted(warm_latencies)
     sweeps = sorted(sweep_latencies)
     http_ordered = sorted(http_latencies)
-    warm_p95 = _percentile(ordered, 0.95)
+    warm_p95 = percentile(ordered, 0.95)
     return {
         "classes": len(warm_session.classes),
         "cold_rebuild_seconds": cold_seconds,
         "store_save_seconds": min(save_samples),
         "store_load_seconds": min(load_samples),
         "warm_batch_seconds": warm_total,
-        "warm_p50_ms": 1e3 * _percentile(ordered, 0.50),
+        "warm_p50_ms": 1e3 * percentile(ordered, 0.50),
         "warm_p95_ms": 1e3 * warm_p95,
-        "sweep_p50_ms": 1e3 * _percentile(sweeps, 0.50),
-        "sweep_p95_ms": 1e3 * _percentile(sweeps, 0.95),
+        "sweep_p50_ms": 1e3 * percentile(sweeps, 0.50),
+        "sweep_p95_ms": 1e3 * percentile(sweeps, 0.95),
         "http_total_seconds": http_total,
-        "http_p50_ms": 1e3 * _percentile(http_ordered, 0.50),
-        "http_p95_ms": 1e3 * _percentile(http_ordered, 0.95),
+        "http_p50_ms": 1e3 * percentile(http_ordered, 0.50),
+        "http_p95_ms": 1e3 * percentile(http_ordered, 0.95),
         "warm_vs_cold_speedup": (cold_seconds / warm_p95) if warm_p95 > 0 else None,
     }
 

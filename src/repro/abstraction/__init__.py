@@ -9,10 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "check_dest_equivalence", "check_effective", "check_forall_exists",
         "check_forall_forall", "check_self_loop_free", "check_transfer_equivalence",
     ),
-    ".ec": (
-        "EquivalenceClass", "classes_for_destination", "classes_rooted_at",
-        "compute_equivalence_classes", "routable_equivalence_classes",
-    ),
+    ".ec": ("EquivalenceClass", "compute_equivalence_classes", "routable_equivalence_classes"),
     ".equivalence": (
         "AbstractionBuildError", "EquivalenceReport", "build_abstract_srp",
         "check_bgp_solution_equivalence", "check_cp_equivalence",

@@ -360,18 +360,6 @@ class Bonsai:
             keys = {**family, **{edge: srp.policy_key(edge) for edge in virtual_edges}}
         return compute_abstraction(srp, policy_keys=keys)
 
-    def abstraction_cache_info(self) -> Dict[str, int]:
-        """What the cross-class memo holds: ``families`` counts the class
-        families.  Its hits and misses are the registry's
-        ``abstraction.refinement_cache.*`` counters."""
-        return {"families": len(self._families)}
-
-    def compress_prefix(self, prefix: Prefix, build_network: bool = True) -> CompressionResult:
-        """Compress for an explicit destination prefix."""
-        origins = self.network.originators_of(prefix)
-        ec = EquivalenceClass(prefix=prefix, origins=frozenset(origins))
-        return self.compress(ec, build_network=build_network)
-
     def compress_all(
         self,
         limit: Optional[int] = None,

@@ -44,27 +44,3 @@ def compute_equivalence_classes(network: Network) -> List[EquivalenceClass]:
 def routable_equivalence_classes(network: Network) -> List[EquivalenceClass]:
     """Only the classes some device actually originates."""
     return [ec for ec in compute_equivalence_classes(network) if ec.is_routable]
-
-
-def classes_for_destination(
-    network: Network, destination: Prefix
-) -> List[EquivalenceClass]:
-    """The classes relevant to a query about ``destination``.
-
-    Bonsai only generates abstractions for the classes a query touches
-    (§7): a port-to-port reachability question typically needs a single
-    class.  A class is relevant if its prefix overlaps the queried
-    destination.
-    """
-    return [
-        ec
-        for ec in compute_equivalence_classes(network)
-        if ec.prefix.overlaps(destination) and ec.is_routable
-    ]
-
-
-def classes_rooted_at(network: Network, device: str) -> List[EquivalenceClass]:
-    """The classes originated by a particular device."""
-    return [
-        ec for ec in compute_equivalence_classes(network) if device in ec.origins
-    ]

@@ -98,10 +98,6 @@ class NetworkAbstraction:
         u, v = edge
         return (self.node_map[u], self.node_map[v])
 
-    def f_path(self, path) -> Tuple[str, ...]:
-        """Apply ``f`` to a path of concrete nodes."""
-        return tuple(self.node_map[node] for node in path)
-
     def _inverse(self) -> Tuple[Dict[str, FrozenSet[Node]], Dict[str, str]]:
         """``(base name -> concrete members, split copy -> base name)``, built
         on first use: ``node_map`` / ``split_groups`` are not edited later."""

@@ -92,9 +92,6 @@ class UnionSplitFind:
     def nodes(self) -> List[Node]:
         return list(self._group_of.keys())
 
-    def same_group(self, a: Node, b: Node) -> bool:
-        return self.find(a) == self.find(b)
-
     def __len__(self) -> int:
         return self.num_groups()
 
@@ -127,35 +124,9 @@ class UnionSplitFind:
             self._group_of[node] = target
         return target
 
-    def split_by_key(self, group: int, key_of: Dict[Node, Hashable]) -> List[int]:
-        """Split ``group`` so that members with different keys are separated.
-
-        Returns the list of resulting group ids (the original id is reused
-        for one of the key classes).  Members missing from ``key_of`` get a
-        distinct key of their own.
-        """
-        members = self.members(group)
-        buckets: Dict[Hashable, Set[Node]] = {}
-        for node in members:
-            buckets.setdefault(key_of.get(node, ("__missing__", node)), set()).add(node)
-        if len(buckets) <= 1:
-            return [group]
-        result = []
-        # Keep the largest bucket in place and split the rest out, which
-        # minimises bookkeeping work.
-        ordered = sorted(buckets.values(), key=len, reverse=True)
-        result.append(group)
-        for bucket in ordered[1:]:
-            result.append(self.split(bucket))
-        return result
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def as_mapping(self) -> Dict[Node, int]:
-        """A node -> group-id dictionary snapshot."""
-        return dict(self._group_of)
-
     def canonical_names(self, prefix: str = "abs") -> Dict[Node, str]:
         """Stable, human-readable abstract node names.
 

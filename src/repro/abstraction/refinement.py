@@ -59,46 +59,6 @@ def _node_prefs(srp: SRP, nodes: FrozenSet[Node]) -> FrozenSet[int]:
     return frozenset(values)
 
 
-def _refine_group(
-    graph: Graph,
-    policy_keys: Dict[Edge, Hashable],
-    partition: UnionSplitFind,
-    group: int,
-    use_concrete_neighbours: bool,
-) -> int:
-    """One call of the paper's ``Refine`` procedure on one abstract node.
-
-    Each member node is summarised by the set of ``(policy, neighbour)``
-    pairs over its outgoing edges, where ``neighbour`` is the concrete
-    neighbour for BGP nodes with several local preferences (enforcing the
-    ∀∀ condition) and the neighbour's abstract node otherwise (the ∀∃
-    condition).  Members with different summaries are split apart.
-
-    Returns the number of new groups created.
-    """
-    members = partition.members(group)
-    signature: Dict[Node, Hashable] = {}
-    for node in members:
-        pairs = set()
-        for edge in graph.out_edges(node):
-            _, neighbour = edge
-            policy = policy_keys.get(edge, ("default",))
-            target = neighbour if use_concrete_neighbours else partition.find(neighbour)
-            pairs.add(("out", policy, target))
-        # Also summarise the node's incoming edges.  The policy key of an
-        # edge (w, u) contains u's *export* policy towards w, so without
-        # this, two nodes whose own export policies differ could be merged
-        # and violate transfer-equivalence.
-        for edge in graph.in_edges(node):
-            source, _ = edge
-            policy = policy_keys.get(edge, ("default",))
-            origin = source if use_concrete_neighbours else partition.find(source)
-            pairs.add(("in", policy, origin))
-        signature[node] = frozenset(pairs)
-    new_groups = partition.split_by_key(group, signature)
-    return len(new_groups) - 1
-
-
 class ClassFamily(dict):
     """An interned per-edge policy-key map, and with it a *class family*.
 
@@ -277,8 +237,7 @@ def find_abstraction_partition(
     family of one.  The fixed point -- the coarsest partition below the
     start that is stable under the signature function -- is independent
     of the examination order, so the result is identical to the
-    full-rescan reference (:func:`find_abstraction_partition_reference`),
-    which is kept as the equivalence-test oracle.
+    full-rescan loop the tests keep as their oracle.
 
     Returns the partition and the number of worklist passes from the start.
     """
@@ -288,81 +247,6 @@ def find_abstraction_partition(
     family = (keys if isinstance(keys, ClassFamily) else ClassFamily(keys)).over(srp)
     partition, touched = family.start(srp.destination)
     return partition, _refine(family, partition, touched, max_iterations)
-
-
-def find_abstraction_partition_reference(
-    srp: SRP,
-    policy_keys: Optional[Dict[Edge, Hashable]] = None,
-    max_iterations: int = 10_000,
-) -> Tuple[UnionSplitFind, int]:
-    """The original full-rescan refinement loop (reference oracle).
-
-    Re-examines *every* group on every pass.  Kept (unoptimised) so
-    equivalence tests and the hot-path benchmark can check that the
-    worklist form computes the identical partition.
-    """
-    graph = srp.graph
-    keys = policy_keys if policy_keys is not None else {
-        edge: srp.policy_key(edge) for edge in graph.edges
-    }
-
-    partition = UnionSplitFind(graph.nodes)
-    partition.split({srp.destination})
-
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        before = partition.num_groups()
-        for group in list(partition.groups()):
-            members = partition.members(group)
-            if len(members) <= 1:
-                continue
-            prefs = _node_prefs(srp, members)
-            _refine_group(
-                graph,
-                keys,
-                partition,
-                group,
-                use_concrete_neighbours=len(prefs) > 1,
-            )
-        if partition.num_groups() == before:
-            if not _split_transfer_violations(graph, keys, partition):
-                break
-    return partition, iterations
-
-
-def _split_transfer_violations(
-    graph: Graph,
-    policy_keys: Dict[Edge, Hashable],
-    partition: UnionSplitFind,
-) -> List[Node]:
-    """Split groups whose members apply different policies towards the same
-    abstract neighbour group.  Returns the nodes moved to new groups.
-
-    The reference loop's safety net: at a signature fixed point it cannot
-    fire (no parallel edges, and the ``(policy, target)`` pairs a group
-    agrees on determine its per-target policy sets); a property test pins it.
-    """
-    group_of = partition.group_of
-    default_key = ("default",)
-    moved: List[Node] = []
-    for group in list(partition.groups()):
-        members = partition.members(group)
-        if len(members) <= 1:
-            continue
-        signature: Dict[Node, Hashable] = {}
-        for node in members:
-            per_target: Dict[int, set] = {}
-            for edge in graph.out_edges(node):
-                per_target.setdefault(group_of[edge[1]], set()).add(
-                    policy_keys.get(edge, default_key)
-                )
-            signature[node] = frozenset(
-                (target, frozenset(keys)) for target, keys in per_target.items()
-            )
-        for new_group in partition.split_by_key(group, signature)[1:]:
-            moved.extend(partition.members(new_group))
-    return moved
 
 
 def split_into_bgp_cases(

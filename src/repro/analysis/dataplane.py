@@ -40,9 +40,6 @@ class ForwardingTable:
     next_hops: Dict[Node, Set[Node]] = field(default_factory=dict)
     acl_blocked: Set[Edge] = field(default_factory=set)
 
-    def forwards_to(self, node: Node) -> Set[Node]:
-        return self.next_hops.get(node, set())
-
     def delivers(self, node: Node) -> bool:
         """Whether the destination is attached at ``node``."""
         return node in self.origins

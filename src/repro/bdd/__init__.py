@@ -4,6 +4,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".manager": ("FALSE", "TRUE", "BddError", "BddManager"),
-    ".bitvector": ("BitVector",),
     ".policy": ("PolicyBddEncoder", "UNCHANGED"),
 })

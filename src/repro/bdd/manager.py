@@ -9,8 +9,8 @@ the operations Bonsai needs:
 * hash-consed node creation (canonical representation),
 * memoised ``ite`` / ``apply`` operations (and, or, not, xor, implies, iff),
 * ``restrict`` (cofactor) used to *specialize* policies to a destination,
-* existential quantification, support computation, satisfiability counts
-  and model enumeration (used by tests and the data-plane encoding).
+* existential quantification, support computation and evaluation under
+  an assignment (the ``bdd_ops`` stage and the tests' truth tables).
 
 Nodes are identified by integers.  ``0`` and ``1`` are the terminal FALSE
 and TRUE nodes.  Because nodes are hash-consed, two functions are
@@ -21,7 +21,7 @@ property the compression algorithm exploits.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 
@@ -84,20 +84,9 @@ class BddManager:
     def var_name(self, index: int) -> str:
         return self._var_names[index]
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self._var_names.index(name)
-        except ValueError as exc:
-            raise BddError(f"unknown variable {name!r}") from exc
-
     def num_nodes(self) -> int:
         """Total number of nodes allocated (including terminals)."""
         return len(self._var)
-
-    def ite_cache_size(self) -> int:
-        """Current number of memoised ``ite`` results (bounded by
-        ``cache_limit`` when one is set)."""
-        return len(self._ite_cache)
 
     # ------------------------------------------------------------------
     # Node construction
@@ -126,18 +115,6 @@ class BddManager:
         if index < 0 or index >= self.num_vars:
             raise BddError(f"variable index {index} out of range")
         return self._make_node(index, TRUE, FALSE)
-
-    def top_var(self, node: int) -> int:
-        """The decision variable of ``node`` (terminals have no variable)."""
-        if node in (FALSE, TRUE):
-            raise BddError("terminal nodes have no variable")
-        return self._var[node]
-
-    def cofactors(self, node: int) -> Tuple[int, int]:
-        """The (low, high) children of ``node``."""
-        if node in (FALSE, TRUE):
-            return node, node
-        return self._low[node], self._high[node]
 
     # ------------------------------------------------------------------
     # Core operation: if-then-else
@@ -348,15 +325,6 @@ class BddManager:
             )
         return result
 
-    def forall(self, node: int, variables: Iterable[int]) -> int:
-        """Universally quantify ``variables`` out of ``node``."""
-        result = node
-        for var in sorted(set(variables), reverse=True):
-            result = self.apply_and(
-                self.restrict(result, {var: False}), self.restrict(result, {var: True})
-            )
-        return result
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -385,112 +353,6 @@ class BddManager:
             n = self._high[n] if assignment[var] else self._low[n]
         return n == TRUE
 
-    def _max_support_var(self, node: int) -> int:
-        """Largest variable index in the support (-1 for terminals)."""
-        best = -1
-        seen = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n in (FALSE, TRUE) or n in seen:
-                continue
-            seen.add(n)
-            if self._var[n] > best:
-                best = self._var[n]
-            stack.append(self._low[n])
-            stack.append(self._high[n])
-        return best
-
-    def sat_count(self, node: int, num_vars: Optional[int] = None) -> int:
-        """Number of satisfying assignments over ``num_vars`` variables.
-
-        Iterative: the per-node base counts are computed bottom-up over a
-        postorder traversal, so deep BDDs cannot overflow the recursion
-        limit.  ``num_vars`` must cover the function's support (at least
-        the largest support variable + 1); anything smaller would make
-        ``2 ** (total_vars - level)`` go negative and silently return a
-        float, so it raises :class:`BddError` instead.
-        """
-        total_vars = num_vars if num_vars is not None else self.num_vars
-        if total_vars < 0:
-            raise BddError(f"num_vars must be non-negative, got {total_vars}")
-        highest = self._max_support_var(node)
-        if total_vars < highest + 1:
-            raise BddError(
-                f"num_vars={total_vars} is smaller than the support of the "
-                f"node (needs at least {highest + 1} variables)"
-            )
-        if node == FALSE:
-            return 0
-        if node == TRUE:
-            return 2**total_vars
-
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        #: base[n] = assignments over variables strictly below var(n).
-        base: Dict[int, int] = {}
-
-        def child_count(child: int, level: int) -> int:
-            if child == FALSE:
-                return 0
-            if child == TRUE:
-                return 2 ** (total_vars - level)
-            return base[child] * (2 ** (var_arr[child] - level))
-
-        stack = [node]
-        while stack:
-            n = stack[-1]
-            if n in base:
-                stack.pop()
-                continue
-            low, high = low_arr[n], high_arr[n]
-            pending = [
-                child
-                for child in (low, high)
-                if child not in (FALSE, TRUE) and child not in base
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            level = var_arr[n] + 1
-            base[n] = child_count(low, level) + child_count(high, level)
-
-        return base[node] * (2 ** var_arr[node])
-
-    def satisfying_assignments(self, node: int) -> Iterator[Dict[int, bool]]:
-        """Iterate over partial satisfying assignments (one per BDD path).
-
-        Explicit-stack iterative (the recursive form overflowed on the
-        same 1500+-var policy chains ``ite``/``restrict`` were fixed
-        for); enumeration order is low branch before high branch.
-        """
-        VISIT, ASSIGN, UNSET = 0, 1, 2
-        partial: Dict[int, bool] = {}
-        tasks: List[Tuple[int, int, bool]] = [(VISIT, node, False)]
-        var_arr, low_arr, high_arr = self._var, self._low, self._high
-        while tasks:
-            kind, payload, value = tasks.pop()
-            if kind == ASSIGN:
-                partial[payload] = value
-                continue
-            if kind == UNSET:
-                del partial[payload]
-                continue
-            n = payload
-            if n == FALSE:
-                continue
-            if n == TRUE:
-                yield dict(partial)
-                continue
-            var = var_arr[n]
-            tasks.append((UNSET, var, False))
-            tasks.append((VISIT, high_arr[n], False))
-            tasks.append((ASSIGN, var, True))
-            tasks.append((VISIT, low_arr[n], False))
-            tasks.append((ASSIGN, var, False))
-
     def size(self, node: int) -> int:
         """Number of decision nodes reachable from ``node``."""
         seen = set()
@@ -503,27 +365,3 @@ class BddManager:
             stack.append(self._low[n])
             stack.append(self._high[n])
         return len(seen)
-
-    def to_expression(self, node: int) -> str:
-        """A human-readable nested if-then-else expression (for debugging).
-
-        Explicit-stack postorder with per-node memoisation, so deep
-        policy chains cannot overflow the recursion limit.
-        """
-        expr: Dict[int, str] = {FALSE: "false", TRUE: "true"}
-        stack = [node]
-        var_arr, low_arr, high_arr = self._var, self._low, self._high
-        while stack:
-            n = stack[-1]
-            if n in expr:
-                stack.pop()
-                continue
-            low, high = low_arr[n], high_arr[n]
-            pending = [child for child in (low, high) if child not in expr]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            name = self.var_name(var_arr[n])
-            expr[n] = f"(if {name} then {expr[high]} else {expr[low]})"
-        return expr[node]

@@ -440,15 +440,6 @@ class PolicyBddEncoder:
             self._specialize_cache.popitem(last=False)
         return result
 
-    def specialize_cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters for the specialization LRU cache."""
-        return {
-            "hits": self._specialize_hits,
-            "misses": self._specialize_misses,
-            "size": len(self._specialize_cache),
-            "limit": self.specialize_cache_limit,
-        }
-
     def specialize(self, bdd: int, destination: Prefix) -> int:
         """Restrict a generic policy BDD to a concrete destination prefix."""
         return self._restrict_cached(bdd, self.assignment_key(destination))

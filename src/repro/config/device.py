@@ -130,17 +130,6 @@ class DeviceConfig:
             values |= route_map.set_community_values()
         return frozenset(values)
 
-    def referenced_prefixes(self) -> FrozenSet[Prefix]:
-        """All prefixes mentioned anywhere in the configuration."""
-        prefixes: Set[Prefix] = set(self.originated_prefixes)
-        for static in self.static_routes:
-            prefixes.add(static.prefix)
-        for prefix_list in self.prefix_lists.values():
-            prefixes.update(entry.prefix for entry in prefix_list.entries)
-        for acl in self.acls.values():
-            prefixes.update(line.prefix for line in acl.lines)
-        return frozenset(prefixes)
-
     def static_route_for(self, prefix: Prefix) -> Optional[StaticRouteConfig]:
         """The longest-match static route covering ``prefix``, if any."""
         best: Optional[StaticRouteConfig] = None

@@ -66,14 +66,6 @@ class Network:
     def num_devices(self) -> int:
         return len(self.devices)
 
-    def community_universe(self) -> FrozenSet[str]:
-        """Every community value mentioned (matched or set) anywhere."""
-        values: Set[str] = set()
-        for device in self.devices.values():
-            values |= device.matched_communities()
-            values |= device.set_communities()
-        return frozenset(values)
-
     def unused_communities(self) -> FrozenSet[str]:
         """Communities that are attached somewhere but never matched on.
 
@@ -87,12 +79,6 @@ class Network:
             matched |= device.matched_communities()
             attached |= device.set_communities()
         return frozenset(attached - matched)
-
-    def referenced_prefixes(self) -> FrozenSet[Prefix]:
-        prefixes: Set[Prefix] = set()
-        for device in self.devices.values():
-            prefixes |= device.referenced_prefixes()
-        return frozenset(prefixes)
 
     def originators_of(self, prefix: Prefix) -> Set[str]:
         """Devices originating a route that covers ``prefix``."""

@@ -11,7 +11,7 @@ whose leaves carry the set of destination (originating) nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 
 def _parse_ipv4(address: str) -> int:
@@ -72,12 +72,6 @@ class Prefix:
     def overlaps(self, other: "Prefix") -> bool:
         return self.contains(other) or other.contains(self)
 
-    def first_address(self) -> int:
-        return self.address
-
-    def last_address(self) -> int:
-        return self.address | (~self.mask() & 0xFFFFFFFF)
-
     def bits(self) -> Tuple[int, ...]:
         """The prefix's significant bits, most significant first."""
         return tuple((self.address >> (31 - i)) & 1 for i in range(self.length))
@@ -114,11 +108,10 @@ class PrefixTrie:
     """A binary trie over prefixes.
 
     Prefixes are inserted with an optional set of *origin* nodes (the
-    routers that originate a route for the prefix).  The trie supports
-    longest-prefix lookup and extraction of destination equivalence
-    classes: one class per marked trie node that has at least one origin,
-    where the class's origins are those of the longest marked ancestor-or-
-    self prefix.
+    routers that originate a route for the prefix).  The trie extracts
+    destination equivalence classes: one class per marked trie node that
+    has at least one origin, where the class's origins are those of the
+    longest marked ancestor-or-self prefix.
     """
 
     def __init__(self) -> None:
@@ -139,32 +132,6 @@ class PrefixTrie:
 
     def __len__(self) -> int:
         return self._count
-
-    def longest_match(self, prefix: Prefix) -> Optional[Prefix]:
-        """The longest inserted prefix containing ``prefix`` (or ``None``)."""
-        node = self._root
-        best: Optional[Prefix] = self._root.prefix if self._root.marked else None
-        for bit in prefix.bits():
-            if bit not in node.children:
-                break
-            node = node.children[bit]
-            if not node.prefix.contains(prefix):
-                break
-            if node.marked:
-                best = node.prefix
-        return best
-
-    def origins_for(self, prefix: Prefix) -> Set[str]:
-        """The origins recorded on the longest match for ``prefix``."""
-        node = self._root
-        best: Set[str] = set(self._root.origins) if self._root.marked else set()
-        for bit in prefix.bits():
-            if bit not in node.children:
-                break
-            node = node.children[bit]
-            if node.marked and node.origins:
-                best = set(node.origins)
-        return best
 
     def marked_prefixes(self) -> List[Prefix]:
         """All inserted prefixes, in trie (address) order."""

@@ -117,15 +117,6 @@ class Histogram:
                 if slot < self._size:
                     self._reservoir[slot] = value
 
-    def percentile(self, q: float) -> Optional[float]:
-        """Nearest-rank percentile (``q`` in [0, 100]) over the reservoir."""
-        with self._lock:
-            sample = sorted(self._reservoir)
-        if not sample:
-            return None
-        rank = max(0, min(len(sample) - 1, int(round(q / 100.0 * (len(sample) - 1)))))
-        return sample[rank]
-
     def summary(self) -> Dict[str, object]:
         with self._lock:
             sample = sorted(self._reservoir)

@@ -65,8 +65,11 @@ EXECUTORS = ("auto", "serial", "process")
 #: per worker, shutdown.  Measured, not tuned: the e2e ledger's
 #: ``pipeline.run_default_s`` - ``pipeline.run_serial_s`` / 2 on
 #: ``compress-fattree-pool`` (0.32 - 0.11 / 2 = 0.26 s; README,
-#: "Start-up and executor selection").  The ``"auto"`` executor forks
-#: only when the pool is estimated to save more than this.
+#: "Start-up and executor selection") while that workload's default
+#: executor still forked.  Under ``"auto"`` it no longer does (72 classes
+#: of ~1.5 ms stay inline), so no benchmark workload runs the pool and
+#: none re-measures this.  The ``"auto"`` executor forks only when the
+#: pool is estimated to save more than this.
 POOL_START_SECONDS = 0.25
 
 #: What the pool adds per class, in seconds: dispatch, the result pickled

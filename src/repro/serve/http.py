@@ -267,26 +267,22 @@ def create_server(
     return server
 
 
-def _announce(message: str) -> None:
-    # Flushed so wrappers (tests, process supervisors) reading the pipe
-    # see the bound address before the first request.
-    print(message, flush=True)
-
-
 def serve(
     service: VerificationService,
     host: str = "127.0.0.1",
     port: int = 8642,
-    announce=_announce,
 ) -> None:
     """Run the service until interrupted (the CLI ``serve`` entry point)."""
     server = create_server(service, host=host, port=port)
     bound: Tuple[str, int] = server.server_address[:2]
-    announce(f"repro-serve listening on http://{bound[0]}:{bound[1]}")
-    announce(
+    # Flushed so wrappers (tests, process supervisors) reading the pipe
+    # see the bound address before the first request.
+    print(f"repro-serve listening on http://{bound[0]}:{bound[1]}", flush=True)
+    print(
         f"warm baseline: {service.session.network.name} "
         f"({len(service.session.classes)} classes, "
-        f"fingerprint {service.session.fingerprint[:12]}...)"
+        f"fingerprint {service.session.fingerprint[:12]}...)",
+        flush=True,
     )
     try:
         server.serve_forever()

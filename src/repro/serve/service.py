@@ -22,7 +22,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro import perfutil
 from repro.api import Session
@@ -68,14 +68,6 @@ class ServiceSaturated(RuntimeError):
         self.kind = kind
         self.inflight = inflight
         self.limit = limit
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
 
 
 class QueryStats:
@@ -166,7 +158,6 @@ class VerificationService:
         self,
         session: Session,
         max_inflight: Optional[int] = None,
-        event_log_capacity: Optional[int] = None,
     ) -> None:
         self.session = session
         self.stats = QueryStats()
@@ -183,7 +174,7 @@ class VerificationService:
         self._inflight_lock = threading.Lock()
         self._inflight: Dict[str, int] = {}
         #: Recent structured events, served via ``/events`` long polls.
-        self.event_log = EventLog(event_log_capacity)
+        self.event_log = EventLog()
 
     # ------------------------------------------------------------------
     # Admission control

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.srp.instance import SRP
-from repro.topology.graph import Edge, Graph, Node
+from repro.topology.graph import Edge, Node
 
 Attribute = Any
 Labeling = Dict[Node, Optional[Attribute]]
@@ -64,16 +64,6 @@ class Solution:
             )
         return forwarding
 
-    def forwarding_graph(self) -> Graph:
-        """The sub-graph containing only forwarding edges."""
-        g = Graph()
-        for node in self.srp.graph.nodes:
-            g.add_node(node)
-        for edges in self.forwarding.values():
-            for edge in edges:
-                g.add_edge(*edge)
-        return g
-
     def next_hops(self, node: Node) -> Set[Node]:
         """The neighbours ``node`` forwards traffic to."""
         return {v for _, v in self.forwarding.get(node, ())}
@@ -114,21 +104,3 @@ class Solution:
                     f"{node!r} label {label!r} is not minimal; better offers: {better!r}"
                 )
         return problems
-
-    # ------------------------------------------------------------------
-    # Inspection helpers
-    # ------------------------------------------------------------------
-    def routed_nodes(self) -> Set[Node]:
-        """Nodes that hold a route to the destination."""
-        return {n for n, a in self.labeling.items() if a is not None}
-
-    def unrouted_nodes(self) -> Set[Node]:
-        """Nodes with no route to the destination."""
-        return {n for n in self.srp.graph.nodes if self.labeling.get(n) is None}
-
-    def as_table(self) -> List[Tuple[Node, Optional[Attribute], Set[Node]]]:
-        """A simple (node, attribute, next-hops) table for display."""
-        return [
-            (node, self.labeling.get(node), self.next_hops(node))
-            for node in self.srp.graph.nodes
-        ]

@@ -17,12 +17,17 @@ a rebuild: corrupted entries are replaced, not crashed on.
 
 Writes are atomic (a per-writer temp file + ``os.replace``) so a crashed
 save leaves either the old entry or none, never a torn one, and two
-processes saving one fingerprint at once both succeed.
+processes saving one fingerprint at once both succeed.  A save holds an
+exclusive ``flock`` on the entry directory across its two writes and a
+load a shared one across its two reads, so no entry pairs one writer's
+meta with another's payload: pickle bytes depend on the writer's hash
+seed, so two writers' payloads of one artifact can differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -104,6 +109,18 @@ def _atomic_write(path: Path, payload: bytes) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _entry_lock(entry: Path, operation: int):
+    """Hold ``flock(operation)`` on the entry directory's own descriptor
+    (no lock file, so an entry holds exactly its meta and payload)."""
+    fd = os.open(entry, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, operation)
+        yield
+    finally:
+        os.close(fd)
+
+
 class ArtifactStore:
     """A directory of fingerprint-keyed :class:`BaselineArtifact` entries."""
 
@@ -141,11 +158,12 @@ class ArtifactStore:
         # Payload first: a crash between the two writes leaves a stale
         # meta whose checksum refuses the new payload (refuse-and-rebuild)
         # rather than a fresh meta blessing a missing payload.
-        _atomic_write(entry / _PAYLOAD_NAME, payload)
-        _atomic_write(
-            entry / _META_NAME,
-            json.dumps(meta, indent=2, sort_keys=True).encode("utf-8"),
-        )
+        with _entry_lock(entry, fcntl.LOCK_EX):
+            _atomic_write(entry / _PAYLOAD_NAME, payload)
+            _atomic_write(
+                entry / _META_NAME,
+                json.dumps(meta, indent=2, sort_keys=True).encode("utf-8"),
+            )
         return entry
 
     # ------------------------------------------------------------------
@@ -161,13 +179,15 @@ class ArtifactStore:
                 fingerprint, "missing",
                 f"no artifact for fingerprint {fingerprint[:12]}... under {self.root}",
             )
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise _refuse(
-                fingerprint, "unreadable_meta",
-                f"unreadable meta for {fingerprint[:12]}...: {exc}",
-            ) from exc
+        with _entry_lock(entry, fcntl.LOCK_SH):
+            try:
+                meta = json.loads(meta_path.read_text())
+            except (OSError, ValueError) as exc:
+                raise _refuse(
+                    fingerprint, "unreadable_meta",
+                    f"unreadable meta for {fingerprint[:12]}...: {exc}",
+                ) from exc
+            payload = payload_path.read_bytes()
 
         if meta.get("store_schema_version") != STORE_SCHEMA_VERSION:
             raise _refuse(
@@ -191,7 +211,6 @@ class ArtifactStore:
                 f"{fingerprint[:12]}...",
             )
 
-        payload = payload_path.read_bytes()
         digest = _sha256(payload)
         if digest != meta.get("payload_sha256"):
             raise _refuse(

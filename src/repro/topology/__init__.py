@@ -4,8 +4,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".graph": ("Edge", "Graph", "GraphError", "Node"),
-    ".builders": (
-        "chain_topology", "fattree_topology", "full_mesh_topology", "grid_topology",
-        "ring_topology", "star_topology",
-    ),
+    ".builders": ("fattree_topology", "full_mesh_topology", "ring_topology"),
 })

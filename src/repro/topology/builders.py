@@ -7,8 +7,6 @@ The paper evaluates Bonsai on three synthetic topology families (§8):
 * **Ring** -- a simple cycle of n routers.
 * **Full mesh** -- every pair of routers connected.
 
-Additional builders (chain, star, grid) are used by the examples and tests.
-
 All builders return a :class:`~repro.topology.graph.Graph` with undirected
 connectivity (both edge directions present) plus a metadata dictionary that
 records the role of each node (``core`` / ``aggregation`` / ``edge`` for
@@ -21,21 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.topology.graph import Graph, Node
-
-
-def chain_topology(length: int, prefix: str = "r") -> Tuple[Graph, Dict[Node, str]]:
-    """A line of ``length`` routers ``r0 - r1 - ... - r{length-1}``."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
-    g = Graph()
-    roles: Dict[Node, str] = {}
-    names = [f"{prefix}{i}" for i in range(length)]
-    for name in names:
-        g.add_node(name)
-        roles[name] = "chain"
-    for left, right in zip(names, names[1:]):
-        g.add_undirected_edge(left, right)
-    return g, roles
 
 
 def ring_topology(size: int, prefix: str = "r") -> Tuple[Graph, Dict[Node, str]]:
@@ -70,45 +53,6 @@ def full_mesh_topology(size: int, prefix: str = "r") -> Tuple[Graph, Dict[Node, 
     for i, u in enumerate(names):
         for v in names[i + 1:]:
             g.add_undirected_edge(u, v)
-    return g, roles
-
-
-def star_topology(leaves: int, prefix: str = "r") -> Tuple[Graph, Dict[Node, str]]:
-    """One hub router connected to ``leaves`` leaf routers."""
-    if leaves < 1:
-        raise ValueError("star must have at least one leaf")
-    g = Graph()
-    roles: Dict[Node, str] = {}
-    hub = f"{prefix}hub"
-    g.add_node(hub)
-    roles[hub] = "hub"
-    for i in range(leaves):
-        leaf = f"{prefix}leaf{i}"
-        g.add_undirected_edge(hub, leaf)
-        roles[leaf] = "leaf"
-    return g, roles
-
-
-def grid_topology(rows: int, cols: int, prefix: str = "r") -> Tuple[Graph, Dict[Node, str]]:
-    """A rows x cols grid; useful as a moderately symmetric WAN-like mesh."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    g = Graph()
-    roles: Dict[Node, str] = {}
-
-    def name(r: int, c: int) -> str:
-        return f"{prefix}{r}_{c}"
-
-    for r in range(rows):
-        for c in range(cols):
-            g.add_node(name(r, c))
-            roles[name(r, c)] = "grid"
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                g.add_undirected_edge(name(r, c), name(r, c + 1))
-            if r + 1 < rows:
-                g.add_undirected_edge(name(r, c), name(r + 1, c))
     return g, roles
 
 
@@ -162,11 +106,3 @@ def fattree_topology(k: int) -> Tuple[Graph, Dict[Node, str]]:
                 g.add_undirected_edge(agg, cores[i * half + j])
 
     return g, roles
-
-
-def fattree_size_for_nodes(target_nodes: int) -> int:
-    """Smallest even ``k`` whose fat-tree has at least ``target_nodes`` nodes."""
-    k = 2
-    while 5 * k * k // 4 < target_nodes:
-        k += 2
-    return k

@@ -216,59 +216,3 @@ class Graph:
         for u, v in self.edges:
             g.add_edge(v, u)
         return g
-
-    # ------------------------------------------------------------------
-    # Traversal helpers
-    # ------------------------------------------------------------------
-    def bfs_distances(self, source: Node) -> Dict[Node, int]:
-        """Hop distances from ``source`` along directed edges (BFS)."""
-        if source not in self._succ:
-            raise GraphError(f"node {source!r} not in graph")
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt: List[Node] = []
-            for u in frontier:
-                for v in self._succ[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
-    def reachable_from(self, source: Node) -> Set[Node]:
-        """All nodes reachable from ``source`` along directed edges."""
-        return set(self.bfs_distances(source))
-
-    def is_connected_to(self, source: Node, target: Node) -> bool:
-        return target in self.bfs_distances(source)
-
-    def find_cycle(self) -> List[Node]:
-        """Return one directed cycle as a node list, or ``[]`` if acyclic."""
-        color: Dict[Node, int] = {}
-        stack: List[Node] = []
-
-        def visit(node: Node) -> List[Node]:
-            color[node] = 1
-            stack.append(node)
-            for v in self._succ[node]:
-                if color.get(v, 0) == 1:
-                    return stack[stack.index(v):] + [v]
-                if color.get(v, 0) == 0:
-                    cycle = visit(v)
-                    if cycle:
-                        return cycle
-            stack.pop()
-            color[node] = 2
-            return []
-
-        for node in self._succ:
-            if color.get(node, 0) == 0:
-                cycle = visit(node)
-                if cycle:
-                    return cycle
-        return []
-
-    def is_dag(self) -> bool:
-        """True if the graph has no directed cycle."""
-        return not self.find_cycle()

@@ -14,7 +14,7 @@ register_property(
         name="has-any-next-hop",
         description="the source either delivers locally or has a next hop",
         evaluate=lambda ctx, source: PropertyResult(
-            holds=bool(ctx.table.forwards_to(source)) or ctx.table.delivers(source)
+            holds=bool(ctx.table.next_hops.get(source)) or ctx.table.delivers(source)
         ),
     )
 )

@@ -158,30 +158,31 @@ def test_figure10_local_pref_encoding(network, encoder):
 class TestSpecializationCache:
     """The LRU cache reuses cofactors across equivalence classes."""
 
-    def test_repeated_destinations_hit_the_cache(self, network):
+    def test_repeated_destinations_hit_the_cache(self, network, counter_delta):
         encoder = PolicyBddEncoder(network)
         compiled = compile_edges(network, Prefix.parse("10.0.1.0/24"))
-        first = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"), compiled)
-        info = encoder.specialize_cache_info()
-        assert info["misses"] > 0
+        with counter_delta("bdd.specialize_cache.") as first_counts:
+            first = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"), compiled)
+        assert first_counts["bdd.specialize_cache.misses"] > 0
         # A destination with the same restriction assignment reuses every
         # cofactor; keys must be identical BDD ids.
-        again = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"), compiled)
+        with counter_delta("bdd.specialize_cache.") as again_counts:
+            again = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"), compiled)
         assert again == first
-        assert encoder.specialize_cache_info()["hits"] >= len(compiled)
+        assert again_counts["bdd.specialize_cache.hits"] >= len(compiled)
 
     def test_cache_respects_limit(self, network):
         encoder = PolicyBddEncoder(network, specialize_cache_limit=2)
         for third_octet in range(8):
             encoder.specialized_policy_keys(Prefix.parse(f"10.0.{third_octet}.0/24"))
-        assert encoder.specialize_cache_info()["size"] <= 2
+        assert len(encoder._specialize_cache) <= 2
 
-    def test_cache_can_be_disabled(self, network):
+    def test_cache_can_be_disabled(self, network, counter_delta):
         encoder = PolicyBddEncoder(network, specialize_cache_limit=0)
-        keys = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"))
+        with counter_delta("bdd.specialize_cache.") as counts:
+            keys = encoder.specialized_policy_keys(Prefix.parse("10.0.1.0/24"))
         assert keys
-        info = encoder.specialize_cache_info()
-        assert info["size"] == 0 and info["hits"] == 0
+        assert len(encoder._specialize_cache) == 0 and counts["bdd.specialize_cache.hits"] == 0
 
     def test_cached_and_uncached_results_agree(self, network):
         cached = PolicyBddEncoder(network)
@@ -217,5 +218,5 @@ class TestManagerCacheLimit:
                 for ec in bonsai.equivalence_classes()[:4]
             ]
             if limit is not None:
-                assert encoder.manager.ite_cache_size() <= limit
+                assert len(encoder.manager._ite_cache) <= limit
         assert groups[None] == groups[4]

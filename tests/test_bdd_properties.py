@@ -120,14 +120,6 @@ def test_evaluation_matches_the_table(cache_limit, steps):
 
 @settings(max_examples=120, deadline=None)
 @given(programs)
-def test_sat_count_matches_the_table(cache_limit, steps):
-    manager, pool = build(cache_limit, steps)
-    for node, table in pool:
-        assert manager.sat_count(node) == bin(table).count("1")
-
-
-@settings(max_examples=120, deadline=None)
-@given(programs)
 def test_support_matches_the_table(cache_limit, steps):
     manager, pool = build(cache_limit, steps)
     for node, table in pool:
@@ -163,15 +155,6 @@ def test_exists_is_the_cofactor_disjunction(cache_limit, steps, var):
 
 @settings(max_examples=60, deadline=None)
 @given(programs, variables)
-def test_forall_is_the_cofactor_conjunction(cache_limit, steps, var):
-    manager, pool = build(cache_limit, steps)
-    f, table = pool[-1]
-    expected = cofactor(table, var, True) & cofactor(table, var, False)
-    assert table_of(manager, manager.forall(f, [var])) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(programs, variables)
 def test_shannon_expansion(cache_limit, steps, var):
     """f == ite(x, f|x=1, f|x=0), as the same node."""
     manager, pool = build(cache_limit, steps)
@@ -180,22 +163,6 @@ def test_shannon_expansion(cache_limit, steps, var):
         manager.var(var), manager.restrict(f, {var: True}), manager.restrict(f, {var: False})
     )
     assert expanded == f
-
-
-@settings(max_examples=60, deadline=None)
-@given(programs)
-def test_model_enumeration_is_the_satisfying_rows(cache_limit, steps):
-    """Each model is one BDD path; its total extensions, over all models,
-    are the table's satisfying rows, each exactly once."""
-    manager, pool = build(cache_limit, steps)
-    f, table = pool[-1]
-    rows = []
-    for model in manager.satisfying_assignments(f):
-        free = [v for v in range(NUM_VARS) if v not in model]
-        fixed = sum(1 << v for v, bit in model.items() if bit)
-        for bits in range(1 << len(free)):
-            rows.append(fixed | sum(1 << v for n, v in enumerate(free) if bits >> n & 1))
-    assert sorted(rows) == [a for a in range(ROWS) if table >> a & 1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,7 +56,8 @@ from repro.pipeline.cli import main as pipeline_main
 from repro.pipeline.encoded import EncodedNetwork
 from repro.reporting import load_report
 from repro.srp.solver import solve
-from repro.topology.builders import chain_topology
+
+from topologies import chain_topology
 
 
 #: One change of every kind, its optional fields set where it has any

@@ -109,9 +109,8 @@ class TestNetwork:
         network = self.build()
         network.assert_valid()
 
-    def test_community_universe_and_unused(self):
+    def test_unused_communities(self):
         network = self.build()
-        assert network.community_universe() == frozenset({"65001:1", "65001:99"})
         assert network.unused_communities() == frozenset({"65001:99"})
 
     def test_originators_of(self):

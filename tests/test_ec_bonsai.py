@@ -7,13 +7,11 @@ import pytest
 
 from repro.abstraction import (
     Bonsai,
-    classes_for_destination,
-    classes_rooted_at,
     compute_equivalence_classes,
     routable_equivalence_classes,
 )
 from repro.abstraction.equivalence import build_abstract_srp, check_cp_equivalence
-from repro.config import Prefix, build_srp_from_network, parse_network
+from repro.config import build_srp_from_network, parse_network
 from repro.pipeline.report import EcRecord
 from repro.srp import solve
 
@@ -43,17 +41,6 @@ class TestEquivalenceClasses:
         all_classes = compute_equivalence_classes(small_datacenter)
         routable = routable_equivalence_classes(small_datacenter)
         assert len(routable) <= len(all_classes)
-
-    def test_classes_for_destination_overlap_query(self, small_fattree):
-        classes = classes_for_destination(small_fattree, Prefix.parse("10.0.1.0/24"))
-        assert len(classes) == 1
-        assert classes[0].prefix == Prefix.parse("10.0.1.0/24")
-        assert classes_for_destination(small_fattree, Prefix.parse("172.16.0.0/16")) == []
-
-    def test_classes_rooted_at_device(self, small_fattree):
-        classes = classes_rooted_at(small_fattree, "edge0_0")
-        assert len(classes) == 1
-        assert classes[0].origins == frozenset({"edge0_0"})
 
 
 class TestBonsaiPipeline:
@@ -123,11 +110,6 @@ class TestBonsaiPipeline:
     def test_summary_requires_results(self, small_mesh):
         with pytest.raises(ValueError):
             Bonsai(small_mesh).summarize([])
-
-    def test_compress_prefix_convenience(self, small_fattree):
-        bonsai = Bonsai(small_fattree)
-        result = bonsai.compress_prefix(Prefix.parse("10.0.1.0/24"))
-        assert result.abstract_nodes == 6
 
     def test_unique_roles_small_fattree(self, small_fattree):
         bonsai = Bonsai(small_fattree)

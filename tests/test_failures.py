@@ -36,7 +36,8 @@ from repro.failures.sweep import FAILURE_REPORT_VERSION
 from repro.pipeline.cli import main as pipeline_main
 from repro.reporting import load_report
 from repro.srp.solver import solve
-from repro.topology.builders import chain_topology
+
+from topologies import chain_topology
 
 
 def chain_network(length: int = 5):

@@ -17,11 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import routable_equivalence_classes
-from repro.abstraction.refinement import (
-    ClassFamily,
-    find_abstraction_partition,
-    find_abstraction_partition_reference,
-)
+from repro.abstraction.refinement import ClassFamily, find_abstraction_partition
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.config.acl import Acl, AclLine
 from repro.config.device import StaticRouteConfig
@@ -42,6 +38,7 @@ from repro.topology import ring_topology
 from repro.topology.graph import Graph
 
 from test_property_based import random_connected_graph
+from refinement_reference import find_abstraction_partition_reference
 from test_refinement import bare_srp, refinement_problems
 
 
@@ -276,27 +273,7 @@ class TestIterativeBddDeepChains:
 
         restricted = manager.restrict(chain, {0: True, self.DEPTH // 2: True})
         assert manager.size(restricted) == self.DEPTH - 2
-        assert manager.sat_count(chain) == 1
-
-    def test_deep_chain_expression_and_models_run_without_recursion(self):
-        """Regression: ``to_expression`` and ``satisfying_assignments``
-        were still recursive after the PR-3 iterative rewrite of
-        ``ite``/``restrict``/``sat_count`` and overflowed on the same
-        1500+-var chains.  The manager must enumerate and print a
-        DEPTH-deep chain under a tight recursion limit."""
-        manager = BddManager(self.DEPTH)
-        chain = TRUE
-        for var in range(self.DEPTH - 1, -1, -1):
-            chain = manager.ite(manager.var(var), chain, FALSE)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(300)
-        try:
-            expression = manager.to_expression(chain)
-            models = list(manager.satisfying_assignments(chain))
-        finally:
-            sys.setrecursionlimit(limit)
-        assert expression.count("(if ") == self.DEPTH
-        assert models == [{i: True for i in range(self.DEPTH)}]
+        assert manager.evaluate(chain, {i: True for i in range(self.DEPTH)}) is True
 
     def test_deep_route_map_chain_encodes_under_a_tight_recursion_limit(self):
         """A route map with hundreds of distinct prefix-list matches (the
@@ -349,7 +326,9 @@ class TestIterativeBddDeepChains:
         finally:
             sys.setrecursionlimit(limit)
         assert keys  # encoded and specialized without blowing the stack
-        result = bonsai.compress_prefix(Prefix.parse("10.0.0.0/24"), build_network=False)
+        destination = Prefix.parse("10.0.0.0/24")
+        (ec,) = [ec for ec in bonsai.equivalence_classes() if ec.prefix == destination]
+        result = bonsai.compress(ec, build_network=False)
         assert result.abstract_nodes >= 1
 
 
@@ -439,6 +418,7 @@ class TestNetworkMemoisation:
 # ----------------------------------------------------------------------
 #: Registry prefix of the cross-class refinement memo's counters.
 REFINEMENT_MEMO = "abstraction.refinement_cache."
+FAMILIES = "abstraction.class_families"
 
 
 def _hits_and_misses(memo):
@@ -461,7 +441,7 @@ class TestCrossClassAbstractionReuse:
 
     def test_identical_signatures_share_one_refinement(self, counter_delta):
         bonsai = Bonsai(self._two_prefix_network())
-        with counter_delta(REFINEMENT_MEMO) as memo:
+        with counter_delta(REFINEMENT_MEMO, FAMILIES) as memo:
             results = [
                 bonsai.compress(ec, build_network=False)
                 for ec in bonsai.equivalence_classes()
@@ -470,7 +450,7 @@ class TestCrossClassAbstractionReuse:
         assert _hits_and_misses(memo) == (1, 1)
         # One family (one interned key map): the second class refines
         # from its inputs and base partition to the identical partition.
-        assert bonsai.abstraction_cache_info()["families"] == 1
+        assert memo[FAMILIES] == 1
         first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
         assert first is second and isinstance(first, ClassFamily)
         assert set(results[0].refinement.partition.partitions()) == set(
@@ -500,12 +480,12 @@ class TestCrossClassAbstractionReuse:
         device.route_maps["DENY-10-2"] = deny_map
         device.bgp_neighbors["b"].import_policy = "DENY-10-2"
         bonsai = Bonsai(network)
-        with counter_delta(REFINEMENT_MEMO) as memo:
+        with counter_delta(REFINEMENT_MEMO, FAMILIES) as memo:
             results = [
                 bonsai.compress(ec, build_network=False) for ec in bonsai.equivalence_classes()
             ]
         assert _hits_and_misses(memo) == (0, 2)
-        assert bonsai.abstraction_cache_info()["families"] == 2
+        assert memo[FAMILIES] == 2
         assert results[0].refinement is not results[1].refinement
         first, second = (bonsai.policy_keys(ec.prefix) for ec in bonsai.equivalence_classes())
         assert first is not second and first != second
@@ -569,14 +549,14 @@ class TestClassFamilyRefinement:
         network = FAMILY_NETWORKS[name]()
         bonsai = Bonsai(network)
         classes = bonsai.equivalence_classes()
-        with counter_delta(REFINEMENT_MEMO) as memo:
+        with counter_delta(REFINEMENT_MEMO, FAMILIES) as memo:
             results = [bonsai.compress(ec, build_network=False) for ec in classes]
         for result in results:
             groups = set(result.refinement.partition.partitions())
             assert groups == _reference_groups(bonsai, result), result.equivalence_class
         hits, misses = _hits_and_misses(memo)
         assert hits + misses == len(classes)
-        assert misses >= bonsai.abstraction_cache_info()["families"] >= 1
+        assert misses >= memo[FAMILIES] >= 1
 
         serial = _canonical(results)
         shuffled = list(classes)
@@ -590,10 +570,10 @@ class TestClassFamilyRefinement:
     def test_fattree_is_one_family_refined_from_its_base(self, counter_delta):
         bonsai = Bonsai(build_topology("fattree"))
         classes = bonsai.equivalence_classes()
-        with counter_delta(REFINEMENT_MEMO) as memo:
+        with counter_delta(REFINEMENT_MEMO, FAMILIES) as memo:
             for ec in classes:
                 bonsai.compress(ec, build_network=False)
-        assert bonsai.abstraction_cache_info()["families"] == 1
+        assert memo[FAMILIES] == 1
         assert _hits_and_misses(memo) == (len(classes) - 1, 1)
         family = bonsai.policy_keys(classes[0].prefix)
         assert family.refinements == len(classes)

@@ -155,8 +155,9 @@ class TestCompressionCounts:
         destination they may."""
         network = parse_network(BROKEN_NETWORK)
         bonsai = Bonsai(network)
-        affected = bonsai.compress_prefix(Prefix.parse("10.0.1.0/24"))
-        healthy = bonsai.compress_prefix(Prefix.parse("10.0.2.0/24"))
+        classes = {str(ec.prefix): ec for ec in bonsai.equivalence_classes()}
+        affected = bonsai.compress(classes["10.0.1.0/24"])
+        healthy = bonsai.compress(classes["10.0.2.0/24"])
         assert affected.abstraction.f("s1") != affected.abstraction.f("s2")
         assert healthy.abstraction.f("s1") == healthy.abstraction.f("s2")
         assert healthy.abstract_nodes < affected.abstract_nodes

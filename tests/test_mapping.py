@@ -38,10 +38,9 @@ def test_abstract_graph_induced_by_f(abstraction):
     assert abstraction.num_abstract_edges() == 2
 
 
-def test_f_on_nodes_edges_paths(abstraction):
+def test_f_on_nodes_and_edges(abstraction):
     assert abstraction.f("b1") == "B"
     assert abstraction.f_edge(("a", "b1")) == ("A", "B")
-    assert abstraction.f_path(["a", "b1", "d"]) == ("A", "B", "D")
 
 
 def test_concrete_nodes_inverse(abstraction):

@@ -10,7 +10,9 @@ from repro.routing import (
     build_multiprotocol_srp,
 )
 from repro.srp import solve
-from repro.topology import Graph, chain_topology
+from repro.topology import Graph
+
+from topologies import chain_topology
 
 
 def both_directions(*pairs):

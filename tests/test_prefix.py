@@ -39,11 +39,6 @@ class TestPrefix:
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c)
 
-    def test_address_range(self):
-        p = Prefix.parse("10.0.1.0/24")
-        assert p.first_address() == p.address
-        assert p.last_address() - p.first_address() == 255
-
     def test_bits_and_child(self):
         p = Prefix.parse("128.0.0.0/1")
         assert p.bits() == (1,)
@@ -66,21 +61,6 @@ class TestPrefixTrie:
         trie.insert(Prefix.parse("10.1.0.0/16"))
         trie.insert(Prefix.parse("10.1.0.0/16"))
         assert len(trie) == 2
-
-    def test_longest_match(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"))
-        trie.insert(Prefix.parse("10.1.0.0/16"))
-        assert trie.longest_match(Prefix.parse("10.1.2.0/24")) == Prefix.parse("10.1.0.0/16")
-        assert trie.longest_match(Prefix.parse("10.9.0.0/16")) == Prefix.parse("10.0.0.0/8")
-        assert trie.longest_match(Prefix.parse("11.0.0.0/8")) is None
-
-    def test_origins_inherited_from_longest_match(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), origins=["core"])
-        trie.insert(Prefix.parse("10.1.0.0/16"), origins=["leaf1"])
-        assert trie.origins_for(Prefix.parse("10.1.5.0/24")) == {"leaf1"}
-        assert trie.origins_for(Prefix.parse("10.9.0.0/16")) == {"core"}
 
     def test_equivalence_classes_inherit_origins(self):
         trie = PrefixTrie()

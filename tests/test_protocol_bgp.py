@@ -16,7 +16,9 @@ from repro.routing import (
     policy_local_prefs,
 )
 from repro.srp import solve
-from repro.topology import Graph, chain_topology
+from repro.topology import Graph
+
+from topologies import chain_topology
 
 
 class TestBgpPreference:

@@ -13,7 +13,9 @@ from repro.routing import (
     build_static_srp,
 )
 from repro.srp import solve
-from repro.topology import Graph, chain_topology
+from repro.topology import Graph
+
+from topologies import chain_topology
 
 
 class TestRip:
@@ -126,5 +128,3 @@ class TestStatic:
         solution = solve(srp)
         assert solution.next_hops("a") == {"b"}
         assert solution.next_hops("b") == {"a"}
-        fwd = solution.forwarding_graph()
-        assert not fwd.is_dag()

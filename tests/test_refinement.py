@@ -11,7 +11,10 @@ from repro.abstraction import (
 )
 from repro.routing import SetLocalPref, build_bgp_srp, build_rip_srp, build_ospf_srp
 from repro.srp.instance import SRP
-from repro.topology import Graph, chain_topology, full_mesh_topology, ring_topology
+from repro.topology import Graph, full_mesh_topology, ring_topology
+
+from refinement_reference import split_transfer_violations
+from topologies import chain_topology
 
 
 @st.composite
@@ -196,13 +199,11 @@ class TestRefinementCoverage:
         and the (policy, target) pair sets a group agrees on determine
         its per-target policy sets.  That is why the shipped loop does
         not run the pass; the reference oracle still does."""
-        from repro.abstraction.refinement import _split_transfer_violations
-
         graph, keys, prefs = problem
         srp = bare_srp(graph, data.draw(st.sampled_from(graph.nodes)), prefs)
         partition, _ = find_abstraction_partition(srp, keys)
         before = set(partition.partitions())
-        assert _split_transfer_violations(graph, keys, partition) == []
+        assert split_transfer_violations(graph, keys, partition) == []
         assert set(partition.partitions()) == before
 
     def test_destination_group_is_never_case_split(self, figure2_srp):

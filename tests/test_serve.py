@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import importlib.util
 import json
 import pickle
 import socket
@@ -13,6 +14,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
@@ -30,7 +32,6 @@ from repro.serve.http import MAX_BODY_BYTES, ServeHandler
 from repro.serve.service import (
     MAX_ENUMERATED_SCENARIOS,
     QueryStats,
-    _percentile,
     failure_space,
 )
 
@@ -113,12 +114,18 @@ def _raw_post(base, path: str, body: bytes, content_length=None) -> bytes:
 # ----------------------------------------------------------------------
 class TestPercentiles:
     def test_nearest_rank(self):
-        assert _percentile([], 0.95) == 0.0
-        assert _percentile([1.0], 0.95) == 1.0
+        """The serve benchmark's percentile, loaded by path."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_serve.py"
+        spec = importlib.util.spec_from_file_location("bench_serve", path)
+        bench_serve = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_serve)
+        percentile = bench_serve.percentile
+        assert percentile([], 0.95) == 0.0
+        assert percentile([1.0], 0.95) == 1.0
         values = [float(i) for i in range(1, 101)]
-        assert _percentile(values, 0.50) == 51.0
-        assert _percentile(values, 0.95) == 95.0
-        assert _percentile(values, 1.0) == 100.0
+        assert percentile(values, 0.50) == 51.0
+        assert percentile(values, 0.95) == 95.0
+        assert percentile(values, 1.0) == 100.0
 
     def test_stats_summary(self):
         stats = QueryStats()

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 
 import pytest
 
 from repro.netgen.families import build_topology
+from repro.store import store as store_module
 from repro.store import (
     ARTIFACT_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
@@ -151,6 +154,44 @@ class TestStoreRoundTrip:
         assert store.load(ring_artifact.fingerprint).fingerprint == ring_artifact.fingerprint
         entry = store.entry_dir(ring_artifact.fingerprint)
         assert sorted(path.name for path in entry.iterdir()) == ["meta.json", "payload.pkl"]
+
+    def test_the_last_meta_and_payload_of_interleaved_saves_match(
+        self, tmp_path, ring_artifact, monkeypatch
+    ):
+        """Two saves of one fingerprint with different payload bytes, timed
+        so that the second writer runs whole between the first one's
+        payload and meta writes.  Unserialised, the entry ends with the
+        first writer's meta beside the second one's payload and fails its
+        checksum; the entry lock makes the second writer wait instead."""
+        first = ring_artifact
+        second = dataclasses.replace(first, build_seconds=first.build_seconds + 1.0)
+        first_payload_written = threading.Event()
+        second_done = threading.Event()
+        atomic_write = store_module._atomic_write
+
+        def write(path, payload):
+            atomic_write(path, payload)
+            if threading.current_thread().name == "first" and path.name == "payload.pkl":
+                first_payload_written.set()
+                # Long enough for an unblocked second save to finish.
+                second_done.wait(1.0)
+
+        def save_second():
+            first_payload_written.wait(10)
+            ArtifactStore(tmp_path).save(second)
+            second_done.set()
+
+        monkeypatch.setattr(store_module, "_atomic_write", write)
+        writers = [
+            threading.Thread(target=ArtifactStore(tmp_path).save, args=(first,), name="first"),
+            threading.Thread(target=save_second),
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(30)
+        loaded = ArtifactStore(tmp_path).load(first.fingerprint)
+        assert loaded.build_seconds == second.build_seconds
 
     @pytest.mark.parametrize("family,size", FAMILY_SIZES)
     def test_every_family_round_trips(self, tmp_path, family, size):

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.topology import (
-    chain_topology,
-    fattree_topology,
-    full_mesh_topology,
-    grid_topology,
-    ring_topology,
-    star_topology,
-)
-from repro.topology.builders import fattree_size_for_nodes
+from repro.topology import fattree_topology, full_mesh_topology, ring_topology
+
+from topologies import chain_topology
 
 
 def test_chain_topology():
@@ -48,22 +42,6 @@ def test_full_mesh_minimum_size():
         full_mesh_topology(1)
 
 
-def test_star_topology():
-    g, roles = star_topology(5)
-    assert g.num_nodes() == 6
-    assert g.num_undirected_edges() == 5
-    hubs = [node for node, role in roles.items() if role == "hub"]
-    assert len(hubs) == 1
-    assert g.degree(hubs[0]) == 10
-
-
-def test_grid_topology():
-    g, _ = grid_topology(3, 4)
-    assert g.num_nodes() == 12
-    # 3 rows * 3 horizontal + 4 cols * 2 vertical = 9 + 8.
-    assert g.num_undirected_edges() == 17
-
-
 @pytest.mark.parametrize("k,expected_nodes", [(4, 20), (6, 45), (12, 180), (20, 500)])
 def test_fattree_node_counts(k, expected_nodes):
     g, _ = fattree_topology(k)
@@ -89,12 +67,6 @@ def test_fattree_structure_k4():
 def test_fattree_rejects_odd_k():
     with pytest.raises(ValueError):
         fattree_topology(5)
-
-
-def test_fattree_size_for_nodes():
-    assert fattree_size_for_nodes(180) == 12
-    assert fattree_size_for_nodes(181) == 14
-    assert fattree_size_for_nodes(1) == 2
 
 
 def test_paper_fattree_sizes():

@@ -113,32 +113,6 @@ def test_reverse():
     assert not r.has_edge("a", "b")
 
 
-def test_bfs_distances_and_reachability():
-    g = Graph(edges=[("a", "b"), ("b", "c"), ("x", "y")])
-    dist = g.bfs_distances("a")
-    assert dist == {"a": 0, "b": 1, "c": 2}
-    assert g.reachable_from("a") == {"a", "b", "c"}
-    assert g.is_connected_to("a", "c")
-    assert not g.is_connected_to("a", "y")
-
-
-def test_bfs_from_unknown_node_raises():
-    g = Graph(nodes=["a"])
-    with pytest.raises(GraphError):
-        g.bfs_distances("zzz")
-
-
-def test_cycle_detection():
-    acyclic = Graph(edges=[("a", "b"), ("b", "c")])
-    assert acyclic.is_dag()
-    assert acyclic.find_cycle() == []
-    cyclic = Graph(edges=[("a", "b"), ("b", "c"), ("c", "a")])
-    assert not cyclic.is_dag()
-    cycle = cyclic.find_cycle()
-    assert len(cycle) >= 3
-    assert cycle[0] == cycle[-1]
-
-
 def test_len_iter_contains():
     g = Graph(nodes=["a", "b"])
     assert len(g) == 2
