@@ -34,6 +34,11 @@ class TestBasics:
         assert manager.var_name(index) == "custom"
         assert manager.num_vars == 1
 
+    def test_declared_variables_get_default_names(self):
+        manager = BddManager(num_vars=3)
+        assert [manager.var_name(i) for i in range(3)] == ["x0", "x1", "x2"]
+        assert manager.var_name(manager.add_var()) == "x3"
+
 
 class TestCanonicity:
     def test_hash_consing_makes_equal_functions_identical(self, manager):
@@ -63,6 +68,16 @@ class TestCanonicity:
         assert manager.apply_implies(a, TRUE) == TRUE
         assert manager.apply_implies(a, FALSE) == manager.apply_not(a)
 
+    def test_rebuilding_a_function_allocates_no_nodes(self, manager):
+        def build():
+            a, b, c = (manager.var(i) for i in range(3))
+            return manager.apply_or(manager.apply_and(a, b), manager.apply_xor(b, c))
+
+        first = build()
+        allocated = manager.num_nodes()
+        assert build() == first
+        assert manager.num_nodes() == allocated
+
 
 class TestOperations:
     def test_conjoin_disjoin(self, manager):
@@ -87,6 +102,22 @@ class TestOperations:
         f = manager.apply_and(a, b)
         assert manager.exists(f, [0]) == b
         assert manager.exists(manager.apply_or(a, b), [0]) == TRUE
+
+    def test_exists_over_no_variables_is_identity(self, manager):
+        f = manager.apply_xor(manager.var(0), manager.var(3))
+        assert manager.exists(f, []) == f
+        assert manager.exists(f, [0, 3]) == TRUE
+
+    def test_restrict_of_an_unassigned_function_is_identity(self, manager):
+        f = manager.apply_and(manager.var(1), manager.var(2))
+        assert manager.restrict(f, {}) == f
+        assert manager.restrict(f, {0: True, 3: False}) == f
+
+    def test_evaluate_reads_only_the_support(self, manager):
+        f = manager.apply_and(manager.var(0), manager.nvar(2))
+        assert manager.evaluate(f, {0: True, 2: False})
+        assert not manager.evaluate(f, {0: True, 2: True})
+        assert manager.evaluate(TRUE, {}) and not manager.evaluate(FALSE, {})
 
     def test_support(self, manager):
         a, c = manager.var(0), manager.var(2)

@@ -211,3 +211,65 @@ def test_equal_tables_are_equal_nodes(cache_limit, steps):
     for node, table in pool:
         assert node_of.setdefault(table, node) == node
     assert len(set(node_of.values())) == len(node_of)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs, st.sets(variables, max_size=NUM_VARS))
+def test_exists_over_several_variables_quantifies_each_in_turn(cache_limit, steps, quantified):
+    manager, pool = build(cache_limit, steps)
+    f, table = pool[-1]
+    for var in quantified:
+        table = cofactor(table, var, True) | cofactor(table, var, False)
+    result = manager.exists(f, quantified)
+    assert table_of(manager, result) == table
+    assert not set(manager.support(result)) & quantified
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs, variables, st.booleans())
+def test_restrict_and_exists_outside_the_support_return_the_same_node(cache_limit, steps, var, value):
+    manager, pool = build(cache_limit, steps)
+    for f, table in pool:
+        if var not in support_of(table):
+            assert manager.restrict(f, {var: value}) == f
+            assert manager.exists(f, [var]) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs, variables, st.booleans())
+def test_restrict_removes_the_variable_from_the_support(cache_limit, steps, var, value):
+    manager, pool = build(cache_limit, steps)
+    f, table = pool[-1]
+    restricted = manager.restrict(f, {var: value})
+    assert manager.support(restricted) == support_of(cofactor(table, var, value))
+    assert var not in manager.support(restricted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs)
+def test_negation_keeps_the_size(cache_limit, steps):
+    """An ROBDD without complement edges negates by swapping terminals."""
+    manager, pool = build(cache_limit, steps)
+    for f, _ in pool:
+        assert manager.size(manager.apply_not(f)) == manager.size(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs)
+def test_size_is_zero_exactly_for_constants(cache_limit, steps):
+    manager, pool = build(cache_limit, steps)
+    for f, table in pool:
+        size = manager.size(f)
+        assert (size == 0) == (table in (0, FULL))
+        assert size >= len(support_of(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs, st.integers(min_value=0), st.integers(min_value=0))
+def test_implication_is_valid_exactly_for_table_inclusion(cache_limit, steps, i, j):
+    manager, pool = build(cache_limit, steps)
+    (a, ta), (b, tb) = pool[i % len(pool)], pool[j % len(pool)]
+    included = ta & (FULL ^ tb) == 0
+    assert (manager.apply_implies(a, b) == TRUE) == included
+    assert (manager.apply_and(a, b) == a) == included
+    assert (manager.apply_or(a, b) == b) == included

@@ -7,6 +7,7 @@ import pytest
 
 from repro.abstraction import (
     Bonsai,
+    EquivalenceClass,
     compute_equivalence_classes,
     routable_equivalence_classes,
 )
@@ -41,6 +42,22 @@ class TestEquivalenceClasses:
         all_classes = compute_equivalence_classes(small_datacenter)
         routable = routable_equivalence_classes(small_datacenter)
         assert len(routable) <= len(all_classes)
+
+    def test_each_fattree_class_is_rooted_at_the_switch_originating_it(self, small_fattree):
+        originator = {
+            prefix: name
+            for name, device in small_fattree.devices.items()
+            for prefix in device.originated_prefixes
+        }
+        classes = compute_equivalence_classes(small_fattree)
+        assert {ec.prefix for ec in classes} == set(originator)
+        for ec in classes:
+            assert ec.origins == frozenset({originator[ec.prefix]})
+
+    def test_a_class_without_origins_is_unroutable(self, small_fattree):
+        classes = compute_equivalence_classes(small_fattree)
+        unroutable = EquivalenceClass(prefix=classes[0].prefix, origins=frozenset())
+        assert classes[0].is_routable and not unroutable.is_routable
 
 
 class TestBonsaiPipeline:

@@ -84,3 +84,18 @@ def test_split_groups_create_copies(line_graph):
     assert split.copies_of("B") == ("B_case0", "B_case1")
     assert split.copies_of("A") == ("A",)
     assert split.concrete_nodes("B_case0") == frozenset({"b1", "b2"})
+
+
+def test_edge_preimages_group_links_by_their_abstract_image(line_graph, abstraction):
+    assert abstraction.edge_preimages(line_graph) == {
+        frozenset({"A", "B"}): frozenset({("a", "b1"), ("a", "b2")}),
+        frozenset({"B", "D"}): frozenset({("b1", "d"), ("b2", "d")}),
+    }
+
+
+def test_links_inside_one_group_map_to_a_singleton_image(line_graph):
+    line_graph.add_undirected_edge("b1", "b2")
+    node_map = {"a": "A", "b1": "B", "b2": "B", "d": "D"}
+    abstraction = NetworkAbstraction.from_node_map(line_graph, node_map)
+    assert abstraction.edge_preimages(line_graph)[frozenset({"B"})] == frozenset({("b1", "b2")})
+    assert not abstraction.abstract_graph.has_self_loop()

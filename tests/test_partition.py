@@ -113,3 +113,23 @@ def test_dunder_helpers():
     assert "zzz" not in p
     assert set(p.nodes()) == {"a", "b"}
     assert p.group_of["a"] == p.find("a")
+
+
+def test_partitions_cover_every_node_once_after_splits():
+    p = UnionSplitFind(list("abcdef"))
+    p.split({"a", "b", "c"})
+    p.split({"a"})
+    p.split({"e"})
+    parts = p.partitions()
+    assert sorted(len(part) for part in parts) == [1, 1, 2, 2]
+    assert set().union(*parts) == set("abcdef")
+    assert sum(len(part) for part in parts) == 6
+    for group in p.groups():
+        assert all(p.find(node) == group for node in p.members(group))
+
+
+def test_canonical_names_number_groups_by_smallest_member():
+    p = UnionSplitFind(["c", "a", "d", "b"])
+    p.split({"c", "d"})
+    p.split({"a"})
+    assert p.canonical_names("g") == {"a": "g0", "b": "g1", "c": "g2", "d": "g2"}

@@ -49,6 +49,19 @@ class TestPrefix:
         with pytest.raises(ValueError):
             Prefix.parse("1.2.3.4/32").child(0)
 
+    def test_mask_covers_the_network_bits(self):
+        assert Prefix.parse("0.0.0.0/0").mask() == 0
+        assert Prefix.parse("10.1.2.0/24").mask() == 0xFFFFFF00
+        assert Prefix.parse("10.1.2.3/32").mask() == 0xFFFFFFFF
+
+    def test_children_split_the_parent_in_two(self):
+        parent = Prefix.parse("10.0.0.0/8")
+        low, high = parent.child(0), parent.child(1)
+        assert parent.contains(low) and parent.contains(high)
+        assert not low.overlaps(high)
+        assert low.bits() == parent.bits() + (0,)
+        assert high.bits() == parent.bits() + (1,)
+
     def test_ordering_is_total(self):
         prefixes = [Prefix.parse("10.0.0.0/8"), Prefix.parse("9.0.0.0/8")]
         assert sorted(prefixes)[0] == Prefix.parse("9.0.0.0/8")
@@ -78,3 +91,27 @@ class TestPrefixTrie:
         assert marked[0] == Prefix.parse("10.0.0.0/8")
         assert len(marked) == 2
         assert list(iter(trie)) == marked
+
+    def test_classes_take_the_origins_of_the_longest_originating_container(self):
+        trie = PrefixTrie()
+        trie.insert(Prefix.parse("10.0.0.0/8"), origins=["core"])
+        trie.insert(Prefix.parse("10.1.0.0/16"), origins=["leaf1"])
+        trie.insert(Prefix.parse("10.1.5.0/24"))
+        trie.insert(Prefix.parse("10.9.0.0/16"))
+        classes = dict(trie.equivalence_classes())
+        assert classes[Prefix.parse("10.1.5.0/24")] == {"leaf1"}
+        assert classes[Prefix.parse("10.9.0.0/16")] == {"core"}
+        assert classes[Prefix.parse("10.0.0.0/8")] == {"core"}
+
+    def test_prefix_with_no_originating_container_has_no_origins(self):
+        trie = PrefixTrie()
+        trie.insert(Prefix.parse("10.0.0.0/8"), origins=["core"])
+        trie.insert(Prefix.parse("11.0.0.0/8"))
+        assert dict(trie.equivalence_classes())[Prefix.parse("11.0.0.0/8")] == set()
+
+    def test_reinserting_a_prefix_adds_its_origins(self):
+        trie = PrefixTrie()
+        trie.insert(Prefix.parse("10.0.0.0/8"), origins=["a"])
+        trie.insert(Prefix.parse("10.0.0.0/8"), origins=["b"])
+        assert len(trie) == 1
+        assert trie.equivalence_classes() == [(Prefix.parse("10.0.0.0/8"), {"a", "b"})]

@@ -88,6 +88,41 @@ class TestSolution:
         bad = Solution(srp=figure1_srp, labeling={"d": RipAttribute(3)})
         assert any("destination" in v for v in bad.violations())
 
+    def test_hand_built_solution_derives_the_solver_forwarding(self, figure1_srp):
+        solved = solve(figure1_srp)
+        by_hand = Solution(srp=figure1_srp, labeling=dict(solved.labeling))
+        assert {n: set(e) for n, e in by_hand.forwarding.items()} == {
+            n: set(e) for n, e in solved.forwarding.items()
+        }
+        assert by_hand.is_stable()
+
+    def test_unreachable_node_has_no_route_and_no_next_hops(self, figure1_graph):
+        figure1_graph.add_undirected_edge("x", "y")
+        solution = solve(build_rip_srp(figure1_graph, "d"))
+        assert solution.labeling["x"] is None and solution.labeling["y"] is None
+        assert solution.forwarding["x"] == ()
+        assert solution.next_hops("y") == set()
+        assert solution.is_stable()
+
+    def test_route_without_offers_is_a_violation(self, figure1_graph):
+        figure1_graph.add_node("x")
+        srp = build_rip_srp(figure1_graph, "d")
+        labeling = dict(solve(srp).labeling, x=RipAttribute(1))
+        assert Solution(srp=srp, labeling=labeling).violations() == [
+            "'x' has no offers but is labelled RipAttribute(hops=1)"
+        ]
+
+    def test_missing_route_with_offers_is_a_violation(self, figure1_srp):
+        labeling = dict(solve(figure1_srp).labeling, a=None)
+        violations = Solution(srp=figure1_srp, labeling=labeling).violations()
+        assert len(violations) == 1 and violations[0].startswith("'a' has offers")
+
+    def test_non_minimal_label_is_a_violation(self, figure1_srp):
+        # b1 is offered hops 1 by d and hops 3 back from a; taking 3 is not minimal.
+        labeling = dict(solve(figure1_srp).labeling, b1=RipAttribute(3))
+        violations = Solution(srp=figure1_srp, labeling=labeling).violations()
+        assert any(v.startswith("'b1'") and "not minimal" in v for v in violations)
+
 
 class TestSolver:
     def test_synchronous_and_asynchronous_agree_on_rip(self, figure1_srp):

@@ -73,3 +73,39 @@ def test_paper_fattree_sizes():
     """The paper's Table 1(a) fat-trees have 180, 500 and 1125 nodes."""
     for k, nodes in [(12, 180), (20, 500), (30, 1125)]:
         assert 5 * k * k // 4 == nodes
+
+
+def test_ring_links_each_router_to_its_two_index_neighbours():
+    g, _ = ring_topology(6)
+    nodes = g.nodes
+    for i, node in enumerate(nodes):
+        assert g.successors(node) == {nodes[i - 1], nodes[(i + 1) % len(nodes)]}
+
+
+def test_full_mesh_links_every_pair_both_ways():
+    g, _ = full_mesh_topology(5)
+    for u in g.nodes:
+        assert g.successors(u) == set(g.nodes) - {u}
+    assert not g.has_self_loop()
+
+
+def test_fattree_degrees_k6():
+    k = 6
+    g, roles = fattree_topology(k)
+    for node, role in roles.items():
+        assert g.successors(node) == g.predecessors(node)  # links are bidirectional
+        if role == "core":
+            assert len(g.successors(node)) == k  # one aggregation switch per pod
+        elif role == "aggregation":
+            assert len(g.successors(node)) == k  # k/2 edge switches + k/2 cores
+        else:
+            assert role == "edge"
+            assert len(g.successors(node)) == k // 2
+
+
+def test_fattree_core_reaches_every_pod_once():
+    k = 4
+    g, roles = fattree_topology(k)
+    for core in (n for n, r in roles.items() if r == "core"):
+        pods = [peer.split("_")[0] for peer in g.successors(core)]
+        assert sorted(pods) == sorted(f"agg{p}" for p in range(k))

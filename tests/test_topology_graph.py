@@ -123,3 +123,47 @@ def test_len_iter_contains():
 def test_undirected_edge_count_with_one_direction_only():
     g = Graph(edges=[("a", "b")])
     assert g.num_undirected_edges() == 1
+
+
+def test_remove_node_drops_its_in_and_out_edges():
+    g = Graph(edges=[("a", "b"), ("c", "b"), ("b", "d"), ("a", "d")])
+    g.remove_node("b")
+    assert set(g.nodes) == {"a", "c", "d"}
+    assert set(g.edges) == {("a", "d")}
+    assert g.successors("c") == set()
+    assert g.predecessors("d") == {"a"}
+
+
+def test_version_moves_on_every_structural_change_only():
+    g = Graph(edges=[("a", "b")])
+    seen = [g.version]
+    for mutate in (
+        lambda: g.add_node("c"),
+        lambda: g.add_edge("b", "c"),
+        lambda: g.remove_edge("a", "b"),
+        lambda: g.remove_node("c"),
+    ):
+        mutate()
+        assert g.version > seen[-1]
+        seen.append(g.version)
+    g.add_node("a")  # already present
+    g.has_edge("a", "b")
+    g.num_undirected_edges()
+    assert g.version == seen[-1]
+
+
+def test_reverse_keeps_isolated_nodes_and_every_edge():
+    g = Graph(nodes=["x"], edges=[("a", "b"), ("b", "c"), ("c", "a")])
+    r = g.reverse()
+    assert set(r.nodes) == set(g.nodes)
+    assert set(r.edges) == {(v, u) for u, v in g.edges}
+    assert set(r.reverse().edges) == set(g.edges)
+
+
+def test_subgraph_is_independent_of_its_parent():
+    g = Graph(edges=[("a", "b"), ("b", "c")])
+    sub = g.subgraph(["a", "b"])
+    sub.remove_edge("a", "b")
+    sub.add_edge("b", "a")
+    assert g.has_edge("a", "b") and not g.has_edge("b", "a")
+    assert g.num_edges() == 2
