@@ -192,6 +192,9 @@ class Bonsai:
         self._base_compiled: Optional[Dict] = None
         #: Likewise its class family (:meth:`derive` asks once per scenario).
         self._family_memo: Optional[Tuple[Prefix, ClassFamily]] = None
+        #: The class orbits (:mod:`repro.abstraction.partition_orbit`) of the
+        #: fan-out running on this ``Bonsai``, cleared when the run ends.
+        self.orbits: Dict = {}
 
     # ------------------------------------------------------------------
     # Pipeline stages

@@ -86,6 +86,25 @@ class NetworkAbstraction:
             split_groups=split_groups,
         )
 
+    def renamed(
+        self, sigma: Dict[Node, Node], concrete_graph: Graph, node_map: Dict[Node, str], protocol
+    ) -> "NetworkAbstraction":
+        """What :meth:`from_node_map` builds on ``concrete_graph``, whose groups
+        ``node_map`` names, for this abstraction's image under ``sigma``."""
+        rho = {base: node_map[sigma[next(iter(g))]] for base, g in self._inverse()[0].items()}
+        split_groups = {}
+        for base, copies in self.split_groups.items():
+            image = rho[base]
+            split_groups[image] = tuple(image + copy[len(base):] for copy in copies)
+            rho.update(zip(copies, split_groups[image]))
+        abstract = Graph()
+        for base in dict.fromkeys(map(node_map.__getitem__, concrete_graph.nodes)):
+            for copy in split_groups.get(base, (base,)):
+                abstract.add_node(copy)
+        for u, v in self.abstract_graph.edges:
+            abstract.add_edge(rho[u], rho[v])
+        return NetworkAbstraction(node_map, abstract, protocol, split_groups)
+
     # ------------------------------------------------------------------
     # The function f and its inverse
     # ------------------------------------------------------------------

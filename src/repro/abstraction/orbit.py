@@ -1,57 +1,49 @@
-"""Class orbits: a symmetric class takes its solutions from its family's
-representative instead of solving them.
+"""Class orbits: a symmetric class takes its partition (``compress``) or
+its solutions (cold ``verify``) from its family's representative.
 
 The paper's premise is that real networks are symmetric.  Two classes
 of one class family (:class:`~repro.abstraction.refinement.ClassFamily`:
 the same specialised policy keys) are often images of each other under
-a renaming σ of the nodes -- every ToR of a fat-tree is.  When σ maps
-one class's concrete SRP onto the other's exactly, the worklist solver's
-answer for the second is the first's renamed, except where a tie was
-broken by the ``repr`` of the attributes, which renaming can reorder.
-So the verify task solves the first class of a family with a given
-number of origins (the *representative*) with a tie log
-(:func:`~repro.srp.solver.solve`'s ``tie_log``), and a later class of
-the family with as many origins takes its labeling and forwarding from
-the representative's when all of this holds:
+a renaming σ of the nodes -- every ToR of a fat-tree is.  Per family and
+origin count a run's first class is the *representative*; a later one
+is its image when σ, found and checked in O(E), maps the
+representative's concrete SRP onto the class's:
 
 * **a candidate σ exists.**  Both SRPs are cut into cells -- a node's
   BFS distance from the destination, its local-preference set and the
   multiset of its out-edge colours -- and nodes are paired by name order
-  within each cell: O(E), no isomorphism search.  An edge's *colour* is
-  what the transfer reads about it except node identity: the family's
-  policy key, the compiled edge's flags and whether it leads to the
-  virtual destination (``no-candidate`` when the cells differ);
+  within each cell.  An edge's *colour* is what the transfer reads about
+  it except node identity: the family's policy key, the compiled edge's
+  flags and whether it leads to the virtual destination
+  (``no-candidate`` when the cells differ);
 * **σ is an isomorphism** (``not-isomorphic`` otherwise): every edge
-  maps to an edge of equal colour, local-preference sets and origins map
-  onto themselves, and ASNs map consistently (asn(u) = asn(v) ⟺
-  asn(σu) = asn(σv)), so AS paths are renamed through it;
-* **every logged tie still breaks the same way** (``tie-order``
-  otherwise): σ of the chosen attribute is the ``repr``-least of σ of
-  the tied ones.
+  maps to an edge of equal colour, local-preference sets, destination
+  and origins map onto themselves, and ASNs map consistently, so AS
+  paths are renamed through it.
 
-The abstract side then maps too, through σ_abs, the map σ induces on
-the two partitions: each group of the representative must land in one
-group of the class, of the same size, and case-split copies map by
-index (``partition`` otherwise).  σ_abs is checked on the abstract SRPs
-as σ is on the concrete ones, with the abstract node names as ASNs; an
-abstract edge's colour is its compiled flags and its two route maps as
-:func:`~repro.config.transfer.specialize_route_map` keys them for the
-class's destination.
+**Compress** (:mod:`repro.abstraction.partition_orbit`).  Those checks
+cover everything refinement reads -- edge policy keys (the virtual
+destination's edges carry one constant key), local-preference sets,
+destination, origins -- so σ is an automorphism of refinement's input.
+Its output, the coarsest stable partition below {destination} / {the
+rest}, does not depend on the order nodes are examined in, so σ(P_rep)
+*is* the class's partition: exact, not merely effective.
 
-Anything that fails solves itself: the orbit is never a weakened check,
-and nothing downstream of the two solutions (tables, verdicts, lifting,
-counterexamples) runs differently.  A route map that sets or deletes a
-community nobody matches colours its edge by the edge itself: the
-family keys cannot see such tags, the attributes carry them.
+**Cold verify** (:class:`ClassOrbit`) maps both solutions.  Renaming can
+reorder a tie the solver broke by ``repr``, so the representative's
+solve logs its ties and σ is taken only if each breaks the same way
+renamed (``tie-order``).  The abstract side maps through σ_abs, the map
+σ induces on the two partitions (each group onto one group of its size,
+split copies by index; ``partition`` otherwise), checked as σ is, with
+the abstract names as ASNs and an abstract edge coloured by its flags
+and its route maps as :func:`~repro.config.transfer.specialize_route_map`
+keys them.
 
-The memo (:func:`orbit_memo`) holds one representative per family and
-origin count and lives on the worker's
-:class:`~repro.abstraction.bonsai.Bonsai`, so it ends with the run; it
-is cleared wholesale at :attr:`OrbitMemo.LIMIT` families, like the
-refinement memo.  Only the
-cold verify task uses it: a stored or kept baseline validates its own
-labeling, and failure and change units re-solve from their baseline's
-transfer memo, which a mapped solution does not carry.
+Anything that fails computes itself: the orbit is never a weakened
+check.  A route map that sets or deletes a community nobody matches
+colours its edge by the edge itself.  Failure and change units
+re-solve from their baseline's transfer memo, which a mapped solution
+does not carry.
 """
 
 from __future__ import annotations
@@ -60,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.abstraction.mapping import NetworkAbstraction
+from repro.abstraction.partition_orbit import FamilyOrbit, family_orbit
 from repro.config.transfer import (
     VIRTUAL_DESTINATION,
     specialize_route_map,
@@ -176,6 +169,7 @@ class FamilyShape:
         }
         self.asn = {node: network.devices[node].asn or str(node) for node in graph.nodes}
         self.order = sorted(graph.nodes, key=str)
+        self.index = {node: at for at, node in enumerate(self.order)}  # σ as a tuple indexes it
 
     def shape(self, srp: SRP) -> Shape:
         """``srp``'s shape, its cells included."""
@@ -408,62 +402,16 @@ def solve_logged(srp: SRP, shape: Shape) -> Tuple[Solution, Solved]:
 
 
 # ----------------------------------------------------------------------
-# The run's memo and one class's attempt
+# Cold verify: both solutions per orbit
 # ----------------------------------------------------------------------
-@dataclass
-class FamilyOrbit:
-    """What the memo keeps for one class family."""
-
-    #: Held so that the family's id is not reused while the entry lives.
-    family: object
-    shape: FamilyShape
-    #: Colour numbering of the family's abstract SRPs.
-    abstract_numbers: Dict[Hashable, int] = field(default_factory=dict)
-    #: One representative per origin count: a class maps only onto a
-    #: class with as many origins.
-    representatives: Dict[int, Representative] = field(default_factory=dict)
-
-
-class OrbitMemo:
-    """One :class:`FamilyOrbit` per class family, for one run."""
-
-    #: Families kept before the memo clears (the refinement memo's rule).
-    LIMIT = 64
-
-    def __init__(self, bonsai):
-        self.bonsai = bonsai
-        self._families: Dict[int, FamilyOrbit] = {}
-
-    def family(self, family, srp: SRP) -> FamilyOrbit:
-        """``family``'s entry; ``srp`` (one of its classes') builds it."""
-        entry = self._families.get(id(family))
-        if entry is None:
-            if len(self._families) >= self.LIMIT:
-                self._families.clear()
-            unused = self.bonsai._class_invariants[0]
-            entry = self._families[id(family)] = FamilyOrbit(
-                family, FamilyShape(srp, family, unused)
-            )
-        return entry
-
-
-def orbit_memo(bonsai) -> OrbitMemo:
-    """The run's orbit memo, kept on the worker's ``Bonsai`` (one per
-    serial run or pool worker)."""
-    memo = getattr(bonsai, "_orbit_memo", None)
-    if memo is None:
-        memo = bonsai._orbit_memo = OrbitMemo(bonsai)
-    return memo
-
-
 class ClassOrbit:
     """One class's two solves: each taken from its family's
     representative when σ checks out, solved otherwise.  ``mapped`` lists
     the sides taken; ``reason`` says why the first side that solved itself
     did (``None``: neither did)."""
 
-    def __init__(self, memo: OrbitMemo, equivalence_class):
-        self.memo = memo
+    def __init__(self, bonsai, equivalence_class):
+        self.bonsai = bonsai
         self.equivalence_class = equivalence_class
         self.mapped: List[str] = []
         self.reason: Optional[str] = None
@@ -493,9 +441,9 @@ class ClassOrbit:
 
     def solve_concrete(self, srp: SRP) -> Solution:
         """The class's concrete solution (its ``TaskBaseline`` solver)."""
-        family = self.memo.bonsai.policy_keys(self.equivalence_class.prefix)
-        entry = self._family = self.memo.family(family, srp)
-        shape = entry.shape.shape(srp)
+        family = self.bonsai.policy_keys(self.equivalence_class.prefix)
+        entry = self._family = family_orbit(self.bonsai, family)
+        shape = entry.shape_of(srp)
         self._origins = len(shape.origins)
         representative = entry.representatives.get(self._origins)
         if representative is None:

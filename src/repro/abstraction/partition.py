@@ -72,6 +72,14 @@ class UnionSplitFind:
         clone._next_group = self._next_group
         return clone
 
+    def renamed(self, sigma: Dict[Node, Node]) -> "UnionSplitFind":
+        """A copy with each node renamed through the bijection ``sigma``."""
+        clone = object.__new__(UnionSplitFind)
+        clone._group_of = {sigma[node]: group for node, group in self._group_of.items()}
+        clone._members = {g: set(map(sigma.__getitem__, m)) for g, m in self._members.items()}
+        clone._next_group = self._next_group
+        return clone
+
     def members(self, group: int) -> FrozenSet[Node]:
         """The nodes in ``group``."""
         if group not in self._members:

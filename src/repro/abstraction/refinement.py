@@ -250,23 +250,21 @@ def find_abstraction_partition(
 
 
 def split_into_bgp_cases(
-    srp: SRP, partition: UnionSplitFind
+    srp: SRP, partition: UnionSplitFind, names: Optional[Dict[Node, str]] = None
 ) -> Dict[str, Tuple[str, ...]]:
     """The final ``SplitIntoBGPCases`` step of Algorithm 1.
 
     Every abstract node whose members can assign ``k > 1`` local-preference
     values is split into ``min(k, |members|)`` copies; the mapping of
     concrete nodes to copies is solution-dependent (Theorem 4.5), so the
-    copies share the base group's concrete members.
+    copies share the base group's concrete members.  ``names`` is
+    ``partition.canonical_names()``, when the caller already has it.
 
     Returns the ``split_groups`` dictionary consumed by
     :class:`~repro.abstraction.mapping.NetworkAbstraction`.
     """
-    names = partition.canonical_names()
-    base_of_group: Dict[int, str] = {}
-    for node, name in names.items():
-        base_of_group[partition.find(node)] = name
-
+    if names is None:
+        names = partition.canonical_names()
     split_groups: Dict[str, Tuple[str, ...]] = {}
     for group in partition.groups():
         members = partition.members(group)
@@ -274,7 +272,7 @@ def split_into_bgp_cases(
         copies_needed = min(len(prefs), len(members))
         if copies_needed <= 1 or srp.destination in members:
             continue
-        base = base_of_group[group]
+        base = names[next(iter(members))]
         split_groups[base] = tuple(
             f"{base}_case{i}" for i in range(copies_needed)
         )
@@ -303,8 +301,8 @@ def compute_abstraction(
     """
     start = time.perf_counter()
     partition, iterations = find_abstraction_partition(srp, policy_keys, max_iterations)
-    split_groups = split_into_bgp_cases(srp, partition) if bgp_case_split else {}
     names = partition.canonical_names()
+    split_groups = split_into_bgp_cases(srp, partition, names) if bgp_case_split else {}
     abstraction = NetworkAbstraction.from_node_map(
         srp.graph,
         names,

@@ -587,9 +587,9 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         if warm is None:
             # Loaded here: the sweeps and serve, which import this module,
             # never run the cold task.
-            from repro.abstraction.orbit import ClassOrbit, orbit_memo
+            from repro.abstraction.orbit import ClassOrbit
 
-            orbit = ClassOrbit(orbit_memo(bonsai), equivalence_class)
+            orbit = ClassOrbit(bonsai, equivalence_class)
             baseline = TaskBaseline(bonsai, equivalence_class, options, solver=orbit.solve_concrete)
         else:
             orbit = None

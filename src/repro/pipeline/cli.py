@@ -136,8 +136,8 @@ def _trace_argument(parser: argparse.ArgumentParser) -> None:
         "--events",
         default=None,
         metavar="PATH",
-        help="write the structured event stream (sweep/class/split/pool/"
-        "spill/fallback/store events) as schema-versioned JSONL",
+        help="write the structured event stream (sweep/class/executor/pool/"
+        "spill/fallback/delta/store events) as schema-versioned JSONL",
     )
     parser.add_argument(
         "--progress",

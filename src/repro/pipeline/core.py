@@ -133,9 +133,11 @@ def _import_task(path: str) -> Callable[[Bonsai, EquivalenceClass, dict], object
 def compress_class_task(
     bonsai: Bonsai, equivalence_class: EquivalenceClass, options: dict
 ) -> CompressionResult:
-    """The ``"compress"`` task: Bonsai compression of one class."""
+    """The ``"compress"`` task: Bonsai compression of one class, or its
+    class orbit's mapped partition (:mod:`repro.abstraction.partition_orbit`)."""
+    from repro.abstraction import partition_orbit  # set-up runs no class: not loaded
     with trace.span("compress", cls=str(equivalence_class.prefix)):
-        result = bonsai.compress(equivalence_class, build_network=False)
+        result = partition_orbit.compress(bonsai, equivalence_class)
     if options.get("detach_srp"):  # CompressionPipeline._with_concrete_srp puts it back
         result.concrete_srp = None
     return result
@@ -522,28 +524,31 @@ class ClassFanOut:
         bonsai = artifact.make_bonsai()
         task = _import_task(self.task)
         capture = trace.active()
-        for done, (index, equivalence_class) in enumerate(indexed, 1):
-            start = time.perf_counter()
-            # Even inline units go through capture_unit: spans buffer
-            # and attach index-sorted afterwards, exactly like pool
-            # units, so serial and pooled trace trees are identical.
-            with trace.capture_unit(
-                capture, False, cls=str(equivalence_class.prefix)
-            ) as obs:
-                try:
-                    result = task(bonsai, equivalence_class, self.task_options)
-                except Exception as exc:
-                    raise PipelineError(
-                        f"task {self.task!r} on equivalence class "
-                        f"{equivalence_class.prefix} failed: {exc!r}"
-                    ) from exc
-            if capture:
-                self._unit_obs.append((index, obs))
-            seconds = time.perf_counter() - start
-            self._note_unit(index, equivalence_class, result, seconds, on_result, out)
-            if stop is not None and stop(done, seconds):
-                return done
-        return len(indexed)
+        try:
+            for done, (index, equivalence_class) in enumerate(indexed, 1):
+                start = time.perf_counter()
+                # Even inline units go through capture_unit: spans buffer
+                # and attach index-sorted afterwards, exactly like pool
+                # units, so serial and pooled trace trees are identical.
+                with trace.capture_unit(
+                    capture, False, cls=str(equivalence_class.prefix)
+                ) as obs:
+                    try:
+                        result = task(bonsai, equivalence_class, self.task_options)
+                    except Exception as exc:
+                        raise PipelineError(
+                            f"task {self.task!r} on equivalence class "
+                            f"{equivalence_class.prefix} failed: {exc!r}"
+                        ) from exc
+                if capture:
+                    self._unit_obs.append((index, obs))
+                seconds = time.perf_counter() - start
+                self._note_unit(index, equivalence_class, result, seconds, on_result, out)
+                if stop is not None and stop(done, seconds):
+                    return done
+            return len(indexed)
+        finally:
+            bonsai.orbits.clear()
 
     def _run_pool(
         self,

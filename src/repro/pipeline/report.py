@@ -207,6 +207,11 @@ class PipelineReport(StreamingReport, ReportEnvelope):
         families = int(counters.get("abstraction.class_families", 0))
         if families:  # classes of one family share key map, inputs and base
             lines.append(f"class families: {families} ({self.record_count()} classes)")
+        orbit = sorted((k[18:], int(n)) for k, n in counters.items() if "abstraction.orbit." in k)
+        if orbit:  # classes that took their partition from their orbit's representative
+            mapped = sum(n for how, n in orbit if how.startswith("mapped."))
+            why = ", ".join(f"{n} {how}" for how, n in orbit)
+            lines.append(f"class orbits: {mapped} of {self.record_count()} classes mapped ({why})")
         if self.speedup is not None:
             lines.append(
                 f"speedup vs serial: {self.speedup:.2f}x "

@@ -10,8 +10,11 @@ import weakref
 
 import pytest
 
-from repro.abstraction import bonsai as bonsai_module
+from repro import fattree_network
+from repro.abstraction import orbit
+from repro.abstraction.refinement import RefinementResult
 from repro.abstraction.ec import routable_equivalence_classes
+from repro.analysis.batch import BatchVerifier
 from repro.api import Session
 from repro.config.transfer import build_srp_from_network
 from repro.delta import sweep as delta_sweep
@@ -342,20 +345,37 @@ class TestClassStateDiesWithItsClass:
         ids=["compress", "failures"],
     )
     def test_no_refinement_outlives_its_class(self, run, kept_bonsais, monkeypatch):
-        """No ``Bonsai`` keeps a class's ``RefinementResult`` past its class."""
+        """No ``Bonsai`` keeps a class's ``RefinementResult`` past its class:
+        neither a refined one nor one mapped from its class orbit."""
         refinements = []
-        refine = bonsai_module.compute_abstraction
+        init = RefinementResult.__init__
 
-        def tracking(*args, **kwargs):
-            result = refine(*args, **kwargs)
-            refinements.append(weakref.ref(result))
-            return result
+        def tracking(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refinements.append(weakref.ref(self))
 
-        monkeypatch.setattr(bonsai_module, "compute_abstraction", tracking)
+        monkeypatch.setattr(RefinementResult, "__init__", tracking)
         assert run(build_topology("fattree", 4)).ok()
         gc.collect()
         assert len(refinements) > 1 and kept_bonsais
         assert [ref for ref in refinements if ref() is not None] == []
+
+    def test_no_representative_outlives_a_cold_verify(self, kept_bonsais, monkeypatch):
+        """A serial cold verify keeps its class orbits' representatives on
+        the run's ``Bonsai`` while it runs; none is reachable once it ends."""
+        representatives = []
+        make = orbit.Representative
+
+        def tracking(*args, **kwargs):
+            representatives.append(make(*args, **kwargs))
+            return representatives[-1]
+
+        monkeypatch.setattr(orbit, "Representative", tracking)
+        network = fattree_network(4, policy="prefer_bottom")
+        assert BatchVerifier(network, executor="serial").run().orbit_counts() == (7, 7)
+        assert representatives and kept_bonsais
+        reachable = set().union(*map(_reachable_ids, kept_bonsais))
+        assert [r for r in representatives if id(r) in reachable] == []
 
     def test_no_specialisation_memo_outlives_its_class(self, kept_bonsais, monkeypatch):
         """A class task's route-map specialisation memos are shared by its

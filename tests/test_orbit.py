@@ -17,18 +17,20 @@ from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_golden_reports import VERIFY_CASES, scrub
+from test_golden_reports import FAMILIES, VERIFY_CASES, scrub
 from test_property_based import random_connected_graph
 
 from repro import fattree_network
-from repro.abstraction import orbit
+from repro.abstraction import orbit, partition_orbit
 from repro.abstraction.bonsai import Bonsai
+from repro.abstraction.equivalence import check_cp_equivalence
 from repro.analysis.batch import BatchVerifier
 from repro.config.prefix import Prefix
 from repro.config.transfer import build_srp_from_network
 from repro.netgen import uniform_bgp_network
 from repro.netgen.families import build_topology
 from repro.obs import metrics
+from repro.pipeline.core import CompressionPipeline
 from repro.srp.solver import _attribute_sort_key, solve
 from repro.topology import Graph
 
@@ -404,6 +406,176 @@ class TestFallback:
             "verify.orbit.solved.tie-order": 1,
         }
         assert report.orbit_counts() == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Compress: one refinement per orbit
+# ----------------------------------------------------------------------
+COMPRESS_NETWORKS = {
+    **{family: (lambda family=family: build_topology(family)) for family in FAMILIES},
+    **{
+        f"fattree-prefer_bottom-k{k}": (lambda k=k: fattree_network(k, policy="prefer_bottom"))
+        for k in (4, 6, 10)
+    },
+    "anycast-fattree": anycast_fattree,
+}
+
+
+def _compress(network, **mode):
+    before = metrics.snapshot_counters()
+    report = CompressionPipeline(network, **mode).run_streaming(spill=False)
+    counts = {
+        name: value for name, value in metrics.counters_delta(before).items()
+        if name.startswith(("abstraction.orbit.", "abstraction.refinement_cache."))
+    }
+    return [record.canonical() for record in report.records], counts, report
+
+
+def _per_class(network, patch):
+    """The compress run with refinement on every class: no candidate σ."""
+    patch.setattr(orbit, "candidate", lambda a, b: None)
+    return _compress(network, executor="serial")
+
+
+class TestCompressOrbitEqualsPerClass:
+    """The twin: a class mapped from its orbit's representative has the
+    record its own refinement gives."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("name", sorted(COMPRESS_NETWORKS))
+    def test_records_equal_per_class_records(self, name, executor, monkeypatch):
+        mode = dict(executor=executor, workers=2) if executor == "process" else {"executor": executor}
+        records, counts, _ = _compress(COMPRESS_NETWORKS[name](), **mode)
+        with monkeypatch.context() as patch:
+            per_class, per_class_counts, _ = _per_class(COMPRESS_NETWORKS[name](), patch)
+        assert records == per_class
+        assert not any(name.startswith("abstraction.orbit.mapped.") for name in per_class_counts)
+        mapped = sum(v for k, v in counts.items() if k.startswith("abstraction.orbit.mapped."))
+        refined = sum(v for k, v in counts.items() if k.startswith("abstraction.orbit.refined."))
+        assert mapped + refined == len(records)
+        if name.startswith(("fattree", "mesh", "anycast")) and executor == "serial":
+            assert counts["abstraction.orbit.refined.representative"] == 1
+            assert mapped == len(records) - 1
+
+    @pytest.mark.parametrize("name", sorted(COMPRESS_NETWORKS))
+    def test_mapped_abstractions_are_cp_equivalent(self, name):
+        run = CompressionPipeline(COMPRESS_NETWORKS[name](), executor="serial").run()
+        mapped = [r for r in run.results if r.refinement.iterations == 0]
+        if name.startswith(("fattree", "mesh", "anycast")):
+            assert len(mapped) == len(run.results) - 1
+        for result in mapped:
+            report = check_cp_equivalence(result.concrete_srp, result.abstraction)
+            assert report.cp_equivalent, report.violations
+
+    def test_summary_and_cache_counters(self):
+        records, counts, report = _compress(build_topology("fattree", 6), executor="serial")
+        checked = counts["abstraction.orbit.mapped.checked"]
+        composed = counts["abstraction.orbit.mapped.composed"]
+        assert checked + composed == len(records) - 1 and composed > 0
+        # A mapped class reads its family's refinement: a cache hit.
+        assert counts["abstraction.refinement_cache.misses"] == 1
+        assert counts["abstraction.refinement_cache.hits"] == len(records) - 1
+        summary = (
+            f"class orbits: {len(records) - 1} of {len(records)} classes mapped "
+            f"({checked} mapped.checked, {composed} mapped.composed, 1 refined.representative)"
+        )
+        assert summary in report.summary_lines()
+
+
+def _class_by_class(network):
+    """Each class through the compress task's orbit, with the orbit
+    counters it moved, beside its own refinement."""
+    bonsai, reference = Bonsai(network), Bonsai(network)
+    for ec in bonsai.equivalence_classes():
+        before = metrics.snapshot_counters()
+        result = partition_orbit.compress(bonsai, ec)
+        moved = {k for k in metrics.counters_delta(before) if k.startswith("abstraction.orbit.")}
+        yield moved, result, reference.compress(ec, build_network=False)
+
+
+def _same_refinement(got, expected):
+    a, b = got.refinement.abstraction, expected.refinement.abstraction
+    assert a.node_map == b.node_map and a.split_groups == b.split_groups
+    assert a.abstract_graph.nodes == b.abstract_graph.nodes
+    assert set(a.abstract_graph.edges) == set(b.abstract_graph.edges)
+    assert got.refinement.split_counts == expected.refinement.split_counts
+    assert sorted(map(sorted, got.refinement.partition.partitions())) == sorted(
+        map(sorted, expected.refinement.partition.partitions())
+    )
+
+
+class TestCompressOrbitPaths:
+    @pytest.mark.parametrize(
+        "network",
+        [lambda: build_topology("fattree", 6), lambda: fattree_network(6, policy="prefer_bottom")],
+        ids=["shortest_path", "prefer_bottom"],
+    )
+    def test_composed_classes_equal_their_refinement(self, network):
+        """A class whose origin set the checked generators already reach
+        takes their product unchecked; it is still its refinement."""
+        composed = 0
+        for moved, got, expected in _class_by_class(network()):
+            if "abstraction.orbit.mapped.composed" in moved:
+                composed += 1
+                assert got.refinement.iterations == 0
+            _same_refinement(got, expected)
+        assert composed > 0
+
+    def test_a_non_automorphism_refines(self, monkeypatch):
+        """Two of one node's out-edges swap keys in the second class's
+        shape: its cells still pair, σ is no automorphism, and the class
+        refines (``not-isomorphic``) to the right record."""
+        network = fattree_network(4, policy="prefer_bottom")
+        target = Bonsai(network).equivalence_classes()[1]
+        shape = orbit.FamilyShape.shape
+
+        def swapped(self, srp):
+            built = shape(self, srp)
+            if srp.destination in target.origins:
+                node = next(n for n in self.order if len(set(self.multiset[n])) > 1)
+                edges = srp.graph.out_edges(node)
+                first = edges[0]
+                other = next(e for e in edges if built.colours[e] != built.colours[first])
+                built.colours = {
+                    **built.colours, first: built.colours[other], other: built.colours[first]
+                }
+            return built
+
+        monkeypatch.setattr(orbit.FamilyShape, "shape", swapped)
+        outcomes = list(_class_by_class(network))
+        assert outcomes[1][0] == {"abstraction.orbit.refined.not-isomorphic"}
+        assert outcomes[1][1].refinement.iterations > 0
+        for _, got, expected in outcomes:
+            _same_refinement(got, expected)
+        with monkeypatch.context() as patch:
+            per_class, _, _ = _per_class(fattree_network(4, policy="prefer_bottom"), patch)
+        records, counts, _ = _compress(network, executor="serial")
+        assert records == per_class
+        assert counts["abstraction.orbit.refined.not-isomorphic"] == 1
+
+    def test_wan_builds_no_shape(self, monkeypatch):
+        """No WAN class passes the local filter: none pays for a shape."""
+        built = []
+        init = orbit.FamilyShape.__init__
+
+        def tracking(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(orbit.FamilyShape, "__init__", tracking)
+        records, counts, _ = _compress(build_topology("wan", 10), executor="serial")
+        assert built == []
+        assert counts["abstraction.orbit.refined.no-candidate"] == len(records) - 10
+
+    def test_schreier_tree_reaches_the_orbit(self):
+        """One rotation of a 6-cycle reaches every node from node 0; the
+        composed map carries 0 onto the reached node."""
+        tree = partition_orbit.PartitionOrbit(srp=None, refinement=None, origins=frozenset())
+        tree.reached[frozenset({0})] = None
+        tree.extend((1, 2, 3, 4, 5, 0))
+        assert set(tree.reached) == {frozenset({i}) for i in range(6)}
+        for i in range(6):
+            assert tree.composed(frozenset({i}), 6)[0] == i
 
 
 class TestRepresentativeLifetime:
