@@ -88,9 +88,10 @@ class NetworkAbstraction:
 
     def renamed(
         self, sigma: Dict[Node, Node], concrete_graph: Graph, node_map: Dict[Node, str], protocol
-    ) -> "NetworkAbstraction":
+    ) -> Tuple["NetworkAbstraction", Dict[str, str]]:
         """What :meth:`from_node_map` builds on ``concrete_graph``, whose groups
-        ``node_map`` names, for this abstraction's image under ``sigma``."""
+        ``node_map`` names, for this abstraction's image under ``sigma``; and
+        the renaming of abstract nodes, split copies by index, that it is."""
         rho = {base: node_map[sigma[next(iter(g))]] for base, g in self._inverse()[0].items()}
         split_groups = {}
         for base, copies in self.split_groups.items():
@@ -103,7 +104,7 @@ class NetworkAbstraction:
                 abstract.add_node(copy)
         for u, v in self.abstract_graph.edges:
             abstract.add_edge(rho[u], rho[v])
-        return NetworkAbstraction(node_map, abstract, protocol, split_groups)
+        return NetworkAbstraction(node_map, abstract, protocol, split_groups), rho
 
     # ------------------------------------------------------------------
     # The function f and its inverse

@@ -1,58 +1,74 @@
-"""Class orbits: a symmetric class takes its partition (``compress``) or
-its solutions (cold ``verify``) from its family's representative.
+"""Class orbits: every class task takes a symmetric class's partition,
+and cold ``verify`` also its two solutions, from its family's
+representative through one σ per class (:class:`ClassOrbit`).
 
 The paper's premise is that real networks are symmetric.  Two classes
 of one class family (:class:`~repro.abstraction.refinement.ClassFamily`:
 the same specialised policy keys) are often images of each other under
 a renaming σ of the nodes -- every ToR of a fat-tree is.  Per family and
-origin count a run's first class is the *representative*; a later one
-is its image when σ, found and checked in O(E), maps the
-representative's concrete SRP onto the class's:
+origin count a run's first class is the *representative*
+(:mod:`repro.abstraction.partition_orbit` keeps its record); a later
+class finds σ once, by one method:
 
-* **a candidate σ exists.**  Both SRPs are cut into cells -- a node's
+* **the local filter.**  Each origin's (direction, policy) multiset and
+  local preferences in the family's refinement inputs, which every σ
+  keeps, must match the representative's (``no-candidate`` otherwise,
+  before any shape is built);
+* **the Schreier tree.**  A class whose origin set the checked σs
+  already reach takes their product, unchecked: a product of
+  automorphisms of the family's shape is one (``composed``);
+* **one check** (``checked``).  Both SRPs are cut into cells -- a node's
   BFS distance from the destination, its local-preference set and the
-  multiset of its out-edge colours -- and nodes are paired by name order
-  within each cell.  An edge's *colour* is what the transfer reads about
-  it except node identity: the family's policy key, the compiled edge's
-  flags and whether it leads to the virtual destination
-  (``no-candidate`` when the cells differ);
-* **σ is an isomorphism** (``not-isomorphic`` otherwise): every edge
-  maps to an edge of equal colour, local-preference sets, destination
-  and origins map onto themselves, and ASNs map consistently, so AS
-  paths are renamed through it.
+  multiset of its out-edge colours -- and :func:`candidate` pairs nodes
+  by name order within each cell (``no-candidate`` when the cells
+  differ).  An edge's *colour* is what the transfer reads about it
+  except node identity: the family's policy key, the compiled edge's
+  flags and whether it leads to the virtual destination.
+  :func:`isomorphism` then checks that every edge maps to an edge of
+  equal colour, local-preference sets, destination and origins map onto
+  themselves, and ASNs map consistently (:func:`renaming`), so AS paths
+  are renamed through it (``not-isomorphic`` otherwise).
 
-**Compress** (:mod:`repro.abstraction.partition_orbit`).  Those checks
-cover everything refinement reads -- edge policy keys (the virtual
-destination's edges carry one constant key), local-preference sets,
-destination, origins -- so σ is an automorphism of refinement's input.
-Its output, the coarsest stable partition below {destination} / {the
-rest}, does not depend on the order nodes are examined in, so σ(P_rep)
-*is* the class's partition: exact, not merely effective.
+**The partition** (:meth:`ClassOrbit.compress`: the ``compress`` task,
+cold ``verify``, and the class baselines of ``failures``, ``delta`` and
+``store save``).  Those checks cover everything refinement reads -- edge
+policy keys (the virtual destination's edges carry one constant key),
+local-preference sets, destination, origins -- so σ is an automorphism
+of refinement's input.  Its output, the coarsest stable partition below
+{destination} / {the rest}, does not depend on the order nodes are
+examined in, so σ(P_rep) *is* the class's partition: exact, not merely
+effective.
 
-**Cold verify** (:class:`ClassOrbit`) maps both solutions.  Renaming can
-reorder a tie the solver broke by ``repr``, so the representative's
-solve logs its ties and σ is taken only if each breaks the same way
-renamed (``tie-order``).  The abstract side maps through σ_abs, the map
-σ induces on the two partitions (each group onto one group of its size,
-split copies by index; ``partition`` otherwise), checked as σ is, with
-the abstract names as ASNs and an abstract edge coloured by its flags
-and its route maps as :func:`~repro.config.transfer.specialize_route_map`
+**The solutions** (cold ``verify``).  Renaming can reorder a tie the
+solver broke by ``repr``, so the representative's solves log their ties
+and each side maps only if each breaks the same way renamed
+(``tie-order``).  The concrete side maps through σ, with the ASN
+renaming σ induces.  The abstract side maps through σ_abs, the renaming
+of abstract nodes the mapped partition is (split copies by index), and
+is checked as σ is: the abstract SRP picks representative edges by name,
+so it is not σ-isomorphic by construction.  Its shape takes the
+abstract names as ASNs and colours an abstract edge by its flags and
+its route maps as :func:`~repro.config.transfer.specialize_route_map`
 keys them.
 
 Anything that fails computes itself: the orbit is never a weakened
 check.  A route map that sets or deletes a community nobody matches
-colours its edge by the edge itself.  Failure and change units
+colours its edge by the edge itself.  Failure views and delta
+recompressions refine on their own ``Bonsai``; failure and change units
 re-solve from their baseline's transfer memo, which a mapped solution
 does not carry.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.abstraction.mapping import NetworkAbstraction
-from repro.abstraction.partition_orbit import FamilyOrbit, family_orbit
+from repro.abstraction.bonsai import CompressionResult
+from repro.abstraction.partition_orbit import FamilyOrbit, PartitionOrbit, family_orbit
+from repro.abstraction.refinement import RefinementResult
 from repro.config.transfer import (
     VIRTUAL_DESTINATION,
     specialize_route_map,
@@ -84,21 +100,13 @@ class Shape:
 
 @dataclass
 class Solved:
-    """One solved SRP of the representative, as its images need it."""
+    """One solved SRP of the representative, as its images need it (the
+    abstract one with its shape: σ_abs is checked against it)."""
 
-    shape: Shape
+    shape: Optional[Shape]
     labeling: Dict
     forwarding: Dict
     ties: "Ties"
-
-
-@dataclass
-class Representative:
-    """The first class of a family: both solutions and its partition."""
-
-    concrete: Solved
-    abstraction: Optional[NetworkAbstraction] = None
-    abstract: Optional[Solved] = None
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +284,15 @@ def isomorphism(sigma: Sigma, a: Shape, b: Shape) -> Optional[Dict[str, str]]:
     for (u, v), colour in a.colours.items():
         if colours.get((sigma[u], sigma[v])) != colour:
             return None
+    return renaming(sigma, a.asn, b.asn)
+
+
+def renaming(sigma: Sigma, a_asn: Dict[Node, str], b_asn: Dict[Node, str]) -> Optional[Dict]:
+    """The ASN renaming ``sigma`` carries ``a_asn`` onto ``b_asn`` by, or
+    ``None`` when it is not a consistent bijection."""
     alpha: Dict[str, str] = {}
-    for node, asn in a.asn.items():
-        image = b.asn.get(sigma[node])
+    for node, asn in a_asn.items():
+        image = b_asn.get(sigma[node])
         if image is None or alpha.setdefault(asn, image) != image:
             return None
     return alpha if len(set(alpha.values())) == len(alpha) else None
@@ -402,35 +416,113 @@ def solve_logged(srp: SRP, shape: Shape) -> Tuple[Solution, Solved]:
 
 
 # ----------------------------------------------------------------------
-# Cold verify: both solutions per orbit
+# One σ per class
 # ----------------------------------------------------------------------
+def _local_inputs(family, origins) -> Optional[Counter]:
+    """Each origin's (direction, policy) multiset and preferences, which σ keeps;
+    ``None`` before the family's refinement inputs exist (anycast-only families)."""
+    if family.graph is None:
+        return None
+    summary, prefs = family.edge_summary, family.pref_sets
+    return Counter((tuple(sorted(summary[node][0])), prefs[node]) for node in origins)
+
+
+def _shape(entry: FamilyOrbit, srp: SRP) -> Shape:
+    if entry.shape is None:
+        entry.shape = FamilyShape(srp, entry.family, entry.unused)
+    return entry.shape.shape(srp)
+
+
 class ClassOrbit:
-    """One class's two solves: each taken from its family's
-    representative when σ checks out, solved otherwise.  ``mapped`` lists
-    the sides taken; ``reason`` says why the first side that solved itself
-    did (``None``: neither did)."""
+    """One class's σ from its family's representative, found once on the
+    class's concrete SRP, and what its task takes through it: the
+    partition (:meth:`compress`) and, on cold verify, both solutions
+    (:meth:`solve_concrete`, :meth:`solve_abstract`).  ``how`` says how σ
+    was found or why there is none; ``mapped`` lists the solves taken and
+    ``reason`` why the first solve that ran itself did (``None``: none did)."""
 
     def __init__(self, bonsai, equivalence_class):
         self.bonsai = bonsai
         self.equivalence_class = equivalence_class
+        self.origins = frozenset(equivalence_class.origins)
+        self.how: Optional[str] = None
+        self.sigma: Optional[Sigma] = None
         self.mapped: List[str] = []
         self.reason: Optional[str] = None
-        self._family: Optional[FamilyOrbit] = None
-        #: This class's origin count: its representative's key.
-        self._origins = 0
-        #: This class's solutions, when it is its family's first class.
-        self._new: Optional[Representative] = None
-        self._sigma: Optional[Sigma] = None
+        self._entry: Optional[FamilyOrbit] = None
+        #: The family's representative record (when this class is it, a new
+        #: one that :meth:`compress` registers).
+        self._record: Optional[PartitionOrbit] = None
+        #: σ_abs: the mapped partition's renaming of abstract nodes.
+        self._abstract_sigma: Optional[Sigma] = None
+
+    def _find(self, srp: SRP) -> None:
+        """σ onto ``srp``, the class's concrete SRP, looked for once."""
+        if self.how is not None:
+            return
+        family = self.bonsai.policy_keys(self.equivalence_class.prefix)
+        entry = self._entry = family_orbit(self.bonsai, family)
+        record = self._record = entry.partitions.get(len(self.origins))
+        if record is None:
+            self.how, self._record = "representative", PartitionOrbit(srp, None, self.origins)
+            return
+        if _local_inputs(family, self.origins) != _local_inputs(family, record.origins):
+            self.how = "no-candidate"
+            return
+        if not record.reached:  # the first check roots the tree
+            record.shape = _shape(entry, record.srp)
+            record.reached[frozenset(map(entry.shape.index.__getitem__, record.origins))] = None
+        order, index = entry.shape.order, entry.shape.index
+        node = frozenset(map(index.__getitem__, self.origins))
+        if node in record.reached:
+            self.how, tau = "composed", record.composed(node, len(order))
+        else:
+            shape = _shape(entry, srp)
+            sigma = candidate(record.shape, shape)
+            if sigma is None or isomorphism(sigma, record.shape, shape) is None:
+                self.how = "no-candidate" if sigma is None else "not-isomorphic"
+                return
+            record.extend(tuple(index[sigma[member]] for member in order))
+            self.how, tau = "checked", record.generators[-1]
+        self.sigma = dict(zip(order, map(order.__getitem__, tau)))
+        if srp.transfer.virtual_edges:
+            self.sigma[VIRTUAL_DESTINATION] = VIRTUAL_DESTINATION
+
+    def compress(self, srp: SRP) -> CompressionResult:
+        """The class's compression (``srp``: its concrete SRP): σ(the
+        representative's partition), or ``Bonsai.compress`` with no σ."""
+        start = time.perf_counter()
+        self._find(srp)
+        record, sigma = self._record, self.sigma
+        if sigma is None:
+            result = self.bonsai.compress(self.equivalence_class, build_network=False, srp=srp)
+            if self.how == "representative":
+                record.refinement = result.refinement
+                self._entry.partitions[len(self.origins)] = record
+            _metrics.counter(f"abstraction.orbit.refined.{self.how}").inc()
+            return result
+        partition = record.refinement.partition.renamed(sigma)
+        abstraction, rho = record.refinement.abstraction.renamed(
+            sigma, srp.graph, partition.canonical_names(), srp.protocol
+        )
+        self._abstract_sigma = {VIRTUAL_DESTINATION: VIRTUAL_DESTINATION, **rho}
+        splits = {base: len(copies) for base, copies in abstraction.split_groups.items()}
+        seconds = time.perf_counter() - start
+        refinement = RefinementResult(abstraction, partition, 0, seconds, splits)
+        _metrics.counter("abstraction.refinement_cache.hits").inc()
+        _metrics.counter(f"abstraction.orbit.mapped.{self.how}").inc()
+        return CompressionResult(
+            self.equivalence_class, srp, refinement, None, time.perf_counter() - start
+        )
 
     def _solve(self, reason: str, srp: SRP) -> Solution:
         if self.reason is None:
             self.reason = reason
         return solve(srp)
 
-    def _take(self, side: str, solved: Solved, sigma: Sigma, shape: Shape, srp: SRP) -> Solution:
-        """``solved`` mapped onto ``srp`` if ``sigma`` checks out against
-        ``shape`` (``srp``'s), else ``srp`` solved."""
-        alpha = isomorphism(sigma, solved.shape, shape)
+    def _take(self, side: str, solved: Solved, sigma: Sigma, alpha, srp: SRP) -> Solution:
+        """``solved`` mapped onto ``srp`` through ``sigma`` and the ASN
+        renaming ``alpha`` if there is one and the ties hold, else solved."""
         if alpha is None:
             return self._solve("not-isomorphic", srp)
         rename = Renamer(alpha)
@@ -441,44 +533,28 @@ class ClassOrbit:
 
     def solve_concrete(self, srp: SRP) -> Solution:
         """The class's concrete solution (its ``TaskBaseline`` solver)."""
-        family = self.bonsai.policy_keys(self.equivalence_class.prefix)
-        entry = self._family = family_orbit(self.bonsai, family)
-        shape = entry.shape_of(srp)
-        self._origins = len(shape.origins)
-        representative = entry.representatives.get(self._origins)
-        if representative is None:
-            self.reason = "representative"
-            solution, solved = solve_logged(srp, shape)
-            self._new = Representative(solved)
+        self._find(srp)
+        if self.how == "representative":
+            self.reason = self.how
+            solution, self._record.concrete = solve_logged(srp, None)
             return solution
-        solved = representative.concrete
-        sigma = candidate(solved.shape, shape)
-        if sigma is None:
-            return self._solve("no-candidate", srp)
-        solution = self._take("concrete", solved, sigma, shape, srp)
-        if self.mapped:
-            self._sigma = sigma
-        return solution
+        if self.sigma is None:
+            return self._solve(self.how, srp)
+        asn = self._entry.shape.asn
+        return self._take(
+            "concrete", self._record.concrete, self.sigma, renaming(self.sigma, asn, asn), srp
+        )
 
-    def abstract_solver(self, abstraction) -> Callable[[SRP], Solution]:
-        """The abstract arm's solver for the class's ``abstraction``."""
-        return lambda srp: self._solve_abstract(abstraction, srp)
-
-    def _solve_abstract(self, abstraction, srp: SRP) -> Solution:
-        entry, new = self._family, self._new
-        if new is None and self._sigma is None:
+    def solve_abstract(self, srp: SRP) -> Solution:
+        """The abstract arm's solver, on the SRP of :meth:`compress`'s partition."""
+        if self.how != "representative" and self.sigma is None:
             return solve(srp)
-        shape = abstract_shape(srp, entry.abstract_numbers)
-        if new is not None:
-            new.abstraction = abstraction
-            solution, new.abstract = solve_logged(srp, shape)
-            entry.representatives[self._origins] = new
+        shape = abstract_shape(srp, self._entry.abstract_numbers)
+        if self.how == "representative":
+            solution, self._record.abstract = solve_logged(srp, shape)
             return solution
-        representative = entry.representatives[self._origins]
-        sigma = induced_sigma(self._sigma, representative.abstraction, abstraction)
-        if sigma is None:
-            return self._solve("partition", srp)
-        return self._take("abstract", representative.abstract, sigma, shape, srp)
+        solved, sigma = self._record.abstract, self._abstract_sigma
+        return self._take("abstract", solved, sigma, isomorphism(sigma, solved.shape, shape), srp)
 
     def count(self) -> None:
         """Add this class to the ``verify.orbit.*`` counters."""
@@ -486,30 +562,3 @@ class ClassOrbit:
             _metrics.counter(f"verify.orbit.mapped.{side}").inc()
         if self.reason is not None:
             _metrics.counter(f"verify.orbit.solved.{self.reason}").inc()
-
-
-def induced_sigma(sigma: Sigma, source, target) -> Optional[Sigma]:
-    """σ_abs: ``sigma`` through the partitions of the ``source`` and
-    ``target`` abstractions -- each source group onto one target group of
-    its size, split copies by index -- or ``None`` when they do not
-    correspond."""
-    node_map = target.node_map
-    bases = set(source.node_map.values())
-    if len(bases) != len(set(node_map.values())):
-        return None
-    induced: Sigma = {VIRTUAL_DESTINATION: VIRTUAL_DESTINATION}
-    images = set()
-    for base in bases:
-        members = source.concrete_nodes(base)
-        image = {node_map.get(sigma[member]) for member in members}
-        if len(image) != 1:
-            return None
-        image = image.pop()
-        if image is None or image in images:
-            return None
-        copies, image_copies = source.copies_of(base), target.copies_of(image)
-        if len(copies) != len(image_copies) or len(target.concrete_nodes(image)) != len(members):
-            return None
-        images.add(image)
-        induced.update(zip(copies, image_copies))
-    return induced

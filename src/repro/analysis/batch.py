@@ -46,6 +46,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.abstraction.ec import EquivalenceClass
 from repro.abstraction.equivalence import build_abstract_srp
 from repro.abstraction.mapping import NetworkAbstraction
+from repro.abstraction.orbit import ClassOrbit
 from repro.analysis.dataplane import forwarding_table_from_solution
 from repro.analysis.properties import (
     Counterexample,
@@ -554,10 +555,11 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
     runs :func:`abstract_arm` on the abstract SRP of its partition.  The record
     holds failures, mismatches and structured counterexamples.
 
-    Without a stored baseline both solves go through the class's orbit
+    Without a stored baseline the class goes through its orbit
     (:mod:`repro.abstraction.orbit`): a class that is a checked image of
-    its family's representative takes both solutions from it, and the
-    record's ``orbit_mapped`` names the sides that did.
+    its family's representative takes its partition and both solutions
+    from it through one σ, and the record's ``orbit_mapped`` names the
+    solves that were mapped.
 
     A ``deadline`` (epoch seconds) in ``options`` turns classes reached
     after the budget into ``timed_out`` marker records instead of silently
@@ -585,10 +587,6 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
         concrete_start = time.perf_counter()
         warm = options.get("baseline")
         if warm is None:
-            # Loaded here: the sweeps and serve, which import this module,
-            # never run the cold task.
-            from repro.abstraction.orbit import ClassOrbit
-
             orbit = ClassOrbit(bonsai, equivalence_class)
             baseline = TaskBaseline(bonsai, equivalence_class, options, solver=orbit.solve_concrete)
         else:
@@ -598,12 +596,12 @@ def verify_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict
 
         # -- abstract side (compression included in the timing) --------------
         abstract_start = time.perf_counter()
-        result, record.compression_seconds = baseline.compression(bonsai)
+        result, record.compression_seconds = baseline.compression(bonsai, orbit)
         abstraction = result.abstraction
         abstract_context, lifted = abstract_arm(
             abstraction, build_abstract_srp(baseline.solution.srp, abstraction),
             baseline.specs, baseline.node_names, baseline.waypoints, baseline.path_bound,
-            solver=solve if orbit is None else orbit.abstract_solver(abstraction),
+            solver=solve if orbit is None else orbit.solve_abstract,
         )
         record.abstract_seconds = time.perf_counter() - abstract_start
 

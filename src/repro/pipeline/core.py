@@ -134,10 +134,11 @@ def compress_class_task(
     bonsai: Bonsai, equivalence_class: EquivalenceClass, options: dict
 ) -> CompressionResult:
     """The ``"compress"`` task: Bonsai compression of one class, or its
-    class orbit's mapped partition (:mod:`repro.abstraction.partition_orbit`)."""
-    from repro.abstraction import partition_orbit  # set-up runs no class: not loaded
+    class orbit's mapped partition (:mod:`repro.abstraction.orbit`)."""
+    from repro.abstraction.orbit import ClassOrbit  # set-up runs no class: not loaded
     with trace.span("compress", cls=str(equivalence_class.prefix)):
-        result = partition_orbit.compress(bonsai, equivalence_class)
+        srp = bonsai.concrete_srp(equivalence_class)
+        result = ClassOrbit(bonsai, equivalence_class).compress(srp)
     if options.get("detach_srp"):  # CompressionPipeline._with_concrete_srp puts it back
         result.concrete_srp = None
     return result

@@ -48,6 +48,7 @@ from repro.abstraction.bonsai import CompressionResult
 from repro.abstraction.ec import EquivalenceClass
 from repro.abstraction.equivalence import build_abstract_srp
 from repro.abstraction.mapping import NetworkAbstraction
+from repro.abstraction.orbit import ClassOrbit
 from repro.analysis.batch import PropertySuite, abstract_arm, compare_verdicts, waypoints_for
 from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
 from repro.analysis.properties import (
@@ -481,7 +482,8 @@ class TaskBaseline:
     the scratch solve and leaves :attr:`stored` ``None``.  The scratch
     solve is ``solver``: the cold verify task hands in its class orbit's
     (:mod:`repro.abstraction.orbit`), which may map the solution from a
-    symmetric class instead.
+    symmetric class instead, and :meth:`compression` takes the partition
+    through that orbit too.
 
     Read-only once built, because a :class:`WarmBaselines` hands one
     instance to every request thread of a service: the methods write only
@@ -540,13 +542,16 @@ class TaskBaseline:
             # only entries the artifact holds: keep its dict, not our copy.
             self.solution.transfer_cache = stored.transfer_memo
 
-    def compression(self, bonsai) -> Tuple[CompressionResult, float]:
+    def compression(self, bonsai, orbit=None) -> Tuple[CompressionResult, float]:
         """The class's compression and the seconds it cost here: the
-        stored one, or compressed anew (the partition; no configured
-        abstract network is emitted)."""
+        stored one, or compressed anew through the class's orbit
+        (``orbit``: the one its solve went through, if any; the partition,
+        no configured abstract network is emitted)."""
         if self.stored_compression is not None:
             return self.stored_compression, 0.0
-        result = bonsai.compress(self.equivalence_class, build_network=False, srp=self.solution.srp)
+        if orbit is None:
+            orbit = ClassOrbit(bonsai, self.equivalence_class)
+        result = orbit.compress(self.solution.srp)
         return result, result.compression_seconds
 
     @cached_property

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.abstraction.bonsai import CompressionResult
+from repro.abstraction.orbit import ClassOrbit
 from repro.config.network import Network
 from repro.delta.revalidate import class_signature
 from repro.pipeline.core import ClassFanOut
@@ -71,7 +72,7 @@ def baseline_class_task(bonsai, equivalence_class, options: dict) -> ClassBaseli
     solution = solve(bonsai.concrete_srp(equivalence_class), transfer_cache=cache)
     solve_seconds = time.perf_counter() - solve_start
 
-    compression = bonsai.compress(equivalence_class, build_network=False, srp=solution.srp)
+    compression = ClassOrbit(bonsai, equivalence_class).compress(solution.srp)
     return ClassBaseline(
         prefix=str(prefix),
         origins=sorted(str(origin) for origin in origins),

@@ -11,6 +11,7 @@ from test_change_wire import CHANGES
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import routable_equivalence_classes
+from repro.abstraction.orbit import ClassOrbit
 from repro.config.acl import AclLine
 from repro.config.prefix import Prefix
 from repro.config.routemap import RouteMapClause
@@ -459,23 +460,34 @@ class TestRevalidation:
         assert report.ok()
 
     def test_reused_abstraction_compresses_nothing(self, monkeypatch):
-        """A step that reuses the baseline abstraction never calls
-        ``Bonsai.compress``: the only compressions are the per-class
-        baselines."""
+        """A step that reuses the baseline abstraction compresses nothing:
+        the only compressions are the per-class baselines, one class orbit
+        compression each, and ``Bonsai.compress`` runs only inside those."""
         network = build_topology("fattree", 4)
         changeset = invariant_acl_change(network, random.Random(0))
-        calls = []
-        compress = Bonsai.compress
+        baselines, inside, outside = [], [], []
+        orbit_compress, compress = ClassOrbit.compress, Bonsai.compress
+
+        def counted_orbit(self, *args, **kwargs):
+            baselines.append(1)
+            inside.append(1)
+            try:
+                return orbit_compress(self, *args, **kwargs)
+            finally:
+                inside.pop()
 
         def counted(self, *args, **kwargs):
-            calls.append(1)
+            if not inside:
+                outside.append(1)
             return compress(self, *args, **kwargs)
 
+        monkeypatch.setattr(ClassOrbit, "compress", counted_orbit)
         monkeypatch.setattr(Bonsai, "compress", counted)
         report = DeltaSweep(network, script=[changeset], executor="serial").run()
         outcomes = [o for r in report.records for o in r.steps]
         assert outcomes and all(o.reused and not o.recompressed for o in outcomes)
-        assert len(calls) == report.num_classes == len(report.records)
+        assert len(baselines) == report.num_classes == len(report.records)
+        assert outside == []
 
     def test_tightening_dirties_only_the_target_class(self):
         network = build_topology("fattree", 4)

@@ -361,19 +361,21 @@ class TestClassStateDiesWithItsClass:
         assert [ref for ref in refinements if ref() is not None] == []
 
     def test_no_representative_outlives_a_cold_verify(self, kept_bonsais, monkeypatch):
-        """A serial cold verify keeps its class orbits' representatives on
-        the run's ``Bonsai`` while it runs; none is reachable once it ends."""
+        """A serial cold verify keeps its class orbits' representatives
+        (partition and logged solves on one record) on the run's
+        ``Bonsai`` while it runs; none is reachable once it ends."""
         representatives = []
-        make = orbit.Representative
+        make = orbit.PartitionOrbit
 
         def tracking(*args, **kwargs):
             representatives.append(make(*args, **kwargs))
             return representatives[-1]
 
-        monkeypatch.setattr(orbit, "Representative", tracking)
+        monkeypatch.setattr(orbit, "PartitionOrbit", tracking)
         network = fattree_network(4, policy="prefer_bottom")
         assert BatchVerifier(network, executor="serial").run().orbit_counts() == (7, 7)
         assert representatives and kept_bonsais
+        assert all(r.concrete is not None and r.abstract is not None for r in representatives)
         reachable = set().union(*map(_reachable_ids, kept_bonsais))
         assert [r for r in representatives if id(r) in reachable] == []
 

@@ -25,13 +25,17 @@ from repro.abstraction import orbit, partition_orbit
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.equivalence import check_cp_equivalence
 from repro.analysis.batch import BatchVerifier
+from repro.delta import DeltaSweep
+from repro.failures import FailureSweep
 from repro.config.prefix import Prefix
 from repro.config.transfer import build_srp_from_network
 from repro.netgen import uniform_bgp_network
+from repro.netgen.changes import default_change_steps, generated_change_script
 from repro.netgen.families import build_topology
 from repro.obs import metrics
 from repro.pipeline.core import CompressionPipeline
 from repro.srp.solver import _attribute_sort_key, solve
+from repro.store.artifact import BaselineArtifact
 from repro.topology import Graph
 
 
@@ -302,6 +306,30 @@ class TestOrbitEqualsPerClass:
         assert orbits.canonical_records() == per_class.canonical_records()
         assert _full_records(orbits) == _full_records(per_class)
 
+    def test_composed_classes_map_both_solves(self, monkeypatch):
+        """On a k=6 fat-tree classes the Schreier tree reaches take σ
+        unchecked; both their solves and their partition map through it,
+        and the records are the per-class twin's."""
+        classes = []
+        count = orbit.ClassOrbit.count
+
+        def tracking(self):
+            classes.append((self.how, list(self.mapped)))
+            count(self)
+
+        monkeypatch.setattr(orbit.ClassOrbit, "count", tracking)
+        before = metrics.snapshot_counters()
+        orbits, _ = _verify(build_topology("fattree", 6))
+        assert metrics.counters_delta(before)["abstraction.orbit.mapped.composed"] > 0
+        composed = [mapped for how, mapped in classes if how == "composed"]
+        assert composed and all(mapped == ["concrete", "abstract"] for mapped in composed)
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            per_class, _ = _verify(build_topology("fattree", 6))
+        assert per_class.orbit_counts() == (0, 0)
+        assert orbits.canonical_records() == per_class.canonical_records()
+        assert _full_records(orbits) == _full_records(per_class)
+
     @pytest.mark.parametrize(
         "k, abstract_mapped, tie_order",
         # k=6: the induced abstract names reorder 9 classes' abstract ties.
@@ -348,17 +376,30 @@ class TestRenaming:
 
 
 class TestFallback:
-    def test_ring_reflections_solve_themselves(self):
-        """On a 6-ring the classes one rotation away map; name order pairs
-        the two reflected ones wrongly, and the check refuses them."""
+    def test_ring_reflections_solve_themselves(self, monkeypatch):
+        """On a 6-ring name order pairs r1's class wrongly: the check
+        refuses σ and r1 solves itself.  r2's and r3's σs (reflections)
+        check out, and the tree composes them to reach r4 (a reflection)
+        and r5 (a rotation) unchecked.  r4's σ breaks a concrete tie the
+        other way, so only its abstract solve maps.  The records are the
+        per-class twin's."""
         report, counts = _verify(build_topology("ring", 6))
         assert counts == {
             "verify.orbit.solved.representative": 1,
-            "verify.orbit.solved.not-isomorphic": 2,
+            "verify.orbit.solved.not-isomorphic": 1,
+            "verify.orbit.solved.tie-order": 1,
             "verify.orbit.mapped.concrete": 3,
-            "verify.orbit.mapped.abstract": 3,
+            "verify.orbit.mapped.abstract": 4,
         }
-        assert sum(not record.orbit_mapped for record in report.records) == 3
+        assert [record.orbit_mapped for record in report.records] == [
+            [], [], ["concrete", "abstract"], ["concrete", "abstract"], ["abstract"],
+            ["concrete", "abstract"],
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            per_class, _ = _verify(build_topology("ring", 6))
+        assert report.canonical_records() == per_class.canonical_records()
+        assert _full_records(report) == _full_records(per_class)
 
     def test_wan_classes_solve_themselves(self):
         report, counts = _verify(build_topology("wan"))
@@ -482,13 +523,71 @@ class TestCompressOrbitEqualsPerClass:
         assert summary in report.summary_lines()
 
 
+def _mapped(run):
+    """``run()`` and how many classes took their partition from their orbit."""
+    before = metrics.snapshot_counters()
+    result = run()
+    counts = metrics.counters_delta(before)
+    return result, sum(v for k, v in counts.items() if k.startswith("abstraction.orbit.mapped."))
+
+
+def _failures(network):
+    return FailureSweep(network, k=2, sample=12, seed=1, executor="serial").run()
+
+
+def _delta(network, family):
+    script = generated_change_script(
+        network, family, steps=default_change_steps(family), seed=0
+    )
+    return DeltaSweep(network, script=script, executor="serial").run()
+
+
+class TestClassBaselinesEqualPerClass:
+    """The twins of the class baselines that compress through the orbit:
+    failures, delta and ``store save`` report what per-class refinement
+    gives."""
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_failures_records(self, k, monkeypatch):
+        report, mapped = _mapped(lambda: _failures(build_topology("fattree", k)))
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            per_class, per_class_mapped = _mapped(lambda: _failures(build_topology("fattree", k)))
+        assert mapped == report.num_classes - 1 and per_class_mapped == 0
+        assert report.canonical_records() == per_class.canonical_records()
+
+    @pytest.mark.parametrize("family, size", [("fattree", 4), ("wan", 10)])
+    def test_delta_records(self, family, size, monkeypatch):
+        report, mapped = _mapped(lambda: _delta(build_topology(family, size), family))
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            per_class, per_class_mapped = _mapped(
+                lambda: _delta(build_topology(family, size), family)
+            )
+        # No WAN class passes the local filter: its twin holds refinement alone.
+        assert (mapped > 0) == (family == "fattree") and per_class_mapped == 0
+        assert report.canonical_records() == per_class.canonical_records()
+
+    def test_store_partitions(self, monkeypatch):
+        def partitions():
+            built = BaselineArtifact.build(build_topology("fattree", 4))
+            return {prefix: baseline.partition for prefix, baseline in built.baselines.items()}
+
+        stored, mapped = _mapped(partitions)
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit, "candidate", lambda a, b: None)
+            refined, refined_mapped = _mapped(partitions)
+        assert mapped == len(stored) - 1 and refined_mapped == 0
+        assert stored == refined
+
+
 def _class_by_class(network):
     """Each class through the compress task's orbit, with the orbit
     counters it moved, beside its own refinement."""
     bonsai, reference = Bonsai(network), Bonsai(network)
     for ec in bonsai.equivalence_classes():
         before = metrics.snapshot_counters()
-        result = partition_orbit.compress(bonsai, ec)
+        result = orbit.ClassOrbit(bonsai, ec).compress(bonsai.concrete_srp(ec))
         moved = {k for k in metrics.counters_delta(before) if k.startswith("abstraction.orbit.")}
         yield moved, result, reference.compress(ec, build_network=False)
 

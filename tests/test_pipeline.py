@@ -244,7 +244,7 @@ class TestBatching:
 # ----------------------------------------------------------------------
 class TestCrashHandling:
     def test_worker_crash_surfaces_clean_error(self, small_ring, monkeypatch):
-        def boom(self, equivalence_class, build_network=True):
+        def boom(self, equivalence_class, build_network=True, srp=None):
             raise RuntimeError("synthetic worker crash")
 
         monkeypatch.setattr(Bonsai, "compress", boom)  # the forked workers inherit it
@@ -296,7 +296,7 @@ class TestCrashHandling:
         assert [event["task"] for event in failed] == ["conftest:dying_class_task"]
 
     def test_serial_crash_surfaces_clean_error(self, small_ring, monkeypatch):
-        def boom(self, equivalence_class, build_network=True):
+        def boom(self, equivalence_class, build_network=True, srp=None):
             raise RuntimeError("synthetic serial crash")
 
         monkeypatch.setattr(Bonsai, "compress", boom)
